@@ -1,0 +1,129 @@
+"""ocrank — certified order-type analysis of one-counter transductions.
+
+A machine reads a well-bracketed input word (0 opens, 1 closes) and emits a
+regular output language per edge.  This package computes the reachable
+counter sets with certificates, builds the leveled normal form, classifies
+its components, and turns the result into an ordinal bound on the Hausdorff
+rank of the output language under the lexicographic order — or a concrete
+witness that the order embeds the rationals.
+"""
+
+from .words import (
+    Alphabet,
+    BINARY,
+    DyckClass,
+    Relation,
+    compare,
+    dyck_class,
+    in_d1,
+    is_dyck_prefix,
+    is_dyck_suffix,
+    lex_key,
+    lex_less,
+    open_depth,
+    primitive_root,
+)
+from .regular import (
+    Automaton,
+    QuasiDense,
+    Regex,
+    RegexSyntaxError,
+    Scattered,
+    compile_regex,
+    finite_rank_bound,
+    parse_regex,
+    regular_scattered,
+)
+from .counterset import (
+    CertificationError,
+    NSetReport,
+    UPSet,
+    reach_sets,
+    render_upset,
+    up_intersect,
+    up_membership,
+    up_union,
+    worked_close_image,
+)
+from .transducer import (
+    LevelingError,
+    Transducer,
+    TransducerError,
+    TransducerPrime,
+    TypedState,
+    TypedTransition,
+    bounded_language_equal,
+    build_mprime,
+    check_run,
+    language_of_input,
+    lift_run,
+    make_transducer,
+    minimal_normalize,
+    project_run,
+    run_input_word,
+    step_language,
+    validate,
+)
+from .components import (
+    ComponentVerdict,
+    FullyCertified,
+    QuasiDenseWitness,
+    Scc,
+    ZeroCertified,
+    certify_component,
+    condense,
+    cycle_outputs,
+    cycle_profile,
+)
+from .rank import (
+    NotScattered,
+    Ordinal,
+    RankBound,
+    RocAtom,
+    RocConcat,
+    RocExpr,
+    RocPlus,
+    Unknown,
+    analyze_machine,
+    expr_rank_bound,
+    ord_add,
+    ord_max,
+    transducer_rank_bound,
+)
+from .harness import (
+    DensityWitness,
+    EnumerationResult,
+    accepting_runs,
+    enumerate_expr,
+    probe_density,
+    upset_oracle,
+)
+from .cli import Fixture, FixtureError, load_fixture_file, parse_fixture, render_fixture
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "Alphabet", "BINARY", "DyckClass", "Relation", "compare", "dyck_class",
+    "in_d1", "is_dyck_prefix", "is_dyck_suffix", "lex_key", "lex_less",
+    "open_depth", "primitive_root",
+    "Automaton", "QuasiDense", "Regex", "RegexSyntaxError", "Scattered",
+    "compile_regex", "finite_rank_bound", "parse_regex", "regular_scattered",
+    "CertificationError", "NSetReport", "UPSet", "reach_sets", "render_upset",
+    "up_intersect", "up_membership", "up_union", "worked_close_image",
+    "LevelingError", "Transducer", "TransducerError", "TransducerPrime",
+    "TypedState", "TypedTransition", "bounded_language_equal", "build_mprime",
+    "check_run", "language_of_input", "lift_run", "make_transducer",
+    "minimal_normalize", "project_run", "run_input_word", "step_language",
+    "validate",
+    "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",
+    "ZeroCertified", "certify_component", "condense", "cycle_outputs",
+    "cycle_profile",
+    "NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",
+    "RocPlus", "Unknown", "analyze_machine", "expr_rank_bound", "ord_add",
+    "ord_max", "transducer_rank_bound",
+    "DensityWitness", "EnumerationResult", "accepting_runs", "enumerate_expr",
+    "probe_density", "upset_oracle",
+    "Fixture", "FixtureError", "load_fixture_file", "parse_fixture",
+    "render_fixture",
+    "__version__",
+]

@@ -1,0 +1,648 @@
+"""Command-line front-end.
+
+Fixture files are line-oriented: ``alphabet``, ``states``, ``initial``,
+``final`` and ``trans`` lines describe a machine; a single ``expr`` line
+(atom / concat / plus over other fixture files) describes a language
+expression.  ``#`` starts a comment.
+
+Exit codes: 0 success, 1 usage or parse error, 2 a non-scattered order was
+witnessed, 3 the analysis gave up (Unknown), 4 internal certification or
+check failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import dataclass
+
+from . import harness
+from .counterset import CertificationError, reach_sets, render_upset
+from .rank import (
+    NotScattered,
+    RankBound,
+    RocAtom,
+    RocConcat,
+    RocExpr,
+    RocPlus,
+    Unknown,
+    analyze_machine,
+    expr_rank_bound,
+)
+from .regular import RegexSyntaxError, parse_regex
+from .transducer import (
+    LevelingError,
+    Transducer,
+    TransducerError,
+    TransducerPrime,
+    bounded_language_equal,
+    build_mprime,
+    check_run,
+    check_structure,
+    lift_run,
+    make_transducer,
+    project_run,
+)
+from .words import Alphabet
+
+
+class FixtureError(ValueError):
+    """Fixture file rejected; the message carries file:line context."""
+
+
+@dataclass
+class Fixture:
+    """A parsed fixture: either one machine or one expression over machines."""
+
+    value: Transducer | RocExpr
+    name: str = "<fixture>"
+    directive: str | None = None
+
+    @property
+    def is_machine(self) -> bool:
+        return isinstance(self.value, Transducer)
+
+
+_MAX_EXPR_DEPTH = 16
+
+
+def parse_fixture(
+    text: str, base_dir: str = ".", name: str = "<fixture>", depth: int = 0
+) -> Fixture:
+    """Parse fixture text; see the module docstring for the grammar."""
+    entries: list[tuple[int, list[str]]] = []
+    for lineno, raw in _directive_lines(text):
+        entries.append((lineno, raw.split()))
+
+    expr_lines = [(n, parts) for n, parts in entries if parts[0] == "expr"]
+    if expr_lines:
+        if len(entries) != 1:
+            lineno = expr_lines[0][0]
+            raise FixtureError(
+                f"{name}:{lineno}: an expression fixture must contain exactly "
+                "one 'expr' line and nothing else"
+            )
+        lineno, parts = expr_lines[0]
+        return Fixture(
+            _parse_expr_directive(parts, base_dir, name, lineno, depth),
+            name=name,
+            directive=" ".join(parts),
+        )
+    return Fixture(_parse_machine(entries, name), name=name)
+
+
+def load_fixture_file(path: str, depth: int = 0) -> Fixture:
+    if depth > _MAX_EXPR_DEPTH:
+        raise FixtureError(f"{path}: expression fixtures nested deeper than {_MAX_EXPR_DEPTH}")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_fixture(
+        text, base_dir=os.path.dirname(os.path.abspath(path)),
+        name=os.path.basename(path), depth=depth,
+    )
+
+
+def _directive_lines(text: str):
+    for lineno, raw in zip(range(1, text.count("\n") + 2), text.splitlines()):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            yield lineno, stripped
+
+
+def _parse_expr_directive(
+    parts: list[str], base_dir: str, name: str, lineno: int, depth: int
+) -> RocExpr:
+    def sub(ref: str) -> RocExpr:
+        candidate = os.path.join(base_dir, ref)
+        if not os.path.exists(candidate) and os.path.exists(candidate + ".oct"):
+            candidate = candidate + ".oct"
+        try:
+            loaded = load_fixture_file(candidate, depth + 1)
+        except OSError as exc:
+            raise FixtureError(f"{name}:{lineno}: cannot read {ref!r}: {exc}") from exc
+        if loaded.is_machine:
+            return RocAtom(loaded.value)
+        return loaded.value
+
+    kind = parts[1] if len(parts) > 1 else ""
+    if kind == "atom" and len(parts) == 3:
+        e = sub(parts[2])
+        if not isinstance(e, RocAtom):
+            raise FixtureError(
+                f"{name}:{lineno}: 'expr atom' needs a machine fixture, "
+                f"got an expression in {parts[2]!r}"
+            )
+        return e
+    if kind == "concat" and len(parts) == 4:
+        return RocConcat(sub(parts[2]), sub(parts[3]))
+    if kind == "plus" and len(parts) == 3:
+        return RocPlus(sub(parts[2]))
+    raise FixtureError(
+        f"{name}:{lineno}: bad expr line; expected "
+        "'expr atom F' | 'expr concat F1 F2' | 'expr plus F'"
+    )
+
+
+def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transducer:
+    alphabet: Alphabet | None = None
+    states: list[str] | None = None
+    initial: str | None = None
+    finals: list[str] | None = None
+    transitions: list[tuple[str, int, str, object]] = []
+    seen_trans: set[tuple[str, int, str, str]] = set()
+
+    def fail(lineno: int, msg: str):
+        raise FixtureError(f"{name}:{lineno}: {msg}")
+
+    for lineno, parts in entries:
+        word, rest = parts[0], parts[1:]
+        if word == "alphabet":
+            if alphabet is not None:
+                fail(lineno, "duplicate 'alphabet' line")
+            if not rest:
+                fail(lineno, "'alphabet' needs at least one letter")
+            try:
+                alphabet = Alphabet(tuple(rest))
+            except ValueError as exc:
+                fail(lineno, str(exc))
+        elif word == "states":
+            if states is not None:
+                fail(lineno, "duplicate 'states' line")
+            if not rest:
+                fail(lineno, "'states' needs at least one state")
+            if len(set(rest)) != len(rest):
+                fail(lineno, "duplicate state names")
+            states = rest
+        elif word == "initial":
+            if initial is not None:
+                fail(lineno, "duplicate 'initial' line")
+            if len(rest) != 1:
+                fail(lineno, "'initial' needs exactly one state")
+            initial = rest[0]
+        elif word == "final":
+            if finals is not None:
+                fail(lineno, "duplicate 'final' line")
+            if not rest:
+                fail(lineno, "'final' needs at least one state")
+            finals = rest
+        elif word == "trans":
+            if len(rest) != 4:
+                fail(lineno, "'trans' needs: trans <src> <0|1> <tgt> <regex>")
+            src, bit_text, tgt, regex_text = rest
+            if bit_text not in ("0", "1"):
+                fail(lineno, f"input bit must be 0 or 1, got {bit_text!r}")
+            key = (src, int(bit_text), tgt, regex_text)
+            if key in seen_trans:
+                fail(lineno, f"duplicate transition {src} -{bit_text}-> {tgt}")
+            seen_trans.add(key)
+            transitions.append((src, int(bit_text), tgt, regex_text))
+        else:
+            fail(lineno, f"unknown directive {word!r}")
+
+    for missing, value in (
+        ("alphabet", alphabet), ("states", states),
+        ("initial", initial), ("final", finals),
+    ):
+        if value is None:
+            raise FixtureError(f"{name}: missing '{missing}' line")
+
+    assert states is not None and alphabet is not None and finals is not None
+    known = set(states)
+    if initial not in known:
+        raise FixtureError(f"{name}: initial state {initial!r} not declared")
+    for f in finals:
+        if f not in known:
+            raise FixtureError(f"{name}: final state {f!r} not declared")
+    parsed_transitions = []
+    for (lineno, parts), (src, bit, tgt, regex_text) in zip(
+        [e for e in entries if e[1][0] == "trans"], transitions
+    ):
+        if src not in known or tgt not in known:
+            bad = src if src not in known else tgt
+            fail(lineno, f"unknown state {bad!r}")
+        try:
+            output = parse_regex(regex_text, alphabet)
+        except RegexSyntaxError as exc:
+            fail(lineno, f"bad regex {regex_text!r}: {exc}")
+        parsed_transitions.append((src, bit, tgt, output))
+    try:
+        return make_transducer(states, initial, finals, parsed_transitions, alphabet)
+    except TransducerError as exc:
+        raise FixtureError(f"{name}: {exc}") from exc
+
+
+def render_fixture(fixture: Fixture) -> str:
+    """Inverse of parse_fixture, up to comments and blank lines."""
+    if not fixture.is_machine:
+        assert fixture.directive is not None
+        return fixture.directive + "\n"
+    m = fixture.value
+    assert isinstance(m, Transducer)
+    lines = [
+        "alphabet " + " ".join(m.alphabet.letters),
+        "states " + " ".join(m.states),
+        "initial " + m.initial,
+        "final " + " ".join(q for q in m.states if q in m.finals),
+    ]
+    for t in m.transitions:
+        lines.append(f"trans {t.source} {t.bit} {t.target} {t.output}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# DOT emission
+
+
+def machine_dot(machine: Transducer) -> str:
+    lines = [
+        "digraph transducer {",
+        "  rankdir=LR;",
+        '  __start [shape=point, label=""];',
+    ]
+    for q in machine.states:
+        shape = "doublecircle" if q in machine.finals else "circle"
+        lines.append(f'  "{q}" [shape={shape}];')
+    lines.append(f'  __start -> "{machine.initial}";')
+    for t in machine.transitions:
+        lines.append(f'  "{t.source}" -> "{t.target}" [label="{t.bit} / {t.output}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def prime_dot(prime: TransducerPrime) -> str:
+    lines = [
+        "digraph leveled {",
+        "  rankdir=LR;",
+        '  __start [shape=point, label=""];',
+    ]
+    for s in prime.states:
+        shape = "doublecircle" if s in prime.finals else "circle"
+        label = f"{s.state},{s.level},{s.phase}"
+        lines.append(f'  "{s.render()}" [shape={shape}, label="{label}"];')
+    lines.append(f'  __start -> "{prime.initial.render()}";')
+    for t in prime.transitions:
+        lines.append(
+            f'  "{t.source.render()}" -> "{t.target.render()}" '
+            f'[label="{t.bit} / {t.output} ({t.rule})"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Command implementations
+
+
+def _typed_state_json(s) -> list:
+    return [s.state, s.level, s.phase]
+
+
+def _cmd_nsets(machine: Transducer, args, out) -> tuple[int, dict]:
+    report = reach_sets(machine, counter_cap=args.counter_cap)
+    print(f"P = {report.period}", file=out)
+    for q in machine.states:
+        print(
+            f"{q}: N- = {render_upset(report.minus[q])} | "
+            f"N+ = {render_upset(report.plus[q])} | "
+            f"N = {render_upset(report.meet[q])}",
+            file=out,
+        )
+    for q in machine.states:
+        values = ", ".join(str(c) for c in sorted(report.types[q]))
+        print(f"tau({q}) = {{{values}}}", file=out)
+    payload = {
+        "command": "nsets",
+        "nsets": {
+            q: {
+                "minus": render_upset(report.minus[q]),
+                "plus": render_upset(report.plus[q]),
+                "meet": render_upset(report.meet[q]),
+            }
+            for q in machine.states
+        },
+        "period": report.period,
+        "types": {q: sorted(report.types[q]) for q in machine.states},
+        "counter_cap": report.counter_cap,
+    }
+    return 0, payload
+
+
+def _cmd_mprime(machine: Transducer, args, out) -> tuple[int, dict]:
+    report = reach_sets(machine, counter_cap=args.counter_cap)
+    prime = build_mprime(machine, report)
+    print(f"period = {prime.period}", file=out)
+    print(f"states ({len(prime.states)}):", file=out)
+    for s in prime.states:
+        marks = ""
+        if s == prime.initial:
+            marks += " (initial)"
+        if s in prime.finals:
+            marks += " (accepting)"
+        print(f"  {s.render()}{marks}", file=out)
+    print(f"transitions ({len(prime.transitions)}):", file=out)
+    for t in prime.transitions:
+        print(
+            f"  {t.source.render()} -{t.bit}-> {t.target.render()} "
+            f"/ {t.output} [rule {t.rule}]",
+            file=out,
+        )
+    if args.dot:
+        _write_text(args.dot, prime_dot(prime))
+    payload = {
+        "command": "mprime",
+        "period": prime.period,
+        "mprime": {
+            "states": [_typed_state_json(s) for s in prime.states],
+            "initial": _typed_state_json(prime.initial),
+            "finals": sorted(
+                (_typed_state_json(s) for s in prime.finals),
+            ),
+            "transitions": [
+                {
+                    "source": _typed_state_json(t.source),
+                    "bit": t.bit,
+                    "target": _typed_state_json(t.target),
+                    "output": str(t.output),
+                    "rule": t.rule,
+                }
+                for t in prime.transitions
+            ],
+        },
+    }
+    return 0, payload
+
+
+def _cmd_dot(fixture: Fixture, args, out) -> tuple[int, dict | None]:
+    machine = _require_machine(fixture, "dot")
+    text = machine_dot(machine)
+    if args.dot:
+        _write_text(args.dot, text)
+    else:
+        out.write(text)
+    return 0, None
+
+
+def _witness_json(word1: str, word2: str, description: str, state) -> dict:
+    return {
+        "word1": word1,
+        "word2": word2,
+        "description": description,
+        "state": state.render() if hasattr(state, "render") else state,
+    }
+
+
+def _cmd_rank(fixture: Fixture, args, out) -> tuple[int, dict]:
+    components_json = None
+    if fixture.is_machine:
+        machine = fixture.value
+        assert isinstance(machine, Transducer)
+        analysis = analyze_machine(machine, counter_cap=args.counter_cap)
+        result = analysis.result
+        if analysis.sccs is not None:
+            components_json = []
+            for c in analysis.sccs:
+                verdict = analysis.verdicts.get(c.index)
+                components_json.append(
+                    {
+                        "index": c.index,
+                        "phase": c.phase,
+                        "trivial": c.trivial,
+                        "members": sorted(s.render() for s in c.members),
+                        "verdict": type(verdict).__name__ if verdict else None,
+                    }
+                )
+    else:
+        expr = fixture.value
+        assert isinstance(expr, RocExpr)
+        result = expr_rank_bound(expr, counter_cap=args.counter_cap)
+
+    if isinstance(result, RankBound):
+        print(f"bound: {result.value.render()}", file=out)
+        print(f"status: {result.status}", file=out)
+        for line in result.derivation:
+            print(f"  {line}", file=out)
+        payload = {
+            "command": "rank",
+            "bound": result.value.render(),
+            "status": result.status,
+            "witness": None,
+            "derivation": list(result.derivation),
+            "components": components_json,
+        }
+        return 0, payload
+    if isinstance(result, NotScattered):
+        print("not scattered", file=out)
+        print(f"  word1: {result.word1}", file=out)
+        print(f"  word2: {result.word2}", file=out)
+        print(f"  {result.description}", file=out)
+        payload = {
+            "command": "rank",
+            "bound": None,
+            "status": "NotScattered",
+            "witness": _witness_json(
+                result.word1, result.word2, result.description, result.state
+            ),
+            "derivation": [],
+            "components": components_json,
+        }
+        return 2, payload
+    assert isinstance(result, Unknown)
+    print(f"unknown: {result.reason}", file=out)
+    payload = {
+        "command": "rank",
+        "bound": None,
+        "status": "Unknown",
+        "witness": None,
+        "derivation": [result.reason],
+        "components": components_json,
+    }
+    return 3, payload
+
+
+def _cmd_enumerate(fixture: Fixture, args, out) -> tuple[int, dict]:
+    if fixture.is_machine:
+        machine = fixture.value
+        assert isinstance(machine, Transducer)
+        result = harness.enumerate(machine, args.input_cap, args.output_cap)
+        words, truncated = result.words, result.truncated
+    else:
+        expr = fixture.value
+        assert isinstance(expr, RocExpr)
+        words = harness.enumerate_expr(expr, args.input_cap, args.output_cap)
+        truncated = None  # the expression view cannot tell
+    for w in words:
+        print(w, file=out)
+    if truncated:
+        print("note: some outputs exceeded --output-cap", file=sys.stderr)
+    payload = {
+        "command": "enumerate",
+        "words": words,
+        "input_cap": args.input_cap,
+        "output_cap": args.output_cap,
+        "truncated": truncated,
+    }
+    return 0, payload
+
+
+def _cmd_check(machine: Transducer, args, out) -> tuple[int, dict]:
+    checks: list[dict] = []
+
+    def record(name: str, ok: bool, detail: str) -> None:
+        checks.append({"name": name, "ok": ok, "detail": detail})
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}", file=out)
+
+    try:
+        check_structure(machine)
+        record("structure", True, f"{len(machine.states)} states, "
+               f"{len(machine.transitions)} transitions")
+    except TransducerError as exc:
+        record("structure", False, str(exc))
+
+    report = None
+    try:
+        report = reach_sets(machine, counter_cap=args.counter_cap)
+        record("counter-sets", True,
+               f"P = {report.period}, cap = {report.counter_cap}")
+    except CertificationError as exc:
+        record("counter-sets", False, str(exc))
+
+    prime = None
+    if report is not None:
+        try:
+            prime = build_mprime(machine, report)
+            record("leveling", True, f"{len(prime.states)} leveled states")
+        except LevelingError as exc:
+            record("leveling", True, f"vacuous: {exc}")
+
+    if prime is not None:
+        equal, witness, truncated = bounded_language_equal(
+            machine, prime, args.input_cap, output_cap=args.output_cap
+        )
+        note = " (output comparison truncated)" if truncated else ""
+        if equal:
+            record("bounded-equality", True,
+                   f"languages agree on inputs up to {args.input_cap}{note}")
+        else:
+            record("bounded-equality", False,
+                   f"first difference: {witness!r}{note}")
+
+        ok = True
+        detail = "no accepting runs at this length"
+        run_len = min(args.input_cap, 8)
+        try:
+            for run in harness.accepting_runs(machine, run_len):
+                if not run:
+                    continue
+                check_run(machine, run)
+                if project_run(lift_run(machine, run, prime=prime)) != run:
+                    ok = False
+                    detail = f"round-trip failed on a run of length {len(run)}"
+                    break
+                detail = f"all runs up to length {run_len} round-trip"
+        except (LevelingError, ValueError) as exc:
+            ok, detail = False, f"run could not be leveled: {exc}"
+        record("lift-project", ok, detail)
+    elif report is not None:
+        record("bounded-equality", True, "vacuous: no leveled machine")
+        record("lift-project", True, "vacuous: no leveled machine")
+
+    payload = {"command": "check", "checks": checks}
+    return (0 if all(c["ok"] for c in checks) else 4), payload
+
+
+# ---------------------------------------------------------------------------
+# Entry point
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # noqa: D102 - argparse hook
+        raise _UsageError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="ocrank",
+        description="Order-type analysis of one-counter transductions.",
+    )
+    parser.add_argument(
+        "command",
+        choices=["nsets", "mprime", "dot", "rank", "enumerate", "check"],
+    )
+    parser.add_argument("fixture", help="path to a .oct fixture file")
+    parser.add_argument("--input-cap", type=int, default=8, metavar="N")
+    parser.add_argument("--output-cap", type=int, default=24, metavar="N")
+    parser.add_argument("--counter-cap", type=int, default=None, metavar="N")
+    parser.add_argument("--json", metavar="PATH", default=None)
+    parser.add_argument("--dot", metavar="PATH", default=None)
+    return parser
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _require_machine(fixture: Fixture, command: str) -> Transducer:
+    if not fixture.is_machine:
+        raise _UsageError(f"'{command}' needs a machine fixture, not an expression")
+    machine = fixture.value
+    assert isinstance(machine, Transducer)
+    return machine
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"ocrank: error: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+
+    try:
+        fixture = load_fixture_file(args.fixture)
+    except FixtureError as exc:
+        print(f"ocrank: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"ocrank: cannot read {args.fixture}: {exc}", file=sys.stderr)
+        return 1
+
+    out = sys.stdout
+    try:
+        if args.command == "nsets":
+            code, payload = _cmd_nsets(_require_machine(fixture, "nsets"), args, out)
+        elif args.command == "mprime":
+            code, payload = _cmd_mprime(_require_machine(fixture, "mprime"), args, out)
+        elif args.command == "dot":
+            code, payload = _cmd_dot(fixture, args, out)
+        elif args.command == "rank":
+            code, payload = _cmd_rank(fixture, args, out)
+        elif args.command == "enumerate":
+            code, payload = _cmd_enumerate(fixture, args, out)
+        else:
+            code, payload = _cmd_check(_require_machine(fixture, "check"), args, out)
+    except _UsageError as exc:
+        print(f"ocrank: error: {exc}", file=sys.stderr)
+        return 1
+    except CertificationError as exc:
+        print(f"ocrank: certification failed: {exc}", file=sys.stderr)
+        return 4
+    except (LevelingError, TransducerError) as exc:
+        print(f"ocrank: {exc}", file=sys.stderr)
+        return 4
+
+    if args.json and payload is not None:
+        _write_text(args.json, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

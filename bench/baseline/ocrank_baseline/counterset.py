@@ -1,0 +1,491 @@
+"""Ultimately periodic sets of naturals and certified counter reachability.
+
+The counter systems analyzed here move a nonnegative counter by ±1 along
+the edges of a finite graph (0-labelled input opens, 1-labelled closes).
+Their per-state reachability sets are ultimately periodic; this module
+computes them *with certificates* rather than by unverified exploration:
+
+* configurations are explored to an internal horizon ``cap + |Q|²`` — any
+  value reachable at all below the cap is reachable by a run whose peak
+  stays below the horizon, so the explored slices are exact on [0, cap];
+* the candidate period is the gcd of the weights of the simple cycles
+  that could occur on a run into the state in question;
+* the claimed tail is accepted once the explored slice is periodic on a
+  closing window and every claimed residue class exhibits a pumping
+  witness (a window member together with a positive-weight cycle that can
+  reach the state).
+
+If any of this fails the analysis aborts with a :class:`CertificationError`
+suggesting a larger ``--counter-cap`` instead of guessing.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import dataclass, field
+
+from .regular import Regex, compile_regex, parse_regex, trim
+from .words import BINARY
+
+
+class CertificationError(RuntimeError):
+    """Raised when counter analysis cannot certify its result."""
+
+
+# ---------------------------------------------------------------------------
+# Ultimately periodic sets
+
+
+@dataclass(frozen=True)
+class UPSet:
+    """An ultimately periodic subset of the naturals.
+
+    The set is ``finite ∪ {n ≥ threshold : n mod period ∈ residues}`` with
+    ``finite ⊆ [0, threshold)`` and ``residues ⊆ [0, period)``.  Use
+    :meth:`build` (or the other factories), which normalizes to a canonical
+    representative: minimal period, then the least threshold at which the
+    set agrees with its periodic pattern.  Equal sets compare equal.
+    """
+
+    threshold: int
+    finite: frozenset[int]
+    period: int
+    residues: frozenset[int]
+
+    @staticmethod
+    def build(threshold: int, finite, period: int, residues) -> "UPSet":
+        finite = frozenset(finite)
+        residues = frozenset(residues)
+        if threshold < 0 or period < 1:
+            raise ValueError("threshold must be ≥ 0 and period ≥ 1")
+        if any(c < 0 or c >= threshold for c in finite):
+            raise ValueError(f"finite part {sorted(finite)} not within [0, {threshold})")
+        if any(r < 0 or r >= period for r in residues):
+            raise ValueError(f"residues {sorted(residues)} not within [0, {period})")
+        if not residues:
+            return UPSet._canonical_finite(finite)
+        # Minimal divisor period.
+        for d in range(1, period + 1):
+            if period % d != 0:
+                continue
+            folded = {r % d for r in residues}
+            if all((r in residues) == (r % d in folded) for r in range(period)):
+                period, residues = d, frozenset(folded)
+                break
+        # Least threshold at which the set matches its tail pattern.
+        finite_set = set(finite)
+        while threshold > 0:
+            c = threshold - 1
+            in_tail = (c % period) in residues
+            if in_tail != (c in finite_set):
+                break
+            finite_set.discard(c)
+            threshold = c
+        return UPSet(threshold, frozenset(finite_set), period, residues)
+
+    @staticmethod
+    def _canonical_finite(members: frozenset[int]) -> "UPSet":
+        threshold = max(members) + 1 if members else 0
+        return UPSet(threshold, members, 1, frozenset())
+
+    @staticmethod
+    def empty() -> "UPSet":
+        return UPSet(0, frozenset(), 1, frozenset())
+
+    @staticmethod
+    def from_finite(members) -> "UPSet":
+        members = frozenset(members)
+        if any(c < 0 for c in members):
+            raise ValueError("members must be naturals")
+        return UPSet._canonical_finite(members)
+
+    @staticmethod
+    def naturals() -> "UPSet":
+        return UPSet(0, frozenset(), 1, frozenset({0}))
+
+    @staticmethod
+    def progression(offset: int, step: int) -> "UPSet":
+        """The arithmetic progression offset, offset+step, offset+2·step, …"""
+        if offset < 0 or step < 1:
+            raise ValueError("need offset ≥ 0 and step ≥ 1")
+        return UPSet.build(offset, frozenset(), step, frozenset({offset % step}))
+
+    def is_empty(self) -> bool:
+        return not self.finite and not self.residues
+
+    def is_finite(self) -> bool:
+        return not self.residues
+
+    def first_tail_values(self) -> list[int]:
+        """Least tail member of each residue class, threshold-aligned."""
+        return sorted(
+            self.threshold + ((r - self.threshold) % self.period) for r in self.residues
+        )
+
+    def values_up_to(self, bound: int) -> list[int]:
+        return [n for n in range(bound + 1) if up_membership(self, n)]
+
+
+def up_membership(s: UPSet, n: int) -> bool:
+    if n < 0:
+        raise ValueError("naturals only")
+    if n < s.threshold:
+        return n in s.finite
+    return (n % s.period) in s.residues
+
+
+def _pointwise(s1: UPSet, s2: UPSet, keep) -> UPSet:
+    period = math.lcm(s1.period, s2.period)
+    threshold = max(s1.threshold, s2.threshold)
+    finite = {n for n in range(threshold) if keep(up_membership(s1, n), up_membership(s2, n))}
+    residues = set()
+    for r in range(period):
+        # One tail representative decides the whole class: membership above
+        # the joint threshold depends only on the residue mod each period.
+        n = threshold + ((r - threshold) % period)
+        if keep(up_membership(s1, n), up_membership(s2, n)):
+            residues.add(r)
+    return UPSet.build(threshold, finite, period, residues)
+
+
+def up_intersect(s1: UPSet, s2: UPSet) -> UPSet:
+    return _pointwise(s1, s2, lambda a, b: a and b)
+
+
+def up_union(s1: UPSet, s2: UPSet) -> UPSet:
+    return _pointwise(s1, s2, lambda a, b: a or b)
+
+
+def render_upset(s: UPSet) -> str:
+    """Canonical human-readable form, e.g. ``"{2} ∪ {5+6t}"`` or ``"{3t}"``.
+
+    Each residue class is printed from the least member m such that the
+    class is exactly m, m+p, m+2p, … from there on; finite members absorbed
+    that way disappear from the leading exception list.
+    """
+    if s.is_empty():
+        return "∅"
+    consumed: set[int] = set()
+    tails: list[int] = []
+    for start in s.first_tail_values():
+        m = start
+        while m - s.period >= 0 and (m - s.period) in s.finite:
+            m -= s.period
+            consumed.add(m)
+        tails.append(m)
+    parts: list[str] = []
+    leftovers = sorted(set(s.finite) - consumed)
+    if leftovers:
+        parts.append("{" + ",".join(str(c) for c in leftovers) + "}")
+    step = "t" if s.period == 1 else f"{s.period}t"
+    for m in sorted(tails):
+        parts.append("{" + (step if m == 0 else f"{m}+{step}") + "}")
+    return " ∪ ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Certified slice analysis of ±1 counter systems
+
+
+def default_counter_cap(n_states: int) -> int:
+    return 2 * n_states * n_states + 4 * n_states + 4
+
+
+@dataclass
+class SliceCertificate:
+    """Evidence backing one state's claimed reachability set."""
+
+    state: int
+    mode: str  # "empty" | "finite" | "lcm-window" | "gcd-window"
+    period: int | None = None
+    cycle_lcm: int | None = None
+    window: tuple[int, int] | None = None
+    pump_witnesses: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # residue -> (window member, positive cycle weight usable from there)
+
+
+def _simple_cycles(n: int, edges, restrict: set[int], limit: int):
+    """All simple cycles inside ``restrict`` as (states, weight) pairs.
+
+    Johnson-style ordering (cycle's least state first, only larger states on
+    the path) finds each simple cycle once.  Returns None if more than
+    ``limit`` distinct (state-set, weight) pairs show up — callers must then
+    fall back to conservative weight assumptions.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for p, w, q in edges:
+        if p in restrict and q in restrict:
+            adj.setdefault(p, []).append((w, q))
+    found: set[tuple[frozenset[int], int]] = set()
+    for s in sorted(restrict):
+        stack: list[tuple[int, int, frozenset[int]]] = [(s, 0, frozenset({s}))]
+        while stack:
+            cur, wt, onpath = stack.pop()
+            for w, t in adj.get(cur, ()):
+                if t < s:
+                    continue
+                if t == s:
+                    found.add((onpath, wt + w))
+                    if len(found) > limit:
+                        return None
+                elif t not in onpath:
+                    stack.append((t, wt + w, onpath | {t}))
+    return found
+
+
+def certified_slices(
+    n: int,
+    edges: list[tuple[int, int, int]],
+    starts: list[tuple[int, int]],
+    cap: int,
+) -> tuple[list[UPSet], list[SliceCertificate]]:
+    """Per-state reachability sets of a ±1 counter system with certificates.
+
+    ``edges`` are (source, weight, target) with weight ±1; the counter may
+    never drop below zero.  ``starts`` are the initial configurations.  The
+    returned sets are exact on [0, cap] and certified beyond.
+    """
+    if cap < 2 * n + 6:
+        raise CertificationError(
+            f"counter cap {cap} is too small for {n} states; "
+            f"pass --counter-cap {default_counter_cap(n)} or higher"
+        )
+    margin = n * n
+    horizon = cap + margin
+
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for p, w, q in edges:
+        adj.setdefault(p, []).append((w, q))
+    reached: list[set[int]] = [set() for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    queue: deque[tuple[int, int]] = deque()
+    for q, c in starts:
+        if 0 <= c <= horizon and (q, c) not in seen:
+            seen.add((q, c))
+            queue.append((q, c))
+    while queue:
+        q, c = queue.popleft()
+        reached[q].add(c)
+        for w, t in adj.get(q, ()):
+            c2 = c + w
+            if 0 <= c2 <= horizon and (t, c2) not in seen:
+                seen.add((t, c2))
+                queue.append((t, c2))
+
+    reached_states = {q for q in range(n) if reached[q]}
+
+    # Which states can reach q, ignoring the counter.
+    radj: dict[int, list[int]] = {}
+    for p, _, q in edges:
+        radj.setdefault(q, []).append(p)
+    ancestors: list[set[int]] = []
+    for q in range(n):
+        anc = {q}
+        dq = deque([q])
+        while dq:
+            x = dq.popleft()
+            for p in radj.get(x, ()):
+                if p not in anc:
+                    anc.add(p)
+                    dq.append(p)
+        ancestors.append(anc)
+
+    cycles = _simple_cycles(n, edges, reached_states, limit=50_000)
+
+    slices: list[UPSet] = []
+    certificates: list[SliceCertificate] = []
+    for q in range(n):
+        members = reached[q]
+        if not members:
+            slices.append(UPSet.empty())
+            certificates.append(SliceCertificate(q, "empty"))
+            continue
+
+        if cycles is None:
+            # Cycle enumeration blew up; assume every weight in ±[1, n] of
+            # some cycle could reach q.  gcd 1, and the lcm window will not
+            # fit, so this only weakens the certificate, never the claim.
+            rel_nonzero = list(range(1, n + 1))
+            rel_pos = list(range(1, n + 1))
+        else:
+            rel = [
+                (states, w)
+                for states, w in cycles
+                if states & ancestors[q]
+            ]
+            rel_nonzero = sorted({abs(w) for _, w in rel if w != 0})
+            rel_pos = sorted({w for _, w in rel if w > 0})
+
+        if not rel_pos:
+            # Nothing can pump the counter up on the way to q, so any value
+            # at q is bounded by the longest simple path: the slice is the
+            # whole set.
+            values = {c for c in members if c <= cap}
+            if values and max(values) > n:
+                raise CertificationError(
+                    f"state {q}: counter {max(values)} reached without any "
+                    "positive cycle — analysis inconsistent"
+                )
+            slices.append(UPSet.from_finite(values))
+            certificates.append(SliceCertificate(q, "finite"))
+            continue
+
+        p = math.gcd(*rel_nonzero) if len(rel_nonzero) > 1 else rel_nonzero[0]
+        lam = math.lcm(*rel_pos) if len(rel_pos) > 1 else rel_pos[0]
+        base_width = max(2 * p, n + 2)
+        mode = "gcd-window"
+        width = base_width
+        if 2 * lam + base_width <= cap - (n + 2):
+            width = base_width + 2 * lam
+            mode = "lcm-window"
+        threshold = max(0, cap - width)
+
+        for c in range(threshold, cap - p):
+            if (c in members) != ((c + p) in members):
+                raise CertificationError(
+                    f"state {q}: explored counters are not {p}-periodic on "
+                    f"[{threshold}, {cap}); rerun with a larger --counter-cap "
+                    f"(currently {cap})"
+                )
+
+        residues = {c % p for c in members if threshold <= c < cap}
+        if not residues:
+            # The window is empty, and any member beyond the cap could be
+            # pulled back into it, so there is none: the set is finite.
+            slices.append(UPSet.from_finite({c for c in members if c <= cap}))
+            certificates.append(
+                SliceCertificate(q, "finite", period=p, window=(threshold, cap))
+            )
+            continue
+
+        witnesses: dict[int, tuple[int, int]] = {}
+        for r in sorted(residues):
+            pumpable = [
+                c for c in members if threshold <= c < cap and c % p == r and c > n
+            ]
+            if not pumpable:
+                raise CertificationError(
+                    f"state {q}: residue class {r} (mod {p}) has no pumpable "
+                    f"window member; rerun with a larger --counter-cap"
+                )
+            witnesses[r] = (pumpable[0], rel_pos[0])
+
+        finite = {c for c in members if c < threshold}
+        slices.append(UPSet.build(threshold, finite, p, residues))
+        certificates.append(
+            SliceCertificate(
+                q,
+                mode,
+                period=p,
+                cycle_lcm=lam,
+                window=(threshold, cap),
+                pump_witnesses=witnesses,
+            )
+        )
+    return slices, certificates
+
+
+# ---------------------------------------------------------------------------
+# Per-state reachability report for counter transducers
+
+
+@dataclass
+class NSetReport:
+    """Forward, backward and combined counter sets of a machine's states.
+
+    ``minus`` holds the counter values of input prefixes reaching each
+    state, ``plus`` the values closable to 0 by some accepted suffix, and
+    ``meet`` their intersection.  ``period`` is the machine-wide window
+    period; ``types`` restricts each meet to [0, 2·period), which is all
+    the leveled construction downstream needs.
+    """
+
+    minus: dict[str, UPSet]
+    plus: dict[str, UPSet]
+    meet: dict[str, UPSet]
+    period: int
+    types: dict[str, frozenset[int]]
+    counter_cap: int
+    certificates: dict[str, dict[str, SliceCertificate]]
+
+
+def select_period(meets) -> int:
+    """Machine period: least multiple of every tail period that clears all
+    finite members and tail starts, and is at least 2."""
+    step = 1
+    highest = -1
+    for s in meets:
+        if s.residues:
+            step = math.lcm(step, s.period)
+        highest = max(highest, *s.finite, *s.first_tail_values(), -1)
+    need = max(2, highest + 1)
+    return step * math.ceil(need / step)
+
+
+def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
+    """Certified forward/backward counter analysis of a transducer.
+
+    Works on the machine as given.  ``counter_cap`` overrides the default
+    exploration cap (see :func:`default_counter_cap`).
+    """
+    states = list(machine.states)
+    index = {q: i for i, q in enumerate(states)}
+    n = len(states)
+    cap = counter_cap if counter_cap is not None else default_counter_cap(n)
+
+    forward = [
+        (index[t.source], 1 if t.bit == 0 else -1, index[t.target])
+        for t in machine.transitions
+    ]
+    backward = [(q, -w, p) for p, w, q in forward]
+
+    minus_slices, minus_certs = certified_slices(
+        n, forward, [(index[machine.initial], 0)], cap
+    )
+    plus_slices, plus_certs = certified_slices(
+        n, backward, [(index[f], 0) for f in sorted(machine.finals)], cap
+    )
+
+    minus = {q: minus_slices[index[q]] for q in states}
+    plus = {q: plus_slices[index[q]] for q in states}
+    meet = {q: up_intersect(minus[q], plus[q]) for q in states}
+    period = select_period(meet.values())
+    types = {
+        q: frozenset(c for c in range(2 * period) if up_membership(meet[q], c))
+        for q in states
+    }
+    certificates = {
+        q: {"minus": minus_certs[index[q]], "plus": plus_certs[index[q]]}
+        for q in states
+    }
+    return NSetReport(minus, plus, meet, period, types, cap, certificates)
+
+
+def worked_close_image(
+    r: Regex | str, alphabet=BINARY, counter_cap: int | None = None
+) -> UPSet:
+    """Closing depths of the members of L(r) that some balanced word ends in.
+
+    Reads words of L(r) back to front — 1 raises the pending-closings
+    counter, 0 lowers it, and it may never go negative — so the counter on
+    arrival at an original initial state is exactly the word's close depth.
+    """
+    if isinstance(r, str):
+        r = parse_regex(r, alphabet)
+    d = trim(compile_regex(r, alphabet))
+    if d.finals == frozenset():
+        return UPSet.empty()
+    reversed_edges = []
+    for p in range(d.n):
+        for ch, targets in d.edges[p].items():
+            for t in targets:
+                reversed_edges.append((t, 1 if ch == "1" else -1, p))
+    cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
+    slices, _ = certified_slices(
+        d.n, reversed_edges, [(f, 0) for f in sorted(d.finals)], cap
+    )
+    image = UPSet.empty()
+    for q in sorted(d.initials):
+        image = up_union(image, slices[q])
+    return image

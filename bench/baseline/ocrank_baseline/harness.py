@@ -1,0 +1,277 @@
+"""Desk-checking utilities: enumeration, density probes, counter oracles.
+
+Everything here recomputes facts by elementary means (word sets, plain
+breadth-first search) so tests can confront the certified analyses with
+independent evidence.  Note this module deliberately exports ``enumerate``
+per its interface contract; the shadowed builtin is not used inside.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import regular
+from .rank import RocAtom, RocConcat, RocExpr, RocPlus
+from .transducer import (
+    LevelingError,
+    Transducer,
+    Transition,
+    balanced_words_up_to,
+    build_mprime,
+    language_of_input,
+)
+from .counterset import reach_sets
+from .words import lex_key, primitive_root
+
+
+@dataclass
+class EnumerationResult:
+    words: list[str]
+    input_cap: int
+    output_cap: int
+    truncated: bool
+
+
+def enumerate(machine: Transducer, input_cap: int, output_cap: int) -> EnumerationResult:  # noqa: A001
+    """All outputs over balanced inputs of length ≤ input_cap, in lex order.
+
+    Words longer than ``output_cap`` are dropped and flagged via
+    ``truncated`` instead.
+    """
+    collected: set[str] = set()
+    truncated = False
+    for u in balanced_words_up_to(input_cap):
+        if not u:
+            if machine.accepts_epsilon:
+                collected.add("")
+            continue
+        lang = language_of_input(machine, u)
+        if not lang.finals:
+            continue
+        collected.update(regular.words_up_to(lang, output_cap))
+        if regular.has_word_longer_than(lang, output_cap):
+            truncated = True
+    ordered = sorted(collected, key=lambda w: lex_key(w, machine.alphabet))
+    return EnumerationResult(ordered, input_cap, output_cap, truncated)
+
+
+def enumerate_expr(e: RocExpr, input_cap: int, output_cap: int) -> list[str]:
+    """Members of an expression's language, capped and lex-sorted."""
+    if isinstance(e, RocAtom):
+        return enumerate(e.machine, input_cap, output_cap).words
+    if isinstance(e, RocConcat):
+        left = enumerate_expr(e.left, input_cap, output_cap)
+        right = enumerate_expr(e.right, input_cap, output_cap)
+        alphabet = _expr_alphabet(e)
+        joined = {
+            u + v for u in left for v in right if len(u) + len(v) <= output_cap
+        }
+        return sorted(joined, key=lambda w: lex_key(w, alphabet))
+    if isinstance(e, RocPlus):
+        base = enumerate_expr(e.body, input_cap, output_cap)
+        alphabet = _expr_alphabet(e)
+        words = set(base)
+        frontier = set(base)
+        while frontier:
+            fresh = {
+                w + u
+                for w in frontier
+                for u in base
+                if len(w) + len(u) <= output_cap
+            }
+            frontier = fresh - words
+            words |= frontier
+        return sorted(words, key=lambda w: lex_key(w, alphabet))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _expr_alphabet(e: RocExpr):
+    if isinstance(e, RocAtom):
+        return e.machine.alphabet
+    if isinstance(e, RocConcat):
+        return _expr_alphabet(e.left)
+    if isinstance(e, RocPlus):
+        return _expr_alphabet(e.body)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Density probing
+
+
+@dataclass
+class DensityWitness:
+    word1: str
+    word2: str
+    description: str
+    state: object | None = None
+
+
+def probe_density(
+    e: RocExpr, input_cap: int = 8, output_cap: int = 24
+) -> DensityWitness | None:
+    """Search for bounded evidence that the expression's order is not scattered.
+
+    For an iteration, two members of the body with different primitive
+    roots suffice.  For a machine, two differently rooted cycle outputs at
+    the same leveled state do.  Returns None when nothing surfaced within
+    the caps — which is evidence of absence only, not proof.
+    """
+    if isinstance(e, RocPlus):
+        pair = _distinct_root_pair(enumerate_expr(e.body, input_cap, output_cap))
+        if pair is None:
+            return None
+        u, v = pair
+        return DensityWitness(
+            u,
+            v,
+            f"{{{u}{v}{u}{v},{v}{u}{v}{u}}}*{u}{v}{v}{u} orders densely: body members "
+            f"{u!r} and {v!r} have roots {primitive_root(u)!r} and {primitive_root(v)!r}",
+        )
+    if isinstance(e, RocConcat):
+        left = probe_density(e.left, input_cap, output_cap)
+        if left is not None and enumerate_expr(e.right, input_cap, output_cap):
+            return left
+        right = probe_density(e.right, input_cap, output_cap)
+        if right is not None and enumerate_expr(e.left, input_cap, output_cap):
+            return right
+        return None
+    if isinstance(e, RocAtom):
+        return _probe_machine(e.machine, output_cap)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _distinct_root_pair(words) -> tuple[str, str] | None:
+    first_word: str | None = None
+    first_root: str | None = None
+    for w in words:
+        if not w:
+            continue
+        r = primitive_root(w)
+        if first_root is None:
+            first_word, first_root = w, r
+        elif r != first_root:
+            assert first_word is not None
+            return first_word, w
+    return None
+
+
+def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | None:
+    """Look for two distinct-root cycle outputs at one leveled state."""
+    try:
+        prime = build_mprime(machine, reach_sets(machine))
+    except LevelingError:
+        return None  # no accepted input, nothing to order
+    walk_cap = max(2 * prime.period, 8)
+    for s in prime.states:
+        samples: list[str] = []
+        # Depth-first over closed walks at s, sampling one output word each.
+        stack = [(s, [])]
+        while stack:
+            at, outs = stack.pop()
+            for tt in prime.transitions:
+                if tt.source != at:
+                    continue
+                word = regular.shortest_word(prime.compiled_output(tt))
+                if word is None:
+                    continue
+                chain = outs + [word]
+                if tt.target == s:
+                    samples.append("".join(chain))
+                if len(chain) < walk_cap:
+                    stack.append((tt.target, chain))
+        pair = _distinct_root_pair(samples)
+        if pair is not None:
+            return DensityWitness(
+                pair[0],
+                pair[1],
+                f"cycle outputs at {s.render()} have distinct primitive roots",
+                state=s,
+            )
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Independent counter-set oracle
+
+
+@dataclass
+class OracleSlices:
+    minus: dict[str, frozenset[int]]
+    plus: dict[str, frozenset[int]]
+    meet: dict[str, frozenset[int]]
+    bound: int
+
+
+def upset_oracle(machine: Transducer, counter_bound: int) -> OracleSlices:
+    """Exact counter slices on [0, counter_bound] by plain configuration BFS.
+
+    Explores far enough beyond the bound that no value below it can be
+    missed for lack of headroom.
+    """
+    n = len(machine.states)
+    horizon = max(3 * counter_bound + n, counter_bound + n * n + 2)
+
+    def explore(edges, starts) -> dict[str, frozenset[int]]:
+        reached: dict[str, set[int]] = {q: set() for q in machine.states}
+        seen = set(starts)
+        queue = list(starts)
+        head = 0
+        while head < len(queue):
+            q, c = queue[head]
+            head += 1
+            reached[q].add(c)
+            for src, w, tgt in edges:
+                if src != q:
+                    continue
+                c2 = c + w
+                if 0 <= c2 <= horizon and (tgt, c2) not in seen:
+                    seen.add((tgt, c2))
+                    queue.append((tgt, c2))
+        return {
+            q: frozenset(c for c in vals if c <= counter_bound)
+            for q, vals in reached.items()
+        }
+
+    forward = [
+        (t.source, 1 if t.bit == 0 else -1, t.target) for t in machine.transitions
+    ]
+    backward = [(tgt, -w, src) for src, w, tgt in forward]
+    minus = explore(forward, [(machine.initial, 0)])
+    plus = explore(backward, [(f, 0) for f in sorted(machine.finals)])
+    meet = {q: minus[q] & plus[q] for q in machine.states}
+    return OracleSlices(minus, plus, meet, counter_bound)
+
+
+# ---------------------------------------------------------------------------
+# Run enumeration (for lift/project round-trips)
+
+
+def accepting_runs(machine: Transducer, max_len: int) -> list[list[Transition]]:
+    """Every accepting run whose input is balanced and at most max_len long."""
+    runs: list[list[Transition]] = []
+    by_source: dict[str, list[Transition]] = {}
+    for t in machine.transitions:
+        by_source.setdefault(t.source, []).append(t)
+
+    def dfs(state: str, open_now: int, path: list[Transition]) -> None:
+        if open_now == 0 and path and state in machine.finals:
+            runs.append(list(path))
+        budget = max_len - len(path)
+        if budget <= 0:
+            return
+        for t in by_source.get(state, ()):
+            if t.bit == 0:
+                if open_now + 1 <= budget - 1:
+                    path.append(t)
+                    dfs(t.target, open_now + 1, path)
+                    path.pop()
+            elif 0 < open_now <= budget:
+                path.append(t)
+                dfs(t.target, open_now - 1, path)
+                path.pop()
+
+    dfs(machine.initial, 0, [])
+    if machine.accepts_epsilon:
+        runs.insert(0, [])
+    return runs

@@ -1,0 +1,455 @@
+"""Ordinal bounds on the order complexity of machine output languages.
+
+Every bound lives below ω²: an :class:`Ordinal` is ω·a + b with naturals
+a, b.  The machine analysis levels the input counter, splits the leveled
+graph into components, certifies each component's cycle outputs, and then
+propagates bounds along intercomponent edges — finite contributions for
+fully certified components, one ω step for components certified only on
+their zero-weight cycles, and an immediate non-scattered verdict when a
+component witnesses quasi-density.
+
+The expression layer combines machines by concatenation (bounds add, in
+reverse order) and iteration (bounded by 1, refuted, or unknown).
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+
+from . import components as comp
+from . import regular
+from .counterset import reach_sets, up_membership
+from .regular import Automaton
+from .transducer import (
+    LevelingError,
+    Transducer,
+    TransducerPrime,
+    TypedState,
+    build_mprime,
+    minimal_normalize,
+)
+from .words import primitive_root
+
+
+# ---------------------------------------------------------------------------
+# Ordinals below ω²
+
+
+@functools.total_ordering
+@dataclass(frozen=True)
+class Ordinal:
+    """ω·a + b."""
+
+    a: int
+    b: int
+
+    def __post_init__(self) -> None:
+        if self.a < 0 or self.b < 0:
+            raise ValueError("ordinal coefficients must be naturals")
+
+    def __lt__(self, other: "Ordinal") -> bool:
+        return (self.a, self.b) < (other.a, other.b)
+
+    def render(self) -> str:
+        if self.a == 0:
+            return str(self.b)
+        head = "w" if self.a == 1 else f"w*{self.a}"
+        return head if self.b == 0 else f"{head}+{self.b}"
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+ZERO = Ordinal(0, 0)
+OMEGA = Ordinal(1, 0)
+
+
+def ord_of_int(k: int) -> Ordinal:
+    return Ordinal(0, k)
+
+
+def ord_add(x: Ordinal, y: Ordinal) -> Ordinal:
+    """Ordinal sum x + y (left addend absorbed into a right limit)."""
+    if y.a >= 1:
+        return Ordinal(x.a + y.a, y.b)
+    return Ordinal(x.a, x.b + y.b)
+
+
+def ord_max(x: Ordinal, y: Ordinal) -> Ordinal:
+    return x if y < x else y
+
+
+CERTIFIED = "Certified"
+CONDITIONAL = "ConditionalOnScattered"
+
+
+@dataclass
+class RankBound:
+    value: Ordinal
+    status: str
+    derivation: tuple[str, ...] = ()
+
+
+@dataclass
+class NotScattered:
+    """The language embeds a dense order; no ordinal bound exists."""
+
+    word1: str
+    word2: str
+    description: str
+    state: TypedState | None = None
+
+
+@dataclass
+class Unknown:
+    reason: str
+
+
+# ---------------------------------------------------------------------------
+# Machine expressions
+
+
+class RocExpr:
+    """Expression over restricted one-counter machine languages."""
+
+
+@dataclass
+class RocAtom(RocExpr):
+    machine: Transducer
+
+
+@dataclass
+class RocConcat(RocExpr):
+    left: RocExpr
+    right: RocExpr
+
+
+@dataclass
+class RocPlus(RocExpr):
+    body: RocExpr
+
+
+# ---------------------------------------------------------------------------
+# Machine analysis
+
+
+@dataclass
+class MachineAnalysis:
+    """Everything the rank DP produced for one machine, for reporting."""
+
+    machine: Transducer
+    prime: TransducerPrime | None
+    sccs: list[comp.Scc]
+    verdicts: dict[int, comp.ComponentVerdict]
+    edge_bound: dict[int, RankBound]
+    result: RankBound | NotScattered
+
+
+def _live_states(machine: Transducer) -> set[str]:
+    fwd = {machine.initial}
+    frontier = [machine.initial]
+    while frontier:
+        q = frontier.pop()
+        for t in machine.transitions:
+            if t.source == q and t.target not in fwd:
+                fwd.add(t.target)
+                frontier.append(t.target)
+    bwd = set(machine.finals)
+    frontier = list(bwd)
+    while frontier:
+        q = frontier.pop()
+        for t in machine.transitions:
+            if t.target == q and t.source not in bwd:
+                bwd.add(t.source)
+                frontier.append(t.source)
+    return fwd & bwd
+
+
+def edge_bounds(
+    prime: TransducerPrime,
+    sccs: list[comp.Scc],
+    verdicts: dict[int, comp.ComponentVerdict],
+    regrank: dict[int, int],
+) -> dict[int, RankBound]:
+    """Propagate ordinal bounds along intercomponent edges in topo order.
+
+    ``regrank[i]`` is the finite order bound of transition i's output
+    language.  The bound attached to an edge covers all outputs produced up
+    to and including traversing that edge.
+    """
+    scc_of = comp.scc_index_of(sccs)
+    initial_comp = scc_of[prime.initial]
+
+    incoming: dict[int, list[int]] = {c.index: [] for c in sccs}
+    edges_of_comp: dict[int, list[int]] = {c.index: [] for c in sccs}
+    inter: list[int] = []
+    intra_max: dict[int, int] = {c.index: 0 for c in sccs}
+    for i, tt in enumerate(prime.transitions):
+        cs, ct = scc_of[tt.source], scc_of[tt.target]
+        if cs == ct:
+            intra_max[cs] = max(intra_max[cs], regrank[i])
+        else:
+            inter.append(i)
+            incoming[ct].append(i)
+            edges_of_comp[cs].append(i)
+
+    bounds: dict[int, RankBound] = {}
+    for c in sccs:  # already topologically ordered
+        verdict = verdicts.get(c.index)
+        for i in edges_of_comp[c.index]:
+            r = regrank[i]
+            if c.index == initial_comp:
+                if not c.trivial:
+                    raise AssertionError("initial component must be trivial")
+                bounds[i] = RankBound(
+                    Ordinal(0, r), CERTIFIED, (f"edge {i}: base {Ordinal(0, r)}",)
+                )
+                continue
+            feeds = [bounds[j] for j in incoming[c.index] if j in bounds]
+            if not feeds:
+                continue  # unreachable through certified edges
+            if c.trivial:
+                step = Ordinal(0, r)
+                note = f"trivial +{r}"
+            elif isinstance(verdict, comp.FullyCertified):
+                f_c = sum(1 + intra_max[c.index] for _ in c.members) + r
+                step = Ordinal(0, f_c)
+                note = f"fully certified +{f_c}"
+            elif isinstance(verdict, comp.ZeroCertified):
+                step = OMEGA
+                note = "zero certified +w"
+            else:
+                raise AssertionError("quasi-dense component reached the bound DP")
+            best: RankBound | None = None
+            for fed in feeds:
+                candidate = ord_add(step, fed.value)
+                status = fed.status
+                if isinstance(verdict, comp.ZeroCertified):
+                    status = CONDITIONAL
+                cand = RankBound(candidate, status)
+                if best is None or best.value < cand.value or (
+                    best.value == cand.value
+                    and best.status == CONDITIONAL
+                    and status == CERTIFIED
+                ):
+                    best = cand
+            assert best is not None
+            bounds[i] = RankBound(
+                best.value,
+                best.status,
+                (f"edge {i}: {note} onto {max(f.value for f in feeds)} = {best.value}",),
+            )
+    return bounds
+
+
+def transducer_rank_bound(
+    machine: Transducer, counter_cap: int | None = None
+) -> RankBound | NotScattered:
+    return analyze_machine(machine, counter_cap).result
+
+
+def analyze_machine(
+    machine: Transducer, counter_cap: int | None = None
+) -> MachineAnalysis:
+    """Full rank pipeline for one machine, keeping intermediate artifacts."""
+    m = minimal_normalize(machine)
+
+    # Quasi-dense output languages on live transitions poison everything
+    # downstream of them; the whole language is then quasi-dense.
+    live = _live_states(m)
+    for t in m.transitions:
+        if t.source not in live or t.target not in live:
+            continue
+        verdict = regular.regular_scattered(m.compiled_output(t))
+        if isinstance(verdict, regular.QuasiDense):
+            return MachineAnalysis(
+                m,
+                None,
+                [],
+                {},
+                {},
+                NotScattered(
+                    verdict.x,
+                    verdict.y,
+                    f"output language of {t.source} -{t.bit}-> {t.target} "
+                    "is itself quasi-dense",
+                ),
+            )
+
+    report = reach_sets(m, counter_cap)
+    try:
+        prime = build_mprime(m, report)
+    except LevelingError:
+        result = RankBound(ZERO, CERTIFIED, ("no accepted input; bound 0",))
+        return MachineAnalysis(m, None, [], {}, {}, result)
+
+    sccs = comp.condense(prime)
+    verdicts: dict[int, comp.ComponentVerdict] = {}
+    for c in sccs:
+        verdict = comp.certify_component(c, prime)
+        verdicts[c.index] = verdict
+        if isinstance(verdict, comp.QuasiDenseWitness):
+            result = NotScattered(
+                verdict.word1,
+                verdict.word2,
+                f"cycle outputs at {verdict.state.render()} have distinct "
+                f"primitive roots {primitive_root(verdict.word1)!r} and "
+                f"{primitive_root(verdict.word2)!r}",
+                state=verdict.state,
+            )
+            return MachineAnalysis(m, prime, sccs, verdicts, {}, result)
+
+    regrank: dict[int, int] = {}
+    cache: dict[object, int] = {}
+    for i, tt in enumerate(prime.transitions):
+        key = tt.output
+        if key not in cache:
+            cache[key] = regular.finite_rank_bound(prime.compiled_output(tt))
+        regrank[i] = cache[key]
+
+    bounds = edge_bounds(prime, sccs, verdicts, regrank)
+    best: RankBound | None = None
+    lines: list[str] = []
+    for i, tt in enumerate(prime.transitions):
+        if tt.target in prime.finals and i in bounds:
+            b = bounds[i]
+            lines.append(
+                f"accepting edge {tt.source.render()} -> {tt.target.render()}: "
+                f"{b.value} [{b.status}]"
+            )
+            if best is None or best.value < b.value:
+                best = b
+    if best is None:
+        result = RankBound(ZERO, CERTIFIED, ("no live accepting edge; bound 0",))
+    else:
+        result = RankBound(best.value, best.status, tuple(lines))
+    return MachineAnalysis(m, prime, sccs, verdicts, bounds, result)
+
+
+# ---------------------------------------------------------------------------
+# Expression bounds
+
+
+def _expr_is_empty(e: RocExpr, counter_cap: int | None = None) -> bool:
+    if isinstance(e, RocAtom):
+        m = e.machine
+        if m.accepts_epsilon:
+            return False
+        report = reach_sets(m, counter_cap)
+        return not up_membership(report.meet[m.initial], 0)
+    if isinstance(e, RocConcat):
+        return _expr_is_empty(e.left, counter_cap) or _expr_is_empty(e.right, counter_cap)
+    if isinstance(e, RocPlus):
+        return _expr_is_empty(e.body, counter_cap)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _output_overapprox(e: RocExpr) -> Automaton:
+    """Regular superset of the expression's language (input discipline dropped)."""
+    if isinstance(e, RocAtom):
+        m = e.machine
+        arcs = [(t.source, m.compiled_output(t), t.target) for t in m.transitions]
+        return comp.expand_graph(
+            list(m.states), arcs, [m.initial], sorted(m.finals), m.alphabet
+        )
+    if isinstance(e, RocConcat):
+        return regular.trim(
+            regular.concat_automata(_output_overapprox(e.left), _output_overapprox(e.right))
+        )
+    if isinstance(e, RocPlus):
+        a = _output_overapprox(e.body)
+        return regular.trim(regular.concat_automata(a, regular.star_automaton(a)))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def expr_rank_bound(
+    e: RocExpr, counter_cap: int | None = None
+) -> RankBound | NotScattered | Unknown:
+    """Ordinal bound for an expression's language, if one can be certified.
+
+    Concatenation bounds add with the right factor first; iteration is
+    certified (bound 1) when even the regular over-approximation of the
+    body stays inside a single primitive power, refuted by two enumerated
+    members with distinct roots, and otherwise handed back as Unknown.
+    """
+    if isinstance(e, RocAtom):
+        return transducer_rank_bound(e.machine, counter_cap)
+
+    if isinstance(e, RocConcat):
+        if _expr_is_empty(e, counter_cap):
+            return RankBound(ZERO, CERTIFIED, ("concatenation with empty factor",))
+        left = expr_rank_bound(e.left, counter_cap)
+        right = expr_rank_bound(e.right, counter_cap)
+        for side in (left, right):
+            if isinstance(side, NotScattered):
+                return side
+            if isinstance(side, Unknown):
+                return side
+        assert isinstance(left, RankBound) and isinstance(right, RankBound)
+        value = ord_add(right.value, left.value)
+        status = (
+            CERTIFIED
+            if left.status == CERTIFIED and right.status == CERTIFIED
+            else CONDITIONAL
+        )
+        return RankBound(
+            value,
+            status,
+            right.derivation
+            + left.derivation
+            + (f"concat: {right.value} + {left.value} = {value}",),
+        )
+
+    if isinstance(e, RocPlus):
+        if _expr_is_empty(e, counter_cap):
+            return RankBound(ZERO, CERTIFIED, ("iteration of the empty language",))
+        inner = expr_rank_bound(e.body, counter_cap)
+        if isinstance(inner, NotScattered):
+            return inner
+        over = _output_overapprox(e.body)
+        m = regular.shortest_nonempty_word(over)
+        if m is None:
+            return RankBound(ZERO, CERTIFIED, ("iteration of {empty word}",))
+        v = primitive_root(m)
+        if regular.subset_of_power(over, v):
+            return RankBound(
+                Ordinal(0, 1),
+                CERTIFIED,
+                (f"all members are powers of {v!r}; iteration bound 1",),
+            )
+        witness = _distinct_root_members(e.body)
+        if witness is not None:
+            u, w = witness
+            return NotScattered(
+                u,
+                w,
+                f"{{{u}{w}{u}{w},{w}{u}{w}{u}}}*{u}{w}{w}{u} embeds a dense order "
+                f"in the iteration (roots {primitive_root(u)!r} vs {primitive_root(w)!r})",
+            )
+        return Unknown(
+            f"iteration body exceeds {v!r}* in over-approximation, but no "
+            "distinct-root member pair was found within the search caps"
+        )
+
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _distinct_root_members(
+    e: RocExpr, input_cap: int = 8, output_cap: int = 24
+) -> tuple[str, str] | None:
+    from . import harness
+
+    words = harness.enumerate_expr(e, input_cap, output_cap)
+    first_root: str | None = None
+    first_word: str | None = None
+    for w in words:
+        if not w:
+            continue
+        r = primitive_root(w)
+        if first_root is None:
+            first_root, first_word = r, w
+        elif r != first_root:
+            assert first_word is not None
+            return first_word, w
+    return None

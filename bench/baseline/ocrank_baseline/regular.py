@@ -1,0 +1,706 @@
+"""Regular expressions and finite automata over ordered alphabets.
+
+The regex dialect is deliberately small: single-letter literals, ``eps``
+for the empty word, ``+`` for union, juxtaposition for concatenation,
+postfix ``*``, and parentheses.  There is no literal for the empty
+language; the :class:`Empty` node exists only for programmatic use.
+
+Automata are epsilon-free NFAs with integer states.  ``compile_regex``
+returns the trimmed subset-construction DFA, which is what every decision
+procedure in this module works on.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+
+from .words import Alphabet, primitive_root
+
+
+# ---------------------------------------------------------------------------
+# Regex syntax trees
+
+
+class Regex:
+    """Base class for regex nodes."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "Regex") -> "Regex":
+        return Union(self, other)
+
+
+@dataclass(frozen=True)
+class Lit(Regex):
+    ch: str
+
+    def __str__(self) -> str:
+        return self.ch
+
+
+@dataclass(frozen=True)
+class Eps(Regex):
+    def __str__(self) -> str:
+        return "eps"
+
+
+@dataclass(frozen=True)
+class Empty(Regex):
+    def __str__(self) -> str:
+        return "<empty>"
+
+
+@dataclass(frozen=True)
+class Union(Regex):
+    left: Regex
+    right: Regex
+
+    def __str__(self) -> str:
+        return f"{self.left}+{self.right}"
+
+
+@dataclass(frozen=True)
+class Concat(Regex):
+    left: Regex
+    right: Regex
+
+    def __str__(self) -> str:
+        return f"{_wrap_for_concat(self.left)}{_wrap_for_concat(self.right)}"
+
+
+@dataclass(frozen=True)
+class Star(Regex):
+    body: Regex
+
+    def __str__(self) -> str:
+        return f"{_wrap_for_star(self.body)}*"
+
+
+def _wrap_for_concat(r: Regex) -> str:
+    if isinstance(r, Union):
+        return f"({r})"
+    return str(r)
+
+
+def _wrap_for_star(r: Regex) -> str:
+    if isinstance(r, (Union, Concat)) or isinstance(r, Star):
+        return f"({r})"
+    return str(r)
+
+
+class RegexSyntaxError(ValueError):
+    """Parse failure carrying the 0-based offset of the offending character."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+def parse_regex(text: str, alphabet: Alphabet) -> Regex:
+    """Parse the package's regex dialect.
+
+    Grammar::
+
+        expr   := term ('+' term)*
+        term   := factor factor*
+        factor := base '*'?
+        base   := letter | 'eps' | '(' expr ')'
+
+    ``eps`` is a reserved token: it always denotes the empty word, even if
+    e, p, s are themselves letters of the alphabet.  Whitespace is not
+    allowed (fixture files split on it).
+    """
+
+    pos = 0
+    n = len(text)
+
+    def peek() -> str | None:
+        return text[pos] if pos < n else None
+
+    def parse_expr() -> Regex:
+        nonlocal pos
+        node = parse_term()
+        while peek() == "+":
+            pos += 1
+            node = Union(node, parse_term())
+        return node
+
+    def parse_term() -> Regex:
+        nonlocal pos
+        node = parse_factor()
+        while peek() is not None and peek() not in ("+", ")", "*"):
+            node = Concat(node, parse_factor())
+        return node
+
+    def parse_factor() -> Regex:
+        nonlocal pos
+        node = parse_base()
+        if peek() == "*":
+            pos += 1
+            node = Star(node)
+            if peek() == "*":
+                raise RegexSyntaxError("repeated '*' is not allowed", pos)
+        return node
+
+    def parse_base() -> Regex:
+        nonlocal pos
+        ch = peek()
+        if ch is None:
+            raise RegexSyntaxError("unexpected end of expression", pos)
+        if ch == "(":
+            open_at = pos
+            pos += 1
+            node = parse_expr()
+            if peek() != ")":
+                raise RegexSyntaxError("unclosed '('", open_at)
+            pos += 1
+            return node
+        if text.startswith("eps", pos):
+            pos += 3
+            return Eps()
+        if ch in alphabet:
+            pos += 1
+            return Lit(ch)
+        raise RegexSyntaxError(f"unexpected character {ch!r}", pos)
+
+    if not text:
+        raise RegexSyntaxError("empty expression", 0)
+    node = parse_expr()
+    if pos != n:
+        raise RegexSyntaxError(f"trailing input {text[pos:]!r}", pos)
+    return node
+
+
+# ---------------------------------------------------------------------------
+# Epsilon-free NFAs
+
+
+@dataclass
+class Automaton:
+    """An epsilon-free NFA.  States are 0..n-1.
+
+    ``edges[q]`` maps a letter to the frozenset of successors.  The
+    ``deterministic`` flag is advisory: it records that the automaton came
+    out of the subset construction (at most one successor per letter,
+    single initial state), not that anyone re-verified it.
+    """
+
+    alphabet: Alphabet
+    n: int
+    edges: list[dict[str, frozenset[int]]]
+    initials: frozenset[int]
+    finals: frozenset[int]
+    deterministic: bool = False
+
+    def successors(self, q: int, ch: str) -> frozenset[int]:
+        return self.edges[q].get(ch, frozenset())
+
+    def accepts_empty_word(self) -> bool:
+        return bool(self.initials & self.finals)
+
+
+def _fresh_edges(n: int) -> list[dict[str, frozenset[int]]]:
+    return [{} for _ in range(n)]
+
+
+def _add_edge(edges: list[dict[str, frozenset[int]]], p: int, ch: str, q: int) -> None:
+    edges[p][ch] = edges[p].get(ch, frozenset()) | {q}
+
+
+def literal_automaton(ch: str, alphabet: Alphabet) -> Automaton:
+    alphabet.rank(ch)
+    edges = _fresh_edges(2)
+    _add_edge(edges, 0, ch, 1)
+    return Automaton(alphabet, 2, edges, frozenset({0}), frozenset({1}))
+
+
+def epsilon_automaton(alphabet: Alphabet) -> Automaton:
+    return Automaton(alphabet, 1, _fresh_edges(1), frozenset({0}), frozenset({0}))
+
+
+def empty_automaton(alphabet: Alphabet) -> Automaton:
+    return Automaton(alphabet, 1, _fresh_edges(1), frozenset({0}), frozenset())
+
+
+def _shift(a: Automaton, offset: int, edges: list[dict[str, frozenset[int]]]) -> None:
+    for q in range(a.n):
+        for ch, targets in a.edges[q].items():
+            for t in targets:
+                _add_edge(edges, q + offset, ch, t + offset)
+
+
+def _initial_edges(a: Automaton) -> list[tuple[str, int]]:
+    out = []
+    for i in a.initials:
+        for ch, targets in a.edges[i].items():
+            for t in targets:
+                out.append((ch, t))
+    return out
+
+
+def union_automata(a: Automaton, b: Automaton) -> Automaton:
+    edges = _fresh_edges(a.n + b.n)
+    _shift(a, 0, edges)
+    _shift(b, a.n, edges)
+    initials = a.initials | {q + a.n for q in b.initials}
+    finals = a.finals | {q + a.n for q in b.finals}
+    return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
+
+
+def concat_automata(a: Automaton, b: Automaton) -> Automaton:
+    edges = _fresh_edges(a.n + b.n)
+    _shift(a, 0, edges)
+    _shift(b, a.n, edges)
+    b_starts = [(ch, t + a.n) for ch, t in _initial_edges(b)]
+    for f in a.finals:
+        for ch, t in b_starts:
+            _add_edge(edges, f, ch, t)
+    finals = {q + a.n for q in b.finals}
+    if b.accepts_empty_word():
+        finals |= a.finals
+    initials = set(a.initials)
+    if a.accepts_empty_word():
+        initials |= {q + a.n for q in b.initials}
+    return Automaton(a.alphabet, a.n + b.n, edges, frozenset(initials), frozenset(finals))
+
+
+def star_automaton(a: Automaton) -> Automaton:
+    # Fresh hub state so making the start accepting cannot leak extra words.
+    hub = a.n
+    edges = _fresh_edges(a.n + 1)
+    _shift(a, 0, edges)
+    starts = _initial_edges(a)
+    for ch, t in starts:
+        _add_edge(edges, hub, ch, t)
+    for f in a.finals:
+        for ch, t in starts:
+            _add_edge(edges, f, ch, t)
+    return Automaton(a.alphabet, a.n + 1, edges, frozenset({hub}), a.finals | {hub})
+
+
+def nfa_of_regex(r: Regex, alphabet: Alphabet) -> Automaton:
+    if isinstance(r, Lit):
+        return literal_automaton(r.ch, alphabet)
+    if isinstance(r, Eps):
+        return epsilon_automaton(alphabet)
+    if isinstance(r, Empty):
+        return empty_automaton(alphabet)
+    if isinstance(r, Union):
+        return union_automata(nfa_of_regex(r.left, alphabet), nfa_of_regex(r.right, alphabet))
+    if isinstance(r, Concat):
+        return concat_automata(nfa_of_regex(r.left, alphabet), nfa_of_regex(r.right, alphabet))
+    if isinstance(r, Star):
+        return star_automaton(nfa_of_regex(r.body, alphabet))
+    raise TypeError(f"not a regex node: {r!r}")
+
+
+# ---------------------------------------------------------------------------
+# Subset construction, trimming, boolean operations
+
+
+def determinize(a: Automaton, complete: bool = False) -> Automaton:
+    """Subset construction.  With ``complete=True`` a sink is added so every
+    state has a successor on every letter (needed before complementing)."""
+    letters = a.alphabet.letters
+    start = frozenset(a.initials)
+    index: dict[frozenset[int], int] = {start: 0}
+    order: list[frozenset[int]] = [start]
+    out_edges: list[dict[str, frozenset[int]]] = []
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        row: dict[str, frozenset[int]] = {}
+        for ch in letters:
+            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
+            if not t and not complete:
+                continue
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+                queue.append(t)
+            row[ch] = frozenset({index[t]})
+        out_edges.append(row)
+    finals = frozenset(i for i, s in enumerate(order) if s & a.finals)
+    return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), finals, deterministic=True)
+
+
+def trim(a: Automaton) -> Automaton:
+    """Drop states that are unreachable or cannot reach a final state.
+
+    The result's states are renumbered in BFS order from the initial set,
+    expanding letters in alphabet order, so equal inputs give identical
+    outputs.
+    """
+    reachable: set[int] = set()
+    queue = deque(sorted(a.initials))
+    reachable.update(a.initials)
+    while queue:
+        q = queue.popleft()
+        for ch in a.alphabet.letters:
+            for t in a.successors(q, ch):
+                if t not in reachable:
+                    reachable.add(t)
+                    queue.append(t)
+    rev: list[set[int]] = [set() for _ in range(a.n)]
+    for q in range(a.n):
+        for targets in a.edges[q].values():
+            for t in targets:
+                rev[t].add(q)
+    co: set[int] = set(a.finals)
+    queue = deque(sorted(a.finals))
+    while queue:
+        q = queue.popleft()
+        for p in rev[q]:
+            if p not in co:
+                co.add(p)
+                queue.append(p)
+    alive = reachable & co
+    if not alive:
+        return empty_automaton(a.alphabet)
+    renum: dict[int, int] = {}
+    order: list[int] = []
+    queue = deque(sorted(q for q in a.initials if q in alive))
+    for q in queue:
+        renum[q] = len(order)
+        order.append(q)
+    while queue:
+        q = queue.popleft()
+        for ch in a.alphabet.letters:
+            for t in sorted(a.successors(q, ch)):
+                if t in alive and t not in renum:
+                    renum[t] = len(order)
+                    order.append(t)
+                    queue.append(t)
+    edges = _fresh_edges(len(order))
+    for q in order:
+        for ch, targets in a.edges[q].items():
+            for t in targets:
+                if t in renum:
+                    _add_edge(edges, renum[q], ch, renum[t])
+    initials = frozenset(renum[q] for q in a.initials if q in renum)
+    finals = frozenset(renum[q] for q in a.finals if q in renum)
+    return Automaton(a.alphabet, len(order), edges, initials, finals, deterministic=a.deterministic)
+
+
+def compile_regex(r: Regex, alphabet: Alphabet) -> Automaton:
+    """Regex → trimmed DFA (possibly partial: dead transitions are absent)."""
+    return trim(determinize(nfa_of_regex(r, alphabet)))
+
+
+def membership(a: Automaton, w: str) -> bool:
+    a.alphabet.check_word(w)
+    current = set(a.initials)
+    for ch in w:
+        current = {t for q in current for t in a.successors(q, ch)}
+        if not current:
+            return False
+    return bool(current & set(a.finals))
+
+
+def complement(a: Automaton) -> Automaton:
+    d = determinize(a, complete=True)
+    finals = frozenset(range(d.n)) - d.finals
+    return Automaton(d.alphabet, d.n, d.edges, d.initials, finals, deterministic=True)
+
+
+def intersect(a: Automaton, b: Automaton) -> Automaton:
+    """Product automaton, built on the fly from the initial pairs."""
+    index: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
+    for p in sorted(a.initials):
+        for q in sorted(b.initials):
+            index[(p, q)] = len(order)
+            order.append((p, q))
+    edges: list[dict[str, frozenset[int]]] = []
+    queue = deque(order)
+    while queue:
+        p, q = queue.popleft()
+        row: dict[str, set[int]] = {}
+        for ch in a.alphabet.letters:
+            for t1 in a.successors(p, ch):
+                for t2 in b.successors(q, ch):
+                    key = (t1, t2)
+                    if key not in index:
+                        index[key] = len(order)
+                        order.append(key)
+                        queue.append(key)
+                    row.setdefault(ch, set()).add(index[key])
+        edges.append({ch: frozenset(ts) for ch, ts in row.items()})
+    finals = frozenset(
+        i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals
+    )
+    initials = frozenset(range(len(a.initials) * len(b.initials)))
+    return Automaton(a.alphabet, len(order), edges, initials, finals)
+
+
+def is_empty_language(a: Automaton) -> bool:
+    return trim(a).finals == frozenset()
+
+
+def shortest_word(a: Automaton) -> str | None:
+    """Length-then-lex least accepted word, or None for the empty language."""
+    return _shortest_from(a, frozenset(a.initials), allow_empty=True)
+
+
+def shortest_nonempty_word(a: Automaton) -> str | None:
+    """Least accepted word of length ≥ 1 (length-then-lex), or None."""
+    return _shortest_from(a, frozenset(a.initials), allow_empty=False)
+
+
+def _shortest_from(a: Automaton, start: frozenset[int], allow_empty: bool) -> str | None:
+    finals = set(a.finals)
+    if allow_empty and start & finals:
+        return ""
+    seen = {start}
+    queue: deque[tuple[frozenset[int], str]] = deque([(start, "")])
+    while queue:
+        s, path = queue.popleft()
+        for ch in a.alphabet.letters:
+            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
+            if not t:
+                continue
+            word = path + ch
+            if t & finals:
+                return word
+            if t not in seen:
+                seen.add(t)
+                queue.append((t, word))
+    return None
+
+
+def words_up_to(a: Automaton, max_len: int) -> list[str]:
+    """All accepted words of length ≤ max_len, in lexicographic order.
+
+    Depth-first over subset states with letters in alphabet order yields
+    exactly the lexicographic order (a prefix is visited before its
+    extensions).
+    """
+    out: list[str] = []
+    finals = set(a.finals)
+
+    def walk(s: frozenset[int], word: str) -> None:
+        if s & finals:
+            out.append(word)
+        if len(word) == max_len:
+            return
+        for ch in a.alphabet.letters:
+            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
+            if t:
+                walk(t, word + ch)
+
+    walk(frozenset(a.initials), "")
+    return out
+
+
+def has_word_longer_than(a: Automaton, length: int) -> bool:
+    """True iff some accepted word is strictly longer than ``length``."""
+    t = trim(a)
+    if t.finals == frozenset():
+        return False
+    # In a trimmed automaton every state completes to a final state, so a
+    # viable path of length+1 steps suffices.
+    current = set(t.initials)
+    for _ in range(length + 1):
+        current = {q2 for q in current for targets in t.edges[q].values() for q2 in targets}
+        if not current:
+            return False
+    return True
+
+
+def subset_with_witness(a: Automaton, b: Automaton) -> tuple[bool, str | None]:
+    """Decide L(a) ⊆ L(b); on failure also return the least word in L(a)∖L(b)."""
+    diff = intersect(a, complement(b))
+    w = shortest_word(diff)
+    return (w is None), w
+
+
+def subset_language(a: Automaton, b: Automaton) -> bool:
+    return subset_with_witness(a, b)[0]
+
+
+def equivalent(a: Automaton, b: Automaton) -> bool:
+    return subset_language(a, b) and subset_language(b, a)
+
+
+def power_automaton(v: str, alphabet: Alphabet) -> Automaton:
+    """The |v|-state cyclic DFA for v* (partial: wrong letters die)."""
+    if not v:
+        raise ValueError("v must be nonempty")
+    alphabet.check_word(v)
+    n = len(v)
+    edges = _fresh_edges(n)
+    for i, ch in enumerate(v):
+        _add_edge(edges, i, ch, (i + 1) % n)
+    return Automaton(alphabet, n, edges, frozenset({0}), frozenset({0}), deterministic=True)
+
+
+def subset_of_power(a: Automaton, v: str) -> bool:
+    """Exact test for L(a) ⊆ v*."""
+    return subset_of_power_with_witness(a, v)[0]
+
+
+def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None]:
+    return subset_with_witness(a, power_automaton(v, a.alphabet))
+
+
+# ---------------------------------------------------------------------------
+# Order-theoretic analysis of regular languages
+
+
+@dataclass(frozen=True)
+class Scattered:
+    def __bool__(self) -> bool:
+        return True
+
+
+@dataclass(frozen=True)
+class QuasiDense:
+    """Witness that the language embeds a dense suborder.
+
+    ``state`` is a state of the trimmed DFA that carries two cycle words
+    ``x`` and ``y`` with different primitive roots; pumping them in all
+    interleavings produces a dense set of words of the language's prefixes.
+    """
+
+    state: int
+    x: str
+    y: str
+
+    def __bool__(self) -> bool:
+        return False
+
+
+def _cycle_language(d: Automaton, q: int) -> Automaton:
+    """Words labelling nonempty closed paths q → q in the DFA ``d``.
+
+    Built by splitting q into a source copy and a sink copy so the empty
+    word is excluded while multi-visit loops still factor through single
+    returns (enough for every use below, since v* is closed under
+    concatenation).
+    """
+    src = d.n
+    snk = d.n + 1
+    edges = _fresh_edges(d.n + 2)
+    for p in range(d.n):
+        for ch, targets in d.edges[p].items():
+            for t in targets:
+                p2 = src if p == q else p
+                t2 = snk if t == q else t
+                _add_edge(edges, p2, ch, t2)
+    return Automaton(d.alphabet, d.n + 2, edges, frozenset({src}), frozenset({snk}))
+
+
+def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
+    """Decide whether L(a) is scattered in the lexicographic order.
+
+    Works on the trimmed DFA: the language is quasi-dense exactly when some
+    state admits two cycle words with distinct primitive roots.  Since runs
+    of a DFA are unique, per-state cycle roots capture all pumping.
+    """
+    d = trim(determinize(a))
+    if d.finals == frozenset():
+        return Scattered()
+    for q in range(d.n):
+        cyc = _cycle_language(d, q)
+        m = shortest_nonempty_word(cyc)
+        if m is None:
+            continue
+        root = primitive_root(m)
+        ok, counterexample = subset_of_power_with_witness(cyc, root)
+        if not ok:
+            assert counterexample is not None
+            return QuasiDense(q, m, counterexample)
+    return Scattered()
+
+
+def tarjan_sccs(n: int, successors: list[set[int]]) -> list[list[int]]:
+    """Iterative Tarjan; components come out in reverse topological order."""
+    index_counter = 0
+    stack: list[int] = []
+    on_stack = [False] * n
+    index = [-1] * n
+    low = [0] * n
+    result: list[list[int]] = []
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, object]] = [(root, iter(sorted(successors[root])))]
+        index[root] = low[root] = index_counter
+        index_counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:  # type: ignore[union-attr]
+                if index[w] == -1:
+                    index[w] = low[w] = index_counter
+                    index_counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(sorted(successors[w]))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                result.append(sorted(comp))
+    return result
+
+
+def finite_rank_bound(a: Automaton) -> int:
+    """Max number of looping components met along any path of the trimmed DFA.
+
+    This is a finite bound on how scattered the language is: each loop on a
+    path contributes one level of condensation.  Precondition: the language
+    is scattered; quasi-dense input raises.
+    """
+    verdict = regular_scattered(a)
+    if not verdict:
+        raise ValueError(f"finite_rank_bound needs a scattered language, got witness {verdict}")
+    d = trim(determinize(a))
+    if d.finals == frozenset():
+        return 0
+    succ: list[set[int]] = [set() for _ in range(d.n)]
+    for q in range(d.n):
+        for targets in d.edges[q].values():
+            succ[q].update(targets)
+    comps = tarjan_sccs(d.n, succ)  # reverse topological order
+    comp_of = {}
+    for i, comp in enumerate(comps):
+        for q in comp:
+            comp_of[q] = i
+    nontrivial = [len(comp) > 1 or comp[0] in succ[comp[0]] for comp in comps]
+    # Longest path in the condensation counting only looping components.
+    # comps are in reverse topological order, so successors come earlier.
+    best = [0] * len(comps)
+    for i, comp in enumerate(comps):
+        here = 1 if nontrivial[i] else 0
+        succ_best = 0
+        for q in comp:
+            for t in succ[q]:
+                j = comp_of[t]
+                if j != i:
+                    succ_best = max(succ_best, best[j])
+        best[i] = here + succ_best
+    return max(best[comp_of[q]] for q in range(d.n))
+
+
+def pump_size(a: Automaton) -> int:
+    """A pumping-length style measure: the trimmed DFA's state count."""
+    d = trim(determinize(a))
+    return max(d.n, 1)

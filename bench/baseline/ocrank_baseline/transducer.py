@@ -1,0 +1,620 @@
+"""Counter transducers over the balanced input language and their leveling.
+
+A machine reads binary input (0 opens, 1 closes; prefixes never close more
+than they opened) and emits, per transition, a nonempty regular language
+over an ordered output alphabet.  ``build_mprime`` refines such a machine
+with counter levels and phases so that order-theoretic analysis can work on
+a finite graph: levels below the machine period are tracked exactly in an
+ascending (``up``) or descending (``down``) phase, levels at or above it
+only modulo the period (``eq``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from . import regular
+from .counterset import NSetReport
+from .regular import Automaton, Regex, parse_regex
+from .words import Alphabet, in_d1
+
+
+class TransducerError(ValueError):
+    """Structural problem with a machine definition."""
+
+
+class LevelingError(RuntimeError):
+    """The leveled construction cannot represent the machine.
+
+    The usual cause is an input language that is empty (no counter value at
+    the initial state is both reachable and closable), which downstream
+    analyses treat as the trivial zero-rank case.
+    """
+
+
+@dataclass(frozen=True)
+class Transition:
+    source: str
+    bit: int
+    target: str
+    output: Regex
+
+
+@dataclass
+class Transducer:
+    states: tuple[str, ...]
+    initial: str
+    finals: frozenset[str]
+    transitions: tuple[Transition, ...]
+    alphabet: Alphabet
+    accepts_epsilon: bool
+    _outputs: dict[Regex, Automaton] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def compiled_output(self, t: Transition) -> Automaton:
+        a = self._outputs.get(t.output)
+        if a is None:
+            a = regular.compile_regex(t.output, self.alphabet)
+            self._outputs[t.output] = a
+        return a
+
+    def transitions_from(self, q: str) -> list[Transition]:
+        return [t for t in self.transitions if t.source == q]
+
+
+def make_transducer(states, initial, finals, transitions, alphabet: Alphabet) -> Transducer:
+    """Assemble and structurally check a machine.
+
+    ``transitions`` entries are (source, bit, target, output) where the
+    output may be a regex string or an already parsed :class:`Regex`.
+    Exact duplicate transitions are dropped.
+    """
+    states = tuple(states)
+    finals = frozenset(finals)
+    parsed: list[Transition] = []
+    seen: set[Transition] = set()
+    for source, bit, target, output in transitions:
+        if isinstance(output, str):
+            output = parse_regex(output, alphabet)
+        t = Transition(source, int(bit), target, output)
+        if t not in seen:
+            seen.add(t)
+            parsed.append(t)
+    machine = Transducer(
+        states, initial, finals, tuple(parsed), alphabet, accepts_epsilon=initial in finals
+    )
+    check_structure(machine)
+    return machine
+
+
+def check_structure(machine: Transducer) -> None:
+    """Raise :class:`TransducerError` on malformed machines (no rewriting)."""
+    if not machine.states:
+        raise TransducerError("machine has no states")
+    if len(set(machine.states)) != len(machine.states):
+        raise TransducerError("duplicate state names")
+    known = set(machine.states)
+    if machine.initial not in known:
+        raise TransducerError(f"initial state {machine.initial!r} is not a state")
+    if not machine.finals:
+        raise TransducerError("machine has no final states")
+    if not machine.finals <= known:
+        raise TransducerError(f"final states {sorted(machine.finals - known)} are not states")
+    for t in machine.transitions:
+        if t.source not in known or t.target not in known:
+            raise TransducerError(f"transition {t.source}->{t.target} uses unknown states")
+        if t.bit not in (0, 1):
+            raise TransducerError(f"transition bit must be 0 or 1, got {t.bit}")
+        if regular.is_empty_language(machine.compiled_output(t)):
+            raise TransducerError(
+                f"transition {t.source} -{t.bit}-> {t.target} outputs the empty language"
+            )
+
+
+def _fresh_name(base: str, taken: set[str]) -> str:
+    name = base
+    while name in taken:
+        name += "_"
+    return name
+
+
+def _split(
+    machine: Transducer,
+    split_initial: bool,
+    finals_to_split: set[str],
+) -> Transducer:
+    """Copy the machine, detaching the initial source and/or final sinks.
+
+    The new initial keeps only outgoing copies; each split final receives
+    only incoming copies.  The empty word, if accepted, survives in the
+    ``accepts_epsilon`` flag rather than in the graph.
+    """
+    states = list(machine.states)
+    taken = set(states)
+    transitions = list(machine.transitions)
+    initial = machine.initial
+    finals = set(machine.finals)
+
+    if split_initial:
+        src = _fresh_name(f"{initial}_src", taken)
+        taken.add(src)
+        states.insert(0, src)
+        transitions += [
+            Transition(src, t.bit, t.target, t.output)
+            for t in machine.transitions
+            if t.source == initial
+        ]
+        initial = src
+
+    for f in sorted(finals_to_split):
+        snk = _fresh_name(f"{f}_snk", taken)
+        taken.add(snk)
+        states.append(snk)
+        transitions += [
+            Transition(t.source, t.bit, snk, t.output)
+            for t in transitions
+            if t.target == f
+        ]
+        finals.discard(f)
+        finals.add(snk)
+
+    # Keep only states that lie on some initial → final path.
+    forward: set[str] = {initial}
+    frontier = [initial]
+    while frontier:
+        q = frontier.pop()
+        for t in transitions:
+            if t.source == q and t.target not in forward:
+                forward.add(t.target)
+                frontier.append(t.target)
+    backward: set[str] = set(f for f in finals)
+    frontier = list(backward)
+    while frontier:
+        q = frontier.pop()
+        for t in transitions:
+            if t.target == q and t.source not in backward:
+                backward.add(t.source)
+                frontier.append(t.source)
+    alive = (forward & backward) | {initial}
+    states = [q for q in states if q in alive]
+    transitions = [t for t in transitions if t.source in alive and t.target in alive]
+
+    out = Transducer(
+        tuple(states),
+        initial,
+        frozenset(f for f in finals if f in alive),
+        tuple(dict.fromkeys(transitions)),
+        machine.alphabet,
+        machine.accepts_epsilon,
+        dict(machine._outputs),
+    )
+    return out
+
+
+def validate(machine: Transducer) -> Transducer:
+    """Check a machine and normalize it to source/sink form.
+
+    The returned machine accepts the same input/output pairs (the empty
+    input's acceptance moves into ``accepts_epsilon``), its initial state
+    has no incoming transitions, and no final state has outgoing ones.
+    """
+    check_structure(machine)
+    split_init = any(t.target == machine.initial for t in machine.transitions)
+    split_finals = {
+        f for f in machine.finals if any(t.source == f for t in machine.transitions)
+    }
+    return _split(machine, split_init, split_finals)
+
+
+def minimal_normalize(machine: Transducer) -> Transducer:
+    """Split only where leveling discipline actually demands it.
+
+    The initial typed state must not lie on a cycle — possible only via a
+    closing transition back into the initial — and the accepting typed
+    states must have no outgoing edges, which only opening transitions out
+    of a final state create.
+    """
+    check_structure(machine)
+    split_init = any(
+        t.target == machine.initial and t.bit == 1 for t in machine.transitions
+    )
+    split_finals = {
+        f
+        for f in machine.finals
+        if any(t.source == f and t.bit == 0 for t in machine.transitions)
+    }
+    if not split_init and not split_finals:
+        return machine
+    return _split(machine, split_init, split_finals)
+
+
+# ---------------------------------------------------------------------------
+# Output languages of input words
+
+
+def step_language(machine: Transducer, w: str) -> dict[str, Automaton]:
+    """Automata for the outputs produced while reading w, per ending state."""
+    for ch in w:
+        if ch not in ("0", "1"):
+            raise ValueError(f"input words are binary, found {ch!r}")
+    current: dict[str, Automaton] = {
+        machine.initial: regular.epsilon_automaton(machine.alphabet)
+    }
+    for ch in w:
+        bit = int(ch)
+        nxt: dict[str, Automaton] = {}
+        for t in machine.transitions:
+            if t.bit != bit or t.source not in current:
+                continue
+            piece = regular.concat_automata(current[t.source], machine.compiled_output(t))
+            if t.target in nxt:
+                nxt[t.target] = regular.union_automata(nxt[t.target], piece)
+            else:
+                nxt[t.target] = piece
+        current = {q: regular.trim(a) for q, a in nxt.items()}
+        current = {q: a for q, a in current.items() if a.finals}
+        if not current:
+            break
+    return current
+
+
+def language_of_input(machine: Transducer, w: str) -> Automaton:
+    """The output language L(machine, w): union over accepting end states."""
+    per_state = step_language(machine, w)
+    acc = regular.empty_automaton(machine.alphabet)
+    for f in sorted(machine.finals):
+        if f in per_state:
+            acc = regular.union_automata(acc, per_state[f])
+    return regular.trim(acc)
+
+
+# ---------------------------------------------------------------------------
+# The leveled machine
+
+
+UP = "up"
+EQ = "eq"
+DOWN = "down"
+_PHASE_ORDER = {UP: 0, EQ: 1, DOWN: 2}
+
+
+class TypedState(NamedTuple):
+    state: str
+    level: int
+    phase: str
+
+    def render(self) -> str:
+        return f"({self.state},{self.level},{self.phase})"
+
+
+@dataclass(frozen=True)
+class TypedTransition:
+    source: TypedState
+    bit: int
+    target: TypedState
+    output: Regex
+    rule: str
+    base: Transition
+
+
+@dataclass
+class TransducerPrime:
+    period: int
+    states: tuple[TypedState, ...]
+    initial: TypedState
+    finals: frozenset[TypedState]
+    transitions: tuple[TypedTransition, ...]
+    alphabet: Alphabet
+    accepts_epsilon: bool
+    base: Transducer
+
+    def compiled_output(self, t: TypedTransition) -> Automaton:
+        return self.base.compiled_output(t.base)
+
+    def transitions_from(self, s: TypedState) -> list[TypedTransition]:
+        return [t for t in self.transitions if t.source == s]
+
+
+def _match_rule(period: int, bit: int, n: int, s1: str, m: int, s2: str) -> str | None:
+    if bit == 0:
+        if m == n + 1 and m < period and s1 == s2:
+            return "i"
+        if m >= period and n >= period - 1 and (n + 1 - m) % period == 0 and s2 == EQ and s1 != DOWN:
+            return "iii"
+        return None
+    if m == n - 1 and m < period and s1 in (UP, DOWN) and s2 in (s1, DOWN):
+        return "ii"
+    if n >= period and m >= period - 1 and (n - 1 - m) % period == 0 and s1 == EQ and s2 != UP:
+        return "iv"
+    return None
+
+
+def build_mprime(machine: Transducer, report: NSetReport) -> TransducerPrime:
+    """Level a machine using its certified counter sets.
+
+    States are (q, n, phase) with n in the machine's type window; the four
+    transition rules keep exact levels below the period and mod-period
+    levels above it.  The result is trimmed to states on a live path.
+    Raises :class:`LevelingError` when 0 is not a type of the initial state
+    (the machine accepts no input).
+    """
+    period = report.period
+    if 0 not in report.types.get(machine.initial, frozenset()):
+        raise LevelingError(
+            f"level 0 is not a type of the initial state {machine.initial!r}; "
+            "the machine accepts no input word"
+        )
+
+    by_state: dict[str, list[TypedState]] = {}
+    for q in machine.states:
+        typed: list[TypedState] = []
+        for n in sorted(report.types[q]):
+            if n >= period:
+                typed.append(TypedState(q, n, EQ))
+            else:
+                typed.append(TypedState(q, n, UP))
+                typed.append(TypedState(q, n, DOWN))
+        by_state[q] = typed
+
+    initial = TypedState(machine.initial, 0, UP)
+    finals = {
+        TypedState(f, 0, DOWN)
+        for f in machine.finals
+        if 0 in report.types.get(f, frozenset())
+    }
+
+    transitions: list[TypedTransition] = []
+    for t in machine.transitions:
+        for src in by_state[t.source]:
+            for tgt in by_state[t.target]:
+                rule = _match_rule(period, t.bit, src.level, src.phase, tgt.level, tgt.phase)
+                if rule is not None:
+                    transitions.append(TypedTransition(src, t.bit, tgt, t.output, rule, t))
+
+    # Trim to the initial → final core, always keeping the initial state.
+    succ: dict[TypedState, list[TypedState]] = {}
+    pred: dict[TypedState, list[TypedState]] = {}
+    for tt in transitions:
+        succ.setdefault(tt.source, []).append(tt.target)
+        pred.setdefault(tt.target, []).append(tt.source)
+    reach = {initial}
+    frontier = [initial]
+    while frontier:
+        s = frontier.pop()
+        for nxt in succ.get(s, ()):
+            if nxt not in reach:
+                reach.add(nxt)
+                frontier.append(nxt)
+    co = set(finals)
+    frontier = list(co)
+    while frontier:
+        s = frontier.pop()
+        for prv in pred.get(s, ()):
+            if prv not in co:
+                co.add(prv)
+                frontier.append(prv)
+    alive = (reach & co) | {initial}
+
+    kept_states = tuple(
+        s for q in machine.states for s in by_state[q] if s in alive
+    )
+    if initial not in kept_states:
+        kept_states = (initial,) + kept_states
+    kept_transitions = tuple(
+        tt for tt in transitions if tt.source in alive and tt.target in alive
+    )
+    return TransducerPrime(
+        period=period,
+        states=kept_states,
+        initial=initial,
+        finals=frozenset(f for f in finals if f in alive),
+        transitions=kept_transitions,
+        alphabet=machine.alphabet,
+        accepts_epsilon=machine.accepts_epsilon,
+        base=machine,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Runs and their leveled images
+
+
+def run_input_word(run: list[Transition]) -> str:
+    return "".join(str(t.bit) for t in run)
+
+
+def check_run(machine: Transducer, run: list[Transition]) -> None:
+    if not run:
+        if not machine.accepts_epsilon:
+            raise ValueError("empty run, but the machine does not accept the empty input")
+        return
+    if run[0].source != machine.initial:
+        raise ValueError(f"run starts at {run[0].source!r}, not the initial state")
+    for a, b in zip(run, run[1:]):
+        if a.target != b.source:
+            raise ValueError(f"run breaks between {a.target!r} and {b.source!r}")
+    if run[-1].target not in machine.finals:
+        raise ValueError(f"run ends at non-final state {run[-1].target!r}")
+    if not in_d1(run_input_word(run)):
+        raise ValueError("run input word is not balanced")
+
+
+def lift_run(
+    machine: Transducer,
+    run: list[Transition],
+    prime: TransducerPrime | None = None,
+) -> list[TypedTransition]:
+    """Replay an accepting run of the machine inside its leveled form.
+
+    Levels follow the input's open depth: exactly while it stays below the
+    period (ascending, then descending once it never returns there), and
+    shifted into the mod-period window in between.
+    """
+    check_run(machine, run)
+    if prime is None:
+        from .counterset import reach_sets
+
+        prime = build_mprime(machine, reach_sets(machine))
+    if not run:
+        return []
+    period = prime.period
+
+    opens = [0]
+    for t in run:
+        opens.append(opens[-1] + (1 if t.bit == 0 else -1))
+    n = len(run)
+
+    if max(opens) < period:
+        levels = list(opens)
+        phases = [UP] * n + [DOWN]
+    else:
+        i_up = next(i for i, o in enumerate(opens) if o >= period) - 1
+        i_down = max(i for i, o in enumerate(opens) if o >= period) + 1
+        levels = [
+            o if i <= i_up or i >= i_down else (o % period) + period
+            for i, o in enumerate(opens)
+        ]
+        phases = [
+            UP if i <= i_up else (EQ if i < i_down else DOWN) for i in range(n + 1)
+        ]
+
+    states = [machine.initial] + [t.target for t in run]
+    typed = [TypedState(states[i], levels[i], phases[i]) for i in range(n + 1)]
+
+    index = {(tt.source, tt.target, tt.base): tt for tt in prime.transitions}
+    lifted: list[TypedTransition] = []
+    for i, t in enumerate(run):
+        key = (typed[i], typed[i + 1], t)
+        tt = index.get(key)
+        if tt is None:
+            raise LevelingError(
+                f"no leveled transition {typed[i].render()} -{t.bit}-> "
+                f"{typed[i + 1].render()} for {t.source}->{t.target}"
+            )
+        lifted.append(tt)
+    return lifted
+
+
+def project_run(lifted: list[TypedTransition]) -> list[Transition]:
+    """Forget levels and phases."""
+    return [tt.base for tt in lifted]
+
+
+# ---------------------------------------------------------------------------
+# Bounded comparison of a machine with its leveled form
+
+
+def balanced_words_up_to(max_len: int) -> list[str]:
+    """All balanced binary words of length ≤ max_len (0 opens, 1 closes)."""
+    out: list[str] = [""]
+
+    def walk(prefix: str, open_now: int, budget: int) -> None:
+        if open_now == 0 and prefix:
+            out.append(prefix)
+        if budget == 0:
+            return
+        if budget >= open_now + 2:
+            walk(prefix + "0", open_now + 1, budget - 1)
+        if open_now > 0:
+            walk(prefix + "1", open_now - 1, budget - 1)
+
+    walk("", 0, max_len)
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+def _union_outputs_machine(machine: Transducer, inputs: list[str]) -> Automaton:
+    acc = regular.empty_automaton(machine.alphabet)
+    for u in inputs:
+        acc = regular.union_automata(acc, language_of_input(machine, u))
+    return regular.trim(acc)
+
+
+def _union_outputs_prime(prime: TransducerPrime, inputs: list[str]) -> Automaton:
+    acc = regular.empty_automaton(prime.alphabet)
+    if prime.accepts_epsilon:
+        acc = regular.union_automata(acc, regular.epsilon_automaton(prime.alphabet))
+    for u in inputs:
+        if not u:
+            continue
+        current: dict[TypedState, Automaton] = {
+            prime.initial: regular.epsilon_automaton(prime.alphabet)
+        }
+        for ch in u:
+            bit = int(ch)
+            nxt: dict[TypedState, Automaton] = {}
+            for tt in prime.transitions:
+                if tt.bit != bit or tt.source not in current:
+                    continue
+                piece = regular.concat_automata(
+                    current[tt.source], prime.compiled_output(tt)
+                )
+                if tt.target in nxt:
+                    nxt[tt.target] = regular.union_automata(nxt[tt.target], piece)
+                else:
+                    nxt[tt.target] = piece
+            current = {s: regular.trim(a) for s, a in nxt.items()}
+            current = {s: a for s, a in current.items() if a.finals}
+            if not current:
+                break
+        else:
+            for f in prime.finals:
+                if f in current:
+                    acc = regular.union_automata(acc, current[f])
+    return regular.trim(acc)
+
+
+def default_output_cap(machine: Transducer, nmax: int) -> int:
+    pump = max(
+        (regular.pump_size(machine.compiled_output(t)) for t in machine.transitions),
+        default=1,
+    )
+    return 4 * nmax * pump
+
+
+def bounded_language_equal(
+    machine: Transducer,
+    prime: TransducerPrime,
+    nmax: int,
+    output_cap: int | None = None,
+) -> tuple[bool, str | None, bool]:
+    """Compare output unions over all balanced inputs of length ≤ nmax.
+
+    Both unions are truncated to words of length ≤ output_cap before the
+    comparison.  Returns (equal, witness, truncated): the witness is the
+    shortest (then lexicographically first) word in exactly one union, and
+    ``truncated`` reports whether either union went beyond the cap.
+    """
+    if output_cap is None:
+        output_cap = default_output_cap(machine, nmax)
+    inputs = balanced_words_up_to(nmax)
+    a = _union_outputs_machine(machine, inputs)
+    b = _union_outputs_prime(prime, inputs)
+    truncated = regular.has_word_longer_than(a, output_cap) or regular.has_word_longer_than(
+        b, output_cap
+    )
+
+    alphabet = machine.alphabet
+    a_finals, b_finals = set(a.finals), set(b.finals)
+    start = (frozenset(a.initials), frozenset(b.initials))
+    seen = {start}
+    queue: list[tuple[tuple[frozenset[int], frozenset[int]], str]] = [(start, "")]
+    head = 0
+    while head < len(queue):
+        (sa, sb), word = queue[head]
+        head += 1
+        if bool(sa & a_finals) != bool(sb & b_finals):
+            return False, word, truncated
+        if len(word) == output_cap:
+            continue
+        for ch in alphabet.letters:
+            ta = frozenset(q2 for q in sa for q2 in a.successors(q, ch))
+            tb = frozenset(q2 for q in sb for q2 in b.successors(q, ch))
+            if not ta and not tb:
+                continue
+            key = (ta, tb)
+            if key not in seen:
+                seen.add(key)
+                queue.append((key, word + ch))
+    return True, None, truncated

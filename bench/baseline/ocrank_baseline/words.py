@@ -1,0 +1,198 @@
+"""Core word combinatorics over ordered alphabets.
+
+Words are plain Python strings whose characters are letters of an
+:class:`Alphabet`.  The alphabet's *declared* order — not character-code
+order — drives every comparison in the package, so ``Alphabet(("b", "a"))``
+really does make ``"b"`` smaller than ``"a"``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import Enum
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """A finite, totally ordered set of single-character letters."""
+
+    letters: tuple[str, ...]
+    _rank: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        if not self.letters:
+            raise ValueError("alphabet must not be empty")
+        for ch in self.letters:
+            if len(ch) != 1:
+                raise ValueError(f"alphabet letters must be single characters, got {ch!r}")
+        if len(set(self.letters)) != len(self.letters):
+            raise ValueError(f"duplicate letters in alphabet {self.letters!r}")
+        object.__setattr__(self, "_rank", {ch: i for i, ch in enumerate(self.letters)})
+
+    def rank(self, ch: str) -> int:
+        try:
+            return self._rank[ch]
+        except KeyError:
+            raise ValueError(f"symbol {ch!r} is not in alphabet {''.join(self.letters)!r}") from None
+
+    def __contains__(self, ch: str) -> bool:
+        return ch in self._rank
+
+    def __iter__(self):
+        return iter(self.letters)
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def check_word(self, w: str) -> str:
+        for ch in w:
+            if ch not in self._rank:
+                raise ValueError(f"symbol {ch!r} is not in alphabet {''.join(self.letters)!r}")
+        return w
+
+
+#: The input alphabet of every counter machine in this package: 0 opens, 1 closes.
+BINARY = Alphabet(("0", "1"))
+
+
+class Relation(Enum):
+    """How two words relate under the prefix and first-divergence orders.
+
+    Exactly one relation holds for any pair over a common alphabet.  The
+    strict lexicographic order is ``PROPER_PREFIX_OF | STRICT_LESS``.
+    """
+
+    EQUAL = "equal"
+    PROPER_PREFIX_OF = "proper-prefix-of"
+    HAS_PROPER_PREFIX = "has-proper-prefix"
+    STRICT_LESS = "strict-less"
+    STRICT_GREATER = "strict-greater"
+
+
+def compare(u: str, v: str, alphabet: Alphabet) -> Relation:
+    """Classify the pair (u, v) into the unique :class:`Relation`."""
+    alphabet.check_word(u)
+    alphabet.check_word(v)
+    n = min(len(u), len(v))
+    for i in range(n):
+        if u[i] != v[i]:
+            if alphabet.rank(u[i]) < alphabet.rank(v[i]):
+                return Relation.STRICT_LESS
+            return Relation.STRICT_GREATER
+    if len(u) == len(v):
+        return Relation.EQUAL
+    if len(u) < len(v):
+        return Relation.PROPER_PREFIX_OF
+    return Relation.HAS_PROPER_PREFIX
+
+
+def lex_less(u: str, v: str, alphabet: Alphabet) -> bool:
+    """True iff u precedes v in the lexicographic order (prefixes first)."""
+    return compare(u, v, alphabet) in (Relation.STRICT_LESS, Relation.PROPER_PREFIX_OF)
+
+
+def lex_key(w: str, alphabet: Alphabet) -> tuple[int, ...]:
+    """Sort key realizing the lexicographic order as Python tuple order.
+
+    Tuple comparison puts a proper prefix before its extensions and
+    otherwise compares the first diverging letter, which is exactly the
+    order ``lex_less`` decides.
+    """
+    return tuple(alphabet.rank(ch) for ch in w)
+
+
+def primitive_root(w: str) -> str:
+    """Shortest word v with w ∈ v*, via the classic border (failure) table.
+
+    Runs in O(|w|).  Raises on the empty word, which has every root.
+    """
+    if not w:
+        raise ValueError("the empty word has no primitive root")
+    n = len(w)
+    border = [0] * (n + 1)
+    k = 0
+    for i in range(1, n):
+        while k > 0 and w[i] != w[k]:
+            k = border[k]
+        if w[i] == w[k]:
+            k += 1
+        border[i + 1] = k
+    p = n - border[n]
+    if n % p == 0:
+        return w[:p]
+    return w
+
+
+def is_primitive(w: str) -> bool:
+    return primitive_root(w) == w
+
+
+def _check_binary(w: str) -> None:
+    for ch in w:
+        if ch not in ("0", "1"):
+            raise ValueError(f"expected a binary word over 0/1, found {ch!r}")
+
+
+def open_depth(w: str) -> int:
+    """Number of 0s minus number of 1s (may be negative)."""
+    _check_binary(w)
+    return 2 * w.count("0") - len(w)
+
+
+def close_depth(w: str) -> int:
+    """Number of 1s minus number of 0s; always ``-open_depth(w)``."""
+    return -open_depth(w)
+
+
+class DyckClass(Enum):
+    IN_D1 = "InD1"
+    PREFIX_ONLY = "PrefixOnly"
+    SUFFIX_ONLY = "SuffixOnly"
+    PREFIX_AND_SUFFIX = "Both"
+    NEITHER = "Neither"
+
+
+def is_dyck_prefix(w: str) -> bool:
+    """True iff w extends to a balanced word: every prefix stays ≥ 0."""
+    _check_binary(w)
+    depth = 0
+    for ch in w:
+        depth += 1 if ch == "0" else -1
+        if depth < 0:
+            return False
+    return True
+
+
+def is_dyck_suffix(w: str) -> bool:
+    """True iff some balanced word ends in w: every suffix closes ≥ 0."""
+    _check_binary(w)
+    depth = 0
+    for ch in reversed(w):
+        depth += 1 if ch == "1" else -1
+        if depth < 0:
+            return False
+    return True
+
+
+def in_d1(w: str) -> bool:
+    return is_dyck_prefix(w) and open_depth(w) == 0
+
+
+def dyck_class(w: str) -> DyckClass:
+    """Classify a binary word against the balanced language and its hulls.
+
+    Note the fourth variant is provably unreachable: a word that is both a
+    prefix and a suffix of a balanced word has open depth 0 and safe
+    prefixes, i.e. it is balanced itself.  The variant stays for totality.
+    """
+    pre = is_dyck_prefix(w)
+    if pre and open_depth(w) == 0:
+        return DyckClass.IN_D1
+    suf = is_dyck_suffix(w)
+    if pre and suf:
+        return DyckClass.PREFIX_AND_SUFFIX
+    if pre:
+        return DyckClass.PREFIX_ONLY
+    if suf:
+        return DyckClass.SUFFIX_ONLY
+    return DyckClass.NEITHER

@@ -96,11 +96,14 @@ def parse_fixture(
 def load_fixture_file(path: str, depth: int = 0) -> Fixture:
     if depth > _MAX_EXPR_DEPTH:
         raise FixtureError(f"{path}: expression fixtures nested deeper than {_MAX_EXPR_DEPTH}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    name = os.path.basename(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FixtureError(f"{name}: not UTF-8 text: {exc}") from exc
     return parse_fixture(
-        text, base_dir=os.path.dirname(os.path.abspath(path)),
-        name=os.path.basename(path), depth=depth,
+        text, base_dir=os.path.dirname(os.path.abspath(path)), name=name, depth=depth
     )
 
 
@@ -565,6 +568,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ocrank",
@@ -575,8 +588,8 @@ def _build_parser() -> _Parser:
         choices=["nsets", "mprime", "dot", "rank", "enumerate", "check"],
     )
     parser.add_argument("fixture", help="path to a .oct fixture file")
-    parser.add_argument("--input-cap", type=int, default=8, metavar="N")
-    parser.add_argument("--output-cap", type=int, default=24, metavar="N")
+    parser.add_argument("--input-cap", type=_cap, default=8, metavar="N")
+    parser.add_argument("--output-cap", type=_cap, default=24, metavar="N")
     parser.add_argument("--counter-cap", type=int, default=None, metavar="N")
     parser.add_argument("--json", metavar="PATH", default=None)
     parser.add_argument("--dot", metavar="PATH", default=None)

@@ -4,8 +4,10 @@ Each nontrivial component is checked in stages: first whether every cycle
 output through every anchor state stays inside a single primitive power
 (then the component contributes a finite amount of order complexity), and
 if not, whether at least the zero-weight cycles do (then it contributes one
-level of accumulation).  Two cycle outputs with different primitive roots
-at the same anchor are a quasi-density witness and kill scatteredness.
+level of accumulation).  The second stage is the first one run on the
+component's tight transitions, which carry exactly its zero-weight cycles.
+Two cycle outputs with different primitive roots at the same anchor are a
+quasi-density witness and kill scatteredness.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import networkx as nx
 from . import regular
 from .regular import Automaton
 from .transducer import TransducerPrime, TypedState, TypedTransition
-from .words import Alphabet, primitive_root
+from .words import Alphabet
 
 
 @dataclass
@@ -45,15 +47,9 @@ class FullyCertified:
 
 @dataclass
 class ZeroCertified:
-    """Only the zero-weight cycles are certified single-rooted.
-
-    ``band`` is the weight-excursion bound within which the certification
-    automaton contains every zero-weight cycle (sufficient here: without
-    positive cycles, zero-weight excursions cannot leave the band).
-    """
+    """Only the zero-weight cycles are certified single-rooted."""
 
     roots: dict[TypedState, str | None]
-    band: int
 
 
 @dataclass
@@ -109,6 +105,10 @@ def internal_transitions(c: Scc, prime: TransducerPrime) -> list[TypedTransition
 # Cycle means (Karp) over ±1 edge weights
 
 
+def _weight(tt: TypedTransition) -> int:
+    return 1 if tt.bit == 0 else -1
+
+
 def _karp_max_mean(nodes: list, edges: list[tuple[object, int, object]]) -> Fraction | None:
     """Maximum cycle mean of a directed graph, None if it has no cycle.
 
@@ -158,10 +158,7 @@ def cycle_profile(c: Scc, prime: TransducerPrime) -> CycleProfile:
     if c.trivial:
         raise ValueError("cycle_profile needs a nontrivial component")
     nodes = sorted(c.members)
-    edges = [
-        (tt.source, 1 if tt.bit == 0 else -1, tt.target)
-        for tt in internal_transitions(c, prime)
-    ]
+    edges = [(tt.source, _weight(tt), tt.target) for tt in internal_transitions(c, prime)]
     max_mean = _karp_max_mean(nodes, edges)
     min_mean_neg = _karp_max_mean(nodes, [(u, -w, v) for u, w, v in edges])
     if max_mean is None or min_mean_neg is None:
@@ -177,6 +174,33 @@ def cycle_profile(c: Scc, prime: TransducerPrime) -> CycleProfile:
             f"{c.phase} component {nodes} has a nonzero-weight cycle"
         )
     return profile
+
+
+def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransition]:
+    """The transitions on which a longest-path potential is tight.
+
+    Needs a graph without positive cycles.  Bellman–Ford from a virtual
+    source then converges to a potential with π(v) ≥ π(u) + w on every
+    edge, so a closed walk weighs Σ (π(u) + w − π(v)) ≤ 0, with equality
+    exactly when each of its edges is tight: π(u) + w = π(v).  The tight
+    edges are the critical graph of max-plus algebra, and their closed
+    walks are the zero-weight closed walks of the whole graph.
+    """
+    potential = {s: 0 for tt in transitions for s in (tt.source, tt.target)}
+    for _ in range(len(potential) + 1):
+        changed = False
+        for tt in transitions:
+            reach = potential[tt.source] + _weight(tt)
+            if reach > potential[tt.target]:
+                potential[tt.target] = reach
+                changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("tight transitions of a graph with a positive cycle")
+    return [
+        tt for tt in transitions if potential[tt.source] + _weight(tt) == potential[tt.target]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +278,19 @@ def expand_graph(
     )
 
 
-def cycle_outputs(c: Scc, anchor: TypedState, prime: TransducerPrime) -> Automaton:
+def cycle_outputs(
+    c: Scc,
+    anchor: TypedState,
+    prime: TransducerPrime,
+    transitions: list[TypedTransition] | None = None,
+) -> Automaton:
     """Outputs emitted along closed paths of the component through ``anchor``.
 
-    The anchor is split into a source and a sink copy, so the language
-    contains exactly the outputs of single returns; repeated returns are
-    concatenations of these and add nothing to any power-inclusion check.
-    Trivial components give the empty language.
+    The paths use ``transitions``, by default all internal transitions of
+    the component.  The anchor is split into a source and a sink copy, so
+    the language contains exactly the outputs of single returns; repeated
+    returns are concatenations of these and add nothing to any
+    power-inclusion check.  Trivial components give the empty language.
     """
     if anchor not in c.members:
         raise ValueError(f"{anchor} is not in the component")
@@ -269,42 +299,13 @@ def cycle_outputs(c: Scc, anchor: TypedState, prime: TransducerPrime) -> Automat
     src = ("src", anchor)
     snk = ("snk", anchor)
     nodes: list[object] = [src, snk] + [s for s in sorted(c.members) if s != anchor]
+    if transitions is None:
+        transitions = internal_transitions(c, prime)
     arcs = []
-    for tt in internal_transitions(c, prime):
+    for tt in transitions:
         u = src if tt.source == anchor else tt.source
         v = snk if tt.target == anchor else tt.target
         arcs.append((u, prime.compiled_output(tt), v))
-    return expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
-
-
-def _zero_cycle_outputs(
-    c: Scc, anchor: TypedState, prime: TransducerPrime, band: int
-) -> Automaton:
-    """Outputs of zero-weight closed paths through ``anchor``.
-
-    Tracks the running weight in [-band, band]; for components without
-    positive cycles every zero-weight closed path stays inside the band,
-    so nothing is missed.
-    """
-    src = ("src", anchor, 0)
-    snk = ("snk", anchor, 0)
-    nodes: list[object] = [src, snk]
-    for s in sorted(c.members):
-        for w in range(-band, band + 1):
-            if s == anchor and w == 0:
-                continue
-            nodes.append((s, w))
-    arcs = []
-    for tt in internal_transitions(c, prime):
-        delta = 1 if tt.bit == 0 else -1
-        a = prime.compiled_output(tt)
-        for w in range(-band, band + 1):
-            w2 = w + delta
-            if not -band <= w2 <= band:
-                continue
-            u = src if (tt.source == anchor and w == 0) else (tt.source, w)
-            v = snk if (tt.target == anchor and w2 == 0) else (tt.target, w2)
-            arcs.append((u, a, v))
     return expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
 
 
@@ -314,44 +315,21 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     Stage 1 checks all cycles; on failure, components that can pump the
     counter up yield a quasi-density witness immediately, while the rest
     fall back to stage 2, which checks the zero-weight cycles only (the
-    ones whose outputs actually accumulate).
+    ones whose outputs actually accumulate).  Without a positive cycle
+    those are the closed walks on the tight transitions, so stage 2 is
+    stage 1 run on those alone.
     """
     if c.trivial:
         return FullyCertified({})
-    roots: dict[TypedState, str | None] = {}
-    failures: list[tuple[TypedState, str, str]] = []
-    for s in sorted(c.members):
-        outputs = cycle_outputs(c, s, prime)
-        m = regular.shortest_nonempty_word(outputs)
-        if m is None:
-            roots[s] = None
-            continue
-        v = primitive_root(m)
-        roots[s] = v
-        ok, counterexample = regular.subset_of_power_with_witness(outputs, v)
-        if not ok:
-            assert counterexample is not None
-            failures.append((s, m, counterexample))
-    if not failures:
+    anchors = sorted(c.members)
+    internal = internal_transitions(c, prime)
+    roots = regular.cycle_roots(anchors, lambda s: cycle_outputs(c, s, prime, internal))
+    if isinstance(roots, dict):
         return FullyCertified(roots)
-
-    profile = cycle_profile(c, prime)
-    if profile.has_positive:
-        s, m, x = failures[0]
-        return QuasiDenseWitness(s, m, x)
-
-    band = 2 * len(c.members) * prime.period
-    zero_roots: dict[TypedState, str | None] = {}
-    for s in sorted(c.members):
-        outputs = _zero_cycle_outputs(c, s, prime, band)
-        m = regular.shortest_nonempty_word(outputs)
-        if m is None:
-            zero_roots[s] = None
-            continue
-        v = primitive_root(m)
-        zero_roots[s] = v
-        ok, counterexample = regular.subset_of_power_with_witness(outputs, v)
-        if not ok:
-            assert counterexample is not None
-            return QuasiDenseWitness(s, m, counterexample)
-    return ZeroCertified(zero_roots, band)
+    if cycle_profile(c, prime).has_positive:
+        return QuasiDenseWitness(*roots)
+    tight = tight_transitions(internal)
+    roots = regular.cycle_roots(anchors, lambda s: cycle_outputs(c, s, prime, tight))
+    if isinstance(roots, dict):
+        return ZeroCertified(roots)
+    return QuasiDenseWitness(*roots)

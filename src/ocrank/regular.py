@@ -13,9 +13,13 @@ procedure in this module works on.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .words import Alphabet, primitive_root
+
+_Anchor = TypeVar("_Anchor")
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +548,32 @@ def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None
     return subset_with_witness(a, power_automaton(v, a.alphabet))
 
 
+def cycle_roots(
+    anchors: Iterable[_Anchor], cycle_language: Callable[[_Anchor], Automaton]
+) -> dict[_Anchor, str | None] | tuple[_Anchor, str, str]:
+    """The one primitive root of each anchor's cycle words, or a clash.
+
+    ``cycle_language(anchor)`` holds the anchor's nonempty cycle words.
+    Each anchor's root is that of its shortest word m (None when it has no
+    cycle) and must generate every other word.  Returns the roots, or
+    ``(anchor, m, x)`` for the first anchor, in the given order, where the
+    least word x outside ``root*`` exists.
+    """
+    roots: dict[_Anchor, str | None] = {}
+    for anchor in anchors:
+        cycles = cycle_language(anchor)
+        m = shortest_nonempty_word(cycles)
+        if m is None:
+            roots[anchor] = None
+            continue
+        roots[anchor] = root = primitive_root(m)
+        ok, counterexample = subset_of_power_with_witness(cycles, root)
+        if not ok:
+            assert counterexample is not None
+            return anchor, m, counterexample
+    return roots
+
+
 # ---------------------------------------------------------------------------
 # Order-theoretic analysis of regular languages
 
@@ -601,16 +631,9 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
     d = trim(determinize(a))
     if d.finals == frozenset():
         return Scattered()
-    for q in range(d.n):
-        cyc = _cycle_language(d, q)
-        m = shortest_nonempty_word(cyc)
-        if m is None:
-            continue
-        root = primitive_root(m)
-        ok, counterexample = subset_of_power_with_witness(cyc, root)
-        if not ok:
-            assert counterexample is not None
-            return QuasiDense(q, m, counterexample)
+    roots = cycle_roots(range(d.n), lambda q: _cycle_language(d, q))
+    if isinstance(roots, tuple):
+        return QuasiDense(*roots)
     return Scattered()
 
 

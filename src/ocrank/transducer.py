@@ -60,9 +60,6 @@ class Transducer:
             self._outputs[t.output] = a
         return a
 
-    def transitions_from(self, q: str) -> list[Transition]:
-        return [t for t in self.transitions if t.source == q]
-
 
 def make_transducer(states, initial, finals, transitions, alphabet: Alphabet) -> Transducer:
     """Assemble and structurally check a machine.
@@ -312,9 +309,6 @@ class TransducerPrime:
 
     def compiled_output(self, t: TypedTransition) -> Automaton:
         return self.base.compiled_output(t.base)
-
-    def transitions_from(self, s: TypedState) -> list[TypedTransition]:
-        return [t for t in self.transitions if t.source == s]
 
 
 def _match_rule(period: int, bit: int, n: int, s1: str, m: int, s2: str) -> str | None:

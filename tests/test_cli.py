@@ -232,6 +232,22 @@ def test_usage_errors_exit_one(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize("flag", ["--input-cap", "--output-cap"])
+def test_negative_caps_are_usage_errors(capsys, flag):
+    code, out, err = run_cli(capsys, ["enumerate", fixture_path("fig1.oct"), flag, "-3"])
+    assert code == 1
+    assert out == ""
+    assert flag in err and "-3" in err
+
+
+def test_non_utf8_fixture_exits_one(capsys, tmp_path):
+    path = tmp_path / "latin1.oct"
+    path.write_bytes(b"alphabet a\nstates q\ninitial q\nfinal q\ntrans q 0 q \xff\n")
+    code, _, err = run_cli(capsys, ["nsets", str(path)])
+    assert code == 1
+    assert "latin1.oct: not UTF-8 text" in err
+
+
 def test_machine_command_rejects_expression_fixture(capsys, tmp_path):
     fig1 = os.path.abspath(fixture_path("fig1.oct"))
     path = tmp_path / "iter.oct"

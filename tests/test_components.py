@@ -25,10 +25,12 @@ from ocrank.components import (
     expand_graph,
     internal_transitions,
     scc_index_of,
+    tight_transitions,
 )
 from ocrank.counterset import reach_sets
 from ocrank.regular import compile_regex, equivalent, is_empty_language, parse_regex
 from ocrank.transducer import (
+    LevelingError,
     Transition,
     TransducerPrime,
     TypedState,
@@ -37,6 +39,7 @@ from ocrank.transducer import (
     make_transducer,
 )
 from ocrank.words import Alphabet, primitive_root
+from conftest import random_machine
 
 AB = Alphabet(("a", "b"))
 
@@ -269,7 +272,7 @@ def test_fig1_verdicts(fig1_prime, fig1_sccs):
     # zero-weight cycles accumulate, and there are none.
     assert isinstance(v2, ZeroCertified)
     assert set(v2.roots.values()) == {None}
-    assert v2.band == 2 * len(closing.members) * fig1_prime.period
+    assert tight_transitions(internal_transitions(closing, fig1_prime)) == []
 
 
 def test_trivial_components_certify_vacuously(fig1_prime, fig1_sccs):
@@ -322,3 +325,106 @@ def test_zero_band_cycles_certify_against_root():
         v = certify_component(c, prime)
         assert isinstance(v, FullyCertified)
         assert set(v.roots.values()) <= {"ab", "ba"}
+
+
+# --- stage 2 against the weight-banded product ------------------------------------------
+
+
+def banded_zero_cycle_outputs(c, anchor, prime, band):
+    """Outputs of zero-weight closed paths through ``anchor``, by brute force.
+
+    Tracks the running weight in [-band, band] in a product with the
+    component; without positive cycles no zero-weight closed path leaves a
+    band of 2·|C|·P.  It uses no potential, so it checks stage 2's
+    tight-transition construction independently.
+    """
+    src = ("src", anchor, 0)
+    snk = ("snk", anchor, 0)
+    nodes = [src, snk]
+    for s in sorted(c.members):
+        for w in range(-band, band + 1):
+            if s != anchor or w != 0:
+                nodes.append((s, w))
+    arcs = []
+    for tt in internal_transitions(c, prime):
+        delta = 1 if tt.bit == 0 else -1
+        a = prime.compiled_output(tt)
+        for w in range(-band, band + 1):
+            w2 = w + delta
+            if not -band <= w2 <= band:
+                continue
+            u = src if (tt.source == anchor and w == 0) else (tt.source, w)
+            v = snk if (tt.target == anchor and w2 == 0) else (tt.target, w2)
+            arcs.append((u, a, v))
+    return expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
+
+
+def oracle_certify(c, prime):
+    """certify_component with an explicit per-anchor loop and the banded stage 2."""
+    if c.trivial:
+        return FullyCertified({})
+
+    def single_roots(outputs_at):
+        roots = {}
+        for s in sorted(c.members):
+            outputs = outputs_at(s)
+            m = regular.shortest_nonempty_word(outputs)
+            roots[s] = None if m is None else primitive_root(m)
+            if m is not None:
+                ok, x = regular.subset_of_power_with_witness(outputs, roots[s])
+                if not ok:
+                    return QuasiDenseWitness(s, m, x)
+        return roots
+
+    roots = single_roots(lambda s: cycle_outputs(c, s, prime))
+    if not isinstance(roots, QuasiDenseWitness):
+        return FullyCertified(roots)
+    if cycle_profile(c, prime).has_positive:
+        return roots
+    band = 2 * len(c.members) * prime.period
+    roots = single_roots(lambda s: banded_zero_cycle_outputs(c, s, prime, band))
+    return roots if isinstance(roots, QuasiDenseWitness) else ZeroCertified(roots)
+
+
+def ladder(k: int, j: int):
+    """A k-cycle of opens emitting c, one close into a j-cycle of closes emitting b*a."""
+    opens = [f"o{i}" for i in range(k)]
+    closes = [f"c{i}" for i in range(j)]
+    trans = [(opens[i], 0, opens[(i + 1) % k], "c") for i in range(k)]
+    trans.append((opens[0], 1, closes[0], "b*a"))
+    trans += [(closes[i], 1, closes[(i + 1) % j], "b*a") for i in range(j)]
+    return make_transducer(
+        opens + closes, opens[0], [closes[0]], trans, Alphabet(("a", "b", "c"))
+    )
+
+
+def test_tight_transitions_match_the_banded_product():
+    machines = [ladder(k, j) for k in (1, 2, 3) for j in (1, 2, 3)]
+    rng = random.Random(20261018)
+    machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(200)]
+    anchors = 0
+    stage2 = {ZeroCertified: 0, QuasiDenseWitness: 0}
+    for machine in machines:
+        try:
+            prime = build_mprime(machine, reach_sets(machine))
+        except LevelingError:
+            continue
+        for c in condense(prime):
+            if c.trivial:
+                continue
+            verdict = certify_component(c, prime)
+            assert verdict == oracle_certify(c, prime), sorted(c.members)
+            if cycle_profile(c, prime).has_positive:
+                continue
+            tight = tight_transitions(internal_transitions(c, prime))
+            band = 2 * len(c.members) * prime.period
+            for s in sorted(c.members):
+                anchors += 1
+                assert equivalent(
+                    banded_zero_cycle_outputs(c, s, prime, band),
+                    cycle_outputs(c, s, prime, tight),
+                ), (sorted(c.members), s)
+            if not isinstance(verdict, FullyCertified):
+                stage2[type(verdict)] += 1
+    assert anchors >= 400
+    assert stage2[ZeroCertified] >= 1 and stage2[QuasiDenseWitness] >= 1, stage2

@@ -7,8 +7,10 @@ themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import networkx as nx
 import pytest
 
 from ocrank.counterset import default_counter_cap, reach_sets
@@ -127,20 +129,33 @@ def assert_depth_soundness(prime) -> None:
     assert {s for s, _ in seen} == set(prime.states)
 
 
-def assert_up_down_cycles_weigh_nothing(prime, max_len: int = 12) -> None:
-    nodes = [s for s in prime.states if s.phase != EQ]
-    for start in nodes:
-        stack = [(start, 0, 0)]
-        while stack:
-            at, weight, length = stack.pop()
-            for t in prime.transitions:
-                if t.source != at or t.target.phase == EQ:
-                    continue
-                w2 = weight + (1 if t.bit == 0 else -1)
-                if t.target == start:
-                    assert w2 == 0, (start, t)
-                if length + 1 < max_len:
-                    stack.append((t.target, w2, length + 1))
+def assert_up_down_cycles_weigh_nothing(prime) -> None:
+    """Every cycle off the eq phase weighs 0, whatever its length.
+
+    Inside each strongly connected component of the non-eq subgraph, a
+    potential spread from one member along a search tree must make every
+    internal edge tight: then each cycle's weight telescopes to 0, and an
+    untight edge closes a cycle that does not.
+    """
+    by_source: dict = {}
+    for t in prime.transitions:
+        if t.source.phase != EQ and t.target.phase != EQ:
+            by_source.setdefault(t.source, []).append((1 if t.bit == 0 else -1, t.target))
+    g = nx.DiGraph((u, v) for u, out in by_source.items() for _, v in out)
+    for members in nx.strongly_connected_components(g):
+        root = next(iter(members))
+        potential = {root: 0}
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for w, v in by_source.get(u, ()):
+                if v in members and v not in potential:
+                    potential[v] = potential[u] + w
+                    frontier.append(v)
+        for u in members:
+            for w, v in by_source.get(u, ()):
+                if v in members:
+                    assert potential[u] + w == potential[v], (u, w, v)
 
 
 # --- structural checks ------------------------------------------------------------
@@ -293,6 +308,22 @@ def test_fig2_prime_invariants(fig2):
     assert_up_down_cycles_weigh_nothing(prime)
 
 
+def test_up_down_check_rejects_a_planted_nonzero_cycle(fig1):
+    prime = build_mprime(fig1, reach_sets(fig1))
+    up = next(t for t in prime.transitions if t.source.phase == UP == t.target.phase)
+    back = dataclasses.replace(up, source=up.target, target=up.source, bit=1 - up.bit)
+    heavy = dataclasses.replace(back, bit=up.bit)
+    self_loop = dataclasses.replace(up, target=up.source)
+
+    def planted(*extra):
+        return dataclasses.replace(prime, transitions=prime.transitions + extra)
+
+    assert_up_down_cycles_weigh_nothing(planted(back))
+    for extra in ((heavy,), (back, heavy), (self_loop,)):
+        with pytest.raises(AssertionError):
+            assert_up_down_cycles_weigh_nothing(planted(*extra))
+
+
 def test_leveling_error_when_nothing_accepted():
     m = make_transducer(
         ["q0", "f"], "q0", ["f"], [("q0", 0, "q0", "a")], AB
@@ -313,7 +344,7 @@ def test_random_machines_level_cleanly():
             continue
         built += 1
         assert_leveling_invariants(machine, prime)
-        assert_up_down_cycles_weigh_nothing(prime, max_len=8)
+        assert_up_down_cycles_weigh_nothing(prime)
     assert built >= 25
 
 

@@ -597,8 +597,11 @@ def _build_parser() -> _Parser:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _require_machine(fixture: Fixture, command: str) -> Transducer:
@@ -642,6 +645,8 @@ def main(argv=None) -> int:
             code, payload = _cmd_enumerate(fixture, args, out)
         else:
             code, payload = _cmd_check(_require_machine(fixture, "check"), args, out)
+        if args.json and payload is not None:
+            _write_text(args.json, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     except _UsageError as exc:
         print(f"ocrank: error: {exc}", file=sys.stderr)
         return 1
@@ -651,9 +656,6 @@ def main(argv=None) -> int:
     except (LevelingError, TransducerError) as exc:
         print(f"ocrank: {exc}", file=sys.stderr)
         return 4
-
-    if args.json and payload is not None:
-        _write_text(args.json, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     return code
 
 

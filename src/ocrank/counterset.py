@@ -8,8 +8,9 @@ computes them *with certificates* rather than by unverified exploration:
 * configurations are explored to an internal horizon ``cap + |Q|²`` — any
   value reachable at all below the cap is reachable by a run whose peak
   stays below the horizon, so the explored slices are exact on [0, cap];
-* the candidate period is the gcd of the weights of the simple cycles
-  that could occur on a run into the state in question;
+* the candidate period is the gcd of the weights of the cycles that could
+  occur on a run into the state in question, taken per strongly connected
+  component from a potential in linear time, not by listing cycles;
 * the claimed tail is accepted once the explored slice is periodic on a
   closing window and every claimed residue class exhibits a pumping
   witness (a window member together with a positive-weight cycle that can
@@ -25,7 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .regular import Regex, compile_regex, parse_regex, trim
+from .regular import Regex, compile_regex, parse_regex, tarjan_sccs, trim
 from .words import BINARY
 
 
@@ -199,39 +200,79 @@ class SliceCertificate:
     state: int
     mode: str  # "empty" | "finite" | "lcm-window" | "gcd-window"
     period: int | None = None
-    cycle_lcm: int | None = None
+    cycle_lcm: int | None = None  # λ: lcm of the relevant pumping components' g_S
     window: tuple[int, int] | None = None
     pump_witnesses: dict[int, tuple[int, int]] = field(default_factory=dict)
     # residue -> (window member, positive cycle weight usable from there)
 
 
-def _simple_cycles(n: int, edges, restrict: set[int], limit: int):
-    """All simple cycles inside ``restrict`` as (states, weight) pairs.
+def _cycle_summary(n: int, edges, restrict: set[int]):
+    """Cycle data of each strongly connected component inside ``restrict``.
 
-    Johnson-style ordering (cycle's least state first, only larger states on
-    the path) finds each simple cycle once.  Returns None if more than
-    ``limit`` distinct (state-set, weight) pairs show up — callers must then
-    fall back to conservative weight assumptions.
+    Returns ``(states, g, positive)`` for every component with a cycle.
+    ``g`` is the gcd of its cycle weights: with π(v) the weight of a
+    breadth-first path from one state to v, every edge value
+    π(u) + w − π(v) is the difference of two closed walks' weights, and a
+    cycle's weight is the sum of its edge values, so both gcds agree.
+    ``positive`` is the weight of a simple positive cycle, or None if there
+    is none: Bellman–Ford for longest paths still relaxes an edge after
+    |S| rounds exactly when a positive cycle exists, and walking |S|
+    parent pointers back from that edge lands on one, which the parent
+    pointers close.  Linear per round, so O(|S|·|E|) in all.
     """
+    inside = [(p, w, q) for p, w, q in edges if p in restrict and q in restrict]
+    successors: list[set[int]] = [set() for _ in range(n)]
     adj: dict[int, list[tuple[int, int]]] = {}
-    for p, w, q in edges:
-        if p in restrict and q in restrict:
-            adj.setdefault(p, []).append((w, q))
-    found: set[tuple[frozenset[int], int]] = set()
-    for s in sorted(restrict):
-        stack: list[tuple[int, int, frozenset[int]]] = [(s, 0, frozenset({s}))]
-        while stack:
-            cur, wt, onpath = stack.pop()
-            for w, t in adj.get(cur, ()):
-                if t < s:
-                    continue
-                if t == s:
-                    found.add((onpath, wt + w))
-                    if len(found) > limit:
-                        return None
-                elif t not in onpath:
-                    stack.append((t, wt + w, onpath | {t}))
-    return found
+    for p, w, q in inside:
+        successors[p].add(q)
+        adj.setdefault(p, []).append((w, q))
+    components = tarjan_sccs(n, successors)
+    component_of = {s: i for i, comp in enumerate(components) for s in comp}
+    inner: list[list[tuple[int, int, int]]] = [[] for _ in components]
+    for p, w, q in inside:
+        if component_of[p] == component_of[q]:
+            inner[component_of[p]].append((p, w, q))
+
+    summary = []
+    for comp, comp_edges in zip(components, inner):
+        if not comp_edges:
+            continue
+        potential = {comp[0]: 0}
+        dq = deque([comp[0]])
+        while dq:
+            x = dq.popleft()
+            for w, t in adj[x]:
+                if t not in potential and component_of[t] == component_of[x]:
+                    potential[t] = potential[x] + w
+                    dq.append(t)
+        g = 0
+        for p, w, q in comp_edges:
+            g = math.gcd(g, potential[p] + w - potential[q])
+
+        longest = dict.fromkeys(comp, 0)
+        parent: dict[int, tuple[int, int]] = {}
+        for _ in comp:
+            relaxed = None
+            for p, w, q in comp_edges:
+                if longest[p] + w > longest[q]:
+                    longest[q] = longest[p] + w
+                    parent[q] = (p, w)
+                    relaxed = q
+            if relaxed is None:
+                break
+        positive = None
+        if relaxed is not None:
+            on_cycle = relaxed
+            for _ in comp:
+                on_cycle = parent[on_cycle][0]
+            positive, v = 0, on_cycle
+            while True:
+                v, w = parent[v]
+                positive += w
+                if v == on_cycle:
+                    break
+        summary.append((frozenset(comp), g, positive))
+    return summary
 
 
 def certified_slices(
@@ -245,6 +286,28 @@ def certified_slices(
     ``edges`` are (source, weight, target) with weight ±1; the counter may
     never drop below zero.  ``starts`` are the initial configurations.  The
     returned sets are exact on [0, cap] and certified beyond.
+
+    Cycle data comes per strongly connected component S of the reached
+    states (:func:`_cycle_summary`): g_S, the gcd of S's cycle weights, and
+    one positive cycle if S has any.  S matters for q when it lies among
+    q's ancestors.  The candidate period p is the gcd of the relevant g_S,
+    the same number as the gcd over the relevant simple cycles, since
+    closed walks decompose into simple cycles.  The slice is finite unless
+    some relevant S has a positive cycle; that cycle is the pump witness.
+
+    When the cap allows, the window checked for p-periodicity is widened
+    by 2λ ("lcm-window"), with λ the lcm of g_S over the relevant S that
+    have a positive cycle.  This is sound:
+
+    * g_S divides every cycle weight in S, so λ divides the lcm of the
+      relevant positive simple-cycle weights: the window is never wider
+      than one sized by listing those cycles;
+    * a branch of runs that pumps through S has a tail period dividing
+      g_S, so the true tail period of the slice divides λ;
+    * a window that passes yields the explored set on [0, cap] extended
+      p-periodically, whose canonical :class:`UPSet` does not depend on the
+      window's width.  Widening can turn a pass into a refusal, never
+      change the set claimed.
     """
     if cap < 2 * n + 6:
         raise CertificationError(
@@ -291,7 +354,7 @@ def certified_slices(
                     dq.append(p)
         ancestors.append(anc)
 
-    cycles = _simple_cycles(n, edges, reached_states, limit=50_000)
+    cycles = _cycle_summary(n, edges, reached_states)
 
     slices: list[UPSet] = []
     certificates: list[SliceCertificate] = []
@@ -302,22 +365,12 @@ def certified_slices(
             certificates.append(SliceCertificate(q, "empty"))
             continue
 
-        if cycles is None:
-            # Cycle enumeration blew up; assume every weight in ±[1, n] of
-            # some cycle could reach q.  gcd 1, and the lcm window will not
-            # fit, so this only weakens the certificate, never the claim.
-            rel_nonzero = list(range(1, n + 1))
-            rel_pos = list(range(1, n + 1))
-        else:
-            rel = [
-                (states, w)
-                for states, w in cycles
-                if states & ancestors[q]
-            ]
-            rel_nonzero = sorted({abs(w) for _, w in rel if w != 0})
-            rel_pos = sorted({w for _, w in rel if w > 0})
+        # A component's cycles can occur on a run into q exactly when the
+        # component lies among q's ancestors.
+        relevant = [(g, pos) for states, g, pos in cycles if states <= ancestors[q]]
+        pumps = [(g, pos) for g, pos in relevant if pos is not None]
 
-        if not rel_pos:
+        if not pumps:
             # Nothing can pump the counter up on the way to q, so any value
             # at q is bounded by the longest simple path: the slice is the
             # whole set.
@@ -331,8 +384,8 @@ def certified_slices(
             certificates.append(SliceCertificate(q, "finite"))
             continue
 
-        p = math.gcd(*rel_nonzero) if len(rel_nonzero) > 1 else rel_nonzero[0]
-        lam = math.lcm(*rel_pos) if len(rel_pos) > 1 else rel_pos[0]
+        p = math.gcd(*(g for g, _ in relevant))
+        lam = math.lcm(*(g for g, _ in pumps))
         base_width = max(2 * p, n + 2)
         mode = "gcd-window"
         width = base_width
@@ -369,7 +422,7 @@ def certified_slices(
                     f"state {q}: residue class {r} (mod {p}) has no pumpable "
                     f"window member; rerun with a larger --counter-cap"
                 )
-            witnesses[r] = (pumpable[0], rel_pos[0])
+            witnesses[r] = (pumpable[0], pumps[0][1])
 
         finite = {c for c in members if c < threshold}
         slices.append(UPSet.build(threshold, finite, p, residues))

@@ -10,7 +10,7 @@ import random
 import time
 
 from conftest import fixture_path, random_machine
-from test_counterset import random_upset, realize
+from test_counterset import complete_machine, random_upset, realize
 from test_harness import fig1_expected_words
 from test_transducer import (
     assert_leveling_invariants,
@@ -43,6 +43,7 @@ from ocrank.transducer import (
     build_mprime,
     check_run,
     lift_run,
+    minimal_normalize,
     project_run,
 )
 
@@ -290,3 +291,14 @@ def test_08e_runs_lift_and_project_losslessly(fig1, fig2):
             lifted = lift_run(machine, run, prime)
             assert project_run(lifted) == run
     assert_within(t0, 30.0)
+
+
+def test_08f_counter_sets_of_a_complete_machine_in_polynomial_time():
+    # Ten states with every transition: simple-cycle enumeration does not
+    # finish here, per-component cycle data takes a fraction of a second.
+    machine = complete_machine(10)
+    t0 = time.perf_counter()
+    for m in (machine, minimal_normalize(machine)):
+        report = reach_sets(m)
+        assert report.period == 2
+    assert_within(t0, 5.0)

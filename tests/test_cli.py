@@ -328,6 +328,25 @@ def test_dot_output_stdout_and_file(capsys, tmp_path):
     assert target.read_text().startswith("digraph transducer {")
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["rank", "fig1.oct"], "--json"),
+        (["nsets", "fig2.oct"], "--json"),
+        (["dot", "fig1.oct"], "--dot"),
+        (["mprime", "fig1.oct"], "--dot"),
+    ],
+)
+def test_unwritable_output_file_exits_one(capsys, tmp_path, argv, flag):
+    target = tmp_path / "missing" / "out"
+    command, name = argv
+    code, _, err = run_cli(capsys, [command, fixture_path(name), flag, str(target)])
+    assert code == 1
+    assert err.startswith(f"ocrank: error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_mprime_dot_file(capsys, tmp_path):
     target = tmp_path / "prime.dot"
     code, out, _ = run_cli(

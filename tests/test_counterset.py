@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import pytest
 
 from ocrank.counterset import (
     CertificationError,
     UPSet,
+    certified_slices,
     default_counter_cap,
     reach_sets,
     render_upset,
@@ -24,7 +26,8 @@ from ocrank.counterset import (
     worked_close_image,
 )
 from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
-from ocrank.words import BINARY
+from ocrank.transducer import make_transducer
+from ocrank.words import BINARY, Alphabet
 from conftest import random_machine
 
 
@@ -254,3 +257,110 @@ def test_reach_sets_duck_types_counter_cap(fig1):
             assert up_membership(report.meet[q], c) == up_membership(
                 default.meet[q], c
             )
+
+
+# --- per-component cycle data against simple-cycle enumeration ---------------------
+
+
+def simple_cycles(edges, restrict: set[int]) -> set[tuple[frozenset[int], int]]:
+    """All simple cycles inside ``restrict`` as (states, weight) pairs.
+
+    Johnson-style ordering (cycle's least state first, only larger states on
+    the path) finds each simple cycle once.  Exponential in the number of
+    states: an oracle for small machines only.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for p, w, q in edges:
+        if p in restrict and q in restrict:
+            adj.setdefault(p, []).append((w, q))
+    found: set[tuple[frozenset[int], int]] = set()
+    for s in sorted(restrict):
+        stack: list[tuple[int, int, frozenset[int]]] = [(s, 0, frozenset({s}))]
+        while stack:
+            cur, wt, onpath = stack.pop()
+            for w, t in adj.get(cur, ()):
+                if t == s:
+                    found.add((onpath, wt + w))
+                elif t > s and t not in onpath:
+                    stack.append((t, wt + w, onpath | {t}))
+    return found
+
+
+def ancestors_of(n: int, edges) -> list[set[int]]:
+    preds: dict[int, list[int]] = {}
+    for p, _, q in edges:
+        preds.setdefault(q, []).append(p)
+    out = []
+    for q in range(n):
+        seen, todo = {q}, deque([q])
+        while todo:
+            for p in preds.get(todo.popleft(), ()):
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        out.append(seen)
+    return out
+
+
+def complete_machine(n: int):
+    states = [f"s{i}" for i in range(n)]
+    trans = [(p, b, q, "a") for p in states for q in states for b in (0, 1)]
+    return make_transducer(states, states[0], [states[0]], trans, Alphabet(("a",)))
+
+
+def dense_machine(rng: random.Random):
+    n = rng.randint(4, 8)
+    states = [f"s{i}" for i in range(n)]
+    arcs = [(p, b, q) for p in states for q in states for b in (0, 1)]
+    trans = [(*arc, "a") for arc in rng.sample(arcs, rng.randint(n, n * n))]
+    finals = rng.sample(states, rng.randint(1, 2))
+    return make_transducer(states, states[0], finals, trans, Alphabet(("a",)))
+
+
+def counter_systems(machine):
+    """The forward and backward ±1 systems that ``reach_sets`` certifies."""
+    index = {q: i for i, q in enumerate(machine.states)}
+    forward = [
+        (index[t.source], 1 if t.bit == 0 else -1, index[t.target])
+        for t in machine.transitions
+    ]
+    backward = [(q, -w, p) for p, w, q in forward]
+    yield forward, [(index[machine.initial], 0)]
+    yield backward, [(index[f], 0) for f in sorted(machine.finals)]
+
+
+def test_slice_cycle_data_matches_simple_cycle_enumeration(fig1, fig2):
+    rng = random.Random(20261018)
+    machines = [fig1, fig2] + [complete_machine(n) for n in range(1, 7)]
+    machines += [random_machine(rng) for _ in range(200)]
+    machines += [dense_machine(rng) for _ in range(150)]
+    systems = refused = pumped = 0
+    for machine in machines:
+        n = len(machine.states)
+        for edges, starts in counter_systems(machine):
+            systems += 1
+            try:
+                _, certificates = certified_slices(n, edges, starts, default_counter_cap(n))
+            except CertificationError:
+                refused += 1
+                continue
+            reached = {c.state for c in certificates if c.mode != "empty"}
+            cycles = simple_cycles(edges, reached)
+            ancestors = ancestors_of(n, edges)
+            for cert in certificates:
+                if cert.mode == "empty":
+                    continue
+                weights = [w for states, w in cycles if states & ancestors[cert.state]]
+                positive = {w for w in weights if w > 0}
+                context = (machine.states, machine.transitions, cert)
+                assert (cert.period is not None) == bool(positive), context
+                if not positive:
+                    continue
+                pumped += 1
+                assert cert.period == math.gcd(*weights), context
+                if cert.cycle_lcm is not None:
+                    assert math.lcm(*positive) % cert.cycle_lcm == 0, context
+                for _, weight in cert.pump_witnesses.values():
+                    assert weight in positive, context
+    assert refused <= systems // 50, (refused, systems)
+    assert pumped >= 300, pumped

@@ -73,7 +73,6 @@ from .components import (
     certify_component,
     condense,
     cycle_outputs,
-    cycle_profile,
 )
 from .rank import (
     NotScattered,
@@ -117,7 +116,6 @@ __all__ = [
     "validate",
     "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",
     "ZeroCertified", "certify_component", "condense", "cycle_outputs",
-    "cycle_profile",
     "NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",
     "RocPlus", "Unknown", "analyze_machine", "expr_rank_bound", "ord_add",
     "ord_max", "transducer_rank_bound",

@@ -13,9 +13,6 @@ quasi-density witness and kill scatteredness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import networkx as nx
 
 from . import regular
 from .regular import Automaton
@@ -29,13 +26,6 @@ class Scc:
     members: frozenset[TypedState]
     phase: str
     trivial: bool
-
-
-@dataclass(frozen=True)
-class CycleProfile:
-    has_zero: bool
-    has_positive: bool
-    has_negative: bool
 
 
 @dataclass
@@ -67,22 +57,43 @@ ComponentVerdict = FullyCertified | ZeroCertified | QuasiDenseWitness
 def condense(prime: TransducerPrime) -> list[Scc]:
     """Components of the leveled machine in topological order.
 
-    The phase is constant on every component (phases only ever advance
-    along transitions), which is asserted rather than trusted.
+    States are searched in ``prime.states`` order and successors in the
+    order of their first transition.  Components are then released in
+    Kahn generations over the condensation: first those without incoming
+    edges in the order Tarjan found them, then each generation's
+    successors in the order their edges first appear.  The phase is
+    constant on every component (phases only ever advance along
+    transitions), which is asserted rather than trusted.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(prime.states)
+    number = {s: i for i, s in enumerate(prime.states)}
+    succ: list[dict[int, None]] = [{} for _ in prime.states]
     for tt in prime.transitions:
-        g.add_edge(tt.source, tt.target)
-    cond = nx.condensation(g)
+        succ[number[tt.source]][number[tt.target]] = None
+    found = regular.tarjan_sccs(len(succ), [list(t) for t in succ])
+    comp_of = {q: i for i, comp in enumerate(found) for q in comp}
+    out: list[dict[int, None]] = [{} for _ in found]
+    indegree = [0] * len(found)
+    for q, targets in enumerate(succ):
+        for t in targets:
+            i, j = comp_of[q], comp_of[t]
+            if i != j and j not in out[i]:
+                out[i][j] = None
+                indegree[j] += 1
+    order = [i for i, d in enumerate(indegree) if d == 0]
+    for i in order:  # grows while it is walked, one generation after another
+        for j in out[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+
     sccs: list[Scc] = []
-    for pos, node in enumerate(nx.topological_sort(cond)):
-        members = frozenset(cond.nodes[node]["members"])
+    for pos, i in enumerate(order):
+        members = frozenset(prime.states[q] for q in found[i])
         phases = {s.phase for s in members}
         if len(phases) != 1:
             raise AssertionError(f"component {sorted(members)} mixes phases {phases}")
-        only = next(iter(members))
-        trivial = len(members) == 1 and not g.has_edge(only, only)
+        only = found[i][0]
+        trivial = len(found[i]) == 1 and only not in succ[only]
         sccs.append(Scc(pos, members, phases.pop(), trivial))
     return sccs
 
@@ -102,102 +113,29 @@ def internal_transitions(c: Scc, prime: TransducerPrime) -> list[TypedTransition
 
 
 # ---------------------------------------------------------------------------
-# Cycle means (Karp) over ±1 edge weights
+# Cycle weights over ±1 edge weights
 
 
 def _weight(tt: TypedTransition) -> int:
     return 1 if tt.bit == 0 else -1
 
 
-def _karp_max_mean(nodes: list, edges: list[tuple[object, int, object]]) -> Fraction | None:
-    """Maximum cycle mean of a directed graph, None if it has no cycle.
-
-    Karp's dynamic program: d_k(v) = best weight of any k-edge walk from a
-    virtual source that reaches every node at k=0.  Exact with Fractions.
-    """
-    n = len(nodes)
-    if n == 0:
-        return None
-    idx = {v: i for i, v in enumerate(nodes)}
-    minus_inf = None
-    d: list[list[int | None]] = [[minus_inf] * n for _ in range(n + 1)]
-    for i in range(n):
-        d[0][i] = 0
-    for k in range(1, n + 1):
-        for u, w, v in edges:
-            du = d[k - 1][idx[u]]
-            if du is None:
-                continue
-            j = idx[v]
-            cand = du + w
-            if d[k][j] is None or cand > d[k][j]:
-                d[k][j] = cand
-    best: Fraction | None = None
-    for j in range(n):
-        if d[n][j] is None:
-            continue
-        worst: Fraction | None = None
-        for k in range(n):
-            if d[k][j] is None:
-                continue
-            mean = Fraction(d[n][j] - d[k][j], n - k)
-            if worst is None or mean < worst:
-                worst = mean
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
-
-
-def cycle_profile(c: Scc, prime: TransducerPrime) -> CycleProfile:
-    """Signs of cycle weights available inside a nontrivial component.
-
-    A component holding both a positive and a negative cycle also holds a
-    zero-weight closed walk (combine them in the right multiplicities), so
-    zero detection reduces to the min/max cycle means.
-    """
-    if c.trivial:
-        raise ValueError("cycle_profile needs a nontrivial component")
-    nodes = sorted(c.members)
-    edges = [(tt.source, _weight(tt), tt.target) for tt in internal_transitions(c, prime)]
-    max_mean = _karp_max_mean(nodes, edges)
-    min_mean_neg = _karp_max_mean(nodes, [(u, -w, v) for u, w, v in edges])
-    if max_mean is None or min_mean_neg is None:
-        raise AssertionError(f"nontrivial component {nodes} has no cycle")
-    min_mean = -min_mean_neg
-    profile = CycleProfile(
-        has_zero=min_mean <= 0 <= max_mean,
-        has_positive=max_mean > 0,
-        has_negative=min_mean < 0,
-    )
-    if c.phase in ("up", "down") and (profile.has_positive or profile.has_negative):
-        raise AssertionError(
-            f"{c.phase} component {nodes} has a nonzero-weight cycle"
-        )
-    return profile
-
-
-def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransition]:
+def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransition] | None:
     """The transitions on which a longest-path potential is tight.
 
-    Needs a graph without positive cycles.  Bellman–Ford from a virtual
-    source then converges to a potential with π(v) ≥ π(u) + w on every
-    edge, so a closed walk weighs Σ (π(u) + w − π(v)) ≤ 0, with equality
-    exactly when each of its edges is tight: π(u) + w = π(v).  The tight
-    edges are the critical graph of max-plus algebra, and their closed
-    walks are the zero-weight closed walks of the whole graph.
+    None when the graph has a positive cycle.  Otherwise
+    :func:`regular.longest_potential` gives a potential with
+    π(v) ≥ π(u) + w on every edge, so a closed walk weighs
+    Σ (π(u) + w − π(v)) ≤ 0, with equality exactly when each of its edges
+    is tight: π(u) + w = π(v).  The tight edges are the critical graph of
+    max-plus algebra, and their closed walks are the zero-weight closed
+    walks of the whole graph.
     """
-    potential = {s: 0 for tt in transitions for s in (tt.source, tt.target)}
-    for _ in range(len(potential) + 1):
-        changed = False
-        for tt in transitions:
-            reach = potential[tt.source] + _weight(tt)
-            if reach > potential[tt.target]:
-                potential[tt.target] = reach
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AssertionError("tight transitions of a graph with a positive cycle")
+    potential = regular.longest_potential(
+        [(tt.source, _weight(tt), tt.target) for tt in transitions]
+    )
+    if not isinstance(potential, dict):
+        return None
     return [
         tt for tt in transitions if potential[tt.source] + _weight(tt) == potential[tt.target]
     ]
@@ -317,7 +255,9 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     fall back to stage 2, which checks the zero-weight cycles only (the
     ones whose outputs actually accumulate).  Without a positive cycle
     those are the closed walks on the tight transitions, so stage 2 is
-    stage 1 run on those alone.
+    stage 1 run on those alone.  In a strongly connected component every
+    edge lies on a cycle, so all transitions are tight exactly when every
+    cycle weighs zero, which ``up`` and ``down`` components must.
     """
     if c.trivial:
         return FullyCertified({})
@@ -326,9 +266,13 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     roots = regular.cycle_roots(anchors, lambda s: cycle_outputs(c, s, prime, internal))
     if isinstance(roots, dict):
         return FullyCertified(roots)
-    if cycle_profile(c, prime).has_positive:
-        return QuasiDenseWitness(*roots)
     tight = tight_transitions(internal)
+    if c.phase in ("up", "down") and tight != internal:
+        raise AssertionError(
+            f"{c.phase} component {anchors} has a nonzero-weight cycle"
+        )
+    if tight is None:
+        return QuasiDenseWitness(*roots)
     roots = regular.cycle_roots(anchors, lambda s: cycle_outputs(c, s, prime, tight))
     if isinstance(roots, dict):
         return ZeroCertified(roots)

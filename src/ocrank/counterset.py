@@ -26,7 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .regular import Regex, compile_regex, parse_regex, tarjan_sccs, trim
+from .regular import Regex, compile_regex, longest_potential, parse_regex, tarjan_sccs, trim
 from .words import BINARY
 
 
@@ -215,10 +215,8 @@ def _cycle_summary(n: int, edges, restrict: set[int]):
     π(u) + w − π(v) is the difference of two closed walks' weights, and a
     cycle's weight is the sum of its edge values, so both gcds agree.
     ``positive`` is the weight of a simple positive cycle, or None if there
-    is none: Bellman–Ford for longest paths still relaxes an edge after
-    |S| rounds exactly when a positive cycle exists, and walking |S|
-    parent pointers back from that edge lands on one, which the parent
-    pointers close.  Linear per round, so O(|S|·|E|) in all.
+    is none: the one :func:`~ocrank.regular.longest_potential` returns,
+    O(|S|·|E|).
     """
     inside = [(p, w, q) for p, w, q in edges if p in restrict and q in restrict]
     successors: list[set[int]] = [set() for _ in range(n)]
@@ -226,7 +224,7 @@ def _cycle_summary(n: int, edges, restrict: set[int]):
     for p, w, q in inside:
         successors[p].add(q)
         adj.setdefault(p, []).append((w, q))
-    components = tarjan_sccs(n, successors)
+    components = tarjan_sccs(n, [sorted(s) for s in successors])
     component_of = {s: i for i, comp in enumerate(components) for s in comp}
     inner: list[list[tuple[int, int, int]]] = [[] for _ in components]
     for p, w, q in inside:
@@ -249,28 +247,8 @@ def _cycle_summary(n: int, edges, restrict: set[int]):
         for p, w, q in comp_edges:
             g = math.gcd(g, potential[p] + w - potential[q])
 
-        longest = dict.fromkeys(comp, 0)
-        parent: dict[int, tuple[int, int]] = {}
-        for _ in comp:
-            relaxed = None
-            for p, w, q in comp_edges:
-                if longest[p] + w > longest[q]:
-                    longest[q] = longest[p] + w
-                    parent[q] = (p, w)
-                    relaxed = q
-            if relaxed is None:
-                break
-        positive = None
-        if relaxed is not None:
-            on_cycle = relaxed
-            for _ in comp:
-                on_cycle = parent[on_cycle][0]
-            positive, v = 0, on_cycle
-            while True:
-                v, w = parent[v]
-                positive += w
-                if v == on_cycle:
-                    break
+        cycle = longest_potential(comp_edges)
+        positive = None if isinstance(cycle, dict) else sum(w for _, w, _ in cycle)
         summary.append((frozenset(comp), g, positive))
     return summary
 

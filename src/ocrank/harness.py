@@ -21,7 +21,7 @@ from .transducer import (
     language_of_input,
 )
 from .counterset import reach_sets
-from .words import lex_key, primitive_root
+from .words import distinct_root_pair, lex_key, primitive_root
 
 
 @dataclass
@@ -118,7 +118,7 @@ def probe_density(
     the caps — which is evidence of absence only, not proof.
     """
     if isinstance(e, RocPlus):
-        pair = _distinct_root_pair(enumerate_expr(e.body, input_cap, output_cap))
+        pair = distinct_root_pair(enumerate_expr(e.body, input_cap, output_cap))
         if pair is None:
             return None
         u, v = pair
@@ -139,21 +139,6 @@ def probe_density(
     if isinstance(e, RocAtom):
         return _probe_machine(e.machine, output_cap)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _distinct_root_pair(words) -> tuple[str, str] | None:
-    first_word: str | None = None
-    first_root: str | None = None
-    for w in words:
-        if not w:
-            continue
-        r = primitive_root(w)
-        if first_root is None:
-            first_word, first_root = w, r
-        elif r != first_root:
-            assert first_word is not None
-            return first_word, w
-    return None
 
 
 def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | None:
@@ -180,7 +165,7 @@ def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | Non
                     samples.append("".join(chain))
                 if len(chain) < walk_cap:
                     stack.append((tt.target, chain))
-        pair = _distinct_root_pair(samples)
+        pair = distinct_root_pair(samples)
         if pair is not None:
             return DensityWitness(
                 pair[0],

@@ -27,9 +27,10 @@ from .transducer import (
     TransducerPrime,
     TypedState,
     build_mprime,
+    live_states,
     minimal_normalize,
 )
-from .words import primitive_root
+from .words import distinct_root_pair, primitive_root
 
 
 # ---------------------------------------------------------------------------
@@ -146,26 +147,6 @@ class MachineAnalysis:
     result: RankBound | NotScattered
 
 
-def _live_states(machine: Transducer) -> set[str]:
-    fwd = {machine.initial}
-    frontier = [machine.initial]
-    while frontier:
-        q = frontier.pop()
-        for t in machine.transitions:
-            if t.source == q and t.target not in fwd:
-                fwd.add(t.target)
-                frontier.append(t.target)
-    bwd = set(machine.finals)
-    frontier = list(bwd)
-    while frontier:
-        q = frontier.pop()
-        for t in machine.transitions:
-            if t.target == q and t.source not in bwd:
-                bwd.add(t.source)
-                frontier.append(t.source)
-    return fwd & bwd
-
-
 def edge_bounds(
     prime: TransducerPrime,
     sccs: list[comp.Scc],
@@ -257,7 +238,7 @@ def analyze_machine(
 
     # Quasi-dense output languages on live transitions poison everything
     # downstream of them; the whole language is then quasi-dense.
-    live = _live_states(m)
+    live = live_states(m.initial, m.finals, m.transitions)
     for t in m.transitions:
         if t.source not in live or t.target not in live:
             continue
@@ -440,16 +421,4 @@ def _distinct_root_members(
 ) -> tuple[str, str] | None:
     from . import harness
 
-    words = harness.enumerate_expr(e, input_cap, output_cap)
-    first_root: str | None = None
-    first_word: str | None = None
-    for w in words:
-        if not w:
-            continue
-        r = primitive_root(w)
-        if first_root is None:
-            first_root, first_word = r, w
-        elif r != first_root:
-            assert first_word is not None
-            return first_word, w
-    return None
+    return distinct_root_pair(harness.enumerate_expr(e, input_cap, output_cap))

@@ -20,6 +20,7 @@ from typing import TypeVar
 from .words import Alphabet, primitive_root
 
 _Anchor = TypeVar("_Anchor")
+_Node = TypeVar("_Node")
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +638,13 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
     return Scattered()
 
 
-def tarjan_sccs(n: int, successors: list[set[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
+def tarjan_sccs(n: int, successors: list[list[int]]) -> list[list[int]]:
+    """Iterative Tarjan; components come out in reverse topological order.
+
+    Roots are tried in index order and successors in the order given, so
+    the order of the components follows the caller's order.  Members come
+    sorted.
+    """
     index_counter = 0
     stack: list[int] = []
     on_stack = [False] * n
@@ -648,7 +654,7 @@ def tarjan_sccs(n: int, successors: list[set[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, object]] = [(root, iter(sorted(successors[root])))]
+        work: list[tuple[int, object]] = [(root, iter(successors[root]))]
         index[root] = low[root] = index_counter
         index_counter += 1
         stack.append(root)
@@ -662,7 +668,7 @@ def tarjan_sccs(n: int, successors: list[set[int]]) -> list[list[int]]:
                     index_counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(sorted(successors[w]))))
+                    work.append((w, iter(successors[w])))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -685,6 +691,48 @@ def tarjan_sccs(n: int, successors: list[set[int]]) -> list[list[int]]:
     return result
 
 
+def longest_potential(
+    edges: list[tuple[_Node, int, _Node]],
+) -> dict[_Node, int] | list[tuple[_Node, int, _Node]]:
+    """Bellman–Ford for longest paths from a virtual source, or a positive cycle.
+
+    ``edges`` are (u, w, v).  Every endpoint starts at 0 and the edges are
+    relaxed in the given order for at most |V| rounds.  Without a positive
+    cycle the rounds settle, and the potential returned has
+    π(v) ≥ π(u) + w on every edge.  If the |V|-th round still relaxes an
+    edge, a positive cycle exists: walking |V| parent pointers back from
+    that edge's target lands on one, and the pointers close it.  It is
+    returned as its edges, in path order.  O(|V|·|E|).
+    """
+    potential = {x: 0 for u, _, v in edges for x in (u, v)}
+    parent: dict[_Node, tuple[_Node, int]] = {}
+    relaxed = None
+    for _ in potential:
+        relaxed = None
+        for u, w, v in edges:
+            if potential[u] + w > potential[v]:
+                potential[v] = potential[u] + w
+                parent[v] = (u, w)
+                relaxed = v
+        if relaxed is None:
+            break
+    if relaxed is None:
+        return potential
+    on_cycle = relaxed
+    for _ in potential:
+        on_cycle = parent[on_cycle][0]
+    cycle: list[tuple[_Node, int, _Node]] = []
+    v = on_cycle
+    while True:
+        u, w = parent[v]
+        cycle.append((u, w, v))
+        v = u
+        if v == on_cycle:
+            break
+    cycle.reverse()
+    return cycle
+
+
 def finite_rank_bound(a: Automaton) -> int:
     """Max number of looping components met along any path of the trimmed DFA.
 
@@ -702,7 +750,7 @@ def finite_rank_bound(a: Automaton) -> int:
     for q in range(d.n):
         for targets in d.edges[q].values():
             succ[q].update(targets)
-    comps = tarjan_sccs(d.n, succ)  # reverse topological order
+    comps = tarjan_sccs(d.n, [sorted(s) for s in succ])  # reverse topological order
     comp_of = {}
     for i, comp in enumerate(comps):
         for q in comp:

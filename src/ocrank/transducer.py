@@ -158,23 +158,7 @@ def _split(
         finals.add(snk)
 
     # Keep only states that lie on some initial → final path.
-    forward: set[str] = {initial}
-    frontier = [initial]
-    while frontier:
-        q = frontier.pop()
-        for t in transitions:
-            if t.source == q and t.target not in forward:
-                forward.add(t.target)
-                frontier.append(t.target)
-    backward: set[str] = set(f for f in finals)
-    frontier = list(backward)
-    while frontier:
-        q = frontier.pop()
-        for t in transitions:
-            if t.target == q and t.source not in backward:
-                backward.add(t.source)
-                frontier.append(t.source)
-    alive = (forward & backward) | {initial}
+    alive = live_states(initial, finals, transitions) | {initial}
     states = [q for q in states if q in alive]
     transitions = [t for t in transitions if t.source in alive and t.target in alive]
 
@@ -188,6 +172,32 @@ def _split(
         dict(machine._outputs),
     )
     return out
+
+
+def live_states(initial, finals, transitions) -> set:
+    """States on some path from ``initial`` to one of ``finals``.
+
+    ``transitions`` need only ``source`` and ``target``; the answer is the
+    forward search from ``initial`` met with the backward one from
+    ``finals``.
+    """
+    succ: dict = {}
+    pred: dict = {}
+    for t in transitions:
+        succ.setdefault(t.source, []).append(t.target)
+        pred.setdefault(t.target, []).append(t.source)
+
+    def search(starts, adj) -> set:
+        seen = set(starts)
+        frontier = list(seen)
+        while frontier:
+            for nxt in adj.get(frontier.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
+    return search([initial], succ) & search(finals, pred)
 
 
 def validate(machine: Transducer) -> Transducer:
@@ -231,17 +241,18 @@ def minimal_normalize(machine: Transducer) -> Transducer:
 # Output languages of input words
 
 
-def step_language(machine: Transducer, w: str) -> dict[str, Automaton]:
-    """Automata for the outputs produced while reading w, per ending state."""
+def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
+    """Automata for the outputs produced while reading w, per ending state.
+
+    Works on a machine and on its leveled form alike.
+    """
     for ch in w:
         if ch not in ("0", "1"):
             raise ValueError(f"input words are binary, found {ch!r}")
-    current: dict[str, Automaton] = {
-        machine.initial: regular.epsilon_automaton(machine.alphabet)
-    }
+    current: dict = {machine.initial: regular.epsilon_automaton(machine.alphabet)}
     for ch in w:
         bit = int(ch)
-        nxt: dict[str, Automaton] = {}
+        nxt: dict = {}
         for t in machine.transitions:
             if t.bit != bit or t.source not in current:
                 continue
@@ -368,28 +379,7 @@ def build_mprime(machine: Transducer, report: NSetReport) -> TransducerPrime:
                     transitions.append(TypedTransition(src, t.bit, tgt, t.output, rule, t))
 
     # Trim to the initial → final core, always keeping the initial state.
-    succ: dict[TypedState, list[TypedState]] = {}
-    pred: dict[TypedState, list[TypedState]] = {}
-    for tt in transitions:
-        succ.setdefault(tt.source, []).append(tt.target)
-        pred.setdefault(tt.target, []).append(tt.source)
-    reach = {initial}
-    frontier = [initial]
-    while frontier:
-        s = frontier.pop()
-        for nxt in succ.get(s, ()):
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    co = set(finals)
-    frontier = list(co)
-    while frontier:
-        s = frontier.pop()
-        for prv in pred.get(s, ()):
-            if prv not in co:
-                co.add(prv)
-                frontier.append(prv)
-    alive = (reach & co) | {initial}
+    alive = live_states(initial, finals, transitions) | {initial}
 
     kept_states = tuple(
         s for q in machine.states for s in by_state[q] if s in alive
@@ -532,30 +522,10 @@ def _union_outputs_prime(prime: TransducerPrime, inputs: list[str]) -> Automaton
     for u in inputs:
         if not u:
             continue
-        current: dict[TypedState, Automaton] = {
-            prime.initial: regular.epsilon_automaton(prime.alphabet)
-        }
-        for ch in u:
-            bit = int(ch)
-            nxt: dict[TypedState, Automaton] = {}
-            for tt in prime.transitions:
-                if tt.bit != bit or tt.source not in current:
-                    continue
-                piece = regular.concat_automata(
-                    current[tt.source], prime.compiled_output(tt)
-                )
-                if tt.target in nxt:
-                    nxt[tt.target] = regular.union_automata(nxt[tt.target], piece)
-                else:
-                    nxt[tt.target] = piece
-            current = {s: regular.trim(a) for s, a in nxt.items()}
-            current = {s: a for s, a in current.items() if a.finals}
-            if not current:
-                break
-        else:
-            for f in prime.finals:
-                if f in current:
-                    acc = regular.union_automata(acc, current[f])
+        current = step_language(prime, u)
+        for f in prime.finals:
+            if f in current:
+                acc = regular.union_automata(acc, current[f])
     return regular.trim(acc)
 
 

@@ -127,6 +127,22 @@ def is_primitive(w: str) -> bool:
     return primitive_root(w) == w
 
 
+def distinct_root_pair(words) -> tuple[str, str] | None:
+    """The first nonempty word and the first later one with another root."""
+    first_word: str | None = None
+    first_root: str | None = None
+    for w in words:
+        if not w:
+            continue
+        r = primitive_root(w)
+        if first_root is None:
+            first_word, first_root = w, r
+        elif r != first_root:
+            assert first_word is not None
+            return first_word, w
+    return None
+
+
 def _check_binary(w: str) -> None:
     for ch in w:
         if ch not in ("0", "1"):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_path
+import ocrank
 from ocrank.cli import (
     Fixture,
     FixtureError,
@@ -180,6 +183,23 @@ def test_rank_machine_exit_zero(capsys):
     code, out, _ = run_cli(capsys, ["rank", fixture_path("fig2.oct")])
     assert code == 0
     assert out.startswith("bound: 18\nstatus: Certified\n")
+
+
+def test_rank_runs_without_networkx(capsys):
+    # networkx is a test-only dependency; an import of it fails here
+    script = (
+        "import sys; sys.modules['networkx'] = None; "
+        "from ocrank.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["rank", fixture_path("fig1.oct")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_cli(capsys, argv)[1]
+    assert done.stdout.startswith("bound: w+3\n")
 
 
 def test_rank_not_scattered_exit_two(capsys, tmp_path):

@@ -1,8 +1,8 @@
-"""Component condensation, cycle means, and cycle-output certification.
+"""Component condensation, cycle weights, and cycle-output certification.
 
-The Karp max-mean routine is checked against a plain simple-cycle
-enumeration, and the fixture machine's components against hand-computed
-verdicts.
+The condensation order is checked against networkx, the longest-path
+potential against a plain simple-cycle enumeration, and the fixture
+machine's components against hand-computed verdicts.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from ocrank import regular
@@ -17,18 +18,22 @@ from ocrank.components import (
     FullyCertified,
     QuasiDenseWitness,
     ZeroCertified,
-    _karp_max_mean,
     certify_component,
     condense,
     cycle_outputs,
-    cycle_profile,
     expand_graph,
     internal_transitions,
     scc_index_of,
     tight_transitions,
 )
-from ocrank.counterset import reach_sets
-from ocrank.regular import compile_regex, equivalent, is_empty_language, parse_regex
+from ocrank.counterset import CertificationError, reach_sets
+from ocrank.regular import (
+    compile_regex,
+    equivalent,
+    is_empty_language,
+    longest_potential,
+    parse_regex,
+)
 from ocrank.transducer import (
     LevelingError,
     Transition,
@@ -127,6 +132,39 @@ def test_condense_rejects_phase_mixing():
         condense(prime)
 
 
+def networkx_condense(prime):
+    """Members and triviality of each component, in networkx's order."""
+    g = nx.DiGraph()
+    g.add_nodes_from(prime.states)
+    for tt in prime.transitions:
+        g.add_edge(tt.source, tt.target)
+    cond = nx.condensation(g)
+    out = []
+    for node in nx.topological_sort(cond):
+        members = frozenset(cond.nodes[node]["members"])
+        only = next(iter(members))
+        out.append((members, len(members) == 1 and not g.has_edge(only, only)))
+    return out
+
+
+def test_condense_order_matches_networkx(fig1, fig2):
+    machines = [fig1, fig2]
+    machines += [ladder(k, j) for k in range(1, 5) for j in range(1, 5)]
+    machines += [ladder(1, 5), ladder(5, 1), ladder(1, 6), ladder(6, 1)]
+    rng = random.Random(20261019)
+    machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(600)]
+    compared = 0
+    for machine in machines:
+        try:
+            prime = build_mprime(machine, reach_sets(machine))
+        except (CertificationError, LevelingError):
+            continue
+        got = [(c.members, c.trivial) for c in condense(prime)]
+        assert got == networkx_condense(prime), sorted(s.render() for s in prime.states)
+        compared += 1
+    assert compared >= 600
+
+
 # --- cycle profiles ----------------------------------------------------------------
 
 
@@ -140,22 +178,17 @@ def _nontrivial(sccs, state_name):
 def test_fig1_cycle_profiles(fig1_prime, fig1_sccs):
     opening = _nontrivial(fig1_sccs, "q0")
     closing = _nontrivial(fig1_sccs, "qf")
-    p_open = cycle_profile(opening, fig1_prime)
-    assert (p_open.has_positive, p_open.has_zero, p_open.has_negative) == (True, False, False)
-    p_close = cycle_profile(closing, fig1_prime)
-    assert (p_close.has_positive, p_close.has_zero, p_close.has_negative) == (False, False, True)
+    # the opening loop pumps the counter up; the closing one only down
+    assert tight_transitions(internal_transitions(opening, fig1_prime)) is None
+    assert tight_transitions(internal_transitions(closing, fig1_prime)) is not None
 
 
-def test_cycle_profile_rejects_trivial(fig1_prime, fig1_sccs):
-    trivial = next(c for c in fig1_sccs if c.trivial)
-    with pytest.raises(ValueError):
-        cycle_profile(trivial, fig1_prime)
-
-
-def test_cycle_profile_rejects_weighted_up_cycle():
+def test_certify_rejects_weighted_up_cycle():
+    # an up component whose cycles climb, with two roots at each anchor so
+    # that stage 1 fails and the weights are looked at
     a = TypedState("q", 0, "up")
     b = TypedState("q", 1, "up")
-    raw0 = Transition("q", 0, "q", parse_regex("a", AB))
+    raw0 = Transition("q", 0, "q", parse_regex("a+b", AB))
     prime = _fake_prime(
         [a, b],
         [
@@ -165,11 +198,11 @@ def test_cycle_profile_rejects_weighted_up_cycle():
     )
     sccs = condense(prime)
     assert len(sccs) == 1 and not sccs[0].trivial
-    with pytest.raises(AssertionError):
-        cycle_profile(sccs[0], prime)
+    with pytest.raises(AssertionError, match="nonzero-weight cycle"):
+        certify_component(sccs[0], prime)
 
 
-# --- Karp max mean vs. simple-cycle enumeration -------------------------------------
+# --- longest-path potential vs. simple-cycle enumeration -------------------------------
 
 
 def brute_max_mean(nodes, edges):
@@ -190,25 +223,46 @@ def brute_max_mean(nodes, edges):
     return best
 
 
-def test_karp_matches_cycle_enumeration():
+def check_longest_potential(edges):
+    result = longest_potential(edges)
+    nodes = sorted({x for u, _, v in edges for x in (u, v)})
+    best = brute_max_mean(nodes, edges)
+    if isinstance(result, dict):
+        assert best is None or best <= 0, (edges, best)
+        assert set(result) == set(nodes)
+        for u, w, v in edges:
+            assert result[v] >= result[u] + w, (edges, result)
+        return
+    assert best is not None and best > 0, (edges, result)
+    assert result and all(e in edges for e in result), (edges, result)
+    sources = [u for u, _, _ in result]
+    assert len(set(sources)) == len(sources), result
+    for (_, _, v), (u, _, _) in zip(result, result[1:] + result[:1]):
+        assert v == u, result
+    assert sum(w for _, w, _ in result) > 0
+
+
+def test_longest_potential_matches_cycle_enumeration():
     rng = random.Random(20240817)
-    for _ in range(80):
+    for _ in range(300):
         n = rng.randint(1, 6)
-        nodes = list(range(n))
         edges = [
             (rng.randrange(n), rng.randint(-3, 3), rng.randrange(n))
             for _ in range(rng.randint(0, 10))
         ]
-        assert _karp_max_mean(nodes, edges) == brute_max_mean(nodes, edges)
+        check_longest_potential(edges)
 
 
-def test_karp_handles_edge_cases():
-    assert _karp_max_mean([], []) is None
-    assert _karp_max_mean([0, 1], [(0, 5, 1)]) is None
-    assert _karp_max_mean([0], [(0, -2, 0)]) == Fraction(-2)
-    # a long slightly-positive cycle must beat a short negative one
+def test_longest_potential_edge_cases():
+    assert longest_potential([]) == {}
+    assert longest_potential([(0, 5, 1)]) == {0: 0, 1: 5}
+    assert longest_potential([(0, -2, 0)]) == {0: 0}
+    assert longest_potential([(0, 2, 0)]) == [(0, 2, 0)]
+    # a long slightly-positive cycle is found next to a short negative one
     edges = [(0, 1, 1), (1, 1, 2), (2, -1, 0), (0, -1, 0)]
-    assert _karp_max_mean([0, 1, 2], edges) == Fraction(1, 3)
+    cycle = longest_potential(edges)
+    assert sorted(cycle) == [(0, 1, 1), (1, 1, 2), (2, -1, 0)]
+    check_longest_potential(edges)
 
 
 # --- expanding automaton-labeled graphs ---------------------------------------------
@@ -379,7 +433,9 @@ def oracle_certify(c, prime):
     roots = single_roots(lambda s: cycle_outputs(c, s, prime))
     if not isinstance(roots, QuasiDenseWitness):
         return FullyCertified(roots)
-    if cycle_profile(c, prime).has_positive:
+    edges = [(tt.source, 1 if tt.bit == 0 else -1, tt.target)
+             for tt in internal_transitions(c, prime)]
+    if brute_max_mean(sorted(c.members), edges) > 0:
         return roots
     band = 2 * len(c.members) * prime.period
     roots = single_roots(lambda s: banded_zero_cycle_outputs(c, s, prime, band))
@@ -414,9 +470,9 @@ def test_tight_transitions_match_the_banded_product():
                 continue
             verdict = certify_component(c, prime)
             assert verdict == oracle_certify(c, prime), sorted(c.members)
-            if cycle_profile(c, prime).has_positive:
-                continue
             tight = tight_transitions(internal_transitions(c, prime))
+            if tight is None:
+                continue
             band = 2 * len(c.members) * prime.period
             for s in sorted(c.members):
                 anchors += 1

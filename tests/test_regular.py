@@ -337,9 +337,9 @@ def test_tarjan_matches_networkx_on_random_digraphs():
         edges = {
             (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))
         }
-        succ = [set() for _ in range(n)]
+        succ: list[list[int]] = [[] for _ in range(n)]
         for u, v in sorted(edges):
-            succ[u].add(v)
+            succ[u].append(v)
         ours = tarjan_sccs(n, succ)
         g = nx.DiGraph()
         g.add_nodes_from(range(n))

@@ -14,8 +14,8 @@ reverse order) and iteration (bounded by 1, refuted, or unknown).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import components as comp
 from . import regular
@@ -37,20 +37,26 @@ from .words import distinct_root_pair, primitive_root
 # Ordinals below ω²
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class Ordinal:
-    """ω·a + b."""
-
+class _OrdinalFields(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError("ordinal coefficients must be naturals")
 
-    def __lt__(self, other: "Ordinal") -> bool:
-        return (self.a, self.b) < (other.a, other.b)
+class Ordinal(_OrdinalFields):
+    """ω·a + b.
+
+    A tuple underneath, so equality, hashing and the order (lexicographic
+    on (a, b), which is the ordinal order below ω²) run as tuple
+    operations: ordinal arithmetic sits in inner loops, where dataclass
+    construction and Python-level comparisons dominated the cost.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "Ordinal":
+        if a < 0 or b < 0:
+            raise ValueError("ordinal coefficients must be naturals")
+        return tuple.__new__(cls, (a, b))
 
     def render(self) -> str:
         if self.a == 0:
@@ -72,9 +78,12 @@ def ord_of_int(k: int) -> Ordinal:
 
 def ord_add(x: Ordinal, y: Ordinal) -> Ordinal:
     """Ordinal sum x + y (left addend absorbed into a right limit)."""
-    if y.a >= 1:
-        return Ordinal(x.a + y.a, y.b)
-    return Ordinal(x.a, x.b + y.b)
+    xa, xb = x
+    ya, yb = y
+    # Sums of naturals are naturals: build past the validating constructor.
+    if ya >= 1:
+        return tuple.__new__(Ordinal, (xa + ya, yb))
+    return tuple.__new__(Ordinal, (xa, xb + yb))
 
 
 def ord_max(x: Ordinal, y: Ordinal) -> Ordinal:

@@ -53,6 +53,7 @@ from .transducer import (
     TypedState,
     TypedTransition,
     bounded_language_equal,
+    bounded_outputs,
     build_mprime,
     check_run,
     language_of_input,
@@ -97,7 +98,20 @@ from .harness import (
     probe_density,
     upset_oracle,
 )
-from .cli import Fixture, FixtureError, load_fixture_file, parse_fixture, render_fixture
+
+# The command-line module loads on first use, so that ``python -m ocrank.cli``
+# does not find it imported already.
+_CLI_EXPORTS = ("Fixture", "FixtureError", "load_fixture_file", "parse_fixture", "render_fixture")
+
+
+def __getattr__(name: str):
+    if name in _CLI_EXPORTS:
+        from . import cli
+
+        value = globals()[name] = getattr(cli, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -110,8 +124,8 @@ __all__ = [
     "CertificationError", "NSetReport", "UPSet", "reach_sets", "render_upset",
     "up_intersect", "up_membership", "up_union", "worked_close_image",
     "LevelingError", "Transducer", "TransducerError", "TransducerPrime",
-    "TypedState", "TypedTransition", "bounded_language_equal", "build_mprime",
-    "check_run", "language_of_input", "lift_run", "make_transducer",
+    "TypedState", "TypedTransition", "bounded_language_equal", "bounded_outputs",
+    "build_mprime", "check_run", "language_of_input", "lift_run", "make_transducer",
     "minimal_normalize", "project_run", "run_input_word", "step_language",
     "validate",
     "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",

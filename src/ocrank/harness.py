@@ -16,9 +16,8 @@ from .transducer import (
     LevelingError,
     Transducer,
     Transition,
-    balanced_words_up_to,
+    bounded_outputs,
     build_mprime,
-    language_of_input,
 )
 from .counterset import reach_sets
 from .words import distinct_root_pair, lex_key, primitive_root
@@ -38,19 +37,11 @@ def enumerate(machine: Transducer, input_cap: int, output_cap: int) -> Enumerati
     Words longer than ``output_cap`` are dropped and flagged via
     ``truncated`` instead.
     """
-    collected: set[str] = set()
-    truncated = False
-    for u in balanced_words_up_to(input_cap):
-        if not u:
-            if machine.accepts_epsilon:
-                collected.add("")
-            continue
-        lang = language_of_input(machine, u)
-        if not lang.finals:
-            continue
-        collected.update(regular.words_up_to(lang, output_cap))
-        if regular.has_word_longer_than(lang, output_cap):
-            truncated = True
+    lang = bounded_outputs(machine, input_cap)
+    collected = set(regular.words_up_to(lang, output_cap))
+    truncated = regular.has_word_longer_than(lang, output_cap)
+    if machine.accepts_epsilon:
+        collected.add("")
     ordered = sorted(collected, key=lambda w: lex_key(w, machine.alphabet))
     return EnumerationResult(ordered, input_cap, output_cap, truncated)
 

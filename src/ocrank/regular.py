@@ -102,6 +102,21 @@ class RegexSyntaxError(ValueError):
         self.position = position
 
 
+# Deepest parenthesis nesting ``parse_regex`` accepts.  Concatenations and
+# unions fold into balanced trees, so this bounds the syntax tree's depth
+# and with it the recursion of everything that walks the tree.
+MAX_NESTING = 50
+
+
+def _balanced(node: type[Concat] | type[Union], parts: list[Regex]) -> Regex:
+    """Fold ``parts`` into a tree of ``node`` of logarithmic depth (left-deep
+    up to three parts, as a left-to-right fold would give)."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
+
+
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     """Parse the package's regex dialect.
 
@@ -114,10 +129,12 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
 
     ``eps`` is a reserved token: it always denotes the empty word, even if
     e, p, s are themselves letters of the alphabet.  Whitespace is not
-    allowed (fixture files split on it).
+    allowed (fixture files split on it).  Parentheses may nest at most
+    ``MAX_NESTING`` deep.
     """
 
     pos = 0
+    depth = 0
     n = len(text)
 
     def peek() -> str | None:
@@ -125,18 +142,17 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
 
     def parse_expr() -> Regex:
         nonlocal pos
-        node = parse_term()
+        terms = [parse_term()]
         while peek() == "+":
             pos += 1
-            node = Union(node, parse_term())
-        return node
+            terms.append(parse_term())
+        return _balanced(Union, terms)
 
     def parse_term() -> Regex:
-        nonlocal pos
-        node = parse_factor()
+        factors = [parse_factor()]
         while peek() is not None and peek() not in ("+", ")", "*"):
-            node = Concat(node, parse_factor())
-        return node
+            factors.append(parse_factor())
+        return _balanced(Concat, factors)
 
     def parse_factor() -> Regex:
         nonlocal pos
@@ -149,17 +165,23 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
         return node
 
     def parse_base() -> Regex:
-        nonlocal pos
+        nonlocal pos, depth
         ch = peek()
         if ch is None:
             raise RegexSyntaxError("unexpected end of expression", pos)
         if ch == "(":
             open_at = pos
+            depth += 1
+            if depth > MAX_NESTING:
+                raise RegexSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", open_at
+                )
             pos += 1
             node = parse_expr()
             if peek() != ")":
                 raise RegexSyntaxError("unclosed '('", open_at)
             pos += 1
+            depth -= 1
             return node
         if text.startswith("eps", pos):
             pos += 3

@@ -317,9 +317,18 @@ class TransducerPrime:
     alphabet: Alphabet
     accepts_epsilon: bool
     base: Transducer
+    _by_ends: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def compiled_output(self, t: TypedTransition) -> Automaton:
         return self.base.compiled_output(t.base)
+
+    def typed_transition(
+        self, source: TypedState, target: TypedState, base: Transition
+    ) -> TypedTransition | None:
+        """The leveled copy of ``base`` from ``source`` to ``target``, if any."""
+        if self._by_ends is None:
+            self._by_ends = {(tt.source, tt.target, tt.base): tt for tt in self.transitions}
+        return self._by_ends.get((source, target, base))
 
 
 def _match_rule(period: int, bit: int, n: int, s1: str, m: int, s2: str) -> str | None:
@@ -467,11 +476,9 @@ def lift_run(
     states = [machine.initial] + [t.target for t in run]
     typed = [TypedState(states[i], levels[i], phases[i]) for i in range(n + 1)]
 
-    index = {(tt.source, tt.target, tt.base): tt for tt in prime.transitions}
     lifted: list[TypedTransition] = []
     for i, t in enumerate(run):
-        key = (typed[i], typed[i + 1], t)
-        tt = index.get(key)
+        tt = prime.typed_transition(typed[i], typed[i + 1], t)
         if tt is None:
             raise LevelingError(
                 f"no leveled transition {typed[i].render()} -{t.bit}-> "
@@ -508,25 +515,83 @@ def balanced_words_up_to(max_len: int) -> list[str]:
     return sorted(out, key=lambda w: (len(w), w))
 
 
-def _union_outputs_machine(machine: Transducer, inputs: list[str]) -> Automaton:
-    acc = regular.empty_automaton(machine.alphabet)
-    for u in inputs:
-        acc = regular.union_automata(acc, language_of_input(machine, u))
-    return regular.trim(acc)
+def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automaton:
+    """One NFA for the outputs over all nonempty balanced inputs of length ≤ nmax.
 
+    Works on a machine and on its leveled form alike; the empty input is
+    the caller's to add.  The NFA lives on the configurations (state,
+    counter c, step i) with 0 ≤ c ≤ nmax − i.  Each configuration edge gets
+    its own copy of the transition's output DFA, whose final states take
+    the out-edges and the finality of the target configuration; when the
+    DFA accepts the empty word, the source configuration takes them too.
+    Configurations are finished in reverse step order, so each target is
+    done before its sources and no ε-closure is needed.  The size is
+    polynomial in nmax, where stepping each input word is exponential.
+    """
+    by_source: dict = {}
+    for t in machine.transitions:
+        by_source.setdefault(t.source, []).append(t)
 
-def _union_outputs_prime(prime: TransducerPrime, inputs: list[str]) -> Automaton:
-    acc = regular.empty_automaton(prime.alphabet)
-    if prime.accepts_epsilon:
-        acc = regular.union_automata(acc, regular.epsilon_automaton(prime.alphabet))
-    for u in inputs:
-        if not u:
-            continue
-        current = step_language(prime, u)
-        for f in prime.finals:
-            if f in current:
-                acc = regular.union_automata(acc, current[f])
-    return regular.trim(acc)
+    def moves(q, c: int, i: int):
+        for t in by_source.get(q, ()):
+            c2 = c + 1 if t.bit == 0 else c - 1
+            if 0 <= c2 <= nmax - i - 1:
+                yield t, (t.target, c2)
+
+    layers = [{(machine.initial, 0)}]
+    for i in range(nmax):
+        layers.append({cfg for q, c in layers[i] for _, cfg in moves(q, c, i)})
+
+    edges: list[dict[str, set[int]]] = []
+    finals: set[int] = set()
+
+    def merge(row: dict[str, set[int]], more: dict[str, set[int]]) -> None:
+        for ch, targets in more.items():
+            row.setdefault(ch, set()).update(targets)
+
+    # Per live configuration of the step after: its out-edges and finality.
+    after: dict = {}
+    for i in range(nmax, -1, -1):
+        done: dict = {}
+        for q, c in sorted(layers[i]):
+            row: dict[str, set[int]] = {}
+            final = i > 0 and c == 0 and q in machine.finals
+            for t, cfg in moves(q, c, i):
+                if cfg not in after:
+                    continue
+                row_after, final_after = after[cfg]
+                d = machine.compiled_output(t)
+                offset = len(edges)
+                for s in range(d.n):
+                    copy = {ch: {x + offset for x in xs} for ch, xs in d.edges[s].items()}
+                    if s in d.finals:
+                        merge(copy, row_after)
+                        if final_after:
+                            finals.add(s + offset)
+                    edges.append(copy)
+                # An initial state that is final (the DFA accepts ε) holds
+                # the target's out-edges already.
+                for s in d.initials:
+                    merge(row, edges[s + offset])
+                    final = final or (final_after and s in d.finals)
+            if row or final:
+                done[(q, c)] = (row, final)
+        after = done
+
+    start = len(edges)
+    row, final = after.get((machine.initial, 0), ({}, False))
+    edges.append(row)
+    if final:
+        finals.add(start)
+    return regular.trim(
+        Automaton(
+            machine.alphabet,
+            len(edges),
+            [{ch: frozenset(xs) for ch, xs in r.items()} for r in edges],
+            frozenset({start}),
+            frozenset(finals),
+        )
+    )
 
 
 def default_output_cap(machine: Transducer, nmax: int) -> int:
@@ -552,9 +617,14 @@ def bounded_language_equal(
     """
     if output_cap is None:
         output_cap = default_output_cap(machine, nmax)
-    inputs = balanced_words_up_to(nmax)
-    a = _union_outputs_machine(machine, inputs)
-    b = _union_outputs_prime(prime, inputs)
+    a = bounded_outputs(machine, nmax)
+    b = bounded_outputs(prime, nmax)
+    # The empty input: the machine accepts it when its initial state is
+    # final, the leveled form when it carries the flag.
+    if machine.initial in machine.finals:
+        a = regular.union_automata(a, regular.epsilon_automaton(machine.alphabet))
+    if prime.accepts_epsilon:
+        b = regular.union_automata(b, regular.epsilon_automaton(prime.alphabet))
     truncated = regular.has_word_longer_than(a, output_cap) or regular.has_word_longer_than(
         b, output_cap
     )

@@ -302,3 +302,39 @@ def test_08f_counter_sets_of_a_complete_machine_in_polynomial_time():
         report = reach_sets(m)
         assert report.period == 2
     assert_within(t0, 5.0)
+
+
+SIX_LOOPS = """alphabet a b
+states s
+initial s
+final s
+trans s 0 s a
+trans s 0 s a*
+trans s 0 s ab
+trans s 1 s b*a
+trans s 1 s a(b+a)
+trans s 1 s b
+"""
+
+
+def test_08g_bounded_outputs_of_a_six_loop_machine_in_polynomial_time(tmp_path, capsys):
+    # Stepping each balanced input on its own takes over 30 s (enumerate)
+    # and over 3 s (check) on a 2-core host; one automaton over the
+    # (state, counter, step) configurations takes a fraction of a second.
+    path = tmp_path / "six.oct"
+    path.write_text(SIX_LOOPS, encoding="utf-8")
+    t0 = time.perf_counter()
+    code = cli.main(["enumerate", str(path), "--input-cap", "8", "--output-cap", "12"])
+    captured = capsys.readouterr()
+    assert code == 0
+    words = captured.out.split("\n")[:-1]
+    assert (len(words), words[:2], words[-1]) == (7715, ["", "a"], "bbbbbbbbbbba")
+    assert captured.err == "note: some outputs exceeded --output-cap\n"
+    assert_within(t0, 2.0)
+
+    t0 = time.perf_counter()
+    code = cli.main(["check", str(path), "--input-cap", "6", "--output-cap", "12"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "ok   bounded-equality: languages agree on inputs up to 6" in out
+    assert_within(t0, 2.0)

@@ -202,6 +202,44 @@ def test_rank_runs_without_networkx(capsys):
     assert done.stdout.startswith("bound: w+3\n")
 
 
+@pytest.mark.parametrize("module", ["ocrank", "ocrank.cli"])
+def test_python_dash_m_runs_without_warnings(capsys, module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["rank", fixture_path("fig1.oct")]
+    done = subprocess.run(
+        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_cli(capsys, argv)[1]
+
+
+def _one_output_machine(output: str) -> str:
+    return (
+        "alphabet a b\nstates p q r\ninitial p\nfinal r\n"
+        f"trans p 0 q {output}\ntrans q 1 r b\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["rank", "check"])
+def test_long_regex_literal_is_analysed(capsys, tmp_path, command):
+    path = tmp_path / "long.oct"
+    path.write_text(_one_output_machine("a" * 600))
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith("bound: 0\n" if command == "rank" else "ok   structure")
+
+
+@pytest.mark.parametrize("command", ["rank", "check"])
+def test_deeply_nested_regex_exits_one(capsys, tmp_path, command):
+    path = tmp_path / "nested.oct"
+    path.write_text(_one_output_machine("(" * 3000 + "a" + ")" * 3000))
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("ocrank: nested.oct:5: bad regex")
+    assert "parentheses nested deeper than 50" in err
+
+
 def test_rank_not_scattered_exit_two(capsys, tmp_path):
     fig1 = os.path.abspath(fixture_path("fig1.oct"))
     path = tmp_path / "iter.oct"

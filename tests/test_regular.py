@@ -154,6 +154,26 @@ def test_parse_error_carries_position():
         pytest.fail("no error raised")
 
 
+def _depth(r) -> int:
+    kids = [getattr(r, f) for f in ("left", "right", "body") if hasattr(r, f)]
+    return 1 + max((_depth(k) for k in kids), default=0)
+
+
+def test_long_concatenations_and_unions_parse_to_shallow_trees():
+    for text in ("ab" * 300, "+".join("ab" * 300), "(" + "a(b+a)*" * 100 + ")*"):
+        r = parse_regex(text, AB)
+        assert str(r) == text
+        assert _depth(r) <= 12
+    assert compile_regex(parse_regex("a" * 600, AB), AB).n == 601
+
+
+def test_parenthesis_nesting_is_limited():
+    assert str(parse_regex("(" * 50 + "a" + ")" * 50, AB)) == "a"
+    with pytest.raises(RegexSyntaxError, match="nested deeper than 50") as info:
+        parse_regex("(" * 3000 + "a" + ")" * 3000, AB)
+    assert info.value.position == 50
+
+
 def test_eps_is_a_reserved_word():
     # 'eps' is one token, not e·p·s (those letters are not even in AB)
     assert parse_regex("eps*", AB) == Star(Eps())

@@ -13,7 +13,8 @@ import random
 import networkx as nx
 import pytest
 
-from ocrank.counterset import default_counter_cap, reach_sets
+from ocrank import regular
+from ocrank.counterset import CertificationError, default_counter_cap, reach_sets
 from ocrank.regular import Empty, compile_regex, equivalent, parse_regex
 from ocrank.transducer import (
     DOWN,
@@ -25,6 +26,7 @@ from ocrank.transducer import (
     build_mprime,
     balanced_words_up_to,
     bounded_language_equal,
+    bounded_outputs,
     check_run,
     check_structure,
     language_of_input,
@@ -455,3 +457,62 @@ def test_bounded_language_equal_epsilon_cases():
     prime = build_mprime(m, reach_sets(m))
     equal, witness, _ = bounded_language_equal(m, prime, 4)
     assert equal, witness
+
+
+# --- one automaton for the outputs of all bounded inputs --------------------------
+
+
+def _per_word_unions(machine, nmax: int):
+    """Per-word oracle: for n = 0..nmax, the union of the outputs over the
+    nonempty balanced inputs of length ≤ n, each input stepped on its own."""
+    acc = regular.empty_automaton(machine.alphabet)
+    unions = []
+    for n in range(nmax + 1):
+        for u in balanced_words_up_to(n):
+            if len(u) != n or not u:
+                continue
+            if isinstance(machine, Transducer):
+                acc = regular.union_automata(acc, language_of_input(machine, u))
+                continue
+            per_state = step_language(machine, u)
+            for f in sorted(machine.finals):
+                if f in per_state:
+                    acc = regular.union_automata(acc, per_state[f])
+        unions.append(acc)
+    return unions
+
+
+def _oracle_machines():
+    rng = random.Random(20240605)
+    machines = [random_machine(rng) for _ in range(200)]
+    # ε and a* outputs, on machines whose initial state is final.
+    machines.append(
+        make_transducer(["q"], "q", ["q"], [("q", 0, "q", "eps"), ("q", 1, "q", "a*")], AB)
+    )
+    machines.append(
+        make_transducer(
+            ["p", "q"], "p", ["p", "q"],
+            [("p", 0, "q", "a*"), ("q", 0, "q", "eps"), ("q", 1, "q", "b"),
+             ("q", 1, "p", "eps"), ("p", 1, "p", "ab")],
+            AB,
+        )
+    )
+    return machines
+
+
+def test_bounded_outputs_match_the_per_word_union(fig1, fig2):
+    checked = primes = 0
+    for machine in [fig1, fig2] + _oracle_machines():
+        subjects = [machine]
+        try:
+            subjects.append(build_mprime(machine, reach_sets(machine)))
+        except (LevelingError, CertificationError):
+            pass
+        for subject in subjects:
+            oracle = _per_word_unions(subject, 6)
+            for nmax in range(7):
+                glued = bounded_outputs(subject, nmax)
+                assert equivalent(glued, oracle[nmax]), (subject, nmax)
+                checked += 1
+            primes += subject is not machine
+    assert primes >= 100 and checked >= 7 * 300

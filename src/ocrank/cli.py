@@ -39,7 +39,6 @@ from .transducer import (
     TransducerPrime,
     bounded_language_equal,
     build_mprime,
-    check_run,
     check_structure,
     lift_run,
     make_transducer,
@@ -538,7 +537,6 @@ def _cmd_check(machine: Transducer, args, out) -> tuple[int, dict]:
             for run in harness.accepting_runs(machine, run_len):
                 if not run:
                     continue
-                check_run(machine, run)
                 if project_run(lift_run(machine, run, prime=prime)) != run:
                     ok = False
                     detail = f"round-trip failed on a run of length {len(run)}"

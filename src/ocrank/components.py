@@ -8,6 +8,13 @@ level of accumulation).  The second stage is the first one run on the
 component's tight transitions, which carry exactly its zero-weight cycles.
 Two cycle outputs with different primitive roots at the same anchor are a
 quasi-density witness and kill scatteredness.
+
+Each stage takes its roots from one labelling per strongly connected
+component of the arc graph (the component's states with every output
+automaton spliced in, :func:`arc_graph`): one cycle language for the
+component's first anchor, then one search that places every node at a
+position of that anchor's root (:func:`regular.cycle_roots`), instead of
+one cycle language and one inclusion test per anchor.
 """
 
 from __future__ import annotations
@@ -145,6 +152,32 @@ def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransitio
 # Expanding graphs whose edges carry whole automata
 
 
+def arc_graph(nodes, arcs) -> tuple[dict[object, int], list[list[tuple[str, int]]]]:
+    """The graph of ``nodes`` with each arc's automaton spliced in.
+
+    ``arcs`` are (u, automaton, v).  The nodes are numbered first, in the
+    given order, then a fresh copy of each arc's states, arc after arc.
+    ``successors[x]`` lists (letter, y): the copies keep their letter
+    edges, and ε arcs, with letter "", lead from u into the copy's initial
+    states and from its final states to v.
+    """
+    index: dict[object, int] = {}
+    for v in nodes:
+        index[v] = len(index)
+    successors: list[list[tuple[str, int]]] = [[] for _ in index]
+    for u, a, v in arcs:
+        base = len(successors)
+        for q in range(a.n):
+            successors.append(
+                [(ch, base + t) for ch, targets in a.edges[q].items() for t in targets]
+            )
+        for i in a.initials:
+            successors[index[u]].append(("", base + i))
+        for f in a.finals:
+            successors[base + f].append(("", index[v]))
+    return index, successors
+
+
 def expand_graph(
     nodes,
     arcs,
@@ -155,53 +188,32 @@ def expand_graph(
     """NFA for the words read along paths of a graph with automaton edges.
 
     ``arcs`` are (u, automaton, v): traversing the arc reads one member of
-    the automaton's language.  Implemented with internal epsilon moves that
-    are eliminated before returning.
+    the automaton's language.  The ε arcs of :func:`arc_graph` are
+    eliminated before returning.
     """
-    index: dict[object, int] = {}
-    for v in nodes:
-        index[v] = len(index)
-    letter_edges: list[tuple[int, str, int]] = []
-    eps_edges: list[tuple[int, int]] = []
-    total = len(index)
-    for u, a, v in arcs:
-        base = total
-        total += a.n
-        for q in range(a.n):
-            for ch, targets in a.edges[q].items():
-                for t in targets:
-                    letter_edges.append((base + q, ch, base + t))
-        for i in a.initials:
-            eps_edges.append((index[u], base + i))
-        for f in a.finals:
-            eps_edges.append((base + f, index[v]))
-
-    eps_succ: list[list[int]] = [[] for _ in range(total)]
-    for x, y in eps_edges:
-        eps_succ[x].append(y)
+    index, successors = arc_graph(nodes, arcs)
+    total = len(successors)
     closures: list[set[int]] = []
     for s in range(total):
         closure = {s}
         stack = [s]
         while stack:
             x = stack.pop()
-            for y in eps_succ[x]:
-                if y not in closure:
+            for ch, y in successors[x]:
+                if not ch and y not in closure:
                     closure.add(y)
                     stack.append(y)
         closures.append(closure)
 
     edges: list[dict[str, frozenset[int]]] = [{} for _ in range(total)]
-    by_source: dict[int, list[tuple[str, int]]] = {}
-    for x, ch, y in letter_edges:
-        by_source.setdefault(x, []).append((ch, y))
     final_set = {index[v] for v in finals}
     new_finals = set()
     for s in range(total):
         row: dict[str, set[int]] = {}
         for x in closures[s]:
-            for ch, y in by_source.get(x, ()):
-                row.setdefault(ch, set()).add(y)
+            for ch, y in successors[x]:
+                if ch:
+                    row.setdefault(ch, set()).add(y)
         edges[s] = {ch: frozenset(ts) for ch, ts in row.items()}
         if closures[s] & final_set:
             new_finals.add(s)
@@ -263,7 +275,7 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         return FullyCertified({})
     anchors = sorted(c.members)
     internal = internal_transitions(c, prime)
-    roots = regular.cycle_roots(anchors, lambda s: cycle_outputs(c, s, prime, internal))
+    roots = _cycle_roots(c, prime, anchors, internal)
     if isinstance(roots, dict):
         return FullyCertified(roots)
     tight = tight_transitions(internal)
@@ -273,7 +285,21 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         )
     if tight is None:
         return QuasiDenseWitness(*roots)
-    roots = regular.cycle_roots(anchors, lambda s: cycle_outputs(c, s, prime, tight))
+    roots = _cycle_roots(c, prime, anchors, tight)
     if isinstance(roots, dict):
         return ZeroCertified(roots)
     return QuasiDenseWitness(*roots)
+
+
+def _cycle_roots(
+    c: Scc,
+    prime: TransducerPrime,
+    anchors: list[TypedState],
+    transitions: list[TypedTransition],
+) -> dict[TypedState, str | None] | tuple[TypedState, str, str]:
+    """:func:`regular.cycle_roots` on the closed walks along ``transitions``."""
+    arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
+    _, successors = arc_graph(anchors, arcs)
+    return regular.cycle_roots(
+        anchors, successors, lambda s: cycle_outputs(c, s, prime, transitions)
+    )

@@ -13,7 +13,7 @@ procedure in this module works on.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -501,22 +501,23 @@ def words_up_to(a: Automaton, max_len: int) -> list[str]:
 
     Depth-first over subset states with letters in alphabet order yields
     exactly the lexicographic order (a prefix is visited before its
-    extensions).
+    extensions).  The walk keeps its own stack, children pushed in reverse
+    alphabet order, so long words do not deepen the call stack.
     """
     out: list[str] = []
     finals = set(a.finals)
-
-    def walk(s: frozenset[int], word: str) -> None:
+    letters = a.alphabet.letters[::-1]
+    stack = [(frozenset(a.initials), "")]
+    while stack:
+        s, word = stack.pop()
         if s & finals:
             out.append(word)
         if len(word) == max_len:
-            return
-        for ch in a.alphabet.letters:
+            continue
+        for ch in letters:
             t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
             if t:
-                walk(t, word + ch)
-
-    walk(frozenset(a.initials), "")
+                stack.append((t, word + ch))
     return out
 
 
@@ -572,29 +573,98 @@ def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None
 
 
 def cycle_roots(
-    anchors: Iterable[_Anchor], cycle_language: Callable[[_Anchor], Automaton]
+    anchors: Sequence[_Anchor],
+    successors: list[list[tuple[str, int]]],
+    cycle_language: Callable[[_Anchor], Automaton],
 ) -> dict[_Anchor, str | None] | tuple[_Anchor, str, str]:
     """The one primitive root of each anchor's cycle words, or a clash.
 
-    ``cycle_language(anchor)`` holds the anchor's nonempty cycle words.
-    Each anchor's root is that of its shortest word m (None when it has no
-    cycle) and must generate every other word.  Returns the roots, or
-    ``(anchor, m, x)`` for the first anchor, in the given order, where the
-    least word x outside ``root*`` exists.
+    ``successors`` is the arc graph: node i < len(anchors) is
+    ``anchors[i]``, the nodes after them are inner nodes (the states of
+    the automata on the arcs), and ``successors[x]`` lists (letter, y),
+    with "" for an ε arc.  ``cycle_language(anchor)`` holds the words the
+    arc graph reads along closed walks at the anchor (those of single
+    returns suffice, as powers are closed under concatenation).  Each
+    anchor's root is that of its shortest nonempty cycle word m (None when
+    it has none) and must generate every other cycle word.  Returns the
+    roots, in the order of ``anchors``, or ``(anchor, m, x)`` for the
+    first anchor, in that order, with a least cycle word x outside
+    ``root*``.
+
+    One cycle language is built per strongly connected component of the
+    arc graph, for its first anchor a.  With v the root of a's word m,
+    each node x of the component gets a position φ(x) in ℤ/|v| by one
+    search from φ(a) = 0: an ε arc keeps φ, a letter arc must read v[φ(x)]
+    and adds 1.  The labelling exists exactly when every cycle word at a
+    lies in v*: a path a → x is then a prefix of v^ω whose length mod |v|
+    does not depend on the path (v is primitive, so no two rotations of it
+    agree), and conversely a labelled closed walk at a reads a power of v.
+    Every node lies on a closed walk through every anchor of its
+    component, so if one anchor's cycle words are powers of its root, the
+    labelling exists and every anchor s has cycle words in the powers of
+    v rotated by φ(s), which is the root of its shortest one.  The anchors
+    of a component thus pass or fail together, the first failing anchor
+    is the first anchor of the first failing component, and its witness
+    comes from the one cycle language already built.
     """
-    roots: dict[_Anchor, str | None] = {}
-    for anchor in anchors:
-        cycles = cycle_language(anchor)
+    count = len(anchors)
+    roots: list[str | None] = [None] * count
+    components = tarjan_sccs(len(successors), [[y for _, y in row] for row in successors])
+    component_of = [0] * len(successors)
+    for i, members in enumerate(components):
+        for x in members:
+            component_of[x] = i
+    for members in sorted(components, key=lambda members: members[0]):
+        first = members[0]  # members come sorted, so anchors come first
+        if first >= count:
+            break
+        if len(members) == 1 and all(y != first for _, y in successors[first]):
+            continue
+        cycles = cycle_language(anchors[first])
         m = shortest_nonempty_word(cycles)
         if m is None:
-            roots[anchor] = None
             continue
-        roots[anchor] = root = primitive_root(m)
-        ok, counterexample = subset_of_power_with_witness(cycles, root)
-        if not ok:
-            assert counterexample is not None
-            return anchor, m, counterexample
-    return roots
+        root = primitive_root(m)
+        position = _positions(successors, first, component_of, root)
+        if position is None:
+            _, counterexample = subset_of_power_with_witness(cycles, root)
+            if counterexample is None:
+                raise AssertionError(f"no labelling, yet the cycle words at {first} are in {root}*")
+            return anchors[first], m, counterexample
+        for s in members:
+            if s >= count:
+                break
+            roots[s] = root[position[s]:] + root[: position[s]]
+    return dict(zip(anchors, roots))
+
+
+def _positions(
+    successors: list[list[tuple[str, int]]], start: int, component_of: list[int], v: str
+) -> dict[int, int] | None:
+    """Positions in ℤ/|v| of the nodes of ``start``'s component, read as
+    prefixes of v^ω from φ(start) = 0, or None when two readings clash."""
+    component = component_of[start]
+    position = {start: 0}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        at = position[x]
+        for ch, y in successors[x]:
+            if component_of[y] != component:
+                continue
+            if ch:
+                if ch != v[at]:
+                    return None
+                to = (at + 1) % len(v)
+            else:
+                to = at
+            seen = position.get(y)
+            if seen is None:
+                position[y] = to
+                stack.append(y)
+            elif seen != to:
+                return None
+    return position
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +724,8 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
     d = trim(determinize(a))
     if d.finals == frozenset():
         return Scattered()
-    roots = cycle_roots(range(d.n), lambda q: _cycle_language(d, q))
+    successors = [[(ch, t) for ch, ts in row.items() for t in ts] for row in d.edges]
+    roots = cycle_roots(range(d.n), successors, lambda q: _cycle_language(d, q))
     if isinstance(roots, tuple):
         return QuasiDense(*roots)
     return Scattered()

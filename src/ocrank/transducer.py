@@ -104,7 +104,7 @@ def check_structure(machine: Transducer) -> None:
             raise TransducerError(f"transition {t.source}->{t.target} uses unknown states")
         if t.bit not in (0, 1):
             raise TransducerError(f"transition bit must be 0 or 1, got {t.bit}")
-        if regular.is_empty_language(machine.compiled_output(t)):
+        if not machine.compiled_output(t).finals:  # compiled outputs come trimmed
             raise TransducerError(
                 f"transition {t.source} -{t.bit}-> {t.target} outputs the empty language"
             )

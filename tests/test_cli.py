@@ -371,6 +371,19 @@ def test_enumerate_cli_words_and_note(capsys):
     assert "exceeded --output-cap" in err
 
 
+def test_enumerate_lists_words_longer_than_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "long.oct"
+    path.write_text(
+        "alphabet a\nstates p q\ninitial p\nfinal q\ntrans p 0 p a*\ntrans p 1 q eps\n"
+    )
+    code, out, err = run_cli(
+        capsys, ["enumerate", str(path), "--input-cap", "2", "--output-cap", "1500"]
+    )
+    assert code == 0
+    assert out.split("\n") == ["a" * k for k in range(1501)] + [""]
+    assert err == "note: some outputs exceeded --output-cap\n"
+
+
 def test_dot_output_stdout_and_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["dot", fixture_path("fig1.oct")])
     assert code == 0

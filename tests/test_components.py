@@ -18,6 +18,7 @@ from ocrank.components import (
     FullyCertified,
     QuasiDenseWitness,
     ZeroCertified,
+    arc_graph,
     certify_component,
     condense,
     cycle_outputs,
@@ -45,6 +46,8 @@ from ocrank.transducer import (
 )
 from ocrank.words import Alphabet, primitive_root
 from conftest import random_machine
+from test_counterset import complete_machine
+from test_regular import arc_components, assert_cycle_roots_match
 
 AB = Alphabet(("a", "b"))
 
@@ -484,3 +487,68 @@ def test_tight_transitions_match_the_banded_product():
                 stage2[type(verdict)] += 1
     assert anchors >= 400
     assert stage2[ZeroCertified] >= 1 and stage2[QuasiDenseWitness] >= 1, stage2
+
+
+# --- cycle roots against the per-anchor loop ----------------------------------------------
+
+
+def two_zero_loops(second: str):
+    """Pumps the counter, then two zero-weight loops p q and u v joined by
+    closes both ways, then drains.  The tight transitions of each window
+    component fall apart into four looping components; with ``second`` =
+    ``a+b`` the u v loops clash and the p q loops, which come first, pass."""
+    trans = [
+        ("s", 0, "s", "c"), ("s", 0, "p", "c"),
+        ("p", 0, "q", "a"), ("q", 1, "p", "b"),
+        ("u", 0, "v", second), ("v", 1, "u", "a"),
+        ("p", 1, "u", "a"), ("u", 1, "p", "a"),
+        ("p", 1, "f", "c"), ("f", 1, "f", "c"),
+    ]
+    return make_transducer("spquvf", "s", ["f"], trans, Alphabet(("a", "b", "c")))
+
+
+def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
+    machines = [fig1, fig2, two_zero_loops("b"), two_zero_loops("a+b")]
+    machines += [ladder(k, j) for k in range(1, 5) for j in range(1, 5)]
+    machines += [complete_machine(n) for n in range(1, 7)]
+    rng = random.Random(20261018)
+    machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(500)]
+    outcomes = {"stage 1 pass": 0, "stage 1 clash": 0, "stage 2 pass": 0, "stage 2 clash": 0,
+                "stage 2 on several looping components": 0,
+                "stage 2 clash after a passing component": 0}
+    for machine in machines:
+        try:
+            prime = build_mprime(machine, reach_sets(machine))
+        except (LevelingError, CertificationError):
+            continue
+        for c in condense(prime):
+            if c.trivial:
+                continue
+            anchors = sorted(c.members)
+            internal = internal_transitions(c, prime)
+            for stage, transitions in (("stage 1", internal),
+                                       ("stage 2", tight_transitions(internal))):
+                if transitions is None:
+                    break
+                arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
+                _, successors = arc_graph(anchors, arcs)
+                got = assert_cycle_roots_match(
+                    anchors,
+                    successors,
+                    lambda s, transitions=transitions: cycle_outputs(c, s, prime, transitions),
+                )
+                outcomes[f"{stage} {'clash' if isinstance(got, tuple) else 'pass'}"] += 1
+                if stage == "stage 2":
+                    looping = [
+                        m for m in arc_components(successors, looping_only=True)
+                        if m[0] < len(anchors)
+                    ]
+                    outcomes["stage 2 on several looping components"] += len(looping) > 1
+                    if isinstance(got, tuple):
+                        first = anchors.index(got[0])
+                        outcomes["stage 2 clash after a passing component"] += any(
+                            m[0] < first for m in looping
+                        )
+                if not isinstance(got, tuple):
+                    break
+    assert min(outcomes.values()) >= 2, outcomes

@@ -12,7 +12,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocrank import regular
 from ocrank.regular import (
+    Automaton,
     Concat,
     Empty,
     Eps,
@@ -24,6 +26,7 @@ from ocrank.regular import (
     Union,
     compile_regex,
     complement,
+    cycle_roots,
     determinize,
     equivalent,
     finite_rank_bound,
@@ -225,6 +228,52 @@ def test_words_up_to_is_lex_sorted_and_complete():
     assert set(listed) == {w for w in words_over_ab(4) if oracle_match(r, w)}
 
 
+def recursive_words_up_to(a, max_len: int) -> list[str]:
+    """The recursive walk ``words_up_to`` replaced, kept as its reference."""
+    out: list[str] = []
+
+    def walk(s: frozenset[int], word: str) -> None:
+        if s & a.finals:
+            out.append(word)
+        if len(word) == max_len:
+            return
+        for ch in a.alphabet.letters:
+            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
+            if t:
+                walk(t, word + ch)
+
+    walk(frozenset(a.initials), "")
+    return out
+
+
+def random_nfa(rng: random.Random, max_states: int = 6) -> Automaton:
+    """A small random ε-free NFA over {a, b}, loops and dead ends included."""
+    n = rng.randint(1, max_states)
+    edges: list[dict[str, frozenset[int]]] = [{} for _ in range(n)]
+    for q in range(n):
+        for ch in "ab":
+            targets = frozenset(rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 2))))
+            if targets:
+                edges[q][ch] = targets
+    initials = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))
+    finals = frozenset(rng.sample(range(n), rng.randint(0, n)))
+    return Automaton(AB, n, edges, initials, finals)
+
+
+def test_words_up_to_matches_the_recursive_walk():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        a = random_nfa(rng) if rng.random() < 0.5 else compile_regex(random_regex(rng, 3), AB)
+        max_len = rng.randint(0, 7)
+        assert words_up_to(a, max_len) == recursive_words_up_to(a, max_len)
+
+
+def test_words_up_to_lists_words_longer_than_the_recursion_limit():
+    a = compile_regex(parse_regex("a*", AB), AB)
+    listed = words_up_to(a, 1500)
+    assert listed == ["a" * k for k in range(1501)]
+
+
 def test_has_word_longer_than():
     a = compile_regex(parse_regex("a*", AB), AB)
     assert has_word_longer_than(a, 1000)
@@ -314,6 +363,85 @@ def test_regular_scattered_against_cycle_oracle():
         assert isinstance(verdict, (Scattered, QuasiDense))
         expected_dense = bounded_quasi_density_oracle(a)
         assert bool(verdict) != expected_dense, str(r)
+
+
+def per_anchor_cycle_roots(anchors, cycle_language):
+    """One cycle language and one inclusion test per anchor: the loop that
+    ``cycle_roots`` replaced, kept as its reference."""
+    roots = {}
+    for anchor in anchors:
+        cycles = cycle_language(anchor)
+        m = shortest_nonempty_word(cycles)
+        if m is None:
+            roots[anchor] = None
+            continue
+        roots[anchor] = root = primitive_root(m)
+        ok, counterexample = subset_of_power_with_witness(cycles, root)
+        if not ok:
+            return anchor, m, counterexample
+    return roots
+
+
+def assert_cycle_roots_match(anchors, successors, cycle_language):
+    """``cycle_roots`` gives what the per-anchor loop gives, key order
+    included, and builds at most one cycle language per component of the
+    arc graph.  Returns its result."""
+    called = []
+
+    def counted(anchor):
+        called.append(anchor)
+        return cycle_language(anchor)
+
+    got = cycle_roots(anchors, successors, counted)
+    want = per_anchor_cycle_roots(anchors, cycle_language)
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got.items()) == list(want.items())
+    else:
+        assert got == want
+    component_of = {x: i for i, members in enumerate(arc_components(successors)) for x in members}
+    node_of = {anchor: i for i, anchor in enumerate(anchors)}
+    built = [component_of[node_of[anchor]] for anchor in called]
+    assert len(built) == len(set(built)), called
+    return got
+
+
+def arc_components(successors, looping_only=False):
+    """Components of an arc graph, optionally only those with a closed walk."""
+    components = tarjan_sccs(len(successors), [[y for _, y in row] for row in successors])
+    if looping_only:
+        components = [
+            members for members in components
+            if len(members) > 1 or any(y == members[0] for _, y in successors[members[0]])
+        ]
+    return components
+
+
+def test_cycle_roots_match_the_per_anchor_loop_on_random_dfas():
+    rng = random.Random(20261018)
+    outcomes = {"dense": 0, "dense after a passing component": 0,
+                "scattered with cycles": 0, "scattered, several looping components": 0}
+    checked = 0
+    for i in range(720):
+        a = random_nfa(rng) if i % 3 else compile_regex(random_regex(rng, 4), AB)
+        d = trim(determinize(a))
+        if not d.finals:
+            continue
+        checked += 1
+        successors = [[(ch, t) for ch, ts in row.items() for t in ts] for row in d.edges]
+        got = assert_cycle_roots_match(
+            range(d.n), successors, lambda q: regular._cycle_language(d, q)
+        )
+        verdict = regular_scattered(a)
+        looping = arc_components(successors, looping_only=True)
+        if isinstance(got, tuple):
+            assert verdict == QuasiDense(*got)
+            outcomes["dense"] += 1
+            outcomes["dense after a passing component"] += min(m[0] for m in looping) < got[0]
+        else:
+            assert isinstance(verdict, Scattered)
+            outcomes["scattered with cycles"] += bool(looping)
+            outcomes["scattered, several looping components"] += len(looping) > 1
+    assert checked >= 500 and min(outcomes.values()) >= 10, (checked, outcomes)
 
 
 def test_quasi_dense_witness_contents():

@@ -588,7 +588,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("fixture", help="path to a .oct fixture file")
     parser.add_argument("--input-cap", type=_cap, default=8, metavar="N")
     parser.add_argument("--output-cap", type=_cap, default=24, metavar="N")
-    parser.add_argument("--counter-cap", type=int, default=None, metavar="N")
+    parser.add_argument("--counter-cap", type=_cap, default=None, metavar="N")
     parser.add_argument("--json", metavar="PATH", default=None)
     parser.add_argument("--dot", metavar="PATH", default=None)
     return parser

@@ -11,10 +11,10 @@ quasi-density witness and kill scatteredness.
 
 Each stage takes its roots from one labelling per strongly connected
 component of the arc graph (the component's states with every output
-automaton spliced in, :func:`arc_graph`): one cycle language for the
-component's first anchor, then one search that places every node at a
-position of that anchor's root (:func:`regular.cycle_roots`), instead of
-one cycle language and one inclusion test per anchor.
+automaton spliced in, :func:`regular.arc_graph`): one cycle language for
+the component's first anchor, built from that component alone, then one
+search that places every node at a position of that anchor's root
+(:func:`regular.cycle_roots`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from . import regular
 from .regular import Automaton
 from .transducer import TransducerPrime, TypedState, TypedTransition
-from .words import Alphabet
 
 
 @dataclass
@@ -148,86 +147,6 @@ def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransitio
     ]
 
 
-# ---------------------------------------------------------------------------
-# Expanding graphs whose edges carry whole automata
-
-
-def arc_graph(nodes, arcs) -> tuple[dict[object, int], list[list[tuple[str, int]]]]:
-    """The graph of ``nodes`` with each arc's automaton spliced in.
-
-    ``arcs`` are (u, automaton, v).  The nodes are numbered first, in the
-    given order, then a fresh copy of each arc's states, arc after arc.
-    ``successors[x]`` lists (letter, y): the copies keep their letter
-    edges, and ε arcs, with letter "", lead from u into the copy's initial
-    states and from its final states to v.
-    """
-    index: dict[object, int] = {}
-    for v in nodes:
-        index[v] = len(index)
-    successors: list[list[tuple[str, int]]] = [[] for _ in index]
-    for u, a, v in arcs:
-        base = len(successors)
-        for q in range(a.n):
-            successors.append(
-                [(ch, base + t) for ch, targets in a.edges[q].items() for t in targets]
-            )
-        for i in a.initials:
-            successors[index[u]].append(("", base + i))
-        for f in a.finals:
-            successors[base + f].append(("", index[v]))
-    return index, successors
-
-
-def expand_graph(
-    nodes,
-    arcs,
-    initials,
-    finals,
-    alphabet: Alphabet,
-) -> Automaton:
-    """NFA for the words read along paths of a graph with automaton edges.
-
-    ``arcs`` are (u, automaton, v): traversing the arc reads one member of
-    the automaton's language.  The ε arcs of :func:`arc_graph` are
-    eliminated before returning.
-    """
-    index, successors = arc_graph(nodes, arcs)
-    total = len(successors)
-    closures: list[set[int]] = []
-    for s in range(total):
-        closure = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for ch, y in successors[x]:
-                if not ch and y not in closure:
-                    closure.add(y)
-                    stack.append(y)
-        closures.append(closure)
-
-    edges: list[dict[str, frozenset[int]]] = [{} for _ in range(total)]
-    final_set = {index[v] for v in finals}
-    new_finals = set()
-    for s in range(total):
-        row: dict[str, set[int]] = {}
-        for x in closures[s]:
-            for ch, y in successors[x]:
-                if ch:
-                    row.setdefault(ch, set()).add(y)
-        edges[s] = {ch: frozenset(ts) for ch, ts in row.items()}
-        if closures[s] & final_set:
-            new_finals.add(s)
-    return regular.trim(
-        Automaton(
-            alphabet,
-            total,
-            edges,
-            frozenset(index[v] for v in initials),
-            frozenset(new_finals),
-        )
-    )
-
-
 def cycle_outputs(
     c: Scc,
     anchor: TypedState,
@@ -256,7 +175,7 @@ def cycle_outputs(
         u = src if tt.source == anchor else tt.source
         v = snk if tt.target == anchor else tt.target
         arcs.append((u, prime.compiled_output(tt), v))
-    return expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
+    return regular.expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
 
 
 def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
@@ -275,7 +194,7 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         return FullyCertified({})
     anchors = sorted(c.members)
     internal = internal_transitions(c, prime)
-    roots = _cycle_roots(c, prime, anchors, internal)
+    roots = _cycle_roots(prime, anchors, internal)
     if isinstance(roots, dict):
         return FullyCertified(roots)
     tight = tight_transitions(internal)
@@ -285,21 +204,16 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         )
     if tight is None:
         return QuasiDenseWitness(*roots)
-    roots = _cycle_roots(c, prime, anchors, tight)
+    roots = _cycle_roots(prime, anchors, tight)
     if isinstance(roots, dict):
         return ZeroCertified(roots)
     return QuasiDenseWitness(*roots)
 
 
 def _cycle_roots(
-    c: Scc,
-    prime: TransducerPrime,
-    anchors: list[TypedState],
-    transitions: list[TypedTransition],
+    prime: TransducerPrime, anchors: list[TypedState], transitions: list[TypedTransition]
 ) -> dict[TypedState, str | None] | tuple[TypedState, str, str]:
     """:func:`regular.cycle_roots` on the closed walks along ``transitions``."""
     arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
-    _, successors = arc_graph(anchors, arcs)
-    return regular.cycle_roots(
-        anchors, successors, lambda s: cycle_outputs(c, s, prime, transitions)
-    )
+    _, successors = regular.arc_graph(anchors, arcs)
+    return regular.cycle_roots(anchors, successors, prime.alphabet)

@@ -38,12 +38,11 @@ def enumerate(machine: Transducer, input_cap: int, output_cap: int) -> Enumerati
     ``truncated`` instead.
     """
     lang = bounded_outputs(machine, input_cap)
-    collected = set(regular.words_up_to(lang, output_cap))
+    words = regular.words_up_to(lang, output_cap)
+    if machine.accepts_epsilon and words[:1] != [""]:
+        words.insert(0, "")
     truncated = regular.has_word_longer_than(lang, output_cap)
-    if machine.accepts_epsilon:
-        collected.add("")
-    ordered = sorted(collected, key=lambda w: lex_key(w, machine.alphabet))
-    return EnumerationResult(ordered, input_cap, output_cap, truncated)
+    return EnumerationResult(words, input_cap, output_cap, truncated)
 
 
 def enumerate_expr(e: RocExpr, input_cap: int, output_cap: int) -> list[str]:

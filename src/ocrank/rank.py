@@ -340,9 +340,7 @@ def _output_overapprox(e: RocExpr) -> Automaton:
     if isinstance(e, RocAtom):
         m = e.machine
         arcs = [(t.source, m.compiled_output(t), t.target) for t in m.transitions]
-        return comp.expand_graph(
-            list(m.states), arcs, [m.initial], sorted(m.finals), m.alphabet
-        )
+        return regular.expand_graph(list(m.states), arcs, [m.initial], sorted(m.finals), m.alphabet)
     if isinstance(e, RocConcat):
         return regular.trim(
             regular.concat_automata(_output_overapprox(e.left), _output_overapprox(e.right))

@@ -13,7 +13,7 @@ procedure in this module works on.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -572,22 +572,122 @@ def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None
     return subset_with_witness(a, power_automaton(v, a.alphabet))
 
 
+# ---------------------------------------------------------------------------
+# Graphs whose arcs carry automata
+
+
+def arc_graph(nodes, arcs) -> tuple[dict, list[list[tuple[str, int]]]]:
+    """The graph of ``nodes`` with each arc's automaton spliced in.
+
+    ``arcs`` are (u, automaton, v).  The nodes are numbered first, in the
+    given order, then a fresh copy of each arc's states, arc after arc.
+    ``successors[x]`` lists (letter, y): the copies keep their letter
+    edges, and ε arcs, with letter "", lead from u into the copy's initial
+    states and from its final states to v.
+    """
+    index = {v: i for i, v in enumerate(nodes)}
+    successors: list[list[tuple[str, int]]] = [[] for _ in index]
+    for u, a, v in arcs:
+        base = len(successors)
+        for q in range(a.n):
+            successors.append(
+                [(ch, base + t) for ch, targets in a.edges[q].items() for t in targets]
+            )
+        for i in a.initials:
+            successors[index[u]].append(("", base + i))
+        for f in a.finals:
+            successors[base + f].append(("", index[v]))
+    return index, successors
+
+
+def epsilon_free(
+    successors: list[list[tuple[str, int]]],
+    initials: Sequence[int],
+    finals: Sequence[int],
+    alphabet: Alphabet,
+) -> Automaton:
+    """The NFA of the words a graph with ε arcs ("") reads.
+
+    State x keeps its number and reads on from its ε-closure: it has the
+    letter arcs that leave the closure, and it is final when the closure
+    meets ``finals``.  Only states reached from ``initials`` are filled in;
+    the others are left without arcs, for :func:`trim` to drop.
+    """
+    final_set = set(finals)
+    edges = _fresh_edges(len(successors))
+    accepting = set()
+    reached = set(initials)
+    todo = list(reached)
+    while todo:
+        s = todo.pop()
+        closure = {s}
+        stack = [s]
+        row: dict[str, set[int]] = {}
+        while stack:
+            x = stack.pop()
+            if x in final_set:
+                accepting.add(s)
+            for ch, y in successors[x]:
+                if ch:
+                    row.setdefault(ch, set()).add(y)
+                elif y not in closure:
+                    closure.add(y)
+                    stack.append(y)
+        edges[s] = {ch: frozenset(ys) for ch, ys in row.items()}
+        for ys in row.values():
+            todo.extend(ys - reached)
+            reached |= ys
+    return Automaton(alphabet, len(edges), edges, frozenset(initials), frozenset(accepting))
+
+
+def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton:
+    """NFA for the words read along paths of a graph with automaton edges.
+
+    ``arcs`` are (u, automaton, v): traversing the arc reads one member of
+    the automaton's language.  This is :func:`epsilon_free` on
+    :func:`arc_graph`, trimmed.
+    """
+    index, successors = arc_graph(nodes, arcs)
+    starts, ends = [index[v] for v in initials], [index[v] for v in finals]
+    return trim(epsilon_free(successors, starts, ends, alphabet))
+
+
+def closed_walks(
+    successors: list[list[tuple[str, int]]], anchor: int, members: list[int], alphabet: Alphabet
+) -> Automaton:
+    """Words read along the closed walks at ``anchor`` that stay in ``members``.
+
+    The arcs into the anchor are redirected to a fresh sink, so the walks
+    are single returns, the empty walk is excluded, and longer walks
+    factor through single returns.  When ``members`` is the anchor's
+    strongly connected component, every state the NFA reaches also
+    reaches the sink, so it is left untrimmed.
+    """
+    number = {x: i for i, x in enumerate(members)}
+    sink = len(members)
+    rows = [
+        [(ch, sink if y == anchor else number[y]) for ch, y in successors[x] if y in number]
+        for x in members
+    ]
+    return epsilon_free(rows + [[]], [number[anchor]], [sink], alphabet)
+
+
 def cycle_roots(
     anchors: Sequence[_Anchor],
     successors: list[list[tuple[str, int]]],
-    cycle_language: Callable[[_Anchor], Automaton],
+    alphabet: Alphabet,
 ) -> dict[_Anchor, str | None] | tuple[_Anchor, str, str]:
     """The one primitive root of each anchor's cycle words, or a clash.
 
     ``successors`` is the arc graph: node i < len(anchors) is
     ``anchors[i]``, the nodes after them are inner nodes (the states of
     the automata on the arcs), and ``successors[x]`` lists (letter, y),
-    with "" for an ε arc.  ``cycle_language(anchor)`` holds the words the
-    arc graph reads along closed walks at the anchor (those of single
-    returns suffice, as powers are closed under concatenation).  Each
-    anchor's root is that of its shortest nonempty cycle word m (None when
-    it has none) and must generate every other cycle word.  Returns the
-    roots, in the order of ``anchors``, or ``(anchor, m, x)`` for the
+    with "" for an ε arc.  An anchor's cycle words are the words the arc
+    graph reads along closed walks at it (those of single returns suffice,
+    as powers are closed under concatenation, see :func:`closed_walks`).
+    Each anchor's root is that of its shortest nonempty cycle word m (None
+    when it has none) and must generate every other cycle word.  Returns
+    the roots, in the order of ``anchors``, or ``(anchor, m, x)`` for the
     first anchor, in that order, with a least cycle word x outside
     ``root*``.
 
@@ -610,22 +710,18 @@ def cycle_roots(
     count = len(anchors)
     roots: list[str | None] = [None] * count
     components = tarjan_sccs(len(successors), [[y for _, y in row] for row in successors])
-    component_of = [0] * len(successors)
-    for i, members in enumerate(components):
-        for x in members:
-            component_of[x] = i
     for members in sorted(components, key=lambda members: members[0]):
         first = members[0]  # members come sorted, so anchors come first
         if first >= count:
             break
         if len(members) == 1 and all(y != first for _, y in successors[first]):
             continue
-        cycles = cycle_language(anchors[first])
+        cycles = closed_walks(successors, first, members, alphabet)
         m = shortest_nonempty_word(cycles)
         if m is None:
             continue
         root = primitive_root(m)
-        position = _positions(successors, first, component_of, root)
+        position = _positions(successors, first, members, root)
         if position is None:
             _, counterexample = subset_of_power_with_witness(cycles, root)
             if counterexample is None:
@@ -639,18 +735,18 @@ def cycle_roots(
 
 
 def _positions(
-    successors: list[list[tuple[str, int]]], start: int, component_of: list[int], v: str
+    successors: list[list[tuple[str, int]]], start: int, members: list[int], v: str
 ) -> dict[int, int] | None:
-    """Positions in ℤ/|v| of the nodes of ``start``'s component, read as
-    prefixes of v^ω from φ(start) = 0, or None when two readings clash."""
-    component = component_of[start]
+    """Positions in ℤ/|v| of ``members``, the nodes of ``start``'s component,
+    read as prefixes of v^ω from φ(start) = 0, or None when two readings clash."""
+    component = set(members)
     position = {start: 0}
     stack = [start]
     while stack:
         x = stack.pop()
         at = position[x]
         for ch, y in successors[x]:
-            if component_of[y] != component:
+            if y not in component:
                 continue
             if ch:
                 if ch != v[at]:
@@ -694,26 +790,6 @@ class QuasiDense:
         return False
 
 
-def _cycle_language(d: Automaton, q: int) -> Automaton:
-    """Words labelling nonempty closed paths q → q in the DFA ``d``.
-
-    Built by splitting q into a source copy and a sink copy so the empty
-    word is excluded while multi-visit loops still factor through single
-    returns (enough for every use below, since v* is closed under
-    concatenation).
-    """
-    src = d.n
-    snk = d.n + 1
-    edges = _fresh_edges(d.n + 2)
-    for p in range(d.n):
-        for ch, targets in d.edges[p].items():
-            for t in targets:
-                p2 = src if p == q else p
-                t2 = snk if t == q else t
-                _add_edge(edges, p2, ch, t2)
-    return Automaton(d.alphabet, d.n + 2, edges, frozenset({src}), frozenset({snk}))
-
-
 def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
     """Decide whether L(a) is scattered in the lexicographic order.
 
@@ -725,7 +801,7 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
     if d.finals == frozenset():
         return Scattered()
     successors = [[(ch, t) for ch, ts in row.items() for t in ts] for row in d.edges]
-    roots = cycle_roots(range(d.n), successors, lambda q: _cycle_language(d, q))
+    roots = cycle_roots(range(d.n), successors, d.alphabet)
     if isinstance(roots, tuple):
         return QuasiDense(*roots)
     return Scattered()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import regular
-from .counterset import NSetReport
+from .counterset import NSetReport, reach_sets
 from .regular import Automaton, Regex, parse_regex
 from .words import Alphabet, in_d1
 
@@ -447,8 +447,6 @@ def lift_run(
     """
     check_run(machine, run)
     if prime is None:
-        from .counterset import reach_sets
-
         prime = build_mprime(machine, reach_sets(machine))
     if not run:
         return []
@@ -519,79 +517,29 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
     """One NFA for the outputs over all nonempty balanced inputs of length ≤ nmax.
 
     Works on a machine and on its leveled form alike; the empty input is
-    the caller's to add.  The NFA lives on the configurations (state,
-    counter c, step i) with 0 ≤ c ≤ nmax − i.  Each configuration edge gets
-    its own copy of the transition's output DFA, whose final states take
-    the out-edges and the finality of the target configuration; when the
-    DFA accepts the empty word, the source configuration takes them too.
-    Configurations are finished in reverse step order, so each target is
-    done before its sources and no ε-closure is needed.  The size is
-    polynomial in nmax, where stepping each input word is exponential.
+    the caller's to add.  The NFA is :func:`regular.expand_graph` on the
+    configurations (state, counter c, step i) with 0 ≤ c ≤ nmax − i that
+    the initial one reaches, with an arc per transition that reads its
+    output language.  The size is polynomial in nmax, where stepping each
+    input word is exponential.
     """
     by_source: dict = {}
     for t in machine.transitions:
         by_source.setdefault(t.source, []).append(t)
-
-    def moves(q, c: int, i: int):
+    configs = [(machine.initial, 0, 0)]
+    seen = set(configs)
+    arcs = []
+    for q, c, i in configs:  # grows while it is walked
         for t in by_source.get(q, ()):
             c2 = c + 1 if t.bit == 0 else c - 1
             if 0 <= c2 <= nmax - i - 1:
-                yield t, (t.target, c2)
-
-    layers = [{(machine.initial, 0)}]
-    for i in range(nmax):
-        layers.append({cfg for q, c in layers[i] for _, cfg in moves(q, c, i)})
-
-    edges: list[dict[str, set[int]]] = []
-    finals: set[int] = set()
-
-    def merge(row: dict[str, set[int]], more: dict[str, set[int]]) -> None:
-        for ch, targets in more.items():
-            row.setdefault(ch, set()).update(targets)
-
-    # Per live configuration of the step after: its out-edges and finality.
-    after: dict = {}
-    for i in range(nmax, -1, -1):
-        done: dict = {}
-        for q, c in sorted(layers[i]):
-            row: dict[str, set[int]] = {}
-            final = i > 0 and c == 0 and q in machine.finals
-            for t, cfg in moves(q, c, i):
-                if cfg not in after:
-                    continue
-                row_after, final_after = after[cfg]
-                d = machine.compiled_output(t)
-                offset = len(edges)
-                for s in range(d.n):
-                    copy = {ch: {x + offset for x in xs} for ch, xs in d.edges[s].items()}
-                    if s in d.finals:
-                        merge(copy, row_after)
-                        if final_after:
-                            finals.add(s + offset)
-                    edges.append(copy)
-                # An initial state that is final (the DFA accepts ε) holds
-                # the target's out-edges already.
-                for s in d.initials:
-                    merge(row, edges[s + offset])
-                    final = final or (final_after and s in d.finals)
-            if row or final:
-                done[(q, c)] = (row, final)
-        after = done
-
-    start = len(edges)
-    row, final = after.get((machine.initial, 0), ({}, False))
-    edges.append(row)
-    if final:
-        finals.add(start)
-    return regular.trim(
-        Automaton(
-            machine.alphabet,
-            len(edges),
-            [{ch: frozenset(xs) for ch, xs in r.items()} for r in edges],
-            frozenset({start}),
-            frozenset(finals),
-        )
-    )
+                cfg = (t.target, c2, i + 1)
+                if cfg not in seen:
+                    seen.add(cfg)
+                    configs.append(cfg)
+                arcs.append(((q, c, i), machine.compiled_output(t), cfg))
+    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in machine.finals]
+    return regular.expand_graph(configs, arcs, configs[:1], finals, machine.alphabet)
 
 
 def default_output_cap(machine: Transducer, nmax: int) -> int:

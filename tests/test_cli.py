@@ -290,7 +290,7 @@ def test_usage_errors_exit_one(capsys, argv):
     assert err.strip()
 
 
-@pytest.mark.parametrize("flag", ["--input-cap", "--output-cap"])
+@pytest.mark.parametrize("flag", ["--input-cap", "--output-cap", "--counter-cap"])
 def test_negative_caps_are_usage_errors(capsys, flag):
     code, out, err = run_cli(capsys, ["enumerate", fixture_path("fig1.oct"), flag, "-3"])
     assert code == 1

@@ -18,19 +18,19 @@ from ocrank.components import (
     FullyCertified,
     QuasiDenseWitness,
     ZeroCertified,
-    arc_graph,
     certify_component,
     condense,
     cycle_outputs,
-    expand_graph,
     internal_transitions,
     scc_index_of,
     tight_transitions,
 )
 from ocrank.counterset import CertificationError, reach_sets
 from ocrank.regular import (
+    arc_graph,
     compile_regex,
     equivalent,
+    expand_graph,
     is_empty_language,
     longest_potential,
     parse_regex,
@@ -266,29 +266,6 @@ def test_longest_potential_edge_cases():
     cycle = longest_potential(edges)
     assert sorted(cycle) == [(0, 1, 1), (1, 1, 2), (2, -1, 0)]
     check_longest_potential(edges)
-
-
-# --- expanding automaton-labeled graphs ---------------------------------------------
-
-
-def test_expand_graph_single_arc():
-    a = expand_graph(["u", "v"], [("u", lang("ab+b*a", AB), "v")], ["u"], ["v"], AB)
-    assert equivalent(a, lang("ab+b*a", AB))
-
-
-def test_expand_graph_series_and_loop():
-    arcs = [
-        ("u", lang("a", AB), "m"),
-        ("m", lang("bb", AB), "m"),
-        ("m", lang("a+b", AB), "v"),
-    ]
-    a = expand_graph(["u", "m", "v"], arcs, ["u"], ["v"], AB)
-    assert equivalent(a, lang("a(bb)*(a+b)", AB))
-
-
-def test_expand_graph_no_path_is_empty():
-    a = expand_graph(["u", "v"], [("v", lang("a", AB), "v")], ["u"], ["v"], AB)
-    assert is_empty_language(a)
 
 
 # --- cycle outputs and certification -------------------------------------------------
@@ -535,6 +512,7 @@ def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
                 got = assert_cycle_roots_match(
                     anchors,
                     successors,
+                    prime.alphabet,
                     lambda s, transitions=transitions: cycle_outputs(c, s, prime, transitions),
                 )
                 outcomes[f"{stage} {'clash' if isinstance(got, tuple) else 'pass'}"] += 1
@@ -552,3 +530,34 @@ def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
                 if not isinstance(got, tuple):
                     break
     assert min(outcomes.values()) >= 2, outcomes
+
+
+def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
+    """Stage 2 builds the cycle language of each looping tight component
+    from that component's nodes alone, not from the whole tight graph."""
+    machine = two_zero_loops("b")
+    prime = build_mprime(machine, reach_sets(machine))
+    calls = []
+    closed_walks = regular.closed_walks
+
+    def recorded(successors, anchor, members, alphabet):
+        cycles = closed_walks(successors, anchor, members, alphabet)
+        calls.append((successors, anchor, members, cycles))
+        return cycles
+
+    monkeypatch.setattr(regular, "closed_walks", recorded)
+    window_components = 0
+    for c in condense(prime):
+        calls.clear()
+        if c.trivial or not isinstance(certify_component(c, prime), ZeroCertified):
+            continue
+        graphs = list({id(s): s for s, *_ in calls}.values())
+        assert len(graphs) == 2  # stage 1, then the tight graph of stage 2
+        component_of = {x: m for m in arc_components(graphs[1]) for x in m}
+        stage2 = [call for call in calls if call[0] is graphs[1]]
+        assert len(stage2) == 4
+        for _, anchor, members, cycles in stage2:
+            assert list(members) == component_of[anchor]
+            assert cycles.n <= len(members) + 1
+        window_components += 1
+    assert window_components >= 1

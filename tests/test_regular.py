@@ -29,6 +29,7 @@ from ocrank.regular import (
     cycle_roots,
     determinize,
     equivalent,
+    expand_graph,
     finite_rank_bound,
     has_word_longer_than,
     intersect,
@@ -321,6 +322,33 @@ def test_subset_of_power_sound_and_complete():
                 assert witness != v * (len(witness) // max(1, len(v)))
 
 
+# --- graphs whose arcs carry automata ------------------------------------------------
+
+
+def _lang(text: str) -> Automaton:
+    return compile_regex(parse_regex(text, AB), AB)
+
+
+def test_expand_graph_single_arc():
+    a = expand_graph(["u", "v"], [("u", _lang("ab+b*a"), "v")], ["u"], ["v"], AB)
+    assert equivalent(a, _lang("ab+b*a"))
+
+
+def test_expand_graph_series_and_loop():
+    arcs = [
+        ("u", _lang("a"), "m"),
+        ("m", _lang("bb"), "m"),
+        ("m", _lang("a+b"), "v"),
+    ]
+    a = expand_graph(["u", "m", "v"], arcs, ["u"], ["v"], AB)
+    assert equivalent(a, _lang("a(bb)*(a+b)"))
+
+
+def test_expand_graph_no_path_is_empty():
+    a = expand_graph(["u", "v"], [("v", _lang("a"), "v")], ["u"], ["v"], AB)
+    assert is_empty_language(a)
+
+
 # --- scatteredness of a regular language ---------------------------------------
 
 
@@ -365,6 +393,26 @@ def test_regular_scattered_against_cycle_oracle():
         assert bool(verdict) != expected_dense, str(r)
 
 
+def dfa_cycle_language(d: Automaton, q: int) -> Automaton:
+    """Words labelling nonempty closed paths q → q in the DFA ``d``.
+
+    Built by splitting q into a source copy and a sink copy so the empty
+    word is excluded while multi-visit loops still factor through single
+    returns.  Independent of ``regular.closed_walks``, as the per-anchor
+    oracle's cycle language.
+    """
+    src = d.n
+    snk = d.n + 1
+    edges = [{} for _ in range(d.n + 2)]
+    for p in range(d.n):
+        for ch, targets in d.edges[p].items():
+            for t in targets:
+                p2 = src if p == q else p
+                t2 = snk if t == q else t
+                edges[p2][ch] = edges[p2].get(ch, frozenset()) | {t2}
+    return Automaton(d.alphabet, d.n + 2, edges, frozenset({src}), frozenset({snk}))
+
+
 def per_anchor_cycle_roots(anchors, cycle_language):
     """One cycle language and one inclusion test per anchor: the loop that
     ``cycle_roots`` replaced, kept as its reference."""
@@ -382,25 +430,27 @@ def per_anchor_cycle_roots(anchors, cycle_language):
     return roots
 
 
-def assert_cycle_roots_match(anchors, successors, cycle_language):
-    """``cycle_roots`` gives what the per-anchor loop gives, key order
-    included, and builds at most one cycle language per component of the
-    arc graph.  Returns its result."""
+def assert_cycle_roots_match(anchors, successors, alphabet, cycle_language):
+    """``cycle_roots`` gives what the per-anchor loop on ``cycle_language``
+    gives, key order included, and builds at most one cycle language per
+    component of the arc graph.  Returns its result."""
     called = []
+    closed_walks = regular.closed_walks
 
-    def counted(anchor):
+    def counted(successors, anchor, members, alphabet):
         called.append(anchor)
-        return cycle_language(anchor)
+        return closed_walks(successors, anchor, members, alphabet)
 
-    got = cycle_roots(anchors, successors, counted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regular, "closed_walks", counted)
+        got = cycle_roots(anchors, successors, alphabet)
     want = per_anchor_cycle_roots(anchors, cycle_language)
     if isinstance(want, dict):
         assert isinstance(got, dict) and list(got.items()) == list(want.items())
     else:
         assert got == want
     component_of = {x: i for i, members in enumerate(arc_components(successors)) for x in members}
-    node_of = {anchor: i for i, anchor in enumerate(anchors)}
-    built = [component_of[node_of[anchor]] for anchor in called]
+    built = [component_of[anchor] for anchor in called]
     assert len(built) == len(set(built)), called
     return got
 
@@ -429,7 +479,7 @@ def test_cycle_roots_match_the_per_anchor_loop_on_random_dfas():
         checked += 1
         successors = [[(ch, t) for ch, ts in row.items() for t in ts] for row in d.edges]
         got = assert_cycle_roots_match(
-            range(d.n), successors, lambda q: regular._cycle_language(d, q)
+            range(d.n), successors, d.alphabet, lambda q: dfa_cycle_language(d, q)
         )
         verdict = regular_scattered(a)
         looping = arc_components(successors, looping_only=True)

@@ -13,6 +13,7 @@ check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -576,7 +577,9 @@ def _cap(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: building it costs more than a parse."""
     parser = _Parser(
         prog="ocrank",
         description="Order-type analysis of one-counter transductions.",

@@ -5,13 +5,16 @@ the edges of a finite graph (0-labelled input opens, 1-labelled closes).
 Their per-state reachability sets are ultimately periodic; this module
 computes them *with certificates* rather than by unverified exploration:
 
-* configurations are explored to an internal horizon ``cap + |Q|²`` — any
-  value reachable at all below the cap is reachable by a run whose peak
-  stays below the horizon, so the explored slices are exact on [0, cap];
-* the candidate period is the gcd of the weights of the cycles that could
-  occur on a run into the state in question, taken per strongly connected
-  component from a potential in linear time, not by listing cycles;
-* the claimed tail is accepted once the explored slice is periodic on a
+* the states reached with counter c are computed level by level: a run
+  to counter c splits, at its last visit to each lower level, into c
+  single opens joined by Dyck paths (weight 0, never below their start),
+  so level c is the Dyck closure of the open-image of level c − 1; once a
+  level repeats the rest is copied, and the sets are exact on [0, cap];
+* the candidate period is the gcd of the weights of the cycles that can
+  occur on a run into the state in question after its counter was first
+  pumped up, taken per strongly connected component from a potential in
+  linear time, not by listing cycles;
+* the claimed tail is accepted once the computed slice is periodic on a
   closing window and every claimed residue class exhibits a pumping
   witness (a window member together with a positive-weight cycle that can
   reach the state).
@@ -26,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .regular import Regex, compile_regex, longest_potential, parse_regex, tarjan_sccs, trim
+from .regular import Regex, compile_regex, longest_potential, parse_regex, tarjan_sccs
 from .words import BINARY
 
 
@@ -206,83 +209,210 @@ class SliceCertificate:
     # residue -> (window member, positive cycle weight usable from there)
 
 
-def _cycle_summary(n: int, edges, restrict: set[int]):
-    """Cycle data of each strongly connected component inside ``restrict``.
+def _bit_list(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Returns ``(states, g, positive)`` for every component with a cycle.
-    ``g`` is the gcd of its cycle weights: with π(v) the weight of a
-    breadth-first path from one state to v, every edge value
-    π(u) + w − π(v) is the difference of two closed walks' weights, and a
-    cycle's weight is the sum of its edge values, so both gcds agree.
-    ``positive`` is the weight of a simple positive cycle, or None if there
-    is none: the one :func:`~ocrank.regular.longest_potential` returns,
-    O(|S|·|E|).
+
+def _image(mask: int, table: list[int]) -> int:
+    """Union of ``table[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def dyck_closure(opens: list[int], closes: list[int]) -> list[int]:
+    """The Dyck relation Z of a ±1 system, one state bitmask per state.
+
+    ``opens[p]`` and ``closes[p]`` are the targets of p's +1 and −1 edges.
+    p Z q when some path from p to q weighs 0 and never goes below its
+    start.  Such a path is empty or a sequence of blocks open · Z · close,
+    so Z is the least reflexive, transitive relation closed under that
+    rule; saturating from the identity reaches it.
     """
-    inside = [(p, w, q) for p, w, q in edges if p in restrict and q in restrict]
+    z = [1 << p for p in range(len(opens))]
+    changed = True
+    while changed:
+        changed = False
+        for p, row in enumerate(z):
+            grown = _image(row | _image(_image(opens[p], z), closes), z)
+            if grown != row:
+                z[p] = grown
+                changed = True
+    return z
+
+
+def level_counters(
+    n: int, edges: list[tuple[int, int, int]], starts: list[int], cap: int
+) -> list[int]:
+    """The counters each state takes on [0, cap], as bitmasks (bit c: c).
+
+    Runs start at the ``starts`` with counter 0.  Level c, the states
+    reached with counter c, is Z(open-image(level c − 1)), and level 0 is
+    Z(starts): a run to (q, c) splits at its last visit to each of the
+    levels 0 … c − 1 into Dyck paths (:func:`dyck_closure`) joined by c
+    single opens, and every such chain is a run.  Level c depends on
+    level c − 1 alone, so once a level repeats the rest cycles and is
+    copied up to the cap instead of computed.
+    """
+    opens = [0] * n
+    closes = [0] * n
+    for p, w, q in edges:
+        if w > 0:
+            opens[p] |= 1 << q
+        else:
+            closes[p] |= 1 << q
+    z = dyck_closure(opens, closes)
+    level = _image(sum(1 << s for s in set(starts)), z)
+    first: dict[int, int] = {}
+    levels: list[int] = []
+    while level not in first and len(levels) <= cap:
+        first[level] = len(levels)
+        levels.append(level)
+        level = _image(_image(level, opens), z)
+    counters = [0] * n
+    for c, states in enumerate(levels):
+        for q in _bit_list(states):
+            counters[q] |= 1 << c
+    if len(levels) <= cap:
+        start = first[level]
+        length = len(levels) - start
+        copies = (cap - start) // length + 1
+        # A one every `length` bits: multiplying lays copies of the loop's
+        # block side by side.
+        spread = ((1 << (length * copies)) - 1) // ((1 << length) - 1)
+        keep = (1 << (cap + 1)) - 1
+        counters = [(bits | ((bits >> start) * spread) << start) & keep for bits in counters]
+    return counters
+
+
+def _cycle_summary(n: int, edges, reached: set[int]) -> list[tuple[int, int, int] | None]:
+    """Per state q, the cycle data ``(p, λ, w)`` of the runs into q.
+
+    Works on the condensation of the reached states.  Each strongly
+    connected component S with a cycle has g_S, the gcd of its cycle
+    weights: with π(v) the weight of a breadth-first path from one state
+    to v, every edge value π(u) + w − π(v) is the difference of two closed
+    walks' weights, and a cycle's weight is the sum of its edge values, so
+    both gcds agree.  S may also have a simple positive cycle, the one
+    :func:`~ocrank.regular.longest_potential` returns, O(|S|·|E|).
+
+    S counts toward q when it lies among q's ancestors and has a positive
+    cycle or lies downstream of a component that has one.  p is the gcd of
+    g_S over those S, λ the lcm of g_S over the ones with a positive cycle,
+    and w the positive cycle weight of the first of these in the
+    condensation's order.  The entry is None when no component with a
+    positive cycle lies among q's ancestors.  One pass over the
+    condensation in topological order carries all three, since gcd, lcm and
+    "first" ignore repeats.
+    """
+    inside = [(p, w, q) for p, w, q in edges if p in reached and q in reached]
     successors: list[set[int]] = [set() for _ in range(n)]
     adj: dict[int, list[tuple[int, int]]] = {}
     for p, w, q in inside:
         successors[p].add(q)
         adj.setdefault(p, []).append((w, q))
     components = tarjan_sccs(n, [sorted(s) for s in successors])
-    component_of = {s: i for i, comp in enumerate(components) for s in comp}
+    component_of = [0] * n
+    for i, comp in enumerate(components):
+        for s in comp:
+            component_of[s] = i
     inner: list[list[tuple[int, int, int]]] = [[] for _ in components]
+    later: list[set[int]] = [set() for _ in components]
     for p, w, q in inside:
-        if component_of[p] == component_of[q]:
-            inner[component_of[p]].append((p, w, q))
+        a, b = component_of[p], component_of[q]
+        if a == b:
+            inner[a].append((p, w, q))
+        else:
+            later[a].add(b)
 
-    summary = []
-    for comp, comp_edges in zip(components, inner):
-        if not comp_edges:
-            continue
-        potential = {comp[0]: 0}
-        dq = deque([comp[0]])
-        while dq:
-            x = dq.popleft()
-            for w, t in adj[x]:
-                if t not in potential and component_of[t] == component_of[x]:
-                    potential[t] = potential[x] + w
-                    dq.append(t)
-        g = 0
-        for p, w, q in comp_edges:
-            g = math.gcd(g, potential[p] + w - potential[q])
-
-        cycle = longest_potential(comp_edges)
-        positive = None if isinstance(cycle, dict) else sum(w for _, w, _ in cycle)
-        summary.append((frozenset(comp), g, positive))
-    return summary
+    k = len(components)
+    period = [0] * k  # gcd of g_S over the counted components so far
+    lam = [1] * k
+    first = [k] * k  # first component with a positive cycle, k for none
+    positive: dict[int, int] = {}
+    # Tarjan lists sinks first, so walking it backwards meets every
+    # component after all of its ancestors.
+    for i in reversed(range(k)):
+        if inner[i]:
+            comp = components[i]
+            potential = {comp[0]: 0}
+            dq = deque([comp[0]])
+            while dq:
+                x = dq.popleft()
+                for w, t in adj[x]:
+                    if t not in potential and component_of[t] == i:
+                        potential[t] = potential[x] + w
+                        dq.append(t)
+            g = 0
+            for p, w, q in inner[i]:
+                g = math.gcd(g, potential[p] + w - potential[q])
+            cycle = longest_potential(inner[i])
+            if not isinstance(cycle, dict):
+                positive[i] = sum(w for _, w, _ in cycle)
+                lam[i] = math.lcm(lam[i], g)
+                first[i] = min(first[i], i)
+            if first[i] < k:
+                period[i] = math.gcd(period[i], g)
+        for j in later[i]:
+            period[j] = math.gcd(period[j], period[i])
+            lam[j] = math.lcm(lam[j], lam[i])
+            first[j] = min(first[j], first[i])
+    return [
+        None if first[i] == k else (period[i], lam[i], positive[first[i]])
+        for i in component_of
+    ]
 
 
 def certified_slices(
     n: int,
     edges: list[tuple[int, int, int]],
-    starts: list[tuple[int, int]],
+    starts: list[int],
     cap: int,
 ) -> tuple[list[UPSet], list[SliceCertificate]]:
     """Per-state reachability sets of a ±1 counter system with certificates.
 
     ``edges`` are (source, weight, target) with weight ±1; the counter may
-    never drop below zero.  ``starts`` are the initial configurations.  The
-    returned sets are exact on [0, cap] and certified beyond.
+    never drop below zero.  Runs start at the ``starts`` with counter 0.
+    The returned sets are exact on [0, cap] (:func:`level_counters`) and
+    certified beyond.
 
     Cycle data comes per strongly connected component S of the reached
     states (:func:`_cycle_summary`): g_S, the gcd of S's cycle weights, and
-    one positive cycle if S has any.  S matters for q when it lies among
-    q's ancestors.  The candidate period p is the gcd of the relevant g_S,
-    the same number as the gcd over the relevant simple cycles, since
-    closed walks decompose into simple cycles.  The slice is finite unless
-    some relevant S has a positive cycle; that cycle is the pump witness.
+    one positive cycle if S has any.  The candidate period p is the gcd of
+    g_S over the S that count for q: those among q's ancestors that have a
+    positive cycle or lie downstream of one.  It is the same number as the
+    gcd over those components' simple cycles, since closed walks decompose
+    into simple cycles.  The slice is finite unless a counted S has a
+    positive cycle; that cycle is the pump witness.
+
+    Leaving out the other components loses nothing.  A run can only be in
+    such an S before it enters any component with a positive cycle, so up
+    to there it has walked a graph without positive cycles and its counter
+    stays below n.  Their cycles only decide which of the finitely many
+    configurations with counter below n the pumping part of a run starts
+    from: they shape the finite part, not the tail.  Counting them could
+    only make p a smaller divisor of the tail's period, which fails the
+    window check at every cap.
 
     When the cap allows, the window checked for p-periodicity is widened
-    by 2λ ("lcm-window"), with λ the lcm of g_S over the relevant S that
+    by 2λ ("lcm-window"), with λ the lcm of g_S over the counted S that
     have a positive cycle.  This is sound:
 
     * g_S divides every cycle weight in S, so λ divides the lcm of the
-      relevant positive simple-cycle weights: the window is never wider
+      counted positive simple-cycle weights: the window is never wider
       than one sized by listing those cycles;
     * a branch of runs that pumps through S has a tail period dividing
       g_S, so the true tail period of the slice divides λ;
-    * a window that passes yields the explored set on [0, cap] extended
+    * a window that passes yields the set on [0, cap] extended
       p-periodically, whose canonical :class:`UPSet` does not depend on the
       window's width.  Widening can turn a pass into a refusal, never
       change the set claimed.
@@ -292,78 +422,31 @@ def certified_slices(
             f"counter cap {cap} is too small for {n} states; "
             f"pass --counter-cap {default_counter_cap(n)} or higher"
         )
-    margin = n * n
-    horizon = cap + margin
-
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for p, w, q in edges:
-        adj.setdefault(p, []).append((w, q))
-    reached: list[set[int]] = [set() for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    queue: deque[tuple[int, int]] = deque()
-    for q, c in starts:
-        if 0 <= c <= horizon and (q, c) not in seen:
-            seen.add((q, c))
-            queue.append((q, c))
-    while queue:
-        q, c = queue.popleft()
-        reached[q].add(c)
-        for w, t in adj.get(q, ()):
-            c2 = c + w
-            if 0 <= c2 <= horizon and (t, c2) not in seen:
-                seen.add((t, c2))
-                queue.append((t, c2))
-
-    reached_states = {q for q in range(n) if reached[q]}
-
-    # Which states can reach q, ignoring the counter.
-    radj: dict[int, list[int]] = {}
-    for p, _, q in edges:
-        radj.setdefault(q, []).append(p)
-    ancestors: list[set[int]] = []
-    for q in range(n):
-        anc = {q}
-        dq = deque([q])
-        while dq:
-            x = dq.popleft()
-            for p in radj.get(x, ()):
-                if p not in anc:
-                    anc.add(p)
-                    dq.append(p)
-        ancestors.append(anc)
-
-    cycles = _cycle_summary(n, edges, reached_states)
+    counters = level_counters(n, edges, starts, cap)
+    summary = _cycle_summary(n, edges, {q for q in range(n) if counters[q]})
 
     slices: list[UPSet] = []
     certificates: list[SliceCertificate] = []
-    for q in range(n):
-        members = reached[q]
-        if not members:
+    for q, bits in enumerate(counters):
+        if not bits:
             slices.append(UPSet.empty())
             certificates.append(SliceCertificate(q, "empty"))
             continue
 
-        # A component's cycles can occur on a run into q exactly when the
-        # component lies among q's ancestors.
-        relevant = [(g, pos) for states, g, pos in cycles if states <= ancestors[q]]
-        pumps = [(g, pos) for g, pos in relevant if pos is not None]
-
-        if not pumps:
+        if summary[q] is None:
             # Nothing can pump the counter up on the way to q, so any value
             # at q is bounded by the longest simple path: the slice is the
             # whole set.
-            values = {c for c in members if c <= cap}
-            if values and max(values) > n:
+            if bits >> (n + 1):
                 raise CertificationError(
-                    f"state {q}: counter {max(values)} reached without any "
+                    f"state {q}: counter {bits.bit_length() - 1} reached without any "
                     "positive cycle — analysis inconsistent"
                 )
-            slices.append(UPSet.from_finite(values))
+            slices.append(UPSet.from_finite(_bit_list(bits)))
             certificates.append(SliceCertificate(q, "finite"))
             continue
 
-        p = math.gcd(*(g for g, _ in relevant))
-        lam = math.lcm(*(g for g, _ in pumps))
+        p, lam, weight = summary[q]
         base_width = max(2 * p, n + 2)
         mode = "gcd-window"
         width = base_width
@@ -372,38 +455,46 @@ def certified_slices(
             mode = "lcm-window"
         threshold = max(0, cap - width)
 
-        for c in range(threshold, cap - p):
-            if (c in members) != ((c + p) in members):
-                raise CertificationError(
-                    f"state {q}: explored counters are not {p}-periodic on "
-                    f"[{threshold}, {cap}); rerun with a larger --counter-cap "
-                    f"(currently {cap})"
-                )
+        # Bit c of ``shifted`` is set when c and c + p disagree.
+        shifted = (bits >> p) ^ bits
+        compared = ((1 << max(0, cap - p - threshold)) - 1) << threshold
+        if shifted & compared:
+            raise CertificationError(
+                f"state {q}: explored counters are not {p}-periodic on "
+                f"[{threshold}, {cap}); rerun with a larger --counter-cap "
+                f"(currently {cap})"
+            )
 
-        residues = {c % p for c in members if threshold <= c < cap}
-        if not residues:
+        # Least window member above n of each residue class met in the
+        # window, or None while the class has none.
+        pumpable: dict[int, int | None] = {}
+        for c in _bit_list(bits & ((1 << cap) - (1 << threshold))):
+            if pumpable.get(c % p) is None:
+                pumpable[c % p] = c if c > n else None
+        if not pumpable:
             # The window is empty, and any member beyond the cap could be
             # pulled back into it, so there is none: the set is finite.
-            slices.append(UPSet.from_finite({c for c in members if c <= cap}))
+            slices.append(UPSet.from_finite(_bit_list(bits)))
             certificates.append(
                 SliceCertificate(q, "finite", period=p, window=(threshold, cap))
             )
             continue
 
         witnesses: dict[int, tuple[int, int]] = {}
-        for r in sorted(residues):
-            pumpable = [
-                c for c in members if threshold <= c < cap and c % p == r and c > n
-            ]
-            if not pumpable:
+        for r in sorted(pumpable):
+            member = pumpable[r]
+            if member is None:
                 raise CertificationError(
                     f"state {q}: residue class {r} (mod {p}) has no pumpable "
                     f"window member; rerun with a larger --counter-cap"
                 )
-            witnesses[r] = (pumpable[0], pumps[0][1])
+            witnesses[r] = (member, weight)
 
-        finite = {c for c in members if c < threshold}
-        slices.append(UPSet.build(threshold, finite, p, residues))
+        # Below the window the set follows its tail down to the last
+        # disagreement, which is where the canonical threshold lies.
+        start = (shifted & ((1 << threshold) - 1)).bit_length()
+        finite = _bit_list(bits & ((1 << start) - 1))
+        slices.append(UPSet.build(start, finite, p, pumpable))
         certificates.append(
             SliceCertificate(
                 q,
@@ -458,7 +549,7 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     """Certified forward/backward counter analysis of a transducer.
 
     Works on the machine as given.  ``counter_cap`` overrides the default
-    exploration cap (see :func:`default_counter_cap`).
+    end of the certified window (see :func:`default_counter_cap`).
     """
     states = list(machine.states)
     index = {q: i for i, q in enumerate(states)}
@@ -472,10 +563,10 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     backward = [(q, -w, p) for p, w, q in forward]
 
     minus_slices, minus_certs = certified_slices(
-        n, forward, [(index[machine.initial], 0)], cap
+        n, forward, [index[machine.initial]], cap
     )
     plus_slices, plus_certs = certified_slices(
-        n, backward, [(index[f], 0) for f in sorted(machine.finals)], cap
+        n, backward, [index[f] for f in sorted(machine.finals)], cap
     )
 
     minus = {q: minus_slices[index[q]] for q in states}
@@ -504,7 +595,7 @@ def worked_close_image(
     """
     if isinstance(r, str):
         r = parse_regex(r, alphabet)
-    d = trim(compile_regex(r, alphabet))
+    d = compile_regex(r, alphabet)
     if d.finals == frozenset():
         return UPSet.empty()
     reversed_edges = []
@@ -513,9 +604,7 @@ def worked_close_image(
             for t in targets:
                 reversed_edges.append((t, 1 if ch == "1" else -1, p))
     cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
-    slices, _ = certified_slices(
-        d.n, reversed_edges, [(f, 0) for f in sorted(d.finals)], cap
-    )
+    slices, _ = certified_slices(d.n, reversed_edges, sorted(d.finals), cap)
     image = UPSet.empty()
     for q in sorted(d.initials):
         image = up_union(image, slices[q])

@@ -34,6 +34,35 @@ def fig2() -> Transducer:
     return machine
 
 
+# Two machines of the benchmark's random soups.  Each has a cycle that no
+# run can take once the counter is pumped up (m365: the opening s2
+# self-loop, read backwards; m138: the closing s0 self-loop), which used to
+# force period 1 on a slice whose tail is the even numbers, so the window
+# check refused them at every cap.
+M365 = """alphabet a b
+states s0 s1 s2 s3 s4 s5
+initial s0
+final s0 s5
+trans s0 0 s2 a
+trans s2 1 s5 b*a
+trans s0 1 s4 a(b+a)
+trans s4 1 s0 b*a
+trans s2 0 s2 a(b+a)
+trans s1 1 s5 b
+"""
+
+M138 = """alphabet a b
+states s0 s1 s2 s3
+initial s0
+final s1
+trans s0 0 s2 a(b+a)
+trans s2 1 s1 a
+trans s0 1 s0 b*a
+trans s3 0 s1 ab
+trans s1 0 s3 a*
+"""
+
+
 OUTPUT_POOL = ("a", "b", "ab", "a*", "a+b", "b*a", "eps", "a(b+a)")
 
 

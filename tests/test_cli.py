@@ -10,7 +10,7 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, M138, M365, fixture_path
 import ocrank
 from ocrank.cli import (
     Fixture,
@@ -329,7 +329,55 @@ def test_help_exits_zero(capsys):
     assert "usage" in out.lower()
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # The parser is built once per process; a failed parse must leave
+    # nothing behind for the calls after it.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys; from ocrank.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (
+        ["rank", fixture_path("fig1.oct"), "--input-cap", "x"],
+        ["rank", fixture_path("fig1.oct")],
+        ["--help"],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+        )
+        assert run_cli(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 # --- command output --------------------------------------------------------------------
+
+
+def test_rank_of_m365_is_certified(capsys, tmp_path):
+    path = tmp_path / "m365.oct"
+    path.write_text(M365)
+    code, out, err = run_cli(capsys, ["rank", str(path)])
+    assert (code, err) == (0, "")
+    assert out == (
+        "bound: 1\nstatus: Certified\n"
+        "  accepting edge (s2,1,up) -> (s5,0,down): 1 [Certified]\n"
+    )
+    code, out, err = run_cli(capsys, ["nsets", str(path)])
+    assert (code, err) == (0, "")
+    assert "s0: N- = {0} | N+ = {2t} | N = {0}" in out.splitlines()
+
+
+def test_check_of_m138_passes_every_check(capsys, tmp_path):
+    path = tmp_path / "m138.oct"
+    path.write_text(M138)
+    code, out, err = run_cli(
+        capsys, ["check", str(path), "--input-cap", "4", "--output-cap", "10"]
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "ok   structure: 4 states, 5 transitions",
+        "ok   counter-sets: P = 2, cap = 52",
+        "ok   leveling: 3 leveled states",
+        "ok   bounded-equality: languages agree on inputs up to 4",
+        "ok   lift-project: all runs up to length 4 round-trip",
+    ]
 
 
 def test_check_all_green_on_fixtures(capsys):

@@ -12,11 +12,13 @@ from collections import deque
 
 import pytest
 
+from ocrank import harness
 from ocrank.counterset import (
     CertificationError,
     UPSet,
     certified_slices,
     default_counter_cap,
+    level_counters,
     reach_sets,
     render_upset,
     select_period,
@@ -25,10 +27,11 @@ from ocrank.counterset import (
     up_union,
     worked_close_image,
 )
+from ocrank.cli import parse_fixture
 from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
 from ocrank.transducer import make_transducer
 from ocrank.words import BINARY, Alphabet
-from conftest import random_machine
+from conftest import M138, OUTPUT_POOL, random_machine
 
 
 # --- oracle helpers ------------------------------------------------------------
@@ -325,8 +328,8 @@ def counter_systems(machine):
         for t in machine.transitions
     ]
     backward = [(q, -w, p) for p, w, q in forward]
-    yield forward, [(index[machine.initial], 0)]
-    yield backward, [(index[f], 0) for f in sorted(machine.finals)]
+    yield forward, [index[machine.initial]]
+    yield backward, [index[f] for f in sorted(machine.finals)]
 
 
 def test_slice_cycle_data_matches_simple_cycle_enumeration(fig1, fig2):
@@ -347,10 +350,18 @@ def test_slice_cycle_data_matches_simple_cycle_enumeration(fig1, fig2):
             reached = {c.state for c in certificates if c.mode != "empty"}
             cycles = simple_cycles(edges, reached)
             ancestors = ancestors_of(n, edges)
+            # A cycle counts once a positive cycle can lead into it: the
+            # cycles before the first pump only shape the finite part.
+            pumps = [states for states, w in cycles if w > 0]
+            downstream = {x for x in range(n) if any(p & ancestors[x] for p in pumps)}
             for cert in certificates:
                 if cert.mode == "empty":
                     continue
-                weights = [w for states, w in cycles if states & ancestors[cert.state]]
+                weights = [
+                    w
+                    for states, w in cycles
+                    if states & ancestors[cert.state] and states & downstream
+                ]
                 positive = {w for w in weights if w > 0}
                 context = (machine.states, machine.transitions, cert)
                 assert (cert.period is not None) == bool(positive), context
@@ -364,3 +375,152 @@ def test_slice_cycle_data_matches_simple_cycle_enumeration(fig1, fig2):
                     assert weight in positive, context
     assert refused <= systems // 50, (refused, systems)
     assert pumped >= 300, pumped
+
+
+def test_counts_only_cycles_a_pumped_run_can_enter():
+    # m138 from the benchmark's check-enum soup: the s0 self-loop closes,
+    # so no run can take it, yet it made the period candidate 1 and the
+    # window check refused s1's even numbers at every cap.
+    machine = parse_fixture(M138).value
+    for cap in (default_counter_cap(4), 100, 1000):
+        report = reach_sets(machine, counter_cap=cap)
+        assert render_upset(report.minus["s1"]) == "{2t}"
+        assert render_upset(report.minus["s3"]) == "{1+2t}"
+        assert report.period == 2
+
+
+# --- level-by-level counters against a configuration search ------------------------
+
+
+def search_counters(n: int, edges, starts, cap: int) -> list[set[int]]:
+    """Per-state counters on [0, cap] by breadth-first search over the
+    (state, counter) configurations reached from the starts at counter 0.
+
+    Explores up to cap + n²: any value up to the cap that is reachable at
+    all is reachable by a run whose peak stays below that horizon.
+    """
+    horizon = cap + n * n
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for p, w, q in edges:
+        adj.setdefault(p, []).append((w, q))
+    seen = {(q, 0) for q in starts}
+    queue = deque(sorted(seen))
+    reached: list[set[int]] = [set() for _ in range(n)]
+    while queue:
+        q, c = queue.popleft()
+        if c <= cap:
+            reached[q].add(c)
+        for w, t in adj.get(q, ()):
+            c2 = c + w
+            if 0 <= c2 <= horizon and (t, c2) not in seen:
+                seen.add((t, c2))
+                queue.append((t, c2))
+    return reached
+
+
+def bits_of(mask: int) -> set[int]:
+    return {c for c in range(mask.bit_length()) if mask >> c & 1}
+
+
+def random_system(rng: random.Random):
+    """A random ±1 system of 1–9 states, with up to three start states and
+    a self-loop on up to two states."""
+    n = rng.randint(1, 9)
+    edges = [
+        (rng.randrange(n), rng.choice((1, -1)), rng.randrange(n))
+        for _ in range(rng.randint(0, 3 * n))
+    ]
+    edges += [(q, rng.choice((1, -1)), q) for q in rng.sample(range(n), min(n, rng.randint(0, 2)))]
+    return n, edges, rng.sample(range(n), rng.randint(1, min(3, n)))
+
+
+CLOSE_IMAGE_REGEXES = (
+    "11", "01", "1", "0", "(01)*1", "0*1*", "(000+01)*0(1(11)*+11)",
+    "(1(11)*0)*1", "(110+1)*(0+11)*", "((11)*0(111)*)*1", "(0(1+00)*1)*11",
+)
+
+
+def close_image_system(regex_text: str):
+    """The reversed DFA of ``worked_close_image``: 1 opens, 0 closes."""
+    d = compile_regex(parse_regex(regex_text, BINARY), BINARY)
+    edges = [
+        (t, 1 if ch == "1" else -1, p)
+        for p in range(d.n)
+        for ch, targets in d.edges[p].items()
+        for t in targets
+    ]
+    return d.n, edges, sorted(d.finals)
+
+
+def kernel_systems(fig1, fig2):
+    rng = random.Random(20261019)
+    machines = [fig1, fig2] + [complete_machine(n) for n in range(1, 9)]
+    machines += [dense_machine(rng) for _ in range(100)]
+    for machine in machines:
+        for edges, starts in counter_systems(machine):
+            yield len(machine.states), edges, starts
+    for text in CLOSE_IMAGE_REGEXES:
+        yield close_image_system(text)
+    for _ in range(2000):
+        yield random_system(rng)
+
+
+def test_level_counters_match_configuration_search(fig1, fig2):
+    rng = random.Random(7)
+    systems = refused = 0
+    for n, edges, starts in kernel_systems(fig1, fig2):
+        systems += 1
+        cap = default_counter_cap(n)
+        expected = search_counters(n, edges, starts, cap)
+        got = [bits_of(bits) for bits in level_counters(n, edges, starts, cap)]
+        assert got == expected, (n, edges, starts, cap)
+        small = rng.randint(0, 3 * n)
+        got = [bits_of(bits) for bits in level_counters(n, edges, starts, small)]
+        assert got == search_counters(n, edges, starts, small), (n, edges, starts, small)
+        # The certified sets read the same counters off the bitmasks.
+        try:
+            slices, _ = certified_slices(n, edges, starts, cap)
+        except CertificationError:
+            refused += 1
+            continue
+        assert [set(s.values_up_to(cap)) for s in slices] == expected, (n, edges, starts)
+    assert systems >= 2200 and refused == 0, (systems, refused)
+
+
+def bench_style_machines(rng: random.Random, count: int):
+    """Random machines drawn as the benchmark's soup draws them.
+
+    State and transition counts cycle through 1..6 and 2..12, a short
+    open/close path into a final state is planted, and repeated
+    transitions are dropped.
+    """
+    for i in range(count):
+        n, size = 1 + i % 6, 2 + (i // 6) % 11
+        states = [f"s{j}" for j in range(n)]
+        finals = sorted(rng.sample(states, rng.randint(1, n)))
+        mid = rng.choice(states)
+        trans = [
+            (states[0], 0, mid, rng.choice(OUTPUT_POOL)),
+            (mid, 1, rng.choice(finals), rng.choice(OUTPUT_POOL)),
+        ]
+        while len(trans) < size:
+            trans.append(
+                (rng.choice(states), rng.choice((0, 1)), rng.choice(states), rng.choice(OUTPUT_POOL))
+            )
+        yield make_transducer(
+            states, states[0], finals, list(dict.fromkeys(trans)), Alphabet(("a", "b"))
+        )
+
+
+def test_no_refusals_at_the_default_cap_on_bench_style_machines():
+    # Seed 5 holds a machine that was refused at the default cap while
+    # cycles that no pumped run can enter still counted toward the period.
+    machines = [m for seed in range(8) for m in bench_style_machines(random.Random(seed), 300)]
+    for machine in machines:
+        report = reach_sets(machine)
+        oracle = harness.upset_oracle(machine, 60)
+        for q in machine.states:
+            for name in ("minus", "plus", "meet"):
+                got = frozenset(getattr(report, name)[q].values_up_to(60))
+                assert got == getattr(oracle, name)[q], (machine.transitions, q, name)
+    assert len(machines) == 2400

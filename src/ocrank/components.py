@@ -140,7 +140,7 @@ def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransitio
     potential = regular.longest_potential(
         [(tt.source, _weight(tt), tt.target) for tt in transitions]
     )
-    if not isinstance(potential, dict):
+    if potential is None:
         return None
     return [
         tt for tt in transitions if potential[tt.source] + _weight(tt) == potential[tt.target]

@@ -3,33 +3,26 @@
 The counter systems analyzed here move a nonnegative counter by ±1 along
 the edges of a finite graph (0-labelled input opens, 1-labelled closes).
 Their per-state reachability sets are ultimately periodic; this module
-computes them *with certificates* rather than by unverified exploration:
+computes them exactly, level by level, rather than by unverified
+exploration.  A run to counter c splits, at its last visit to each lower
+level, into c single opens joined by Dyck paths (weight 0, never below
+their start), so level c, the set of states reached with counter c, is
+the Dyck closure of the open-image of level c − 1.  Level c depends on
+level c − 1 alone, so the first level that repeats an earlier one proves
+every later level: the levels cycle from there on, and each state's set
+is read off one turn of the cycle.  That repeat is the certificate.
 
-* the states reached with counter c are computed level by level: a run
-  to counter c splits, at its last visit to each lower level, into c
-  single opens joined by Dyck paths (weight 0, never below their start),
-  so level c is the Dyck closure of the open-image of level c − 1; once a
-  level repeats the rest is copied, and the sets are exact on [0, cap];
-* the candidate period is the gcd of the weights of the cycles that can
-  occur on a run into the state in question after its counter was first
-  pumped up, taken per strongly connected component from a potential in
-  linear time, not by listing cycles;
-* the claimed tail is accepted once the computed slice is periodic on a
-  closing window and every claimed residue class exhibits a pumping
-  witness (a window member together with a positive-weight cycle that can
-  reach the state).
-
-If any of this fails the analysis aborts with a :class:`CertificationError`
-suggesting a larger ``--counter-cap`` instead of guessing.
+If no level repeats within the counter cap the analysis aborts with a
+:class:`CertificationError` suggesting a larger ``--counter-cap`` instead
+of guessing.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .regular import Regex, compile_regex, longest_potential, parse_regex, tarjan_sccs
+from .regular import Regex, compile_regex, parse_regex
 from .words import BINARY
 
 
@@ -198,25 +191,17 @@ def default_counter_cap(n_states: int) -> int:
 
 @dataclass
 class SliceCertificate:
-    """Evidence backing one state's claimed reachability set."""
+    """Evidence backing one state's claimed reachability set.
+
+    The levels of the system (:func:`level_cycle`) repeat from ``start``
+    on with period ``period``; the set was read off the levels before
+    ``start + period``.
+    """
 
     state: int
-    mode: str  # "empty" | "finite" | "lcm-window" | "gcd-window"
-    period: int | None = None
-    cycle_lcm: int | None = None  # λ: lcm of the relevant pumping components' g_S
-    window: tuple[int, int] | None = None
-    pump_witnesses: dict[int, tuple[int, int]] = field(default_factory=dict)
-    # residue -> (window member, positive cycle weight usable from there)
-
-
-def _bit_list(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    mode: str  # "empty" | "finite" | "periodic"
+    start: int
+    period: int
 
 
 def _image(mask: int, table: list[int]) -> int:
@@ -250,18 +235,21 @@ def dyck_closure(opens: list[int], closes: list[int]) -> list[int]:
     return z
 
 
-def level_counters(
+def level_cycle(
     n: int, edges: list[tuple[int, int, int]], starts: list[int], cap: int
-) -> list[int]:
-    """The counters each state takes on [0, cap], as bitmasks (bit c: c).
+) -> tuple[list[int], int]:
+    """The levels of a ±1 system up to their first repeat, and where the
+    repeated loop begins.
 
-    Runs start at the ``starts`` with counter 0.  Level c, the states
-    reached with counter c, is Z(open-image(level c − 1)), and level 0 is
-    Z(starts): a run to (q, c) splits at its last visit to each of the
-    levels 0 … c − 1 into Dyck paths (:func:`dyck_closure`) joined by c
-    single opens, and every such chain is a run.  Level c depends on
-    level c − 1 alone, so once a level repeats the rest cycles and is
-    copied up to the cap instead of computed.
+    Runs start at the ``starts`` with counter 0.  Level c, the bitmask of
+    the states reached with counter c, is Z(open-image(level c − 1)), and
+    level 0 is Z(starts): a run to (q, c) splits at its last visit to each
+    of the levels 0 … c − 1 into Dyck paths (:func:`dyck_closure`) joined
+    by c single opens, and every such chain is a run.  Level c depends on
+    level c − 1 alone, so when level ``len(levels)`` equals level
+    ``start``, level c equals level ``start + (c − start) mod period`` for
+    every c ≥ start, with ``period = len(levels) − start``.  Raises
+    :class:`CertificationError` when levels 0 … cap + 1 are all distinct.
     """
     opens = [0] * n
     closes = [0] * n
@@ -274,102 +262,16 @@ def level_counters(
     level = _image(sum(1 << s for s in set(starts)), z)
     first: dict[int, int] = {}
     levels: list[int] = []
-    while level not in first and len(levels) <= cap:
+    while level not in first:
+        if len(levels) > cap:
+            raise CertificationError(
+                f"no counter level repeats up to {cap}; rerun with a larger "
+                f"--counter-cap (currently {cap})"
+            )
         first[level] = len(levels)
         levels.append(level)
         level = _image(_image(level, opens), z)
-    counters = [0] * n
-    for c, states in enumerate(levels):
-        for q in _bit_list(states):
-            counters[q] |= 1 << c
-    if len(levels) <= cap:
-        start = first[level]
-        length = len(levels) - start
-        copies = (cap - start) // length + 1
-        # A one every `length` bits: multiplying lays copies of the loop's
-        # block side by side.
-        spread = ((1 << (length * copies)) - 1) // ((1 << length) - 1)
-        keep = (1 << (cap + 1)) - 1
-        counters = [(bits | ((bits >> start) * spread) << start) & keep for bits in counters]
-    return counters
-
-
-def _cycle_summary(n: int, edges, reached: set[int]) -> list[tuple[int, int, int] | None]:
-    """Per state q, the cycle data ``(p, λ, w)`` of the runs into q.
-
-    Works on the condensation of the reached states.  Each strongly
-    connected component S with a cycle has g_S, the gcd of its cycle
-    weights: with π(v) the weight of a breadth-first path from one state
-    to v, every edge value π(u) + w − π(v) is the difference of two closed
-    walks' weights, and a cycle's weight is the sum of its edge values, so
-    both gcds agree.  S may also have a simple positive cycle, the one
-    :func:`~ocrank.regular.longest_potential` returns, O(|S|·|E|).
-
-    S counts toward q when it lies among q's ancestors and has a positive
-    cycle or lies downstream of a component that has one.  p is the gcd of
-    g_S over those S, λ the lcm of g_S over the ones with a positive cycle,
-    and w the positive cycle weight of the first of these in the
-    condensation's order.  The entry is None when no component with a
-    positive cycle lies among q's ancestors.  One pass over the
-    condensation in topological order carries all three, since gcd, lcm and
-    "first" ignore repeats.
-    """
-    inside = [(p, w, q) for p, w, q in edges if p in reached and q in reached]
-    successors: list[set[int]] = [set() for _ in range(n)]
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for p, w, q in inside:
-        successors[p].add(q)
-        adj.setdefault(p, []).append((w, q))
-    components = tarjan_sccs(n, [sorted(s) for s in successors])
-    component_of = [0] * n
-    for i, comp in enumerate(components):
-        for s in comp:
-            component_of[s] = i
-    inner: list[list[tuple[int, int, int]]] = [[] for _ in components]
-    later: list[set[int]] = [set() for _ in components]
-    for p, w, q in inside:
-        a, b = component_of[p], component_of[q]
-        if a == b:
-            inner[a].append((p, w, q))
-        else:
-            later[a].add(b)
-
-    k = len(components)
-    period = [0] * k  # gcd of g_S over the counted components so far
-    lam = [1] * k
-    first = [k] * k  # first component with a positive cycle, k for none
-    positive: dict[int, int] = {}
-    # Tarjan lists sinks first, so walking it backwards meets every
-    # component after all of its ancestors.
-    for i in reversed(range(k)):
-        if inner[i]:
-            comp = components[i]
-            potential = {comp[0]: 0}
-            dq = deque([comp[0]])
-            while dq:
-                x = dq.popleft()
-                for w, t in adj[x]:
-                    if t not in potential and component_of[t] == i:
-                        potential[t] = potential[x] + w
-                        dq.append(t)
-            g = 0
-            for p, w, q in inner[i]:
-                g = math.gcd(g, potential[p] + w - potential[q])
-            cycle = longest_potential(inner[i])
-            if not isinstance(cycle, dict):
-                positive[i] = sum(w for _, w, _ in cycle)
-                lam[i] = math.lcm(lam[i], g)
-                first[i] = min(first[i], i)
-            if first[i] < k:
-                period[i] = math.gcd(period[i], g)
-        for j in later[i]:
-            period[j] = math.gcd(period[j], period[i])
-            lam[j] = math.lcm(lam[j], lam[i])
-            first[j] = min(first[j], first[i])
-    return [
-        None if first[i] == k else (period[i], lam[i], positive[first[i]])
-        for i in component_of
-    ]
+    return levels, first[level]
 
 
 def certified_slices(
@@ -382,129 +284,26 @@ def certified_slices(
 
     ``edges`` are (source, weight, target) with weight ±1; the counter may
     never drop below zero.  Runs start at the ``starts`` with counter 0.
-    The returned sets are exact on [0, cap] (:func:`level_counters`) and
-    certified beyond.
-
-    Cycle data comes per strongly connected component S of the reached
-    states (:func:`_cycle_summary`): g_S, the gcd of S's cycle weights, and
-    one positive cycle if S has any.  The candidate period p is the gcd of
-    g_S over the S that count for q: those among q's ancestors that have a
-    positive cycle or lie downstream of one.  It is the same number as the
-    gcd over those components' simple cycles, since closed walks decompose
-    into simple cycles.  The slice is finite unless a counted S has a
-    positive cycle; that cycle is the pump witness.
-
-    Leaving out the other components loses nothing.  A run can only be in
-    such an S before it enters any component with a positive cycle, so up
-    to there it has walked a graph without positive cycles and its counter
-    stays below n.  Their cycles only decide which of the finitely many
-    configurations with counter below n the pumping part of a run starts
-    from: they shape the finite part, not the tail.  Counting them could
-    only make p a smaller divisor of the tail's period, which fails the
-    window check at every cap.
-
-    When the cap allows, the window checked for p-periodicity is widened
-    by 2λ ("lcm-window"), with λ the lcm of g_S over the counted S that
-    have a positive cycle.  This is sound:
-
-    * g_S divides every cycle weight in S, so λ divides the lcm of the
-      counted positive simple-cycle weights: the window is never wider
-      than one sized by listing those cycles;
-    * a branch of runs that pumps through S has a tail period dividing
-      g_S, so the true tail period of the slice divides λ;
-    * a window that passes yields the set on [0, cap] extended
-      p-periodically, whose canonical :class:`UPSet` does not depend on the
-      window's width.  Widening can turn a pass into a refusal, never
-      change the set claimed.
+    Each state's set is read off the levels (:func:`level_cycle`): its
+    members below the loop's start, then the residues of one turn of the
+    loop.  The sets are exact, as the levels repeat from there on.
     """
     if cap < 2 * n + 6:
         raise CertificationError(
             f"counter cap {cap} is too small for {n} states; "
             f"pass --counter-cap {default_counter_cap(n)} or higher"
         )
-    counters = level_counters(n, edges, starts, cap)
-    summary = _cycle_summary(n, edges, {q for q in range(n) if counters[q]})
-
+    levels, start = level_cycle(n, edges, starts, cap)
+    period = len(levels) - start
     slices: list[UPSet] = []
     certificates: list[SliceCertificate] = []
-    for q, bits in enumerate(counters):
-        if not bits:
-            slices.append(UPSet.empty())
-            certificates.append(SliceCertificate(q, "empty"))
-            continue
-
-        if summary[q] is None:
-            # Nothing can pump the counter up on the way to q, so any value
-            # at q is bounded by the longest simple path: the slice is the
-            # whole set.
-            if bits >> (n + 1):
-                raise CertificationError(
-                    f"state {q}: counter {bits.bit_length() - 1} reached without any "
-                    "positive cycle — analysis inconsistent"
-                )
-            slices.append(UPSet.from_finite(_bit_list(bits)))
-            certificates.append(SliceCertificate(q, "finite"))
-            continue
-
-        p, lam, weight = summary[q]
-        base_width = max(2 * p, n + 2)
-        mode = "gcd-window"
-        width = base_width
-        if 2 * lam + base_width <= cap - (n + 2):
-            width = base_width + 2 * lam
-            mode = "lcm-window"
-        threshold = max(0, cap - width)
-
-        # Bit c of ``shifted`` is set when c and c + p disagree.
-        shifted = (bits >> p) ^ bits
-        compared = ((1 << max(0, cap - p - threshold)) - 1) << threshold
-        if shifted & compared:
-            raise CertificationError(
-                f"state {q}: explored counters are not {p}-periodic on "
-                f"[{threshold}, {cap}); rerun with a larger --counter-cap "
-                f"(currently {cap})"
-            )
-
-        # Least window member above n of each residue class met in the
-        # window, or None while the class has none.
-        pumpable: dict[int, int | None] = {}
-        for c in _bit_list(bits & ((1 << cap) - (1 << threshold))):
-            if pumpable.get(c % p) is None:
-                pumpable[c % p] = c if c > n else None
-        if not pumpable:
-            # The window is empty, and any member beyond the cap could be
-            # pulled back into it, so there is none: the set is finite.
-            slices.append(UPSet.from_finite(_bit_list(bits)))
-            certificates.append(
-                SliceCertificate(q, "finite", period=p, window=(threshold, cap))
-            )
-            continue
-
-        witnesses: dict[int, tuple[int, int]] = {}
-        for r in sorted(pumpable):
-            member = pumpable[r]
-            if member is None:
-                raise CertificationError(
-                    f"state {q}: residue class {r} (mod {p}) has no pumpable "
-                    f"window member; rerun with a larger --counter-cap"
-                )
-            witnesses[r] = (member, weight)
-
-        # Below the window the set follows its tail down to the last
-        # disagreement, which is where the canonical threshold lies.
-        start = (shifted & ((1 << threshold) - 1)).bit_length()
-        finite = _bit_list(bits & ((1 << start) - 1))
-        slices.append(UPSet.build(start, finite, p, pumpable))
-        certificates.append(
-            SliceCertificate(
-                q,
-                mode,
-                period=p,
-                cycle_lcm=lam,
-                window=(threshold, cap),
-                pump_witnesses=witnesses,
-            )
-        )
+    for q in range(n):
+        counters = [c for c, level in enumerate(levels) if level >> q & 1]
+        finite = [c for c in counters if c < start]
+        residues = [c % period for c in counters if c >= start]
+        mode = "periodic" if residues else "finite" if finite else "empty"
+        slices.append(UPSet.build(start, finite, period, residues))
+        certificates.append(SliceCertificate(q, mode, start, period))
     return slices, certificates
 
 
@@ -549,7 +348,8 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     """Certified forward/backward counter analysis of a transducer.
 
     Works on the machine as given.  ``counter_cap`` overrides the default
-    end of the certified window (see :func:`default_counter_cap`).
+    number of counter levels computed before the analysis refuses (see
+    :func:`default_counter_cap`).
     """
     states = list(machine.states)
     index = {q: i for i, q in enumerate(states)}

@@ -207,10 +207,7 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
 class Automaton:
     """An epsilon-free NFA.  States are 0..n-1.
 
-    ``edges[q]`` maps a letter to the frozenset of successors.  The
-    ``deterministic`` flag is advisory: it records that the automaton came
-    out of the subset construction (at most one successor per letter,
-    single initial state), not that anyone re-verified it.
+    ``edges[q]`` maps a letter to the frozenset of successors.
     """
 
     alphabet: Alphabet
@@ -218,7 +215,6 @@ class Automaton:
     edges: list[dict[str, frozenset[int]]]
     initials: frozenset[int]
     finals: frozenset[int]
-    deterministic: bool = False
 
     def successors(self, q: int, ch: str) -> frozenset[int]:
         return self.edges[q].get(ch, frozenset())
@@ -349,7 +345,7 @@ def determinize(a: Automaton, complete: bool = False) -> Automaton:
             row[ch] = frozenset({index[t]})
         out_edges.append(row)
     finals = frozenset(i for i, s in enumerate(order) if s & a.finals)
-    return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), finals, deterministic=True)
+    return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), finals)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -407,7 +403,7 @@ def trim(a: Automaton) -> Automaton:
                     _add_edge(edges, renum[q], ch, renum[t])
     initials = frozenset(renum[q] for q in a.initials if q in renum)
     finals = frozenset(renum[q] for q in a.finals if q in renum)
-    return Automaton(a.alphabet, len(order), edges, initials, finals, deterministic=a.deterministic)
+    return Automaton(a.alphabet, len(order), edges, initials, finals)
 
 
 def compile_regex(r: Regex, alphabet: Alphabet) -> Automaton:
@@ -428,7 +424,7 @@ def membership(a: Automaton, w: str) -> bool:
 def complement(a: Automaton) -> Automaton:
     d = determinize(a, complete=True)
     finals = frozenset(range(d.n)) - d.finals
-    return Automaton(d.alphabet, d.n, d.edges, d.initials, finals, deterministic=True)
+    return Automaton(d.alphabet, d.n, d.edges, d.initials, finals)
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
@@ -560,7 +556,7 @@ def power_automaton(v: str, alphabet: Alphabet) -> Automaton:
     edges = _fresh_edges(n)
     for i, ch in enumerate(v):
         _add_edge(edges, i, ch, (i + 1) % n)
-    return Automaton(alphabet, n, edges, frozenset({0}), frozenset({0}), deterministic=True)
+    return Automaton(alphabet, n, edges, frozenset({0}), frozenset({0}))
 
 
 def subset_of_power(a: Automaton, v: str) -> bool:
@@ -860,46 +856,26 @@ def tarjan_sccs(n: int, successors: list[list[int]]) -> list[list[int]]:
     return result
 
 
-def longest_potential(
-    edges: list[tuple[_Node, int, _Node]],
-) -> dict[_Node, int] | list[tuple[_Node, int, _Node]]:
-    """Bellman–Ford for longest paths from a virtual source, or a positive cycle.
+def longest_potential(edges: list[tuple[_Node, int, _Node]]) -> dict[_Node, int] | None:
+    """Bellman–Ford for longest paths from a virtual source.
 
     ``edges`` are (u, w, v).  Every endpoint starts at 0 and the edges are
-    relaxed in the given order for at most |V| rounds.  Without a positive
-    cycle the rounds settle, and the potential returned has
-    π(v) ≥ π(u) + w on every edge.  If the |V|-th round still relaxes an
-    edge, a positive cycle exists: walking |V| parent pointers back from
-    that edge's target lands on one, and the pointers close it.  It is
-    returned as its edges, in path order.  O(|V|·|E|).
+    relaxed in the given order.  Without a positive cycle a longest path
+    has fewer than |V| edges, so by round |V| + 1 at the latest a round
+    changes nothing, and the potential returned has π(v) ≥ π(u) + w on
+    every edge.  Otherwise a positive cycle exists and the result is None.
+    O(|V|·|E|).
     """
     potential = {x: 0 for u, _, v in edges for x in (u, v)}
-    parent: dict[_Node, tuple[_Node, int]] = {}
-    relaxed = None
-    for _ in potential:
-        relaxed = None
+    for _ in range(len(potential) + 1):
+        relaxed = False
         for u, w, v in edges:
             if potential[u] + w > potential[v]:
                 potential[v] = potential[u] + w
-                parent[v] = (u, w)
-                relaxed = v
-        if relaxed is None:
-            break
-    if relaxed is None:
-        return potential
-    on_cycle = relaxed
-    for _ in potential:
-        on_cycle = parent[on_cycle][0]
-    cycle: list[tuple[_Node, int, _Node]] = []
-    v = on_cycle
-    while True:
-        u, w = parent[v]
-        cycle.append((u, w, v))
-        v = u
-        if v == on_cycle:
-            break
-    cycle.reverse()
-    return cycle
+                relaxed = True
+        if not relaxed:
+            return potential
+    return None
 
 
 def finite_rank_bound(a: Automaton) -> int:

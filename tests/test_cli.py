@@ -12,6 +12,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, M138, M365, fixture_path
 import ocrank
+from ocrank import harness
 from ocrank.cli import (
     Fixture,
     FixtureError,
@@ -378,6 +379,66 @@ def test_check_of_m138_passes_every_check(capsys, tmp_path):
         "ok   bounded-equality: languages agree on inputs up to 4",
         "ok   lift-project: all runs up to length 4 round-trip",
     ]
+
+
+# Rings of 2 and 3 opens, both feeding q: its counters mix two periods.
+TWO_RINGS = """alphabet a
+states i a0 a1 b0 b1 b2 q
+initial i
+final q
+trans i 0 a0 a
+trans i 0 b0 a
+trans a0 0 a1 a
+trans a1 0 a0 a
+trans b0 0 b1 a
+trans b1 0 b2 a
+trans b2 0 b0 a
+trans a0 0 q a
+trans b0 0 q a
+"""
+
+
+def test_nsets_of_two_rings_into_one_state(capsys, tmp_path):
+    path = tmp_path / "rings.oct"
+    path.write_text(TWO_RINGS)
+    code, out, err = run_cli(capsys, ["nsets", str(path)])
+    assert (code, err) == (0, "")
+    assert "q: N- = {2+6t} ∪ {4+6t} ∪ {5+6t} ∪ {6+6t} | N+ = {0} | N = ∅" in out.splitlines()
+    machine = load_fixture_file(str(path)).value
+    oracle = harness.upset_oracle(machine, 60)
+    report = ocrank.reach_sets(machine)
+    for q in machine.states:
+        assert frozenset(report.minus[q].values_up_to(60)) == oracle.minus[q], q
+        assert frozenset(report.plus[q].values_up_to(60)) == oracle.plus[q], q
+
+
+def disjoint_rings(lengths) -> str:
+    """Rings of opens entered from i, each state closing into the final d."""
+    states, trans = ["i", "d"], ["trans d 1 d a"]
+    for length in lengths:
+        ring = [f"r{length}x{j}" for j in range(length)]
+        states += ring
+        trans.append(f"trans i 0 {ring[0]} a")
+        for j, q in enumerate(ring):
+            trans += [f"trans {q} 0 {ring[(j + 1) % length]} a", f"trans {q} 1 d a"]
+    lines = ["alphabet a", "states " + " ".join(states), "initial i", "final d", *trans]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_level_period_beyond_the_cap_is_refused(capsys, tmp_path):
+    # The levels repeat from level 1 with period lcm(5, 7, 8, 9) = 2520, so
+    # 2521 distinct levels must be computed: more than the default cap of
+    # the 31 states (2050) allows.
+    path = tmp_path / "rings.oct"
+    path.write_text(disjoint_rings((5, 7, 8, 9)))
+    code, out, err = run_cli(capsys, ["nsets", str(path)])
+    assert (code, out) == (4, "")
+    assert "--counter-cap" in err
+    code, out, err = run_cli(capsys, ["nsets", str(path), "--counter-cap", "2520"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "P = 2520"
+    assert "r9x8: N- = {9+9t} | N+ = {t} | N = {9+9t}" in lines
 
 
 def test_check_all_green_on_fixtures(capsys):

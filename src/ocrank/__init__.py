@@ -30,7 +30,6 @@ from .regular import (
     RegexSyntaxError,
     Scattered,
     compile_regex,
-    finite_rank_bound,
     parse_regex,
     regular_scattered,
 )
@@ -120,7 +119,7 @@ __all__ = [
     "in_d1", "is_dyck_prefix", "is_dyck_suffix", "lex_key", "lex_less",
     "open_depth", "primitive_root",
     "Automaton", "QuasiDense", "Regex", "RegexSyntaxError", "Scattered",
-    "compile_regex", "finite_rank_bound", "parse_regex", "regular_scattered",
+    "compile_regex", "parse_regex", "regular_scattered",
     "CertificationError", "NSetReport", "UPSet", "reach_sets", "render_upset",
     "up_intersect", "up_membership", "up_union", "worked_close_image",
     "LevelingError", "Transducer", "TransducerError", "TransducerPrime",

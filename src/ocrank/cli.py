@@ -108,7 +108,10 @@ def load_fixture_file(path: str, depth: int = 0) -> Fixture:
 
 
 def _directive_lines(text: str):
-    for lineno, raw in zip(range(1, text.count("\n") + 2), text.splitlines()):
+    # Split at "\n" alone: splitlines() would also break at form feeds and
+    # other separators that may sit inside a comment.  open() has already
+    # turned "\r\n" into "\n", and strip() drops a stray "\r".
+    for lineno, raw in enumerate(text.split("\n"), 1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield lineno, stripped

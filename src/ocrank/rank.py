@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import components as comp
 from . import regular
 from .counterset import reach_sets, up_membership
-from .regular import Automaton
+from .regular import Automaton, Regex
 from .transducer import (
     LevelingError,
     Transducer,
@@ -173,37 +173,41 @@ def edge_bounds(
 
     incoming: dict[int, list[int]] = {c.index: [] for c in sccs}
     edges_of_comp: dict[int, list[int]] = {c.index: [] for c in sccs}
-    inter: list[int] = []
     intra_max: dict[int, int] = {c.index: 0 for c in sccs}
     for i, tt in enumerate(prime.transitions):
         cs, ct = scc_of[tt.source], scc_of[tt.target]
         if cs == ct:
             intra_max[cs] = max(intra_max[cs], regrank[i])
         else:
-            inter.append(i)
             incoming[ct].append(i)
             edges_of_comp[cs].append(i)
 
     bounds: dict[int, RankBound] = {}
     for c in sccs:  # already topologically ordered
+        out = edges_of_comp[c.index]
+        if c.index == initial_comp:
+            if out and not c.trivial:
+                raise AssertionError("initial component must be trivial")
+            for i in out:
+                base = Ordinal(0, regrank[i])
+                bounds[i] = RankBound(base, CERTIFIED, (f"edge {i}: base {base}",))
+            continue
+        feeds = [bounds[j] for j in incoming[c.index] if j in bounds]
+        if not out or not feeds:
+            continue  # unreachable through certified edges
+        # ord_add(step, ·) is strictly increasing, so the greatest feed gives
+        # every out-edge its greatest sum; among equal feeds a Certified one
+        # wins.
+        entry = max(feeds, key=lambda fed: (fed.value, fed.status == CERTIFIED))
         verdict = verdicts.get(c.index)
-        for i in edges_of_comp[c.index]:
+        status = CONDITIONAL if isinstance(verdict, comp.ZeroCertified) else entry.status
+        for i in out:
             r = regrank[i]
-            if c.index == initial_comp:
-                if not c.trivial:
-                    raise AssertionError("initial component must be trivial")
-                bounds[i] = RankBound(
-                    Ordinal(0, r), CERTIFIED, (f"edge {i}: base {Ordinal(0, r)}",)
-                )
-                continue
-            feeds = [bounds[j] for j in incoming[c.index] if j in bounds]
-            if not feeds:
-                continue  # unreachable through certified edges
             if c.trivial:
                 step = Ordinal(0, r)
                 note = f"trivial +{r}"
             elif isinstance(verdict, comp.FullyCertified):
-                f_c = sum(1 + intra_max[c.index] for _ in c.members) + r
+                f_c = len(c.members) * (1 + intra_max[c.index]) + r
                 step = Ordinal(0, f_c)
                 note = f"fully certified +{f_c}"
             elif isinstance(verdict, comp.ZeroCertified):
@@ -211,25 +215,9 @@ def edge_bounds(
                 note = "zero certified +w"
             else:
                 raise AssertionError("quasi-dense component reached the bound DP")
-            best: RankBound | None = None
-            for fed in feeds:
-                candidate = ord_add(step, fed.value)
-                status = fed.status
-                if isinstance(verdict, comp.ZeroCertified):
-                    status = CONDITIONAL
-                cand = RankBound(candidate, status)
-                if best is None or best.value < cand.value or (
-                    best.value == cand.value
-                    and best.status == CONDITIONAL
-                    and status == CERTIFIED
-                ):
-                    best = cand
-            assert best is not None
-            bounds[i] = RankBound(
-                best.value,
-                best.status,
-                (f"edge {i}: {note} onto {max(f.value for f in feeds)} = {best.value}",),
-            )
+            value = ord_add(step, entry.value)
+            derivation = f"edge {i}: {note} onto {entry.value} = {value}"
+            bounds[i] = RankBound(value, status, (derivation,))
     return bounds
 
 
@@ -246,12 +234,14 @@ def analyze_machine(
     m = minimal_normalize(machine)
 
     # Quasi-dense output languages on live transitions poison everything
-    # downstream of them; the whole language is then quasi-dense.
+    # downstream of them; the whole language is then quasi-dense.  Each
+    # distinct output is analysed once, for this and for its finite rank.
     live = live_states(m.initial, m.finals, m.transitions)
+    languages: dict[Regex, regular.Scattered | regular.QuasiDense] = {}
     for t in m.transitions:
-        if t.source not in live or t.target not in live:
+        if t.source not in live or t.target not in live or t.output in languages:
             continue
-        verdict = regular.regular_scattered(m.compiled_output(t))
+        verdict = languages[t.output] = regular.regular_scattered(m.compiled_output(t))
         if isinstance(verdict, regular.QuasiDense):
             return MachineAnalysis(
                 m,
@@ -290,13 +280,9 @@ def analyze_machine(
             )
             return MachineAnalysis(m, prime, sccs, verdicts, {}, result)
 
-    regrank: dict[int, int] = {}
-    cache: dict[object, int] = {}
-    for i, tt in enumerate(prime.transitions):
-        key = tt.output
-        if key not in cache:
-            cache[key] = regular.finite_rank_bound(prime.compiled_output(tt))
-        regrank[i] = cache[key]
+    # Every leveled transition lies on an accepted path, which projects to
+    # live transitions of m, so its output was analysed above.
+    regrank = {i: languages[tt.output].rank for i, tt in enumerate(prime.transitions)}
 
     bounds = edge_bounds(prime, sccs, verdicts, regrank)
     best: RankBound | None = None

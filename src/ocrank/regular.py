@@ -355,16 +355,6 @@ def trim(a: Automaton) -> Automaton:
     expanding letters in alphabet order, so equal inputs give identical
     outputs.
     """
-    reachable: set[int] = set()
-    queue = deque(sorted(a.initials))
-    reachable.update(a.initials)
-    while queue:
-        q = queue.popleft()
-        for ch in a.alphabet.letters:
-            for t in a.successors(q, ch):
-                if t not in reachable:
-                    reachable.add(t)
-                    queue.append(t)
     rev: list[set[int]] = [set() for _ in range(a.n)]
     for q in range(a.n):
         for targets in a.edges[q].values():
@@ -378,12 +368,17 @@ def trim(a: Automaton) -> Automaton:
             if p not in co:
                 co.add(p)
                 queue.append(p)
-    alive = reachable & co
-    if not alive:
-        return empty_automaton(a.alphabet)
+    # One forward BFS through co-reachable states visits exactly the live
+    # ones: a state it reaches is reachable and co-reachable, and every state
+    # on a path from an initial state to a live state q reaches q, hence a
+    # final state.  Each state it meets is reachable, so it is live exactly
+    # when it is co-reachable, and the order is that of a BFS over the live
+    # states.
     renum: dict[int, int] = {}
     order: list[int] = []
-    queue = deque(sorted(q for q in a.initials if q in alive))
+    queue = deque(sorted(q for q in a.initials if q in co))
+    if not queue:
+        return empty_automaton(a.alphabet)
     for q in queue:
         renum[q] = len(order)
         order.append(q)
@@ -391,7 +386,7 @@ def trim(a: Automaton) -> Automaton:
         q = queue.popleft()
         for ch in a.alphabet.letters:
             for t in sorted(a.successors(q, ch)):
-                if t in alive and t not in renum:
+                if t in co and t not in renum:
                     renum[t] = len(order)
                     order.append(t)
                     queue.append(t)
@@ -765,6 +760,10 @@ def _positions(
 
 @dataclass(frozen=True)
 class Scattered:
+    """The language is scattered; ``rank`` is a finite bound on its rank."""
+
+    rank: int
+
     def __bool__(self) -> bool:
         return True
 
@@ -791,16 +790,33 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
 
     Works on the trimmed DFA: the language is quasi-dense exactly when some
     state admits two cycle words with distinct primitive roots.  Since runs
-    of a DFA are unique, per-state cycle roots capture all pumping.
+    of a DFA are unique, per-state cycle roots capture all pumping.  A
+    scattered language's rank is bounded by the most looping components met
+    along one path of that DFA: each loop on a path contributes one level of
+    condensation.
     """
     d = trim(determinize(a))
     if d.finals == frozenset():
-        return Scattered()
+        return Scattered(0)
     successors = [[(ch, t) for ch, ts in row.items() for t in ts] for row in d.edges]
     roots = cycle_roots(range(d.n), successors, d.alphabet)
     if isinstance(roots, tuple):
         return QuasiDense(*roots)
-    return Scattered()
+    targets = [[t for _, t in row] for row in successors]
+    # Longest path in the condensation counting only looping components.
+    # Tarjan lists them in reverse topological order, so successors come first.
+    comp_of = [0] * d.n
+    best: list[int] = []
+    for i, members in enumerate(tarjan_sccs(d.n, targets)):
+        for q in members:
+            comp_of[q] = i
+        below = max(
+            (best[comp_of[t]] for q in members for t in targets[q] if comp_of[t] != i),
+            default=0,
+        )
+        looping = len(members) > 1 or members[0] in targets[members[0]]
+        best.append(below + 1 if looping else below)
+    return Scattered(max(best))
 
 
 def tarjan_sccs(n: int, successors: list[list[int]]) -> list[list[int]]:
@@ -876,44 +892,6 @@ def longest_potential(edges: list[tuple[_Node, int, _Node]]) -> dict[_Node, int]
         if not relaxed:
             return potential
     return None
-
-
-def finite_rank_bound(a: Automaton) -> int:
-    """Max number of looping components met along any path of the trimmed DFA.
-
-    This is a finite bound on how scattered the language is: each loop on a
-    path contributes one level of condensation.  Precondition: the language
-    is scattered; quasi-dense input raises.
-    """
-    verdict = regular_scattered(a)
-    if not verdict:
-        raise ValueError(f"finite_rank_bound needs a scattered language, got witness {verdict}")
-    d = trim(determinize(a))
-    if d.finals == frozenset():
-        return 0
-    succ: list[set[int]] = [set() for _ in range(d.n)]
-    for q in range(d.n):
-        for targets in d.edges[q].values():
-            succ[q].update(targets)
-    comps = tarjan_sccs(d.n, [sorted(s) for s in succ])  # reverse topological order
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = i
-    nontrivial = [len(comp) > 1 or comp[0] in succ[comp[0]] for comp in comps]
-    # Longest path in the condensation counting only looping components.
-    # comps are in reverse topological order, so successors come earlier.
-    best = [0] * len(comps)
-    for i, comp in enumerate(comps):
-        here = 1 if nontrivial[i] else 0
-        succ_best = 0
-        for q in comp:
-            for t in succ[q]:
-                j = comp_of[t]
-                if j != i:
-                    succ_best = max(succ_best, best[j])
-        best[i] = here + succ_best
-    return max(best[comp_of[q]] for q in range(d.n))
 
 
 def pump_size(a: Automaton) -> int:

@@ -169,6 +169,36 @@ def test_comments_and_blank_lines_are_ignored():
     assert machine.alphabet.letters == ("a", "b")
 
 
+def _fig1_with_first_line(tmp_path, first_line: str, final_newline: bool) -> str:
+    with open(fixture_path("fig1.oct"), encoding="utf-8") as fh:
+        body = [line for line in fh.read().splitlines() if not line.startswith("#")]
+    text = "\n".join([first_line, *body]) + ("\n" if final_newline else "")
+    path = tmp_path / "paged.oct"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_a_form_feed_inside_a_comment_does_not_split_the_line(capsys, tmp_path):
+    # str.splitlines() breaks at "\f", which turned " page two" into a
+    # directive of its own on a made-up line 2
+    path = _fig1_with_first_line(tmp_path, "# fig1\f page two", final_newline=True)
+    expected = run_cli(capsys, ["rank", fixture_path("fig1.oct")])
+    assert run_cli(capsys, ["rank", path]) == expected
+    assert expected[0] == 0
+
+
+def test_a_form_feed_does_not_drop_the_last_line(capsys, tmp_path):
+    # with one line too many from splitlines() and no final newline, the
+    # last 'trans' line used to be dropped: bound 1 over 2 transitions
+    path = _fig1_with_first_line(tmp_path, "# fig1\f# page two", final_newline=False)
+    code, out, err = run_cli(capsys, ["rank", path])
+    assert (code, err) == (0, "")
+    assert out.startswith("bound: w+3\nstatus: ConditionalOnScattered\n")
+    code, out, _ = run_cli(capsys, ["check", path])
+    assert code == 0
+    assert "ok   structure: 2 states, 3 transitions\n" in out
+
+
 # --- exit codes ------------------------------------------------------------------------
 
 

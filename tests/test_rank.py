@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from conftest import random_machine
+from test_components import ladder
+from test_counterset import complete_machine
+from ocrank import components as comp
+from ocrank import regular
 from ocrank.rank import (
     CERTIFIED,
     CONDITIONAL,
@@ -20,6 +26,7 @@ from ocrank.rank import (
     RocPlus,
     Unknown,
     analyze_machine,
+    edge_bounds,
     expr_rank_bound,
     ord_add,
     ord_max,
@@ -27,7 +34,7 @@ from ocrank.rank import (
     transducer_rank_bound,
 )
 from ocrank.components import FullyCertified, ZeroCertified
-from ocrank.transducer import make_transducer
+from ocrank.transducer import live_states, make_transducer, minimal_normalize
 from ocrank.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -229,6 +236,115 @@ def test_dense_output_on_dead_edge_is_ignored():
     result = transducer_rank_bound(m)
     assert isinstance(result, RankBound)
     assert result.status == CERTIFIED
+
+
+def shaped_machines(fig1, fig2):
+    return (
+        [fig1, fig2]
+        + [ladder(k, j) for k in range(1, 5) for j in range(1, 5)]
+        + [complete_machine(n) for n in range(1, 7)]
+    )
+
+
+def test_each_live_output_is_analysed_once(fig1, fig2):
+    calls = []
+    analyse = regular.regular_scattered
+
+    def counted(a):
+        calls.append(a)
+        return analyse(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regular, "regular_scattered", counted)
+        for machine in shaped_machines(fig1, fig2):
+            calls.clear()
+            analyze_machine(machine)
+            m = minimal_normalize(machine)
+            live = live_states(m.initial, m.finals, m.transitions)
+            outputs = {
+                t.output for t in m.transitions if t.source in live and t.target in live
+            }
+            assert 0 < len(calls) <= len(outputs), (machine.states, len(calls), outputs)
+
+
+def edge_bounds_per_feed(prime, sccs, verdicts, regrank):
+    """The bound DP with one candidate per feed and out-edge, as an oracle."""
+    scc_of = comp.scc_index_of(sccs)
+    initial_comp = scc_of[prime.initial]
+    incoming = {c.index: [] for c in sccs}
+    edges_of_comp = {c.index: [] for c in sccs}
+    intra_max = {c.index: 0 for c in sccs}
+    for i, tt in enumerate(prime.transitions):
+        cs, ct = scc_of[tt.source], scc_of[tt.target]
+        if cs == ct:
+            intra_max[cs] = max(intra_max[cs], regrank[i])
+        else:
+            incoming[ct].append(i)
+            edges_of_comp[cs].append(i)
+    bounds = {}
+    for c in sccs:
+        verdict = verdicts.get(c.index)
+        for i in edges_of_comp[c.index]:
+            r = regrank[i]
+            if c.index == initial_comp:
+                bounds[i] = RankBound(
+                    Ordinal(0, r), CERTIFIED, (f"edge {i}: base {Ordinal(0, r)}",)
+                )
+                continue
+            feeds = [bounds[j] for j in incoming[c.index] if j in bounds]
+            if not feeds:
+                continue
+            if c.trivial:
+                step, note = Ordinal(0, r), f"trivial +{r}"
+            elif isinstance(verdict, FullyCertified):
+                f_c = len(c.members) * (1 + intra_max[c.index]) + r
+                step, note = Ordinal(0, f_c), f"fully certified +{f_c}"
+            else:
+                assert isinstance(verdict, ZeroCertified)
+                step, note = OMEGA, "zero certified +w"
+            best = None
+            for fed in feeds:
+                status = CONDITIONAL if isinstance(verdict, ZeroCertified) else fed.status
+                cand = RankBound(ord_add(step, fed.value), status)
+                if best is None or best.value < cand.value or (
+                    best.value == cand.value
+                    and best.status == CONDITIONAL
+                    and status == CERTIFIED
+                ):
+                    best = cand
+            top = max(f.value for f in feeds)
+            bounds[i] = RankBound(
+                best.value, best.status, (f"edge {i}: {note} onto {top} = {best.value}",)
+            )
+    return bounds
+
+
+def test_edge_bounds_match_the_per_feed_oracle(fig1, fig2):
+    rng = random.Random(20261018)
+    machines = shaped_machines(fig1, fig2)
+    machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(320)]
+    compared = several_feeds = conditional = 0
+    for machine in machines:
+        analysis = analyze_machine(machine)
+        prime = analysis.prime
+        if prime is None or not isinstance(analysis.result, RankBound):
+            continue
+        regrank = {
+            i: regular.regular_scattered(prime.compiled_output(tt)).rank
+            for i, tt in enumerate(prime.transitions)
+        }
+        args = (prime, analysis.sccs, analysis.verdicts, regrank)
+        assert edge_bounds(*args) == analysis.edge_bound
+        assert analysis.edge_bound == edge_bounds_per_feed(*args)
+        compared += 1
+        scc_of = comp.scc_index_of(analysis.sccs)
+        entries = [scc_of[tt.target] for i, tt in enumerate(prime.transitions)
+                   if i in analysis.edge_bound]
+        several_feeds += len(entries) > len(set(entries))
+        conditional += any(b.status == CONDITIONAL for b in analysis.edge_bound.values())
+    assert compared >= 150 and several_feeds >= 20 and conditional >= 10, (
+        compared, several_feeds, conditional,
+    )
 
 
 # --- expressions ---------------------------------------------------------------------

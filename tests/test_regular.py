@@ -28,9 +28,9 @@ from ocrank.regular import (
     complement,
     cycle_roots,
     determinize,
+    empty_automaton,
     equivalent,
     expand_graph,
-    finite_rank_bound,
     has_word_longer_than,
     intersect,
     is_empty_language,
@@ -291,6 +291,57 @@ def test_trim_and_emptiness():
     assert not is_empty_language(live)
 
 
+def two_search_trim(a: Automaton) -> Automaton:
+    """Trim as the reachable states met with the co-reachable ones, then
+    renumbered by a BFS over those; the oracle for the one-walk trim."""
+
+    def search(starts, step) -> set[int]:
+        seen, todo = set(starts), list(starts)
+        while todo:
+            for t in step(todo.pop()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    forward = search(a.initials, lambda q: [t for ts in a.edges[q].values() for t in ts])
+    backward = search(
+        a.finals, lambda q: [p for p in range(a.n) for ts in a.edges[p].values() if q in ts]
+    )
+    alive = forward & backward
+    if not alive:
+        return empty_automaton(AB)
+    order = sorted(q for q in a.initials if q in alive)
+    for q in order:  # grows while it is walked: a BFS
+        for ch in AB.letters:
+            order += [t for t in sorted(a.successors(q, ch)) if t in alive and t not in order]
+    renum = {q: i for i, q in enumerate(order)}
+    edges: list[dict[str, frozenset[int]]] = [{} for _ in order]
+    for q in order:
+        for ch, targets in a.edges[q].items():
+            kept = frozenset(renum[t] for t in targets if t in renum)
+            if kept:
+                edges[renum[q]][ch] = kept
+    return Automaton(
+        AB,
+        len(order),
+        edges,
+        frozenset(renum[q] for q in a.initials if q in renum),
+        frozenset(renum[q] for q in a.finals if q in renum),
+    )
+
+
+def test_trim_matches_the_two_search_oracle():
+    rng = random.Random(20261018)
+    dropped = 0
+    for _ in range(600):
+        a = random_nfa(rng, 8) if rng.random() < 0.7 else nfa_of_regex(random_regex(rng, 3), AB)
+        trimmed = trim(a)
+        assert trimmed == two_search_trim(a)
+        dropped += trimmed.n < a.n
+    assert dropped >= 200, dropped
+
+
 # --- power languages -----------------------------------------------------------
 
 
@@ -516,13 +567,13 @@ def test_scattered_simple_cases():
 )
 def test_finite_rank_bound_examples(text, expected):
     a = compile_regex(parse_regex(text, AB), AB)
-    assert finite_rank_bound(a) == expected
+    assert regular_scattered(a).rank == expected
 
 
 def test_finite_rank_bound_rejects_dense_input():
+    # a quasi-dense language has no rank: the analysis returns its witness
     a = compile_regex(parse_regex("(a+b)*", AB), AB)
-    with pytest.raises(ValueError):
-        finite_rank_bound(a)
+    assert isinstance(regular_scattered(a), QuasiDense)
 
 
 # --- SCC computation ---------------------------------------------------------------

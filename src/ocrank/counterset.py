@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .regular import Regex, compile_regex, parse_regex
-from .words import BINARY
+from .words import BINARY, mask_image, state_mask
 
 
 class CertificationError(RuntimeError):
@@ -204,16 +204,6 @@ class SliceCertificate:
     period: int
 
 
-def _image(mask: int, table: list[int]) -> int:
-    """Union of ``table[i]`` over the set bits i of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= table[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def dyck_closure(opens: list[int], closes: list[int]) -> list[int]:
     """The Dyck relation Z of a ±1 system, one state bitmask per state.
 
@@ -228,7 +218,7 @@ def dyck_closure(opens: list[int], closes: list[int]) -> list[int]:
     while changed:
         changed = False
         for p, row in enumerate(z):
-            grown = _image(row | _image(_image(opens[p], z), closes), z)
+            grown = mask_image(row | mask_image(mask_image(opens[p], z), closes), z)
             if grown != row:
                 z[p] = grown
                 changed = True
@@ -259,7 +249,7 @@ def level_cycle(
         else:
             closes[p] |= 1 << q
     z = dyck_closure(opens, closes)
-    level = _image(sum(1 << s for s in set(starts)), z)
+    level = mask_image(state_mask(starts), z)
     first: dict[int, int] = {}
     levels: list[int] = []
     while level not in first:
@@ -270,7 +260,7 @@ def level_cycle(
             )
         first[level] = len(levels)
         levels.append(level)
-        level = _image(_image(level, opens), z)
+        level = mask_image(mask_image(level, opens), z)
     return levels, first[level]
 
 
@@ -400,9 +390,8 @@ def worked_close_image(
         return UPSet.empty()
     reversed_edges = []
     for p in range(d.n):
-        for ch, targets in d.edges[p].items():
-            for t in targets:
-                reversed_edges.append((t, 1 if ch == "1" else -1, p))
+        for ch, targets in d.edges[p].items():  # a DFA: one target bit per letter
+            reversed_edges.append((targets.bit_length() - 1, 1 if ch == "1" else -1, p))
     cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
     slices, _ = certified_slices(d.n, reversed_edges, sorted(d.finals), cap)
     image = UPSet.empty()

@@ -5,9 +5,11 @@ for the empty word, ``+`` for union, juxtaposition for concatenation,
 postfix ``*``, and parentheses.  There is no literal for the empty
 language; the :class:`Empty` node exists only for programmatic use.
 
-Automata are epsilon-free NFAs with integer states.  ``compile_regex``
-returns the trimmed subset-construction DFA, which is what every decision
-procedure in this module works on.
+Automata are epsilon-free NFAs with integer states; a state's successors
+on a letter are one int bitmask, and every walk over state sets works on
+such masks, lowest state first.  ``compile_regex`` returns the trimmed
+subset-construction DFA, which is what every decision procedure in this
+module works on.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
-from .words import Alphabet, primitive_root
+from .words import Alphabet, mask_image, primitive_root, state_bits, state_mask
 
 _Anchor = TypeVar("_Anchor")
 _Node = TypeVar("_Node")
@@ -203,82 +205,92 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
 # Epsilon-free NFAs
 
 
+def _targets(row: dict[str, int]) -> int:
+    """The bitmask of a row's successors on every letter."""
+    targets = 0
+    for m in row.values():
+        targets |= m
+    return targets
+
+
 @dataclass
 class Automaton:
     """An epsilon-free NFA.  States are 0..n-1.
 
-    ``edges[q]`` maps a letter to the frozenset of successors.
+    ``edges[q]`` maps a letter to the successors of q on it as one int
+    bitmask (bit t set when q → t); letters without successors are absent.
+    ``initials`` and ``finals`` are frozensets; a routine that walks state
+    sets turns them into masks once per call.
     """
 
     alphabet: Alphabet
     n: int
-    edges: list[dict[str, frozenset[int]]]
+    edges: list[dict[str, int]]
     initials: frozenset[int]
     finals: frozenset[int]
 
-    def successors(self, q: int, ch: str) -> frozenset[int]:
-        return self.edges[q].get(ch, frozenset())
+    def step(self, states: int, ch: str) -> int:
+        """The successors on ``ch`` of the state bitmask ``states``."""
+        edges = self.edges
+        out = 0
+        while states:
+            low = states & -states
+            out |= edges[low.bit_length() - 1].get(ch, 0)
+            states ^= low
+        return out
 
     def accepts_empty_word(self) -> bool:
         return bool(self.initials & self.finals)
 
 
-def _fresh_edges(n: int) -> list[dict[str, frozenset[int]]]:
-    return [{} for _ in range(n)]
-
-
-def _add_edge(edges: list[dict[str, frozenset[int]]], p: int, ch: str, q: int) -> None:
-    edges[p][ch] = edges[p].get(ch, frozenset()) | {q}
-
-
 def literal_automaton(ch: str, alphabet: Alphabet) -> Automaton:
     alphabet.rank(ch)
-    edges = _fresh_edges(2)
-    _add_edge(edges, 0, ch, 1)
-    return Automaton(alphabet, 2, edges, frozenset({0}), frozenset({1}))
+    return Automaton(alphabet, 2, [{ch: 0b10}, {}], frozenset({0}), frozenset({1}))
 
 
 def epsilon_automaton(alphabet: Alphabet) -> Automaton:
-    return Automaton(alphabet, 1, _fresh_edges(1), frozenset({0}), frozenset({0}))
+    return Automaton(alphabet, 1, [{}], frozenset({0}), frozenset({0}))
 
 
 def empty_automaton(alphabet: Alphabet) -> Automaton:
-    return Automaton(alphabet, 1, _fresh_edges(1), frozenset({0}), frozenset())
+    return Automaton(alphabet, 1, [{}], frozenset({0}), frozenset())
 
 
-def _shift(a: Automaton, offset: int, edges: list[dict[str, frozenset[int]]]) -> None:
-    for q in range(a.n):
-        for ch, targets in a.edges[q].items():
-            for t in targets:
-                _add_edge(edges, q + offset, ch, t + offset)
+def _shifted(a: Automaton, offset: int) -> list[dict[str, int]]:
+    """A copy of ``a``'s rows with every state moved up by ``offset``."""
+    rows = []
+    for row in a.edges:
+        rows.append(shifted := {})
+        for ch, m in row.items():
+            shifted[ch] = m << offset
+    return rows
 
 
-def _initial_edges(a: Automaton) -> list[tuple[str, int]]:
-    out = []
+def _add_moves(row: dict[str, int], moves: dict[str, int]) -> None:
+    for ch, m in moves.items():
+        row[ch] = row.get(ch, 0) | m
+
+
+def _initial_moves(a: Automaton) -> dict[str, int]:
+    """The successors of ``a``'s initial states, per letter."""
+    moves: dict[str, int] = {}
     for i in a.initials:
-        for ch, targets in a.edges[i].items():
-            for t in targets:
-                out.append((ch, t))
-    return out
+        _add_moves(moves, a.edges[i])
+    return moves
 
 
 def union_automata(a: Automaton, b: Automaton) -> Automaton:
-    edges = _fresh_edges(a.n + b.n)
-    _shift(a, 0, edges)
-    _shift(b, a.n, edges)
+    edges = _shifted(a, 0) + _shifted(b, a.n)
     initials = a.initials | {q + a.n for q in b.initials}
     finals = a.finals | {q + a.n for q in b.finals}
     return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
 
 
 def concat_automata(a: Automaton, b: Automaton) -> Automaton:
-    edges = _fresh_edges(a.n + b.n)
-    _shift(a, 0, edges)
-    _shift(b, a.n, edges)
-    b_starts = [(ch, t + a.n) for ch, t in _initial_edges(b)]
+    edges = _shifted(a, 0) + _shifted(b, a.n)
+    b_starts = {ch: m << a.n for ch, m in _initial_moves(b).items()}
     for f in a.finals:
-        for ch, t in b_starts:
-            _add_edge(edges, f, ch, t)
+        _add_moves(edges[f], b_starts)
     finals = {q + a.n for q in b.finals}
     if b.accepts_empty_word():
         finals |= a.finals
@@ -291,14 +303,10 @@ def concat_automata(a: Automaton, b: Automaton) -> Automaton:
 def star_automaton(a: Automaton) -> Automaton:
     # Fresh hub state so making the start accepting cannot leak extra words.
     hub = a.n
-    edges = _fresh_edges(a.n + 1)
-    _shift(a, 0, edges)
-    starts = _initial_edges(a)
-    for ch, t in starts:
-        _add_edge(edges, hub, ch, t)
+    starts = _initial_moves(a)
+    edges = _shifted(a, 0) + [dict(starts)]
     for f in a.finals:
-        for ch, t in starts:
-            _add_edge(edges, f, ch, t)
+        _add_moves(edges[f], starts)
     return Automaton(a.alphabet, a.n + 1, edges, frozenset({hub}), a.finals | {hub})
 
 
@@ -323,81 +331,88 @@ def nfa_of_regex(r: Regex, alphabet: Alphabet) -> Automaton:
 
 
 def determinize(a: Automaton, complete: bool = False) -> Automaton:
-    """Subset construction.  With ``complete=True`` a sink is added so every
+    """Subset construction on state bitmasks, numbered in BFS order with
+    letters in alphabet order.  With ``complete=True`` a sink is added so every
     state has a successor on every letter (needed before complementing)."""
     letters = a.alphabet.letters
-    start = frozenset(a.initials)
-    index: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    out_edges: list[dict[str, frozenset[int]]] = []
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        row: dict[str, frozenset[int]] = {}
+    start = state_mask(a.initials)
+    index = {start: 0}
+    order = [start]
+    out_edges: list[dict[str, int]] = []
+    for s in order:  # grows while it is walked: a BFS
+        row: dict[str, int] = {}
         for ch in letters:
-            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
+            t = a.step(s, ch)
             if not t and not complete:
                 continue
-            if t not in index:
-                index[t] = len(order)
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(order)
                 order.append(t)
-                queue.append(t)
-            row[ch] = frozenset({index[t]})
+            row[ch] = 1 << i
         out_edges.append(row)
-    finals = frozenset(i for i, s in enumerate(order) if s & a.finals)
-    return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), finals)
+    finals = state_mask(a.finals)
+    accepting = frozenset(i for i, s in enumerate(order) if s & finals)
+    return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), accepting)
+
+
+def _coreachable(a: Automaton) -> int:
+    """The bitmask of the states from which a final state can be reached."""
+    before = [0] * a.n
+    for q, row in enumerate(a.edges):
+        bit = 1 << q
+        targets = 0
+        for m in row.values():
+            targets |= m
+        while targets:
+            low = targets & -targets
+            before[low.bit_length() - 1] |= bit
+            targets ^= low
+    co = new = state_mask(a.finals)
+    while new:
+        new = mask_image(new, before) & ~co
+        co |= new
+    return co
 
 
 def trim(a: Automaton) -> Automaton:
     """Drop states that are unreachable or cannot reach a final state.
 
     The result's states are renumbered in BFS order from the initial set,
-    expanding letters in alphabet order, so equal inputs give identical
-    outputs.
+    expanding letters in alphabet order and targets in ascending order, so
+    equal inputs give identical outputs.
     """
-    rev: list[set[int]] = [set() for _ in range(a.n)]
-    for q in range(a.n):
-        for targets in a.edges[q].values():
-            for t in targets:
-                rev[t].add(q)
-    co: set[int] = set(a.finals)
-    queue = deque(sorted(a.finals))
-    while queue:
-        q = queue.popleft()
-        for p in rev[q]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
+    co = _coreachable(a)
     # One forward BFS through co-reachable states visits exactly the live
     # ones: a state it reaches is reachable and co-reachable, and every state
     # on a path from an initial state to a live state q reaches q, hence a
     # final state.  Each state it meets is reachable, so it is live exactly
     # when it is co-reachable, and the order is that of a BFS over the live
     # states.
-    renum: dict[int, int] = {}
-    order: list[int] = []
-    queue = deque(sorted(q for q in a.initials if q in co))
-    if not queue:
+    order = [q for q in sorted(a.initials) if co >> q & 1]
+    if not order:
         return empty_automaton(a.alphabet)
-    for q in queue:
-        renum[q] = len(order)
-        order.append(q)
-    while queue:
-        q = queue.popleft()
+    live = state_mask(order)
+    for q in order:  # grows while it is walked: a BFS
+        row = a.edges[q]
         for ch in a.alphabet.letters:
-            for t in sorted(a.successors(q, ch)):
-                if t in co and t not in renum:
-                    renum[t] = len(order)
-                    order.append(t)
-                    queue.append(t)
-    edges = _fresh_edges(len(order))
+            new = row.get(ch, 0) & co & ~live
+            if new:
+                live |= new
+                order.extend(state_bits(new))
+    moved = [0] * a.n  # each live state's bit in the result, 0 for the others
+    for i, q in enumerate(order):
+        moved[q] = 1 << i
+    edges = []
     for q in order:
-        for ch, targets in a.edges[q].items():
-            for t in targets:
-                if t in renum:
-                    _add_edge(edges, renum[q], ch, renum[t])
-    initials = frozenset(renum[q] for q in a.initials if q in renum)
-    finals = frozenset(renum[q] for q in a.finals if q in renum)
+        row = {}
+        for ch, m in a.edges[q].items():
+            m = mask_image(m, moved)
+            if m:
+                row[ch] = m
+        edges.append(row)
+    initials = frozenset(state_bits(mask_image(state_mask(a.initials), moved)))
+    finals = frozenset(state_bits(mask_image(state_mask(a.finals), moved)))
     return Automaton(a.alphabet, len(order), edges, initials, finals)
 
 
@@ -408,12 +423,12 @@ def compile_regex(r: Regex, alphabet: Alphabet) -> Automaton:
 
 def membership(a: Automaton, w: str) -> bool:
     a.alphabet.check_word(w)
-    current = set(a.initials)
+    current = state_mask(a.initials)
     for ch in w:
-        current = {t for q in current for t in a.successors(q, ch)}
+        current = a.step(current, ch)
         if not current:
             return False
-    return bool(current & set(a.finals))
+    return bool(current & state_mask(a.finals))
 
 
 def complement(a: Automaton) -> Automaton:
@@ -430,21 +445,24 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
         for q in sorted(b.initials):
             index[(p, q)] = len(order)
             order.append((p, q))
-    edges: list[dict[str, frozenset[int]]] = []
-    queue = deque(order)
-    while queue:
-        p, q = queue.popleft()
-        row: dict[str, set[int]] = {}
+    edges: list[dict[str, int]] = []
+    for p, q in order:  # grows while it is walked: a BFS
+        row: dict[str, int] = {}
         for ch in a.alphabet.letters:
-            for t1 in a.successors(p, ch):
-                for t2 in b.successors(q, ch):
+            ma, mb = a.edges[p].get(ch, 0), b.edges[q].get(ch, 0)
+            if not (ma and mb):
+                continue
+            targets = 0
+            for t1 in state_bits(ma):
+                for t2 in state_bits(mb):
                     key = (t1, t2)
-                    if key not in index:
-                        index[key] = len(order)
+                    i = index.get(key)
+                    if i is None:
+                        i = index[key] = len(order)
                         order.append(key)
-                        queue.append(key)
-                    row.setdefault(ch, set()).add(index[key])
-        edges.append({ch: frozenset(ts) for ch, ts in row.items()})
+                    targets |= 1 << i
+            row[ch] = targets
+        edges.append(row)
     finals = frozenset(
         i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals
     )
@@ -453,29 +471,29 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
 
 
 def is_empty_language(a: Automaton) -> bool:
-    return trim(a).finals == frozenset()
+    return not state_mask(a.initials) & _coreachable(a)
 
 
 def shortest_word(a: Automaton) -> str | None:
     """Length-then-lex least accepted word, or None for the empty language."""
-    return _shortest_from(a, frozenset(a.initials), allow_empty=True)
+    return _shortest_from(a, state_mask(a.initials), allow_empty=True)
 
 
 def shortest_nonempty_word(a: Automaton) -> str | None:
     """Least accepted word of length ≥ 1 (length-then-lex), or None."""
-    return _shortest_from(a, frozenset(a.initials), allow_empty=False)
+    return _shortest_from(a, state_mask(a.initials), allow_empty=False)
 
 
-def _shortest_from(a: Automaton, start: frozenset[int], allow_empty: bool) -> str | None:
-    finals = set(a.finals)
+def _shortest_from(a: Automaton, start: int, allow_empty: bool) -> str | None:
+    finals = state_mask(a.finals)
     if allow_empty and start & finals:
         return ""
     seen = {start}
-    queue: deque[tuple[frozenset[int], str]] = deque([(start, "")])
+    queue: deque[tuple[int, str]] = deque([(start, "")])
     while queue:
         s, path = queue.popleft()
         for ch in a.alphabet.letters:
-            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
+            t = a.step(s, ch)
             if not t:
                 continue
             word = path + ch
@@ -496,35 +514,35 @@ def words_up_to(a: Automaton, max_len: int) -> list[str]:
     alphabet order, so long words do not deepen the call stack.
     """
     out: list[str] = []
-    finals = set(a.finals)
+    finals = state_mask(a.finals)
     letters = a.alphabet.letters[::-1]
-    stack = [(frozenset(a.initials), "")]
+    children: dict[int, list[tuple[str, int]]] = {}  # per subset, built once
+    stack = [(state_mask(a.initials), "")]
     while stack:
         s, word = stack.pop()
         if s & finals:
             out.append(word)
         if len(word) == max_len:
             continue
-        for ch in letters:
-            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
-            if t:
-                stack.append((t, word + ch))
+        moves = children.get(s)
+        if moves is None:
+            moves = children[s] = [(ch, t) for ch in letters if (t := a.step(s, ch))]
+        for ch, t in moves:
+            stack.append((t, word + ch))
     return out
 
 
 def has_word_longer_than(a: Automaton, length: int) -> bool:
-    """True iff some accepted word is strictly longer than ``length``."""
-    t = trim(a)
-    if t.finals == frozenset():
-        return False
-    # In a trimmed automaton every state completes to a final state, so a
-    # viable path of length+1 steps suffices.
-    current = set(t.initials)
+    """True iff some accepted word is strictly longer than ``length``: a walk
+    of ``length`` + 1 steps through co-reachable states extends to one."""
+    co = _coreachable(a)
+    successors = [_targets(row) & co for row in a.edges]
+    current = state_mask(a.initials) & co
     for _ in range(length + 1):
-        current = {q2 for q in current for targets in t.edges[q].values() for q2 in targets}
         if not current:
             return False
-    return True
+        current = mask_image(current, successors)
+    return bool(current)
 
 
 def subset_with_witness(a: Automaton, b: Automaton) -> tuple[bool, str | None]:
@@ -548,9 +566,7 @@ def power_automaton(v: str, alphabet: Alphabet) -> Automaton:
         raise ValueError("v must be nonempty")
     alphabet.check_word(v)
     n = len(v)
-    edges = _fresh_edges(n)
-    for i, ch in enumerate(v):
-        _add_edge(edges, i, ch, (i + 1) % n)
+    edges = [{ch: 1 << (i + 1) % n} for i, ch in enumerate(v)]
     return Automaton(alphabet, n, edges, frozenset({0}), frozenset({0}))
 
 
@@ -567,32 +583,33 @@ def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None
 # Graphs whose arcs carry automata
 
 
-def arc_graph(nodes, arcs) -> tuple[dict, list[list[tuple[str, int]]]]:
+def arc_graph(nodes, arcs) -> tuple[dict, list[dict[str, int]]]:
     """The graph of ``nodes`` with each arc's automaton spliced in.
 
     ``arcs`` are (u, automaton, v).  The nodes are numbered first, in the
     given order, then a fresh copy of each arc's states, arc after arc.
-    ``successors[x]`` lists (letter, y): the copies keep their letter
-    edges, and ε arcs, with letter "", lead from u into the copy's initial
+    ``successors[x]`` maps a letter to the bitmask of x's successors on
+    it, as in :class:`Automaton`: the copies keep their letter edges, and
+    ε arcs, under the letter "", lead from u into the copy's initial
     states and from its final states to v.
     """
     index = {v: i for i, v in enumerate(nodes)}
-    successors: list[list[tuple[str, int]]] = [[] for _ in index]
+    successors: list[dict[str, int]] = [{} for _ in index]
     for u, a, v in arcs:
         base = len(successors)
-        for q in range(a.n):
-            successors.append(
-                [(ch, base + t) for ch, targets in a.edges[q].items() for t in targets]
-            )
+        successors += _shifted(a, base)
+        row = successors[index[u]]
         for i in a.initials:
-            successors[index[u]].append(("", base + i))
+            row[""] = row.get("", 0) | 1 << base + i
+        into = 1 << index[v]
         for f in a.finals:
-            successors[base + f].append(("", index[v]))
+            row = successors[base + f]
+            row[""] = row.get("", 0) | into
     return index, successors
 
 
 def epsilon_free(
-    successors: list[list[tuple[str, int]]],
+    successors: list[dict[str, int]],
     initials: Sequence[int],
     finals: Sequence[int],
     alphabet: Alphabet,
@@ -604,30 +621,31 @@ def epsilon_free(
     meets ``finals``.  Only states reached from ``initials`` are filled in;
     the others are left without arcs, for :func:`trim` to drop.
     """
-    final_set = set(finals)
-    edges = _fresh_edges(len(successors))
-    accepting = set()
-    reached = set(initials)
-    todo = list(reached)
+    final_mask = state_mask(finals)
+    edges: list[dict[str, int]] = [{} for _ in successors]
+    accepting = []
+    reached = todo = state_mask(initials)
     while todo:
-        s = todo.pop()
-        closure = {s}
-        stack = [s]
-        row: dict[str, set[int]] = {}
-        while stack:
-            x = stack.pop()
-            if x in final_set:
-                accepting.add(s)
-            for ch, y in successors[x]:
+        start = todo & -todo
+        todo ^= start
+        closure = frontier = start
+        row: dict[str, int] = {}
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            for ch, m in successors[low.bit_length() - 1].items():
                 if ch:
-                    row.setdefault(ch, set()).add(y)
-                elif y not in closure:
-                    closure.add(y)
-                    stack.append(y)
-        edges[s] = {ch: frozenset(ys) for ch, ys in row.items()}
-        for ys in row.values():
-            todo.extend(ys - reached)
-            reached |= ys
+                    row[ch] = row.get(ch, 0) | m
+                else:
+                    frontier |= m & ~closure
+                    closure |= m
+        s = start.bit_length() - 1
+        edges[s] = row
+        if closure & final_mask:
+            accepting.append(s)
+        for m in row.values():
+            todo |= m & ~reached
+            reached |= m
     return Automaton(alphabet, len(edges), edges, frozenset(initials), frozenset(accepting))
 
 
@@ -644,7 +662,7 @@ def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton
 
 
 def closed_walks(
-    successors: list[list[tuple[str, int]]], anchor: int, members: list[int], alphabet: Alphabet
+    successors: list[dict[str, int]], anchor: int, members: list[int], alphabet: Alphabet
 ) -> Automaton:
     """Words read along the closed walks at ``anchor`` that stay in ``members``.
 
@@ -654,26 +672,35 @@ def closed_walks(
     strongly connected component, every state the NFA reaches also
     reaches the sink, so it is left untrimmed.
     """
-    number = {x: i for i, x in enumerate(members)}
-    sink = len(members)
-    rows = [
-        [(ch, sink if y == anchor else number[y]) for ch, y in successors[x] if y in number]
-        for x in members
-    ]
-    return epsilon_free(rows + [[]], [number[anchor]], [sink], alphabet)
+    moved = {x: 1 << i for i, x in enumerate(members)}
+    start, sink = members.index(anchor), len(members)
+    moved[anchor] = 1 << sink  # a walk ends when it returns
+    rows = []
+    for x in members:
+        rows.append(row := {})
+        for ch, m in successors[x].items():
+            kept = 0
+            while m:
+                low = m & -m
+                m ^= low
+                kept |= moved.get(low.bit_length() - 1, 0)
+            if kept:
+                row[ch] = kept
+    return epsilon_free(rows + [{}], [start], [sink], alphabet)
 
 
 def cycle_roots(
     anchors: Sequence[_Anchor],
-    successors: list[list[tuple[str, int]]],
+    successors: list[dict[str, int]],
     alphabet: Alphabet,
 ) -> dict[_Anchor, str | None] | tuple[_Anchor, str, str]:
     """The one primitive root of each anchor's cycle words, or a clash.
 
     ``successors`` is the arc graph: node i < len(anchors) is
     ``anchors[i]``, the nodes after them are inner nodes (the states of
-    the automata on the arcs), and ``successors[x]`` lists (letter, y),
-    with "" for an ε arc.  An anchor's cycle words are the words the arc
+    the automata on the arcs), and ``successors[x]`` maps a letter, or ""
+    for ε arcs, to the bitmask of x's successors on it (see
+    :func:`arc_graph`).  An anchor's cycle words are the words the arc
     graph reads along closed walks at it (those of single returns suffice,
     as powers are closed under concatenation, see :func:`closed_walks`).
     Each anchor's root is that of its shortest nonempty cycle word m (None
@@ -700,12 +727,13 @@ def cycle_roots(
     """
     count = len(anchors)
     roots: list[str | None] = [None] * count
-    components = tarjan_sccs(len(successors), [[y for _, y in row] for row in successors])
+    targets = [list(state_bits(_targets(row))) for row in successors]
+    components = tarjan_sccs(len(successors), targets)
     for members in sorted(components, key=lambda members: members[0]):
         first = members[0]  # members come sorted, so anchors come first
         if first >= count:
             break
-        if len(members) == 1 and all(y != first for _, y in successors[first]):
+        if len(members) == 1 and first not in targets[first]:
             continue
         cycles = closed_walks(successors, first, members, alphabet)
         m = shortest_nonempty_word(cycles)
@@ -726,18 +754,19 @@ def cycle_roots(
 
 
 def _positions(
-    successors: list[list[tuple[str, int]]], start: int, members: list[int], v: str
+    successors: list[dict[str, int]], start: int, members: list[int], v: str
 ) -> dict[int, int] | None:
     """Positions in ℤ/|v| of ``members``, the nodes of ``start``'s component,
     read as prefixes of v^ω from φ(start) = 0, or None when two readings clash."""
-    component = set(members)
+    component = state_mask(members)
     position = {start: 0}
     stack = [start]
     while stack:
         x = stack.pop()
         at = position[x]
-        for ch, y in successors[x]:
-            if y not in component:
+        for ch, m in successors[x].items():
+            m &= component
+            if not m:
                 continue
             if ch:
                 if ch != v[at]:
@@ -745,12 +774,16 @@ def _positions(
                 to = (at + 1) % len(v)
             else:
                 to = at
-            seen = position.get(y)
-            if seen is None:
-                position[y] = to
-                stack.append(y)
-            elif seen != to:
-                return None
+            while m:
+                low = m & -m
+                m ^= low
+                y = low.bit_length() - 1
+                seen = position.get(y)
+                if seen is None:
+                    position[y] = to
+                    stack.append(y)
+                elif seen != to:
+                    return None
     return position
 
 
@@ -798,11 +831,10 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
     d = trim(determinize(a))
     if d.finals == frozenset():
         return Scattered(0)
-    successors = [[(ch, t) for ch, ts in row.items() for t in ts] for row in d.edges]
-    roots = cycle_roots(range(d.n), successors, d.alphabet)
+    roots = cycle_roots(range(d.n), d.edges, d.alphabet)
     if isinstance(roots, tuple):
         return QuasiDense(*roots)
-    targets = [[t for _, t in row] for row in successors]
+    targets = [list(state_bits(_targets(row))) for row in d.edges]
     # Longest path in the condensation counting only looping components.
     # Tarjan lists them in reverse topological order, so successors come first.
     comp_of = [0] * d.n

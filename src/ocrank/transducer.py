@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import regular
 from .counterset import NSetReport, reach_sets
 from .regular import Automaton, Regex, parse_regex
-from .words import Alphabet, in_d1
+from .words import Alphabet, in_d1, state_mask
 
 
 class TransducerError(ValueError):
@@ -578,10 +578,10 @@ def bounded_language_equal(
     )
 
     alphabet = machine.alphabet
-    a_finals, b_finals = set(a.finals), set(b.finals)
-    start = (frozenset(a.initials), frozenset(b.initials))
+    a_finals, b_finals = state_mask(a.finals), state_mask(b.finals)
+    start = (state_mask(a.initials), state_mask(b.initials))
     seen = {start}
-    queue: list[tuple[tuple[frozenset[int], frozenset[int]], str]] = [(start, "")]
+    queue: list[tuple[tuple[int, int], str]] = [(start, "")]
     head = 0
     while head < len(queue):
         (sa, sb), word = queue[head]
@@ -591,8 +591,8 @@ def bounded_language_equal(
         if len(word) == output_cap:
             continue
         for ch in alphabet.letters:
-            ta = frozenset(q2 for q in sa for q2 in a.successors(q, ch))
-            tb = frozenset(q2 for q in sb for q2 in b.successors(q, ch))
+            ta = a.step(sa, ch)
+            tb = b.step(sb, ch)
             if not ta and not tb:
                 continue
             key = (ta, tb)

@@ -3,11 +3,14 @@
 Words are plain Python strings whose characters are letters of an
 :class:`Alphabet`.  The alphabet's *declared* order — not character-code
 order — drives every comparison in the package, so ``Alphabet(("b", "a"))``
-really does make ``"b"`` smaller than ``"a"``.
+really does make ``"b"`` smaller than ``"a"``.  The module also holds the
+helpers for sets of states kept as int bitmasks, which the automata and
+the counter levels share.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -212,3 +215,33 @@ def dyck_class(w: str) -> DyckClass:
     if suf:
         return DyckClass.SUFFIX_ONLY
     return DyckClass.NEITHER
+
+
+# ---------------------------------------------------------------------------
+# Sets of states as int bitmasks: bit q is set when state q is in the set
+
+
+def state_mask(states: Iterable[int]) -> int:
+    """The bitmask of a set of states."""
+    mask = 0
+    for q in states:
+        mask |= 1 << q
+    return mask
+
+
+def state_bits(mask: int) -> Iterator[int]:
+    """The states of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_image(mask: int, table) -> int:
+    """Union of ``table[q]`` over the states q of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out

@@ -63,6 +63,12 @@ trans s1 0 s3 a*
 """
 
 
+def mask_bits(mask: int) -> list[int]:
+    """The states of an automaton's successor bitmask, lowest first, read
+    bit by bit rather than through ``words.state_bits``."""
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
 OUTPUT_POOL = ("a", "b", "ab", "a*", "a+b", "b*a", "eps", "a(b+a)")
 
 

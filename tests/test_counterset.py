@@ -30,7 +30,7 @@ from ocrank.cli import parse_fixture
 from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
 from ocrank.transducer import make_transducer
 from ocrank.words import BINARY, Alphabet
-from conftest import M138, OUTPUT_POOL, random_machine
+from conftest import M138, OUTPUT_POOL, mask_bits, random_machine
 
 
 # --- oracle helpers ------------------------------------------------------------
@@ -367,7 +367,7 @@ def close_image_system(regex_text: str):
         (t, 1 if ch == "1" else -1, p)
         for p in range(d.n)
         for ch, targets in d.edges[p].items()
-        for t in targets
+        for t in mask_bits(targets)
     ]
     return d.n, edges, sorted(d.finals)
 

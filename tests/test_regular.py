@@ -51,6 +51,7 @@ from ocrank.regular import (
     words_up_to,
 )
 from ocrank.words import Alphabet, primitive_root
+from conftest import mask_bits
 
 AB = Alphabet(("a", "b"))
 
@@ -239,7 +240,7 @@ def recursive_words_up_to(a, max_len: int) -> list[str]:
         if len(word) == max_len:
             return
         for ch in a.alphabet.letters:
-            t = frozenset(q2 for q in s for q2 in a.successors(q, ch))
+            t = frozenset(q2 for q in s for q2 in mask_bits(a.edges[q].get(ch, 0)))
             if t:
                 walk(t, word + ch)
 
@@ -250,12 +251,12 @@ def recursive_words_up_to(a, max_len: int) -> list[str]:
 def random_nfa(rng: random.Random, max_states: int = 6) -> Automaton:
     """A small random ε-free NFA over {a, b}, loops and dead ends included."""
     n = rng.randint(1, max_states)
-    edges: list[dict[str, frozenset[int]]] = [{} for _ in range(n)]
+    edges: list[dict[str, int]] = [{} for _ in range(n)]
     for q in range(n):
         for ch in "ab":
             targets = frozenset(rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 2))))
             if targets:
-                edges[q][ch] = targets
+                edges[q][ch] = sum(1 << t for t in targets)
     initials = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))
     finals = frozenset(rng.sample(range(n), rng.randint(0, n)))
     return Automaton(AB, n, edges, initials, finals)
@@ -304,24 +305,26 @@ def two_search_trim(a: Automaton) -> Automaton:
                     todo.append(t)
         return seen
 
-    forward = search(a.initials, lambda q: [t for ts in a.edges[q].values() for t in ts])
-    backward = search(
-        a.finals, lambda q: [p for p in range(a.n) for ts in a.edges[p].values() if q in ts]
-    )
+    def targets(q: int, ch: str | None = None) -> list[int]:
+        masks = a.edges[q].values() if ch is None else [a.edges[q].get(ch, 0)]
+        return [t for m in masks for t in mask_bits(m)]
+
+    forward = search(a.initials, targets)
+    backward = search(a.finals, lambda q: [p for p in range(a.n) if q in targets(p)])
     alive = forward & backward
     if not alive:
         return empty_automaton(AB)
     order = sorted(q for q in a.initials if q in alive)
     for q in order:  # grows while it is walked: a BFS
         for ch in AB.letters:
-            order += [t for t in sorted(a.successors(q, ch)) if t in alive and t not in order]
+            order += [t for t in sorted(targets(q, ch)) if t in alive and t not in order]
     renum = {q: i for i, q in enumerate(order)}
-    edges: list[dict[str, frozenset[int]]] = [{} for _ in order]
+    edges: list[dict[str, int]] = [{} for _ in order]
     for q in order:
-        for ch, targets in a.edges[q].items():
-            kept = frozenset(renum[t] for t in targets if t in renum)
+        for ch in a.edges[q]:
+            kept = frozenset(renum[t] for t in targets(q, ch) if t in renum)
             if kept:
-                edges[renum[q]][ch] = kept
+                edges[renum[q]][ch] = sum(1 << t for t in kept)
     return Automaton(
         AB,
         len(order),
@@ -425,7 +428,7 @@ def bounded_quasi_density_oracle(a, max_len: int = 10) -> bool:
                 labels.append(w)
                 continue
             for letter, targets in d.edges[s].items():
-                for t in targets:
+                for t in mask_bits(targets):
                     stack.append((t, w + letter))
         roots = {primitive_root(w) for w in labels}
         if len(roots) > 1:
@@ -457,10 +460,10 @@ def dfa_cycle_language(d: Automaton, q: int) -> Automaton:
     edges = [{} for _ in range(d.n + 2)]
     for p in range(d.n):
         for ch, targets in d.edges[p].items():
-            for t in targets:
+            for t in mask_bits(targets):
                 p2 = src if p == q else p
                 t2 = snk if t == q else t
-                edges[p2][ch] = edges[p2].get(ch, frozenset()) | {t2}
+                edges[p2][ch] = edges[p2].get(ch, 0) | 1 << t2
     return Automaton(d.alphabet, d.n + 2, edges, frozenset({src}), frozenset({snk}))
 
 
@@ -506,13 +509,19 @@ def assert_cycle_roots_match(anchors, successors, alphabet, cycle_language):
     return got
 
 
+def arc_targets(successors) -> list[list[int]]:
+    """Each node's successors in an arc graph, over every letter and ε."""
+    return [sorted({y for m in row.values() for y in mask_bits(m)}) for row in successors]
+
+
 def arc_components(successors, looping_only=False):
     """Components of an arc graph, optionally only those with a closed walk."""
-    components = tarjan_sccs(len(successors), [[y for _, y in row] for row in successors])
+    targets = arc_targets(successors)
+    components = tarjan_sccs(len(successors), targets)
     if looping_only:
         components = [
             members for members in components
-            if len(members) > 1 or any(y == members[0] for _, y in successors[members[0]])
+            if len(members) > 1 or members[0] in targets[members[0]]
         ]
     return components
 
@@ -528,7 +537,7 @@ def test_cycle_roots_match_the_per_anchor_loop_on_random_dfas():
         if not d.finals:
             continue
         checked += 1
-        successors = [[(ch, t) for ch, ts in row.items() for t in ts] for row in d.edges]
+        successors = d.edges  # a DFA is an arc graph without ε arcs
         got = assert_cycle_roots_match(
             range(d.n), successors, d.alphabet, lambda q: dfa_cycle_language(d, q)
         )

@@ -32,7 +32,7 @@ from .rank import (
     analyze_machine,
     expr_rank_bound,
 )
-from .regular import Regex, RegexSyntaxError, parse_regex
+from .regular import RegexSyntaxError, parse_regex
 from .transducer import (
     LevelingError,
     Transducer,
@@ -222,19 +222,17 @@ def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transduce
         if f not in known:
             raise FixtureError(f"{name}: final state {f!r} not declared")
     parsed_transitions = []
-    outputs: dict[str, Regex] = {}  # a text repeats on many lines; parse it once
     for (lineno, parts), (src, bit, tgt, regex_text) in zip(
         [e for e in entries if e[1][0] == "trans"], transitions
     ):
         if src not in known or tgt not in known:
             bad = src if src not in known else tgt
             fail(lineno, f"unknown state {bad!r}")
-        if regex_text not in outputs:
-            try:
-                outputs[regex_text] = parse_regex(regex_text, alphabet)
-            except RegexSyntaxError as exc:
-                fail(lineno, f"bad regex {regex_text!r}: {exc}")
-        parsed_transitions.append((src, bit, tgt, outputs[regex_text]))
+        try:
+            output = parse_regex(regex_text, alphabet)
+        except RegexSyntaxError as exc:
+            fail(lineno, f"bad regex {regex_text!r}: {exc}")
+        parsed_transitions.append((src, bit, tgt, output))
     try:
         return make_transducer(states, initial, finals, parsed_transitions, alphabet)
     except TransducerError as exc:

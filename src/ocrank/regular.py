@@ -10,13 +10,18 @@ on a letter are one int bitmask, and every walk over state sets works on
 such masks, lowest state first.  ``compile_regex`` returns the trimmed
 subset-construction DFA, which is what every decision procedure in this
 module works on.
+
+Machines draw their outputs from few regexes, so ``parse_regex`` and
+``compile_regex`` keep their results in process-wide tables, as :mod:`re`
+keeps compiled patterns, and ``regular_scattered`` keeps its verdict on
+the automaton it analysed.  Compiled automata are shared and read-only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TypeVar
 
 from .words import Alphabet, mask_image, primitive_root, state_bits, state_mask
@@ -119,6 +124,24 @@ def _balanced(node: type[Concat] | type[Union], parts: list[Regex]) -> Regex:
     return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
 
 
+# Most entries each table below keeps, as ``re._MAXCACHE`` does for
+# compiled patterns.  Past it the oldest entry, in insertion order, goes.
+# An alphabet is keyed by its letters, which are all its equality compares
+# and which hash without a call into Python.
+_MAXCACHE = 512
+
+_parsed: dict[tuple[str, tuple[str, ...]], Regex] = {}
+_compiled: dict[tuple[Regex, tuple[str, ...]], Automaton] = {}
+
+
+def _remember(table: dict, key, value):
+    """Store ``value`` under ``key``, evicting the oldest entry when full."""
+    if len(table) >= _MAXCACHE:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
+
+
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     """Parse the package's regex dialect.
 
@@ -132,9 +155,17 @@ def parse_regex(text: str, alphabet: Alphabet) -> Regex:
     ``eps`` is a reserved token: it always denotes the empty word, even if
     e, p, s are themselves letters of the alphabet.  Whitespace is not
     allowed (fixture files split on it).  Parentheses may nest at most
-    ``MAX_NESTING`` deep.
+    ``MAX_NESTING`` deep.  Each (text, alphabet) is parsed once per
+    process; a syntax error is raised anew on every call.
     """
+    key = (text, alphabet.letters)
+    node = _parsed.get(key)
+    if node is None:
+        node = _remember(_parsed, key, _parse(text, alphabet))
+    return node
 
+
+def _parse(text: str, alphabet: Alphabet) -> Regex:
     pos = 0
     depth = 0
     n = len(text)
@@ -221,6 +252,11 @@ class Automaton:
     bitmask (bit t set when q → t); letters without successors are absent.
     ``initials`` and ``finals`` are frozensets; a routine that walks state
     sets turns them into masks once per call.
+
+    Automata are read-only once built: those from :func:`compile_regex`
+    are shared by every caller in the process, and
+    :func:`regular_scattered` keeps its verdict on them.  No caller may
+    mutate ``edges``, ``initials`` or ``finals``.
     """
 
     alphabet: Alphabet
@@ -228,6 +264,9 @@ class Automaton:
     edges: list[dict[str, int]]
     initials: frozenset[int]
     finals: frozenset[int]
+    _scattered: Scattered | QuasiDense | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def step(self, states: int, ch: str) -> int:
         """The successors on ``ch`` of the state bitmask ``states``."""
@@ -417,8 +456,16 @@ def trim(a: Automaton) -> Automaton:
 
 
 def compile_regex(r: Regex, alphabet: Alphabet) -> Automaton:
-    """Regex → trimmed DFA (possibly partial: dead transitions are absent)."""
-    return trim(determinize(nfa_of_regex(r, alphabet)))
+    """Regex → trimmed DFA (possibly partial: dead transitions are absent).
+
+    Each (regex, alphabet) is compiled once per process and the automaton
+    is shared by every caller: it is read-only, see :class:`Automaton`.
+    """
+    key = (r, alphabet.letters)
+    a = _compiled.get(key)
+    if a is None:
+        a = _remember(_compiled, key, trim(determinize(nfa_of_regex(r, alphabet))))
+    return a
 
 
 def membership(a: Automaton, w: str) -> bool:
@@ -827,7 +874,16 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
     scattered language's rank is bounded by the most looping components met
     along one path of that DFA: each loop on a path contributes one level of
     condensation.
+
+    The verdict is kept on ``a``, so a shared automaton from
+    :func:`compile_regex` is analysed once per process.
     """
+    if a._scattered is None:
+        a._scattered = _decide_scattered(a)
+    return a._scattered
+
+
+def _decide_scattered(a: Automaton) -> Scattered | QuasiDense:
     d = trim(determinize(a))
     if d.finals == frozenset():
         return Scattered(0)

@@ -49,16 +49,9 @@ class Transducer:
     transitions: tuple[Transition, ...]
     alphabet: Alphabet
     accepts_epsilon: bool
-    _outputs: dict[Regex, Automaton] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def compiled_output(self, t: Transition) -> Automaton:
-        a = self._outputs.get(t.output)
-        if a is None:
-            a = regular.compile_regex(t.output, self.alphabet)
-            self._outputs[t.output] = a
-        return a
+        return regular.compile_regex(t.output, self.alphabet)
 
 
 def make_transducer(states, initial, finals, transitions, alphabet: Alphabet) -> Transducer:
@@ -169,7 +162,6 @@ def _split(
         tuple(dict.fromkeys(transitions)),
         machine.alphabet,
         machine.accepts_epsilon,
-        dict(machine._outputs),
     )
     return out
 

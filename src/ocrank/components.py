@@ -11,10 +11,13 @@ quasi-density witness and kill scatteredness.
 
 Each stage takes its roots from one labelling per strongly connected
 component of the arc graph (the component's states with every output
-automaton spliced in, :func:`regular.arc_graph`): one cycle language for
-the component's first anchor, built from that component alone, then one
-search that places every node at a position of that anchor's root
-(:func:`regular.cycle_roots`).
+automaton spliced in, :func:`regular.arc_graph`): one search from the
+component's first anchor gives every node a potential, the length of a
+word read on the way to it, and the root is read off the letters read
+at each potential modulo the gcd of the cycle weights
+(:func:`regular.cycle_roots`).  A cycle language is built only for the
+clash that becomes the verdict, from the clashing component's own nodes
+(:func:`regular.cycle_witness`).
 """
 
 from __future__ import annotations
@@ -188,13 +191,15 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     those are the closed walks on the tight transitions, so stage 2 is
     stage 1 run on those alone.  In a strongly connected component every
     edge lies on a cycle, so all transitions are tight exactly when every
-    cycle weighs zero, which ``up`` and ``down`` components must.
+    cycle weighs zero, which ``up`` and ``down`` components must; stage 2
+    would then repeat stage 1, and stage 1's clash is the verdict.  Only
+    the clash that is returned gets its witness built.
     """
     if c.trivial:
         return FullyCertified({})
     anchors = sorted(c.members)
     internal = internal_transitions(c, prime)
-    roots = _cycle_roots(prime, anchors, internal)
+    successors, roots = _cycle_roots(prime, anchors, internal)
     if isinstance(roots, dict):
         return FullyCertified(roots)
     tight = tight_transitions(internal)
@@ -202,18 +207,19 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         raise AssertionError(
             f"{c.phase} component {anchors} has a nonzero-weight cycle"
         )
-    if tight is None:
-        return QuasiDenseWitness(*roots)
-    roots = _cycle_roots(prime, anchors, tight)
-    if isinstance(roots, dict):
-        return ZeroCertified(roots)
-    return QuasiDenseWitness(*roots)
+    if tight is not None and len(tight) < len(internal):
+        successors, roots = _cycle_roots(prime, anchors, tight)
+        if isinstance(roots, dict):
+            return ZeroCertified(roots)
+    return QuasiDenseWitness(
+        *regular.cycle_witness(anchors, successors, roots, prime.alphabet)
+    )
 
 
 def _cycle_roots(
     prime: TransducerPrime, anchors: list[TypedState], transitions: list[TypedTransition]
-) -> dict[TypedState, str | None] | tuple[TypedState, str, str]:
-    """:func:`regular.cycle_roots` on the closed walks along ``transitions``."""
+) -> tuple[list[dict[str, int]], dict[TypedState, str | None] | list[int]]:
+    """The arc graph of ``transitions`` and :func:`regular.cycle_roots` on it."""
     arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
     _, successors = regular.arc_graph(anchors, arcs)
-    return regular.cycle_roots(anchors, successors, prime.alphabet)
+    return successors, regular.cycle_roots(anchors, successors)

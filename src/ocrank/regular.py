@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import gcd
 from typing import TypeVar
 
 from .words import Alphabet, mask_image, primitive_root, state_bits, state_mask
@@ -366,13 +367,13 @@ def nfa_of_regex(r: Regex, alphabet: Alphabet) -> Automaton:
 
 
 # ---------------------------------------------------------------------------
-# Subset construction, trimming, boolean operations
+# Subset construction, trimming, inclusion
 
 
-def determinize(a: Automaton, complete: bool = False) -> Automaton:
+def determinize(a: Automaton) -> Automaton:
     """Subset construction on state bitmasks, numbered in BFS order with
-    letters in alphabet order.  With ``complete=True`` a sink is added so every
-    state has a successor on every letter (needed before complementing)."""
+    letters in alphabet order.  The result is partial: a letter that leads
+    to the empty set has no edge."""
     letters = a.alphabet.letters
     start = state_mask(a.initials)
     index = {start: 0}
@@ -382,7 +383,7 @@ def determinize(a: Automaton, complete: bool = False) -> Automaton:
         row: dict[str, int] = {}
         for ch in letters:
             t = a.step(s, ch)
-            if not t and not complete:
+            if not t:
                 continue
             i = index.get(t)
             if i is None:
@@ -478,49 +479,6 @@ def membership(a: Automaton, w: str) -> bool:
     return bool(current & state_mask(a.finals))
 
 
-def complement(a: Automaton) -> Automaton:
-    d = determinize(a, complete=True)
-    finals = frozenset(range(d.n)) - d.finals
-    return Automaton(d.alphabet, d.n, d.edges, d.initials, finals)
-
-
-def intersect(a: Automaton, b: Automaton) -> Automaton:
-    """Product automaton, built on the fly from the initial pairs."""
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for p in sorted(a.initials):
-        for q in sorted(b.initials):
-            index[(p, q)] = len(order)
-            order.append((p, q))
-    edges: list[dict[str, int]] = []
-    for p, q in order:  # grows while it is walked: a BFS
-        row: dict[str, int] = {}
-        for ch in a.alphabet.letters:
-            ma, mb = a.edges[p].get(ch, 0), b.edges[q].get(ch, 0)
-            if not (ma and mb):
-                continue
-            targets = 0
-            for t1 in state_bits(ma):
-                for t2 in state_bits(mb):
-                    key = (t1, t2)
-                    i = index.get(key)
-                    if i is None:
-                        i = index[key] = len(order)
-                        order.append(key)
-                    targets |= 1 << i
-            row[ch] = targets
-        edges.append(row)
-    finals = frozenset(
-        i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals
-    )
-    initials = frozenset(range(len(a.initials) * len(b.initials)))
-    return Automaton(a.alphabet, len(order), edges, initials, finals)
-
-
-def is_empty_language(a: Automaton) -> bool:
-    return not state_mask(a.initials) & _coreachable(a)
-
-
 def shortest_word(a: Automaton) -> str | None:
     """Length-then-lex least accepted word, or None for the empty language."""
     return _shortest_from(a, state_mask(a.initials), allow_empty=True)
@@ -593,18 +551,29 @@ def has_word_longer_than(a: Automaton, length: int) -> bool:
 
 
 def subset_with_witness(a: Automaton, b: Automaton) -> tuple[bool, str | None]:
-    """Decide L(a) ⊆ L(b); on failure also return the least word in L(a)∖L(b)."""
-    diff = intersect(a, complement(b))
-    w = shortest_word(diff)
-    return (w is None), w
+    """Decide L(a) ⊆ L(b); on failure also return the least word in L(a)∖L(b).
 
-
-def subset_language(a: Automaton, b: Automaton) -> bool:
-    return subset_with_witness(a, b)[0]
-
-
-def equivalent(a: Automaton, b: Automaton) -> bool:
-    return subset_language(a, b) and subset_language(b, a)
+    One breadth-first search over pairs (state set of a, state set of b),
+    letters in alphabet order, stops at the first word that a accepts and
+    b rejects, which is the length-then-lex least.  Only the pairs that
+    some word reaches are built, and b is never completed.
+    """
+    finals_a, finals_b = state_mask(a.finals), state_mask(b.finals)
+    start = (state_mask(a.initials), state_mask(b.initials))
+    seen = {start}
+    queue: deque[tuple[tuple[int, int], str]] = deque([(start, "")])
+    while queue:
+        (s, t), word = queue.popleft()
+        if s & finals_a and not t & finals_b:
+            return False, word
+        for ch in a.alphabet.letters:
+            s2 = a.step(s, ch)
+            if s2:
+                pair = (s2, b.step(t, ch))
+                if pair not in seen:
+                    seen.add(pair)
+                    queue.append((pair, word + ch))
+    return True, None
 
 
 def power_automaton(v: str, alphabet: Alphabet) -> Automaton:
@@ -737,40 +706,38 @@ def closed_walks(
 
 
 def cycle_roots(
-    anchors: Sequence[_Anchor],
-    successors: list[dict[str, int]],
-    alphabet: Alphabet,
-) -> dict[_Anchor, str | None] | tuple[_Anchor, str, str]:
+    anchors: Sequence[_Anchor], successors: list[dict[str, int]]
+) -> dict[_Anchor, str | None] | list[int]:
     """The one primitive root of each anchor's cycle words, or a clash.
 
     ``successors`` is the arc graph: node i < len(anchors) is
     ``anchors[i]``, the nodes after them are inner nodes (the states of
     the automata on the arcs), and ``successors[x]`` maps a letter, or ""
     for ε arcs, to the bitmask of x's successors on it (see
-    :func:`arc_graph`).  An anchor's cycle words are the words the arc
-    graph reads along closed walks at it (those of single returns suffice,
-    as powers are closed under concatenation, see :func:`closed_walks`).
-    Each anchor's root is that of its shortest nonempty cycle word m (None
-    when it has none) and must generate every other cycle word.  Returns
-    the roots, in the order of ``anchors``, or ``(anchor, m, x)`` for the
-    first anchor, in that order, with a least cycle word x outside
-    ``root*``.
+    :func:`arc_graph`).  An anchor's cycle words are the words read along
+    closed walks at it.  Returns the roots (None where no cycle reads a
+    letter) in the order of ``anchors``, or, when some anchor's cycle words
+    are not all powers of one word, the nodes of the first such strongly
+    connected component of the arc graph, by least node, for
+    :func:`cycle_witness`.  No cycle language is built.
 
-    One cycle language is built per strongly connected component of the
-    arc graph, for its first anchor a.  With v the root of a's word m,
-    each node x of the component gets a position φ(x) in ℤ/|v| by one
-    search from φ(a) = 0: an ε arc keeps φ, a letter arc must read v[φ(x)]
-    and adds 1.  The labelling exists exactly when every cycle word at a
-    lies in v*: a path a → x is then a prefix of v^ω whose length mod |v|
-    does not depend on the path (v is primitive, so no two rotations of it
-    agree), and conversely a labelled closed walk at a reads a power of v.
-    Every node lies on a closed walk through every anchor of its
-    component, so if one anchor's cycle words are powers of its root, the
-    labelling exists and every anchor s has cycle words in the powers of
-    v rotated by φ(s), which is the root of its shortest one.  The anchors
-    of a component thus pass or fail together, the first failing anchor
-    is the first anchor of the first failing component, and its witness
-    comes from the one cycle language already built.
+    One search from a component's first anchor a gives each node x a
+    potential d(x), the length of the word read along one path a → x.  Let
+    g be the gcd of d(x) + w − d(y) over the component's arcs x → y (w = 1
+    on letter arcs, 0 on ε arcs): it divides every closed walk's weight,
+    the sum of these terms, and each term is the difference of two closed
+    walks' weights, so g is the gcd of the cycle weights.  If g = 0, no
+    cycle reads a letter.  Otherwise the letter arcs from the nodes with
+    d ≡ k (mod g) must all read one letter u[k] (a cycle that reads a
+    letter weighs a positive multiple of g, so it meets every k), and the
+    root is v = primitive_root(u).  If every cycle word at a lies in v*,
+    then |v| divides every cycle weight, so it divides g, and a closed walk
+    at a reads the letter c of an arc from x at an offset ≡ d(x) (mod g),
+    so c = v[d(x) mod |v|]: the labelling mod g is consistent.  Conversely,
+    a consistent labelling puts every closed walk at a in u* ⊆ v*.  Every
+    node lies on a closed walk through every anchor of its component, so
+    anchor s reads u from position d(s), and its root is v rotated by
+    d(s) mod |v|: the anchors of a component pass or fail together.
     """
     count = len(anchors)
     roots: list[str | None] = [None] * count
@@ -782,56 +749,81 @@ def cycle_roots(
             break
         if len(members) == 1 and first not in targets[first]:
             continue
-        cycles = closed_walks(successors, first, members, alphabet)
-        m = shortest_nonempty_word(cycles)
-        if m is None:
+        labelling = _root_labelling(successors, first, members)
+        if labelling is None:
+            return members
+        root, depth = labelling
+        if root is None:
             continue
-        root = primitive_root(m)
-        position = _positions(successors, first, members, root)
-        if position is None:
-            _, counterexample = subset_of_power_with_witness(cycles, root)
-            if counterexample is None:
-                raise AssertionError(f"no labelling, yet the cycle words at {first} are in {root}*")
-            return anchors[first], m, counterexample
         for s in members:
             if s >= count:
                 break
-            roots[s] = root[position[s]:] + root[: position[s]]
+            k = depth[s] % len(root)
+            roots[s] = root[k:] + root[:k]
     return dict(zip(anchors, roots))
 
 
-def _positions(
-    successors: list[dict[str, int]], start: int, members: list[int], v: str
-) -> dict[int, int] | None:
-    """Positions in ℤ/|v| of ``members``, the nodes of ``start``'s component,
-    read as prefixes of v^ω from φ(start) = 0, or None when two readings clash."""
+def _root_labelling(
+    successors: list[dict[str, int]], start: int, members: list[int]
+) -> tuple[str | None, dict[int, int]] | None:
+    """The root v and the potential d of ``start``'s component ``members``
+    (see :func:`cycle_roots`), v None when no cycle reads a letter, or None
+    when two arcs at one potential mod g read different letters."""
     component = state_mask(members)
-    position = {start: 0}
+    depth = {start: 0}
     stack = [start]
+    period = 0
+    letters: list[tuple[int, str]] = []  # (d(x), c) per arc x → y reading c
     while stack:
         x = stack.pop()
-        at = position[x]
+        at = depth[x]
         for ch, m in successors[x].items():
             m &= component
             if not m:
                 continue
             if ch:
-                if ch != v[at]:
-                    return None
-                to = (at + 1) % len(v)
-            else:
-                to = at
+                letters.append((at, ch))
+            to = at + 1 if ch else at
             while m:
                 low = m & -m
                 m ^= low
                 y = low.bit_length() - 1
-                seen = position.get(y)
+                seen = depth.get(y)
                 if seen is None:
-                    position[y] = to
+                    depth[y] = to
                     stack.append(y)
-                elif seen != to:
-                    return None
-    return position
+                else:
+                    period = gcd(period, to - seen)
+    if not period:
+        return None, depth
+    word: dict[int, str] = {}
+    for at, ch in letters:
+        if word.setdefault(at % period, ch) != ch:
+            return None
+    return primitive_root("".join(word[k] for k in range(period))), depth
+
+
+def cycle_witness(
+    anchors: Sequence[_Anchor],
+    successors: list[dict[str, int]],
+    members: list[int],
+    alphabet: Alphabet,
+) -> tuple[_Anchor, str, str]:
+    """The witness ``(anchor, m, x)`` of the clash :func:`cycle_roots`
+    reported on ``members``: the component's first anchor, its shortest
+    nonempty cycle word m, and its least cycle word x outside
+    primitive_root(m)*.  The one cycle language built is that of single
+    returns, from the component's own nodes (:func:`closed_walks`); longer
+    closed walks concatenate single returns and add no witness.
+    """
+    first = members[0]
+    cycles = closed_walks(successors, first, members, alphabet)
+    m = shortest_nonempty_word(cycles)
+    root = primitive_root(m)
+    _, counterexample = subset_of_power_with_witness(cycles, root)
+    if counterexample is None:
+        raise AssertionError(f"no labelling, yet the cycle words at {first} are in {root}*")
+    return anchors[first], m, counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -887,9 +879,9 @@ def _decide_scattered(a: Automaton) -> Scattered | QuasiDense:
     d = trim(determinize(a))
     if d.finals == frozenset():
         return Scattered(0)
-    roots = cycle_roots(range(d.n), d.edges, d.alphabet)
-    if isinstance(roots, tuple):
-        return QuasiDense(*roots)
+    roots = cycle_roots(range(d.n), d.edges)
+    if isinstance(roots, list):
+        return QuasiDense(*cycle_witness(range(d.n), d.edges, roots, d.alphabet))
     targets = [list(state_bits(_targets(row))) for row in d.edges]
     # Longest path in the condensation counting only looping components.
     # Tarjan lists them in reverse topological order, so successors come first.

@@ -343,9 +343,9 @@ def test_08g_bounded_outputs_of_a_six_loop_machine_in_polynomial_time(tmp_path, 
 
 
 def test_08h_cycle_roots_of_large_components_in_one_pass_each():
-    # One cycle language and one position labelling per component, not one
-    # language and one inclusion test per anchor: the per-anchor loop took
-    # 2.3 s on complete n = 12 on a 2-core host.
+    # One labelling per component, and a cycle language only for a reported
+    # clash, not one language and one inclusion test per anchor: the
+    # per-anchor loop took 2.3 s on complete n = 12 on a 2-core host.
     for machine, bound, status in (
         (complete_machine(12), "72", "Certified"),
         (ladder(8, 9), "w+73", "ConditionalOnScattered"),

@@ -25,15 +25,13 @@ from ocrank.regular import (
     Star,
     Union,
     compile_regex,
-    complement,
     cycle_roots,
+    cycle_witness,
     determinize,
     empty_automaton,
-    equivalent,
+    epsilon_automaton,
     expand_graph,
     has_word_longer_than,
-    intersect,
-    is_empty_language,
     membership,
     nfa_of_regex,
     parse_regex,
@@ -42,7 +40,6 @@ from ocrank.regular import (
     regular_scattered,
     shortest_nonempty_word,
     shortest_word,
-    subset_language,
     subset_of_power,
     subset_of_power_with_witness,
     subset_with_witness,
@@ -52,6 +49,14 @@ from ocrank.regular import (
 )
 from ocrank.words import Alphabet, primitive_root
 from conftest import mask_bits
+from oracles import (
+    complement,
+    eager_difference_witness,
+    equivalent,
+    intersect,
+    is_empty_language,
+    subset_language,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -211,6 +216,39 @@ def test_subset_with_witness_finds_least_difference():
     ok, witness = subset_with_witness(big, small)
     assert not ok and witness == "aa"
     assert subset_language(small, big)
+
+
+def test_subset_with_witness_matches_the_eager_product():
+    """The lazy pair search finds the least word of the whole product of a
+    with the complement of b, or none exactly when it is empty."""
+    rng = random.Random(20261019)
+    seen = {"a empty": 0, "b empty": 0, "a has eps": 0, "b has eps": 0,
+            "b a power": 0, "included": 0, "not included": 0}
+
+    def pick(right: bool) -> tuple[str, Automaton]:
+        kind = rng.randrange(8)
+        if kind == 0:
+            return "empty", empty_automaton(AB)
+        if kind == 1:
+            return "eps", epsilon_automaton(AB)
+        if kind == 2 and right:
+            return "power", power_automaton(rng.choice(("a", "b", "ab", "ba", "aab")), AB)
+        if kind < 5:
+            return "regex", compile_regex(random_regex(rng, 3), AB)
+        return "nfa", random_nfa(rng)
+
+    for _ in range(600):
+        (_, a), (kind, b) = pick(right=False), pick(right=True)
+        ok, witness = subset_with_witness(a, b)
+        assert witness == eager_difference_witness(a, b)
+        assert ok == (witness is None)
+        seen["a empty"] += is_empty_language(a)
+        seen["b empty"] += is_empty_language(b)
+        seen["a has eps"] += a.accepts_empty_word()
+        seen["b has eps"] += b.accepts_empty_word()
+        seen["b a power"] += kind == "power"
+        seen["included" if ok else "not included"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_shortest_word_is_least():
@@ -486,26 +524,30 @@ def per_anchor_cycle_roots(anchors, cycle_language):
 
 def assert_cycle_roots_match(anchors, successors, alphabet, cycle_language):
     """``cycle_roots`` gives what the per-anchor loop on ``cycle_language``
-    gives, key order included, and builds at most one cycle language per
-    component of the arc graph.  Returns its result."""
+    gives, key order included, and builds no cycle language.  On a clash
+    it names a component of the arc graph, and ``cycle_witness`` gives the
+    loop's witness from one cycle language, built for that component's
+    first node from its own nodes.  Returns the roots or the witness."""
     called = []
     closed_walks = regular.closed_walks
 
     def counted(successors, anchor, members, alphabet):
-        called.append(anchor)
+        called.append((anchor, list(members)))
         return closed_walks(successors, anchor, members, alphabet)
 
+    want = per_anchor_cycle_roots(anchors, cycle_language)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regular, "closed_walks", counted)
-        got = cycle_roots(anchors, successors, alphabet)
-    want = per_anchor_cycle_roots(anchors, cycle_language)
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and list(got.items()) == list(want.items())
-    else:
-        assert got == want
-    component_of = {x: i for i, members in enumerate(arc_components(successors)) for x in members}
-    built = [component_of[anchor] for anchor in called]
-    assert len(built) == len(set(built)), called
+        got = cycle_roots(anchors, successors)
+        assert called == []
+        if isinstance(got, dict):
+            assert isinstance(want, dict) and list(got.items()) == list(want.items())
+            return got
+        members = got
+        got = cycle_witness(anchors, successors, members, alphabet)
+    assert got == want
+    assert members in arc_components(successors)
+    assert called == [(members[0], members)]
     return got
 
 

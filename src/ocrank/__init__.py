@@ -72,7 +72,6 @@ from .components import (
     ZeroCertified,
     certify_component,
     condense,
-    cycle_outputs,
 )
 from .rank import (
     NotScattered,
@@ -128,7 +127,7 @@ __all__ = [
     "minimal_normalize", "project_run", "run_input_word", "step_language",
     "validate",
     "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",
-    "ZeroCertified", "certify_component", "condense", "cycle_outputs",
+    "ZeroCertified", "certify_component", "condense",
     "NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",
     "RocPlus", "Unknown", "analyze_machine", "expr_rank_bound", "ord_add",
     "ord_max", "transducer_rank_bound",

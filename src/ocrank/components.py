@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import regular
-from .regular import Automaton
 from .transducer import TransducerPrime, TypedState, TypedTransition
 
 
@@ -148,37 +147,6 @@ def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransitio
     return [
         tt for tt in transitions if potential[tt.source] + _weight(tt) == potential[tt.target]
     ]
-
-
-def cycle_outputs(
-    c: Scc,
-    anchor: TypedState,
-    prime: TransducerPrime,
-    transitions: list[TypedTransition] | None = None,
-) -> Automaton:
-    """Outputs emitted along closed paths of the component through ``anchor``.
-
-    The paths use ``transitions``, by default all internal transitions of
-    the component.  The anchor is split into a source and a sink copy, so
-    the language contains exactly the outputs of single returns; repeated
-    returns are concatenations of these and add nothing to any
-    power-inclusion check.  Trivial components give the empty language.
-    """
-    if anchor not in c.members:
-        raise ValueError(f"{anchor} is not in the component")
-    if c.trivial:
-        return regular.empty_automaton(prime.alphabet)
-    src = ("src", anchor)
-    snk = ("snk", anchor)
-    nodes: list[object] = [src, snk] + [s for s in sorted(c.members) if s != anchor]
-    if transitions is None:
-        transitions = internal_transitions(c, prime)
-    arcs = []
-    for tt in transitions:
-        u = src if tt.source == anchor else tt.source
-        v = snk if tt.target == anchor else tt.target
-        arcs.append((u, prime.compiled_output(tt), v))
-    return regular.expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
 
 
 def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:

@@ -255,9 +255,10 @@ class Automaton:
     sets turns them into masks once per call.
 
     Automata are read-only once built: those from :func:`compile_regex`
-    are shared by every caller in the process, and
-    :func:`regular_scattered` keeps its verdict on them.  No caller may
-    mutate ``edges``, ``initials`` or ``finals``.
+    are shared by every caller in the process, :func:`regular_scattered`
+    keeps its verdict on them, and :func:`expand_graph` the states that a
+    letter enters.  No caller may mutate ``edges``, ``initials`` or
+    ``finals``.
     """
 
     alphabet: Alphabet
@@ -266,6 +267,9 @@ class Automaton:
     initials: frozenset[int]
     finals: frozenset[int]
     _scattered: Scattered | QuasiDense | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _entered: tuple[list[tuple[dict[str, int], bool]], dict[str, int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -396,23 +400,24 @@ def determinize(a: Automaton) -> Automaton:
     return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), accepting)
 
 
+def _reach(mask: int, successors: list[int]) -> int:
+    """The bitmask of the states that ``successors`` leads to from ``mask``,
+    in any number of steps, ``mask`` included."""
+    seen = new = mask
+    while new:
+        new = mask_image(new, successors) & ~seen
+        seen |= new
+    return seen
+
+
 def _coreachable(a: Automaton) -> int:
     """The bitmask of the states from which a final state can be reached."""
     before = [0] * a.n
     for q, row in enumerate(a.edges):
         bit = 1 << q
-        targets = 0
-        for m in row.values():
-            targets |= m
-        while targets:
-            low = targets & -targets
-            before[low.bit_length() - 1] |= bit
-            targets ^= low
-    co = new = state_mask(a.finals)
-    while new:
-        new = mask_image(new, before) & ~co
-        co |= new
-    return co
+        for t in state_bits(_targets(row)):
+            before[t] |= bit
+    return _reach(state_mask(a.finals), before)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -665,16 +670,96 @@ def epsilon_free(
     return Automaton(alphabet, len(edges), edges, frozenset(initials), frozenset(accepting))
 
 
+def _entered_states(a: Automaton) -> tuple[list[tuple[dict[str, int], bool]], dict[str, int]]:
+    """The states of ``a`` that some letter edge enters, renumbered from 0
+    in ascending order, each with its row and whether it is final, and the
+    moves out of ``a``'s initial states.  For a DFA from
+    :func:`compile_regex` that is every state but 0, unless an edge
+    re-enters state 0.  Kept on ``a``."""
+    if a._entered is None:
+        entered = 0
+        for row in a.edges:
+            entered |= _targets(row)
+        kept = list(state_bits(entered))
+        moved = [0] * a.n
+        for i, q in enumerate(kept):
+            moved[q] = 1 << i
+
+        def renumber(row: dict[str, int]) -> dict[str, int]:
+            return {ch: mask_image(m, moved) for ch, m in row.items()}
+
+        rows = [(renumber(a.edges[q]), q in a.finals) for q in kept]
+        a._entered = rows, renumber(_initial_moves(a))
+    return a._entered
+
+
 def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton:
     """NFA for the words read along paths of a graph with automaton edges.
 
     ``arcs`` are (u, automaton, v): traversing the arc reads one member of
-    the automaton's language.  This is :func:`epsilon_free` on
-    :func:`arc_graph`, trimmed.
+    the automaton's language.  Only the live nodes are kept: those on a
+    path from an initial node to a final one along arcs whose automaton has
+    a final state.  The states are the live initial nodes, each once, then,
+    arc after live arc, the states of its automaton that a letter edge
+    enters, each with its own row.  A live node's ε-closure, computed once,
+    is the node and the nodes that arcs accepting ε lead to from it; it
+    gives the node a row, the moves out of the initial states of the arcs
+    leaving the closure, and it accepts when the closure meets ``finals``.
+    An initial node reads on with its row and accepts with it, and so does
+    a copied state that is final in its automaton, with the row of the
+    arc's target.
+
+    When every arc carries a trimmed automaton, as :func:`compile_regex`
+    returns, the result is trimmed without a search: a copied state is
+    entered along a word from its automaton's initial state, which the
+    arc's live source reaches, and reads on to a final state of the
+    automaton, from which the arc's live target reads on to a final node.
+    Otherwise the language is the same, but dead states may be left.
     """
-    index, successors = arc_graph(nodes, arcs)
-    starts, ends = [index[v] for v in initials], [index[v] for v in finals]
-    return trim(epsilon_free(successors, starts, ends, alphabet))
+    index = {v: i for i, v in enumerate(nodes)}
+    counted = [(index[u], a, index[v]) for u, a, v in arcs if a.finals]
+    after, before = [0] * len(index), [0] * len(index)
+    for i, _, j in counted:
+        after[i] |= 1 << j
+        before[j] |= 1 << i
+    starts = [index[v] for v in initials]
+    final_mask = state_mask(index[v] for v in finals)
+    live = _reach(state_mask(starts), after) & _reach(final_mask, before)
+    # Each state's own row, and the node whose row it adds (None for none).
+    states: list[tuple[dict[str, int], int | None]] = [
+        ({}, x) for x in dict.fromkeys(starts) if live >> x & 1
+    ]
+    if not states:
+        return empty_automaton(alphabet)
+    initial_states = frozenset(range(len(states)))
+    leaving: list[list[dict[str, int]]] = [[] for _ in index]
+    eps = [0] * len(index)  # the ε arcs between live nodes
+    for i, a, j in counted:
+        if live >> i & 1 and live >> j & 1:
+            rows, moves = _entered_states(a)
+            base = len(states)
+            leaving[i].append({ch: m << base for ch, m in moves.items()})
+            if a.initials & a.finals:
+                eps[i] |= 1 << j
+            for own, final in rows:
+                states.append(({ch: m << base for ch, m in own.items()}, j if final else None))
+    closed: dict[int, tuple[dict[str, int], int]] = {}
+    edges, accepting = [], []
+    for row, x in states:
+        if x is not None:
+            if x not in closed:
+                closure = _reach(1 << x, eps) if eps[x] else 1 << x
+                moves = {}
+                for y in state_bits(closure):
+                    for out in leaving[y]:
+                        _add_moves(moves, out)
+                closed[x] = moves, closure & final_mask
+            moves, accepts = closed[x]
+            _add_moves(row, moves)
+            if accepts:
+                accepting.append(len(edges))
+        edges.append(row)
+    return Automaton(alphabet, len(edges), edges, initial_states, frozenset(accepting))
 
 
 def closed_walks(

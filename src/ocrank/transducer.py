@@ -513,23 +513,24 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
     configurations (state, counter c, step i) with 0 ≤ c ≤ nmax − i that
     the initial one reaches, with an arc per transition that reads its
     output language.  The size is polynomial in nmax, where stepping each
-    input word is exponential.
+    input word is exponential.  The arcs carry the trimmed DFAs of
+    :meth:`compiled_output`, so the NFA comes out trimmed, with no search.
     """
     by_source: dict = {}
     for t in machine.transitions:
-        by_source.setdefault(t.source, []).append(t)
+        by_source.setdefault(t.source, []).append((t, machine.compiled_output(t)))
     configs = [(machine.initial, 0, 0)]
     seen = set(configs)
     arcs = []
     for q, c, i in configs:  # grows while it is walked
-        for t in by_source.get(q, ()):
+        for t, output in by_source.get(q, ()):
             c2 = c + 1 if t.bit == 0 else c - 1
             if 0 <= c2 <= nmax - i - 1:
                 cfg = (t.target, c2, i + 1)
                 if cfg not in seen:
                     seen.add(cfg)
                     configs.append(cfg)
-                arcs.append(((q, c, i), machine.compiled_output(t), cfg))
+                arcs.append(((q, c, i), output, cfg))
     finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in machine.finals]
     return regular.expand_graph(configs, arcs, configs[:1], finals, machine.alphabet)
 

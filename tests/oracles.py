@@ -4,13 +4,20 @@
 in full and take its least word; it now searches the pairs of state sets
 lazily.  These are the eager routines it replaced, in the bitmask
 representation of :class:`ocrank.regular.Automaton`, and the language
-comparisons built on them.
+comparisons built on them.  ``regular.expand_graph`` used to splice every
+arc's automaton into the graph, eliminate ε and trim the result; it now
+builds the trimmed NFA directly, and :func:`spliced_expand_graph` is the
+old composition.  :func:`cycle_outputs` builds one component's cycle
+language per anchor, which the components layer no longer does.
 """
 
 from __future__ import annotations
 
+from ocrank import regular
+from ocrank.components import Scc, internal_transitions
 from ocrank.regular import Automaton, shortest_word
-from ocrank.words import state_bits, state_mask
+from ocrank.transducer import TransducerPrime, TypedState, TypedTransition
+from ocrank.words import Alphabet, state_bits, state_mask
 
 
 def complete_determinize(a: Automaton) -> Automaton:
@@ -91,3 +98,42 @@ def equivalent(a: Automaton, b: Automaton) -> bool:
 
 def is_empty_language(a: Automaton) -> bool:
     return shortest_word(a) is None
+
+
+def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton:
+    """``regular.expand_graph`` the long way: every arc's automaton spliced
+    into the graph, ε eliminated, then trimmed."""
+    index, successors = regular.arc_graph(nodes, arcs)
+    starts, ends = [index[v] for v in initials], [index[v] for v in finals]
+    return regular.trim(regular.epsilon_free(successors, starts, ends, alphabet))
+
+
+def cycle_outputs(
+    c: Scc,
+    anchor: TypedState,
+    prime: TransducerPrime,
+    transitions: list[TypedTransition] | None = None,
+) -> Automaton:
+    """Outputs emitted along closed paths of the component through ``anchor``.
+
+    The paths use ``transitions``, by default all internal transitions of
+    the component.  The anchor is split into a source and a sink copy, so
+    the language contains exactly the outputs of single returns; repeated
+    returns are concatenations of these and add nothing to any
+    power-inclusion check.  Trivial components give the empty language.
+    """
+    if anchor not in c.members:
+        raise ValueError(f"{anchor} is not in the component")
+    if c.trivial:
+        return regular.empty_automaton(prime.alphabet)
+    src = ("src", anchor)
+    snk = ("snk", anchor)
+    nodes: list[object] = [src, snk] + [s for s in sorted(c.members) if s != anchor]
+    if transitions is None:
+        transitions = internal_transitions(c, prime)
+    arcs = []
+    for tt in transitions:
+        u = src if tt.source == anchor else tt.source
+        v = snk if tt.target == anchor else tt.target
+        arcs.append((u, prime.compiled_output(tt), v))
+    return regular.expand_graph(nodes, arcs, [src], [snk], prime.alphabet)

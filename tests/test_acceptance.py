@@ -14,6 +14,7 @@ from test_components import ladder
 from test_counterset import complete_machine, random_upset, realize
 from test_harness import fig1_expected_words
 from test_transducer import (
+    SIX_LOOPS,
     assert_leveling_invariants,
     assert_up_down_cycles_weigh_nothing,
 )
@@ -304,19 +305,6 @@ def test_08f_counter_sets_of_a_complete_machine_in_polynomial_time():
         report = reach_sets(m)
         assert report.period == 2
     assert_within(t0, 5.0)
-
-
-SIX_LOOPS = """alphabet a b
-states s
-initial s
-final s
-trans s 0 s a
-trans s 0 s a*
-trans s 0 s ab
-trans s 1 s b*a
-trans s 1 s a(b+a)
-trans s 1 s b
-"""
 
 
 def test_08g_bounded_outputs_of_a_six_loop_machine_in_polynomial_time(tmp_path, capsys):

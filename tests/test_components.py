@@ -20,7 +20,6 @@ from ocrank.components import (
     ZeroCertified,
     certify_component,
     condense,
-    cycle_outputs,
     internal_transitions,
     scc_index_of,
     tight_transitions,
@@ -44,7 +43,7 @@ from ocrank.transducer import (
 )
 from ocrank.words import Alphabet, primitive_root
 from conftest import random_machine
-from oracles import equivalent, is_empty_language
+from oracles import cycle_outputs, equivalent, is_empty_language
 from test_counterset import complete_machine
 from test_regular import arc_components, assert_cycle_roots_match
 

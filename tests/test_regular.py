@@ -55,6 +55,7 @@ from oracles import (
     equivalent,
     intersect,
     is_empty_language,
+    spliced_expand_graph,
     subset_language,
 )
 
@@ -439,6 +440,52 @@ def test_expand_graph_series_and_loop():
 def test_expand_graph_no_path_is_empty():
     a = expand_graph(["u", "v"], [("v", _lang("a"), "v")], ["u"], ["v"], AB)
     assert is_empty_language(a)
+
+
+def _reach(start, arcs) -> set:
+    seen, todo = set(start), list(start)
+    while todo:
+        u = todo.pop()
+        for x, _, y in arcs:
+            if x == u and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def test_expand_graph_matches_the_spliced_graph_and_is_trimmed():
+    """The direct construction against arc_graph + epsilon_free + trim on
+    random graphs: the same language, no dead state, and as many states."""
+    rng = random.Random(20261019)
+    pool = [_lang(text) for text in ("eps", "a*", "b*a", "ab", "a+b")]
+    seen = dict.fromkeys(
+        ("ε cycle", "unreachable node", "dead end", "arc into an initial node",
+         "repeated initial", "several initials", "several finals", "empty"), 0
+    )
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        nodes = [f"n{i}" for i in range(n)]
+        arcs = [
+            (rng.choice(nodes), rng.choice(pool), rng.choice(nodes))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        initials = [rng.choice(nodes) for _ in range(rng.randint(1, 3))]
+        finals = [rng.choice(nodes) for _ in range(rng.randint(0, 3))]
+        got = expand_graph(nodes, arcs, initials, finals, AB)
+        spliced = spliced_expand_graph(nodes, arcs, initials, finals, AB)
+        assert equivalent(got, spliced), (arcs, initials, finals)
+        assert trim(got).n == got.n == spliced.n, (arcs, initials, finals)
+        reached = _reach(initials, arcs)
+        eps_arcs = [(u, a, v) for u, a, v in arcs if a.accepts_empty_word()]
+        seen["ε cycle"] += any(u in _reach([v], eps_arcs) for u, _, v in eps_arcs)
+        seen["unreachable node"] += len(reached) < n
+        seen["dead end"] += any(not _reach([u], arcs) & set(finals) for u in reached)
+        seen["arc into an initial node"] += any(v in initials for _, _, v in arcs)
+        seen["repeated initial"] += len(set(initials)) < len(initials)
+        seen["several initials"] += len(set(initials)) > 1
+        seen["several finals"] += len(set(finals)) > 1
+        seen["empty"] += is_empty_language(got)
+    assert min(seen.values()) >= 20, seen
 
 
 # --- scatteredness of a regular language ---------------------------------------

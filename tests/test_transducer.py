@@ -15,6 +15,7 @@ import pytest
 
 from ocrank import regular
 from ocrank.counterset import CertificationError, default_counter_cap, reach_sets
+from ocrank.cli import parse_fixture
 from ocrank.regular import Empty, compile_regex, parse_regex
 from ocrank.transducer import (
     DOWN,
@@ -514,6 +515,27 @@ def test_bounded_outputs_match_the_per_word_union(fig1, fig2):
             for nmax in range(7):
                 glued = bounded_outputs(subject, nmax)
                 assert equivalent(glued, oracle[nmax]), (subject, nmax)
+                assert regular.trim(glued).n == glued.n, (subject, nmax)
                 checked += 1
             primes += subject is not machine
     assert primes >= 100 and checked >= 7 * 300
+
+
+# One state with three opening and three closing self-loops: the input
+# words grow exponentially with the cap, the configurations quadratically.
+SIX_LOOPS = """alphabet a b
+states s
+initial s
+final s
+trans s 0 s a
+trans s 0 s a*
+trans s 0 s ab
+trans s 1 s b*a
+trans s 1 s a(b+a)
+trans s 1 s b
+"""
+
+
+def test_bounded_outputs_of_the_six_loop_machine_have_a_pinned_size():
+    machine = parse_fixture(SIX_LOOPS).value
+    assert [bounded_outputs(machine, cap).n for cap in (6, 8)] == [61, 101]

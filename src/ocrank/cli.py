@@ -307,27 +307,23 @@ def _typed_state_json(s) -> list:
 
 def _cmd_nsets(machine: Transducer, args, out) -> tuple[int, dict]:
     report = reach_sets(machine, counter_cap=args.counter_cap)
+    rendered = {
+        q: {
+            "minus": render_upset(report.minus[q]),
+            "plus": render_upset(report.plus[q]),
+            "meet": render_upset(report.meet[q]),
+        }
+        for q in machine.states
+    }
     print(f"P = {report.period}", file=out)
-    for q in machine.states:
-        print(
-            f"{q}: N- = {render_upset(report.minus[q])} | "
-            f"N+ = {render_upset(report.plus[q])} | "
-            f"N = {render_upset(report.meet[q])}",
-            file=out,
-        )
+    for q, sets in rendered.items():
+        print(f"{q}: N- = {sets['minus']} | N+ = {sets['plus']} | N = {sets['meet']}", file=out)
     for q in machine.states:
         values = ", ".join(str(c) for c in sorted(report.types[q]))
         print(f"tau({q}) = {{{values}}}", file=out)
     payload = {
         "command": "nsets",
-        "nsets": {
-            q: {
-                "minus": render_upset(report.minus[q]),
-                "plus": render_upset(report.plus[q]),
-                "meet": render_upset(report.meet[q]),
-            }
-            for q in machine.states
-        },
+        "nsets": rendered,
         "period": report.period,
         "types": {q: sorted(report.types[q]) for q in machine.states},
         "counter_cap": report.counter_cap,

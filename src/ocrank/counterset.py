@@ -12,6 +12,14 @@ level c − 1 alone, so the first level that repeats an earlier one proves
 every later level: the levels cycle from there on, and each state's set
 is read off one turn of the cycle.  That repeat is the certificate.
 
+A machine's forward system (counters of input prefixes) and backward
+system (counters still closable) share one Dyck closure: the backward
+one's is the transpose of the forward one's (see :func:`reach_sets`).
+Each level cycle is read by state as one integer row, bit c set when the
+state is in level c; the canonical :class:`UPSet`, the intersection of
+two sets and the members below a bound all come off such rows with
+integer operations.
+
 If no level repeats within the counter cap the analysis aborts with a
 :class:`CertificationError` suggesting a larger ``--counter-cap`` instead
 of guessing.
@@ -20,10 +28,11 @@ of guessing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .regular import Regex, compile_regex, parse_regex
-from .words import BINARY, mask_image, state_mask
+from .words import BINARY, mask_image, state_bits, state_mask
 
 
 class CertificationError(RuntimeError):
@@ -60,31 +69,7 @@ class UPSet:
             raise ValueError(f"finite part {sorted(finite)} not within [0, {threshold})")
         if any(r < 0 or r >= period for r in residues):
             raise ValueError(f"residues {sorted(residues)} not within [0, {period})")
-        if not residues:
-            return UPSet._canonical_finite(finite)
-        # Minimal divisor period.
-        for d in range(1, period + 1):
-            if period % d != 0:
-                continue
-            folded = {r % d for r in residues}
-            if all((r in residues) == (r % d in folded) for r in range(period)):
-                period, residues = d, frozenset(folded)
-                break
-        # Least threshold at which the set matches its tail pattern.
-        finite_set = set(finite)
-        while threshold > 0:
-            c = threshold - 1
-            in_tail = (c % period) in residues
-            if in_tail != (c in finite_set):
-                break
-            finite_set.discard(c)
-            threshold = c
-        return UPSet(threshold, frozenset(finite_set), period, residues)
-
-    @staticmethod
-    def _canonical_finite(members: frozenset[int]) -> "UPSet":
-        threshold = max(members) + 1 if members else 0
-        return UPSet(threshold, members, 1, frozenset())
+        return _canonical(state_mask(finite), threshold, period, state_mask(residues))
 
     @staticmethod
     def empty() -> "UPSet":
@@ -95,7 +80,7 @@ class UPSet:
         members = frozenset(members)
         if any(c < 0 for c in members):
             raise ValueError("members must be naturals")
-        return UPSet._canonical_finite(members)
+        return UPSet.build(max(members, default=-1) + 1, members, 1, ())
 
     @staticmethod
     def naturals() -> "UPSet":
@@ -124,6 +109,45 @@ class UPSet:
         return [n for n in range(bound + 1) if up_membership(self, n)]
 
 
+def _repeat(pattern: int, period: int, length: int) -> int:
+    """The ``period``-bit ``pattern`` repeated over bits 0 … length − 1."""
+    turns = -(-length // period)
+    repunit = ((1 << period * turns) - 1) // ((1 << period) - 1)
+    return pattern * repunit & ((1 << length) - 1)
+
+
+def _canonical(finite: int, threshold: int, period: int, residues: int) -> UPSet:
+    """The canonical :class:`UPSet` of ``finite`` ∪ {n ≥ threshold : bit
+    n mod period of ``residues`` is set}, both given as bitmasks: fold the
+    residues to their least divisor period, then lower the threshold past
+    every counter below it whose membership the residues already give."""
+    full = (1 << period) - 1
+    for d in range(1, period):  # the least rotation that maps the residues onto themselves
+        if period % d == 0 and (residues << d | residues >> (period - d)) & full == residues:
+            period, residues = d, residues & ((1 << d) - 1)
+            break
+    threshold = (finite ^ _repeat(residues, period, threshold)).bit_length()
+    finite &= (1 << threshold) - 1
+    return UPSet(threshold, frozenset(state_bits(finite)), period, frozenset(state_bits(residues)))
+
+
+def _row_upset(row: int, start: int, period: int) -> UPSet:
+    """The canonical :class:`UPSet` of a counter row: bit c of ``row`` is
+    set when c is in the set, for c < start + period, and the set repeats
+    bits start … start + period − 1 from there on."""
+    full = (1 << period) - 1
+    turn = row >> start & full
+    shift = start % period  # bit i of the turn is counter start + i
+    residues = (turn << shift | turn >> (period - shift)) & full
+    return _canonical(row & ((1 << start) - 1), start, period, residues)
+
+
+def _upset_row(s: UPSet, length: int) -> int:
+    """The members of ``s`` below ``length`` as a bitmask."""
+    tail = _repeat(state_mask(s.residues), s.period, length) >> s.threshold << s.threshold
+    return state_mask(s.finite) | tail
+
+
 def up_membership(s: UPSet, n: int) -> bool:
     if n < 0:
         raise ValueError("naturals only")
@@ -132,26 +156,21 @@ def up_membership(s: UPSet, n: int) -> bool:
     return (n % s.period) in s.residues
 
 
-def _pointwise(s1: UPSet, s2: UPSet, keep) -> UPSet:
+def _pointwise(s1: UPSet, s2: UPSet, combine) -> UPSet:
+    # Both sets repeat from the later threshold on, with the lcm of their
+    # periods, so that many bits decide the result.
+    start = max(s1.threshold, s2.threshold)
     period = math.lcm(s1.period, s2.period)
-    threshold = max(s1.threshold, s2.threshold)
-    finite = {n for n in range(threshold) if keep(up_membership(s1, n), up_membership(s2, n))}
-    residues = set()
-    for r in range(period):
-        # One tail representative decides the whole class: membership above
-        # the joint threshold depends only on the residue mod each period.
-        n = threshold + ((r - threshold) % period)
-        if keep(up_membership(s1, n), up_membership(s2, n)):
-            residues.add(r)
-    return UPSet.build(threshold, finite, period, residues)
+    row = combine(_upset_row(s1, start + period), _upset_row(s2, start + period))
+    return _row_upset(row, start, period)
 
 
 def up_intersect(s1: UPSet, s2: UPSet) -> UPSet:
-    return _pointwise(s1, s2, lambda a, b: a and b)
+    return _pointwise(s1, s2, operator.and_)
 
 
 def up_union(s1: UPSet, s2: UPSet) -> UPSet:
-    return _pointwise(s1, s2, lambda a, b: a or b)
+    return _pointwise(s1, s2, operator.or_)
 
 
 def render_upset(s: UPSet) -> str:
@@ -225,8 +244,37 @@ def dyck_closure(opens: list[int], closes: list[int]) -> list[int]:
     return z
 
 
+def _moves(n: int, edges: list[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
+    """The +1 and −1 successor bitmasks of each state."""
+    opens = [0] * n
+    closes = [0] * n
+    for p, w, q in edges:
+        if w > 0:
+            opens[p] |= 1 << q
+        else:
+            closes[p] |= 1 << q
+    return opens, closes
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Rows of bitmasks read by column: bit i of ``out[j]`` is bit j of
+    ``rows[i]``, for the ``width`` columns."""
+    out = [0] * width
+    for p, row in enumerate(rows):
+        bit = 1 << p
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
 def level_cycle(
-    n: int, edges: list[tuple[int, int, int]], starts: list[int], cap: int
+    n: int,
+    edges: list[tuple[int, int, int]],
+    starts: list[int],
+    cap: int,
+    closure: list[int] | None = None,
 ) -> tuple[list[int], int]:
     """The levels of a ±1 system up to their first repeat, and where the
     repeated loop begins.
@@ -238,17 +286,12 @@ def level_cycle(
     by c single opens, and every such chain is a run.  Level c depends on
     level c − 1 alone, so when level ``len(levels)`` equals level
     ``start``, level c equals level ``start + (c − start) mod period`` for
-    every c ≥ start, with ``period = len(levels) − start``.  Raises
+    every c ≥ start, with ``period = len(levels) − start``.  ``closure``,
+    when given, is the system's Z, which is then not recomputed.  Raises
     :class:`CertificationError` when levels 0 … cap + 1 are all distinct.
     """
-    opens = [0] * n
-    closes = [0] * n
-    for p, w, q in edges:
-        if w > 0:
-            opens[p] |= 1 << q
-        else:
-            closes[p] |= 1 << q
-    z = dyck_closure(opens, closes)
+    opens, closes = _moves(n, edges)
+    z = closure if closure is not None else dyck_closure(opens, closes)
     level = mask_image(state_mask(starts), z)
     first: dict[int, int] = {}
     levels: list[int] = []
@@ -269,30 +312,34 @@ def certified_slices(
     edges: list[tuple[int, int, int]],
     starts: list[int],
     cap: int,
+    closure: list[int] | None = None,
 ) -> tuple[list[UPSet], list[SliceCertificate]]:
     """Per-state reachability sets of a ±1 counter system with certificates.
 
     ``edges`` are (source, weight, target) with weight ±1; the counter may
     never drop below zero.  Runs start at the ``starts`` with counter 0.
-    Each state's set is read off the levels (:func:`level_cycle`): its
-    members below the loop's start, then the residues of one turn of the
-    loop.  The sets are exact, as the levels repeat from there on.
+    Each state's set is read off the levels (:func:`level_cycle`, which
+    takes ``closure``): its row has bit c set when the state is in level
+    c, below the loop's start and through one turn of the loop.  The sets
+    are exact, as the levels repeat from there on.
     """
     if cap < 2 * n + 6:
         raise CertificationError(
             f"counter cap {cap} is too small for {n} states; "
             f"pass --counter-cap {default_counter_cap(n)} or higher"
         )
-    levels, start = level_cycle(n, edges, starts, cap)
+    levels, start = level_cycle(n, edges, starts, cap, closure)
     period = len(levels) - start
+    rows = _transpose(levels, n)
+    sets: dict[int, UPSet] = {}  # states often share a row
     slices: list[UPSet] = []
     certificates: list[SliceCertificate] = []
-    for q in range(n):
-        counters = [c for c, level in enumerate(levels) if level >> q & 1]
-        finite = [c for c in counters if c < start]
-        residues = [c % period for c in counters if c >= start]
-        mode = "periodic" if residues else "finite" if finite else "empty"
-        slices.append(UPSet.build(start, finite, period, residues))
+    for q, row in enumerate(rows):
+        mode = "periodic" if row >> start else "finite" if row else "empty"
+        s = sets.get(row)
+        if s is None:
+            s = sets[row] = _row_upset(row, start, period)
+        slices.append(s)
         certificates.append(SliceCertificate(q, mode, start, period))
     return slices, certificates
 
@@ -340,6 +387,13 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     Works on the machine as given.  ``counter_cap`` overrides the default
     number of counter levels computed before the analysis refuses (see
     :func:`default_counter_cap`).
+
+    One Dyck closure serves both directions: the backward system's is the
+    transpose of the forward one's.  A backward path p → q of weight 0
+    that never dips below its start is a forward path q → p read in
+    reverse, each of whose suffixes weighs at most 0; its total is 0, so
+    each of its prefixes weighs at least 0, which makes it a forward Dyck
+    path, and the converse holds the same way.
     """
     states = list(machine.states)
     index = {q: i for i, q in enumerate(states)}
@@ -351,25 +405,25 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
         for t in machine.transitions
     ]
     backward = [(q, -w, p) for p, w, q in forward]
+    z = dyck_closure(*_moves(n, forward))
 
     minus_slices, minus_certs = certified_slices(
-        n, forward, [index[machine.initial]], cap
+        n, forward, [index[machine.initial]], cap, z
     )
     plus_slices, plus_certs = certified_slices(
-        n, backward, [index[f] for f in sorted(machine.finals)], cap
+        n, backward, [index[f] for f in sorted(machine.finals)], cap, _transpose(z, n)
     )
 
-    minus = {q: minus_slices[index[q]] for q in states}
-    plus = {q: plus_slices[index[q]] for q in states}
-    meet = {q: up_intersect(minus[q], plus[q]) for q in states}
-    period = select_period(meet.values())
-    types = {
-        q: frozenset(c for c in range(2 * period) if up_membership(meet[q], c))
-        for q in states
+    minus = dict(zip(states, minus_slices))
+    plus = dict(zip(states, plus_slices))
+    meet = {
+        q: _pointwise(s1, s2, operator.and_)
+        for q, s1, s2 in zip(states, minus_slices, plus_slices)
     }
+    period = select_period(meet.values())
+    types = {q: frozenset(state_bits(_upset_row(s, 2 * period))) for q, s in meet.items()}
     certificates = {
-        q: {"minus": minus_certs[index[q]], "plus": plus_certs[index[q]]}
-        for q in states
+        q: {"minus": m, "plus": p} for q, m, p in zip(states, minus_certs, plus_certs)
     }
     return NSetReport(minus, plus, meet, period, types, cap, certificates)
 

@@ -543,11 +543,15 @@ def words_up_to(a: Automaton, max_len: int) -> list[str]:
 
 
 def has_word_longer_than(a: Automaton, length: int) -> bool:
-    """True iff some accepted word is strictly longer than ``length``: a walk
-    of ``length`` + 1 steps through co-reachable states extends to one."""
-    co = _coreachable(a)
-    successors = [_targets(row) & co for row in a.edges]
-    current = state_mask(a.initials) & co
+    """True iff some accepted word is strictly longer than ``length``.
+
+    ``a`` must be trimmed, as :func:`trim` returns it and as
+    :func:`expand_graph` builds it from trimmed arcs: then every walk from
+    an initial state extends to an accepted word, so a walk of
+    ``length`` + 1 steps decides.
+    """
+    successors = [_targets(row) for row in a.edges]
+    current = state_mask(a.initials)
     for _ in range(length + 1):
         if not current:
             return False

@@ -63,17 +63,18 @@ def make_transducer(states, initial, finals, transitions, alphabet: Alphabet) ->
     """
     states = tuple(states)
     finals = frozenset(finals)
-    parsed: list[Transition] = []
-    seen: set[Transition] = set()
-    for source, bit, target, output in transitions:
-        if isinstance(output, str):
-            output = parse_regex(output, alphabet)
-        t = Transition(source, int(bit), target, output)
-        if t not in seen:
-            seen.add(t)
-            parsed.append(t)
+    parsed = [
+        Transition(
+            source,
+            int(bit),
+            target,
+            parse_regex(output, alphabet) if isinstance(output, str) else output,
+        )
+        for source, bit, target, output in transitions
+    ]
+    unique = tuple(dict.fromkeys(parsed))  # the first of each duplicate, in order
     machine = Transducer(
-        states, initial, finals, tuple(parsed), alphabet, accepts_epsilon=initial in finals
+        states, initial, finals, unique, alphabet, accepts_epsilon=initial in finals
     )
     check_structure(machine)
     return machine
@@ -92,12 +93,16 @@ def check_structure(machine: Transducer) -> None:
         raise TransducerError("machine has no final states")
     if not machine.finals <= known:
         raise TransducerError(f"final states {sorted(machine.finals - known)} are not states")
+    empty: dict[int, bool] = {}  # by output object: many transitions share one
     for t in machine.transitions:
         if t.source not in known or t.target not in known:
             raise TransducerError(f"transition {t.source}->{t.target} uses unknown states")
         if t.bit not in (0, 1):
             raise TransducerError(f"transition bit must be 0 or 1, got {t.bit}")
-        if not machine.compiled_output(t).finals:  # compiled outputs come trimmed
+        key = id(t.output)
+        if key not in empty:  # compiled outputs come trimmed
+            empty[key] = not machine.compiled_output(t).finals
+        if empty[key]:
             raise TransducerError(
                 f"transition {t.source} -{t.bit}-> {t.target} outputs the empty language"
             )

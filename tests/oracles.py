@@ -9,12 +9,29 @@ arc's automaton into the graph, eliminate ε and trim the result; it now
 builds the trimmed NFA directly, and :func:`spliced_expand_graph` is the
 old composition.  :func:`cycle_outputs` builds one component's cycle
 language per anchor, which the components layer no longer does.
+:func:`build_by_sets` is :meth:`UPSet.build` as it normalized sets of
+counters before it worked on bitmasks, and :func:`reach_sets_by_upsets`
+is ``counterset.reach_sets`` as it was before the sets were read off bit
+rows: a Dyck closure per direction, :func:`build_by_sets` per state,
+:func:`intersect_by_membership` for each meet and a membership test per
+type candidate.
 """
 
 from __future__ import annotations
 
+import math
+
 from ocrank import regular
 from ocrank.components import Scc, internal_transitions
+from ocrank.counterset import (
+    NSetReport,
+    SliceCertificate,
+    UPSet,
+    default_counter_cap,
+    level_cycle,
+    select_period,
+    up_membership,
+)
 from ocrank.regular import Automaton, shortest_word
 from ocrank.transducer import TransducerPrime, TypedState, TypedTransition
 from ocrank.words import Alphabet, state_bits, state_mask
@@ -137,3 +154,91 @@ def cycle_outputs(
         v = snk if tt.target == anchor else tt.target
         arcs.append((u, prime.compiled_output(tt), v))
     return regular.expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
+
+
+def build_by_sets(threshold: int, finite, period: int, residues) -> UPSet:
+    """The canonical form of ``finite ∪ {n ≥ threshold : n mod period ∈
+    residues}``: least divisor period, then least threshold."""
+    residues = frozenset(residues)
+    if not residues:
+        return UPSet(max(finite, default=-1) + 1, frozenset(finite), 1, frozenset())
+    for d in range(1, period + 1):
+        if period % d != 0:
+            continue
+        folded = {r % d for r in residues}
+        if all((r in residues) == (r % d in folded) for r in range(period)):
+            period, residues = d, frozenset(folded)
+            break
+    finite_set = set(finite)
+    while threshold > 0:
+        c = threshold - 1
+        if ((c % period) in residues) != (c in finite_set):
+            break
+        finite_set.discard(c)
+        threshold = c
+    return UPSet(threshold, frozenset(finite_set), period, residues)
+
+
+def intersect_by_membership(s1: UPSet, s2: UPSet) -> UPSet:
+    """``up_intersect`` by membership tests: every counter below the later
+    threshold, then one representative of each residue class mod the lcm
+    of the periods."""
+    period = math.lcm(s1.period, s2.period)
+    threshold = max(s1.threshold, s2.threshold)
+    finite = {n for n in range(threshold) if up_membership(s1, n) and up_membership(s2, n)}
+    residues = set()
+    for r in range(period):
+        n = threshold + ((r - threshold) % period)
+        if up_membership(s1, n) and up_membership(s2, n):
+            residues.add(r)
+    return build_by_sets(threshold, finite, period, residues)
+
+
+def slices_by_upsets(
+    n: int, edges: list[tuple[int, int, int]], starts: list[int], cap: int
+) -> tuple[list[UPSet], list[SliceCertificate]]:
+    """``counterset.certified_slices`` with each set built by
+    :func:`build_by_sets` from lists of the state's counters."""
+    levels, start = level_cycle(n, edges, starts, cap)
+    period = len(levels) - start
+    slices: list[UPSet] = []
+    certificates: list[SliceCertificate] = []
+    for q in range(n):
+        counters = [c for c, level in enumerate(levels) if level >> q & 1]
+        finite = [c for c in counters if c < start]
+        residues = [c % period for c in counters if c >= start]
+        mode = "periodic" if residues else "finite" if finite else "empty"
+        slices.append(build_by_sets(start, finite, period, residues))
+        certificates.append(SliceCertificate(q, mode, start, period))
+    return slices, certificates
+
+
+def reach_sets_by_upsets(machine, counter_cap: int | None = None) -> NSetReport:
+    """The counter sets of a machine by :class:`UPSet` arithmetic, each
+    direction with its own Dyck closure."""
+    states = list(machine.states)
+    index = {q: i for i, q in enumerate(states)}
+    n = len(states)
+    cap = counter_cap if counter_cap is not None else default_counter_cap(n)
+    forward = [
+        (index[t.source], 1 if t.bit == 0 else -1, index[t.target])
+        for t in machine.transitions
+    ]
+    backward = [(q, -w, p) for p, w, q in forward]
+    minus_slices, minus_certs = slices_by_upsets(n, forward, [index[machine.initial]], cap)
+    plus_slices, plus_certs = slices_by_upsets(
+        n, backward, [index[f] for f in sorted(machine.finals)], cap
+    )
+    minus = {q: minus_slices[index[q]] for q in states}
+    plus = {q: plus_slices[index[q]] for q in states}
+    meet = {q: intersect_by_membership(minus[q], plus[q]) for q in states}
+    period = select_period(meet.values())
+    types = {
+        q: frozenset(c for c in range(2 * period) if up_membership(meet[q], c))
+        for q in states
+    }
+    certificates = {
+        q: {"minus": minus_certs[index[q]], "plus": plus_certs[index[q]]}
+        for q in states
+    }
+    return NSetReport(minus, plus, meet, period, types, cap, certificates)

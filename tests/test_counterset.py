@@ -12,12 +12,13 @@ from collections import deque
 
 import pytest
 
-from ocrank import harness
+from ocrank import counterset, harness
 from ocrank.counterset import (
     CertificationError,
     UPSet,
     certified_slices,
     default_counter_cap,
+    dyck_closure,
     reach_sets,
     render_upset,
     select_period,
@@ -31,6 +32,7 @@ from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
 from ocrank.transducer import make_transducer
 from ocrank.words import BINARY, Alphabet
 from conftest import M138, OUTPUT_POOL, mask_bits, random_machine
+from oracles import build_by_sets, reach_sets_by_upsets
 
 
 # --- oracle helpers ------------------------------------------------------------
@@ -442,3 +444,77 @@ def test_no_refusals_at_the_default_cap_on_bench_style_machines():
                 got = frozenset(getattr(report, name)[q].values_up_to(60))
                 assert got == getattr(oracle, name)[q], (machine.transitions, q, name)
     assert len(machines) == 2400
+
+
+# --- counter sets read off bit rows ------------------------------------------------
+
+
+def moves(n: int, edges):
+    opens, closes = [0] * n, [0] * n
+    for p, w, q in edges:
+        if w > 0:
+            opens[p] |= 1 << q
+        else:
+            closes[p] |= 1 << q
+    return opens, closes
+
+
+def test_backward_closure_is_the_transpose_of_the_forward_one():
+    rng = random.Random(15)
+    for _ in range(2500):
+        n, edges, _ = random_system(rng)
+        forward = dyck_closure(*moves(n, edges))
+        backward = dyck_closure(*moves(n, [(q, -w, p) for p, w, q in edges]))
+        transpose = [sum(1 << p for p in range(n) if forward[p] >> q & 1) for q in range(n)]
+        assert backward == transpose, (n, edges)
+
+
+def test_sets_from_bitmasks_are_the_canonical_sets():
+    # UPSet.build and the counter rows of every start and period against
+    # the normalization on sets of counters.
+    rng = random.Random(16)
+    for _ in range(5000):
+        start, period = rng.randint(0, 9), rng.randint(1, 12)
+        row = rng.getrandbits(start + period) & rng.getrandbits(start + period)
+        counters = [c for c in range(start + period) if row >> c & 1]
+        finite = [c for c in counters if c < start]
+        residues = [c % period for c in counters if c >= start]
+        want = build_by_sets(start, finite, period, residues)
+        assert counterset._row_upset(row, start, period) == want, (row, start, period)
+        assert UPSet.build(start, finite, period, residues) == want, (row, start, period)
+
+
+def test_reach_sets_matches_upset_arithmetic(fig1, fig2):
+    from test_components import ladder  # it imports this module
+
+    machines = [fig1, fig2] + [random_machine(random.Random(seed)) for seed in range(650)]
+    machines += [ladder(k, j) for k in range(1, 6) for j in range(1, 6)]
+    machines += [complete_machine(n) for n in range(1, 8)]
+    for machine in machines:
+        try:
+            want = reach_sets_by_upsets(machine)
+        except CertificationError:
+            with pytest.raises(CertificationError):
+                reach_sets(machine)
+            continue
+        got = reach_sets(machine)
+        for name in ("minus", "plus", "meet", "period", "types", "counter_cap", "certificates"):
+            assert getattr(got, name) == getattr(want, name), (machine.transitions, name)
+
+
+def test_reach_sets_runs_one_dyck_closure(fig1, fig2, monkeypatch):
+    from test_components import ladder
+
+    calls = []
+
+    def counted(opens, closes):
+        calls.append(len(opens))
+        return dyck_closure(opens, closes)
+
+    monkeypatch.setattr(counterset, "dyck_closure", counted)
+    machines = [fig1, fig2, ladder(3, 2), complete_machine(4)]
+    machines += [random_machine(random.Random(seed)) for seed in range(50)]
+    for machine in machines:
+        calls.clear()
+        reach_sets(machine)
+        assert calls == [len(machine.states)]

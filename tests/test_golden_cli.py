@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from golden_cli import CORPUS_PATH, corpus_fixtures, run_call
-from ocrank import regular
+from conftest import random_machine
+from golden_cli import CORPUS_PATH, RANDOM_CAPS, corpus_fixtures, run_call
+from ocrank import cli, regular
 
 with open(CORPUS_PATH, encoding="utf-8") as fh:
     CORPUS = json.load(fh)
@@ -39,3 +41,53 @@ def test_no_call_alters_a_shared_automaton(tmp_path):
     for (r, letters), a in regular._compiled.items():
         assert a.alphabet.letters == letters
         assert a == regular.trim(regular.determinize(regular.nfa_of_regex(r, a.alphabet))), r
+
+
+def is_trimmed(a: regular.Automaton) -> bool:
+    """Every state lies on an accepting path, or ``a`` is the empty
+    automaton, one state with no finals and no moves."""
+    if not a.finals:
+        return a.n == 1 and not any(a.edges[0].values())
+    forward, backward = [0] * a.n, [0] * a.n
+    for q, row in enumerate(a.edges):
+        for targets in row.values():
+            for t in range(a.n):
+                if targets >> t & 1:
+                    forward[q] |= 1 << t
+                    backward[t] |= 1 << q
+
+    def reach(states: frozenset[int], table: list[int]) -> set[int]:
+        seen, todo = set(states), list(states)
+        while todo:
+            q = todo.pop()
+            for t in range(a.n):
+                if table[q] >> t & 1 and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    every = set(range(a.n))
+    return reach(a.initials, forward) == every and reach(a.finals, backward) == every
+
+
+def test_truncation_checks_get_trimmed_automata(tmp_path, monkeypatch):
+    """``has_word_longer_than`` skips the co-reachability search, which is
+    sound only on trimmed automata: the bounded outputs of ``check`` and
+    ``enumerate``, with or without the ε automaton, must be trimmed."""
+    checked = []
+    original = regular.has_word_longer_than
+
+    def recording(a, length):
+        assert is_trimmed(a)
+        checked.append(a.n)
+        return original(a, length)
+
+    monkeypatch.setattr(regular, "has_word_longer_than", recording)
+    fixtures = corpus_fixtures()
+    for seed in range(1000, 1150):
+        machine = random_machine(random.Random(seed))
+        fixtures[f"random{seed}"] = (cli.render_fixture(cli.Fixture(machine)), list(RANDOM_CAPS))
+    for text, flags in fixtures.values():
+        for command in ("check", "enumerate"):
+            run_call(text, [command, *flags], str(tmp_path))
+    assert len(checked) >= 2 * len(fixtures), len(checked)

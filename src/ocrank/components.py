@@ -9,14 +9,16 @@ component's tight transitions, which carry exactly its zero-weight cycles.
 Two cycle outputs with different primitive roots at the same anchor are a
 quasi-density witness and kill scatteredness.
 
-Each stage takes its roots from one labelling per strongly connected
-component of the arc graph (the component's states with every output
-automaton spliced in, :func:`regular.arc_graph`): one search from the
-component's first anchor gives every node a potential, the length of a
-word read on the way to it, and the root is read off the letters read
-at each potential modulo the gcd of the cycle weights
-(:func:`regular.cycle_roots`).  A cycle language is built only for the
-clash that becomes the verdict, from the clashing component's own nodes
+Each stage takes its roots from the arc graph (the component's states with
+every output automaton spliced in, :func:`regular.arc_graph`): one search
+from a strongly connected component's first anchor gives every node a
+potential, the length of a word read on the way to it, and the root is
+read off the letters read at each potential modulo the gcd of the cycle
+weights (:func:`regular.cycle_roots`).  Stage 1's arc graph is strongly
+connected, so stage 1 labels it once from its first anchor with no SCC
+search; stage 2's, on the tight transitions only, may fall apart, and it
+keeps the search.  A cycle language is built only for the clash that
+becomes the verdict, from the clashing component's own nodes
 (:func:`regular.cycle_witness`).
 """
 
@@ -30,10 +32,16 @@ from .transducer import TransducerPrime, TypedState, TypedTransition
 
 @dataclass
 class Scc:
+    """A component: its members, their numbers in ``prime.states``
+    (ascending), and the indices in ``prime.arcs`` of its internal
+    transitions."""
+
     index: int
     members: frozenset[TypedState]
     phase: str
     trivial: bool
+    ids: list[int]
+    internal: list[int]
 
 
 @dataclass
@@ -71,14 +79,17 @@ def condense(prime: TransducerPrime) -> list[Scc]:
     edges in the order Tarjan found them, then each generation's
     successors in the order their edges first appear.  The phase is
     constant on every component (phases only ever advance along
-    transitions), which is asserted rather than trusted.
+    transitions), which is asserted rather than trusted.  A component is
+    trivial when no transition stays inside it.
     """
-    number = {s: i for i, s in enumerate(prime.states)}
     succ: list[dict[int, None]] = [{} for _ in prime.states]
-    for tt in prime.transitions:
-        succ[number[tt.source]][number[tt.target]] = None
+    for source, target, _, _ in prime.arcs:
+        succ[source][target] = None
     found = regular.tarjan_sccs(len(succ), [list(t) for t in succ])
-    comp_of = {q: i for i, comp in enumerate(found) for q in comp}
+    comp_of = [0] * len(succ)
+    for i, comp in enumerate(found):
+        for q in comp:
+            comp_of[q] = i
     out: list[dict[int, None]] = [{} for _ in found]
     indegree = [0] * len(found)
     for q, targets in enumerate(succ):
@@ -87,6 +98,10 @@ def condense(prime: TransducerPrime) -> list[Scc]:
             if i != j and j not in out[i]:
                 out[i][j] = None
                 indegree[j] += 1
+    internal: list[list[int]] = [[] for _ in found]
+    for k, (source, target, _, _) in enumerate(prime.arcs):
+        if comp_of[source] == comp_of[target]:
+            internal[comp_of[source]].append(k)
     order = [i for i, d in enumerate(indegree) if d == 0]
     for i in order:  # grows while it is walked, one generation after another
         for j in out[i]:
@@ -100,24 +115,8 @@ def condense(prime: TransducerPrime) -> list[Scc]:
         phases = {s.phase for s in members}
         if len(phases) != 1:
             raise AssertionError(f"component {sorted(members)} mixes phases {phases}")
-        only = found[i][0]
-        trivial = len(found[i]) == 1 and only not in succ[only]
-        sccs.append(Scc(pos, members, phases.pop(), trivial))
+        sccs.append(Scc(pos, members, phases.pop(), not internal[i], found[i], internal[i]))
     return sccs
-
-
-def scc_index_of(sccs: list[Scc]) -> dict[TypedState, int]:
-    out: dict[TypedState, int] = {}
-    for c in sccs:
-        for s in c.members:
-            out[s] = c.index
-    return out
-
-
-def internal_transitions(c: Scc, prime: TransducerPrime) -> list[TypedTransition]:
-    return [
-        tt for tt in prime.transitions if tt.source in c.members and tt.target in c.members
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +161,18 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     cycle weighs zero, which ``up`` and ``down`` components must; stage 2
     would then repeat stage 1, and stage 1's clash is the verdict.  Only
     the clash that is returned gets its witness built.
+
+    Stage 1's arc graph is strongly connected: the anchors reach each
+    other inside the component, and every spliced node lies on a path
+    u → v of its transition, as the output automata come trimmed and
+    nonempty.  So stage 1 labels it as one component, with no SCC search.
     """
     if c.trivial:
         return FullyCertified({})
     anchors = sorted(c.members)
-    internal = internal_transitions(c, prime)
-    successors, roots = _cycle_roots(prime, anchors, internal)
+    internal = [prime.transition(k) for k in c.internal]
+    successors = _arc_graph(prime, anchors, internal)
+    roots = regular._component_roots(anchors, successors, list(range(len(successors))))
     if isinstance(roots, dict):
         return FullyCertified(roots)
     tight = tight_transitions(internal)
@@ -176,7 +181,8 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
             f"{c.phase} component {anchors} has a nonzero-weight cycle"
         )
     if tight is not None and len(tight) < len(internal):
-        successors, roots = _cycle_roots(prime, anchors, tight)
+        successors = _arc_graph(prime, anchors, tight)
+        roots = regular.cycle_roots(anchors, successors)
         if isinstance(roots, dict):
             return ZeroCertified(roots)
     return QuasiDenseWitness(
@@ -184,10 +190,9 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     )
 
 
-def _cycle_roots(
+def _arc_graph(
     prime: TransducerPrime, anchors: list[TypedState], transitions: list[TypedTransition]
-) -> tuple[list[dict[str, int]], dict[TypedState, str | None] | list[int]]:
-    """The arc graph of ``transitions`` and :func:`regular.cycle_roots` on it."""
+) -> list[dict[str, int]]:
+    """The arc graph of ``transitions`` on the ``anchors``."""
     arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
-    _, successors = regular.arc_graph(anchors, arcs)
-    return successors, regular.cycle_roots(anchors, successors)
+    return regular.arc_graph(anchors, arcs)[1]

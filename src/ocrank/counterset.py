@@ -270,29 +270,24 @@ def _transpose(rows: list[int], width: int) -> list[int]:
 
 
 def level_cycle(
-    n: int,
-    edges: list[tuple[int, int, int]],
-    starts: list[int],
-    cap: int,
-    closure: list[int] | None = None,
+    opens: list[int], closure: list[int], starts: list[int], cap: int
 ) -> tuple[list[int], int]:
     """The levels of a ±1 system up to their first repeat, and where the
     repeated loop begins.
 
+    ``opens[p]`` is the bitmask of the targets of p's +1 edges, and
+    ``closure`` is the system's Dyck relation Z (:func:`dyck_closure`).
     Runs start at the ``starts`` with counter 0.  Level c, the bitmask of
     the states reached with counter c, is Z(open-image(level c − 1)), and
     level 0 is Z(starts): a run to (q, c) splits at its last visit to each
-    of the levels 0 … c − 1 into Dyck paths (:func:`dyck_closure`) joined
-    by c single opens, and every such chain is a run.  Level c depends on
-    level c − 1 alone, so when level ``len(levels)`` equals level
-    ``start``, level c equals level ``start + (c − start) mod period`` for
-    every c ≥ start, with ``period = len(levels) − start``.  ``closure``,
-    when given, is the system's Z, which is then not recomputed.  Raises
-    :class:`CertificationError` when levels 0 … cap + 1 are all distinct.
+    of the levels 0 … c − 1 into Dyck paths joined by c single opens, and
+    every such chain is a run.  Level c depends on level c − 1 alone, so
+    when level ``len(levels)`` equals level ``start``, level c equals level
+    ``start + (c − start) mod period`` for every c ≥ start, with
+    ``period = len(levels) − start``.  Raises :class:`CertificationError`
+    when levels 0 … cap + 1 are all distinct.
     """
-    opens, closes = _moves(n, edges)
-    z = closure if closure is not None else dyck_closure(opens, closes)
-    level = mask_image(state_mask(starts), z)
+    level = mask_image(state_mask(starts), closure)
     first: dict[int, int] = {}
     levels: list[int] = []
     while level not in first:
@@ -303,32 +298,29 @@ def level_cycle(
             )
         first[level] = len(levels)
         levels.append(level)
-        level = mask_image(mask_image(level, opens), z)
+        level = mask_image(mask_image(level, opens), closure)
     return levels, first[level]
 
 
 def certified_slices(
-    n: int,
-    edges: list[tuple[int, int, int]],
-    starts: list[int],
-    cap: int,
-    closure: list[int] | None = None,
+    opens: list[int], closure: list[int], starts: list[int], cap: int
 ) -> tuple[list[UPSet], list[SliceCertificate]]:
     """Per-state reachability sets of a ±1 counter system with certificates.
 
-    ``edges`` are (source, weight, target) with weight ±1; the counter may
-    never drop below zero.  Runs start at the ``starts`` with counter 0.
-    Each state's set is read off the levels (:func:`level_cycle`, which
-    takes ``closure``): its row has bit c set when the state is in level
-    c, below the loop's start and through one turn of the loop.  The sets
-    are exact, as the levels repeat from there on.
+    ``opens`` and ``closure`` give the system as :func:`level_cycle` takes
+    it; the counter may never drop below zero.  Runs start at the
+    ``starts`` with counter 0.  Each state's set is read off the levels:
+    its row has bit c set when the state is in level c, below the loop's
+    start and through one turn of the loop.  The sets are exact, as the
+    levels repeat from there on.
     """
+    n = len(opens)
     if cap < 2 * n + 6:
         raise CertificationError(
             f"counter cap {cap} is too small for {n} states; "
             f"pass --counter-cap {default_counter_cap(n)} or higher"
         )
-    levels, start = level_cycle(n, edges, starts, cap, closure)
+    levels, start = level_cycle(opens, closure, starts, cap)
     period = len(levels) - start
     rows = _transpose(levels, n)
     sets: dict[int, UPSet] = {}  # states often share a row
@@ -404,14 +396,12 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
         (index[t.source], 1 if t.bit == 0 else -1, index[t.target])
         for t in machine.transitions
     ]
-    backward = [(q, -w, p) for p, w, q in forward]
-    z = dyck_closure(*_moves(n, forward))
-
-    minus_slices, minus_certs = certified_slices(
-        n, forward, [index[machine.initial]], cap, z
-    )
+    opens, closes = _moves(n, forward)
+    z = dyck_closure(opens, closes)
+    # The backward system's +1 edges are the forward −1 edges reversed.
+    minus_slices, minus_certs = certified_slices(opens, z, [index[machine.initial]], cap)
     plus_slices, plus_certs = certified_slices(
-        n, backward, [index[f] for f in sorted(machine.finals)], cap, _transpose(z, n)
+        _transpose(closes, n), _transpose(z, n), [index[f] for f in sorted(machine.finals)], cap
     )
 
     minus = dict(zip(states, minus_slices))
@@ -447,7 +437,8 @@ def worked_close_image(
         for ch, targets in d.edges[p].items():  # a DFA: one target bit per letter
             reversed_edges.append((targets.bit_length() - 1, 1 if ch == "1" else -1, p))
     cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
-    slices, _ = certified_slices(d.n, reversed_edges, sorted(d.finals), cap)
+    opens, closes = _moves(d.n, reversed_edges)
+    slices, _ = certified_slices(opens, dyck_closure(opens, closes), sorted(d.finals), cap)
     image = UPSet.empty()
     for q in sorted(d.initials):
         image = up_union(image, slices[q])

@@ -14,6 +14,7 @@ reverse order) and iteration (bounded by 1, refuted, or unknown).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,31 +161,31 @@ def edge_bounds(
     prime: TransducerPrime,
     sccs: list[comp.Scc],
     verdicts: dict[int, comp.ComponentVerdict],
-    regrank: dict[int, int],
+    regrank: Sequence[int],
 ) -> dict[int, RankBound]:
     """Propagate ordinal bounds along intercomponent edges in topo order.
 
-    ``regrank[i]`` is the finite order bound of transition i's output
-    language.  The bound attached to an edge covers all outputs produced up
-    to and including traversing that edge.
+    ``regrank[i]`` is the finite order bound of arc i's output language.
+    The bound attached to an edge covers all outputs produced up to and
+    including traversing that edge.
     """
-    scc_of = comp.scc_index_of(sccs)
-    initial_comp = scc_of[prime.initial]
+    scc_of = [0] * len(prime.states)
+    for c in sccs:
+        for q in c.ids:
+            scc_of[q] = c.index
+    initial_comp = scc_of[prime.states.index(prime.initial)]
 
-    incoming: dict[int, list[int]] = {c.index: [] for c in sccs}
-    edges_of_comp: dict[int, list[int]] = {c.index: [] for c in sccs}
-    intra_max: dict[int, int] = {c.index: 0 for c in sccs}
-    for i, tt in enumerate(prime.transitions):
-        cs, ct = scc_of[tt.source], scc_of[tt.target]
-        if cs == ct:
-            intra_max[cs] = max(intra_max[cs], regrank[i])
-        else:
+    incoming: list[list[int]] = [[] for _ in sccs]
+    outgoing: list[list[int]] = [[] for _ in sccs]
+    for i, (source, target, _, _) in enumerate(prime.arcs):
+        cs, ct = scc_of[source], scc_of[target]
+        if cs != ct:
             incoming[ct].append(i)
-            edges_of_comp[cs].append(i)
+            outgoing[cs].append(i)
 
     bounds: dict[int, RankBound] = {}
     for c in sccs:  # already topologically ordered
-        out = edges_of_comp[c.index]
+        out = outgoing[c.index]
         if c.index == initial_comp:
             if out and not c.trivial:
                 raise AssertionError("initial component must be trivial")
@@ -201,13 +202,14 @@ def edge_bounds(
         entry = max(feeds, key=lambda fed: (fed.value, fed.status == CERTIFIED))
         verdict = verdicts.get(c.index)
         status = CONDITIONAL if isinstance(verdict, comp.ZeroCertified) else entry.status
+        intra_max = max((regrank[k] for k in c.internal), default=0)
         for i in out:
             r = regrank[i]
             if c.trivial:
                 step = Ordinal(0, r)
                 note = f"trivial +{r}"
             elif isinstance(verdict, comp.FullyCertified):
-                f_c = len(c.members) * (1 + intra_max[c.index]) + r
+                f_c = len(c.members) * (1 + intra_max) + r
                 step = Ordinal(0, f_c)
                 note = f"fully certified +{f_c}"
             elif isinstance(verdict, comp.ZeroCertified):
@@ -238,24 +240,16 @@ def analyze_machine(
     # distinct output is analysed once, for this and for its finite rank.
     live = live_states(m.initial, m.finals, m.transitions)
     languages: dict[Regex, regular.Scattered | regular.QuasiDense] = {}
+    ranks: list[int] = []  # per transition of m, its output's finite rank
     for t in m.transitions:
-        if t.source not in live or t.target not in live or t.output in languages:
-            continue
-        verdict = languages[t.output] = regular.regular_scattered(m.compiled_output(t))
-        if isinstance(verdict, regular.QuasiDense):
-            return MachineAnalysis(
-                m,
-                None,
-                [],
-                {},
-                {},
-                NotScattered(
-                    verdict.x,
-                    verdict.y,
-                    f"output language of {t.source} -{t.bit}-> {t.target} "
-                    "is itself quasi-dense",
-                ),
-            )
+        verdict = languages.get(t.output)
+        if verdict is None and t.source in live and t.target in live:
+            verdict = languages[t.output] = regular.regular_scattered(m.compiled_output(t))
+            if isinstance(verdict, regular.QuasiDense):
+                where = f"output language of {t.source} -{t.bit}-> {t.target}"
+                result = NotScattered(verdict.x, verdict.y, f"{where} is itself quasi-dense")
+                return MachineAnalysis(m, None, [], {}, {}, result)
+        ranks.append(0 if verdict is None else verdict.rank)
 
     report = reach_sets(m, counter_cap)
     try:
@@ -282,17 +276,18 @@ def analyze_machine(
 
     # Every leveled transition lies on an accepted path, which projects to
     # live transitions of m, so its output was analysed above.
-    regrank = {i: languages[tt.output].rank for i, tt in enumerate(prime.transitions)}
+    regrank = [ranks[b] for _, _, b, _ in prime.arcs]
 
     bounds = edge_bounds(prime, sccs, verdicts, regrank)
+    finals = {q for q, s in enumerate(prime.states) if s in prime.finals}
     best: RankBound | None = None
     lines: list[str] = []
-    for i, tt in enumerate(prime.transitions):
-        if tt.target in prime.finals and i in bounds:
+    for i, (source, target, _, _) in enumerate(prime.arcs):
+        if target in finals and i in bounds:
             b = bounds[i]
             lines.append(
-                f"accepting edge {tt.source.render()} -> {tt.target.render()}: "
-                f"{b.value} [{b.status}]"
+                f"accepting edge {prime.states[source].render()} -> "
+                f"{prime.states[target].render()}: {b.value} [{b.status}]"
             )
             if best is None or best.value < b.value:
                 best = b

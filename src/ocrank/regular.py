@@ -19,6 +19,7 @@ the automaton it analysed.  Compiled automata are shared and read-only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -828,37 +829,30 @@ def cycle_roots(
     anchor s reads u from position d(s), and its root is v rotated by
     d(s) mod |v|: the anchors of a component pass or fail together.
     """
-    count = len(anchors)
-    roots: list[str | None] = [None] * count
+    roots = dict.fromkeys(anchors)
     targets = [list(state_bits(_targets(row))) for row in successors]
     components = tarjan_sccs(len(successors), targets)
     for members in sorted(components, key=lambda members: members[0]):
         first = members[0]  # members come sorted, so anchors come first
-        if first >= count:
+        if first >= len(anchors):
             break
         if len(members) == 1 and first not in targets[first]:
             continue
-        labelling = _root_labelling(successors, first, members)
-        if labelling is None:
-            return members
-        root, depth = labelling
-        if root is None:
-            continue
-        for s in members:
-            if s >= count:
-                break
-            k = depth[s] % len(root)
-            roots[s] = root[k:] + root[:k]
-    return dict(zip(anchors, roots))
+        found = _component_roots(anchors, successors, members)
+        if isinstance(found, list):
+            return found
+        roots.update(found)
+    return roots
 
 
-def _root_labelling(
-    successors: list[dict[str, int]], start: int, members: list[int]
-) -> tuple[str | None, dict[int, int]] | None:
-    """The root v and the potential d of ``start``'s component ``members``
-    (see :func:`cycle_roots`), v None when no cycle reads a letter, or None
-    when two arcs at one potential mod g read different letters."""
+def _component_roots(
+    anchors: Sequence[_Anchor], successors: list[dict[str, int]], members: list[int]
+) -> dict[_Anchor, str | None] | list[int]:
+    """:func:`cycle_roots` on ``members``, one strongly connected component
+    of the arc graph: the roots of its anchors, or ``members`` on a clash.
+    The search starts at the least member, the first anchor."""
     component = state_mask(members)
+    start = members[0]
     depth = {start: 0}
     stack = [start]
     period = 0
@@ -883,13 +877,19 @@ def _root_labelling(
                     stack.append(y)
                 else:
                     period = gcd(period, to - seen)
+    inside = members[: bisect_left(members, len(anchors))]
     if not period:
-        return None, depth
+        return {anchors[s]: None for s in inside}
     word: dict[int, str] = {}
     for at, ch in letters:
         if word.setdefault(at % period, ch) != ch:
-            return None
-    return primitive_root("".join(word[k] for k in range(period))), depth
+            return members
+    root = primitive_root("".join(word[k] for k in range(period)))
+    roots = {}
+    for s in inside:
+        k = depth[s] % len(root)
+        roots[anchors[s]] = root[k:] + root[:k]
+    return roots
 
 
 def cycle_witness(

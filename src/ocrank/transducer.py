@@ -11,6 +11,7 @@ only modulo the period (``eq``).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -174,21 +175,27 @@ def _split(
 def live_states(initial, finals, transitions) -> set:
     """States on some path from ``initial`` to one of ``finals``.
 
-    ``transitions`` need only ``source`` and ``target``; the answer is the
-    forward search from ``initial`` met with the backward one from
-    ``finals``.
+    ``transitions`` need only ``source`` and ``target``.
     """
-    succ: dict = {}
-    pred: dict = {}
+    succ: defaultdict = defaultdict(list)
+    pred: defaultdict = defaultdict(list)
     for t in transitions:
-        succ.setdefault(t.source, []).append(t.target)
-        pred.setdefault(t.target, []).append(t.source)
+        succ[t.source].append(t.target)
+        pred[t.target].append(t.source)
+    return _live(initial, finals, succ, pred)
+
+
+def _live(initial, finals, succ, pred) -> set:
+    """The nodes on some path from ``initial`` to one of ``finals``: the
+    forward search from ``initial`` met with the backward one from
+    ``finals``.  ``succ[x]`` and ``pred[x]`` list the successors and the
+    predecessors of node x."""
 
     def search(starts, adj) -> set:
         seen = set(starts)
         frontier = list(seen)
         while frontier:
-            for nxt in adj.get(frontier.pop(), ()):
+            for nxt in adj[frontier.pop()]:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -282,7 +289,6 @@ def language_of_input(machine: Transducer, w: str) -> Automaton:
 UP = "up"
 EQ = "eq"
 DOWN = "down"
-_PHASE_ORDER = {UP: 0, EQ: 1, DOWN: 2}
 
 
 class TypedState(NamedTuple):
@@ -306,15 +312,39 @@ class TypedTransition:
 
 @dataclass
 class TransducerPrime:
+    """The leveled machine.
+
+    ``states[i]`` is state i.  ``arcs`` holds the transitions as
+    (source, target, base, rule): two state numbers, the index in
+    ``base.transitions`` of the machine transition copied, and the rule
+    that made the copy.  ``transitions`` is the same list as
+    :class:`TypedTransition` objects, built on first use.
+    """
+
     period: int
     states: tuple[TypedState, ...]
     initial: TypedState
     finals: frozenset[TypedState]
-    transitions: tuple[TypedTransition, ...]
+    arcs: tuple[tuple[int, int, int, str], ...]
     alphabet: Alphabet
     accepts_epsilon: bool
     base: Transducer
+    _transitions: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _by_ends: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def transitions(self) -> tuple[TypedTransition, ...]:
+        if self._transitions is None:
+            self._transitions = tuple(map(self.transition, range(len(self.arcs))))
+        return self._transitions
+
+    def transition(self, k: int) -> TypedTransition:
+        """Arc k as a :class:`TypedTransition`, ``transitions[k]`` without the view."""
+        source, target, b, rule = self.arcs[k]
+        base = self.base.transitions[b]
+        return TypedTransition(
+            self.states[source], base.bit, self.states[target], base.output, rule, base
+        )
 
     def compiled_output(self, t: TypedTransition) -> Automaton:
         return self.base.compiled_output(t.base)
@@ -328,28 +358,22 @@ class TransducerPrime:
         return self._by_ends.get((source, target, base))
 
 
-def _match_rule(period: int, bit: int, n: int, s1: str, m: int, s2: str) -> str | None:
-    if bit == 0:
-        if m == n + 1 and m < period and s1 == s2:
-            return "i"
-        if m >= period and n >= period - 1 and (n + 1 - m) % period == 0 and s2 == EQ and s1 != DOWN:
-            return "iii"
-        return None
-    if m == n - 1 and m < period and s1 in (UP, DOWN) and s2 in (s1, DOWN):
-        return "ii"
-    if n >= period and m >= period - 1 and (n - 1 - m) % period == 0 and s1 == EQ and s2 != UP:
-        return "iv"
-    return None
-
-
 def build_mprime(machine: Transducer, report: NSetReport) -> TransducerPrime:
     """Level a machine using its certified counter sets.
 
     States are (q, n, phase) with n in the machine's type window; the four
-    transition rules keep exact levels below the period and mod-period
-    levels above it.  The result is trimmed to states on a live path.
-    Raises :class:`LevelingError` when 0 is not a type of the initial state
-    (the machine accepts no input).
+    transition rules keep exact levels below the period P and mod-period
+    levels above it.  From (q, n, phase), a transition q → r opening has
+    the copy (r, n + 1, phase) while n + 1 < P (rule i), then
+    (r, P + (n + 1) mod P, eq) unless the phase is down (iii); closing, it
+    has (r, n − 1, up) from up and (r, n − 1, down) from up or down (ii),
+    and from eq (r, P − 1, down) when n = P and (r, P + (n − 1) mod P, eq)
+    (iv), each where the level is a type of r.  States are numbered state
+    by state, by level, up before down; the copies come transition by
+    transition, source by source, by target.  The result is trimmed to the
+    states on a live path, and the initial state.  Raises
+    :class:`LevelingError` when 0 is not a type of the initial state (the
+    machine accepts no input).
     """
     period = report.period
     if 0 not in report.types.get(machine.initial, frozenset()):
@@ -358,49 +382,67 @@ def build_mprime(machine: Transducer, report: NSetReport) -> TransducerPrime:
             "the machine accepts no input word"
         )
 
-    by_state: dict[str, list[TypedState]] = {}
+    # number[q][n] is the number of (q, n, up), or of (q, n, eq) when n ≥ P;
+    # (q, n, down) comes right after (q, n, up).
+    states: list[TypedState] = []
+    number: dict[str, dict[int, int]] = {}
     for q in machine.states:
-        typed: list[TypedState] = []
+        levels = number[q] = {}
         for n in sorted(report.types[q]):
+            levels[n] = len(states)
             if n >= period:
-                typed.append(TypedState(q, n, EQ))
+                states.append(TypedState(q, n, EQ))
             else:
-                typed.append(TypedState(q, n, UP))
-                typed.append(TypedState(q, n, DOWN))
-        by_state[q] = typed
+                states += (TypedState(q, n, UP), TypedState(q, n, DOWN))
 
-    initial = TypedState(machine.initial, 0, UP)
-    finals = {
-        TypedState(f, 0, DOWN)
-        for f in machine.finals
-        if 0 in report.types.get(f, frozenset())
-    }
+    arcs: list[tuple[int, int, int, str]] = []
+    for b, t in enumerate(machine.transitions):
+        at = number[t.target]
+        for n, i in number[t.source].items():
+            sources = ((i, EQ),) if n >= period else ((i, UP), (i + 1, DOWN))
+            for s, phase in sources:
+                if t.bit == 0:
+                    if n + 1 < period:
+                        j = at.get(n + 1)
+                        if j is not None:
+                            arcs.append((s, j + (phase == DOWN), b, "i"))
+                    elif phase != DOWN:
+                        j = at.get(period + (n + 1) % period)
+                        if j is not None:
+                            arcs.append((s, j, b, "iii"))
+                elif phase != EQ:
+                    j = at.get(n - 1)
+                    if j is not None:
+                        if phase == UP:
+                            arcs.append((s, j, b, "ii"))
+                        arcs.append((s, j + 1, b, "ii"))
+                else:
+                    if n == period and period - 1 in at:
+                        arcs.append((s, at[period - 1] + 1, b, "iv"))
+                    j = at.get(period + (n - 1) % period)
+                    if j is not None:
+                        arcs.append((s, j, b, "iv"))
 
-    transitions: list[TypedTransition] = []
-    for t in machine.transitions:
-        for src in by_state[t.source]:
-            for tgt in by_state[t.target]:
-                rule = _match_rule(period, t.bit, src.level, src.phase, tgt.level, tgt.phase)
-                if rule is not None:
-                    transitions.append(TypedTransition(src, t.bit, tgt, t.output, rule, t))
-
-    # Trim to the initial → final core, always keeping the initial state.
-    alive = live_states(initial, finals, transitions) | {initial}
-
-    kept_states = tuple(
-        s for q in machine.states for s in by_state[q] if s in alive
-    )
-    if initial not in kept_states:
-        kept_states = (initial,) + kept_states
-    kept_transitions = tuple(
-        tt for tt in transitions if tt.source in alive and tt.target in alive
-    )
+    initial = number[machine.initial][0]
+    finals = [number[f][0] + 1 for f in machine.finals if 0 in number[f]]
+    succ: list[list[int]] = [[] for _ in states]
+    pred: list[list[int]] = [[] for _ in states]
+    for s, t, _, _ in arcs:
+        succ[s].append(t)
+        pred[t].append(s)
+    alive = _live(initial, finals, succ, pred) | {initial}
+    kept = sorted(alive)
+    renumber = {old: new for new, old in enumerate(kept)}
     return TransducerPrime(
         period=period,
-        states=kept_states,
-        initial=initial,
-        finals=frozenset(f for f in finals if f in alive),
-        transitions=kept_transitions,
+        states=tuple(states[i] for i in kept),
+        initial=states[initial],
+        finals=frozenset(states[f] for f in finals if f in alive),
+        arcs=tuple(
+            (renumber[s], renumber[t], b, rule)
+            for s, t, b, rule in arcs
+            if s in alive and t in alive
+        ),
         alphabet=machine.alphabet,
         accepts_epsilon=machine.accepts_epsilon,
         base=machine,

@@ -14,26 +14,41 @@ counters before it worked on bitmasks, and :func:`reach_sets_by_upsets`
 is ``counterset.reach_sets`` as it was before the sets were read off bit
 rows: a Dyck closure per direction, :func:`build_by_sets` per state,
 :func:`intersect_by_membership` for each meet and a membership test per
-type candidate.
+type candidate.  :func:`leveled_by_pairs` is ``transducer.build_mprime``
+as it was before it generated each transition's copies from the rules:
+every (source type, target type) pair tested against :func:`match_rule`.
+:func:`internal_transitions` and :func:`scc_index_of` are the scans the
+components and rank layers did before they read integer arcs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from ocrank import regular
-from ocrank.components import Scc, internal_transitions
+from ocrank.components import Scc
 from ocrank.counterset import (
     NSetReport,
     SliceCertificate,
     UPSet,
     default_counter_cap,
+    dyck_closure,
     level_cycle,
     select_period,
     up_membership,
 )
 from ocrank.regular import Automaton, shortest_word
-from ocrank.transducer import TransducerPrime, TypedState, TypedTransition
+from ocrank.transducer import (
+    DOWN,
+    EQ,
+    UP,
+    Transducer,
+    TransducerPrime,
+    TypedState,
+    TypedTransition,
+    live_states,
+)
 from ocrank.words import Alphabet, state_bits, state_mask
 
 
@@ -125,6 +140,21 @@ def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> A
     return regular.trim(regular.epsilon_free(successors, starts, ends, alphabet))
 
 
+def scc_index_of(sccs: list[Scc]) -> dict[TypedState, int]:
+    out: dict[TypedState, int] = {}
+    for c in sccs:
+        for s in c.members:
+            out[s] = c.index
+    return out
+
+
+def internal_transitions(c: Scc, prime: TransducerPrime) -> list[TypedTransition]:
+    """The transitions between members of ``c``, by a scan of them all."""
+    return [
+        tt for tt in prime.transitions if tt.source in c.members and tt.target in c.members
+    ]
+
+
 def cycle_outputs(
     c: Scc,
     anchor: TypedState,
@@ -199,7 +229,8 @@ def slices_by_upsets(
 ) -> tuple[list[UPSet], list[SliceCertificate]]:
     """``counterset.certified_slices`` with each set built by
     :func:`build_by_sets` from lists of the state's counters."""
-    levels, start = level_cycle(n, edges, starts, cap)
+    opens, closes = moves(n, edges)
+    levels, start = level_cycle(opens, dyck_closure(opens, closes), starts, cap)
     period = len(levels) - start
     slices: list[UPSet] = []
     certificates: list[SliceCertificate] = []
@@ -242,3 +273,77 @@ def reach_sets_by_upsets(machine, counter_cap: int | None = None) -> NSetReport:
         for q in states
     }
     return NSetReport(minus, plus, meet, period, types, cap, certificates)
+
+
+def moves(n: int, edges) -> tuple[list[int], list[int]]:
+    """The +1 and −1 successor bitmasks of the (p, w, q) ``edges``."""
+    opens, closes = [0] * n, [0] * n
+    for p, w, q in edges:
+        if w > 0:
+            opens[p] |= 1 << q
+        else:
+            closes[p] |= 1 << q
+    return opens, closes
+
+
+def match_rule(period: int, bit: int, n: int, s1: str, m: int, s2: str) -> str | None:
+    """The leveling rule that allows (n, s1) → (m, s2) on ``bit``, if any."""
+    if bit == 0:
+        if m == n + 1 and m < period and s1 == s2:
+            return "i"
+        if m >= period and n >= period - 1 and (n + 1 - m) % period == 0 and s2 == EQ and s1 != DOWN:
+            return "iii"
+        return None
+    if m == n - 1 and m < period and s1 in (UP, DOWN) and s2 in (s1, DOWN):
+        return "ii"
+    if n >= period and m >= period - 1 and (n - 1 - m) % period == 0 and s1 == EQ and s2 != UP:
+        return "iv"
+    return None
+
+
+def leveled_by_pairs(machine: Transducer, report: NSetReport):
+    """The states, finals and transitions of the leveled machine, by testing
+    every (source type, target type) pair of every transition, then
+    trimming to the live states and the initial one."""
+    period = report.period
+    by_state: dict[str, list[TypedState]] = {}
+    for q in machine.states:
+        typed: list[TypedState] = []
+        for n in sorted(report.types[q]):
+            if n >= period:
+                typed.append(TypedState(q, n, EQ))
+            else:
+                typed.append(TypedState(q, n, UP))
+                typed.append(TypedState(q, n, DOWN))
+        by_state[q] = typed
+    initial = TypedState(machine.initial, 0, UP)
+    finals = {TypedState(f, 0, DOWN) for f in machine.finals if 0 in report.types[f]}
+    transitions: list[TypedTransition] = []
+    for t in machine.transitions:
+        for src in by_state[t.source]:
+            for tgt in by_state[t.target]:
+                rule = match_rule(period, t.bit, src.level, src.phase, tgt.level, tgt.phase)
+                if rule is not None:
+                    transitions.append(TypedTransition(src, t.bit, tgt, t.output, rule, t))
+    alive = live_states(initial, finals, transitions) | {initial}
+    states = tuple(s for q in machine.states for s in by_state[q] if s in alive)
+    kept = tuple(tt for tt in transitions if tt.source in alive and tt.target in alive)
+    return states, frozenset(f for f in finals if f in alive), kept
+
+
+def replace_transitions(prime: TransducerPrime, transitions) -> TransducerPrime:
+    """``prime`` with ``transitions`` as its leveled transitions.
+
+    The arcs are derived from the transitions.  A transition whose base is
+    not a transition of ``prime.base``, or that reads another bit than its
+    base, has its base added to the machine, with its bit.
+    """
+    states = {s: i for i, s in enumerate(prime.states)}
+    bases = {t: b for b, t in enumerate(prime.base.transitions)}
+    arcs = []
+    for tt in transitions:
+        base = tt.base if tt.base.bit == tt.bit else dataclasses.replace(tt.base, bit=tt.bit)
+        b = bases.setdefault(base, len(bases))
+        arcs.append((states[tt.source], states[tt.target], b, tt.rule))
+    machine = dataclasses.replace(prime.base, transitions=tuple(bases))
+    return dataclasses.replace(prime, arcs=tuple(arcs), base=machine)

@@ -20,8 +20,6 @@ from ocrank.components import (
     ZeroCertified,
     certify_component,
     condense,
-    internal_transitions,
-    scc_index_of,
     tight_transitions,
 )
 from ocrank.counterset import CertificationError, reach_sets
@@ -42,8 +40,15 @@ from ocrank.transducer import (
     make_transducer,
 )
 from ocrank.words import Alphabet, primitive_root
-from conftest import random_machine
-from oracles import cycle_outputs, equivalent, is_empty_language
+from conftest import mask_bits, random_machine
+from oracles import (
+    cycle_outputs,
+    equivalent,
+    internal_transitions,
+    is_empty_language,
+    replace_transitions,
+    scc_index_of,
+)
 from test_counterset import complete_machine
 from test_regular import arc_components, assert_cycle_roots_match
 
@@ -106,16 +111,17 @@ def test_internal_transitions_count(fig1_prime, fig1_sccs):
 
 def _fake_prime(states, transitions):
     base = make_transducer(["x"], "x", ["x"], [("x", 0, "x", "a")], AB)
-    return TransducerPrime(
+    empty = TransducerPrime(
         period=2,
         states=tuple(states),
         initial=states[0],
         finals=frozenset(),
-        transitions=tuple(transitions),
+        arcs=(),
         alphabet=AB,
         accepts_epsilon=False,
         base=base,
     )
+    return replace_transitions(empty, transitions)
 
 
 def test_condense_rejects_phase_mixing():
@@ -535,18 +541,19 @@ def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
     does not repeat stage 1 when every transition is tight, as in a
     clashing ``up`` component."""
     built, searched = [], []
-    closed_walks, cycle_roots = regular.closed_walks, regular.cycle_roots
+    closed_walks, arc_graph = regular.closed_walks, regular.arc_graph
 
     def recorded_walks(successors, anchor, members, alphabet):
         built.append((successors, anchor, list(members)))
         return closed_walks(successors, anchor, members, alphabet)
 
-    def recorded_roots(anchors, successors):
+    def recorded_graph(nodes, arcs):  # each stage labels the arc graph it builds
+        index, successors = arc_graph(nodes, arcs)
         searched.append(successors)
-        return cycle_roots(anchors, successors)
+        return index, successors
 
     monkeypatch.setattr(regular, "closed_walks", recorded_walks)
-    monkeypatch.setattr(regular, "cycle_roots", recorded_roots)
+    monkeypatch.setattr(regular, "arc_graph", recorded_graph)
     rng = random.Random(20261019)
     machines = [ladder(3, 2), two_zero_loops("b"), two_zero_loops("a+b")]
     machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(300)]
@@ -575,3 +582,53 @@ def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
                 assert len(searched) == 1
                 seen["up clash"] += 1
     assert min(seen.values()) >= 1, seen
+
+
+# --- stage 1 without an SCC search --------------------------------------------------------
+
+
+def leveling_machines():
+    """The golden corpus fixtures (fig1, fig2 and 60 random machines), 600
+    more random machines, ladder shapes up to (32, 33) and complete
+    machines up to n = 24."""
+    from golden_cli import corpus_fixtures
+    from ocrank.cli import parse_fixture
+
+    machines = [parse_fixture(text).value for text, _ in corpus_fixtures().values()]
+    rng = random.Random(20261020)
+    machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(600)]
+    machines += [ladder(k, j) for k in range(1, 5) for j in range(1, 5)]
+    machines += [ladder(16, 17), ladder(24, 25), ladder(32, 33)]
+    machines += [complete_machine(n) for n in (*range(1, 9), 12, 16, 24)]
+    return machines
+
+
+def test_stage_one_arc_graph_is_one_component():
+    """Stage 1 labels its arc graph once, as one strongly connected
+    component.  Tarjan finds exactly one there, and the labelling gives
+    the roots, in anchor order, or the clash members that the
+    Tarjan-driven ``cycle_roots`` gives."""
+    outcomes = {"pass": 0, "clash": 0}
+    for machine in leveling_machines():
+        try:
+            prime = build_mprime(machine, reach_sets(machine))
+        except (LevelingError, CertificationError):
+            continue
+        for c in condense(prime):
+            if c.trivial:
+                continue
+            anchors = sorted(c.members)
+            arcs = [(tt.source, prime.compiled_output(tt), tt.target)
+                    for tt in internal_transitions(c, prime)]
+            _, successors = arc_graph(anchors, arcs)
+            targets = [[y for m in row.values() for y in mask_bits(m)] for row in successors]
+            assert len(regular.tarjan_sccs(len(successors), targets)) == 1, anchors
+            want = regular.cycle_roots(anchors, successors)
+            got = regular._component_roots(anchors, successors, list(range(len(successors))))
+            if isinstance(want, dict):
+                assert list(got.items()) == list(want.items()), anchors
+                assert certify_component(c, prime) == FullyCertified(want)
+            else:
+                assert got == want, anchors
+            outcomes["clash" if isinstance(want, list) else "pass"] += 1
+    assert min(outcomes.values()) >= 50, outcomes

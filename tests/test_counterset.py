@@ -32,7 +32,7 @@ from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
 from ocrank.transducer import make_transducer
 from ocrank.words import BINARY, Alphabet
 from conftest import M138, OUTPUT_POOL, mask_bits, random_machine
-from oracles import build_by_sets, reach_sets_by_upsets
+from oracles import build_by_sets, moves, reach_sets_by_upsets
 
 
 # --- oracle helpers ------------------------------------------------------------
@@ -396,9 +396,11 @@ def test_level_counters_match_configuration_search(fig1, fig2):
     for n, edges, starts in kernel_systems(fig1, fig2):
         systems += 1
         default = default_counter_cap(n)
+        opens, closes = moves(n, edges)
+        closure = dyck_closure(opens, closes)
         for cap in (default, rng.randint(2 * n + 6, 4 * n + 12)):
             try:
-                slices, _ = certified_slices(n, edges, starts, cap)
+                slices, _ = certified_slices(opens, closure, starts, cap)
             except CertificationError:
                 assert cap != default, (n, edges, starts)
                 continue
@@ -447,16 +449,6 @@ def test_no_refusals_at_the_default_cap_on_bench_style_machines():
 
 
 # --- counter sets read off bit rows ------------------------------------------------
-
-
-def moves(n: int, edges):
-    opens, closes = [0] * n, [0] * n
-    for p, w, q in edges:
-        if w > 0:
-            opens[p] |= 1 << q
-        else:
-            closes[p] |= 1 << q
-    return opens, closes
 
 
 def test_backward_closure_is_the_transpose_of_the_forward_one():

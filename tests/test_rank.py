@@ -8,9 +8,9 @@ import random
 import pytest
 
 from conftest import random_machine
+from oracles import scc_index_of
 from test_components import ladder
 from test_counterset import complete_machine
-from ocrank import components as comp
 from ocrank import regular
 from ocrank.rank import (
     CERTIFIED,
@@ -269,7 +269,7 @@ def test_each_live_output_is_analysed_once(fig1, fig2):
 
 def edge_bounds_per_feed(prime, sccs, verdicts, regrank):
     """The bound DP with one candidate per feed and out-edge, as an oracle."""
-    scc_of = comp.scc_index_of(sccs)
+    scc_of = scc_index_of(sccs)
     initial_comp = scc_of[prime.initial]
     incoming = {c.index: [] for c in sccs}
     edges_of_comp = {c.index: [] for c in sccs}
@@ -337,7 +337,7 @@ def test_edge_bounds_match_the_per_feed_oracle(fig1, fig2):
         assert edge_bounds(*args) == analysis.edge_bound
         assert analysis.edge_bound == edge_bounds_per_feed(*args)
         compared += 1
-        scc_of = comp.scc_index_of(analysis.sccs)
+        scc_of = scc_index_of(analysis.sccs)
         entries = [scc_of[tt.target] for i, tt in enumerate(prime.transitions)
                    if i in analysis.edge_bound]
         several_feeds += len(entries) > len(set(entries))

@@ -41,7 +41,8 @@ from ocrank.transducer import (
 )
 from ocrank.words import Alphabet, in_d1
 from conftest import random_machine
-from oracles import equivalent
+from test_components import leveling_machines
+from oracles import equivalent, leveled_by_pairs, replace_transitions
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -320,7 +321,7 @@ def test_up_down_check_rejects_a_planted_nonzero_cycle(fig1):
     self_loop = dataclasses.replace(up, target=up.source)
 
     def planted(*extra):
-        return dataclasses.replace(prime, transitions=prime.transitions + extra)
+        return replace_transitions(prime, prime.transitions + extra)
 
     assert_up_down_cycles_weigh_nothing(planted(back))
     for extra in ((heavy,), (back, heavy), (self_loop,)):
@@ -420,18 +421,7 @@ def test_bounded_language_equal_on_small_caps(fig1):
 
 
 def _drop_transition(prime, doomed):
-    from ocrank.transducer import TransducerPrime
-
-    return TransducerPrime(
-        period=prime.period,
-        states=prime.states,
-        initial=prime.initial,
-        finals=prime.finals,
-        transitions=tuple(t for t in prime.transitions if t is not doomed),
-        alphabet=prime.alphabet,
-        accepts_epsilon=prime.accepts_epsilon,
-        base=prime.base,
-    )
+    return replace_transitions(prime, tuple(t for t in prime.transitions if t is not doomed))
 
 
 def test_bounded_language_equal_spots_a_missing_rule(fig1, fig2):
@@ -539,3 +529,26 @@ trans s 1 s b
 def test_bounded_outputs_of_the_six_loop_machine_have_a_pinned_size():
     machine = parse_fixture(SIX_LOOPS).value
     assert [bounded_outputs(machine, cap).n for cap in (6, 8)] == [61, 101]
+
+
+# --- rule-generated arcs against the pair scan ---------------------------------------------
+
+
+def test_rule_generated_arcs_match_the_pair_scan():
+    """``build_mprime`` generates each transition's copies from the rules;
+    the old scan of every (source type, target type) pair gives the same
+    states, finals and transitions, in the same order, with the same
+    rules and bases."""
+    compared = 0
+    for machine in leveling_machines():
+        try:
+            report = reach_sets(machine)
+            prime = build_mprime(machine, report)
+        except (CertificationError, LevelingError):
+            continue
+        states, finals, transitions = leveled_by_pairs(machine, report)
+        assert prime.states == states, machine.transitions
+        assert prime.finals == finals, machine.transitions
+        assert prime.transitions == transitions, machine.transitions
+        compared += 1
+    assert compared >= 600, compared

@@ -11,13 +11,10 @@ witness that the order embeds the rationals.
 from .words import (
     Alphabet,
     BINARY,
-    DyckClass,
     Relation,
     compare,
-    dyck_class,
     in_d1,
     is_dyck_prefix,
-    is_dyck_suffix,
     lex_key,
     lex_less,
     open_depth,
@@ -41,8 +38,6 @@ from .counterset import (
     render_upset,
     up_intersect,
     up_membership,
-    up_union,
-    worked_close_image,
 )
 from .transducer import (
     LevelingError,
@@ -55,14 +50,11 @@ from .transducer import (
     bounded_outputs,
     build_mprime,
     check_run,
-    language_of_input,
     lift_run,
     make_transducer,
     minimal_normalize,
     project_run,
     run_input_word,
-    step_language,
-    validate,
 )
 from .components import (
     ComponentVerdict,
@@ -85,7 +77,6 @@ from .rank import (
     analyze_machine,
     expr_rank_bound,
     ord_add,
-    ord_max,
     transducer_rank_bound,
 )
 from .harness import (
@@ -114,23 +105,21 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "BINARY", "DyckClass", "Relation", "compare", "dyck_class",
-    "in_d1", "is_dyck_prefix", "is_dyck_suffix", "lex_key", "lex_less",
-    "open_depth", "primitive_root",
+    "Alphabet", "BINARY", "Relation", "compare", "in_d1", "is_dyck_prefix",
+    "lex_key", "lex_less", "open_depth", "primitive_root",
     "Automaton", "QuasiDense", "Regex", "RegexSyntaxError", "Scattered",
     "compile_regex", "parse_regex", "regular_scattered",
     "CertificationError", "NSetReport", "UPSet", "reach_sets", "render_upset",
-    "up_intersect", "up_membership", "up_union", "worked_close_image",
+    "up_intersect", "up_membership",
     "LevelingError", "Transducer", "TransducerError", "TransducerPrime",
     "TypedState", "TypedTransition", "bounded_language_equal", "bounded_outputs",
-    "build_mprime", "check_run", "language_of_input", "lift_run", "make_transducer",
-    "minimal_normalize", "project_run", "run_input_word", "step_language",
-    "validate",
+    "build_mprime", "check_run", "lift_run", "make_transducer",
+    "minimal_normalize", "project_run", "run_input_word",
     "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",
     "ZeroCertified", "certify_component", "condense",
     "NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",
     "RocPlus", "Unknown", "analyze_machine", "expr_rank_bound", "ord_add",
-    "ord_max", "transducer_rank_bound",
+    "transducer_rank_bound",
     "DensityWitness", "EnumerationResult", "accepting_runs", "enumerate_expr",
     "probe_density", "upset_oracle",
     "Fixture", "FixtureError", "load_fixture_file", "parse_fixture",

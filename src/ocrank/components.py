@@ -18,15 +18,21 @@ weights (:func:`regular.cycle_roots`).  Stage 1's arc graph is strongly
 connected, so stage 1 labels it once from its first anchor with no SCC
 search; stage 2's, on the tight transitions only, may fall apart, and it
 keeps the search.  A cycle language is built only for the clash that
-becomes the verdict, from the clashing component's own nodes
-(:func:`regular.cycle_witness`).
+becomes the verdict, with the same ε-elimination as every other graph
+whose arcs carry automata (:func:`regular.expand_graph`): on the arcs
+between the clashing component's anchors, those into its first anchor
+sent to a sink, from that anchor to the sink.  Its words are the outputs
+of single returns, and :func:`regular.cycle_witness` reads the witness
+off them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import regular
+from .regular import Automaton
 from .transducer import TransducerPrime, TypedState, TypedTransition
 
 
@@ -171,7 +177,14 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         return FullyCertified({})
     anchors = sorted(c.members)
     internal = [prime.transition(k) for k in c.internal]
-    successors = _arc_graph(prime, anchors, internal)
+    automata: dict[int, Automaton] = {}  # by base transition, each looked up once
+    arcs = []
+    for k, tt in zip(c.internal, internal):
+        b = prime.arcs[k][2]
+        if b not in automata:
+            automata[b] = prime.compiled_output(tt)
+        arcs.append((tt.source, automata[b], tt.target))
+    successors = regular.arc_graph(anchors, arcs)[1]
     roots = regular._component_roots(anchors, successors, list(range(len(successors))))
     if isinstance(roots, dict):
         return FullyCertified(roots)
@@ -181,18 +194,23 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
             f"{c.phase} component {anchors} has a nonzero-weight cycle"
         )
     if tight is not None and len(tight) < len(internal):
-        successors = _arc_graph(prime, anchors, tight)
-        roots = regular.cycle_roots(anchors, successors)
+        kept = set(map(id, tight))  # tight is a sublist of internal
+        arcs = [arc for tt, arc in zip(internal, arcs) if id(tt) in kept]
+        roots = regular.cycle_roots(anchors, regular.arc_graph(anchors, arcs)[1])
         if isinstance(roots, dict):
             return ZeroCertified(roots)
-    return QuasiDenseWitness(
-        *regular.cycle_witness(anchors, successors, roots, prime.alphabet)
-    )
+    return _witness(anchors, arcs, roots, prime.alphabet)
 
 
-def _arc_graph(
-    prime: TransducerPrime, anchors: list[TypedState], transitions: list[TypedTransition]
-) -> list[dict[str, int]]:
-    """The arc graph of ``transitions`` on the ``anchors``."""
-    arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
-    return regular.arc_graph(anchors, arcs)[1]
+def _witness(anchors: list[TypedState], arcs, members: list[int], alphabet) -> QuasiDenseWitness:
+    """The witness of the clash :func:`regular.cycle_roots` reported on
+    ``members``, a strongly connected component of the arc graph of
+    ``arcs``.  Its cycle words are read along the single returns to its
+    first anchor a: :func:`regular.expand_graph` on the arcs between the
+    component's anchors, those into a sent to a sink, from a to the sink.
+    """
+    inside = dict.fromkeys(anchors[s] for s in members[: bisect_left(members, len(anchors))])
+    first = anchors[members[0]]
+    kept = [(u, a, None if v == first else v) for u, a, v in arcs if u in inside and v in inside]
+    cycles = regular.expand_graph([*inside, None], kept, [first], [None], alphabet)
+    return QuasiDenseWitness(first, *regular.cycle_witness(cycles))

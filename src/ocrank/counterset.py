@@ -28,11 +28,9 @@ of guessing.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .regular import Regex, compile_regex, parse_regex
-from .words import BINARY, mask_image, state_bits, state_mask
+from .words import mask_image, state_bits, state_mask
 
 
 class CertificationError(RuntimeError):
@@ -156,21 +154,13 @@ def up_membership(s: UPSet, n: int) -> bool:
     return (n % s.period) in s.residues
 
 
-def _pointwise(s1: UPSet, s2: UPSet, combine) -> UPSet:
+def up_intersect(s1: UPSet, s2: UPSet) -> UPSet:
     # Both sets repeat from the later threshold on, with the lcm of their
     # periods, so that many bits decide the result.
     start = max(s1.threshold, s2.threshold)
     period = math.lcm(s1.period, s2.period)
-    row = combine(_upset_row(s1, start + period), _upset_row(s2, start + period))
+    row = _upset_row(s1, start + period) & _upset_row(s2, start + period)
     return _row_upset(row, start, period)
-
-
-def up_intersect(s1: UPSet, s2: UPSet) -> UPSet:
-    return _pointwise(s1, s2, operator.and_)
-
-
-def up_union(s1: UPSet, s2: UPSet) -> UPSet:
-    return _pointwise(s1, s2, operator.or_)
 
 
 def render_upset(s: UPSet) -> str:
@@ -406,10 +396,7 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
 
     minus = dict(zip(states, minus_slices))
     plus = dict(zip(states, plus_slices))
-    meet = {
-        q: _pointwise(s1, s2, operator.and_)
-        for q, s1, s2 in zip(states, minus_slices, plus_slices)
-    }
+    meet = {q: up_intersect(s1, s2) for q, s1, s2 in zip(states, minus_slices, plus_slices)}
     period = select_period(meet.values())
     types = {q: frozenset(state_bits(_upset_row(s, 2 * period))) for q, s in meet.items()}
     certificates = {
@@ -417,29 +404,3 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     }
     return NSetReport(minus, plus, meet, period, types, cap, certificates)
 
-
-def worked_close_image(
-    r: Regex | str, alphabet=BINARY, counter_cap: int | None = None
-) -> UPSet:
-    """Closing depths of the members of L(r) that some balanced word ends in.
-
-    Reads words of L(r) back to front — 1 raises the pending-closings
-    counter, 0 lowers it, and it may never go negative — so the counter on
-    arrival at an original initial state is exactly the word's close depth.
-    """
-    if isinstance(r, str):
-        r = parse_regex(r, alphabet)
-    d = compile_regex(r, alphabet)
-    if d.finals == frozenset():
-        return UPSet.empty()
-    reversed_edges = []
-    for p in range(d.n):
-        for ch, targets in d.edges[p].items():  # a DFA: one target bit per letter
-            reversed_edges.append((targets.bit_length() - 1, 1 if ch == "1" else -1, p))
-    cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
-    opens, closes = _moves(d.n, reversed_edges)
-    slices, _ = certified_slices(opens, dyck_closure(opens, closes), sorted(d.finals), cap)
-    image = UPSet.empty()
-    for q in sorted(d.initials):
-        image = up_union(image, slices[q])
-    return image

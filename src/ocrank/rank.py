@@ -73,10 +73,6 @@ ZERO = Ordinal(0, 0)
 OMEGA = Ordinal(1, 0)
 
 
-def ord_of_int(k: int) -> Ordinal:
-    return Ordinal(0, k)
-
-
 def ord_add(x: Ordinal, y: Ordinal) -> Ordinal:
     """Ordinal sum x + y (left addend absorbed into a right limit)."""
     xa, xb = x
@@ -85,10 +81,6 @@ def ord_add(x: Ordinal, y: Ordinal) -> Ordinal:
     if ya >= 1:
         return tuple.__new__(Ordinal, (xa + ya, yb))
     return tuple.__new__(Ordinal, (xa, xb + yb))
-
-
-def ord_max(x: Ordinal, y: Ordinal) -> Ordinal:
-    return x if y < x else y
 
 
 CERTIFIED = "Certified"
@@ -381,7 +373,7 @@ def expr_rank_bound(
         if m is None:
             return RankBound(ZERO, CERTIFIED, ("iteration of {empty word}",))
         v = primitive_root(m)
-        if regular.subset_of_power(over, v):
+        if regular.subset_of_power_with_witness(over, v)[0]:
             return RankBound(
                 Ordinal(0, 1),
                 CERTIFIED,

@@ -41,9 +41,6 @@ class Regex:
 
     __slots__ = ()
 
-    def __add__(self, other: "Regex") -> "Regex":
-        return Union(self, other)
-
 
 @dataclass(frozen=True)
 class Lit(Regex):
@@ -596,11 +593,6 @@ def power_automaton(v: str, alphabet: Alphabet) -> Automaton:
     return Automaton(alphabet, n, edges, frozenset({0}), frozenset({0}))
 
 
-def subset_of_power(a: Automaton, v: str) -> bool:
-    """Exact test for L(a) ⊆ v*."""
-    return subset_of_power_with_witness(a, v)[0]
-
-
 def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None]:
     return subset_with_witness(a, power_automaton(v, a.alphabet))
 
@@ -632,47 +624,6 @@ def arc_graph(nodes, arcs) -> tuple[dict, list[dict[str, int]]]:
             row = successors[base + f]
             row[""] = row.get("", 0) | into
     return index, successors
-
-
-def epsilon_free(
-    successors: list[dict[str, int]],
-    initials: Sequence[int],
-    finals: Sequence[int],
-    alphabet: Alphabet,
-) -> Automaton:
-    """The NFA of the words a graph with ε arcs ("") reads.
-
-    State x keeps its number and reads on from its ε-closure: it has the
-    letter arcs that leave the closure, and it is final when the closure
-    meets ``finals``.  Only states reached from ``initials`` are filled in;
-    the others are left without arcs, for :func:`trim` to drop.
-    """
-    final_mask = state_mask(finals)
-    edges: list[dict[str, int]] = [{} for _ in successors]
-    accepting = []
-    reached = todo = state_mask(initials)
-    while todo:
-        start = todo & -todo
-        todo ^= start
-        closure = frontier = start
-        row: dict[str, int] = {}
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            for ch, m in successors[low.bit_length() - 1].items():
-                if ch:
-                    row[ch] = row.get(ch, 0) | m
-                else:
-                    frontier |= m & ~closure
-                    closure |= m
-        s = start.bit_length() - 1
-        edges[s] = row
-        if closure & final_mask:
-            accepting.append(s)
-        for m in row.values():
-            todo |= m & ~reached
-            reached |= m
-    return Automaton(alphabet, len(edges), edges, frozenset(initials), frozenset(accepting))
 
 
 def _entered_states(a: Automaton) -> tuple[list[tuple[dict[str, int], bool]], dict[str, int]]:
@@ -765,34 +716,6 @@ def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton
                 accepting.append(len(edges))
         edges.append(row)
     return Automaton(alphabet, len(edges), edges, initial_states, frozenset(accepting))
-
-
-def closed_walks(
-    successors: list[dict[str, int]], anchor: int, members: list[int], alphabet: Alphabet
-) -> Automaton:
-    """Words read along the closed walks at ``anchor`` that stay in ``members``.
-
-    The arcs into the anchor are redirected to a fresh sink, so the walks
-    are single returns, the empty walk is excluded, and longer walks
-    factor through single returns.  When ``members`` is the anchor's
-    strongly connected component, every state the NFA reaches also
-    reaches the sink, so it is left untrimmed.
-    """
-    moved = {x: 1 << i for i, x in enumerate(members)}
-    start, sink = members.index(anchor), len(members)
-    moved[anchor] = 1 << sink  # a walk ends when it returns
-    rows = []
-    for x in members:
-        rows.append(row := {})
-        for ch, m in successors[x].items():
-            kept = 0
-            while m:
-                low = m & -m
-                m ^= low
-                kept |= moved.get(low.bit_length() - 1, 0)
-            if kept:
-                row[ch] = kept
-    return epsilon_free(rows + [{}], [start], [sink], alphabet)
 
 
 def cycle_roots(
@@ -892,27 +815,20 @@ def _component_roots(
     return roots
 
 
-def cycle_witness(
-    anchors: Sequence[_Anchor],
-    successors: list[dict[str, int]],
-    members: list[int],
-    alphabet: Alphabet,
-) -> tuple[_Anchor, str, str]:
-    """The witness ``(anchor, m, x)`` of the clash :func:`cycle_roots`
-    reported on ``members``: the component's first anchor, its shortest
-    nonempty cycle word m, and its least cycle word x outside
-    primitive_root(m)*.  The one cycle language built is that of single
-    returns, from the component's own nodes (:func:`closed_walks`); longer
-    closed walks concatenate single returns and add no witness.
+def cycle_witness(cycles: Automaton) -> tuple[str, str]:
+    """The witness ``(m, x)`` of a clash that :func:`cycle_roots` reported.
+
+    ``cycles`` accepts the words read along the single returns to the
+    clashing component's first anchor, m is its shortest nonempty word and
+    x its least word outside primitive_root(m)*.  Longer closed walks
+    concatenate single returns and add no witness.
     """
-    first = members[0]
-    cycles = closed_walks(successors, first, members, alphabet)
     m = shortest_nonempty_word(cycles)
     root = primitive_root(m)
     _, counterexample = subset_of_power_with_witness(cycles, root)
     if counterexample is None:
-        raise AssertionError(f"no labelling, yet the cycle words at {first} are in {root}*")
-    return anchors[first], m, counterexample
+        raise AssertionError(f"no labelling, yet the cycle words are in {root}*")
+    return m, counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +886,17 @@ def _decide_scattered(a: Automaton) -> Scattered | QuasiDense:
         return Scattered(0)
     roots = cycle_roots(range(d.n), d.edges)
     if isinstance(roots, list):
-        return QuasiDense(*cycle_witness(range(d.n), d.edges, roots, d.alphabet))
+        # The single returns to the clash's first state: the DFA's rows, kept
+        # on its component, with the arcs into that state sent to a sink.
+        n, moved = len(roots), [0] * d.n
+        for i, q in enumerate(roots):
+            moved[q] = 1 << i
+        moved[roots[0]] = 1 << n
+        rows = [
+            {ch: t for ch, m in d.edges[q].items() if (t := mask_image(m, moved))} for q in roots
+        ]
+        cycles = Automaton(d.alphabet, n + 1, rows + [{}], frozenset({0}), frozenset({n}))
+        return QuasiDense(roots[0], *cycle_witness(cycles))
     targets = [list(state_bits(_targets(row))) for row in d.edges]
     # Longest path in the condensation counting only looping components.
     # Tarjan lists them in reverse topological order, so successors come first.
@@ -1062,8 +988,3 @@ def longest_potential(edges: list[tuple[_Node, int, _Node]]) -> dict[_Node, int]
             return potential
     return None
 
-
-def pump_size(a: Automaton) -> int:
-    """A pumping-length style measure: the trimmed DFA's state count."""
-    d = trim(determinize(a))
-    return max(d.n, 1)

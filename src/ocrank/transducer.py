@@ -204,21 +204,6 @@ def _live(initial, finals, succ, pred) -> set:
     return search([initial], succ) & search(finals, pred)
 
 
-def validate(machine: Transducer) -> Transducer:
-    """Check a machine and normalize it to source/sink form.
-
-    The returned machine accepts the same input/output pairs (the empty
-    input's acceptance moves into ``accepts_epsilon``), its initial state
-    has no incoming transitions, and no final state has outgoing ones.
-    """
-    check_structure(machine)
-    split_init = any(t.target == machine.initial for t in machine.transitions)
-    split_finals = {
-        f for f in machine.finals if any(t.source == f for t in machine.transitions)
-    }
-    return _split(machine, split_init, split_finals)
-
-
 def minimal_normalize(machine: Transducer) -> Transducer:
     """Split only where leveling discipline actually demands it.
 
@@ -239,47 +224,6 @@ def minimal_normalize(machine: Transducer) -> Transducer:
     if not split_init and not split_finals:
         return machine
     return _split(machine, split_init, split_finals)
-
-
-# ---------------------------------------------------------------------------
-# Output languages of input words
-
-
-def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
-    """Automata for the outputs produced while reading w, per ending state.
-
-    Works on a machine and on its leveled form alike.
-    """
-    for ch in w:
-        if ch not in ("0", "1"):
-            raise ValueError(f"input words are binary, found {ch!r}")
-    current: dict = {machine.initial: regular.epsilon_automaton(machine.alphabet)}
-    for ch in w:
-        bit = int(ch)
-        nxt: dict = {}
-        for t in machine.transitions:
-            if t.bit != bit or t.source not in current:
-                continue
-            piece = regular.concat_automata(current[t.source], machine.compiled_output(t))
-            if t.target in nxt:
-                nxt[t.target] = regular.union_automata(nxt[t.target], piece)
-            else:
-                nxt[t.target] = piece
-        current = {q: regular.trim(a) for q, a in nxt.items()}
-        current = {q: a for q, a in current.items() if a.finals}
-        if not current:
-            break
-    return current
-
-
-def language_of_input(machine: Transducer, w: str) -> Automaton:
-    """The output language L(machine, w): union over accepting end states."""
-    per_state = step_language(machine, w)
-    acc = regular.empty_automaton(machine.alphabet)
-    for f in sorted(machine.finals):
-        if f in per_state:
-            acc = regular.union_automata(acc, per_state[f])
-    return regular.trim(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +478,6 @@ def project_run(lifted: list[TypedTransition]) -> list[Transition]:
 # Bounded comparison of a machine with its leveled form
 
 
-def balanced_words_up_to(max_len: int) -> list[str]:
-    """All balanced binary words of length ≤ max_len (0 opens, 1 closes)."""
-    out: list[str] = [""]
-
-    def walk(prefix: str, open_now: int, budget: int) -> None:
-        if open_now == 0 and prefix:
-            out.append(prefix)
-        if budget == 0:
-            return
-        if budget >= open_now + 2:
-            walk(prefix + "0", open_now + 1, budget - 1)
-        if open_now > 0:
-            walk(prefix + "1", open_now - 1, budget - 1)
-
-    walk("", 0, max_len)
-    return sorted(out, key=lambda w: (len(w), w))
-
-
 def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automaton:
     """One NFA for the outputs over all nonempty balanced inputs of length ≤ nmax.
 
@@ -583,10 +509,7 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
 
 
 def default_output_cap(machine: Transducer, nmax: int) -> int:
-    pump = max(
-        (regular.pump_size(machine.compiled_output(t)) for t in machine.transitions),
-        default=1,
-    )
+    pump = max((machine.compiled_output(t).n for t in machine.transitions), default=1)
     return 4 * nmax * pump
 
 

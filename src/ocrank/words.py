@@ -126,10 +126,6 @@ def primitive_root(w: str) -> str:
     return w
 
 
-def is_primitive(w: str) -> bool:
-    return primitive_root(w) == w
-
-
 def distinct_root_pair(words) -> tuple[str, str] | None:
     """The first nonempty word and the first later one with another root."""
     first_word: str | None = None
@@ -158,19 +154,6 @@ def open_depth(w: str) -> int:
     return 2 * w.count("0") - len(w)
 
 
-def close_depth(w: str) -> int:
-    """Number of 1s minus number of 0s; always ``-open_depth(w)``."""
-    return -open_depth(w)
-
-
-class DyckClass(Enum):
-    IN_D1 = "InD1"
-    PREFIX_ONLY = "PrefixOnly"
-    SUFFIX_ONLY = "SuffixOnly"
-    PREFIX_AND_SUFFIX = "Both"
-    NEITHER = "Neither"
-
-
 def is_dyck_prefix(w: str) -> bool:
     """True iff w extends to a balanced word: every prefix stays ≥ 0."""
     _check_binary(w)
@@ -182,39 +165,8 @@ def is_dyck_prefix(w: str) -> bool:
     return True
 
 
-def is_dyck_suffix(w: str) -> bool:
-    """True iff some balanced word ends in w: every suffix closes ≥ 0."""
-    _check_binary(w)
-    depth = 0
-    for ch in reversed(w):
-        depth += 1 if ch == "1" else -1
-        if depth < 0:
-            return False
-    return True
-
-
 def in_d1(w: str) -> bool:
     return is_dyck_prefix(w) and open_depth(w) == 0
-
-
-def dyck_class(w: str) -> DyckClass:
-    """Classify a binary word against the balanced language and its hulls.
-
-    Note the fourth variant is provably unreachable: a word that is both a
-    prefix and a suffix of a balanced word has open depth 0 and safe
-    prefixes, i.e. it is balanced itself.  The variant stays for totality.
-    """
-    pre = is_dyck_prefix(w)
-    if pre and open_depth(w) == 0:
-        return DyckClass.IN_D1
-    suf = is_dyck_suffix(w)
-    if pre and suf:
-        return DyckClass.PREFIX_AND_SUFFIX
-    if pre:
-        return DyckClass.PREFIX_ONLY
-    if suf:
-        return DyckClass.SUFFIX_ONLY
-    return DyckClass.NEITHER
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ representation of :class:`ocrank.regular.Automaton`, and the language
 comparisons built on them.  ``regular.expand_graph`` used to splice every
 arc's automaton into the graph, eliminate ε and trim the result; it now
 builds the trimmed NFA directly, and :func:`spliced_expand_graph` is the
-old composition.  :func:`cycle_outputs` builds one component's cycle
+old composition, with the ε-elimination :func:`epsilon_free` that
+``regular`` no longer has.  :func:`closed_walks` is how a density
+witness's cycle language was built before it came from
+``regular.expand_graph`` too.  :func:`cycle_outputs` builds one component's cycle
 language per anchor, which the components layer no longer does.
 :func:`build_by_sets` is :meth:`UPSet.build` as it normalized sets of
 counters before it worked on bitmasks, and :func:`reach_sets_by_upsets`
@@ -18,7 +21,12 @@ type candidate.  :func:`leveled_by_pairs` is ``transducer.build_mprime``
 as it was before it generated each transition's copies from the rules:
 every (source type, target type) pair tested against :func:`match_rule`.
 :func:`internal_transitions` and :func:`scc_index_of` are the scans the
-components and rank layers did before they read integer arcs.
+components and rank layers did before they read integer arcs.  The
+package code never called the rest: :func:`step_language`,
+:func:`language_of_input` and :func:`balanced_words_up_to` give the
+outputs input word by input word, where ``transducer.bounded_outputs``
+builds them all at once, and :func:`up_union` and
+:func:`worked_close_image` are set arithmetic that the tests check.
 """
 
 from __future__ import annotations
@@ -26,19 +34,20 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from ocrank import regular
+from ocrank import counterset, regular
 from ocrank.components import Scc
 from ocrank.counterset import (
     NSetReport,
     SliceCertificate,
     UPSet,
+    certified_slices,
     default_counter_cap,
     dyck_closure,
     level_cycle,
     select_period,
     up_membership,
 )
-from ocrank.regular import Automaton, shortest_word
+from ocrank.regular import Automaton, Regex, shortest_word
 from ocrank.transducer import (
     DOWN,
     EQ,
@@ -49,7 +58,7 @@ from ocrank.transducer import (
     TypedTransition,
     live_states,
 )
-from ocrank.words import Alphabet, state_bits, state_mask
+from ocrank.words import BINARY, Alphabet, state_bits, state_mask
 
 
 def complete_determinize(a: Automaton) -> Automaton:
@@ -137,7 +146,7 @@ def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> A
     into the graph, ε eliminated, then trimmed."""
     index, successors = regular.arc_graph(nodes, arcs)
     starts, ends = [index[v] for v in initials], [index[v] for v in finals]
-    return regular.trim(regular.epsilon_free(successors, starts, ends, alphabet))
+    return regular.trim(epsilon_free(successors, starts, ends, alphabet))
 
 
 def scc_index_of(sccs: list[Scc]) -> dict[TypedState, int]:
@@ -347,3 +356,163 @@ def replace_transitions(prime: TransducerPrime, transitions) -> TransducerPrime:
         arcs.append((states[tt.source], states[tt.target], b, tt.rule))
     machine = dataclasses.replace(prime.base, transitions=tuple(bases))
     return dataclasses.replace(prime, arcs=tuple(arcs), base=machine)
+
+
+def epsilon_free(
+    successors: list[dict[str, int]],
+    initials: list[int],
+    finals: list[int],
+    alphabet: Alphabet,
+) -> Automaton:
+    """The NFA of the words a graph with ε arcs ("") reads.
+
+    State x keeps its number and reads on from its ε-closure: it has the
+    letter arcs that leave the closure, and it is final when the closure
+    meets ``finals``.  Only states reached from ``initials`` are filled in;
+    the others are left without arcs, for ``regular.trim`` to drop.
+    """
+    final_mask = state_mask(finals)
+    edges: list[dict[str, int]] = [{} for _ in successors]
+    accepting = []
+    reached = todo = state_mask(initials)
+    while todo:
+        start = todo & -todo
+        todo ^= start
+        closure = frontier = start
+        row: dict[str, int] = {}
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            for ch, m in successors[low.bit_length() - 1].items():
+                if ch:
+                    row[ch] = row.get(ch, 0) | m
+                else:
+                    frontier |= m & ~closure
+                    closure |= m
+        s = start.bit_length() - 1
+        edges[s] = row
+        if closure & final_mask:
+            accepting.append(s)
+        for m in row.values():
+            todo |= m & ~reached
+            reached |= m
+    return Automaton(alphabet, len(edges), edges, frozenset(initials), frozenset(accepting))
+
+
+def closed_walks(
+    successors: list[dict[str, int]], anchor: int, members: list[int], alphabet: Alphabet
+) -> Automaton:
+    """Words read along the closed walks at ``anchor`` that stay in ``members``.
+
+    The arcs into the anchor are redirected to a fresh sink, so the walks
+    are single returns, the empty walk is excluded, and longer walks
+    factor through single returns.  When ``members`` is the anchor's
+    strongly connected component, every state the NFA reaches also
+    reaches the sink, so it is left untrimmed.
+    """
+    moved = {x: 1 << i for i, x in enumerate(members)}
+    start, sink = members.index(anchor), len(members)
+    moved[anchor] = 1 << sink  # a walk ends when it returns
+    rows = []
+    for x in members:
+        rows.append(row := {})
+        for ch, m in successors[x].items():
+            kept = 0
+            while m:
+                low = m & -m
+                m ^= low
+                kept |= moved.get(low.bit_length() - 1, 0)
+            if kept:
+                row[ch] = kept
+    return epsilon_free(rows + [{}], [start], [sink], alphabet)
+
+
+def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
+    """Automata for the outputs produced while reading w, per ending state.
+
+    Works on a machine and on its leveled form alike.
+    """
+    for ch in w:
+        if ch not in ("0", "1"):
+            raise ValueError(f"input words are binary, found {ch!r}")
+    current: dict = {machine.initial: regular.epsilon_automaton(machine.alphabet)}
+    for ch in w:
+        bit = int(ch)
+        nxt: dict = {}
+        for t in machine.transitions:
+            if t.bit != bit or t.source not in current:
+                continue
+            piece = regular.concat_automata(current[t.source], machine.compiled_output(t))
+            if t.target in nxt:
+                nxt[t.target] = regular.union_automata(nxt[t.target], piece)
+            else:
+                nxt[t.target] = piece
+        current = {q: regular.trim(a) for q, a in nxt.items()}
+        current = {q: a for q, a in current.items() if a.finals}
+        if not current:
+            break
+    return current
+
+
+def language_of_input(machine: Transducer, w: str) -> Automaton:
+    """The output language L(machine, w): union over accepting end states."""
+    per_state = step_language(machine, w)
+    acc = regular.empty_automaton(machine.alphabet)
+    for f in sorted(machine.finals):
+        if f in per_state:
+            acc = regular.union_automata(acc, per_state[f])
+    return regular.trim(acc)
+
+
+def balanced_words_up_to(max_len: int) -> list[str]:
+    """All balanced binary words of length ≤ max_len (0 opens, 1 closes)."""
+    out: list[str] = [""]
+
+    def walk(prefix: str, open_now: int, budget: int) -> None:
+        if open_now == 0 and prefix:
+            out.append(prefix)
+        if budget == 0:
+            return
+        if budget >= open_now + 2:
+            walk(prefix + "0", open_now + 1, budget - 1)
+        if open_now > 0:
+            walk(prefix + "1", open_now - 1, budget - 1)
+
+    walk("", 0, max_len)
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+def up_union(s1: UPSet, s2: UPSet) -> UPSet:
+    """The union of two sets, read off their rows as ``up_intersect`` reads
+    the meet."""
+    start = max(s1.threshold, s2.threshold)
+    period = math.lcm(s1.period, s2.period)
+    row = counterset._upset_row(s1, start + period) | counterset._upset_row(s2, start + period)
+    return counterset._row_upset(row, start, period)
+
+
+def worked_close_image(
+    r: Regex | str, alphabet=BINARY, counter_cap: int | None = None
+) -> UPSet:
+    """Closing depths of the members of L(r) that some balanced word ends in.
+
+    Reads words of L(r) back to front — 1 raises the pending-closings
+    counter, 0 lowers it, and it may never go negative — so the counter on
+    arrival at an original initial state is exactly the word's close depth.
+    """
+    if isinstance(r, str):
+        r = regular.parse_regex(r, alphabet)
+    d = regular.compile_regex(r, alphabet)
+    if d.finals == frozenset():
+        return UPSet.empty()
+    reversed_edges = []
+    for p in range(d.n):
+        for ch, targets in d.edges[p].items():  # a DFA: one target bit per letter
+            reversed_edges.append((targets.bit_length() - 1, 1 if ch == "1" else -1, p))
+    cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
+    opens, closes = moves(d.n, reversed_edges)
+    slices, _ = certified_slices(opens, dyck_closure(opens, closes), sorted(d.finals), cap)
+    image = UPSet.empty()
+    for q in sorted(d.initials):
+        image = up_union(image, slices[q])
+    return image

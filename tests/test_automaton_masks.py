@@ -18,11 +18,10 @@ from conftest import mask_bits
 from ocrank.regular import (
     Automaton,
     determinize,
-    epsilon_free,
     nfa_of_regex,
     words_up_to,
 )
-from oracles import complete_determinize, intersect
+from oracles import complete_determinize, epsilon_free, intersect
 from ocrank.words import Alphabet
 from test_regular import AB, random_nfa, random_regex
 

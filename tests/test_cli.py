@@ -233,6 +233,21 @@ def test_rank_runs_without_networkx(capsys):
     assert done.stdout.startswith("bound: w+3\n")
 
 
+def test_every_export_resolves():
+    # A fresh interpreter, so that the command-line names load on first use.
+    script = (
+        "import sys, ocrank; assert 'ocrank.cli' not in sys.modules; "
+        "names = {}; exec('from ocrank import *', names); "
+        "print(sorted(set(ocrank.__all__) - set(names)), len(set(ocrank.__all__)))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"[] {len(ocrank.__all__)}\n"  # no name missing, none twice
+    assert all(getattr(ocrank, name) is not None for name in ocrank.__all__)
+
+
 @pytest.mark.parametrize("module", ["ocrank", "ocrank.cli"])
 def test_python_dash_m_runs_without_warnings(capsys, module):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))

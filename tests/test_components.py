@@ -42,12 +42,14 @@ from ocrank.transducer import (
 from ocrank.words import Alphabet, primitive_root
 from conftest import mask_bits, random_machine
 from oracles import (
+    closed_walks,
     cycle_outputs,
     equivalent,
     internal_transitions,
     is_empty_language,
     replace_transitions,
     scc_index_of,
+    spliced_expand_graph,
 )
 from test_counterset import complete_machine
 from test_regular import arc_components, assert_cycle_roots_match
@@ -536,23 +538,24 @@ def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
 def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
     """A cycle language is built only for the clash that becomes the
     verdict: none for a passing component, and one for a clash, for the
-    reported component of the arc graph from its own nodes.  Stage 1's
-    witness is not built when stage 2 passes (ladder(3, 2)), and stage 2
-    does not repeat stage 1 when every transition is tight, as in a
-    clashing ``up`` component."""
+    reported component of the arc graph from its own anchors, the arcs
+    into its first anchor sent to the sink None.  Stage 1's witness is
+    not built when stage 2 passes (ladder(3, 2)), and stage 2 does not
+    repeat stage 1 when every transition is tight, as in a clashing ``up``
+    component."""
     built, searched = [], []
-    closed_walks, arc_graph = regular.closed_walks, regular.arc_graph
+    expand_graph, arc_graph = regular.expand_graph, regular.arc_graph
 
-    def recorded_walks(successors, anchor, members, alphabet):
-        built.append((successors, anchor, list(members)))
-        return closed_walks(successors, anchor, members, alphabet)
+    def recorded_expansion(nodes, arcs, initials, finals, alphabet):
+        built.append((nodes, arcs, initials, finals))
+        return expand_graph(nodes, arcs, initials, finals, alphabet)
 
     def recorded_graph(nodes, arcs):  # each stage labels the arc graph it builds
         index, successors = arc_graph(nodes, arcs)
         searched.append(successors)
         return index, successors
 
-    monkeypatch.setattr(regular, "closed_walks", recorded_walks)
+    monkeypatch.setattr(regular, "expand_graph", recorded_expansion)
     monkeypatch.setattr(regular, "arc_graph", recorded_graph)
     rng = random.Random(20261019)
     machines = [ladder(3, 2), two_zero_loops("b"), two_zero_loops("a+b")]
@@ -573,15 +576,67 @@ def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
                     assert len(searched) == 2  # stage 1 clashed
                     seen["ladder stage 2 pass" if i == 0 else "stage 2 pass"] += 1
                 continue
-            [(successors, anchor, members)] = built
-            assert successors is searched[-1]
-            assert members in arc_components(successors)
-            assert verdict.state == sorted(c.members)[anchor]
+            [(nodes, arcs, initials, finals)] = built
+            anchors = sorted(c.members)
+            first = anchors.index(verdict.state)
+            [members] = [m for m in arc_components(searched[-1]) if m[0] == first]
+            assert nodes == [anchors[s] for s in members if s < len(anchors)] + [None]
+            assert (initials, finals) == ([verdict.state], [None])
+            assert all(u in nodes[:-1] and v in nodes and v != verdict.state for u, _, v in arcs)
             seen["clash"] += 1
             if c.phase == "up":
                 assert len(searched) == 1
                 seen["up clash"] += 1
     assert min(seen.values()) >= 1, seen
+
+
+def reference_witness(c, prime):
+    """The witness as stages 1 and 2 built it from their arc graphs, before
+    ``expand_graph`` built it: the single returns to the clashing
+    component's first node along its own nodes (``closed_walks``)."""
+    anchors = sorted(c.members)
+    internal = internal_transitions(c, prime)
+    tight = tight_transitions(internal)
+    stages = [internal] if tight is None or len(tight) == len(internal) else [internal, tight]
+    for transitions in stages:
+        arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
+        _, successors = arc_graph(anchors, arcs)
+        members = regular.cycle_roots(anchors, successors)
+        if isinstance(members, dict):
+            return None
+    cycles = closed_walks(successors, members[0], members, prime.alphabet)
+    return QuasiDenseWitness(anchors[members[0]], *regular.cycle_witness(cycles))
+
+
+def test_witness_languages_match_the_spliced_single_returns(monkeypatch):
+    """The single-return NFA that a clash builds has the language of the
+    same arcs spliced into one graph with ε arcs (``spliced_expand_graph``),
+    and the witness ``(anchor, m, x)`` is the one :func:`reference_witness`
+    reads off the arc graph."""
+    expand_graph = regular.expand_graph
+    checked = []
+
+    def checked_expansion(nodes, arcs, initials, finals, alphabet):
+        got = expand_graph(nodes, arcs, initials, finals, alphabet)
+        assert equivalent(got, spliced_expand_graph(nodes, arcs, initials, finals, alphabet))
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(regular, "expand_graph", checked_expansion)
+    rng = random.Random(20261021)
+    clashes = 0
+    for _ in range(640):
+        machine = random_machine(rng, max_states=6, max_transitions=10)
+        try:
+            prime = build_mprime(machine, reach_sets(machine))
+        except (LevelingError, CertificationError):
+            continue
+        for c in condense(prime):
+            verdict = certify_component(c, prime)
+            if isinstance(verdict, QuasiDenseWitness):
+                clashes += 1
+                assert verdict == reference_witness(c, prime), sorted(c.members)
+    assert clashes >= 100 and len(checked) == clashes, (clashes, len(checked))
 
 
 # --- stage 1 without an SCC search --------------------------------------------------------

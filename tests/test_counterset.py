@@ -24,15 +24,13 @@ from ocrank.counterset import (
     select_period,
     up_intersect,
     up_membership,
-    up_union,
-    worked_close_image,
 )
 from ocrank.cli import parse_fixture
 from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
 from ocrank.transducer import make_transducer
 from ocrank.words import BINARY, Alphabet
 from conftest import M138, OUTPUT_POOL, mask_bits, random_machine
-from oracles import build_by_sets, moves, reach_sets_by_upsets
+from oracles import build_by_sets, moves, reach_sets_by_upsets, up_union, worked_close_image
 
 
 # --- oracle helpers ------------------------------------------------------------

@@ -36,11 +36,9 @@ from ocrank.regular import (
     nfa_of_regex,
     parse_regex,
     power_automaton,
-    pump_size,
     regular_scattered,
     shortest_nonempty_word,
     shortest_word,
-    subset_of_power,
     subset_of_power_with_witness,
     subset_with_witness,
     tarjan_sccs,
@@ -50,6 +48,7 @@ from ocrank.regular import (
 from ocrank.words import Alphabet, primitive_root
 from conftest import mask_bits
 from oracles import (
+    closed_walks,
     complement,
     eager_difference_witness,
     equivalent,
@@ -402,11 +401,11 @@ def test_subset_of_power_sound_and_complete():
         a = compile_regex(r, AB)
         for v in ("a", "ab", "ba"):
             claim, witness = subset_of_power_with_witness(a, v)
-            assert claim == subset_of_power(a, v)
             # witness checking makes a False claim self-certifying; for a
-            # True claim, pumping bounds the length of any counterexample.
+            # True claim, pumping bounds the length of any counterexample:
+            # the trimmed DFA's state count is a pumping length.
             if claim:
-                bound = (pump_size(a) + 1) * len(v) + len(v)
+                bound = (a.n + 1) * len(v) + len(v)
                 for w in words_up_to(a, bound):
                     assert w == v * (len(w) // len(v))
             else:
@@ -454,7 +453,7 @@ def _reach(start, arcs) -> set:
 
 
 def test_expand_graph_matches_the_spliced_graph_and_is_trimmed():
-    """The direct construction against arc_graph + epsilon_free + trim on
+    """The direct construction against arc_graph + ε-elimination + trim on
     random graphs: the same language, no dead state, and as many states."""
     rng = random.Random(20261019)
     pool = [_lang(text) for text in ("eps", "a*", "b*a", "ab", "a+b")]
@@ -537,8 +536,8 @@ def dfa_cycle_language(d: Automaton, q: int) -> Automaton:
 
     Built by splitting q into a source copy and a sink copy so the empty
     word is excluded while multi-visit loops still factor through single
-    returns.  Independent of ``regular.closed_walks``, as the per-anchor
-    oracle's cycle language.
+    returns.  Independent of ``closed_walks``, as the per-anchor oracle's
+    cycle language.
     """
     src = d.n
     snk = d.n + 1
@@ -571,30 +570,26 @@ def per_anchor_cycle_roots(anchors, cycle_language):
 
 def assert_cycle_roots_match(anchors, successors, alphabet, cycle_language):
     """``cycle_roots`` gives what the per-anchor loop on ``cycle_language``
-    gives, key order included, and builds no cycle language.  On a clash
-    it names a component of the arc graph, and ``cycle_witness`` gives the
-    loop's witness from one cycle language, built for that component's
-    first node from its own nodes.  Returns the roots or the witness."""
-    called = []
-    closed_walks = regular.closed_walks
+    gives, key order included, and builds no automaton.  On a clash it
+    names a component of the arc graph, and ``cycle_witness`` gives the
+    loop's witness from the single returns to that component's first node
+    along its own nodes.  Returns the roots or the witness."""
 
-    def counted(successors, anchor, members, alphabet):
-        called.append((anchor, list(members)))
-        return closed_walks(successors, anchor, members, alphabet)
+    def no_automaton(*args):
+        raise AssertionError("cycle_roots built an automaton")
 
     want = per_anchor_cycle_roots(anchors, cycle_language)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regular, "closed_walks", counted)
+        mp.setattr(regular, "Automaton", no_automaton)
         got = cycle_roots(anchors, successors)
-        assert called == []
-        if isinstance(got, dict):
-            assert isinstance(want, dict) and list(got.items()) == list(want.items())
-            return got
-        members = got
-        got = cycle_witness(anchors, successors, members, alphabet)
-    assert got == want
+    if isinstance(got, dict):
+        assert isinstance(want, dict) and list(got.items()) == list(want.items())
+        return got
+    members = got
     assert members in arc_components(successors)
-    assert called == [(members[0], members)]
+    cycles = closed_walks(successors, members[0], members, alphabet)
+    got = anchors[members[0]], *cycle_witness(cycles)
+    assert got == want
     return got
 
 
@@ -630,14 +625,28 @@ def test_cycle_roots_match_the_per_anchor_loop_on_random_dfas():
         got = assert_cycle_roots_match(
             range(d.n), successors, d.alphabet, lambda q: dfa_cycle_language(d, q)
         )
-        verdict = regular_scattered(a)
+        built = []
+
+        def recorded(cycles):
+            built.append(cycles)
+            return cycle_witness(cycles)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regular, "cycle_witness", recorded)
+            verdict = regular._decide_scattered(a)
+        assert verdict == regular_scattered(a)
         looping = arc_components(successors, looping_only=True)
         if isinstance(got, tuple):
             assert verdict == QuasiDense(*got)
+            # one cycle language, on the clashing component's states and a sink
+            members = cycle_roots(range(d.n), successors)
+            [cycles] = built
+            assert cycles.n == len(members) + 1
+            assert equivalent(cycles, closed_walks(successors, members[0], members, AB))
             outcomes["dense"] += 1
             outcomes["dense after a passing component"] += min(m[0] for m in looping) < got[0]
         else:
-            assert isinstance(verdict, Scattered)
+            assert isinstance(verdict, Scattered) and built == []
             outcomes["scattered with cycles"] += bool(looping)
             outcomes["scattered, several looping components"] += len(looping) > 1
     assert checked >= 500 and min(outcomes.values()) >= 10, (checked, outcomes)

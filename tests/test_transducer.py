@@ -24,25 +24,29 @@ from ocrank.transducer import (
     LevelingError,
     Transducer,
     TransducerError,
+    _split,
     build_mprime,
-    balanced_words_up_to,
     bounded_language_equal,
     bounded_outputs,
     check_run,
     check_structure,
-    language_of_input,
     lift_run,
     make_transducer,
     minimal_normalize,
     project_run,
     run_input_word,
-    step_language,
-    validate,
 )
 from ocrank.words import Alphabet, in_d1
 from conftest import random_machine
 from test_components import leveling_machines
-from oracles import equivalent, leveled_by_pairs, replace_transitions
+from oracles import (
+    balanced_words_up_to,
+    equivalent,
+    language_of_input,
+    leveled_by_pairs,
+    replace_transitions,
+    step_language,
+)
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -209,8 +213,15 @@ def inputs_agree(m1: Transducer, m2: Transducer, max_len: int = 8) -> bool:
     return True
 
 
-def test_validate_splits_busy_endpoints(fig1):
-    split = validate(fig1)
+def split_busy_endpoints(m: Transducer) -> Transducer:
+    """``_split`` detaching the initial state if a transition enters it and
+    each final state that a transition leaves."""
+    busy_finals = {f for f in m.finals if any(t.source == f for t in m.transitions)}
+    return _split(m, any(t.target == m.initial for t in m.transitions), busy_finals)
+
+
+def test_split_detaches_busy_endpoints(fig1):
+    split = split_busy_endpoints(fig1)
     # the initial state has a self-loop, so it must have been copied
     assert len(split.states) > len(fig1.states)
     incoming_to_initial = [t for t in split.transitions if t.target == split.initial]
@@ -220,8 +231,8 @@ def test_validate_splits_busy_endpoints(fig1):
     assert inputs_agree(fig1, split)
 
 
-def test_validate_on_fig2_preserves_language(fig2):
-    split = validate(fig2)
+def test_split_on_fig2_preserves_language(fig2):
+    split = split_busy_endpoints(fig2)
     assert inputs_agree(fig2, split, max_len=8)
 
 

@@ -13,15 +13,10 @@ from hypothesis import given, strategies as st
 from ocrank.words import (
     BINARY,
     Alphabet,
-    DyckClass,
     Relation,
-    close_depth,
     compare,
-    dyck_class,
     in_d1,
     is_dyck_prefix,
-    is_dyck_suffix,
-    is_primitive,
     lex_key,
     lex_less,
     open_depth,
@@ -50,10 +45,6 @@ def oracle_is_prefix(w: str) -> bool:
     return set(cancel_matched(w)) <= {"0"}
 
 
-def oracle_is_suffix(w: str) -> bool:
-    return set(cancel_matched(w)) <= {"1"}
-
-
 def oracle_root(w: str) -> str:
     n = len(w)
     for d in range(1, n + 1):
@@ -75,29 +66,10 @@ def test_dyck_class_matches_cancellation_oracle_exhaustively():
     for w in all_binary_words(14):
         assert in_d1(w) == oracle_in_d1(w), w
         assert is_dyck_prefix(w) == oracle_is_prefix(w), w
-        assert is_dyck_suffix(w) == oracle_is_suffix(w), w
-
-
-def test_dyck_class_buckets():
-    assert dyck_class("") == DyckClass.IN_D1
-    assert dyck_class("0011") == DyckClass.IN_D1
-    assert dyck_class("00") == DyckClass.PREFIX_ONLY
-    assert dyck_class("0010") == DyckClass.PREFIX_ONLY
-    assert dyck_class("11") == DyckClass.SUFFIX_ONLY
-    assert dyck_class("10") == DyckClass.NEITHER
-    assert dyck_class("0110") == DyckClass.NEITHER
-
-
-def test_prefix_and_suffix_bucket_stays_empty():
-    # A word that both misses opens and misses closes would have to be
-    # balanced already, and balanced words land in IN_D1 first.
-    for w in all_binary_words(12):
-        assert dyck_class(w) != DyckClass.PREFIX_AND_SUFFIX
 
 
 def test_open_and_close_depth():
     assert open_depth("0010") == 2
-    assert close_depth("0010") == -2
     assert open_depth("") == 0
     with pytest.raises(ValueError):
         open_depth("0a1")
@@ -171,7 +143,7 @@ def test_root_tiles_and_is_primitive(w):
     r = primitive_root(w)
     assert len(w) % len(r) == 0
     assert r * (len(w) // len(r)) == w
-    assert is_primitive(r)
+    assert primitive_root(r) == r
 
 
 def test_primitive_root_rejects_empty():
@@ -180,11 +152,10 @@ def test_primitive_root_rejects_empty():
 
 
 def test_is_primitive_examples():
-    assert is_primitive("a")
-    assert is_primitive("ab")
-    assert is_primitive("aab")
-    assert not is_primitive("abab")
-    assert not is_primitive("aaa")
+    for w in ("a", "ab", "aab"):
+        assert primitive_root(w) == w
+    assert primitive_root("abab") == "ab"
+    assert primitive_root("aaa") == "a"
 
 
 # --- alphabets ----------------------------------------------------------------

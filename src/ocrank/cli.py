@@ -402,19 +402,18 @@ def _cmd_rank(fixture: Fixture, args, out) -> tuple[int, dict]:
         assert isinstance(machine, Transducer)
         analysis = analyze_machine(machine, counter_cap=args.counter_cap)
         result = analysis.result
-        if analysis.sccs is not None:
-            components_json = []
-            for c in analysis.sccs:
-                verdict = analysis.verdicts.get(c.index)
-                components_json.append(
-                    {
-                        "index": c.index,
-                        "phase": c.phase,
-                        "trivial": c.trivial,
-                        "members": sorted(s.render() for s in c.members),
-                        "verdict": type(verdict).__name__ if verdict else None,
-                    }
-                )
+        components_json = []
+        for c in analysis.sccs:
+            verdict = analysis.verdicts.get(c.index)
+            components_json.append(
+                {
+                    "index": c.index,
+                    "phase": c.phase,
+                    "trivial": c.trivial,
+                    "members": sorted(s.render() for s in c.members),
+                    "verdict": type(verdict).__name__ if verdict else None,
+                }
+            )
     else:
         expr = fixture.value
         assert isinstance(expr, RocExpr)

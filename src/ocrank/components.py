@@ -9,17 +9,16 @@ component's tight transitions, which carry exactly its zero-weight cycles.
 Two cycle outputs with different primitive roots at the same anchor are a
 quasi-density witness and kill scatteredness.
 
-Each stage takes its roots from the arc graph (the component's states with
-every output automaton spliced in, :func:`regular.arc_graph`): one search
-from a strongly connected component's first anchor gives every node a
-potential, the length of a word read on the way to it, and the root is
-read off the letters read at each potential modulo the gcd of the cycle
-weights (:func:`regular.cycle_roots`).  Stage 1's arc graph is strongly
-connected, so stage 1 labels it once from its first anchor with no SCC
-search; stage 2's, on the tight transitions only, may fall apart, and it
-keeps the search.  A cycle language is built only for the clash that
-becomes the verdict, with the same ε-elimination as every other graph
-whose arcs carry automata (:func:`regular.expand_graph`): on the arcs
+Each stage labels the leveled states themselves
+(:func:`regular.cycle_roots`): each transition reads one word of its
+output, and one search from the least anchor gives every state a
+potential, the length of the words read on the way to it.  The letters at
+each potential modulo the gcd of the cycle weights spell a word whose
+primitive root v is the root, and every transition's whole output must
+read v^ω from its source's position to its target's.  Stage 1 labels the
+component as one; stage 2's tight transitions may fall apart, and it
+labels their components.  A cycle language is built only for the clash
+that becomes the verdict (:func:`regular.expand_graph`): on the arcs
 between the clashing component's anchors, those into its first anchor
 sent to a sink, from that anchor to the sink.  Its words are the outputs
 of single returns, and :func:`regular.cycle_witness` reads the witness
@@ -28,12 +27,11 @@ off them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import regular
 from .regular import Automaton
-from .transducer import TransducerPrime, TypedState, TypedTransition
+from .transducer import TransducerPrime, TypedState
 
 
 @dataclass
@@ -129,29 +127,21 @@ def condense(prime: TransducerPrime) -> list[Scc]:
 # Cycle weights over ±1 edge weights
 
 
-def _weight(tt: TypedTransition) -> int:
-    return 1 if tt.bit == 0 else -1
+def tight_transitions(arcs: list[tuple]) -> list[tuple] | None:
+    """The arcs on which a longest-path potential is tight.
 
-
-def tight_transitions(transitions: list[TypedTransition]) -> list[TypedTransition] | None:
-    """The transitions on which a longest-path potential is tight.
-
-    None when the graph has a positive cycle.  Otherwise
-    :func:`regular.longest_potential` gives a potential with
-    π(v) ≥ π(u) + w on every edge, so a closed walk weighs
-    Σ (π(u) + w − π(v)) ≤ 0, with equality exactly when each of its edges
-    is tight: π(u) + w = π(v).  The tight edges are the critical graph of
+    Each arc starts (source, weight, target).  None when the graph has a
+    positive cycle.  Otherwise :func:`regular.longest_potential` gives a
+    potential with π(v) ≥ π(u) + w on every arc, so a closed walk weighs
+    Σ (π(u) + w − π(v)) ≤ 0, with equality exactly when each of its arcs
+    is tight: π(u) + w = π(v).  The tight arcs are the critical graph of
     max-plus algebra, and their closed walks are the zero-weight closed
     walks of the whole graph.
     """
-    potential = regular.longest_potential(
-        [(tt.source, _weight(tt), tt.target) for tt in transitions]
-    )
+    potential = regular.longest_potential([arc[:3] for arc in arcs])
     if potential is None:
         return None
-    return [
-        tt for tt in transitions if potential[tt.source] + _weight(tt) == potential[tt.target]
-    ]
+    return [arc for arc in arcs if potential[arc[0]] + arc[1] == potential[arc[2]]]
 
 
 def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
@@ -168,49 +158,63 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     would then repeat stage 1, and stage 1's clash is the verdict.  Only
     the clash that is returned gets its witness built.
 
-    Stage 1's arc graph is strongly connected: the anchors reach each
-    other inside the component, and every spliced node lies on a path
-    u → v of its transition, as the output automata come trimmed and
-    nonempty.  So stage 1 labels it as one component, with no SCC search.
+    The anchors are numbered in sorted order.  Each arc's word w is its
+    output's shortest nonempty word, ε if it has none; both are looked up
+    once per base transition.  The component is strongly connected, so
+    stage 1 runs no SCC search.
     """
     if c.trivial:
         return FullyCertified({})
-    anchors = sorted(c.members)
-    internal = [prime.transition(k) for k in c.internal]
-    automata: dict[int, Automaton] = {}  # by base transition, each looked up once
-    arcs = []
-    for k, tt in zip(c.internal, internal):
-        b = prime.arcs[k][2]
-        if b not in automata:
-            automata[b] = prime.compiled_output(tt)
-        arcs.append((tt.source, automata[b], tt.target))
-    successors = regular.arc_graph(anchors, arcs)[1]
-    roots = regular._component_roots(anchors, successors, list(range(len(successors))))
+    ids = sorted(c.ids, key=prime.states.__getitem__)
+    anchors = [prime.states[k] for k in ids]
+    node = {k: x for x, k in enumerate(ids)}
+    samples: dict[int, tuple[int, str, Automaton]] = {}  # by base transition
+    arcs = []  # (x, weight, y, w, automaton)
+    for k in c.internal:
+        source, target, b, _ = prime.arcs[k]
+        if b not in samples:
+            t = prime.base.transitions[b]
+            a = prime.base.compiled_output(t)
+            samples[b] = 1 - 2 * t.bit, regular.shortest_nonempty_word(a) or "", a
+        weight, w, a = samples[b]
+        arcs.append((node[source], weight, node[target], w, a))
+    roots = _roots(anchors, arcs, [list(range(len(anchors)))])
     if isinstance(roots, dict):
         return FullyCertified(roots)
-    tight = tight_transitions(internal)
-    if c.phase in ("up", "down") and tight != internal:
-        raise AssertionError(
-            f"{c.phase} component {anchors} has a nonzero-weight cycle"
-        )
-    if tight is not None and len(tight) < len(internal):
-        kept = set(map(id, tight))  # tight is a sublist of internal
-        arcs = [arc for tt, arc in zip(internal, arcs) if id(tt) in kept]
-        roots = regular.cycle_roots(anchors, regular.arc_graph(anchors, arcs)[1])
+    tight = tight_transitions(arcs)
+    if c.phase in ("up", "down") and tight != arcs:
+        raise AssertionError(f"{c.phase} component {anchors} has a nonzero-weight cycle")
+    if tight is not None and len(tight) < len(arcs):
+        arcs = tight
+        targets: list[list[int]] = [[] for _ in anchors]
+        for x, _, y, _, _ in arcs:
+            targets[x].append(y)
+        roots = _roots(anchors, arcs, sorted(regular.tarjan_sccs(len(anchors), targets)))
         if isinstance(roots, dict):
             return ZeroCertified(roots)
     return _witness(anchors, arcs, roots, prime.alphabet)
 
 
+def _roots(anchors: list[TypedState], arcs, components: list[list[int]]):
+    """:func:`regular.cycle_roots` on ``arcs`` over ``components``: each
+    anchor's root, in anchor order, or the clashing component's members."""
+    out: list[list[tuple[int, str, Automaton]]] = [[] for _ in anchors]
+    for x, _, y, w, a in arcs:
+        out[x].append((y, w, a))
+    found = regular.cycle_roots(out, components)
+    if isinstance(found, list):
+        return found
+    return {s: found[x] for x, s in enumerate(anchors)}
+
+
 def _witness(anchors: list[TypedState], arcs, members: list[int], alphabet) -> QuasiDenseWitness:
     """The witness of the clash :func:`regular.cycle_roots` reported on
-    ``members``, a strongly connected component of the arc graph of
-    ``arcs``.  Its cycle words are read along the single returns to its
-    first anchor a: :func:`regular.expand_graph` on the arcs between the
-    component's anchors, those into a sent to a sink, from a to the sink.
+    ``members``, a strongly connected component of ``arcs``.  Its cycle
+    words are read along the single returns to its first anchor a:
+    :func:`regular.expand_graph` on the arcs between the component's
+    anchors, those into a sent to a sink, from a to the sink.
     """
-    inside = dict.fromkeys(anchors[s] for s in members[: bisect_left(members, len(anchors))])
-    first = anchors[members[0]]
-    kept = [(u, a, None if v == first else v) for u, a, v in arcs if u in inside and v in inside]
-    cycles = regular.expand_graph([*inside, None], kept, [first], [None], alphabet)
-    return QuasiDenseWitness(first, *regular.cycle_witness(cycles))
+    first, inside = members[0], set(members)
+    kept = [(x, a, None if y == first else y) for x, _, y, _, a in arcs if {x, y} <= inside]
+    cycles = regular.expand_graph([*members, None], kept, [first], [None], alphabet)
+    return QuasiDenseWitness(anchors[first], *regular.cycle_witness(cycles))

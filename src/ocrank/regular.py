@@ -19,16 +19,13 @@ the automaton it analysed.  Compiled automata are shared and read-only.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import gcd
 from typing import TypeVar
 
 from .words import Alphabet, mask_image, primitive_root, state_bits, state_mask
 
-_Anchor = TypeVar("_Anchor")
 _Node = TypeVar("_Node")
 
 
@@ -583,47 +580,24 @@ def subset_with_witness(a: Automaton, b: Automaton) -> tuple[bool, str | None]:
     return True, None
 
 
-def power_automaton(v: str, alphabet: Alphabet) -> Automaton:
-    """The |v|-state cyclic DFA for v* (partial: wrong letters die)."""
+def power_automaton(v: str, start: int, stop: int, alphabet: Alphabet) -> Automaton:
+    """W(start, stop): the |v|-state cyclic DFA of the words that read v^ω
+    from position ``start`` and stop at position ``stop`` (partial: wrong
+    letters die).  W(0, 0) accepts v*."""
     if not v:
         raise ValueError("v must be nonempty")
     alphabet.check_word(v)
     n = len(v)
     edges = [{ch: 1 << (i + 1) % n} for i, ch in enumerate(v)]
-    return Automaton(alphabet, n, edges, frozenset({0}), frozenset({0}))
+    return Automaton(alphabet, n, edges, frozenset({start}), frozenset({stop}))
 
 
 def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None]:
-    return subset_with_witness(a, power_automaton(v, a.alphabet))
+    return subset_with_witness(a, power_automaton(v, 0, 0, a.alphabet))
 
 
 # ---------------------------------------------------------------------------
 # Graphs whose arcs carry automata
-
-
-def arc_graph(nodes, arcs) -> tuple[dict, list[dict[str, int]]]:
-    """The graph of ``nodes`` with each arc's automaton spliced in.
-
-    ``arcs`` are (u, automaton, v).  The nodes are numbered first, in the
-    given order, then a fresh copy of each arc's states, arc after arc.
-    ``successors[x]`` maps a letter to the bitmask of x's successors on
-    it, as in :class:`Automaton`: the copies keep their letter edges, and
-    ε arcs, under the letter "", lead from u into the copy's initial
-    states and from its final states to v.
-    """
-    index = {v: i for i, v in enumerate(nodes)}
-    successors: list[dict[str, int]] = [{} for _ in index]
-    for u, a, v in arcs:
-        base = len(successors)
-        successors += _shifted(a, base)
-        row = successors[index[u]]
-        for i in a.initials:
-            row[""] = row.get("", 0) | 1 << base + i
-        into = 1 << index[v]
-        for f in a.finals:
-            row = successors[base + f]
-            row[""] = row.get("", 0) | into
-    return index, successors
 
 
 def _entered_states(a: Automaton) -> tuple[list[tuple[dict[str, int], bool]], dict[str, int]]:
@@ -719,99 +693,90 @@ def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton
 
 
 def cycle_roots(
-    anchors: Sequence[_Anchor], successors: list[dict[str, int]]
-) -> dict[_Anchor, str | None] | list[int]:
-    """The one primitive root of each anchor's cycle words, or a clash.
+    arcs: list[list[tuple[int, str, Automaton | None]]], components: list[list[int]]
+) -> dict[int, str | None] | list[int]:
+    """The one primitive root of each node's cycle words, or a clash.
 
-    ``successors`` is the arc graph: node i < len(anchors) is
-    ``anchors[i]``, the nodes after them are inner nodes (the states of
-    the automata on the arcs), and ``successors[x]`` maps a letter, or ""
-    for ε arcs, to the bitmask of x's successors on it (see
-    :func:`arc_graph`).  An anchor's cycle words are the words read along
-    closed walks at it.  Returns the roots (None where no cycle reads a
-    letter) in the order of ``anchors``, or, when some anchor's cycle words
-    are not all powers of one word, the nodes of the first such strongly
-    connected component of the arc graph, by least node, for
+    ``arcs[x]`` lists the arcs out of node x as (y, w, language): the arc
+    reads the words of ``language``, a trimmed automaton, or exactly w when
+    ``language`` is None, and w is one word it reads, nonempty if it reads
+    one.  A node's cycle words are those read along closed walks at it.
+    ``components`` are strongly connected sets of nodes, each sorted, each
+    labelled in turn on the arcs between its own nodes.  Returns the roots
+    of their nodes, component by component (None where no cycle reads a
+    letter), or, when some node's cycle words are not all powers of one
+    word, the members of the first such component, for
     :func:`cycle_witness`.  No cycle language is built.
 
-    One search from a component's first anchor a gives each node x a
-    potential d(x), the length of the word read along one path a → x.  Let
-    g be the gcd of d(x) + w − d(y) over the component's arcs x → y (w = 1
-    on letter arcs, 0 on ε arcs): it divides every closed walk's weight,
-    the sum of these terms, and each term is the difference of two closed
-    walks' weights, so g is the gcd of the cycle weights.  If g = 0, no
-    cycle reads a letter.  Otherwise the letter arcs from the nodes with
-    d ≡ k (mod g) must all read one letter u[k] (a cycle that reads a
-    letter weighs a positive multiple of g, so it meets every k), and the
-    root is v = primitive_root(u).  If every cycle word at a lies in v*,
-    then |v| divides every cycle weight, so it divides g, and a closed walk
-    at a reads the letter c of an arc from x at an offset ≡ d(x) (mod g),
-    so c = v[d(x) mod |v|]: the labelling mod g is consistent.  Conversely,
-    a consistent labelling puts every closed walk at a in u* ⊆ v*.  Every
-    node lies on a closed walk through every anchor of its component, so
-    anchor s reads u from position d(s), and its root is v rotated by
-    d(s) mod |v|: the anchors of a component pass or fail together.
+    One search from a component's least node a gives each node x a
+    potential d(x), the length of the words w read along one path a → x.
+    Let g be the gcd of d(x) + |w| − d(y) over the component's arcs
+    x → y: it divides the weight of each closed walk on the words w, the
+    sum of these terms, and each term is the difference of two such
+    weights.  If g = 0, every w is ε, so every arc reads only ε and no
+    cycle reads a letter.  Otherwise the letters of the words w at the
+    positions ≡ k (mod g) must all be one letter u[k] (a closed walk at a
+    that reads a letter weighs a positive multiple of g, so it meets every
+    k), and v = primitive_root(u).  Then every arc with a language must
+    pass L ⊆ W(d(x) mod |v|, d(y) mod |v|) (:func:`power_automaton`); an
+    arc that reads only w passes with the labelling, as |v| divides g.
+
+    The words w are read along real closed walks, so a clash among them
+    is a real clash.  If every cycle word at a lies in the powers of one
+    primitive root, the closed walks on the words w read u^m in them, so
+    that root is v.  Each path a → x closes to a cycle word along a fixed
+    path back, so its length is d(x) mod |v|, and every arc x → y reads a
+    factor of v^ω from position d(x) mod |v| to d(y) mod |v|: the
+    labelling and every test pass.  Conversely, when they pass, every arc
+    reads such a factor, so every closed walk at a reads a word of v*.
+    Every node s lies on a closed walk through a, so it reads v from
+    position d(s): its root is v rotated by d(s) mod |v|, and the nodes of
+    a component pass or fail together.  Each test is made once per
+    (language, v, d(x) mod |v|, d(y) mod |v|) in a call: on a complete
+    machine every arc shares one language.
     """
-    roots = dict.fromkeys(anchors)
-    targets = [list(state_bits(_targets(row))) for row in successors]
-    components = tarjan_sccs(len(successors), targets)
-    for members in sorted(components, key=lambda members: members[0]):
-        first = members[0]  # members come sorted, so anchors come first
-        if first >= len(anchors):
-            break
-        if len(members) == 1 and first not in targets[first]:
-            continue
-        found = _component_roots(anchors, successors, members)
-        if isinstance(found, list):
-            return found
-        roots.update(found)
-    return roots
-
-
-def _component_roots(
-    anchors: Sequence[_Anchor], successors: list[dict[str, int]], members: list[int]
-) -> dict[_Anchor, str | None] | list[int]:
-    """:func:`cycle_roots` on ``members``, one strongly connected component
-    of the arc graph: the roots of its anchors, or ``members`` on a clash.
-    The search starts at the least member, the first anchor."""
-    component = state_mask(members)
-    start = members[0]
-    depth = {start: 0}
-    stack = [start]
-    period = 0
-    letters: list[tuple[int, str]] = []  # (d(x), c) per arc x → y reading c
-    while stack:
-        x = stack.pop()
-        at = depth[x]
-        for ch, m in successors[x].items():
-            m &= component
-            if not m:
-                continue
-            if ch:
-                letters.append((at, ch))
-            to = at + 1 if ch else at
-            while m:
-                low = m & -m
-                m ^= low
-                y = low.bit_length() - 1
+    roots: dict[int, str | None] = {}
+    tested: dict[tuple[int, str, int, int], bool] = {}
+    for members in components:
+        inside = state_mask(members)
+        depth = {members[0]: 0}
+        stack = [members[0]]
+        period = 0
+        kept = []  # (d(x), w, language, y) per arc x → y inside the component
+        while stack:
+            x = stack.pop()
+            at = depth[x]
+            for y, w, language in arcs[x]:
+                if not inside >> y & 1:
+                    continue
+                kept.append((at, w, language, y))
                 seen = depth.get(y)
                 if seen is None:
-                    depth[y] = to
+                    depth[y] = at + len(w)
                     stack.append(y)
                 else:
-                    period = gcd(period, to - seen)
-    inside = members[: bisect_left(members, len(anchors))]
-    if not period:
-        return {anchors[s]: None for s in inside}
-    word: dict[int, str] = {}
-    for at, ch in letters:
-        if word.setdefault(at % period, ch) != ch:
-            return members
-    root = primitive_root("".join(word[k] for k in range(period)))
-    roots = {}
-    for s in inside:
-        k = depth[s] % len(root)
-        roots[anchors[s]] = root[k:] + root[:k]
+                    period = gcd(period, at + len(w) - seen)
+        if not period:
+            roots.update(dict.fromkeys(members))
+            continue
+        word: dict[int, str] = {}
+        for at, w, _, _ in kept:
+            for k, ch in enumerate(w, at):
+                if word.setdefault(k % period, ch) != ch:
+                    return members
+        root = primitive_root("".join(word[k] for k in range(period)))
+        n = len(root)
+        for at, _, language, y in kept:
+            if language is not None:
+                key = (id(language), root, at % n, depth[y] % n)
+                if key not in tested:
+                    window = power_automaton(root, key[2], key[3], language.alphabet)
+                    tested[key] = subset_with_witness(language, window)[0]
+                if not tested[key]:
+                    return members
+        for x in members:
+            k = depth[x] % n
+            roots[x] = root[k:] + root[:k]
     return roots
 
 
@@ -884,7 +849,10 @@ def _decide_scattered(a: Automaton) -> Scattered | QuasiDense:
     d = trim(determinize(a))
     if d.finals == frozenset():
         return Scattered(0)
-    roots = cycle_roots(range(d.n), d.edges)
+    targets = [list(state_bits(_targets(row))) for row in d.edges]
+    components = tarjan_sccs(d.n, targets)
+    arcs = [[(t, ch, None) for ch, m in row.items() for t in state_bits(m)] for row in d.edges]
+    roots = cycle_roots(arcs, sorted(components))
     if isinstance(roots, list):
         # The single returns to the clash's first state: the DFA's rows, kept
         # on its component, with the arcs into that state sent to a sink.
@@ -897,12 +865,11 @@ def _decide_scattered(a: Automaton) -> Scattered | QuasiDense:
         ]
         cycles = Automaton(d.alphabet, n + 1, rows + [{}], frozenset({0}), frozenset({n}))
         return QuasiDense(roots[0], *cycle_witness(cycles))
-    targets = [list(state_bits(_targets(row))) for row in d.edges]
     # Longest path in the condensation counting only looping components.
     # Tarjan lists them in reverse topological order, so successors come first.
     comp_of = [0] * d.n
     best: list[int] = []
-    for i, members in enumerate(tarjan_sccs(d.n, targets)):
+    for i, members in enumerate(components):
         for q in members:
             comp_of[q] = i
         below = max(

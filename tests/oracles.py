@@ -8,10 +8,17 @@ comparisons built on them.  ``regular.expand_graph`` used to splice every
 arc's automaton into the graph, eliminate ε and trim the result; it now
 builds the trimmed NFA directly, and :func:`spliced_expand_graph` is the
 old composition, with the ε-elimination :func:`epsilon_free` that
-``regular`` no longer has.  :func:`closed_walks` is how a density
-witness's cycle language was built before it came from
-``regular.expand_graph`` too.  :func:`cycle_outputs` builds one component's cycle
-language per anchor, which the components layer no longer does.
+``regular`` no longer has, and :func:`arc_graph` is that splicing.
+:func:`closed_walks` is how a density witness's cycle language was
+built before it came from ``regular.expand_graph`` too.
+:func:`arc_graph_roots` is ``regular.cycle_roots`` as it labelled an arc
+graph, one node per automaton state, before it labelled a graph's own
+nodes with one word per arc, and :func:`arc_graph_certify` is
+``components.certify_component`` built on it: the reference for roots,
+stages and witnesses.  :func:`tight_typed` runs
+``components.tight_transitions`` on :class:`TypedTransition` objects.
+:func:`cycle_outputs` builds one component's cycle language per anchor,
+which the components layer no longer does.
 :func:`build_by_sets` is :meth:`UPSet.build` as it normalized sets of
 counters before it worked on bitmasks, and :func:`reach_sets_by_upsets`
 is ``counterset.reach_sets`` as it was before the sets were read off bit
@@ -35,7 +42,13 @@ import dataclasses
 import math
 
 from ocrank import counterset, regular
-from ocrank.components import Scc
+from ocrank.components import (
+    FullyCertified,
+    QuasiDenseWitness,
+    Scc,
+    ZeroCertified,
+    tight_transitions,
+)
 from ocrank.counterset import (
     NSetReport,
     SliceCertificate,
@@ -58,7 +71,7 @@ from ocrank.transducer import (
     TypedTransition,
     live_states,
 )
-from ocrank.words import BINARY, Alphabet, state_bits, state_mask
+from ocrank.words import BINARY, Alphabet, primitive_root, state_bits, state_mask
 
 
 def complete_determinize(a: Automaton) -> Automaton:
@@ -144,7 +157,7 @@ def is_empty_language(a: Automaton) -> bool:
 def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton:
     """``regular.expand_graph`` the long way: every arc's automaton spliced
     into the graph, ε eliminated, then trimmed."""
-    index, successors = regular.arc_graph(nodes, arcs)
+    index, successors = arc_graph(nodes, arcs)
     starts, ends = [index[v] for v in initials], [index[v] for v in finals]
     return regular.trim(epsilon_free(successors, starts, ends, alphabet))
 
@@ -425,6 +438,112 @@ def closed_walks(
             if kept:
                 row[ch] = kept
     return epsilon_free(rows + [{}], [start], [sink], alphabet)
+
+
+def arc_graph(nodes, arcs) -> tuple[dict, list[dict[str, int]]]:
+    """The graph of ``nodes`` with each arc's automaton spliced in.
+
+    ``arcs`` are (u, automaton, v).  The nodes are numbered first, in the
+    given order, then a fresh copy of each arc's states, arc after arc.
+    ``successors[x]`` maps a letter to the bitmask of x's successors on
+    it, as in :class:`Automaton`: the copies keep their letter edges, and
+    ε arcs, under the letter "", lead from u into the copy's initial
+    states and from its final states to v.
+    """
+    index = {v: i for i, v in enumerate(nodes)}
+    successors: list[dict[str, int]] = [{} for _ in index]
+    for u, a, v in arcs:
+        base = len(successors)
+        for row in a.edges:
+            successors.append({ch: m << base for ch, m in row.items()})
+        row = successors[index[u]]
+        for i in a.initials:
+            row[""] = row.get("", 0) | 1 << base + i
+        into = 1 << index[v]
+        for f in a.finals:
+            row = successors[base + f]
+            row[""] = row.get("", 0) | into
+    return index, successors
+
+
+def arc_graph_roots(anchors, successors: list[dict[str, int]]):
+    """The one primitive root of each anchor's cycle words on an arc graph
+    (:func:`arc_graph`, anchors numbered first), or a clash: the members
+    of the first strongly connected component, by least node, whose
+    letters disagree mod the gcd of its cycle weights.  This is how
+    ``regular.cycle_roots`` labelled components before it labelled the
+    graph's own nodes with one word per arc."""
+    roots = dict.fromkeys(anchors)
+    targets = [sorted({y for m in row.values() for y in state_bits(m)}) for row in successors]
+    for members in sorted(regular.tarjan_sccs(len(successors), targets)):
+        first = members[0]  # members come sorted, so anchors come first
+        if first >= len(anchors):
+            break
+        if len(members) == 1 and first not in targets[first]:
+            continue
+        component = state_mask(members)
+        depth = {first: 0}
+        stack = [first]
+        period = 0
+        letters = []  # (d(x), c) per arc x → y reading c
+        while stack:
+            x = stack.pop()
+            at = depth[x]
+            for ch, m in successors[x].items():
+                m &= component
+                if not m:
+                    continue
+                if ch:
+                    letters.append((at, ch))
+                to = at + 1 if ch else at
+                for y in state_bits(m):
+                    if y in depth:
+                        period = math.gcd(period, to - depth[y])
+                    else:
+                        depth[y] = to
+                        stack.append(y)
+        if not period:
+            continue
+        inside = [s for s in members if s < len(anchors)]
+        word: dict[int, str] = {}
+        for at, ch in letters:
+            if word.setdefault(at % period, ch) != ch:
+                return members
+        root = primitive_root("".join(word[k] for k in range(period)))
+        for s in inside:
+            k = depth[s] % len(root)
+            roots[anchors[s]] = root[k:] + root[:k]
+    return roots
+
+
+def tight_typed(transitions: list[TypedTransition]) -> list[TypedTransition] | None:
+    """``components.tight_transitions`` on :class:`TypedTransition` objects."""
+    tight = tight_transitions(
+        [(tt.source, 1 if tt.bit == 0 else -1, tt.target, tt) for tt in transitions]
+    )
+    return None if tight is None else [arc[3] for arc in tight]
+
+
+def arc_graph_certify(c: Scc, prime: TransducerPrime):
+    """``components.certify_component`` as it was before it labelled the
+    leveled states: each stage splices every transition's output automaton
+    into an arc graph and labels it with :func:`arc_graph_roots`, and a
+    clash's witness comes from the single returns to the clashing
+    component's first node along its own nodes (:func:`closed_walks`)."""
+    if c.trivial:
+        return FullyCertified({})
+    anchors = sorted(c.members)
+    internal = internal_transitions(c, prime)
+    tight = tight_typed(internal)
+    stages = [internal] if tight is None or len(tight) == len(internal) else [internal, tight]
+    for verdict, transitions in zip((FullyCertified, ZeroCertified), stages):
+        arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
+        successors = arc_graph(anchors, arcs)[1]
+        members = arc_graph_roots(anchors, successors)
+        if isinstance(members, dict):
+            return verdict(members)
+    cycles = closed_walks(successors, members[0], members, prime.alphabet)
+    return QuasiDenseWitness(anchors[members[0]], *regular.cycle_witness(cycles))
 
 
 def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:

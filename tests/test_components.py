@@ -20,11 +20,9 @@ from ocrank.components import (
     ZeroCertified,
     certify_component,
     condense,
-    tight_transitions,
 )
 from ocrank.counterset import CertificationError, reach_sets
 from ocrank.regular import (
-    arc_graph,
     compile_regex,
     expand_graph,
     longest_potential,
@@ -39,10 +37,12 @@ from ocrank.transducer import (
     build_mprime,
     make_transducer,
 )
-from ocrank.words import Alphabet, primitive_root
+from ocrank.words import Alphabet, primitive_root, state_bits
 from conftest import mask_bits, random_machine
 from oracles import (
-    closed_walks,
+    arc_graph,
+    arc_graph_certify,
+    arc_graph_roots,
     cycle_outputs,
     equivalent,
     internal_transitions,
@@ -50,6 +50,7 @@ from oracles import (
     replace_transitions,
     scc_index_of,
     spliced_expand_graph,
+    tight_typed,
 )
 from test_counterset import complete_machine
 from test_regular import arc_components, assert_cycle_roots_match
@@ -188,8 +189,8 @@ def test_fig1_cycle_profiles(fig1_prime, fig1_sccs):
     opening = _nontrivial(fig1_sccs, "q0")
     closing = _nontrivial(fig1_sccs, "qf")
     # the opening loop pumps the counter up; the closing one only down
-    assert tight_transitions(internal_transitions(opening, fig1_prime)) is None
-    assert tight_transitions(internal_transitions(closing, fig1_prime)) is not None
+    assert tight_typed(internal_transitions(opening, fig1_prime)) is None
+    assert tight_typed(internal_transitions(closing, fig1_prime)) is not None
 
 
 def test_certify_rejects_weighted_up_cycle():
@@ -309,7 +310,7 @@ def test_fig1_verdicts(fig1_prime, fig1_sccs):
     # zero-weight cycles accumulate, and there are none.
     assert isinstance(v2, ZeroCertified)
     assert set(v2.roots.values()) == {None}
-    assert tight_transitions(internal_transitions(closing, fig1_prime)) == []
+    assert tight_typed(internal_transitions(closing, fig1_prime)) == []
 
 
 def test_trivial_components_certify_vacuously(fig1_prime, fig1_sccs):
@@ -453,7 +454,7 @@ def test_tight_transitions_match_the_banded_product():
                 continue
             verdict = certify_component(c, prime)
             assert verdict == oracle_certify(c, prime), sorted(c.members)
-            tight = tight_transitions(internal_transitions(c, prime))
+            tight = tight_typed(internal_transitions(c, prime))
             if tight is None:
                 continue
             band = 2 * len(c.members) * prime.period
@@ -487,6 +488,19 @@ def two_zero_loops(second: str):
     return make_transducer("spquvf", "s", ["f"], trans, Alphabet(("a", "b", "c")))
 
 
+def leveled_arcs(c, prime, transitions):
+    """``transitions`` as ``regular.cycle_roots`` reads them, with the
+    anchors numbered in sorted order: each arc with its output automaton
+    and that automaton's shortest nonempty word, ε if it has none."""
+    node = {s: x for x, s in enumerate(sorted(c.members))}
+    out = [[] for _ in node]
+    for tt in transitions:
+        a = prime.compiled_output(tt)
+        w = regular.shortest_nonempty_word(a) or ""
+        out[node[tt.source]].append((node[tt.target], w, a))
+    return out
+
+
 def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
     machines = [fig1, fig2, two_zero_loops("b"), two_zero_loops("a+b")]
     machines += [ladder(k, j) for k in range(1, 5) for j in range(1, 5)]
@@ -507,13 +521,21 @@ def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
             anchors = sorted(c.members)
             internal = internal_transitions(c, prime)
             for stage, transitions in (("stage 1", internal),
-                                       ("stage 2", tight_transitions(internal))):
+                                       ("stage 2", tight_typed(internal))):
                 if transitions is None:
                     break
-                arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
-                _, successors = arc_graph(anchors, arcs)
+                arcs = leveled_arcs(c, prime, transitions)
+                if stage == "stage 1":
+                    components = [list(range(len(anchors)))]
+                else:
+                    targets = [[y for y, _, _ in out] for out in arcs]
+                    components = sorted(regular.tarjan_sccs(len(anchors), targets))
+                spliced = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
+                _, successors = arc_graph(anchors, spliced)
                 got = assert_cycle_roots_match(
                     anchors,
+                    arcs,
+                    components,
                     successors,
                     prime.alphabet,
                     lambda s, transitions=transitions: cycle_outputs(c, s, prime, transitions),
@@ -538,29 +560,32 @@ def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
 def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
     """A cycle language is built only for the clash that becomes the
     verdict: none for a passing component, and one for a clash, for the
-    reported component of the arc graph from its own anchors, the arcs
-    into its first anchor sent to the sink None.  Stage 1's witness is
-    not built when stage 2 passes (ladder(3, 2)), and stage 2 does not
-    repeat stage 1 when every transition is tight, as in a clashing ``up``
-    component."""
-    built, searched = [], []
-    expand_graph, arc_graph = regular.expand_graph, regular.arc_graph
+    reported component from its own anchors, the arcs into its first
+    anchor sent to the sink None.  Stage 1's witness is not built when
+    stage 2 passes (ladder(3, 2)), stage 2 does not repeat stage 1 when
+    every transition is tight, as in a clashing ``up`` component, and a
+    passing stage 1 runs no SCC search."""
+    built, labelled, searched = [], [], []
+    expand_graph, cycle_roots = regular.expand_graph, regular.cycle_roots
+    tarjan_sccs = regular.tarjan_sccs
 
     def recorded_expansion(nodes, arcs, initials, finals, alphabet):
         built.append((nodes, arcs, initials, finals))
         return expand_graph(nodes, arcs, initials, finals, alphabet)
 
-    def recorded_graph(nodes, arcs):  # each stage labels the arc graph it builds
-        index, successors = arc_graph(nodes, arcs)
-        searched.append(successors)
-        return index, successors
+    def recorded_labelling(arcs, components):  # one labelling per stage
+        labelled.append(components)
+        return cycle_roots(arcs, components)
 
-    monkeypatch.setattr(regular, "expand_graph", recorded_expansion)
-    monkeypatch.setattr(regular, "arc_graph", recorded_graph)
+    def recorded_search(n, targets):
+        searched.append(n)
+        return tarjan_sccs(n, targets)
+
     rng = random.Random(20261019)
     machines = [ladder(3, 2), two_zero_loops("b"), two_zero_loops("a+b")]
     machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(300)]
-    seen = {"ladder stage 2 pass": 0, "stage 2 pass": 0, "clash": 0, "up clash": 0}
+    seen = {"stage 1 pass": 0, "ladder stage 2 pass": 0, "stage 2 pass": 0, "clash": 0,
+            "up clash": 0}
     for i, machine in enumerate(machines):
         try:
             prime = build_mprime(machine, reach_sets(machine))
@@ -568,51 +593,42 @@ def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
             continue
         for c in condense(prime):
             built.clear()
+            labelled.clear()
             searched.clear()
-            verdict = certify_component(c, prime)
+            with monkeypatch.context() as mp:
+                mp.setattr(regular, "expand_graph", recorded_expansion)
+                mp.setattr(regular, "cycle_roots", recorded_labelling)
+                mp.setattr(regular, "tarjan_sccs", recorded_search)
+                verdict = certify_component(c, prime)
             if not isinstance(verdict, QuasiDenseWitness):
                 assert built == [], sorted(c.members)
+                if isinstance(verdict, FullyCertified) and not c.trivial:
+                    assert len(labelled) == 1 and searched == []
+                    seen["stage 1 pass"] += 1
                 if isinstance(verdict, ZeroCertified):
-                    assert len(searched) == 2  # stage 1 clashed
+                    assert len(labelled) == 2  # stage 1 clashed
+                    assert searched == [len(c.members)]
                     seen["ladder stage 2 pass" if i == 0 else "stage 2 pass"] += 1
                 continue
             [(nodes, arcs, initials, finals)] = built
-            anchors = sorted(c.members)
-            first = anchors.index(verdict.state)
-            [members] = [m for m in arc_components(searched[-1]) if m[0] == first]
-            assert nodes == [anchors[s] for s in members if s < len(anchors)] + [None]
-            assert (initials, finals) == ([verdict.state], [None])
-            assert all(u in nodes[:-1] and v in nodes and v != verdict.state for u, _, v in arcs)
+            first = sorted(c.members).index(verdict.state)
+            [members] = [m for m in labelled[-1] if m[0] == first]
+            assert nodes == members + [None]
+            assert (initials, finals) == ([first], [None])
+            assert all(u in nodes[:-1] and v in nodes and v != first for u, _, v in arcs)
             seen["clash"] += 1
             if c.phase == "up":
-                assert len(searched) == 1
+                assert len(labelled) == 1
                 seen["up clash"] += 1
     assert min(seen.values()) >= 1, seen
-
-
-def reference_witness(c, prime):
-    """The witness as stages 1 and 2 built it from their arc graphs, before
-    ``expand_graph`` built it: the single returns to the clashing
-    component's first node along its own nodes (``closed_walks``)."""
-    anchors = sorted(c.members)
-    internal = internal_transitions(c, prime)
-    tight = tight_transitions(internal)
-    stages = [internal] if tight is None or len(tight) == len(internal) else [internal, tight]
-    for transitions in stages:
-        arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
-        _, successors = arc_graph(anchors, arcs)
-        members = regular.cycle_roots(anchors, successors)
-        if isinstance(members, dict):
-            return None
-    cycles = closed_walks(successors, members[0], members, prime.alphabet)
-    return QuasiDenseWitness(anchors[members[0]], *regular.cycle_witness(cycles))
 
 
 def test_witness_languages_match_the_spliced_single_returns(monkeypatch):
     """The single-return NFA that a clash builds has the language of the
     same arcs spliced into one graph with ε arcs (``spliced_expand_graph``),
-    and the witness ``(anchor, m, x)`` is the one :func:`reference_witness`
-    reads off the arc graph."""
+    and the witness ``(anchor, m, x)`` is the one the arc-graph labelling
+    reads off the single returns to its clashing component's first node
+    (``arc_graph_certify``)."""
     expand_graph = regular.expand_graph
     checked = []
 
@@ -635,7 +651,7 @@ def test_witness_languages_match_the_spliced_single_returns(monkeypatch):
             verdict = certify_component(c, prime)
             if isinstance(verdict, QuasiDenseWitness):
                 clashes += 1
-                assert verdict == reference_witness(c, prime), sorted(c.members)
+                assert verdict == arc_graph_certify(c, prime), sorted(c.members)
     assert clashes >= 100 and len(checked) == clashes, (clashes, len(checked))
 
 
@@ -659,10 +675,11 @@ def leveling_machines():
 
 
 def test_stage_one_arc_graph_is_one_component():
-    """Stage 1 labels its arc graph once, as one strongly connected
-    component.  Tarjan finds exactly one there, and the labelling gives
-    the roots, in anchor order, or the clash members that the
-    Tarjan-driven ``cycle_roots`` gives."""
+    """Stage 1 labels the component as one strongly connected component.
+    Tarjan finds exactly one in its arc graph, where every output
+    automaton is spliced in, and the one labelling of the leveled states
+    gives the roots, in anchor order, or the clash anchors that the
+    Tarjan-driven labelling of that arc graph gives."""
     outcomes = {"pass": 0, "clash": 0}
     for machine in leveling_machines():
         try:
@@ -673,17 +690,117 @@ def test_stage_one_arc_graph_is_one_component():
             if c.trivial:
                 continue
             anchors = sorted(c.members)
-            arcs = [(tt.source, prime.compiled_output(tt), tt.target)
-                    for tt in internal_transitions(c, prime)]
-            _, successors = arc_graph(anchors, arcs)
-            targets = [[y for m in row.values() for y in mask_bits(m)] for row in successors]
-            assert len(regular.tarjan_sccs(len(successors), targets)) == 1, anchors
-            want = regular.cycle_roots(anchors, successors)
-            got = regular._component_roots(anchors, successors, list(range(len(successors))))
+            internal = internal_transitions(c, prime)
+            spliced = [(tt.source, prime.compiled_output(tt), tt.target) for tt in internal]
+            _, successors = arc_graph(anchors, spliced)
+            # state_bits, not the bit-by-bit mask_bits, which is quadratic on the
+            # arc graphs of thousands of nodes
+            targets = [sorted({y for m in row.values() for y in state_bits(m)})
+                       for row in successors]
+            assert len(regular.tarjan_sccs(len(successors), targets)) == 1
+            want = arc_graph_roots(anchors, successors)
+            whole = [list(range(len(anchors)))]
+            got = regular.cycle_roots(leveled_arcs(c, prime, internal), whole)
             if isinstance(want, dict):
-                assert list(got.items()) == list(want.items()), anchors
+                assert [(anchors[x], root) for x, root in got.items()] == list(want.items())
                 assert certify_component(c, prime) == FullyCertified(want)
             else:
-                assert got == want, anchors
+                assert got == list(range(len(anchors))) == [x for x in want if x < len(anchors)]
             outcomes["clash" if isinstance(want, list) else "pass"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def arc_graph_machines():
+    """The golden corpus fixtures, 600 random machines, ladder(1..5, 1..5),
+    complete machines up to n = 8 and both ``two_zero_loops``."""
+    from golden_cli import corpus_fixtures
+    from ocrank.cli import parse_fixture
+
+    machines = [parse_fixture(text).value for text, _ in corpus_fixtures().values()]
+    rng = random.Random(20261022)
+    machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(600)]
+    machines += [ladder(k, j) for k in range(1, 6) for j in range(1, 6)]
+    machines += [complete_machine(n) for n in range(1, 9)]
+    machines += [two_zero_loops("b"), two_zero_loops("a+b")]
+    return machines
+
+
+def test_certify_component_matches_the_arc_graph_oracle():
+    """Every verdict equals the one of certification on arc graphs
+    (``arc_graph_certify``): the stage that decided it, its roots with
+    their key order, and every witness."""
+    seen = {FullyCertified: 0, ZeroCertified: 0, QuasiDenseWitness: 0, "two roots": 0}
+    for machine in arc_graph_machines():
+        try:
+            prime = build_mprime(machine, reach_sets(machine))
+        except (LevelingError, CertificationError):
+            continue
+        for c in condense(prime):
+            verdict = certify_component(c, prime)
+            want = arc_graph_certify(c, prime)
+            assert verdict == want, sorted(c.members)
+            if not isinstance(verdict, QuasiDenseWitness):
+                assert list(verdict.roots.items()) == list(want.roots.items())
+                seen["two roots"] += len(set(verdict.roots.values()) - {None}) > 1
+            seen[type(verdict)] += not c.trivial
+    assert min(seen.values()) >= 20, seen
+
+
+# --- the word w of each arc ----------------------------------------------------------
+
+
+def loop_verdicts(*outputs: str):
+    """The verdicts of the nontrivial components of a one-state machine
+    with an open and a close loop for each output, and those of
+    certification on arc graphs."""
+    trans = [("q", bit, "q", out) for out in outputs for bit in (0, 1)]
+    machine = make_transducer(["q"], "q", ["q"], trans, AB)
+    prime = build_mprime(machine, reach_sets(machine))
+    got, want = [], []
+    for c in condense(prime):
+        if not c.trivial:
+            got.append(certify_component(c, prime))
+            want.append(arc_graph_certify(c, prime))
+    assert got and got == want
+    return got
+
+
+def test_a_loop_reading_a_star_has_root_a():
+    # its shortest word is ε, which would read no letter
+    for verdict in loop_verdicts("a*"):
+        assert isinstance(verdict, FullyCertified)
+        assert set(verdict.roots.values()) == {"a"}
+
+
+def test_a_loop_reading_eps_or_ab_has_root_ab():
+    for verdict in loop_verdicts("eps+ab"):
+        assert isinstance(verdict, FullyCertified)
+        assert set(verdict.roots.values()) <= {"ab", "ba"}
+        assert "ab" in verdict.roots.values()
+
+
+def test_cycles_that_read_only_eps_have_no_root():
+    for verdict in loop_verdicts("eps"):
+        assert isinstance(verdict, FullyCertified)
+        assert set(verdict.roots.values()) == {None}
+
+
+def test_an_arc_language_outside_its_window_is_a_clash():
+    # a, then b*a back: the words w are a and a, which label the cycle
+    # with root a, and b*a ⊄ a* is the clash
+    machine = make_transducer(
+        ["p", "q"], "p", ["p"], [("p", 0, "q", "a"), ("q", 1, "p", "b*a")], AB
+    )
+    prime = build_mprime(machine, reach_sets(machine))
+    verdicts = []
+    for c in condense(prime):
+        if not c.trivial:
+            verdicts.append(certify_component(c, prime))
+            assert verdicts[-1] == arc_graph_certify(c, prime)
+    clashes = [v for v in verdicts if isinstance(v, QuasiDenseWitness)]
+    assert clashes and all((v.word1, v.word2) == ("aa", "aba") for v in clashes), verdicts
+    out = [[(1, "a", None)], [(0, "a", lang("b*a", AB))]]
+    assert regular.cycle_roots(out, [[0, 1]]) == [0, 1]
+    assert regular.cycle_roots([[(1, "a", None)], [(0, "a", lang("a", AB))]], [[0, 1]]) == {
+        0: "a", 1: "a"
+    }

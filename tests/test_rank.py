@@ -440,3 +440,61 @@ def test_counter_cap_passthrough(fig1):
     capped = transducer_rank_bound(fig1, counter_cap=202)
     default = transducer_rank_bound(fig1)
     assert (capped.value, capped.status) == (default.value, default.status)
+
+
+# --- metamorphic relations -------------------------------------------------------------
+
+
+def outcome(machine):
+    """The verdict's type, and a bound's value and status."""
+    result = transducer_rank_bound(machine)
+    if isinstance(result, RankBound):
+        return "RankBound", result.value.render(), result.status
+    return (type(result).__name__,)
+
+
+def renamed_and_shuffled(machine, rng: random.Random):
+    """``machine`` with its states renamed and its states and transitions
+    listed in a shuffled order."""
+    names = [f"r{i}" for i in range(len(machine.states))]
+    rng.shuffle(names)
+    rename = dict(zip(machine.states, names))
+    states = list(names)
+    rng.shuffle(states)
+    trans = [(rename[t.source], t.bit, rename[t.target], t.output) for t in machine.transitions]
+    rng.shuffle(trans)
+    finals = [rename[q] for q in machine.finals]
+    return make_transducer(states, rename[machine.initial], finals, trans, machine.alphabet)
+
+
+def test_renaming_and_shuffling_keep_the_verdict():
+    rng = random.Random(20261023)
+    kinds = {"RankBound": 0, "NotScattered": 0}
+    for _ in range(600):
+        machine = random_machine(rng, max_states=6, max_transitions=10)
+        want = outcome(machine)
+        assert outcome(renamed_and_shuffled(machine, rng)) == want, machine
+        kinds[want[0]] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_a_duplicated_transition_changes_no_verdict():
+    # make_transducer keeps the first of each duplicate, so a copy after its
+    # original gives the same machine, and one before it only moves the
+    # transition; the fixture parser rejects duplicates, so this is a
+    # library-level relation
+    rng = random.Random(20261024)
+    for _ in range(200):
+        machine = random_machine(rng, max_states=6, max_transitions=10)
+        trans = [(t.source, t.bit, t.target, t.output) for t in machine.transitions]
+        i = rng.randrange(len(trans))
+        later = trans[:]
+        later.insert(rng.randint(i + 1, len(trans)), trans[i])
+        anywhere = trans[:]
+        anywhere.insert(rng.randint(0, len(trans)), trans[i])
+        states = (machine.states, machine.initial, machine.finals)
+        doubled = make_transducer(*states, later, machine.alphabet)
+        assert doubled == machine
+        assert transducer_rank_bound(doubled) == transducer_rank_bound(machine)
+        moved = make_transducer(*states, anywhere, machine.alphabet)
+        assert outcome(moved) == outcome(machine)

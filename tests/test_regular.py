@@ -48,6 +48,7 @@ from ocrank.regular import (
 from ocrank.words import Alphabet, primitive_root
 from conftest import mask_bits
 from oracles import (
+    arc_graph_roots,
     closed_walks,
     complement,
     eager_difference_witness,
@@ -232,7 +233,8 @@ def test_subset_with_witness_matches_the_eager_product():
         if kind == 1:
             return "eps", epsilon_automaton(AB)
         if kind == 2 and right:
-            return "power", power_automaton(rng.choice(("a", "b", "ab", "ba", "aab")), AB)
+            v = rng.choice(("a", "b", "ab", "ba", "aab"))
+            return "power", power_automaton(v, rng.randrange(len(v)), rng.randrange(len(v)), AB)
         if kind < 5:
             return "regex", compile_regex(random_regex(rng, 3), AB)
         return "nfa", random_nfa(rng)
@@ -387,11 +389,19 @@ def test_trim_matches_the_two_search_oracle():
 
 
 def test_power_automaton_language():
-    p = power_automaton("ab", AB)
+    p = power_automaton("ab", 0, 0, AB)
     for w in words_over_ab(6):
         assert membership(p, w) == (w == "ab" * (len(w) // 2) and len(w) % 2 == 0)
+    # W(i, j): the words that read v^ω from position i and stop at position j
+    for v in ("ab", "aab"):
+        for i in range(len(v)):
+            for j in range(len(v)):
+                window = power_automaton(v, i, j, AB)
+                for w in words_over_ab(6):
+                    reads = w == (v * 8)[i : i + len(w)] and (i + len(w)) % len(v) == j
+                    assert membership(window, w) == reads, (v, i, j, w)
     with pytest.raises(ValueError):
-        power_automaton("", AB)
+        power_automaton("", 0, 0, AB)
 
 
 def test_subset_of_power_sound_and_complete():
@@ -568,26 +578,34 @@ def per_anchor_cycle_roots(anchors, cycle_language):
     return roots
 
 
-def assert_cycle_roots_match(anchors, successors, alphabet, cycle_language):
-    """``cycle_roots`` gives what the per-anchor loop on ``cycle_language``
-    gives, key order included, and builds no automaton.  On a clash it
-    names a component of the arc graph, and ``cycle_witness`` gives the
-    loop's witness from the single returns to that component's first node
-    along its own nodes.  Returns the roots or the witness."""
+def assert_cycle_roots_match(anchors, arcs, components, successors, alphabet, cycle_language):
+    """``cycle_roots`` on ``arcs`` over ``components`` gives what the
+    per-anchor loop on ``cycle_language`` and the labelling of the arc
+    graph ``successors`` (anchors numbered first) give, key order
+    included, and builds no cycle language.  On a clash it names the
+    anchors of the arc graph's clashing component, and ``cycle_witness``
+    on the single returns to its first node along its own nodes gives the
+    loop's witness.  Returns the roots or the witness."""
 
-    def no_automaton(*args):
-        raise AssertionError("cycle_roots built an automaton")
+    def no_cycle_language(*args):
+        raise AssertionError("cycle_roots built a cycle language")
 
     want = per_anchor_cycle_roots(anchors, cycle_language)
+    oracle = arc_graph_roots(anchors, successors)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regular, "Automaton", no_automaton)
-        got = cycle_roots(anchors, successors)
+        mp.setattr(regular, "expand_graph", no_cycle_language)
+        mp.setattr(regular, "cycle_witness", no_cycle_language)
+        got = cycle_roots(arcs, components)
     if isinstance(got, dict):
-        assert isinstance(want, dict) and list(got.items()) == list(want.items())
-        return got
+        assert list(got) == [x for members in components for x in members]
+        roots = {s: got[x] for x, s in enumerate(anchors)}
+        assert isinstance(want, dict) and list(roots.items()) == list(want.items())
+        assert list(roots.items()) == list(oracle.items())
+        return roots
     members = got
-    assert members in arc_components(successors)
-    cycles = closed_walks(successors, members[0], members, alphabet)
+    assert members in components
+    assert members == [x for x in oracle if x < len(anchors)]
+    cycles = closed_walks(successors, oracle[0], oracle, alphabet)
     got = anchors[members[0]], *cycle_witness(cycles)
     assert got == want
     return got
@@ -610,6 +628,11 @@ def arc_components(successors, looping_only=False):
     return components
 
 
+def dfa_arcs(d: Automaton):
+    """A DFA's rows as ``cycle_roots`` reads them: one letter per arc."""
+    return [[(t, ch, None) for ch, m in row.items() for t in mask_bits(m)] for row in d.edges]
+
+
 def test_cycle_roots_match_the_per_anchor_loop_on_random_dfas():
     rng = random.Random(20261018)
     outcomes = {"dense": 0, "dense after a passing component": 0,
@@ -622,24 +645,32 @@ def test_cycle_roots_match_the_per_anchor_loop_on_random_dfas():
             continue
         checked += 1
         successors = d.edges  # a DFA is an arc graph without ε arcs
+        components = sorted(arc_components(successors))
         got = assert_cycle_roots_match(
-            range(d.n), successors, d.alphabet, lambda q: dfa_cycle_language(d, q)
+            range(d.n), dfa_arcs(d), components, successors, d.alphabet,
+            lambda q: dfa_cycle_language(d, q),
         )
-        built = []
+        built, searched = [], []
 
         def recorded(cycles):
             built.append(cycles)
             return cycle_witness(cycles)
 
+        def recorded_search(n, targets):
+            searched.append(n)
+            return tarjan_sccs(n, targets)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(regular, "cycle_witness", recorded)
+            mp.setattr(regular, "tarjan_sccs", recorded_search)
             verdict = regular._decide_scattered(a)
         assert verdict == regular_scattered(a)
+        assert searched == [d.n]  # one pass labels and ranks
         looping = arc_components(successors, looping_only=True)
         if isinstance(got, tuple):
             assert verdict == QuasiDense(*got)
             # one cycle language, on the clashing component's states and a sink
-            members = cycle_roots(range(d.n), successors)
+            members = cycle_roots(dfa_arcs(d), components)
             [cycles] = built
             assert cycles.n == len(members) + 1
             assert equivalent(cycles, closed_walks(successors, members[0], members, AB))

@@ -32,17 +32,17 @@ from .rank import (
     analyze_machine,
     expr_rank_bound,
 )
-from .regular import RegexSyntaxError, parse_regex
+from .regular import Regex, RegexSyntaxError, parse_regex
 from .transducer import (
     LevelingError,
     Transducer,
     TransducerError,
     TransducerPrime,
+    Transition,
     bounded_language_equal,
     build_mprime,
     check_structure,
     lift_run,
-    make_transducer,
     project_run,
 )
 from .words import Alphabet
@@ -72,21 +72,27 @@ def parse_fixture(
     text: str, base_dir: str = ".", name: str = "<fixture>", depth: int = 0
 ) -> Fixture:
     """Parse fixture text; see the module docstring for the grammar."""
+    # Split at "\n" alone: splitlines() would also break at form feeds and
+    # other separators that may sit inside a comment.  open() has already
+    # turned "\r\n" into "\n", and split() drops a stray "\r".
     entries: list[tuple[int, list[str]]] = []
-    for lineno, raw in _directive_lines(text):
-        entries.append((lineno, raw.split()))
+    expr_at = None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            entries.append((lineno, parts))
+            if expr_at is None and parts[0] == "expr":
+                expr_at = lineno
 
-    expr_lines = [(n, parts) for n, parts in entries if parts[0] == "expr"]
-    if expr_lines:
+    if expr_at is not None:
         if len(entries) != 1:
-            lineno = expr_lines[0][0]
             raise FixtureError(
-                f"{name}:{lineno}: an expression fixture must contain exactly "
+                f"{name}:{expr_at}: an expression fixture must contain exactly "
                 "one 'expr' line and nothing else"
             )
-        lineno, parts = expr_lines[0]
+        parts = entries[0][1]
         return Fixture(
-            _parse_expr_directive(parts, base_dir, name, lineno, depth),
+            _parse_expr_directive(parts, base_dir, name, expr_at, depth),
             name=name,
             directive=" ".join(parts),
         )
@@ -98,23 +104,14 @@ def load_fixture_file(path: str, depth: int = 0) -> Fixture:
         raise FixtureError(f"{path}: expression fixtures nested deeper than {_MAX_EXPR_DEPTH}")
     name = os.path.basename(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, as editors on Windows write.
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise FixtureError(f"{name}: not UTF-8 text: {exc}") from exc
     return parse_fixture(
         text, base_dir=os.path.dirname(os.path.abspath(path)), name=name, depth=depth
     )
-
-
-def _directive_lines(text: str):
-    # Split at "\n" alone: splitlines() would also break at form feeds and
-    # other separators that may sit inside a comment.  open() has already
-    # turned "\r\n" into "\n", and strip() drops a stray "\r".
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield lineno, stripped
 
 
 def _parse_expr_directive(
@@ -156,14 +153,26 @@ def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transduce
     states: list[str] | None = None
     initial: str | None = None
     finals: list[str] | None = None
-    transitions: list[tuple[str, int, str, object]] = []
-    seen_trans: set[tuple[str, int, str, str]] = set()
+    # Each 'trans' line's (src, bit, tgt, regex text), in order, with its line.
+    trans_lines: dict[tuple[str, str, str, str], int] = {}
 
     def fail(lineno: int, msg: str):
         raise FixtureError(f"{name}:{lineno}: {msg}")
 
     for lineno, parts in entries:
-        word, rest = parts[0], parts[1:]
+        word = parts[0]
+        if word == "trans":
+            if len(parts) != 5:
+                fail(lineno, "'trans' needs: trans <src> <0|1> <tgt> <regex>")
+            _, src, bit_text, tgt, regex_text = parts
+            if bit_text not in ("0", "1"):
+                fail(lineno, f"input bit must be 0 or 1, got {bit_text!r}")
+            key = (src, bit_text, tgt, regex_text)
+            if key in trans_lines:
+                fail(lineno, f"duplicate transition {src} -{bit_text}-> {tgt}")
+            trans_lines[key] = lineno
+            continue
+        rest = parts[1:]
         if word == "alphabet":
             if alphabet is not None:
                 fail(lineno, "duplicate 'alphabet' line")
@@ -193,17 +202,6 @@ def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transduce
             if not rest:
                 fail(lineno, "'final' needs at least one state")
             finals = rest
-        elif word == "trans":
-            if len(rest) != 4:
-                fail(lineno, "'trans' needs: trans <src> <0|1> <tgt> <regex>")
-            src, bit_text, tgt, regex_text = rest
-            if bit_text not in ("0", "1"):
-                fail(lineno, f"input bit must be 0 or 1, got {bit_text!r}")
-            key = (src, int(bit_text), tgt, regex_text)
-            if key in seen_trans:
-                fail(lineno, f"duplicate transition {src} -{bit_text}-> {tgt}")
-            seen_trans.add(key)
-            transitions.append((src, int(bit_text), tgt, regex_text))
         else:
             fail(lineno, f"unknown directive {word!r}")
 
@@ -221,22 +219,35 @@ def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transduce
     for f in finals:
         if f not in known:
             raise FixtureError(f"{name}: final state {f!r} not declared")
-    parsed_transitions = []
-    for (lineno, parts), (src, bit, tgt, regex_text) in zip(
-        [e for e in entries if e[1][0] == "trans"], transitions
-    ):
+
+    # Each regex text is parsed once, and equal trees (``ab`` and ``(a)b``)
+    # are folded to one object.  The lines differ in their text, so only
+    # such a fold can make two transitions equal; then the first is kept,
+    # as in make_transducer.
+    outputs: dict[str, Regex] = {}
+    trees: dict[Regex, Regex] = {}
+    folded = False
+    transitions = []
+    for (src, bit_text, tgt, regex_text), lineno in trans_lines.items():
         if src not in known or tgt not in known:
             bad = src if src not in known else tgt
             fail(lineno, f"unknown state {bad!r}")
-        try:
-            output = parse_regex(regex_text, alphabet)
-        except RegexSyntaxError as exc:
-            fail(lineno, f"bad regex {regex_text!r}: {exc}")
-        parsed_transitions.append((src, bit, tgt, output))
-    try:
-        return make_transducer(states, initial, finals, parsed_transitions, alphabet)
-    except TransducerError as exc:
-        raise FixtureError(f"{name}: {exc}") from exc
+        output = outputs.get(regex_text)
+        if output is None:
+            try:
+                tree = parse_regex(regex_text, alphabet)
+            except RegexSyntaxError as exc:
+                fail(lineno, f"bad regex {regex_text!r}: {exc}")
+            output = outputs[regex_text] = trees.setdefault(tree, tree)
+            folded = folded or output is not tree
+        transitions.append(Transition(src, 1 if bit_text == "1" else 0, tgt, output))
+    # The checks above are check_structure's but one: an output may not be
+    # the empty language, and no regex of the dialect denotes it.
+    return Transducer(
+        tuple(states), initial, frozenset(finals),
+        tuple(dict.fromkeys(transitions) if folded else transitions), alphabet,
+        accepts_epsilon=initial in finals,
+    )
 
 
 def render_fixture(fixture: Fixture) -> str:
@@ -307,11 +318,12 @@ def _typed_state_json(s) -> list:
 
 def _cmd_nsets(machine: Transducer, args, out) -> tuple[int, dict]:
     report = reach_sets(machine, counter_cap=args.counter_cap)
+    render = functools.cache(render_upset)  # states share their sets
     rendered = {
         q: {
-            "minus": render_upset(report.minus[q]),
-            "plus": render_upset(report.plus[q]),
-            "meet": render_upset(report.meet[q]),
+            "minus": render(report.minus[q]),
+            "plus": render(report.plus[q]),
+            "meet": render(report.meet[q]),
         }
         for q in machine.states
     }

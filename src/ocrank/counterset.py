@@ -396,9 +396,17 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
 
     minus = dict(zip(states, minus_slices))
     plus = dict(zip(states, plus_slices))
-    meet = {q: up_intersect(s1, s2) for q, s1, s2 in zip(states, minus_slices, plus_slices)}
-    period = select_period(meet.values())
-    types = {q: frozenset(state_bits(_upset_row(s, 2 * period))) for q, s in meet.items()}
+    # States share their slices, so each distinct pair is met once.
+    meets: dict[tuple[int, int], UPSet] = {}
+    meet: dict[str, UPSet] = {}
+    for q, s1, s2 in zip(states, minus_slices, plus_slices):
+        pair = (id(s1), id(s2))
+        if pair not in meets:
+            meets[pair] = up_intersect(s1, s2)
+        meet[q] = meets[pair]
+    period = select_period(meets.values())
+    rows = {id(s): frozenset(state_bits(_upset_row(s, 2 * period))) for s in meets.values()}
+    types = {q: rows[id(s)] for q, s in meet.items()}
     certificates = {
         q: {"minus": m, "plus": p} for q, m, p in zip(states, minus_certs, plus_certs)
     }

@@ -34,8 +34,10 @@ class LevelingError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One machine transition.  A tuple: build a changed copy with
+    ``t._replace(...)``; it compares equal to ``(source, bit, target, output)``."""
+
     source: str
     bit: int
     target: str

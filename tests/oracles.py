@@ -34,6 +34,9 @@ package code never called the rest: :func:`step_language`,
 outputs input word by input word, where ``transducer.bounded_outputs``
 builds them all at once, and :func:`up_union` and
 :func:`worked_close_image` are set arithmetic that the tests check.
+:func:`parse_machine_text` is how ``cli.parse_fixture`` read a machine
+fixture before it parsed in one pass: a pass over the lines, a second over
+the ``trans`` lines, a regex parse per line, and ``make_transducer``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import dataclasses
 import math
 
 from ocrank import counterset, regular
+from ocrank.cli import FixtureError
 from ocrank.components import (
     FullyCertified,
     QuasiDenseWitness,
@@ -60,7 +64,7 @@ from ocrank.counterset import (
     select_period,
     up_membership,
 )
-from ocrank.regular import Automaton, Regex, shortest_word
+from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex, shortest_word
 from ocrank.transducer import (
     DOWN,
     EQ,
@@ -69,7 +73,9 @@ from ocrank.transducer import (
     TransducerPrime,
     TypedState,
     TypedTransition,
+    TransducerError,
     live_states,
+    make_transducer,
 )
 from ocrank.words import BINARY, Alphabet, primitive_root, state_bits, state_mask
 
@@ -364,7 +370,7 @@ def replace_transitions(prime: TransducerPrime, transitions) -> TransducerPrime:
     bases = {t: b for b, t in enumerate(prime.base.transitions)}
     arcs = []
     for tt in transitions:
-        base = tt.base if tt.base.bit == tt.bit else dataclasses.replace(tt.base, bit=tt.bit)
+        base = tt.base if tt.base.bit == tt.bit else tt.base._replace(bit=tt.bit)
         b = bases.setdefault(base, len(bases))
         arcs.append((states[tt.source], states[tt.target], b, tt.rule))
     machine = dataclasses.replace(prime.base, transitions=tuple(bases))
@@ -635,3 +641,97 @@ def worked_close_image(
     for q in sorted(d.initials):
         image = up_union(image, slices[q])
     return image
+
+
+def parse_machine_text(text: str, name: str = "<fixture>") -> Transducer:
+    """A machine fixture's :class:`Transducer`, or its :class:`FixtureError`."""
+    entries = []
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            entries.append((lineno, stripped.split()))
+    alphabet: Alphabet | None = None
+    states: list[str] | None = None
+    initial: str | None = None
+    finals: list[str] | None = None
+    transitions: list[tuple[str, int, str, object]] = []
+    seen_trans: set[tuple[str, int, str, str]] = set()
+
+    def fail(lineno: int, msg: str):
+        raise FixtureError(f"{name}:{lineno}: {msg}")
+
+    for lineno, parts in entries:
+        word, rest = parts[0], parts[1:]
+        if word == "alphabet":
+            if alphabet is not None:
+                fail(lineno, "duplicate 'alphabet' line")
+            if not rest:
+                fail(lineno, "'alphabet' needs at least one letter")
+            try:
+                alphabet = Alphabet(tuple(rest))
+            except ValueError as exc:
+                fail(lineno, str(exc))
+        elif word == "states":
+            if states is not None:
+                fail(lineno, "duplicate 'states' line")
+            if not rest:
+                fail(lineno, "'states' needs at least one state")
+            if len(set(rest)) != len(rest):
+                fail(lineno, "duplicate state names")
+            states = rest
+        elif word == "initial":
+            if initial is not None:
+                fail(lineno, "duplicate 'initial' line")
+            if len(rest) != 1:
+                fail(lineno, "'initial' needs exactly one state")
+            initial = rest[0]
+        elif word == "final":
+            if finals is not None:
+                fail(lineno, "duplicate 'final' line")
+            if not rest:
+                fail(lineno, "'final' needs at least one state")
+            finals = rest
+        elif word == "trans":
+            if len(rest) != 4:
+                fail(lineno, "'trans' needs: trans <src> <0|1> <tgt> <regex>")
+            src, bit_text, tgt, regex_text = rest
+            if bit_text not in ("0", "1"):
+                fail(lineno, f"input bit must be 0 or 1, got {bit_text!r}")
+            key = (src, int(bit_text), tgt, regex_text)
+            if key in seen_trans:
+                fail(lineno, f"duplicate transition {src} -{bit_text}-> {tgt}")
+            seen_trans.add(key)
+            transitions.append((src, int(bit_text), tgt, regex_text))
+        else:
+            fail(lineno, f"unknown directive {word!r}")
+
+    for missing, value in (
+        ("alphabet", alphabet), ("states", states),
+        ("initial", initial), ("final", finals),
+    ):
+        if value is None:
+            raise FixtureError(f"{name}: missing '{missing}' line")
+
+    assert states is not None and alphabet is not None and finals is not None
+    known = set(states)
+    if initial not in known:
+        raise FixtureError(f"{name}: initial state {initial!r} not declared")
+    for f in finals:
+        if f not in known:
+            raise FixtureError(f"{name}: final state {f!r} not declared")
+    parsed_transitions = []
+    for (lineno, parts), (src, bit, tgt, regex_text) in zip(
+        [e for e in entries if e[1][0] == "trans"], transitions
+    ):
+        if src not in known or tgt not in known:
+            bad = src if src not in known else tgt
+            fail(lineno, f"unknown state {bad!r}")
+        try:
+            output = parse_regex(regex_text, alphabet)
+        except RegexSyntaxError as exc:
+            fail(lineno, f"bad regex {regex_text!r}: {exc}")
+        parsed_transitions.append((src, bit, tgt, output))
+    try:
+        return make_transducer(states, initial, finals, parsed_transitions, alphabet)
+    except TransducerError as exc:
+        raise FixtureError(f"{name}: {exc}") from exc

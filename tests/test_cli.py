@@ -352,6 +352,18 @@ def test_non_utf8_fixture_exits_one(capsys, tmp_path):
     assert "latin1.oct: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "nsets"])
+def test_a_byte_order_mark_and_crlf_change_no_output_byte(capsys, tmp_path, command):
+    # a leading BOM used to reach the parser as part of the first word
+    with open(fixture_path("fig1.oct"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "fig1.oct"
+    path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+    expected = run_cli(capsys, [command, fixture_path("fig1.oct")])
+    assert run_cli(capsys, [command, str(path)]) == expected
+    assert expected[0] == 0
+
+
 def test_machine_command_rejects_expression_fixture(capsys, tmp_path):
     fig1 = os.path.abspath(fixture_path("fig1.oct"))
     path = tmp_path / "iter.oct"

@@ -345,7 +345,14 @@ def _cmd_nsets(machine: Transducer, args, out) -> tuple[int, dict]:
 
 def _cmd_mprime(machine: Transducer, args, out) -> tuple[int, dict]:
     report = reach_sets(machine, counter_cap=args.counter_cap)
-    prime = build_mprime(machine, report)
+    try:
+        prime = build_mprime(machine, report)
+    except LevelingError as exc:  # no input word is accepted: nothing to level
+        print(f"period = {report.period}", file=out)
+        print(f"vacuous: {exc}", file=out)
+        if args.dot:
+            _write_text(args.dot, "digraph leveled {\n  rankdir=LR;\n}\n")
+        return 0, {"command": "mprime", "period": report.period, "mprime": None}
     print(f"period = {prime.period}", file=out)
     print(f"states ({len(prime.states)}):", file=out)
     for s in prime.states:
@@ -414,18 +421,19 @@ def _cmd_rank(fixture: Fixture, args, out) -> tuple[int, dict]:
         assert isinstance(machine, Transducer)
         analysis = analyze_machine(machine, counter_cap=args.counter_cap)
         result = analysis.result
-        components_json = []
-        for c in analysis.sccs:
-            verdict = analysis.verdicts.get(c.index)
-            components_json.append(
-                {
-                    "index": c.index,
-                    "phase": c.phase,
-                    "trivial": c.trivial,
-                    "members": sorted(s.render() for s in c.members),
-                    "verdict": type(verdict).__name__ if verdict else None,
-                }
-            )
+        if args.json:  # no other output shows the components
+            components_json = []
+            for c in analysis.sccs:
+                verdict = analysis.verdicts.get(c.index)
+                components_json.append(
+                    {
+                        "index": c.index,
+                        "phase": c.phase,
+                        "trivial": c.trivial,
+                        "members": sorted(s.render() for s in c.members),
+                        "verdict": type(verdict).__name__ if verdict else None,
+                    }
+                )
     else:
         expr = fixture.value
         assert isinstance(expr, RocExpr)

@@ -159,23 +159,19 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     the clash that is returned gets its witness built.
 
     The anchors are numbered in sorted order.  Each arc's word w is its
-    output's shortest nonempty word, ε if it has none; both are looked up
-    once per base transition.  The component is strongly connected, so
-    stage 1 runs no SCC search.
+    output's shortest nonempty word, ε if it has none, read from the
+    leveled machine's sample table (:func:`_samples`).  The component is
+    strongly connected, so stage 1 runs no SCC search.
     """
     if c.trivial:
         return FullyCertified({})
     ids = sorted(c.ids, key=prime.states.__getitem__)
     anchors = [prime.states[k] for k in ids]
     node = {k: x for x, k in enumerate(ids)}
-    samples: dict[int, tuple[int, str, Automaton]] = {}  # by base transition
+    samples = _samples(prime)
     arcs = []  # (x, weight, y, w, automaton)
     for k in c.internal:
         source, target, b, _ = prime.arcs[k]
-        if b not in samples:
-            t = prime.base.transitions[b]
-            a = prime.base.compiled_output(t)
-            samples[b] = 1 - 2 * t.bit, regular.shortest_nonempty_word(a) or "", a
         weight, w, a = samples[b]
         arcs.append((node[source], weight, node[target], w, a))
     roots = _roots(anchors, arcs, [list(range(len(anchors)))])
@@ -193,6 +189,26 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         if isinstance(roots, dict):
             return ZeroCertified(roots)
     return _witness(anchors, arcs, roots, prime.alphabet)
+
+
+def _samples(prime: TransducerPrime) -> list[tuple[int, str, Automaton]]:
+    """Each base transition's (weight, shortest nonempty word or ε,
+    automaton), made on the first call for a leveled machine and kept on
+    it for its other components: one word search per distinct automaton."""
+    if prime._samples is None:
+        by_output: dict[int, tuple[str, Automaton]] = {}  # transitions share outputs
+        words: dict[int, str] = {}  # and equal outputs share an automaton
+        table = []
+        for t in prime.base.transitions:
+            sample = by_output.get(id(t.output))
+            if sample is None:
+                a = prime.base.compiled_output(t)
+                if id(a) not in words:
+                    words[id(a)] = regular.shortest_nonempty_word(a) or ""
+                sample = by_output[id(t.output)] = words[id(a)], a
+            table.append((1 - 2 * t.bit, *sample))
+        prime._samples = table
+    return prime._samples
 
 
 def _roots(anchors: list[TypedState], arcs, components: list[list[int]]):

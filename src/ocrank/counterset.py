@@ -16,9 +16,9 @@ A machine's forward system (counters of input prefixes) and backward
 system (counters still closable) share one Dyck closure: the backward
 one's is the transpose of the forward one's (see :func:`reach_sets`).
 Each level cycle is read by state as one integer row, bit c set when the
-state is in level c; the canonical :class:`UPSet`, the intersection of
-two sets and the members below a bound all come off such rows with
-integer operations.
+state is in level c.  The meets, the machine period and the types come off
+such rows with integer operations; the :class:`UPSet` of a set and the
+certificates are a report, built from the rows only when read.
 
 If no level repeats within the counter cap the analysis aborts with a
 :class:`CertificationError` suggesting a larger ``--counter-cap`` instead
@@ -28,7 +28,7 @@ of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .words import mask_image, state_bits, state_mask
 
@@ -67,7 +67,7 @@ class UPSet:
             raise ValueError(f"finite part {sorted(finite)} not within [0, {threshold})")
         if any(r < 0 or r >= period for r in residues):
             raise ValueError(f"residues {sorted(residues)} not within [0, {period})")
-        return _canonical(state_mask(finite), threshold, period, state_mask(residues))
+        return _upset(*_canonical(state_mask(finite), threshold, period, state_mask(residues)))
 
     @staticmethod
     def empty() -> "UPSet":
@@ -114,30 +114,42 @@ def _repeat(pattern: int, period: int, length: int) -> int:
     return pattern * repunit & ((1 << length) - 1)
 
 
-def _canonical(finite: int, threshold: int, period: int, residues: int) -> UPSet:
-    """The canonical :class:`UPSet` of ``finite`` ∪ {n ≥ threshold : bit
-    n mod period of ``residues`` is set}, both given as bitmasks: fold the
+def _canonical(
+    finite: int, threshold: int, period: int, residues: int
+) -> tuple[int, int, int, int]:
+    """The canonical form of ``finite`` ∪ {n ≥ threshold : bit n mod
+    period of ``residues`` is set}, both given as bitmasks: fold the
     residues to their least divisor period, then lower the threshold past
-    every counter below it whose membership the residues already give."""
+    every counter below it whose membership the residues already give.
+    Returns ``(finite, threshold, period, residues)``, the masks trimmed."""
     full = (1 << period) - 1
     for d in range(1, period):  # the least rotation that maps the residues onto themselves
         if period % d == 0 and (residues << d | residues >> (period - d)) & full == residues:
             period, residues = d, residues & ((1 << d) - 1)
             break
     threshold = (finite ^ _repeat(residues, period, threshold)).bit_length()
-    finite &= (1 << threshold) - 1
+    return finite & ((1 << threshold) - 1), threshold, period, residues
+
+
+def _upset(finite: int, threshold: int, period: int, residues: int) -> UPSet:
+    """The :class:`UPSet` of a canonical form from :func:`_canonical`."""
     return UPSet(threshold, frozenset(state_bits(finite)), period, frozenset(state_bits(residues)))
 
 
-def _row_upset(row: int, start: int, period: int) -> UPSet:
-    """The canonical :class:`UPSet` of a counter row: bit c of ``row`` is
-    set when c is in the set, for c < start + period, and the set repeats
-    bits start … start + period − 1 from there on."""
+def _fold_row(row: int, start: int, period: int) -> tuple[int, int, int, int]:
+    """The canonical form of a counter row: bit c of ``row`` is set when c
+    is in the set, for c < start + period, and the set repeats bits
+    start … start + period − 1 from there on."""
     full = (1 << period) - 1
     turn = row >> start & full
     shift = start % period  # bit i of the turn is counter start + i
     residues = (turn << shift | turn >> (period - shift)) & full
     return _canonical(row & ((1 << start) - 1), start, period, residues)
+
+
+def _row_upset(row: int, start: int, period: int) -> UPSet:
+    """The canonical :class:`UPSet` of a counter row (see :func:`_fold_row`)."""
+    return _upset(*_fold_row(row, start, period))
 
 
 def _upset_row(s: UPSet, length: int) -> int:
@@ -292,42 +304,43 @@ def level_cycle(
     return levels, first[level]
 
 
-def certified_slices(
+def _cycle_rows(
     opens: list[int], closure: list[int], starts: list[int], cap: int
-) -> tuple[list[UPSet], list[SliceCertificate]]:
-    """Per-state reachability sets of a ±1 counter system with certificates.
-
-    ``opens`` and ``closure`` give the system as :func:`level_cycle` takes
-    it; the counter may never drop below zero.  Runs start at the
-    ``starts`` with counter 0.  Each state's set is read off the levels:
-    its row has bit c set when the state is in level c, below the loop's
-    start and through one turn of the loop.  The sets are exact, as the
-    levels repeat from there on.
-    """
-    n = len(opens)
-    if cap < 2 * n + 6:
-        raise CertificationError(
-            f"counter cap {cap} is too small for {n} states; "
-            f"pass --counter-cap {default_counter_cap(n)} or higher"
-        )
+) -> tuple[list[int], int, int]:
+    """The level cycle of a ±1 system read by state: one row per state,
+    bit c set when the state is in level c, for c below the loop's start
+    plus one turn; then the start and the period of the loop
+    (:func:`level_cycle` takes the same arguments)."""
     levels, start = level_cycle(opens, closure, starts, cap)
-    period = len(levels) - start
-    rows = _transpose(levels, n)
-    sets: dict[int, UPSet] = {}  # states often share a row
-    slices: list[UPSet] = []
-    certificates: list[SliceCertificate] = []
-    for q, row in enumerate(rows):
-        mode = "periodic" if row >> start else "finite" if row else "empty"
-        s = sets.get(row)
-        if s is None:
-            s = sets[row] = _row_upset(row, start, period)
-        slices.append(s)
-        certificates.append(SliceCertificate(q, mode, start, period))
-    return slices, certificates
+    return _transpose(levels, len(opens)), start, len(levels) - start
+
+
+def _extend(row: int, start: int, period: int, length: int) -> int:
+    """A counter row of a loop from ``start`` with ``period`` as the
+    members below ``length``: bits start … start + period − 1 repeated."""
+    return row & ((1 << start) - 1) | _repeat(row >> start, period, length - start) << start
 
 
 # ---------------------------------------------------------------------------
 # Per-state reachability report for counter transducers
+
+
+class _BuiltOnRead:
+    """A report attribute made on first read by the report's ``builder``
+    method, which stores it on the instance, where later reads find it
+    before this descriptor."""
+
+    def __init__(self, builder: str) -> None:
+        self.builder = builder
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        getattr(report, self.builder)()
+        return report.__dict__[self.name]
 
 
 @dataclass
@@ -339,28 +352,58 @@ class NSetReport:
     ``meet`` their intersection.  ``period`` is the machine-wide window
     period; ``types`` restricts each meet to [0, 2·period), which is all
     the leveled construction downstream needs.
+
+    :func:`reach_sets` builds the report from integer rows; the sets and
+    the certificates are only a report, so they are built from those rows
+    on first read and kept, the three sets together.  ``_minus`` and
+    ``_plus`` are each direction's (rows by state, loop start, loop
+    period), and ``_meets`` is each state's meet in canonical form,
+    ``(finite, threshold, period, residues)`` with the two sets as
+    bitmasks.
     """
 
-    minus: dict[str, UPSet]
-    plus: dict[str, UPSet]
-    meet: dict[str, UPSet]
     period: int
     types: dict[str, frozenset[int]]
     counter_cap: int
-    certificates: dict[str, dict[str, SliceCertificate]]
+    _states: list[str] = field(repr=False)
+    _minus: tuple[list[int], int, int] = field(repr=False)
+    _plus: tuple[list[int], int, int] = field(repr=False)
+    _meets: list[tuple[int, int, int, int]] = field(repr=False)
+
+    minus = _BuiltOnRead("_build_sets")  # dict[str, UPSet]
+    plus = _BuiltOnRead("_build_sets")  # dict[str, UPSet]
+    meet = _BuiltOnRead("_build_sets")  # dict[str, UPSet]
+    certificates = _BuiltOnRead("_build_certificates")  # dict[str, dict[str, SliceCertificate]]
+
+    def _build_sets(self) -> None:
+        (minus_rows, start1, period1), (plus_rows, start2, period2) = self._minus, self._plus
+        built: dict = {}  # states share their sets: by row, and by canonical form
+        minus, plus, meet = {}, {}, {}
+        for q, a, b, form in zip(self._states, minus_rows, plus_rows, self._meets):
+            if (1, a) not in built:
+                built[1, a] = _row_upset(a, start1, period1)
+            if (2, b) not in built:
+                built[2, b] = _row_upset(b, start2, period2)
+            if form not in built:
+                built[form] = _upset(*form)
+            minus[q], plus[q], meet[q] = built[1, a], built[2, b], built[form]
+        self.minus, self.plus, self.meet = minus, plus, meet
+
+    def _build_certificates(self) -> None:
+        self.certificates = {
+            q: {"minus": m, "plus": p}
+            for q, m, p in zip(
+                self._states, _certificates(*self._minus), _certificates(*self._plus)
+            )
+        }
 
 
-def select_period(meets) -> int:
-    """Machine period: least multiple of every tail period that clears all
-    finite members and tail starts, and is at least 2."""
-    step = 1
-    highest = -1
-    for s in meets:
-        if s.residues:
-            step = math.lcm(step, s.period)
-        highest = max(highest, *s.finite, *s.first_tail_values(), -1)
-    need = max(2, highest + 1)
-    return step * math.ceil(need / step)
+def _certificates(rows: list[int], start: int, period: int) -> list[SliceCertificate]:
+    return [
+        SliceCertificate(q, "periodic" if row >> start else "finite" if row else "empty",
+                         start, period)
+        for q, row in enumerate(rows)
+    ]
 
 
 def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
@@ -376,11 +419,23 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     reverse, each of whose suffixes weighs at most 0; its total is 0, so
     each of its prefixes weighs at least 0, which makes it a forward Dyck
     path, and the converse holds the same way.
+
+    Each state's meet row is the AND of its two rows, both extended to
+    the later loop start plus the lcm of the loop periods, from where the
+    meets repeat with that lcm.  Each distinct meet row is folded once to
+    its canonical form.  The period P is the least multiple of every tail
+    period that clears all finite members and tail starts and is at least
+    2; the types are each meet's members below 2P.
     """
     states = list(machine.states)
     index = {q: i for i, q in enumerate(states)}
     n = len(states)
     cap = counter_cap if counter_cap is not None else default_counter_cap(n)
+    if cap < 2 * n + 6:
+        raise CertificationError(
+            f"counter cap {cap} is too small for {n} states; "
+            f"pass --counter-cap {default_counter_cap(n)} or higher"
+        )
 
     forward = [
         (index[t.source], 1 if t.bit == 0 else -1, index[t.target])
@@ -389,26 +444,34 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     opens, closes = _moves(n, forward)
     z = dyck_closure(opens, closes)
     # The backward system's +1 edges are the forward −1 edges reversed.
-    minus_slices, minus_certs = certified_slices(opens, z, [index[machine.initial]], cap)
-    plus_slices, plus_certs = certified_slices(
+    minus = _cycle_rows(opens, z, [index[machine.initial]], cap)
+    plus = _cycle_rows(
         _transpose(closes, n), _transpose(z, n), [index[f] for f in sorted(machine.finals)], cap
     )
 
-    minus = dict(zip(states, minus_slices))
-    plus = dict(zip(states, plus_slices))
-    # States share their slices, so each distinct pair is met once.
-    meets: dict[tuple[int, int], UPSet] = {}
-    meet: dict[str, UPSet] = {}
-    for q, s1, s2 in zip(states, minus_slices, plus_slices):
-        pair = (id(s1), id(s2))
-        if pair not in meets:
-            meets[pair] = up_intersect(s1, s2)
-        meet[q] = meets[pair]
-    period = select_period(meets.values())
-    rows = {id(s): frozenset(state_bits(_upset_row(s, 2 * period))) for s in meets.values()}
-    types = {q: rows[id(s)] for q, s in meet.items()}
-    certificates = {
-        q: {"minus": m, "plus": p} for q, m, p in zip(states, minus_certs, plus_certs)
-    }
-    return NSetReport(minus, plus, meet, period, types, cap, certificates)
+    (minus_rows, start1, period1), (plus_rows, start2, period2) = minus, plus
+    start, turn = max(start1, start2), math.lcm(period1, period2)
+    wide_minus = {row: _extend(row, start1, period1, start + turn) for row in set(minus_rows)}
+    wide_plus = {row: _extend(row, start2, period2, start + turn) for row in set(plus_rows)}
+    forms: dict[int, tuple[int, int, int, int]] = {}  # by meet row: states share their meets
+    meets = []
+    for a, b in zip(minus_rows, plus_rows):
+        row = wide_minus[a] & wide_plus[b]
+        if row not in forms:
+            forms[row] = _fold_row(row, start, turn)
+        meets.append(forms[row])
 
+    step, highest = 1, 1  # P clears highest ≥ 1, so P ≥ 2
+    for finite, threshold, p, residues in forms.values():
+        highest = max(highest, finite.bit_length() - 1)
+        if residues:
+            step = math.lcm(step, p)
+            tail = _repeat(residues, p, threshold + p) >> threshold  # one turn from threshold
+            highest = max(highest, threshold + tail.bit_length() - 1)
+    period = -(-(highest + 1) // step) * step
+    types_of = {}  # each meet's members below 2P
+    for finite, threshold, p, residues in forms.values():
+        tail = _repeat(residues, p, 2 * period) >> threshold << threshold
+        types_of[finite, threshold, p, residues] = frozenset(state_bits(finite | tail))
+    types = {q: types_of[form] for q, form in zip(states, meets)}
+    return NSetReport(period, types, cap, states, minus, plus, meets)

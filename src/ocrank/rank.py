@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import components as comp
 from . import regular
-from .counterset import reach_sets, up_membership
+from .counterset import reach_sets
 from .regular import Automaton, Regex
 from .transducer import (
     LevelingError,
@@ -299,8 +299,7 @@ def _expr_is_empty(e: RocExpr, counter_cap: int | None = None) -> bool:
         m = e.machine
         if m.accepts_epsilon:
             return False
-        report = reach_sets(m, counter_cap)
-        return not up_membership(report.meet[m.initial], 0)
+        return 0 not in reach_sets(m, counter_cap).types[m.initial]
     if isinstance(e, RocConcat):
         return _expr_is_empty(e.left, counter_cap) or _expr_is_empty(e.right, counter_cap)
     if isinstance(e, RocPlus):

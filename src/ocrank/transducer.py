@@ -264,7 +264,9 @@ class TransducerPrime:
     (source, target, base, rule): two state numbers, the index in
     ``base.transitions`` of the machine transition copied, and the rule
     that made the copy.  ``transitions`` is the same list as
-    :class:`TypedTransition` objects, built on first use.
+    :class:`TypedTransition` objects, built on first use.  ``_samples``
+    is the components layer's table of one sample per base transition,
+    built on first use too.
     """
 
     period: int
@@ -277,6 +279,7 @@ class TransducerPrime:
     base: Transducer
     _transitions: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _by_ends: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _samples: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def transitions(self) -> tuple[TypedTransition, ...]:

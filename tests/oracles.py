@@ -24,7 +24,12 @@ counters before it worked on bitmasks, and :func:`reach_sets_by_upsets`
 is ``counterset.reach_sets`` as it was before the sets were read off bit
 rows: a Dyck closure per direction, :func:`build_by_sets` per state,
 :func:`intersect_by_membership` for each meet and a membership test per
-type candidate.  :func:`leveled_by_pairs` is ``transducer.build_mprime``
+type candidate.  :func:`reach_sets_by_slices` is ``counterset.reach_sets``
+as it was before it kept its counter sets as integer rows until read:
+:func:`certified_slices` built each direction's sets and certificates,
+``up_intersect`` each meet, and :func:`select_period` took P from the
+meets.  Both return a :class:`SetReport`, every field built eagerly.
+:func:`leveled_by_pairs` is ``transducer.build_mprime``
 as it was before it generated each transition's copies from the rules:
 every (source type, target type) pair tested against :func:`match_rule`.
 :func:`internal_transitions` and :func:`scc_index_of` are the scans the
@@ -54,14 +59,13 @@ from ocrank.components import (
     tight_transitions,
 )
 from ocrank.counterset import (
-    NSetReport,
+    CertificationError,
     SliceCertificate,
     UPSet,
-    certified_slices,
     default_counter_cap,
     dyck_closure,
     level_cycle,
-    select_period,
+    up_intersect,
     up_membership,
 )
 from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex, shortest_word
@@ -272,7 +276,109 @@ def slices_by_upsets(
     return slices, certificates
 
 
-def reach_sets_by_upsets(machine, counter_cap: int | None = None) -> NSetReport:
+@dataclasses.dataclass
+class SetReport:
+    """The fields of ``counterset.NSetReport``, every one built eagerly."""
+
+    minus: dict[str, UPSet]
+    plus: dict[str, UPSet]
+    meet: dict[str, UPSet]
+    period: int
+    types: dict[str, frozenset[int]]
+    counter_cap: int
+    certificates: dict[str, dict[str, SliceCertificate]]
+
+
+def certified_slices(
+    opens: list[int], closure: list[int], starts: list[int], cap: int
+) -> tuple[list[UPSet], list[SliceCertificate]]:
+    """Per-state reachability sets of a ±1 counter system with certificates.
+
+    ``opens`` and ``closure`` give the system as ``counterset.level_cycle``
+    takes it; the counter may never drop below zero.  Runs start at the
+    ``starts`` with counter 0.  Each state's set is read off the levels:
+    its row has bit c set when the state is in level c, below the loop's
+    start and through one turn of the loop.  The sets are exact, as the
+    levels repeat from there on.
+    """
+    n = len(opens)
+    if cap < 2 * n + 6:
+        raise CertificationError(
+            f"counter cap {cap} is too small for {n} states; "
+            f"pass --counter-cap {default_counter_cap(n)} or higher"
+        )
+    levels, start = level_cycle(opens, closure, starts, cap)
+    period = len(levels) - start
+    rows = counterset._transpose(levels, n)
+    sets: dict[int, UPSet] = {}  # states often share a row
+    slices: list[UPSet] = []
+    certificates: list[SliceCertificate] = []
+    for q, row in enumerate(rows):
+        mode = "periodic" if row >> start else "finite" if row else "empty"
+        s = sets.get(row)
+        if s is None:
+            s = sets[row] = counterset._row_upset(row, start, period)
+        slices.append(s)
+        certificates.append(SliceCertificate(q, mode, start, period))
+    return slices, certificates
+
+
+def select_period(meets) -> int:
+    """Machine period: least multiple of every tail period that clears all
+    finite members and tail starts, and is at least 2."""
+    step = 1
+    highest = -1
+    for s in meets:
+        if s.residues:
+            step = math.lcm(step, s.period)
+        highest = max(highest, *s.finite, *s.first_tail_values(), -1)
+    need = max(2, highest + 1)
+    return step * math.ceil(need / step)
+
+
+def reach_sets_by_slices(machine, counter_cap: int | None = None) -> SetReport:
+    """``counterset.reach_sets`` as it was before it kept its sets as
+    integer rows: :func:`certified_slices` per direction, one
+    ``up_intersect`` per distinct pair of sets, :func:`select_period` on
+    the meets and each meet's members below 2P as the types."""
+    states = list(machine.states)
+    index = {q: i for i, q in enumerate(states)}
+    n = len(states)
+    cap = counter_cap if counter_cap is not None else default_counter_cap(n)
+    forward = [
+        (index[t.source], 1 if t.bit == 0 else -1, index[t.target])
+        for t in machine.transitions
+    ]
+    opens, closes = moves(n, forward)
+    z = dyck_closure(opens, closes)
+    minus_slices, minus_certs = certified_slices(opens, z, [index[machine.initial]], cap)
+    plus_slices, plus_certs = certified_slices(
+        counterset._transpose(closes, n),
+        counterset._transpose(z, n),
+        [index[f] for f in sorted(machine.finals)],
+        cap,
+    )
+    meets: dict[tuple[int, int], UPSet] = {}
+    meet: dict[str, UPSet] = {}
+    for q, s1, s2 in zip(states, minus_slices, plus_slices):
+        pair = (id(s1), id(s2))
+        if pair not in meets:
+            meets[pair] = up_intersect(s1, s2)
+        meet[q] = meets[pair]
+    period = select_period(meets.values())
+    types = {
+        q: frozenset(state_bits(counterset._upset_row(s, 2 * period))) for q, s in meet.items()
+    }
+    certificates = {
+        q: {"minus": m, "plus": p} for q, m, p in zip(states, minus_certs, plus_certs)
+    }
+    return SetReport(
+        dict(zip(states, minus_slices)), dict(zip(states, plus_slices)), meet,
+        period, types, cap, certificates,
+    )
+
+
+def reach_sets_by_upsets(machine, counter_cap: int | None = None) -> SetReport:
     """The counter sets of a machine by :class:`UPSet` arithmetic, each
     direction with its own Dyck closure."""
     states = list(machine.states)
@@ -300,7 +406,7 @@ def reach_sets_by_upsets(machine, counter_cap: int | None = None) -> NSetReport:
         q: {"minus": minus_certs[index[q]], "plus": plus_certs[index[q]]}
         for q in states
     }
-    return NSetReport(minus, plus, meet, period, types, cap, certificates)
+    return SetReport(minus, plus, meet, period, types, cap, certificates)
 
 
 def moves(n: int, edges) -> tuple[list[int], list[int]]:
@@ -329,7 +435,7 @@ def match_rule(period: int, bit: int, n: int, s1: str, m: int, s2: str) -> str |
     return None
 
 
-def leveled_by_pairs(machine: Transducer, report: NSetReport):
+def leveled_by_pairs(machine: Transducer, report: counterset.NSetReport):
     """The states, finals and transitions of the leveled machine, by testing
     every (source type, target type) pair of every transition, then
     trimming to the live states and the initial one."""

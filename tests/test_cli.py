@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, M138, M365, fixture_path
 import ocrank
-from ocrank import harness
+from ocrank import counterset, harness
 from ocrank.cli import (
     Fixture,
     FixtureError,
@@ -42,6 +42,15 @@ trans s6 1 s7 a
 trans s7 1 s8 a
 trans s8 1 s9 a
 trans s9 1 s10 a
+"""
+
+# Accepts no input word: its only transition closes at counter 0.
+VACUOUS = """
+alphabet a
+states s0 s1
+initial s0
+final s1
+trans s0 1 s1 a
 """
 
 
@@ -604,6 +613,59 @@ def test_mprime_stdout_shape(capsys):
     assert "states (8):" in out
     assert "(q0,0,up) (initial)" in out
     assert "(qf,0,down) (accepting)" in out
+
+
+def test_mprime_reports_a_vacuous_leveling(capsys, tmp_path, schema):
+    # A machine that accepts no input word has no leveled machine; mprime
+    # says so as check does, and every command exits 0 on it.
+    path = tmp_path / "vacuous.oct"
+    path.write_text(VACUOUS)
+    json_path, dot_path = tmp_path / "m.json", tmp_path / "m.dot"
+    code, out, err = run_cli(
+        capsys, ["mprime", str(path), "--json", str(json_path), "--dot", str(dot_path)]
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "period = 2",
+        "vacuous: level 0 is not a type of the initial state 's0'; "
+        "the machine accepts no input word",
+    ]
+    payload = load_json(json_path)
+    jsonschema.validate(payload, schema)
+    assert payload == {"command": "mprime", "period": 2, "mprime": None}
+    assert dot_path.read_text() == "digraph leveled {\n  rankdir=LR;\n}\n"
+    for command in ("rank", "nsets", "check", "enumerate", "dot"):
+        assert run_cli(capsys, [command, str(path)])[0] == 0, command
+
+
+def test_rank_and_check_build_no_counter_sets(capsys, tmp_path, monkeypatch):
+    # rank and check read only the period and the types of the counter
+    # analysis; the sets and the certificates are built when nsets reads them.
+    from test_components import ladder
+
+    ladder_path = tmp_path / "ladder.oct"
+    ladder_path.write_text(render_fixture(Fixture(ladder(2, 3))))
+    paths = [fixture_path("fig1.oct"), fixture_path("fig2.oct"), str(ladder_path)]
+    calls = [[command, path] for path in paths for command in ("rank", "check")]
+    concat_path = tmp_path / "concat.oct"  # its factors are tested for emptiness
+    fig1, fig2 = map(os.path.abspath, paths[:2])
+    concat_path.write_text(f"expr concat {fig1} {fig2}\n")
+    calls.append(["rank", str(concat_path)])
+    want = [run_cli(capsys, argv) for argv in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counter set or certificate was built")
+
+    monkeypatch.setattr(counterset, "UPSet", refuse)
+    monkeypatch.setattr(counterset, "SliceCertificate", refuse)
+    assert [run_cli(capsys, argv) for argv in calls] == want
+    with pytest.raises(AssertionError, match="was built"):
+        main(["nsets", paths[1]])
+    capsys.readouterr()
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, ["nsets", paths[1]])
+    assert code == 0
+    assert "q4: N- = {2+3t} | N+ = {2} ∪ {1+2t} | N = {2} ∪ {5+6t}" in out
 
 
 def test_cli_output_is_deterministic(capsys):

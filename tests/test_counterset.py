@@ -16,21 +16,28 @@ from ocrank import counterset, harness
 from ocrank.counterset import (
     CertificationError,
     UPSet,
-    certified_slices,
     default_counter_cap,
     dyck_closure,
     reach_sets,
     render_upset,
-    select_period,
     up_intersect,
     up_membership,
 )
 from ocrank.cli import parse_fixture
 from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
-from ocrank.transducer import make_transducer
+from ocrank.transducer import make_transducer, minimal_normalize
 from ocrank.words import BINARY, Alphabet
 from conftest import M138, OUTPUT_POOL, mask_bits, random_machine
-from oracles import build_by_sets, moves, reach_sets_by_upsets, up_union, worked_close_image
+from oracles import (
+    build_by_sets,
+    certified_slices,
+    moves,
+    reach_sets_by_slices,
+    reach_sets_by_upsets,
+    select_period,
+    up_union,
+    worked_close_image,
+)
 
 
 # --- oracle helpers ------------------------------------------------------------
@@ -474,6 +481,9 @@ def test_sets_from_bitmasks_are_the_canonical_sets():
         assert UPSet.build(start, finite, period, residues) == want, (row, start, period)
 
 
+REPORT_FIELDS = ("minus", "plus", "meet", "period", "types", "counter_cap", "certificates")
+
+
 def test_reach_sets_matches_upset_arithmetic(fig1, fig2):
     from test_components import ladder  # it imports this module
 
@@ -488,8 +498,57 @@ def test_reach_sets_matches_upset_arithmetic(fig1, fig2):
                 reach_sets(machine)
             continue
         got = reach_sets(machine)
-        for name in ("minus", "plus", "meet", "period", "types", "counter_cap", "certificates"):
+        for name in REPORT_FIELDS:
             assert getattr(got, name) == getattr(want, name), (machine.transitions, name)
+
+
+def test_reach_sets_matches_the_certified_slices_path(fig1, fig2):
+    # The sets kept as integer rows until read against the path that built
+    # every set, meet and certificate: the same report and the same refusal
+    # text, raw and normalized, at the default cap, at the floor and below.
+    from test_cli import disjoint_rings
+    from test_components import ladder
+
+    rng = random.Random(22)
+    machines = [fig1, fig2]
+    machines += [random_machine(rng, max_states=7, max_transitions=13) for _ in range(2000)]
+    machines += [ladder(k, j) for k in range(1, 7) for j in range(1, 7)]
+    machines += [complete_machine(n) for n in range(1, 9)]
+    # Rings of opens whose levels cycle with the lcm of the ring lengths:
+    # from (5, 7) on, the level walk refuses at the floor cap.
+    rings = [(2, 3), (4, 5), (5, 7), (5, 8), (6, 7), (5, 9), (7, 8)]
+    rings += [(2, 5, 7), (3, 4, 5), (3, 5, 7)]
+    machines += [parse_fixture(disjoint_rings(lengths)).value for lengths in rings]
+    compared = refused = 0
+    for machine in machines:
+        normal = minimal_normalize(machine)
+        for m in (machine, normal) if normal is not machine else (machine,):
+            n = len(m.states)
+            for cap in (None, 2 * n + 6, 2 * n + 5):
+                try:
+                    want = reach_sets_by_slices(m, cap)
+                except CertificationError as exc:
+                    with pytest.raises(CertificationError) as err:
+                        reach_sets(m, cap)
+                    assert str(err.value) == str(exc), (m.transitions, cap)
+                    refused += "no counter level repeats" in str(exc)
+                    continue
+                got = reach_sets(m, cap)
+                for name in REPORT_FIELDS:
+                    assert getattr(got, name) == getattr(want, name), (m.transitions, cap, name)
+                compared += 1
+    assert compared >= 7000 and refused >= 8, (compared, refused)
+
+
+def test_report_sets_are_built_once_on_first_read(fig2):
+    report = reach_sets(fig2)
+    names = ("minus", "plus", "meet", "certificates")
+    assert not set(names) & set(vars(report))
+    minus = report.minus  # builds the three sets together, not the certificates
+    assert "certificates" not in vars(report)
+    assert report.minus is minus
+    for name in names:
+        assert getattr(report, name) is getattr(report, name), name
 
 
 def test_reach_sets_runs_one_dyck_closure(fig1, fig2, monkeypatch):

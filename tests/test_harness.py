@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from ocrank.counterset import reach_sets
 from ocrank.rank import RocAtom, RocConcat, RocPlus
 from ocrank.transducer import check_run, lift_run, make_transducer, project_run
 from ocrank.words import Alphabet, primitive_root
+from conftest import random_machine
 
 AB = Alphabet(("a", "b"))
 
@@ -234,3 +236,20 @@ def test_accepting_runs_epsilon_and_caps():
     assert runs[0] == []  # epsilon is accepted and listed first
     assert sorted(len(r) for r in runs) == [0, 2, 4, 6]
     assert harness.accepting_runs(m, 1) == [[]]
+
+
+def test_enumerate_at_a_larger_output_cap_extends_the_smaller_one():
+    # Metamorphic: raising the output cap from k to k + 3 only adds words
+    # longer than k, in their places; truncation at k + 3 implies it at k.
+    rng = random.Random(21)
+    grown = truncated = 0
+    for _ in range(240):
+        machine = random_machine(rng, max_states=5, max_transitions=9)
+        k = rng.randint(0, 7)
+        small = harness.enumerate(machine, 6, k)
+        large = harness.enumerate(machine, 6, k + 3)
+        assert small.words == [w for w in large.words if len(w) <= k], machine.transitions
+        assert small.truncated or not large.truncated, machine.transitions
+        grown += len(large.words) > len(small.words)
+        truncated += large.truncated
+    assert grown >= 100 and truncated >= 20, (grown, truncated)

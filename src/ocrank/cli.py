@@ -5,17 +5,17 @@ Fixture files are line-oriented: ``alphabet``, ``states``, ``initial``,
 (atom / concat / plus over other fixture files) describes a language
 expression.  ``#`` starts a comment.
 
-Exit codes: 0 success, 1 usage or parse error, 2 a non-scattered order was
-witnessed, 3 the analysis gave up (Unknown), 4 internal certification or
-check failure.
+Exit codes: 0 success, 1 usage or parse error (or a closed standard
+output), 2 a non-scattered order was witnessed, 3 the analysis gave up
+(Unknown), 4 internal certification or check failure, or out of memory.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -73,8 +73,8 @@ def parse_fixture(
 ) -> Fixture:
     """Parse fixture text; see the module docstring for the grammar."""
     # Split at "\n" alone: splitlines() would also break at form feeds and
-    # other separators that may sit inside a comment.  open() has already
-    # turned "\r\n" into "\n", and split() drops a stray "\r".
+    # other separators that may sit inside a comment.  load_fixture_file
+    # has already turned "\r\n" into "\n", and split() drops a stray "\r".
     entries: list[tuple[int, list[str]]] = []
     expr_at = None
     for lineno, raw in enumerate(text.split("\n"), 1):
@@ -103,12 +103,15 @@ def load_fixture_file(path: str, depth: int = 0) -> Fixture:
     if depth > _MAX_EXPR_DEPTH:
         raise FixtureError(f"{path}: expression fixtures nested deeper than {_MAX_EXPR_DEPTH}")
     name = os.path.basename(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         # utf-8-sig drops a leading byte-order mark, as editors on Windows write.
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FixtureError(f"{name}: not UTF-8 text: {exc}") from exc
+    if "\r" in text:  # line ends as a text-mode read gives them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_fixture(
         text, base_dir=os.path.dirname(os.path.abspath(path)), name=name, depth=depth
     )
@@ -493,8 +496,7 @@ def _cmd_enumerate(fixture: Fixture, args, out) -> tuple[int, dict]:
         assert isinstance(expr, RocExpr)
         words = harness.enumerate_expr(expr, args.input_cap, args.output_cap)
         truncated = None  # the expression view cannot tell
-    for w in words:
-        print(w, file=out)
+    out.write("".join([w + "\n" for w in words]))
     if truncated:
         print("note: some outputs exceeded --output-cap", file=sys.stderr)
     payload = {
@@ -580,39 +582,151 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageError(message)
+# argparse's help for this command line at 80 columns, the same on Python
+# 3.10 to 3.13; it no longer follows the terminal's width.
+_HELP = """\
+usage: ocrank [-h] [--input-cap N] [--output-cap N] [--counter-cap N]
+              [--json PATH] [--dot PATH]
+              {nsets,mprime,dot,rank,enumerate,check} fixture
+
+Order-type analysis of one-counter transductions.
+
+positional arguments:
+  {nsets,mprime,dot,rank,enumerate,check}
+  fixture               path to a .oct fixture file
+
+options:
+  -h, --help            show this help message and exit
+  --input-cap N
+  --output-cap N
+  --counter-cap N
+  --json PATH
+  --dot PATH
+"""
+
+_COMMANDS = ("nsets", "mprime", "dot", "rank", "enumerate", "check")
+_CHOICES = ", ".join(map(repr, _COMMANDS))
+# Each option string, in argparse's order, with the field it sets; help sets none.
+_OPTIONS = {
+    "-h": None,
+    "--help": None,
+    "--input-cap": "input_cap",
+    "--output-cap": "output_cap",
+    "--counter-cap": "counter_cap",
+    "--json": "json",
+    "--dot": "dot",
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _cap(text: str) -> int:
+@dataclass
+class _Args:
+    command: str = ""
+    fixture: str = ""
+    input_cap: int = 8
+    output_cap: int = 24
+    counter_cap: int | None = None
+    json: str | None = None
+    dot: str | None = None
+
+
+def _cap(option: str, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+        raise _UsageError(f"argument {option}: expected a count of 0 or more, got {text!r}")
     return value
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of the process: building it costs more than a parse."""
-    parser = _Parser(
-        prog="ocrank",
-        description="Order-type analysis of one-counter transductions.",
-    )
-    parser.add_argument(
-        "command",
-        choices=["nsets", "mprime", "dot", "rank", "enumerate", "check"],
-    )
-    parser.add_argument("fixture", help="path to a .oct fixture file")
-    parser.add_argument("--input-cap", type=_cap, default=8, metavar="N")
-    parser.add_argument("--output-cap", type=_cap, default=24, metavar="N")
-    parser.add_argument("--counter-cap", type=_cap, default=None, metavar="N")
-    parser.add_argument("--json", metavar="PATH", default=None)
-    parser.add_argument("--dot", metavar="PATH", default=None)
-    return parser
+def _option(arg: str) -> tuple[str, str | None] | None:
+    """How argparse reads one argument before ``--``.
+
+    None for a positional; else the option string it names ('' for an
+    unknown option) and the value glued to it (``--opt=V``, ``-hV``) or None.
+    """
+    if not arg or arg[0] != "-":
+        return None
+    if arg in _OPTIONS:
+        return arg, None
+    if len(arg) == 1:
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in _OPTIONS:
+        return name, value
+    if arg[1] == "-":  # a unique prefix of a long option
+        matches = [o for o in _OPTIONS if o.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[1] == "h":  # -h with more glued to it
+        return "-h", arg[2:]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return "", None
+
+
+def _parse_args(argv: list[str]) -> _Args | None:
+    """Read the command line as argparse did; None when help is asked for.
+
+    Options may come anywhere, as ``--opt V``, ``--opt=V`` or a unique
+    prefix; ``--`` ends them, the last of a repeated option wins, and
+    ``-3`` is a value.  Every usage error raises :class:`_UsageError` with
+    argparse's message.  One difference: a ``--`` that is a value
+    (``--json=--``, or a second ``--``) stays a value, where argparse
+    before Python 3.13 dropped it and set the field to an empty list.
+    """
+    cut = argv.index("--") if "--" in argv else len(argv)
+    options = {
+        i: found for i, arg in enumerate(argv[:cut]) if (found := _option(arg)) is not None
+    }
+    args = _Args()
+    wanted = ["command", "fixture"]
+    extras: list[str] = []
+
+    def positionals(i: int) -> int:
+        # Each positional takes one argument, with the ``--`` just before or after it.
+        while wanted:
+            j = i + (i == cut)
+            if j >= len(argv) or j in options:
+                break
+            value, i = argv[j], j + 1 + (j + 1 == cut)
+            if wanted[0] == "command" and value not in _COMMANDS:
+                raise _UsageError(
+                    f"argument command: invalid choice: {value!r} (choose from {_CHOICES})"
+                )
+            setattr(args, wanted.pop(0), value)
+        return i
+
+    i = 0
+    for at, (name, value) in options.items():
+        if i < at:
+            i = positionals(i)
+            extras += argv[i:at]
+        i = at + 1
+        if not name:
+            extras.append(argv[at])
+            continue
+        field = _OPTIONS[name]
+        if field is None:  # help: -hh… is -h -h …, and any other letter glued on is refused
+            while value is not None:
+                if name != "-h" or value[:1] != "h":
+                    raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+                value = value[1:] or None
+            return None
+        if value is None:
+            if i >= len(argv) or i in options or i == cut:
+                raise _UsageError(f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        setattr(args, field, value if field in ("json", "dot") else _cap(name, value))
+    extras += argv[positionals(i):]
+    if wanted:
+        raise _UsageError(f"the following arguments are required: {', '.join(wanted)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _write_text(path: str, text: str) -> None:
@@ -632,14 +746,28 @@ def _require_machine(fixture: Fixture, command: str) -> Transducer:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``): stop quietly, and send what is
+        # still buffered to the null device so that exit stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"ocrank: error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    if args is None:
+        sys.stdout.write(_HELP)
+        return 0
 
     try:
         fixture = load_fixture_file(args.fixture)
@@ -674,6 +802,12 @@ def main(argv=None) -> int:
         return 4
     except (LevelingError, TransducerError) as exc:
         print(f"ocrank: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print(
+            f"ocrank: out of memory while running {args.command} on {args.fixture}",
+            file=sys.stderr,
+        )
         return 4
     return code
 

@@ -145,7 +145,7 @@ class MachineAnalysis:
     prime: TransducerPrime | None
     sccs: list[comp.Scc]
     verdicts: dict[int, comp.ComponentVerdict]
-    edge_bound: dict[int, RankBound]
+    edge_bound: dict[int, tuple[Ordinal, str]]  # (bound, status) per edge
     result: RankBound | NotScattered
 
 
@@ -154,12 +154,12 @@ def edge_bounds(
     sccs: list[comp.Scc],
     verdicts: dict[int, comp.ComponentVerdict],
     regrank: Sequence[int],
-) -> dict[int, RankBound]:
+) -> dict[int, tuple[Ordinal, str]]:
     """Propagate ordinal bounds along intercomponent edges in topo order.
 
     ``regrank[i]`` is the finite order bound of arc i's output language.
-    The bound attached to an edge covers all outputs produced up to and
-    including traversing that edge.
+    The (bound, status) attached to an edge covers all outputs produced up
+    to and including traversing that edge.
     """
     scc_of = [0] * len(prime.states)
     for c in sccs:
@@ -175,15 +175,14 @@ def edge_bounds(
             incoming[ct].append(i)
             outgoing[cs].append(i)
 
-    bounds: dict[int, RankBound] = {}
+    bounds: dict[int, tuple[Ordinal, str]] = {}
     for c in sccs:  # already topologically ordered
         out = outgoing[c.index]
         if c.index == initial_comp:
             if out and not c.trivial:
                 raise AssertionError("initial component must be trivial")
             for i in out:
-                base = Ordinal(0, regrank[i])
-                bounds[i] = RankBound(base, CERTIFIED, (f"edge {i}: base {base}",))
+                bounds[i] = Ordinal(0, regrank[i]), CERTIFIED
             continue
         feeds = [bounds[j] for j in incoming[c.index] if j in bounds]
         if not out or not feeds:
@@ -191,27 +190,21 @@ def edge_bounds(
         # ord_add(step, ·) is strictly increasing, so the greatest feed gives
         # every out-edge its greatest sum; among equal feeds a Certified one
         # wins.
-        entry = max(feeds, key=lambda fed: (fed.value, fed.status == CERTIFIED))
+        entry, entry_status = max(feeds, key=lambda fed: (fed[0], fed[1] == CERTIFIED))
         verdict = verdicts.get(c.index)
-        status = CONDITIONAL if isinstance(verdict, comp.ZeroCertified) else entry.status
+        status = CONDITIONAL if isinstance(verdict, comp.ZeroCertified) else entry_status
         intra_max = max((regrank[k] for k in c.internal), default=0)
         for i in out:
             r = regrank[i]
             if c.trivial:
                 step = Ordinal(0, r)
-                note = f"trivial +{r}"
             elif isinstance(verdict, comp.FullyCertified):
-                f_c = len(c.members) * (1 + intra_max) + r
-                step = Ordinal(0, f_c)
-                note = f"fully certified +{f_c}"
+                step = Ordinal(0, len(c.members) * (1 + intra_max) + r)
             elif isinstance(verdict, comp.ZeroCertified):
                 step = OMEGA
-                note = "zero certified +w"
             else:
                 raise AssertionError("quasi-dense component reached the bound DP")
-            value = ord_add(step, entry.value)
-            derivation = f"edge {i}: {note} onto {entry.value} = {value}"
-            bounds[i] = RankBound(value, status, (derivation,))
+            bounds[i] = ord_add(step, entry), status
     return bounds
 
 
@@ -272,21 +265,21 @@ def analyze_machine(
 
     bounds = edge_bounds(prime, sccs, verdicts, regrank)
     finals = {q for q, s in enumerate(prime.states) if s in prime.finals}
-    best: RankBound | None = None
+    best: tuple[Ordinal, str] | None = None
     lines: list[str] = []
     for i, (source, target, _, _) in enumerate(prime.arcs):
         if target in finals and i in bounds:
-            b = bounds[i]
+            value, status = bounds[i]
             lines.append(
                 f"accepting edge {prime.states[source].render()} -> "
-                f"{prime.states[target].render()}: {b.value} [{b.status}]"
+                f"{prime.states[target].render()}: {value} [{status}]"
             )
-            if best is None or best.value < b.value:
-                best = b
+            if best is None or best[0] < value:
+                best = value, status
     if best is None:
         result = RankBound(ZERO, CERTIFIED, ("no live accepting edge; bound 0",))
     else:
-        result = RankBound(best.value, best.status, tuple(lines))
+        result = RankBound(*best, tuple(lines))
     return MachineAnalysis(m, prime, sccs, verdicts, bounds, result)
 
 

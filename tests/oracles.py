@@ -42,11 +42,17 @@ builds them all at once, and :func:`up_union` and
 :func:`parse_machine_text` is how ``cli.parse_fixture`` read a machine
 fixture before it parsed in one pass: a pass over the lines, a second over
 the ``trans`` lines, a regex parse per line, and ``make_transducer``.
+:func:`argparse_front` is how ``cli.main`` read its command line before
+it had a parser of its own: the ``argparse`` parser it built, and what
+main made of its result, an error or the help.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import math
 
 from ocrank import counterset, regular
@@ -841,3 +847,56 @@ def parse_machine_text(text: str, name: str = "<fixture>") -> Transducer:
         return make_transducer(states, initial, finals, parsed_transitions, alphabet)
     except TransducerError as exc:
         raise FixtureError(f"{name}: {exc}") from exc
+
+
+class _ArgparseUsageError(Exception):
+    pass
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    def error(self, message):  # noqa: D102 - argparse hook
+        raise _ArgparseUsageError(message)
+
+
+def _argparse_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return value
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = _ArgparseParser(
+        prog="ocrank",
+        description="Order-type analysis of one-counter transductions.",
+    )
+    parser.add_argument(
+        "command",
+        choices=["nsets", "mprime", "dot", "rank", "enumerate", "check"],
+    )
+    parser.add_argument("fixture", help="path to a .oct fixture file")
+    parser.add_argument("--input-cap", type=_argparse_cap, default=8, metavar="N")
+    parser.add_argument("--output-cap", type=_argparse_cap, default=24, metavar="N")
+    parser.add_argument("--counter-cap", type=_argparse_cap, default=None, metavar="N")
+    parser.add_argument("--json", metavar="PATH", default=None)
+    parser.add_argument("--dot", metavar="PATH", default=None)
+    return parser
+
+
+def argparse_front(argv: list[str]) -> dict | tuple[int, str, str]:
+    """The parsed fields, or main's (exit code, stdout, stderr) when it stopped.
+
+    The help is formatted for the terminal width, so set ``COLUMNS``.
+    """
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = argparse_parser().parse_args(argv)
+    except _ArgparseUsageError as exc:
+        return 1, "", f"ocrank: error: {exc}\n"
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0), out.getvalue(), ""
+    return vars(args)

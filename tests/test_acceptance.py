@@ -6,6 +6,7 @@ values are frozen; the randomized batches use fixed seeds.
 """
 
 import math
+import os
 import random
 import time
 
@@ -356,3 +357,52 @@ def test_08i_counter_sets_of_a_24_state_complete_machine_level_by_level(tmp_path
         + [f"tau({q}) = {{0, 1, 2, 3}}" for q in states]
     )
     assert_within(t0, 0.3)
+
+
+def coprime_ladders(pairs: list[tuple[int, int]]) -> str:
+    """Fixture text of one ladder per (a, b), all from state i to state f.
+
+    A ladder has an opens ring of length a, entered from i, and a closes
+    ring of length b, entered from the opens ring's first state, whose
+    first state closes into f.  The counter levels repeat with the lcm of
+    all the lengths as their period P.
+    """
+    states, trans = ["i"], []
+    for k, (a, b) in enumerate(pairs):
+        opens = [f"o{k}_{j}" for j in range(a)]
+        closes = [f"c{k}_{j}" for j in range(b)]
+        states += opens + closes
+        trans.append(f"trans i 0 {opens[0]} c")
+        trans += [f"trans {opens[j]} 0 {opens[(j + 1) % a]} c" for j in range(a)]
+        trans.append(f"trans {opens[0]} 1 {closes[0]} b*a")
+        trans += [f"trans {closes[j]} 1 {closes[(j + 1) % b]} b*a" for j in range(b)]
+        trans.append(f"trans {closes[0]} 1 f a")
+    lines = ["alphabet a b c", "states " + " ".join(states + ["f"]), "initial i", "final f"]
+    return "\n".join(lines + trans) + "\n"
+
+
+COPRIME_LADDERS_210 = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "coprime_ladders_210.oct"
+)
+
+
+def test_09_coprime_ladders_rank_within_their_budgets(tmp_path, capsys):
+    # Every stage after the counter sets is sized by the types, up to 2P per
+    # state, and P is the lcm of the ring lengths.  On a 2-core host rank
+    # took 0.03 s at P = 210 and 0.65 s at P = 2,310, in process.
+    committed = cli.load_fixture_file(COPRIME_LADDERS_210)
+    generated = cli.parse_fixture(coprime_ladders([(2, 3), (5, 7)]))
+    assert cli.render_fixture(committed) == cli.render_fixture(generated)
+    path = tmp_path / "ladders.oct"
+    path.write_text(coprime_ladders([(2, 3), (5, 7), (11, 1)]), encoding="utf-8")
+    for fixture, period, budget in ((COPRIME_LADDERS_210, 210, 0.5), (str(path), 2310, 4.0)):
+        t0 = time.perf_counter()
+        code = cli.main(["rank", fixture])
+        captured = capsys.readouterr()
+        assert_within(t0, budget)
+        assert (code, captured.err) == (0, "")
+        assert captured.out.splitlines()[:2] == [
+            f"bound: w+{period + 1}", "status: ConditionalOnScattered",
+        ]
+        assert cli.main(["nsets", fixture]) == 0
+        assert capsys.readouterr().out.startswith(f"P = {period}\n")

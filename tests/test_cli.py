@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,8 +13,9 @@ import jsonschema
 import pytest
 
 from conftest import FIXTURE_DIR, M138, M365, fixture_path
+import oracles
 import ocrank
-from ocrank import counterset, harness
+from ocrank import cli, counterset, harness
 from ocrank.cli import (
     Fixture,
     FixtureError,
@@ -373,6 +376,33 @@ def test_a_byte_order_mark_and_crlf_change_no_output_byte(capsys, tmp_path, comm
     assert expected[0] == 0
 
 
+@pytest.mark.parametrize("bad_line", [False, True])
+def test_line_ends_are_read_as_a_text_mode_read_gives_them(tmp_path, bad_line):
+    # Line ends mixing "\r\n", a lone "\r" and "\n", after a byte-order mark:
+    # the fixture, or the line of its error, is what a text-mode read gives.
+    lines = ["alphabet a b", "states p q", "initial p", "final q",
+             "trans p 0 p a", "trans p 1 q b"]
+    if bad_line:
+        lines.insert(4, "trans p 0 q a**")
+    rng = random.Random(bad_line)
+    for _ in range(20):
+        data = "\ufeff" + "".join(line + rng.choice(("\r\n", "\r", "\n")) for line in lines)
+        path = tmp_path / "ends.oct"
+        path.write_bytes(data.encode("utf-8"))
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+        try:
+            expected = render_fixture(parse_fixture(text, name="ends.oct"))
+        except FixtureError as exc:
+            expected = str(exc)
+        try:
+            got = render_fixture(load_fixture_file(str(path)))
+        except FixtureError as exc:
+            got = str(exc)
+        assert got == expected
+        assert got.startswith("ends.oct:5: bad regex") == bad_line
+
+
 def test_machine_command_rejects_expression_fixture(capsys, tmp_path):
     fig1 = os.path.abspath(fixture_path("fig1.oct"))
     path = tmp_path / "iter.oct"
@@ -390,16 +420,18 @@ def test_bad_fixture_exits_one(capsys, tmp_path):
     assert "bad regex" in err
 
 
-def test_help_exits_zero(capsys):
-    code, out, _ = run_cli(capsys, ["--help"])
-    assert code == 0
-    assert "usage" in out.lower()
+def test_help_exits_zero(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = oracles.argparse_front(["--help"])
+    monkeypatch.setenv("COLUMNS", "40")  # the help no longer follows the width
+    assert run_cli(capsys, ["--help"]) == expected == (0, cli._HELP, "")
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
-    # The parser is built once per process; a failed parse must leave
-    # nothing behind for the calls after it.
-    monkeypatch.setenv("COLUMNS", "80")
+    # The parser keeps nothing between calls: a failed parse must leave
+    # nothing behind for the calls after it.  The help is a constant, so
+    # the terminal width does not change it.
+    monkeypatch.setenv("COLUMNS", "40")
     src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     script = "import sys; from ocrank.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -412,6 +444,156 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
         )
         assert run_cli(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# --- the command-line grammar against argparse ---------------------------------------
+
+_COMMAND_WORDS = ("nsets", "mprime", "dot", "rank", "enumerate", "check")
+_OPTION_NAMES = ("--input-cap", "--output-cap", "--counter-cap", "--json", "--dot")
+_GOOD_VALUES = ("0", "3", "12", "+3", " 7 ", "1_0", "\u0663", "f.oct")
+_BAD_VALUES = (
+    "-3", "-0", "-1.5", "-.5", "-5.", "-1e5", "-3\n", "-\u0663", "x", "", "3.5", "a b",
+    "-x y", "-", "=", "a=b", "-h", "--h",
+)
+_NOISE = (
+    "ranks", "", "-", "-3", "-x", "--", "-h", "--help", "--he", "-h=3", "-h=", "-hh", "--help=1",
+    "--=x", "--=", "---", "--x", "-x y", "--inp x", "-i", "=", "a b", "-f x", "-5",
+)
+
+
+def draw_argv(rng) -> list[str]:
+    """A command line: a command, a path and options, then some noise.
+
+    Options come in full, as a prefix, and in ``=`` form, with good, bad,
+    negative and missing values; the noise is bad commands, loose values,
+    ``--`` and forms of ``-h``.
+    """
+    argv = [rng.choice(_COMMAND_WORDS), rng.choice(("f.oct", "g", "-5"))][: rng.randint(0, 2)]
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice(_OPTION_NAMES)
+        name = name[: rng.randint(3, len(name))]  # a unique prefix, or in full
+        value = rng.choice(_GOOD_VALUES if rng.random() < 0.75 else _BAD_VALUES)
+        r = rng.random()
+        words = [f"{name}={value}"] if r < 0.3 else [name] if r < 0.4 else [name, value]
+        at = rng.randint(0, len(argv))
+        argv[at:at] = words
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        argv.insert(rng.randint(0, len(argv)), rng.choice(_NOISE + _BAD_VALUES))
+    return argv
+
+
+def test_the_parser_matches_argparse_on_drawn_command_lines(capsys, monkeypatch):
+    # Lines where "--" is a value (a second "--", or "--opt=--") are left
+    # to the test below: argparse before Python 3.13 set such a field to
+    # an empty list.
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(20261019)
+    outcomes = collections.Counter()
+    compared = 0
+    while compared < 3000:
+        argv = draw_argv(rng)
+        if argv.count("--") > 1 or any(a.endswith("=--") for a in argv):
+            continue
+        compared += 1
+        expected = oracles.argparse_front(argv)
+        if isinstance(expected, dict):
+            assert vars(cli._parse_args(argv)) == expected, argv
+            outcomes["fields"] += 1
+        else:
+            assert run_cli(capsys, argv) == expected, argv
+            outcomes[expected[2].split(":")[2].strip() if expected[2] else "help"] += 1
+    assert outcomes["fields"] >= 300 and outcomes["help"] >= 100, outcomes
+    for kind in ("argument command", "the following arguments are required",
+                 "argument --input-cap", "argument --json", "argument -h/--help",
+                 "unrecognized arguments", "ambiguous option"):
+        assert outcomes[kind] >= 20, (kind, outcomes)
+
+
+@pytest.mark.parametrize(
+    "argv, field, value",
+    [
+        (["rank", "f.oct", "--json=--"], "json", "--"),
+        (["rank", "--", "--"], "fixture", "--"),
+        (["--dot=--", "--", "rank", "--"], "fixture", "--"),
+    ],
+)
+def test_a_dash_dash_value_stays_a_value(argv, field, value):
+    # argparse before Python 3.13 dropped it and set the field to [], which
+    # later failed with a TypeError traceback.
+    assert getattr(cli._parse_args(argv), field) == value
+
+
+def test_a_dash_dash_cap_is_refused(capsys):
+    code, out, err = run_cli(capsys, ["rank", "f.oct", "--input-cap=--"])
+    assert (code, out) == (1, "")
+    assert err == "ocrank: error: argument --input-cap: expected a count of 0 or more, got '--'\n"
+
+
+@pytest.mark.parametrize("flag", ["-hx", "-h3", "-hhx", "-h=h3"])
+def test_letters_glued_to_dash_h_are_refused(capsys, flag):
+    # argparse from Python 3.13 prints the help here; this parser keeps
+    # the message of the versions before it.
+    tail = flag.lstrip("-h=")
+    code, out, err = run_cli(capsys, ["rank", flag])
+    assert (code, out) == (1, "")
+    assert err == f"ocrank: error: argument -h/--help: ignored explicit argument {tail!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["-hh", "-h=h", "--he"])
+def test_help_is_printed_where_the_parser_reaches_it(capsys, flag):
+    assert run_cli(capsys, ["frobnicate", "--input-cap", "-1", flag]) == (
+        1, "", "ocrank: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'nsets', 'mprime', 'dot', 'rank', 'enumerate', 'check')\n"
+    )
+    assert run_cli(capsys, [flag, "frobnicate", "--input-cap", "-1"]) == (0, cli._HELP, "")
+
+
+def test_the_package_does_not_import_argparse():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
+    script = "import sys, ocrank.cli; print('argparse' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+# --- ends that are not the analysis' ---------------------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["rank", "enumerate"])
+def test_a_closed_stdout_ends_quietly(unbuffered, command):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ocrank", command, fixture_path("fig1.oct")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "command, stage", [("rank", "analyze_machine"), ("nsets", "reach_sets")]
+)
+def test_running_out_of_memory_exits_four(capsys, monkeypatch, command, stage):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    path = fixture_path("fig1.oct")
+    assert run_cli(capsys, [command, path]) == (
+        4, "", f"ocrank: out of memory while running {command} on {path}\n"
+    )
 
 
 # --- command output --------------------------------------------------------------------

@@ -7,6 +7,9 @@ the implementations they check.
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +24,8 @@ from ocrank.words import (
     lex_less,
     open_depth,
     primitive_root,
+    row_bits,
+    state_bits,
 )
 
 ABC = Alphabet(("a", "b", "c"))
@@ -174,3 +179,25 @@ def test_check_word():
     ABC.check_word("abcabc")
     with pytest.raises(ValueError):
         ABC.check_word("abd")
+
+
+def test_row_bits_lists_the_members_that_state_bits_lists():
+    rng = random.Random(20261019)
+    rows = [0, 1, 2, 1 << 200, (1 << 300) - 1]
+    for _ in range(400):
+        bits = rng.choice((3, 20, 64, 500, 5000))
+        density = rng.choice((0.02, 0.5, 0.98))
+        rows.append(sum(1 << i for i in range(bits) if rng.random() < density))
+    for row in rows:
+        assert row_bits(row) == list(state_bits(row))
+
+
+def test_row_bits_reads_a_long_row_in_one_pass():
+    # state_bits copies the int at each member: about 2 s on this row.
+    rng = random.Random(7)
+    row = rng.getrandbits(1 << 18) | 1 << (1 << 18)
+    start = time.perf_counter()
+    members = row_bits(row)
+    elapsed = time.perf_counter() - start
+    assert len(members) == row.bit_count() and members[-1] == 1 << 18
+    assert elapsed < 0.5, elapsed

@@ -750,11 +750,17 @@ def main(argv=None) -> int:
         code = _run(sys.argv[1:] if argv is None else list(argv))
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader went away (``| head``): stop quietly, and send what is
-        # still buffered to the null device so that exit stays quiet too.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # A reader went away (``| head``): stop quietly, with exit 1.  What
+        # is still buffered for the stream that lost its reader goes to the
+        # null device, so that exit stays quiet too; the other stream keeps
+        # all it was given.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
         return 1
     return code
 

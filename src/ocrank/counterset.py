@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .words import mask_image, row_bits, state_mask
+from .words import mask_image, state_bits, state_mask
 
 
 class CertificationError(RuntimeError):
@@ -133,7 +133,7 @@ def _canonical(
 
 def _upset(finite: int, threshold: int, period: int, residues: int) -> UPSet:
     """The :class:`UPSet` of a canonical form from :func:`_canonical`."""
-    return UPSet(threshold, frozenset(row_bits(finite)), period, frozenset(row_bits(residues)))
+    return UPSet(threshold, frozenset(state_bits(finite)), period, frozenset(state_bits(residues)))
 
 
 def _fold_row(row: int, start: int, period: int) -> tuple[int, int, int, int]:
@@ -472,6 +472,6 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
     types_of = {}  # each meet's members below 2P
     for finite, threshold, p, residues in forms.values():
         tail = _repeat(residues, p, 2 * period) >> threshold << threshold
-        types_of[finite, threshold, p, residues] = frozenset(row_bits(finite | tail))
+        types_of[finite, threshold, p, residues] = frozenset(state_bits(finite | tail))
     types = {q: types_of[form] for q, form in zip(states, meets)}
     return NSetReport(period, types, cap, states, minus, plus, meets)

@@ -11,7 +11,7 @@ the counter levels share.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -182,24 +182,25 @@ def state_mask(states: Iterable[int]) -> int:
     return mask
 
 
-def state_bits(mask: int) -> Iterator[int]:
-    """The states of a bitmask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 _ONE = re.compile("1")
 
 
-def row_bits(row: int) -> list[int]:
-    """The members of a long bit row, lowest first, in one pass.
+def state_bits(mask: int) -> list[int]:
+    """The states of a bitmask, lowest first.
 
-    :func:`state_bits` copies the int at each member, which is quadratic
-    on rows of thousands of bits; it stays faster on small state masks.
+    Peeling off the lowest bit copies the int at each member, which is
+    quadratic on the counter rows of long level cycles, so a mask of more
+    than 32 members, about where the two cost the same, is read in one
+    pass over its binary digits instead.
     """
-    return [m.start() for m in _ONE.finditer(bin(row)[:1:-1])]
+    if mask.bit_count() > 32:
+        return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 def mask_image(mask: int, table) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 import jsonschema
 import pytest
 
+import argparse_record
 from conftest import FIXTURE_DIR, M138, M365, fixture_path
 import oracles
 import ocrank
@@ -29,6 +31,9 @@ from ocrank.rank import RocAtom, RocConcat, RocPlus
 from ocrank.transducer import Transducer
 
 SCHEMA_PATH = os.path.join(FIXTURE_DIR, "..", "schema.json")
+
+with open(argparse_record.RECORD_PATH, encoding="utf-8") as fh:
+    ARGPARSE_RECORD = json.load(fh)
 
 DEEP_CHAIN = """
 alphabet a b
@@ -421,10 +426,8 @@ def test_bad_fixture_exits_one(capsys, tmp_path):
 
 
 def test_help_exits_zero(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    expected = oracles.argparse_front(["--help"])
     monkeypatch.setenv("COLUMNS", "40")  # the help no longer follows the width
-    assert run_cli(capsys, ["--help"]) == expected == (0, cli._HELP, "")
+    assert run_cli(capsys, ["--help"]) == (0, ARGPARSE_RECORD["help"], "")
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
@@ -448,65 +451,44 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
 
 # --- the command-line grammar against argparse ---------------------------------------
 
-_COMMAND_WORDS = ("nsets", "mprime", "dot", "rank", "enumerate", "check")
-_OPTION_NAMES = ("--input-cap", "--output-cap", "--counter-cap", "--json", "--dot")
-_GOOD_VALUES = ("0", "3", "12", "+3", " 7 ", "1_0", "\u0663", "f.oct")
-_BAD_VALUES = (
-    "-3", "-0", "-1.5", "-.5", "-5.", "-1e5", "-3\n", "-\u0663", "x", "", "3.5", "a b",
-    "-x y", "-", "=", "a=b", "-h", "--h",
-)
-_NOISE = (
-    "ranks", "", "-", "-3", "-x", "--", "-h", "--help", "--he", "-h=3", "-h=", "-hh", "--help=1",
-    "--=x", "--=", "---", "--x", "-x y", "--inp x", "-i", "=", "a b", "-f x", "-5",
-)
 
-
-def draw_argv(rng) -> list[str]:
-    """A command line: a command, a path and options, then some noise.
-
-    Options come in full, as a prefix, and in ``=`` form, with good, bad,
-    negative and missing values; the noise is bad commands, loose values,
-    ``--`` and forms of ``-h``.
-    """
-    argv = [rng.choice(_COMMAND_WORDS), rng.choice(("f.oct", "g", "-5"))][: rng.randint(0, 2)]
-    for _ in range(rng.randint(0, 3)):
-        name = rng.choice(_OPTION_NAMES)
-        name = name[: rng.randint(3, len(name))]  # a unique prefix, or in full
-        value = rng.choice(_GOOD_VALUES if rng.random() < 0.75 else _BAD_VALUES)
-        r = rng.random()
-        words = [f"{name}={value}"] if r < 0.3 else [name] if r < 0.4 else [name, value]
-        at = rng.randint(0, len(argv))
-        argv[at:at] = words
-    for _ in range(rng.choice((0, 0, 1, 1, 2))):
-        argv.insert(rng.randint(0, len(argv)), rng.choice(_NOISE + _BAD_VALUES))
-    return argv
-
-
-def test_the_parser_matches_argparse_on_drawn_command_lines(capsys, monkeypatch):
-    # Lines where "--" is a value (a second "--", or "--opt=--") are left
-    # to the test below: argparse before Python 3.13 set such a field to
-    # an empty list.
-    monkeypatch.setenv("COLUMNS", "80")
-    rng = random.Random(20261019)
-    outcomes = collections.Counter()
-    compared = 0
-    while compared < 3000:
-        argv = draw_argv(rng)
-        if argv.count("--") > 1 or any(a.endswith("=--") for a in argv):
-            continue
-        compared += 1
-        expected = oracles.argparse_front(argv)
-        if isinstance(expected, dict):
-            assert vars(cli._parse_args(argv)) == expected, argv
-            outcomes["fields"] += 1
-        else:
-            assert run_cli(capsys, argv) == expected, argv
-            outcomes[expected[2].split(":")[2].strip() if expected[2] else "help"] += 1
-    assert outcomes["fields"] >= 300 and outcomes["help"] >= 100, outcomes
+def test_the_record_lists_the_drawn_command_lines():
+    lines = ARGPARSE_RECORD["lines"]
+    assert [line["argv"] for line in lines] == argparse_record.drawn_lines()
+    kinds = collections.Counter(
+        "fields" if "fields" in line else "help" if "help" in line
+        else line["error"].split(":")[0] for line in lines
+    )
+    assert kinds["fields"] >= 300 and kinds["help"] >= 100, kinds
     for kind in ("argument command", "the following arguments are required",
                  "argument --input-cap", "argument --json", "argument -h/--help",
                  "unrecognized arguments", "ambiguous option"):
-        assert outcomes[kind] >= 20, (kind, outcomes)
+        assert kinds[kind] >= 20, (kind, kinds)
+
+
+def test_the_parser_matches_the_argparse_record(capsys):
+    # The record holds argparse's reading of 3,000 seeded command lines,
+    # so this check does not depend on the argparse of this interpreter.
+    for line in ARGPARSE_RECORD["lines"]:
+        argv = line["argv"]
+        if "fields" in line:
+            assert vars(cli._parse_args(argv)) == line["fields"], argv
+        elif "help" in line:
+            assert run_cli(capsys, argv) == (0, ARGPARSE_RECORD["help"], ""), argv
+        else:
+            assert run_cli(capsys, argv) == (1, "", f"ocrank: error: {line['error']}\n"), argv
+
+
+@pytest.mark.skipif(
+    platform.python_version() not in ARGPARSE_RECORD["argparse_of"],
+    reason="the record is argparse's reading on the Python releases it names",
+)
+def test_the_record_is_what_argparse_gives(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    help_text = ARGPARSE_RECORD["help"]
+    assert oracles.argparse_front(["--help"]) == (0, help_text, "")
+    for line in ARGPARSE_RECORD["lines"]:
+        assert argparse_record.argparse_outcome(line["argv"], help_text) == line
 
 
 @pytest.mark.parametrize(
@@ -580,6 +562,30 @@ def test_a_closed_stdout_ends_quietly(unbuffered, command):
         os.close(write_end)
     assert "Traceback" not in done.stderr
     assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stderr_keeps_what_stdout_was_given(tmp_path, unbuffered):
+    # rank prints its bound, then fails to write --json and reports that
+    # on stderr, whose reader has gone.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ocrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "ocrank", "rank", fixture_path("fig1.oct")]
+    whole = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (whole.returncode, whole.stderr) == (0, "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [*argv, "--json", str(tmp_path / "missing" / "out.json")],
+            env=env, stdout=subprocess.PIPE, stderr=write_end, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stdout) == (1, whole.stdout)
 
 
 @pytest.mark.parametrize(

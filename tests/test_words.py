@@ -13,6 +13,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import mask_bits
 from ocrank.words import (
     BINARY,
     Alphabet,
@@ -24,7 +25,6 @@ from ocrank.words import (
     lex_less,
     open_depth,
     primitive_root,
-    row_bits,
     state_bits,
 )
 
@@ -181,7 +181,7 @@ def test_check_word():
         ABC.check_word("abd")
 
 
-def test_row_bits_lists_the_members_that_state_bits_lists():
+def test_state_bits_lists_the_members_bit_by_bit():
     rng = random.Random(20261019)
     rows = [0, 1, 2, 1 << 200, (1 << 300) - 1]
     for _ in range(400):
@@ -189,15 +189,16 @@ def test_row_bits_lists_the_members_that_state_bits_lists():
         density = rng.choice((0.02, 0.5, 0.98))
         rows.append(sum(1 << i for i in range(bits) if rng.random() < density))
     for row in rows:
-        assert row_bits(row) == list(state_bits(row))
+        assert state_bits(row) == mask_bits(row)
 
 
-def test_row_bits_reads_a_long_row_in_one_pass():
-    # state_bits copies the int at each member: about 2 s on this row.
+def test_state_bits_reads_a_long_row_in_one_pass():
+    # Peeling off one bit at a time copies the int at each member: about
+    # 2 s on this row.
     rng = random.Random(7)
     row = rng.getrandbits(1 << 18) | 1 << (1 << 18)
     start = time.perf_counter()
-    members = row_bits(row)
+    members = state_bits(row)
     elapsed = time.perf_counter() - start
     assert len(members) == row.bit_count() and members[-1] == 1 << 18
     assert elapsed < 0.5, elapsed

@@ -28,7 +28,6 @@ from .rank import (
     RocConcat,
     RocExpr,
     RocPlus,
-    Unknown,
     analyze_machine,
     expr_rank_bound,
 )
@@ -151,11 +150,17 @@ def _parse_expr_directive(
     )
 
 
+# Each header line and what it needs; 'initial' takes exactly one word.
+_HEADERS = {
+    "alphabet": "at least one letter",
+    "states": "at least one state",
+    "initial": "exactly one state",
+    "final": "at least one state",
+}
+
+
 def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transducer:
-    alphabet: Alphabet | None = None
-    states: list[str] | None = None
-    initial: str | None = None
-    finals: list[str] | None = None
+    headers: dict[str, list[str]] = {}
     # Each 'trans' line's (src, bit, tgt, regex text), in order, with its line.
     trans_lines: dict[tuple[str, str, str, str], int] = {}
 
@@ -163,11 +168,11 @@ def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transduce
         raise FixtureError(f"{name}:{lineno}: {msg}")
 
     for lineno, parts in entries:
-        word = parts[0]
+        word, *rest = parts
         if word == "trans":
             if len(parts) != 5:
                 fail(lineno, "'trans' needs: trans <src> <0|1> <tgt> <regex>")
-            _, src, bit_text, tgt, regex_text = parts
+            src, bit_text, tgt, regex_text = rest
             if bit_text not in ("0", "1"):
                 fail(lineno, f"input bit must be 0 or 1, got {bit_text!r}")
             key = (src, bit_text, tgt, regex_text)
@@ -175,47 +180,25 @@ def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transduce
                 fail(lineno, f"duplicate transition {src} -{bit_text}-> {tgt}")
             trans_lines[key] = lineno
             continue
-        rest = parts[1:]
+        if word not in _HEADERS:
+            fail(lineno, f"unknown directive {word!r}")
+        if word in headers:
+            fail(lineno, f"duplicate {word!r} line")
+        if not rest or word == "initial" and len(rest) > 1:
+            fail(lineno, f"{word!r} needs {_HEADERS[word]}")
         if word == "alphabet":
-            if alphabet is not None:
-                fail(lineno, "duplicate 'alphabet' line")
-            if not rest:
-                fail(lineno, "'alphabet' needs at least one letter")
             try:
                 alphabet = Alphabet(tuple(rest))
             except ValueError as exc:
                 fail(lineno, str(exc))
-        elif word == "states":
-            if states is not None:
-                fail(lineno, "duplicate 'states' line")
-            if not rest:
-                fail(lineno, "'states' needs at least one state")
-            if len(set(rest)) != len(rest):
-                fail(lineno, "duplicate state names")
-            states = rest
-        elif word == "initial":
-            if initial is not None:
-                fail(lineno, "duplicate 'initial' line")
-            if len(rest) != 1:
-                fail(lineno, "'initial' needs exactly one state")
-            initial = rest[0]
-        elif word == "final":
-            if finals is not None:
-                fail(lineno, "duplicate 'final' line")
-            if not rest:
-                fail(lineno, "'final' needs at least one state")
-            finals = rest
-        else:
-            fail(lineno, f"unknown directive {word!r}")
+        elif word == "states" and len(set(rest)) != len(rest):
+            fail(lineno, "duplicate state names")
+        headers[word] = rest
 
-    for missing, value in (
-        ("alphabet", alphabet), ("states", states),
-        ("initial", initial), ("final", finals),
-    ):
-        if value is None:
-            raise FixtureError(f"{name}: missing '{missing}' line")
-
-    assert states is not None and alphabet is not None and finals is not None
+    for word in _HEADERS:
+        if word not in headers:
+            raise FixtureError(f"{name}: missing {word!r} line")
+    states, (initial,), finals = headers["states"], headers["initial"], headers["final"]
     known = set(states)
     if initial not in known:
         raise FixtureError(f"{name}: initial state {initial!r} not declared")
@@ -275,40 +258,45 @@ def render_fixture(fixture: Fixture) -> str:
 # DOT emission
 
 
-def machine_dot(machine: Transducer) -> str:
-    lines = [
-        "digraph transducer {",
-        "  rankdir=LR;",
-        '  __start [shape=point, label=""];',
-    ]
-    for q in machine.states:
-        shape = "doublecircle" if q in machine.finals else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
-    lines.append(f'  __start -> "{machine.initial}";')
-    for t in machine.transitions:
-        lines.append(f'  "{t.source}" -> "{t.target}" [label="{t.bit} / {t.output}"];')
+def _quoted(text: str) -> str:
+    """A DOT quoted string: ``\\`` and ``"`` escaped with a backslash."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot(graph: str, nodes, initial, edges) -> str:
+    """GraphViz source: ``nodes`` are (id, final, label or None), ``edges``
+    (source, target, label); every ID and label is quoted."""
+    lines = [f"digraph {graph} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    for q, final, label in nodes:
+        shape = "doublecircle" if final else "circle"
+        shown = "" if label is None else f", label={_quoted(label)}"
+        lines.append(f"  {_quoted(q)} [shape={shape}{shown}];")
+    lines.append(f"  __start -> {_quoted(initial)};")
+    for source, target, label in edges:
+        lines.append(f"  {_quoted(source)} -> {_quoted(target)} [label={_quoted(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def machine_dot(machine: Transducer) -> str:
+    return _dot(
+        "transducer",
+        [(q, q in machine.finals, None) for q in machine.states],
+        machine.initial,
+        [(t.source, t.target, f"{t.bit} / {t.output}") for t in machine.transitions],
+    )
 
 
 def prime_dot(prime: TransducerPrime) -> str:
-    lines = [
-        "digraph leveled {",
-        "  rankdir=LR;",
-        '  __start [shape=point, label=""];',
-    ]
-    for s in prime.states:
-        shape = "doublecircle" if s in prime.finals else "circle"
-        label = f"{s.state},{s.level},{s.phase}"
-        lines.append(f'  "{s.render()}" [shape={shape}, label="{label}"];')
-    lines.append(f'  __start -> "{prime.initial.render()}";')
-    for t in prime.transitions:
-        lines.append(
-            f'  "{t.source.render()}" -> "{t.target.render()}" '
-            f'[label="{t.bit} / {t.output} ({t.rule})"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(
+        "leveled",
+        [(s.render(), s in prime.finals, f"{s.state},{s.level},{s.phase}") for s in prime.states],
+        prime.initial.render(),
+        [
+            (t.source.render(), t.target.render(), f"{t.bit} / {t.output} ({t.rule})")
+            for t in prime.transitions
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +386,7 @@ def _cmd_mprime(machine: Transducer, args, out) -> tuple[int, dict]:
     return 0, payload
 
 
-def _cmd_dot(fixture: Fixture, args, out) -> tuple[int, dict | None]:
-    machine = _require_machine(fixture, "dot")
+def _cmd_dot(machine: Transducer, args, out) -> tuple[int, None]:
     text = machine_dot(machine)
     if args.dot:
         _write_text(args.dot, text)
@@ -408,21 +395,10 @@ def _cmd_dot(fixture: Fixture, args, out) -> tuple[int, dict | None]:
     return 0, None
 
 
-def _witness_json(word1: str, word2: str, description: str, state) -> dict:
-    return {
-        "word1": word1,
-        "word2": word2,
-        "description": description,
-        "state": state.render() if hasattr(state, "render") else state,
-    }
-
-
-def _cmd_rank(fixture: Fixture, args, out) -> tuple[int, dict]:
+def _cmd_rank(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]:
     components_json = None
-    if fixture.is_machine:
-        machine = fixture.value
-        assert isinstance(machine, Transducer)
-        analysis = analyze_machine(machine, counter_cap=args.counter_cap)
+    if isinstance(subject, Transducer):
+        analysis = analyze_machine(subject, counter_cap=args.counter_cap)
         result = analysis.result
         if args.json:  # no other output shows the components
             components_json = []
@@ -438,63 +414,49 @@ def _cmd_rank(fixture: Fixture, args, out) -> tuple[int, dict]:
                     }
                 )
     else:
-        expr = fixture.value
-        assert isinstance(expr, RocExpr)
-        result = expr_rank_bound(expr, counter_cap=args.counter_cap)
+        result = expr_rank_bound(subject, counter_cap=args.counter_cap)
 
+    payload = {
+        "command": "rank",
+        "bound": None,
+        "status": type(result).__name__,  # a bound replaces it with its own status
+        "witness": None,
+        "derivation": [],
+        "components": components_json,
+    }
     if isinstance(result, RankBound):
         print(f"bound: {result.value.render()}", file=out)
         print(f"status: {result.status}", file=out)
         for line in result.derivation:
             print(f"  {line}", file=out)
-        payload = {
-            "command": "rank",
-            "bound": result.value.render(),
-            "status": result.status,
-            "witness": None,
-            "derivation": list(result.derivation),
-            "components": components_json,
-        }
+        payload.update(
+            bound=result.value.render(), status=result.status, derivation=list(result.derivation)
+        )
         return 0, payload
     if isinstance(result, NotScattered):
         print("not scattered", file=out)
         print(f"  word1: {result.word1}", file=out)
         print(f"  word2: {result.word2}", file=out)
         print(f"  {result.description}", file=out)
-        payload = {
-            "command": "rank",
-            "bound": None,
-            "status": "NotScattered",
-            "witness": _witness_json(
-                result.word1, result.word2, result.description, result.state
-            ),
-            "derivation": [],
-            "components": components_json,
+        state = result.state
+        payload["witness"] = {
+            "word1": result.word1,
+            "word2": result.word2,
+            "description": result.description,
+            "state": state.render() if hasattr(state, "render") else state,
         }
         return 2, payload
-    assert isinstance(result, Unknown)
     print(f"unknown: {result.reason}", file=out)
-    payload = {
-        "command": "rank",
-        "bound": None,
-        "status": "Unknown",
-        "witness": None,
-        "derivation": [result.reason],
-        "components": components_json,
-    }
+    payload["derivation"] = [result.reason]
     return 3, payload
 
 
-def _cmd_enumerate(fixture: Fixture, args, out) -> tuple[int, dict]:
-    if fixture.is_machine:
-        machine = fixture.value
-        assert isinstance(machine, Transducer)
-        result = harness.enumerate(machine, args.input_cap, args.output_cap)
+def _cmd_enumerate(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]:
+    if isinstance(subject, Transducer):
+        result = harness.enumerate(subject, args.input_cap, args.output_cap)
         words, truncated = result.words, result.truncated
     else:
-        expr = fixture.value
-        assert isinstance(expr, RocExpr)
-        words = harness.enumerate_expr(expr, args.input_cap, args.output_cap)
+        words = harness.enumerate_expr(subject, args.input_cap, args.output_cap)
         truncated = None  # the expression view cannot tell
     out.write("".join([w + "\n" for w in words]))
     if truncated:
@@ -604,7 +566,15 @@ options:
   --dot PATH
 """
 
-_COMMANDS = ("nsets", "mprime", "dot", "rank", "enumerate", "check")
+# Each command's function, and whether it needs a machine rather than an expression.
+_COMMANDS = {
+    "nsets": (_cmd_nsets, True),
+    "mprime": (_cmd_mprime, True),
+    "dot": (_cmd_dot, True),
+    "rank": (_cmd_rank, False),
+    "enumerate": (_cmd_enumerate, False),
+    "check": (_cmd_check, True),
+}
 _CHOICES = ", ".join(map(repr, _COMMANDS))
 # Each option string, in argparse's order, with the field it sets; help sets none.
 _OPTIONS = {
@@ -737,14 +707,6 @@ def _write_text(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _require_machine(fixture: Fixture, command: str) -> Transducer:
-    if not fixture.is_machine:
-        raise _UsageError(f"'{command}' needs a machine fixture, not an expression")
-    machine = fixture.value
-    assert isinstance(machine, Transducer)
-    return machine
-
-
 def main(argv=None) -> int:
     try:
         code = _run(sys.argv[1:] if argv is None else list(argv))
@@ -784,20 +746,11 @@ def _run(argv: list[str]) -> int:
         print(f"ocrank: cannot read {args.fixture}: {exc}", file=sys.stderr)
         return 1
 
-    out = sys.stdout
+    command, machine_only = _COMMANDS[args.command]
     try:
-        if args.command == "nsets":
-            code, payload = _cmd_nsets(_require_machine(fixture, "nsets"), args, out)
-        elif args.command == "mprime":
-            code, payload = _cmd_mprime(_require_machine(fixture, "mprime"), args, out)
-        elif args.command == "dot":
-            code, payload = _cmd_dot(fixture, args, out)
-        elif args.command == "rank":
-            code, payload = _cmd_rank(fixture, args, out)
-        elif args.command == "enumerate":
-            code, payload = _cmd_enumerate(fixture, args, out)
-        else:
-            code, payload = _cmd_check(_require_machine(fixture, "check"), args, out)
+        if machine_only and not fixture.is_machine:
+            raise _UsageError(f"'{args.command}' needs a machine fixture, not an expression")
+        code, payload = command(fixture.value, args, sys.stdout)
         if args.json and payload is not None:
             _write_text(args.json, json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     except _UsageError as exc:

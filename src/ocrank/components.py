@@ -18,11 +18,10 @@ primitive root v is the root, and every transition's whole output must
 read v^ω from its source's position to its target's.  Stage 1 labels the
 component as one; stage 2's tight transitions may fall apart, and it
 labels their components.  A cycle language is built only for the clash
-that becomes the verdict (:func:`regular.expand_graph`): on the arcs
-between the clashing component's anchors, those into its first anchor
-sent to a sink, from that anchor to the sink.  Its words are the outputs
-of single returns, and :func:`regular.cycle_witness` reads the witness
-off them.
+that becomes the verdict, from the stage's own arc lists
+(:func:`regular.single_returns`): its words are the outputs of the single
+returns to the clashing component's first anchor, and
+:func:`regular.cycle_witness` reads the witness off them.
 """
 
 from __future__ import annotations
@@ -174,21 +173,21 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         source, target, b, _ = prime.arcs[k]
         weight, w, a = samples[b]
         arcs.append((node[source], weight, node[target], w, a))
-    roots = _roots(anchors, arcs, [list(range(len(anchors)))])
+    out = _out_arcs(len(anchors), arcs)
+    roots = regular.cycle_roots(out, [list(range(len(anchors)))])
     if isinstance(roots, dict):
-        return FullyCertified(roots)
+        return FullyCertified({s: roots[x] for x, s in enumerate(anchors)})
     tight = tight_transitions(arcs)
     if c.phase in ("up", "down") and tight != arcs:
         raise AssertionError(f"{c.phase} component {anchors} has a nonzero-weight cycle")
     if tight is not None and len(tight) < len(arcs):
-        arcs = tight
-        targets: list[list[int]] = [[] for _ in anchors]
-        for x, _, y, _, _ in arcs:
-            targets[x].append(y)
-        roots = _roots(anchors, arcs, sorted(regular.tarjan_sccs(len(anchors), targets)))
+        out = _out_arcs(len(anchors), tight)
+        targets = [[y for y, _, _ in row] for row in out]
+        roots = regular.cycle_roots(out, sorted(regular.tarjan_sccs(len(anchors), targets)))
         if isinstance(roots, dict):
-            return ZeroCertified(roots)
-    return _witness(anchors, arcs, roots, prime.alphabet)
+            return ZeroCertified({s: roots[x] for x, s in enumerate(anchors)})
+    cycles = regular.single_returns(out, roots, prime.alphabet)
+    return QuasiDenseWitness(anchors[roots[0]], *regular.cycle_witness(cycles))
 
 
 def _samples(prime: TransducerPrime) -> list[tuple[int, str, Automaton]]:
@@ -211,26 +210,9 @@ def _samples(prime: TransducerPrime) -> list[tuple[int, str, Automaton]]:
     return prime._samples
 
 
-def _roots(anchors: list[TypedState], arcs, components: list[list[int]]):
-    """:func:`regular.cycle_roots` on ``arcs`` over ``components``: each
-    anchor's root, in anchor order, or the clashing component's members."""
-    out: list[list[tuple[int, str, Automaton]]] = [[] for _ in anchors]
+def _out_arcs(n: int, arcs) -> list[list[tuple[int, str, Automaton]]]:
+    """Each node's out-arcs (y, w, automaton), as :func:`regular.cycle_roots` takes them."""
+    out: list[list[tuple[int, str, Automaton]]] = [[] for _ in range(n)]
     for x, _, y, w, a in arcs:
         out[x].append((y, w, a))
-    found = regular.cycle_roots(out, components)
-    if isinstance(found, list):
-        return found
-    return {s: found[x] for x, s in enumerate(anchors)}
-
-
-def _witness(anchors: list[TypedState], arcs, members: list[int], alphabet) -> QuasiDenseWitness:
-    """The witness of the clash :func:`regular.cycle_roots` reported on
-    ``members``, a strongly connected component of ``arcs``.  Its cycle
-    words are read along the single returns to its first anchor a:
-    :func:`regular.expand_graph` on the arcs between the component's
-    anchors, those into a sent to a sink, from a to the sink.
-    """
-    first, inside = members[0], set(members)
-    kept = [(x, a, None if y == first else y) for x, _, y, _, a in arcs if {x, y} <= inside]
-    cycles = regular.expand_graph([*members, None], kept, [first], [None], alphabet)
-    return QuasiDenseWitness(anchors[first], *regular.cycle_witness(cycles))
+    return out

@@ -780,6 +780,24 @@ def cycle_roots(
     return roots
 
 
+def single_returns(arcs, members: list[int], alphabet: Alphabet) -> Automaton:
+    """The words read along the single returns to ``members[0]``.
+
+    ``arcs`` are :func:`cycle_roots`' arc lists and ``members`` the
+    component it reported.  :func:`expand_graph` runs on the arcs between
+    the members, those into the first member sent to a sink, from the first
+    member to the sink; an arc without a language reads its letter w.
+    """
+    first, inside = members[0], state_mask(members)
+    kept = [
+        (x, language or literal_automaton(w, alphabet), None if y == first else y)
+        for x in members
+        for y, w, language in arcs[x]
+        if inside >> y & 1
+    ]
+    return expand_graph([*members, None], kept, [first], [None], alphabet)
+
+
 def cycle_witness(cycles: Automaton) -> tuple[str, str]:
     """The witness ``(m, x)`` of a clash that :func:`cycle_roots` reported.
 
@@ -854,17 +872,7 @@ def _decide_scattered(a: Automaton) -> Scattered | QuasiDense:
     arcs = [[(t, ch, None) for ch, m in row.items() for t in state_bits(m)] for row in d.edges]
     roots = cycle_roots(arcs, sorted(components))
     if isinstance(roots, list):
-        # The single returns to the clash's first state: the DFA's rows, kept
-        # on its component, with the arcs into that state sent to a sink.
-        n, moved = len(roots), [0] * d.n
-        for i, q in enumerate(roots):
-            moved[q] = 1 << i
-        moved[roots[0]] = 1 << n
-        rows = [
-            {ch: t for ch, m in d.edges[q].items() if (t := mask_image(m, moved))} for q in roots
-        ]
-        cycles = Automaton(d.alphabet, n + 1, rows + [{}], frozenset({0}), frozenset({n}))
-        return QuasiDense(roots[0], *cycle_witness(cycles))
+        return QuasiDense(roots[0], *cycle_witness(single_returns(arcs, roots, d.alphabet)))
     # Longest path in the condensation counting only looping components.
     # Tarjan lists them in reverse topological order, so successors come first.
     comp_of = [0] * d.n

@@ -7,6 +7,7 @@ import json
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,7 @@ from ocrank.cli import (
     render_fixture,
 )
 from ocrank.rank import RocAtom, RocConcat, RocPlus
-from ocrank.transducer import Transducer
+from ocrank.transducer import Transducer, build_mprime
 
 SCHEMA_PATH = os.path.join(FIXTURE_DIR, "..", "schema.json")
 
@@ -408,13 +409,15 @@ def test_line_ends_are_read_as_a_text_mode_read_gives_them(tmp_path, bad_line):
         assert got.startswith("ends.oct:5: bad regex") == bad_line
 
 
-def test_machine_command_rejects_expression_fixture(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["nsets", "mprime", "check", "dot"])
+def test_machine_command_rejects_expression_fixture(capsys, tmp_path, command):
     fig1 = os.path.abspath(fixture_path("fig1.oct"))
     path = tmp_path / "iter.oct"
     path.write_text(f"expr plus {fig1}\n")
-    code, _, err = run_cli(capsys, ["nsets", str(path)])
+    code, out, err = run_cli(capsys, [command, str(path)])
     assert code == 1
-    assert "needs a machine fixture" in err
+    assert out == ""
+    assert err == f"ocrank: error: '{command}' needs a machine fixture, not an expression\n"
 
 
 def test_bad_fixture_exits_one(capsys, tmp_path):
@@ -760,6 +763,74 @@ def test_dot_output_stdout_and_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("digraph transducer {")
+
+
+# State names and a letter that DOT must escape: a quote and a backslash.
+QUOTED = r"""
+alphabet a " \
+states s"0 s\1
+initial s"0
+final s\1
+trans s"0 0 s"0 "a
+trans s"0 1 s\1 \+a
+trans s\1 1 s\1 "*
+"""
+
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def dot_lines(text: str) -> list[tuple[str, list[str]]]:
+    """Each line of DOT source as (the line with every quoted string put as
+    Q, the strings unescaped)."""
+    lines = []
+    for line in text.splitlines():
+        strings = [re.sub(r"\\(.)", r"\1", q[1:-1]) for q in DOT_STRING.findall(line)]
+        lines.append((DOT_STRING.sub("Q", line), strings))
+    return lines
+
+
+def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    path = tmp_path / "quoted.oct"
+    path.write_text(QUOTED, encoding="utf-8")
+    machine = parse_fixture(QUOTED).value
+    assert machine.states == ('s"0', "s\\1") and '"' in machine.alphabet.letters
+    prime = build_mprime(machine, counterset.reach_sets(machine))
+    head = [("  rankdir=LR;", []), ("  __start [shape=point, label=Q];", [""])]
+
+    def shape(final: bool) -> str:
+        return "doublecircle" if final else "circle"
+
+    code, out, _ = run_cli(capsys, ["dot", str(path)])
+    assert code == 0
+    assert dot_lines(out) == [
+        ("digraph transducer {", []), *head,
+        *[(f"  Q [shape={shape(q in machine.finals)}];", [q]) for q in machine.states],
+        ("  __start -> Q;", [machine.initial]),
+        *[
+            ("  Q -> Q [label=Q];", [t.source, t.target, f"{t.bit} / {t.output}"])
+            for t in machine.transitions
+        ],
+        ("}", []),
+    ]
+
+    target = tmp_path / "prime.dot"
+    code, _, _ = run_cli(capsys, ["mprime", str(path), "--dot", str(target)])
+    assert code == 0
+    assert dot_lines(target.read_text(encoding="utf-8")) == [
+        ("digraph leveled {", []), *head,
+        *[
+            (f"  Q [shape={shape(s in prime.finals)}, label=Q];",
+             [s.render(), f"{s.state},{s.level},{s.phase}"])
+            for s in prime.states
+        ],
+        ("  __start -> Q;", [prime.initial.render()]),
+        *[
+            ("  Q -> Q [label=Q];",
+             [t.source.render(), t.target.render(), f"{t.bit} / {t.output} ({t.rule})"])
+            for t in prime.transitions
+        ],
+        ("}", []),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -669,10 +669,11 @@ def test_cycle_roots_match_the_per_anchor_loop_on_random_dfas():
         looping = arc_components(successors, looping_only=True)
         if isinstance(got, tuple):
             assert verdict == QuasiDense(*got)
-            # one cycle language, on the clashing component's states and a sink
+            # one cycle language: the first member, then one state per arc between the members
             members = cycle_roots(dfa_arcs(d), components)
             [cycles] = built
-            assert cycles.n == len(members) + 1
+            inside = [y for x in members for y, _, _ in dfa_arcs(d)[x] if y in members]
+            assert cycles.n == 1 + len(inside)
             assert equivalent(cycles, closed_walks(successors, members[0], members, AB))
             outcomes["dense"] += 1
             outcomes["dense after a passing component"] += min(m[0] for m in looping) < got[0]

@@ -75,6 +75,7 @@ from .rank import (
     RocPlus,
     Unknown,
     analyze_machine,
+    enumerate_expr,
     expr_rank_bound,
     ord_add,
     transducer_rank_bound,
@@ -83,7 +84,6 @@ from .harness import (
     DensityWitness,
     EnumerationResult,
     accepting_runs,
-    enumerate_expr,
     probe_density,
     upset_oracle,
 )
@@ -118,10 +118,10 @@ __all__ = [
     "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",
     "ZeroCertified", "certify_component", "condense",
     "NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",
-    "RocPlus", "Unknown", "analyze_machine", "expr_rank_bound", "ord_add",
-    "transducer_rank_bound",
-    "DensityWitness", "EnumerationResult", "accepting_runs", "enumerate_expr",
-    "probe_density", "upset_oracle",
+    "RocPlus", "Unknown", "analyze_machine", "enumerate_expr", "expr_rank_bound",
+    "ord_add", "transducer_rank_bound",
+    "DensityWitness", "EnumerationResult", "accepting_runs", "probe_density",
+    "upset_oracle",
     "Fixture", "FixtureError", "load_fixture_file", "parse_fixture",
     "render_fixture",
     "__version__",

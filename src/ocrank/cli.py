@@ -29,6 +29,7 @@ from .rank import (
     RocExpr,
     RocPlus,
     analyze_machine,
+    enumerate_expr,
     expr_rank_bound,
 )
 from .regular import Regex, RegexSyntaxError, parse_regex
@@ -141,13 +142,26 @@ def _parse_expr_directive(
             )
         return e
     if kind == "concat" and len(parts) == 4:
-        return RocConcat(sub(parts[2]), sub(parts[3]))
+        left, right = sub(parts[2]), sub(parts[3])
+        letters = [" ".join(_first_machine(side).alphabet.letters) for side in (left, right)]
+        if letters[0] != letters[1]:
+            raise FixtureError(
+                f"{name}:{lineno}: the machines of an expression must share one alphabet; "
+                f"{parts[2]!r} has '{letters[0]}' and {parts[3]!r} has '{letters[1]}'"
+            )
+        return RocConcat(left, right)
     if kind == "plus" and len(parts) == 3:
         return RocPlus(sub(parts[2]))
     raise FixtureError(
         f"{name}:{lineno}: bad expr line; expected "
         "'expr atom F' | 'expr concat F1 F2' | 'expr plus F'"
     )
+
+
+def _first_machine(e: RocExpr) -> Transducer:
+    while not isinstance(e, RocAtom):
+        e = e.left if isinstance(e, RocConcat) else e.body
+    return e.machine
 
 
 # Each header line and what it needs; 'initial' takes exactly one word.
@@ -456,7 +470,7 @@ def _cmd_enumerate(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]
         result = harness.enumerate(subject, args.input_cap, args.output_cap)
         words, truncated = result.words, result.truncated
     else:
-        words = harness.enumerate_expr(subject, args.input_cap, args.output_cap)
+        words = enumerate_expr(subject, args.input_cap, args.output_cap)
         truncated = None  # the expression view cannot tell
     out.write("".join([w + "\n" for w in words]))
     if truncated:

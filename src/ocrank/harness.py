@@ -1,9 +1,13 @@
-"""Desk-checking utilities: enumeration, density probes, counter oracles.
+"""Bounded evidence: enumeration, accepting runs, density probes, a counter oracle.
 
-Everything here recomputes facts by elementary means (word sets, plain
-breadth-first search) so tests can confront the certified analyses with
-independent evidence.  Note this module deliberately exports ``enumerate``
-per its interface contract; the shadowed builtin is not used inside.
+``enumerate`` lists a machine's outputs over short inputs for the
+``enumerate`` command, and ``accepting_runs`` gives ``check`` the runs it
+lifts.  ``probe_density`` and ``upset_oracle`` recompute facts by
+elementary means (sampled cycle outputs, plain breadth-first search over
+configurations), so that tests and the benchmark can confront the
+certified analyses with independent evidence.  Note this module
+deliberately exports ``enumerate`` per its interface contract; the
+shadowed builtin is not used inside.
 """
 
 from __future__ import annotations
@@ -11,16 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import regular
-from .rank import RocAtom, RocConcat, RocExpr, RocPlus
+from .rank import RocAtom, RocConcat, RocExpr, RocPlus, enumerate_expr
 from .transducer import (
     LevelingError,
     Transducer,
     Transition,
-    bounded_outputs,
+    bounded_language,
     build_mprime,
 )
 from .counterset import reach_sets
-from .words import distinct_root_pair, lex_key, primitive_root
+from .words import distinct_root_pair, primitive_root
 
 
 @dataclass
@@ -37,52 +41,10 @@ def enumerate(machine: Transducer, input_cap: int, output_cap: int) -> Enumerati
     Words longer than ``output_cap`` are dropped and flagged via
     ``truncated`` instead.
     """
-    lang = bounded_outputs(machine, input_cap)
+    lang = bounded_language(machine, input_cap)
     words = regular.words_up_to(lang, output_cap)
-    if machine.accepts_epsilon and words[:1] != [""]:
-        words.insert(0, "")
     truncated = regular.has_word_longer_than(lang, output_cap)
     return EnumerationResult(words, input_cap, output_cap, truncated)
-
-
-def enumerate_expr(e: RocExpr, input_cap: int, output_cap: int) -> list[str]:
-    """Members of an expression's language, capped and lex-sorted."""
-    if isinstance(e, RocAtom):
-        return enumerate(e.machine, input_cap, output_cap).words
-    if isinstance(e, RocConcat):
-        left = enumerate_expr(e.left, input_cap, output_cap)
-        right = enumerate_expr(e.right, input_cap, output_cap)
-        alphabet = _expr_alphabet(e)
-        joined = {
-            u + v for u in left for v in right if len(u) + len(v) <= output_cap
-        }
-        return sorted(joined, key=lambda w: lex_key(w, alphabet))
-    if isinstance(e, RocPlus):
-        base = enumerate_expr(e.body, input_cap, output_cap)
-        alphabet = _expr_alphabet(e)
-        words = set(base)
-        frontier = set(base)
-        while frontier:
-            fresh = {
-                w + u
-                for w in frontier
-                for u in base
-                if len(w) + len(u) <= output_cap
-            }
-            frontier = fresh - words
-            words |= frontier
-        return sorted(words, key=lambda w: lex_key(w, alphabet))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _expr_alphabet(e: RocExpr):
-    if isinstance(e, RocAtom):
-        return e.machine.alphabet
-    if isinstance(e, RocConcat):
-        return _expr_alphabet(e.left)
-    if isinstance(e, RocPlus):
-        return _expr_alphabet(e.body)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ reverse order) and iteration (bounded by 1, refuted, or unknown).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +27,7 @@ from .transducer import (
     Transducer,
     TransducerPrime,
     TypedState,
+    bounded_language,
     build_mprime,
     live_states,
     minimal_normalize,
@@ -300,20 +301,34 @@ def _expr_is_empty(e: RocExpr, counter_cap: int | None = None) -> bool:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _output_overapprox(e: RocExpr) -> Automaton:
-    """Regular superset of the expression's language (input discipline dropped)."""
+def expr_automaton(e: RocExpr, atom: Callable[[Transducer], Automaton]) -> Automaton:
+    """The expression's language, built from ``atom(machine)`` for each atom.
+
+    A concatenation concatenates its factors' automata and an iteration
+    joins its body's to that one's star; each step is trimmed.  The machines
+    must share one alphabet, which the result keeps.
+    """
     if isinstance(e, RocAtom):
-        m = e.machine
-        arcs = [(t.source, m.compiled_output(t), t.target) for t in m.transitions]
-        return regular.expand_graph(list(m.states), arcs, [m.initial], sorted(m.finals), m.alphabet)
+        return atom(e.machine)
     if isinstance(e, RocConcat):
-        return regular.trim(
-            regular.concat_automata(_output_overapprox(e.left), _output_overapprox(e.right))
-        )
+        left = expr_automaton(e.left, atom)
+        return regular.trim(regular.concat_automata(left, expr_automaton(e.right, atom)))
     if isinstance(e, RocPlus):
-        a = _output_overapprox(e.body)
+        a = expr_automaton(e.body, atom)
         return regular.trim(regular.concat_automata(a, regular.star_automaton(a)))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _counter_blind(m: Transducer) -> Automaton:
+    """A regular superset of a machine's outputs: its graph, input discipline dropped."""
+    arcs = [(t.source, m.compiled_output(t), t.target) for t in m.transitions]
+    return regular.expand_graph(list(m.states), arcs, [m.initial], sorted(m.finals), m.alphabet)
+
+
+def enumerate_expr(e: RocExpr, input_cap: int, output_cap: int) -> list[str]:
+    """Members of length ≤ output_cap, atoms over inputs up to input_cap, lex-sorted."""
+    language = expr_automaton(e, lambda m: bounded_language(m, input_cap))
+    return regular.words_up_to(language, output_cap)
 
 
 def expr_rank_bound(
@@ -335,11 +350,8 @@ def expr_rank_bound(
         left = expr_rank_bound(e.left, counter_cap)
         right = expr_rank_bound(e.right, counter_cap)
         for side in (left, right):
-            if isinstance(side, NotScattered):
+            if not isinstance(side, RankBound):
                 return side
-            if isinstance(side, Unknown):
-                return side
-        assert isinstance(left, RankBound) and isinstance(right, RankBound)
         value = ord_add(right.value, left.value)
         status = (
             CERTIFIED
@@ -360,7 +372,7 @@ def expr_rank_bound(
         inner = expr_rank_bound(e.body, counter_cap)
         if isinstance(inner, NotScattered):
             return inner
-        over = _output_overapprox(e.body)
+        over = expr_automaton(e.body, _counter_blind)
         m = regular.shortest_nonempty_word(over)
         if m is None:
             return RankBound(ZERO, CERTIFIED, ("iteration of {empty word}",))
@@ -391,6 +403,4 @@ def expr_rank_bound(
 def _distinct_root_members(
     e: RocExpr, input_cap: int = 8, output_cap: int = 24
 ) -> tuple[str, str] | None:
-    from . import harness
-
-    return distinct_root_pair(harness.enumerate_expr(e, input_cap, output_cap))
+    return distinct_root_pair(enumerate_expr(e, input_cap, output_cap))

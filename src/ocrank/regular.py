@@ -543,11 +543,13 @@ def has_word_longer_than(a: Automaton, length: int) -> bool:
     ``a`` must be trimmed, as :func:`trim` returns it and as
     :func:`expand_graph` builds it from trimmed arcs: then every walk from
     an initial state extends to an accepted word, so a walk of
-    ``length`` + 1 steps decides.
+    ``length`` + 1 steps decides.  A walk of more than ``a.n`` steps
+    repeats a state, whose loop pumps words past any length, so no more
+    than ``a.n`` + 1 steps are taken.
     """
     successors = [_targets(row) for row in a.edges]
     current = state_mask(a.initials)
-    for _ in range(length + 1):
+    for _ in range(min(length, a.n) + 1):
         if not current:
             return False
         current = mask_image(current, successors)

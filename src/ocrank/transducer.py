@@ -486,8 +486,8 @@ def project_run(lifted: list[TypedTransition]) -> list[Transition]:
 def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automaton:
     """One NFA for the outputs over all nonempty balanced inputs of length ≤ nmax.
 
-    Works on a machine and on its leveled form alike; the empty input is
-    the caller's to add.  The NFA is :func:`regular.expand_graph` on the
+    Works on a machine and on its leveled form alike; :func:`bounded_language`
+    adds the empty input.  The NFA is :func:`regular.expand_graph` on the
     configurations (state, counter c, step i) with 0 ≤ c ≤ nmax − i that
     the initial one reaches, with an arc per transition that reads its
     output language.  The size is polynomial in nmax, where stepping each
@@ -513,6 +513,16 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
     return regular.expand_graph(configs, arcs, configs[:1], finals, machine.alphabet)
 
 
+def bounded_language(machine: Transducer | TransducerPrime, nmax: int) -> Automaton:
+    """The outputs over all balanced inputs of length ≤ nmax, the empty one
+    included when the machine accepts it; trimmed, as :func:`bounded_outputs`."""
+    a = bounded_outputs(machine, nmax)
+    if not machine.accepts_epsilon:
+        return a
+    epsilon = regular.epsilon_automaton(machine.alphabet)
+    return regular.union_automata(a, epsilon) if a.finals else epsilon
+
+
 def default_output_cap(machine: Transducer, nmax: int) -> int:
     pump = max((machine.compiled_output(t).n for t in machine.transitions), default=1)
     return 4 * nmax * pump
@@ -533,14 +543,8 @@ def bounded_language_equal(
     """
     if output_cap is None:
         output_cap = default_output_cap(machine, nmax)
-    a = bounded_outputs(machine, nmax)
-    b = bounded_outputs(prime, nmax)
-    # The empty input: the machine accepts it when its initial state is
-    # final, the leveled form when it carries the flag.
-    if machine.initial in machine.finals:
-        a = regular.union_automata(a, regular.epsilon_automaton(machine.alphabet))
-    if prime.accepts_epsilon:
-        b = regular.union_automata(b, regular.epsilon_automaton(prime.alphabet))
+    a = bounded_language(machine, nmax)
+    b = bounded_language(prime, nmax)
     truncated = regular.has_word_longer_than(a, output_cap) or regular.has_word_longer_than(
         b, output_cap
     )

@@ -406,3 +406,36 @@ def test_09_coprime_ladders_rank_within_their_budgets(tmp_path, capsys):
         ]
         assert cli.main(["nsets", fixture]) == 0
         assert capsys.readouterr().out.startswith(f"P = {period}\n")
+
+
+def test_10_check_with_a_huge_output_cap_walks_no_longer_than_the_automaton(capsys):
+    # The truncation test walks at most one step more than the automaton
+    # has states: past that a walk repeats a state, whose loop pumps words
+    # past any length.  Walking output-cap steps took minutes at 10^9.
+    fig1 = fixture_path("fig1.oct")
+    assert cli.main(["check", fig1, "--output-cap", "100000"]) == 0
+    expected = capsys.readouterr()
+    t0 = time.perf_counter()
+    code = cli.main(["check", fig1, "--output-cap", "1000000000"])
+    assert_within(t0, 2.0)
+    assert (code, capsys.readouterr()) == (0, expected)
+    assert len(expected.out.splitlines()) == 5
+
+
+def test_11_enumerating_an_iteration_builds_one_automaton(tmp_path, capsys):
+    # One final initial state with the loops 0/b*a, 0/b, 0/a(b+a),
+    # 1/a(b+a), 1/eps: its iteration has the empty word and the 32,766
+    # words of length 1 to 14 over a and b.  Joining word sets pairwise
+    # took 13-15 s on a 2-core host.
+    machine = tmp_path / "loops.oct"
+    machine.write_text(cli.render_fixture(cli.Fixture(random_machine(random.Random(43)))))
+    path = tmp_path / "iter.oct"
+    path.write_text("expr plus loops.oct\n")
+    t0 = time.perf_counter()
+    code = cli.main(["enumerate", str(path), "--input-cap", "6", "--output-cap", "14"])
+    captured = capsys.readouterr()
+    assert_within(t0, 2.0)
+    assert (code, captured.err) == (0, "")
+    words = captured.out.splitlines()
+    assert words[0] == "" and len(words[1:]) == 32766 == 2**15 - 2
+    assert (words[1:4], words[-1]) == (["a", "aa", "aaa"], "b" * 14)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import collections
 import json
 import os
@@ -420,6 +421,31 @@ def test_machine_command_rejects_expression_fixture(capsys, tmp_path, command):
     assert err == f"ocrank: error: '{command}' needs a machine fixture, not an expression\n"
 
 
+def _letter_machine(letters: str) -> str:
+    """A machine over ``letters`` whose one output is its first letter."""
+    return (
+        f"alphabet {letters}\nstates q f\ninitial q\nfinal f\n"
+        f"trans q 0 q {letters[0]}\ntrans q 1 f {letters[0]}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["rank", "enumerate"])
+@pytest.mark.parametrize("letters", ["c", "b a"])
+def test_an_expression_over_two_alphabets_exits_one(capsys, tmp_path, command, letters):
+    # The lexicographic order of such a language is undefined.
+    (tmp_path / "ab.oct").write_text(_letter_machine("a b"))
+    (tmp_path / "other.oct").write_text(_letter_machine(letters))
+    (tmp_path / "pair.oct").write_text("expr concat ab.oct other.oct\n")
+    (tmp_path / "iter.oct").write_text("expr plus pair.oct\n")
+    for name in ("pair.oct", "iter.oct"):
+        code, out, err = run_cli(capsys, [command, str(tmp_path / name)])
+        assert (code, out) == (1, "")
+        assert err == (
+            "ocrank: pair.oct:1: the machines of an expression must share one alphabet; "
+            f"'ab.oct' has 'a b' and 'other.oct' has '{letters}'\n"
+        )
+
+
 def test_bad_fixture_exits_one(capsys, tmp_path):
     path = tmp_path / "broken.oct"
     path.write_text("alphabet a\nstates q\ninitial q\nfinal q\ntrans q 0 q a**\n")
@@ -541,6 +567,20 @@ def test_the_package_does_not_import_argparse():
         capture_output=True, text=True,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_no_module_imports_a_later_layer():
+    layers = ["words", "regular", "counterset", "transducer", "components", "rank",
+              "harness", "cli"]
+    package = os.path.dirname(os.path.abspath(ocrank.__file__))
+    for i, layer in enumerate(layers):
+        with open(os.path.join(package, layer + ".py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+        assert all(layers.index(name) < i for name in imported), (layer, imported)
 
 
 # --- ends that are not the analysis' ---------------------------------------------------
@@ -713,6 +753,29 @@ def test_check_all_green_on_fixtures(capsys):
             "bounded-equality",
             "lift-project",
         ]
+
+
+def test_check_fails_on_a_leveled_machine_with_one_arc_removed(capsys, monkeypatch):
+    build = cli.build_mprime
+
+    def without_one_arc(machine, report):
+        prime = build(machine, report)
+        doomed = next(t for t in prime.transitions if t.rule == "iii")
+        kept = tuple(t for t in prime.transitions if t is not doomed)
+        return oracles.replace_transitions(prime, kept)
+
+    monkeypatch.setattr(cli, "build_mprime", without_one_arc)
+    code, out, err = run_cli(capsys, ["check", fixture_path("fig1.oct")])
+    assert (code, err) == (4, "")
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "ok   structure: 2 states, 3 transitions",
+        "ok   counter-sets: P = 2, cap = 20",
+        "ok   leveling: 8 leveled states",
+    ]
+    assert lines[3] == "FAIL bounded-equality: first difference: 'ccaa' (output comparison truncated)"
+    assert lines[4].startswith("FAIL lift-project: run could not be leveled: no leveled transition ")
+    assert len(lines) == 5
 
 
 def test_enumerate_cli_words_and_note(capsys):

@@ -8,7 +8,14 @@ import random
 import pytest
 
 from conftest import random_machine
-from golden_cli import CORPUS_PATH, RANDOM_CAPS, corpus_fixtures, run_call
+from golden_cli import (
+    CORPUS_PATH,
+    RANDOM_CAPS,
+    corpus_calls,
+    corpus_fixtures,
+    corpus_texts,
+    run_call,
+)
 from ocrank import cli, regular
 
 with open(CORPUS_PATH, encoding="utf-8") as fh:
@@ -16,16 +23,16 @@ with open(CORPUS_PATH, encoding="utf-8") as fh:
 
 
 def test_the_corpus_covers_the_generated_fixtures():
-    fixtures = {name: text for name, (text, _) in corpus_fixtures().items()}
-    assert CORPUS["fixtures"] == fixtures
-    assert len(CORPUS["calls"]) == 6 * len(fixtures)
+    assert CORPUS["fixtures"] == corpus_texts()
+    assert [(c["fixture"], c["argv"]) for c in CORPUS["calls"]] == corpus_calls()
 
 
 @pytest.mark.parametrize(
     "call", CORPUS["calls"], ids=[f"{c['fixture']}-{c['argv'][0]}" for c in CORPUS["calls"]]
 )
 def test_output_matches_the_corpus(call, tmp_path):
-    got = run_call(CORPUS["fixtures"][call["fixture"]], call["argv"], str(tmp_path))
+    texts = CORPUS["fixtures"]
+    got = run_call(texts[call["fixture"]], call["argv"], str(tmp_path), texts)
     want = {key: call[key] for key in ("code", "stdout", "stderr", "json")}
     assert got == want
 
@@ -35,7 +42,9 @@ def test_no_call_alters_a_shared_automaton(tmp_path):
     command that mutated one would change what later calls print: replay
     the corpus backwards in one process, then rebuild each table entry."""
     for call in reversed(CORPUS["calls"]):
-        got = run_call(CORPUS["fixtures"][call["fixture"]], call["argv"], str(tmp_path))
+        got = run_call(
+            CORPUS["fixtures"][call["fixture"]], call["argv"], str(tmp_path), CORPUS["fixtures"]
+        )
         assert got == {key: call[key] for key in ("code", "stdout", "stderr", "json")}, call
     assert regular._compiled
     for (r, letters), a in regular._compiled.items():
@@ -89,5 +98,5 @@ def test_truncation_checks_get_trimmed_automata(tmp_path, monkeypatch):
         fixtures[f"random{seed}"] = (cli.render_fixture(cli.Fixture(machine)), list(RANDOM_CAPS))
     for text, flags in fixtures.values():
         for command in ("check", "enumerate"):
-            run_call(text, [command, *flags], str(tmp_path))
+            run_call(text, [command, *flags], str(tmp_path), {})
     assert len(checked) >= 2 * len(fixtures), len(checked)

@@ -9,7 +9,7 @@ import pytest
 
 from ocrank import harness
 from ocrank.counterset import reach_sets
-from ocrank.rank import RocAtom, RocConcat, RocPlus
+from ocrank.rank import RocAtom, RocConcat, RocPlus, enumerate_expr
 from ocrank.transducer import check_run, lift_run, make_transducer, project_run
 from ocrank.words import Alphabet, primitive_root
 from conftest import random_machine
@@ -90,21 +90,21 @@ def _pair_machine(out0: str, out1: str):
 def test_enumerate_expr_concat_and_plus():
     ab = RocAtom(_pair_machine("a", "b"))
     ba = RocAtom(_pair_machine("b", "a"))
-    assert harness.enumerate_expr(ab, 4, 10) == ["ab"]
-    assert harness.enumerate_expr(RocConcat(ab, ba), 4, 10) == ["abba"]
-    assert harness.enumerate_expr(RocPlus(ab), 4, 8) == [
+    assert enumerate_expr(ab, 4, 10) == ["ab"]
+    assert enumerate_expr(RocConcat(ab, ba), 4, 10) == ["abba"]
+    assert enumerate_expr(RocPlus(ab), 4, 8) == [
         "ab",
         "abab",
         "ababab",
         "abababab",
     ]
     # the pairwise cap drops long combinations, not whole factors
-    assert harness.enumerate_expr(RocConcat(ab, ba), 4, 3) == []
+    assert enumerate_expr(RocConcat(ab, ba), 4, 3) == []
 
 
 def test_enumerate_expr_rejects_foreign_objects():
     with pytest.raises(TypeError):
-        harness.enumerate_expr("ab", 4, 4)
+        enumerate_expr("ab", 4, 4)
 
 
 # --- density probing -----------------------------------------------------------------

@@ -319,9 +319,11 @@ def test_words_up_to_lists_words_longer_than_the_recursion_limit():
 def test_has_word_longer_than():
     a = compile_regex(parse_regex("a*", AB), AB)
     assert has_word_longer_than(a, 1000)
+    assert has_word_longer_than(a, 10**12)  # decided within a.n + 1 steps
     b = compile_regex(parse_regex("a+ab", AB), AB)
     assert not has_word_longer_than(b, 2)
     assert has_word_longer_than(b, 1)
+    assert not has_word_longer_than(b, 10**12)
 
 
 def test_trim_and_emptiness():

@@ -26,6 +26,7 @@ from ocrank.transducer import (
     TransducerError,
     _split,
     build_mprime,
+    bounded_language,
     bounded_language_equal,
     bounded_outputs,
     check_run,
@@ -453,6 +454,19 @@ def test_bounded_language_equal_spots_a_missing_rule(fig1, fig2):
     equal, witness, _ = bounded_language_equal(fig2, _drop_transition(prime2, first), 12, output_cap=40)
     assert not equal
     assert witness is not None
+
+
+def test_bounded_language_adds_the_empty_input():
+    # Accepting only the empty input, the language is the ε automaton
+    # alone, which stays trimmed for the truncation test.
+    only_empty = make_transducer(["q"], "q", ["q"], [("q", 1, "q", "a")], AB)
+    assert bounded_language(only_empty, 4) == regular.epsilon_automaton(AB)
+    both = make_transducer(["q"], "q", ["q"], [("q", 0, "q", "a"), ("q", 1, "q", "b")], AB)
+    assert regular.words_up_to(bounded_language(both, 4), 4) == ["", "aabb", "ab", "abab"]
+    not_empty = make_transducer(
+        ["q", "f"], "q", ["f"], [("q", 0, "q", "a"), ("q", 1, "f", "b")], AB
+    )
+    assert bounded_language(not_empty, 4) == bounded_outputs(not_empty, 4)
 
 
 def test_bounded_language_equal_epsilon_cases():

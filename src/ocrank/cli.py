@@ -100,9 +100,9 @@ def parse_fixture(
 
 
 def load_fixture_file(path: str, depth: int = 0) -> Fixture:
-    if depth > _MAX_EXPR_DEPTH:
-        raise FixtureError(f"{path}: expression fixtures nested deeper than {_MAX_EXPR_DEPTH}")
     name = os.path.basename(path)
+    if depth > _MAX_EXPR_DEPTH:
+        raise FixtureError(f"{name}: expression fixtures nested deeper than {_MAX_EXPR_DEPTH}")
     with open(path, "rb") as fh:
         data = fh.read()
     try:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import components as comp
 from . import regular
 from .counterset import reach_sets
-from .regular import Automaton, Regex
+from .regular import Automaton
 from .transducer import (
     LevelingError,
     Transducer,
@@ -29,7 +29,6 @@ from .transducer import (
     TypedState,
     bounded_language,
     build_mprime,
-    live_states,
     minimal_normalize,
 )
 from .words import distinct_root_pair, primitive_root
@@ -220,29 +219,32 @@ def analyze_machine(
 ) -> MachineAnalysis:
     """Full rank pipeline for one machine, keeping intermediate artifacts."""
     m = minimal_normalize(machine)
-
-    # Quasi-dense output languages on live transitions poison everything
-    # downstream of them; the whole language is then quasi-dense.  Each
-    # distinct output is analysed once, for this and for its finite rank.
-    live = live_states(m.initial, m.finals, m.transitions)
-    languages: dict[Regex, regular.Scattered | regular.QuasiDense] = {}
-    ranks: list[int] = []  # per transition of m, its output's finite rank
-    for t in m.transitions:
-        verdict = languages.get(t.output)
-        if verdict is None and t.source in live and t.target in live:
-            verdict = languages[t.output] = regular.regular_scattered(m.compiled_output(t))
-            if isinstance(verdict, regular.QuasiDense):
-                where = f"output language of {t.source} -{t.bit}-> {t.target}"
-                result = NotScattered(verdict.x, verdict.y, f"{where} is itself quasi-dense")
-                return MachineAnalysis(m, None, [], {}, {}, result)
-        ranks.append(0 if verdict is None else verdict.rank)
-
-    report = reach_sets(m, counter_cap)
     try:
-        prime = build_mprime(m, report)
+        prime = build_mprime(m, reach_sets(m, counter_cap))
     except LevelingError:
         result = RankBound(ZERO, CERTIFIED, ("no accepted input; bound 0",))
         return MachineAnalysis(m, None, [], {}, {}, result)
+
+    # The leveled arcs copy exactly the transitions of accepted runs, so
+    # only their outputs bear on the language.  A quasi-dense one poisons
+    # everything downstream of it; the whole language is then quasi-dense.
+    # Each distinct output is analysed once, for this and for its finite
+    # rank; the automata stay held while their ids key the table.
+    used = sorted({b for _, _, b, _ in prime.arcs})
+    outputs = [m.compiled_output(m.transitions[b]) for b in used]
+    languages: dict[int, regular.Scattered] = {}
+    ranks = [0] * len(m.transitions)  # per transition of m, its output's finite rank
+    for b, output in zip(used, outputs):
+        verdict = languages.get(id(output))
+        if verdict is None:
+            verdict = regular.regular_scattered(output)
+            if isinstance(verdict, regular.QuasiDense):
+                t = m.transitions[b]
+                where = f"output language of {t.source} -{t.bit}-> {t.target}"
+                result = NotScattered(verdict.x, verdict.y, f"{where} is itself quasi-dense")
+                return MachineAnalysis(m, prime, [], {}, {}, result)
+            languages[id(output)] = verdict
+        ranks[b] = verdict.rank
 
     sccs = comp.condense(prime)
     verdicts: dict[int, comp.ComponentVerdict] = {}
@@ -260,8 +262,6 @@ def analyze_machine(
             )
             return MachineAnalysis(m, prime, sccs, verdicts, {}, result)
 
-    # Every leveled transition lies on an accepted path, which projects to
-    # live transitions of m, so its output was analysed above.
     regrank = [ranks[b] for _, _, b, _ in prime.arcs]
 
     bounds = edge_bounds(prime, sccs, verdicts, regrank)
@@ -286,19 +286,6 @@ def analyze_machine(
 
 # ---------------------------------------------------------------------------
 # Expression bounds
-
-
-def _expr_is_empty(e: RocExpr, counter_cap: int | None = None) -> bool:
-    if isinstance(e, RocAtom):
-        m = e.machine
-        if m.accepts_epsilon:
-            return False
-        return 0 not in reach_sets(m, counter_cap).types[m.initial]
-    if isinstance(e, RocConcat):
-        return _expr_is_empty(e.left, counter_cap) or _expr_is_empty(e.right, counter_cap)
-    if isinstance(e, RocPlus):
-        return _expr_is_empty(e.body, counter_cap)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def expr_automaton(e: RocExpr, atom: Callable[[Transducer], Automaton]) -> Automaton:
@@ -341,48 +328,51 @@ def expr_rank_bound(
     body stays inside a single primitive power, refuted by two enumerated
     members with distinct roots, and otherwise handed back as Unknown.
     """
+    return _expr_bound(e, counter_cap)[0]
+
+
+def _expr_bound(
+    e: RocExpr, counter_cap: int | None
+) -> tuple[RankBound | NotScattered | Unknown, bool]:
+    """:func:`expr_rank_bound`, and whether the language is empty.
+
+    Each atom is analysed once: its language is empty when it has no
+    leveled machine and does not accept the empty input.  A concatenation
+    analyses its left factor first and stops at an empty one.
+    """
     if isinstance(e, RocAtom):
-        return transducer_rank_bound(e.machine, counter_cap)
+        analysis = analyze_machine(e.machine, counter_cap)
+        return analysis.result, analysis.prime is None and not e.machine.accepts_epsilon
 
     if isinstance(e, RocConcat):
-        if _expr_is_empty(e, counter_cap):
-            return RankBound(ZERO, CERTIFIED, ("concatenation with empty factor",))
-        left = expr_rank_bound(e.left, counter_cap)
-        right = expr_rank_bound(e.right, counter_cap)
+        left, empty = _expr_bound(e.left, counter_cap)
+        if not empty:
+            right, empty = _expr_bound(e.right, counter_cap)
+        if empty:
+            return RankBound(ZERO, CERTIFIED, ("concatenation with empty factor",)), True
         for side in (left, right):
             if not isinstance(side, RankBound):
-                return side
+                return side, False
         value = ord_add(right.value, left.value)
-        status = (
-            CERTIFIED
-            if left.status == CERTIFIED and right.status == CERTIFIED
-            else CONDITIONAL
-        )
-        return RankBound(
-            value,
-            status,
-            right.derivation
-            + left.derivation
-            + (f"concat: {right.value} + {left.value} = {value}",),
-        )
+        status = CERTIFIED if left.status == right.status == CERTIFIED else CONDITIONAL
+        derivation = right.derivation + left.derivation
+        derivation += (f"concat: {right.value} + {left.value} = {value}",)
+        return RankBound(value, status, derivation), False
 
     if isinstance(e, RocPlus):
-        if _expr_is_empty(e, counter_cap):
-            return RankBound(ZERO, CERTIFIED, ("iteration of the empty language",))
-        inner = expr_rank_bound(e.body, counter_cap)
+        inner, empty = _expr_bound(e.body, counter_cap)
+        if empty:
+            return RankBound(ZERO, CERTIFIED, ("iteration of the empty language",)), True
         if isinstance(inner, NotScattered):
-            return inner
+            return inner, False
         over = expr_automaton(e.body, _counter_blind)
         m = regular.shortest_nonempty_word(over)
         if m is None:
-            return RankBound(ZERO, CERTIFIED, ("iteration of {empty word}",))
+            return RankBound(ZERO, CERTIFIED, ("iteration of {empty word}",)), False
         v = primitive_root(m)
         if regular.subset_of_power_with_witness(over, v)[0]:
-            return RankBound(
-                Ordinal(0, 1),
-                CERTIFIED,
-                (f"all members are powers of {v!r}; iteration bound 1",),
-            )
+            derivation = (f"all members are powers of {v!r}; iteration bound 1",)
+            return RankBound(Ordinal(0, 1), CERTIFIED, derivation), False
         witness = _distinct_root_members(e.body)
         if witness is not None:
             u, w = witness
@@ -391,11 +381,11 @@ def expr_rank_bound(
                 w,
                 f"{{{u}{w}{u}{w},{w}{u}{w}{u}}}*{u}{w}{w}{u} embeds a dense order "
                 f"in the iteration (roots {primitive_root(u)!r} vs {primitive_root(w)!r})",
-            )
+            ), False
         return Unknown(
             f"iteration body exceeds {v!r}* in over-approximation, but no "
             "distinct-root member pair was found within the search caps"
-        )
+        ), False
 
     raise TypeError(f"not an expression: {e!r}")
 

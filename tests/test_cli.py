@@ -446,6 +446,71 @@ def test_an_expression_over_two_alphabets_exits_one(capsys, tmp_path, command, l
         )
 
 
+# Accepts no input: s0 opens and s1 cannot close.  Its one output is
+# quasi-dense, and no accepted run emits it.
+NO_INPUT_DENSE = """
+alphabet a b c
+states s0 s1
+initial s0
+final s1
+trans s0 0 s1 (a+b)*
+"""
+
+
+def test_a_dense_output_that_no_accepted_run_emits_bounds_nothing(capsys, tmp_path):
+    (tmp_path / "empty.oct").write_text(NO_INPUT_DENSE)
+    aa = os.path.join(os.path.dirname(os.path.abspath(__file__)), "dead_quasi_dense.oct")
+    fig1 = os.path.abspath(fixture_path("fig1.oct"))
+    (tmp_path / "pair.oct").write_text(f"expr concat empty.oct {fig1}\n")
+    (tmp_path / "aaaa.oct").write_text(f"expr concat {aa} {aa}\n")
+    edge = "accepting edge (s1,1,up) -> (s2,0,down): 0 [Certified]"
+    expected = {
+        str(tmp_path / "empty.oct"): ["no accepted input; bound 0"],
+        aa: [edge],
+        str(tmp_path / "pair.oct"): ["concatenation with empty factor"],
+        str(tmp_path / "aaaa.oct"): [edge, edge, "concat: 0 + 0 = 0"],
+    }
+    for path, lines in expected.items():
+        code, out, err = run_cli(capsys, ["rank", path])
+        derivation = "".join(f"  {line}\n" for line in lines)
+        assert (code, out, err) == (0, f"bound: 0\nstatus: Certified\n{derivation}", "")
+
+
+def test_a_cap_too_small_stops_rank_before_any_output_is_read(capsys, tmp_path):
+    # The output of q0 -0-> q1 is quasi-dense, but rank levels the machine
+    # first, and a cap below the floor leaves it unleveled.
+    path = tmp_path / "dense.oct"
+    path.write_text(
+        "alphabet a b\nstates q0 q1 f z\ninitial q0\nfinal f\n"
+        "trans q0 0 q1 (a+b)*\ntrans q1 1 f a\ntrans f 0 z a\n"
+    )
+    assert run_cli(capsys, ["rank", str(path)])[:2] == (2, (
+        "not scattered\n  word1: a\n  word2: ba\n"
+        "  output language of q0 -0-> q1 is itself quasi-dense\n"
+    ))
+    assert run_cli(capsys, ["rank", str(path), "--counter-cap", "9"]) == (4, "", (
+        "ocrank: certification failed: counter cap 9 is too small for 3 states; "
+        "pass --counter-cap 34 or higher\n"
+    ))
+
+
+def test_expression_nesting_past_the_limit_exits_one(capsys, tmp_path):
+    # A fixture that names itself, and a chain of 17 expressions whose last
+    # names a machine: loading that machine is the 17th nesting, one past
+    # the limit, while the chain from its second link still loads.
+    (tmp_path / "loop.oct").write_text("expr plus loop.oct\n")
+    fig1 = os.path.abspath(fixture_path("fig1.oct"))
+    for k in range(16):
+        (tmp_path / f"chain{k}.oct").write_text(f"expr plus chain{k + 1}.oct\n")
+    (tmp_path / "chain16.oct").write_text(f"expr plus {fig1}\n")
+    for name, culprit in (("loop.oct", "loop.oct"), ("chain0.oct", "fig1.oct")):
+        code, out, err = run_cli(capsys, ["rank", str(tmp_path / name)])
+        assert (code, out) == (1, "")
+        assert err == f"ocrank: {culprit}: expression fixtures nested deeper than 16\n"
+    code, out, err = run_cli(capsys, ["rank", str(tmp_path / "chain1.oct")])
+    assert (code, out.splitlines()[0], err) == (2, "not scattered", "")
+
+
 def test_bad_fixture_exits_one(capsys, tmp_path):
     path = tmp_path / "broken.oct"
     path.write_text("alphabet a\nstates q\ninitial q\nfinal q\ntrans q 0 q a**\n")

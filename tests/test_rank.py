@@ -11,7 +11,7 @@ from conftest import random_machine
 from oracles import scc_index_of
 from test_components import ladder
 from test_counterset import complete_machine
-from ocrank import regular
+from ocrank import rank, regular
 from ocrank.rank import (
     CERTIFIED,
     CONDITIONAL,
@@ -32,7 +32,8 @@ from ocrank.rank import (
     transducer_rank_bound,
 )
 from ocrank.components import FullyCertified, ZeroCertified
-from ocrank.transducer import live_states, make_transducer, minimal_normalize
+from ocrank.counterset import default_counter_cap
+from ocrank.transducer import make_transducer, minimal_normalize
 from ocrank.words import Alphabet
 
 AB = Alphabet(("a", "b"))
@@ -222,17 +223,37 @@ def test_dense_output_edge_is_fatal():
     assert result.description.startswith("output language of q0 -0-> q1")
 
 
-def test_dense_output_on_dead_edge_is_ignored():
-    m = make_transducer(
-        ["q0", "f", "z"],
-        "q0",
+# A quasi-dense output that no accepted run emits bears on nothing: on an
+# edge out of a final state that no run leaves, on the only path of a
+# machine that accepts no input (s0 opens and s1 cannot close), and on a
+# close out of the initial state at counter 0 beside a path that gives aa.
+DEAD_DENSE_EDGES = {
+    "graph-dead": (
         ["f"],
         [("q0", 0, "q0", "a"), ("q0", 1, "f", "a"), ("f", 0, "z", "(a+b)*")],
-        AB,
-    )
+        None,
+    ),
+    "no-accepted-input": (
+        ["s1"], [("s0", 0, "s1", "(a+b)*")], ("no accepted input; bound 0",)
+    ),
+    "language-aa": (
+        ["s2"],
+        [("s0", 0, "s1", "a"), ("s1", 1, "s2", "a"), ("s0", 1, "s2", "(a+b)*")],
+        ("accepting edge (s1,1,up) -> (s2,0,down): 0 [Certified]",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEAD_DENSE_EDGES)
+def test_dense_output_on_dead_edge_is_ignored(case):
+    finals, trans, derivation = DEAD_DENSE_EDGES[case]
+    states = sorted({q for t in trans for q in (t[0], t[2])})
+    m = make_transducer(states, trans[0][0], finals, trans, AB)
     result = transducer_rank_bound(m)
     assert isinstance(result, RankBound)
     assert result.status == CERTIFIED
+    if derivation is not None:
+        assert (result.value, result.derivation) == (ZERO, derivation)
 
 
 def shaped_machines(fig1, fig2):
@@ -244,6 +265,8 @@ def shaped_machines(fig1, fig2):
 
 
 def test_each_live_output_is_analysed_once(fig1, fig2):
+    # The outputs that count are those of the transitions that the leveled
+    # arcs copy: the transitions of accepted runs.
     calls = []
     analyse = regular.regular_scattered
 
@@ -255,12 +278,12 @@ def test_each_live_output_is_analysed_once(fig1, fig2):
         mp.setattr(regular, "regular_scattered", counted)
         for machine in shaped_machines(fig1, fig2):
             calls.clear()
-            analyze_machine(machine)
-            m = minimal_normalize(machine)
-            live = live_states(m.initial, m.finals, m.transitions)
-            outputs = {
-                t.output for t in m.transitions if t.source in live and t.target in live
-            }
+            analysis = analyze_machine(machine)
+            prime, m = analysis.prime, analysis.machine
+            if prime is None:
+                assert calls == [], machine.states
+                continue
+            outputs = {m.transitions[b].output for _, _, b, _ in prime.arcs}
             assert 0 < len(calls) <= len(outputs), (machine.states, len(calls), outputs)
 
 
@@ -433,6 +456,28 @@ def test_verdicts_propagate_through_concat(fig1, deep_chain):
     assert isinstance(expr_rank_bound(RocConcat(bad, murky)), NotScattered)
 
 
+def test_each_atom_is_analysed_once(fig1, star_exit, void):
+    calls = []
+    analyse = rank.reach_sets
+
+    def counted(machine, counter_cap=None):
+        calls.append(machine)
+        return analyse(machine, counter_cap)
+
+    a, b, c = RocAtom(fig1), RocAtom(star_exit), RocAtom(fig1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank, "reach_sets", counted)
+        # the iteration's over-approximation and member search level nothing
+        result = expr_rank_bound(RocPlus(RocConcat(a, RocConcat(b, c))))
+        assert isinstance(result, Unknown)
+        assert len(calls) == 3
+        # an empty left factor stops the concatenation before its right one
+        calls.clear()
+        result = expr_rank_bound(RocConcat(RocAtom(void), RocConcat(b, c)))
+        assert result.derivation == ("concatenation with empty factor",)
+        assert len(calls) == 1
+
+
 def test_expr_rank_bound_rejects_foreign_objects():
     with pytest.raises(TypeError):
         expr_rank_bound(object())
@@ -500,3 +545,29 @@ def test_a_duplicated_transition_changes_no_verdict():
         assert transducer_rank_bound(doubled) == transducer_rank_bound(machine)
         moved = make_transducer(*states, anywhere, machine.alphabet)
         assert outcome(moved) == outcome(machine)
+
+
+def with_a_dead_dense_pair(machine):
+    """``machine`` with fresh states u and v, v final, and the transitions
+    initial -1-> u -0-> v, both with output (a+b)*.  A run enters v one
+    level above where it left the initial state, so above 0, and nothing
+    leaves v: no accepted run takes the pair."""
+    trans = [tuple(t) for t in machine.transitions]
+    trans += [(machine.initial, 1, "u", "(a+b)*"), ("u", 0, "v", "(a+b)*")]
+    return make_transducer(
+        machine.states + ("u", "v"), machine.initial, machine.finals | {"v"}, trans,
+        machine.alphabet,
+    )
+
+
+def test_a_counter_dead_dense_pair_changes_no_verdict():
+    rng = random.Random(20261025)
+    kinds = {"RankBound": 0, "NotScattered": 0}
+    for _ in range(300):
+        machine = random_machine(rng, max_states=6, max_transitions=10)
+        # the extra states would raise the default cap
+        cap = default_counter_cap(len(minimal_normalize(machine).states))
+        want = analyze_machine(machine, cap).result
+        assert analyze_machine(with_a_dead_dense_pair(machine), cap).result == want, machine
+        kinds[type(want).__name__] += 1
+    assert min(kinds.values()) >= 100, kinds

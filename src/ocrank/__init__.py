@@ -53,7 +53,6 @@ from .transducer import (
     lift_run,
     make_transducer,
     minimal_normalize,
-    project_run,
     run_input_word,
 )
 from .components import (
@@ -114,7 +113,7 @@ __all__ = [
     "LevelingError", "Transducer", "TransducerError", "TransducerPrime",
     "TypedState", "TypedTransition", "bounded_language_equal", "bounded_outputs",
     "build_mprime", "check_run", "lift_run", "make_transducer",
-    "minimal_normalize", "project_run", "run_input_word",
+    "minimal_normalize", "run_input_word",
     "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",
     "ZeroCertified", "certify_component", "condense",
     "NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",

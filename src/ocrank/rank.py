@@ -373,7 +373,7 @@ def _expr_bound(
         if regular.subset_of_power_with_witness(over, v)[0]:
             derivation = (f"all members are powers of {v!r}; iteration bound 1",)
             return RankBound(Ordinal(0, 1), CERTIFIED, derivation), False
-        witness = _distinct_root_members(e.body)
+        witness = distinct_root_pair(enumerate_expr(e.body, input_cap=8, output_cap=24))
         if witness is not None:
             u, w = witness
             return NotScattered(
@@ -388,9 +388,3 @@ def _expr_bound(
         ), False
 
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _distinct_root_members(
-    e: RocExpr, input_cap: int = 8, output_cap: int = 24
-) -> tuple[str, str] | None:
-    return distinct_root_pair(enumerate_expr(e, input_cap, output_cap))

@@ -2,8 +2,8 @@
 
 The regex dialect is deliberately small: single-letter literals, ``eps``
 for the empty word, ``+`` for union, juxtaposition for concatenation,
-postfix ``*``, and parentheses.  There is no literal for the empty
-language; the :class:`Empty` node exists only for programmatic use.
+postfix ``*``, and parentheses.  No regex of the dialect denotes the
+empty language.
 
 Automata are epsilon-free NFAs with integer states; a state's successors
 on a letter are one int bitmask, and every walk over state sets works on
@@ -51,12 +51,6 @@ class Lit(Regex):
 class Eps(Regex):
     def __str__(self) -> str:
         return "eps"
-
-
-@dataclass(frozen=True)
-class Empty(Regex):
-    def __str__(self) -> str:
-        return "<empty>"
 
 
 @dataclass(frozen=True)
@@ -354,8 +348,6 @@ def nfa_of_regex(r: Regex, alphabet: Alphabet) -> Automaton:
         return literal_automaton(r.ch, alphabet)
     if isinstance(r, Eps):
         return epsilon_automaton(alphabet)
-    if isinstance(r, Empty):
-        return empty_automaton(alphabet)
     if isinstance(r, Union):
         return union_automata(nfa_of_regex(r.left, alphabet), nfa_of_regex(r.right, alphabet))
     if isinstance(r, Concat):
@@ -467,16 +459,6 @@ def compile_regex(r: Regex, alphabet: Alphabet) -> Automaton:
     if a is None:
         a = _remember(_compiled, key, trim(determinize(nfa_of_regex(r, alphabet))))
     return a
-
-
-def membership(a: Automaton, w: str) -> bool:
-    a.alphabet.check_word(w)
-    current = state_mask(a.initials)
-    for ch in w:
-        current = a.step(current, ch)
-        if not current:
-            return False
-    return bool(current & state_mask(a.finals))
 
 
 def shortest_word(a: Automaton) -> str | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import regular
-from .counterset import NSetReport, reach_sets
+from .counterset import NSetReport
 from .regular import Automaton, Regex, parse_regex
 from .words import Alphabet, in_d1, state_mask
 
@@ -96,19 +96,11 @@ def check_structure(machine: Transducer) -> None:
         raise TransducerError("machine has no final states")
     if not machine.finals <= known:
         raise TransducerError(f"final states {sorted(machine.finals - known)} are not states")
-    empty: dict[int, bool] = {}  # by output object: many transitions share one
     for t in machine.transitions:
         if t.source not in known or t.target not in known:
             raise TransducerError(f"transition {t.source}->{t.target} uses unknown states")
         if t.bit not in (0, 1):
             raise TransducerError(f"transition bit must be 0 or 1, got {t.bit}")
-        key = id(t.output)
-        if key not in empty:  # compiled outputs come trimmed
-            empty[key] = not machine.compiled_output(t).finals
-        if empty[key]:
-            raise TransducerError(
-                f"transition {t.source} -{t.bit}-> {t.target} outputs the empty language"
-            )
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -425,7 +417,7 @@ def check_run(machine: Transducer, run: list[Transition]) -> None:
 def lift_run(
     machine: Transducer,
     run: list[Transition],
-    prime: TransducerPrime | None = None,
+    prime: TransducerPrime,
 ) -> list[TypedTransition]:
     """Replay an accepting run of the machine inside its leveled form.
 
@@ -434,8 +426,6 @@ def lift_run(
     shifted into the mod-period window in between.
     """
     check_run(machine, run)
-    if prime is None:
-        prime = build_mprime(machine, reach_sets(machine))
     if not run:
         return []
     period = prime.period
@@ -472,11 +462,6 @@ def lift_run(
             )
         lifted.append(tt)
     return lifted
-
-
-def project_run(lifted: list[TypedTransition]) -> list[Transition]:
-    """Forget levels and phases."""
-    return [tt.base for tt in lifted]
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +508,11 @@ def bounded_language(machine: Transducer | TransducerPrime, nmax: int) -> Automa
     return regular.union_automata(a, epsilon) if a.finals else epsilon
 
 
-def default_output_cap(machine: Transducer, nmax: int) -> int:
-    pump = max((machine.compiled_output(t).n for t in machine.transitions), default=1)
-    return 4 * nmax * pump
-
-
 def bounded_language_equal(
     machine: Transducer,
     prime: TransducerPrime,
     nmax: int,
-    output_cap: int | None = None,
+    output_cap: int,
 ) -> tuple[bool, str | None, bool]:
     """Compare output unions over all balanced inputs of length ≤ nmax.
 
@@ -541,8 +521,6 @@ def bounded_language_equal(
     shortest (then lexicographically first) word in exactly one union, and
     ``truncated`` reports whether either union went beyond the cap.
     """
-    if output_cap is None:
-        output_cap = default_output_cap(machine, nmax)
     a = bounded_language(machine, nmax)
     b = bounded_language(prime, nmax)
     truncated = regular.has_word_longer_than(a, output_cap) or regular.has_word_longer_than(

@@ -39,6 +39,9 @@ package code never called the rest: :func:`step_language`,
 outputs input word by input word, where ``transducer.bounded_outputs``
 builds them all at once, and :func:`up_union` and
 :func:`worked_close_image` are set arithmetic that the tests check.
+:func:`membership` tests one word against an automaton, and
+:func:`project_run` forgets a lifted run's levels and phases; the package
+had both, but only the tests called them.
 :func:`parse_machine_text` is how ``cli.parse_fixture`` read a machine
 fixture before it parsed in one pass: a pass over the lines, a second over
 the ``trans`` lines, a regex parse per line, and ``make_transducer``.
@@ -81,6 +84,7 @@ from ocrank.transducer import (
     UP,
     Transducer,
     TransducerPrime,
+    Transition,
     TypedState,
     TypedTransition,
     TransducerError,
@@ -168,6 +172,16 @@ def equivalent(a: Automaton, b: Automaton) -> bool:
 
 def is_empty_language(a: Automaton) -> bool:
     return shortest_word(a) is None
+
+
+def membership(a: Automaton, w: str) -> bool:
+    a.alphabet.check_word(w)
+    current = state_mask(a.initials)
+    for ch in w:
+        current = a.step(current, ch)
+        if not current:
+            return False
+    return bool(current & state_mask(a.finals))
 
 
 def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton:
@@ -689,6 +703,11 @@ def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
         if not current:
             break
     return current
+
+
+def project_run(lifted: list[TypedTransition]) -> list[Transition]:
+    """Forget levels and phases."""
+    return [tt.base for tt in lifted]
 
 
 def language_of_input(machine: Transducer, w: str) -> Automaton:

@@ -11,7 +11,7 @@ import random
 import time
 
 from conftest import fixture_path, random_machine
-from oracles import up_union, worked_close_image
+from oracles import project_run, up_union, worked_close_image
 from test_components import ladder
 from test_counterset import complete_machine, random_upset, realize
 from test_harness import fig1_expected_words
@@ -42,7 +42,6 @@ from ocrank.transducer import (
     check_run,
     lift_run,
     minimal_normalize,
-    project_run,
 )
 
 

@@ -24,7 +24,7 @@ from ocrank.counterset import (
     up_membership,
 )
 from ocrank.cli import parse_fixture
-from ocrank.regular import compile_regex, membership, parse_regex, words_up_to
+from ocrank.regular import compile_regex, parse_regex, words_up_to
 from ocrank.transducer import make_transducer, minimal_normalize
 from ocrank.words import BINARY, Alphabet
 from conftest import M138, OUTPUT_POOL, mask_bits, random_machine

@@ -10,9 +10,10 @@ import pytest
 from ocrank import harness
 from ocrank.counterset import reach_sets
 from ocrank.rank import RocAtom, RocConcat, RocPlus, enumerate_expr
-from ocrank.transducer import check_run, lift_run, make_transducer, project_run
+from ocrank.transducer import build_mprime, check_run, lift_run, make_transducer
 from ocrank.words import Alphabet, primitive_root
 from conftest import random_machine
+from oracles import project_run
 
 AB = Alphabet(("a", "b"))
 
@@ -219,9 +220,10 @@ def test_accepting_runs_fig1(fig1):
     assert len(runs) == 5  # inputs 0^k 1^k for k = 1..5
     lengths = sorted(len(r) for r in runs)
     assert lengths == [2, 4, 6, 8, 10]
+    prime = build_mprime(fig1, reach_sets(fig1))
     for run in runs:
         check_run(fig1, run)
-        assert project_run(lift_run(fig1, run)) == run
+        assert project_run(lift_run(fig1, run, prime)) == run
 
 
 def test_accepting_runs_epsilon_and_caps():

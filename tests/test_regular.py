@@ -16,7 +16,6 @@ from ocrank import regular
 from ocrank.regular import (
     Automaton,
     Concat,
-    Empty,
     Eps,
     Lit,
     QuasiDense,
@@ -32,7 +31,6 @@ from ocrank.regular import (
     epsilon_automaton,
     expand_graph,
     has_word_longer_than,
-    membership,
     nfa_of_regex,
     parse_regex,
     power_automaton,
@@ -55,6 +53,7 @@ from oracles import (
     equivalent,
     intersect,
     is_empty_language,
+    membership,
     spliced_expand_graph,
     subset_language,
 )
@@ -66,8 +65,6 @@ AB = Alphabet(("a", "b"))
 
 
 def oracle_match(r, w: str) -> bool:
-    if isinstance(r, Empty):
-        return False
     if isinstance(r, Eps):
         return w == ""
     if isinstance(r, Lit):
@@ -116,6 +113,9 @@ def test_membership_against_oracle_bulk():
     for _ in range(60):
         r = random_regex(rng, 3)
         a = compile_regex(r, AB)
+        # No regex of the dialect denotes the empty language, so machines
+        # need no emptiness test on their outputs.
+        assert compile_regex(parse_regex(str(r), AB), AB).finals, str(r)
         for w in words_over_ab(5):
             assert membership(a, w) == oracle_match(r, w), (str(r), w)
             cases += 1
@@ -259,7 +259,7 @@ def test_shortest_word_is_least():
     starry = compile_regex(parse_regex("b*", AB), AB)
     assert shortest_word(starry) == ""
     assert shortest_nonempty_word(starry) == "b"
-    assert shortest_word(compile_regex(Empty(), AB)) is None
+    assert shortest_word(empty_automaton(AB)) is None
 
 
 def test_words_up_to_is_lex_sorted_and_complete():
@@ -327,7 +327,7 @@ def test_has_word_longer_than():
 
 
 def test_trim_and_emptiness():
-    e = compile_regex(Empty(), AB)
+    e = trim(empty_automaton(AB))
     assert is_empty_language(e)
     assert e.n == 1 and not e.finals
     live = trim(determinize(nfa_of_regex(parse_regex("ab", AB), AB)))

@@ -36,8 +36,6 @@ from .counterset import (
     UPSet,
     reach_sets,
     render_upset,
-    up_intersect,
-    up_membership,
 )
 from .transducer import (
     LevelingError,
@@ -109,7 +107,6 @@ __all__ = [
     "Automaton", "QuasiDense", "Regex", "RegexSyntaxError", "Scattered",
     "compile_regex", "parse_regex", "regular_scattered",
     "CertificationError", "NSetReport", "UPSet", "reach_sets", "render_upset",
-    "up_intersect", "up_membership",
     "LevelingError", "Transducer", "TransducerError", "TransducerPrime",
     "TypedState", "TypedTransition", "bounded_language_equal", "bounded_outputs",
     "build_mprime", "check_run", "lift_run", "make_transducer",

@@ -322,12 +322,9 @@ def _typed_state_json(s) -> list:
 def _cmd_nsets(machine: Transducer, args, out) -> tuple[int, dict]:
     report = reach_sets(machine, counter_cap=args.counter_cap)
     render = functools.cache(render_upset)  # states share their sets
+    minus, plus, meet = report.minus, report.plus, report.meet
     rendered = {
-        q: {
-            "minus": render(report.minus[q]),
-            "plus": render(report.plus[q]),
-            "meet": render(report.meet[q]),
-        }
+        q: {"minus": render(minus[q]), "plus": render(plus[q]), "meet": render(meet[q])}
         for q in machine.states
     }
     print(f"P = {report.period}", file=out)
@@ -469,7 +466,10 @@ def _cmd_enumerate(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]
         words, truncated = result.words, result.truncated
     else:
         words = enumerate_expr(subject, args.input_cap, args.output_cap)
-        truncated = None  # the expression view cannot tell
+        # rank.expr_automaton's language is trimmed, so has_word_longer_than
+        # could tell; but --json has always given null for expressions, and
+        # the golden corpus freezes that output.
+        truncated = None
     out.write("".join([w + "\n" for w in words]))
     if truncated:
         print("note: some outputs exceeded --output-cap", file=sys.stderr)

@@ -27,6 +27,7 @@ of guessing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,10 +47,11 @@ class UPSet:
     """An ultimately periodic subset of the naturals.
 
     The set is ``finite ∪ {n ≥ threshold : n mod period ∈ residues}`` with
-    ``finite ⊆ [0, threshold)`` and ``residues ⊆ [0, period)``.  Use
-    :meth:`build` (or the other factories), which normalizes to a canonical
-    representative: minimal period, then the least threshold at which the
-    set agrees with its periodic pattern.  Equal sets compare equal.
+    ``finite ⊆ [0, threshold)`` and ``residues ⊆ [0, period)``.  Every
+    ``UPSet`` comes from :func:`reach_sets`, folded from a counter row to
+    the canonical representative (:func:`_canonical`): minimal period, then
+    the least threshold at which the set agrees with its periodic pattern.
+    Equal sets compare equal.
     """
 
     threshold: int
@@ -57,54 +59,14 @@ class UPSet:
     period: int
     residues: frozenset[int]
 
-    @staticmethod
-    def build(threshold: int, finite, period: int, residues) -> "UPSet":
-        finite = frozenset(finite)
-        residues = frozenset(residues)
-        if threshold < 0 or period < 1:
-            raise ValueError("threshold must be ≥ 0 and period ≥ 1")
-        if any(c < 0 or c >= threshold for c in finite):
-            raise ValueError(f"finite part {sorted(finite)} not within [0, {threshold})")
-        if any(r < 0 or r >= period for r in residues):
-            raise ValueError(f"residues {sorted(residues)} not within [0, {period})")
-        return _upset(*_canonical(state_mask(finite), threshold, period, state_mask(residues)))
-
-    @staticmethod
-    def empty() -> "UPSet":
-        return UPSet(0, frozenset(), 1, frozenset())
-
-    @staticmethod
-    def from_finite(members) -> "UPSet":
-        members = frozenset(members)
-        if any(c < 0 for c in members):
-            raise ValueError("members must be naturals")
-        return UPSet.build(max(members, default=-1) + 1, members, 1, ())
-
-    @staticmethod
-    def naturals() -> "UPSet":
-        return UPSet(0, frozenset(), 1, frozenset({0}))
-
-    @staticmethod
-    def progression(offset: int, step: int) -> "UPSet":
-        """The arithmetic progression offset, offset+step, offset+2·step, …"""
-        if offset < 0 or step < 1:
-            raise ValueError("need offset ≥ 0 and step ≥ 1")
-        return UPSet.build(offset, frozenset(), step, frozenset({offset % step}))
-
     def is_empty(self) -> bool:
         return not self.finite and not self.residues
-
-    def is_finite(self) -> bool:
-        return not self.residues
 
     def first_tail_values(self) -> list[int]:
         """Least tail member of each residue class, threshold-aligned."""
         return sorted(
             self.threshold + ((r - self.threshold) % self.period) for r in self.residues
         )
-
-    def values_up_to(self, bound: int) -> list[int]:
-        return [n for n in range(bound + 1) if up_membership(self, n)]
 
 
 def _repeat(pattern: int, period: int, length: int) -> int:
@@ -150,29 +112,6 @@ def _fold_row(row: int, start: int, period: int) -> tuple[int, int, int, int]:
 def _row_upset(row: int, start: int, period: int) -> UPSet:
     """The canonical :class:`UPSet` of a counter row (see :func:`_fold_row`)."""
     return _upset(*_fold_row(row, start, period))
-
-
-def _upset_row(s: UPSet, length: int) -> int:
-    """The members of ``s`` below ``length`` as a bitmask."""
-    tail = _repeat(state_mask(s.residues), s.period, length) >> s.threshold << s.threshold
-    return state_mask(s.finite) | tail
-
-
-def up_membership(s: UPSet, n: int) -> bool:
-    if n < 0:
-        raise ValueError("naturals only")
-    if n < s.threshold:
-        return n in s.finite
-    return (n % s.period) in s.residues
-
-
-def up_intersect(s1: UPSet, s2: UPSet) -> UPSet:
-    # Both sets repeat from the later threshold on, with the lcm of their
-    # periods, so that many bits decide the result.
-    start = max(s1.threshold, s2.threshold)
-    period = math.lcm(s1.period, s2.period)
-    row = _upset_row(s1, start + period) & _upset_row(s2, start + period)
-    return _row_upset(row, start, period)
 
 
 def render_upset(s: UPSet) -> str:
@@ -325,24 +264,6 @@ def _extend(row: int, start: int, period: int, length: int) -> int:
 # Per-state reachability report for counter transducers
 
 
-class _BuiltOnRead:
-    """A report attribute made on first read by the report's ``builder``
-    method, which stores it on the instance, where later reads find it
-    before this descriptor."""
-
-    def __init__(self, builder: str) -> None:
-        self.builder = builder
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        getattr(report, self.builder)()
-        return report.__dict__[self.name]
-
-
 @dataclass
 class NSetReport:
     """Forward, backward and combined counter sets of a machine's states.
@@ -355,7 +276,9 @@ class NSetReport:
 
     :func:`reach_sets` builds the report from integer rows; the sets and
     the certificates are only a report, so they are built from those rows
-    on first read and kept, the three sets together.  ``_minus`` and
+    on first read and kept.  The first read of ``minus``, ``plus`` or
+    ``meet`` builds all three in one pass (``_sets``); ``certificates``,
+    which no command prints, are built apart on their own.  ``_minus`` and
     ``_plus`` are each direction's (rows by state, loop start, loop
     period), and ``_meets`` is each state's meet in canonical form,
     ``(finite, threshold, period, residues)`` with the two sets as
@@ -370,12 +293,12 @@ class NSetReport:
     _plus: tuple[list[int], int, int] = field(repr=False)
     _meets: list[tuple[int, int, int, int]] = field(repr=False)
 
-    minus = _BuiltOnRead("_build_sets")  # dict[str, UPSet]
-    plus = _BuiltOnRead("_build_sets")  # dict[str, UPSet]
-    meet = _BuiltOnRead("_build_sets")  # dict[str, UPSet]
-    certificates = _BuiltOnRead("_build_certificates")  # dict[str, dict[str, SliceCertificate]]
+    minus = property(lambda self: self._sets[0])  # dict[str, UPSet]
+    plus = property(lambda self: self._sets[1])  # dict[str, UPSet]
+    meet = property(lambda self: self._sets[2])  # dict[str, UPSet]
 
-    def _build_sets(self) -> None:
+    @functools.cached_property
+    def _sets(self) -> tuple[dict[str, UPSet], dict[str, UPSet], dict[str, UPSet]]:
         (minus_rows, start1, period1), (plus_rows, start2, period2) = self._minus, self._plus
         built: dict = {}  # states share their sets: by row, and by canonical form
         minus, plus, meet = {}, {}, {}
@@ -387,10 +310,11 @@ class NSetReport:
             if form not in built:
                 built[form] = _upset(*form)
             minus[q], plus[q], meet[q] = built[1, a], built[2, b], built[form]
-        self.minus, self.plus, self.meet = minus, plus, meet
+        return minus, plus, meet
 
-    def _build_certificates(self) -> None:
-        self.certificates = {
+    @functools.cached_property
+    def certificates(self) -> dict[str, dict[str, SliceCertificate]]:
+        return {
             q: {"minus": m, "plus": p}
             for q, m, p in zip(
                 self._states, _certificates(*self._minus), _certificates(*self._plus)

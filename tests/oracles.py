@@ -19,16 +19,17 @@ stages and witnesses.  :func:`tight_typed` runs
 ``components.tight_transitions`` on :class:`TypedTransition` objects.
 :func:`cycle_outputs` builds one component's cycle language per anchor,
 which the components layer no longer does.
-:func:`build_by_sets` is :meth:`UPSet.build` as it normalized sets of
-counters before it worked on bitmasks, and :func:`reach_sets_by_upsets`
+:func:`build_by_sets` is how ``UPSet.build`` normalized sets of counters
+before it worked on bitmasks, and :func:`reach_sets_by_upsets`
 is ``counterset.reach_sets`` as it was before the sets were read off bit
 rows: a Dyck closure per direction, :func:`build_by_sets` per state,
 :func:`intersect_by_membership` for each meet and a membership test per
 type candidate.  :func:`reach_sets_by_slices` is ``counterset.reach_sets``
 as it was before it kept its counter sets as integer rows until read:
 :func:`certified_slices` built each direction's sets and certificates,
-``up_intersect`` each meet, and :func:`select_period` took P from the
-meets.  Both return a :class:`SetReport`, every field built eagerly.
+``up_intersect`` each meet (here :func:`intersect_by_membership`), and
+:func:`select_period` took P from the meets.  Both return a
+:class:`SetReport`, every field built eagerly.
 :func:`leveled_by_pairs` is ``transducer.build_mprime``
 as it was before it generated each transition's copies from the rules:
 every (source type, target type) pair tested against :func:`match_rule`.
@@ -39,6 +40,9 @@ package code never called the rest: :func:`step_language`,
 outputs input word by input word, where ``transducer.bounded_outputs``
 builds them all at once, and :func:`up_union` and
 :func:`worked_close_image` are set arithmetic that the tests check.
+The package makes a :class:`UPSet` only by folding a counter row; the
+tests make them with :func:`build_by_sets`, test membership with
+:func:`member` and take a set's row with :func:`upset_row`.
 :func:`membership` tests one word against an automaton, and
 :func:`project_run` forgets a lifted run's levels and phases; the package
 had both, but only the tests called them.
@@ -74,8 +78,6 @@ from ocrank.counterset import (
     default_counter_cap,
     dyck_closure,
     level_cycle,
-    up_intersect,
-    up_membership,
 )
 from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex, shortest_word
 from ocrank.transducer import (
@@ -261,17 +263,27 @@ def build_by_sets(threshold: int, finite, period: int, residues) -> UPSet:
     return UPSet(threshold, frozenset(finite_set), period, residues)
 
 
+def member(s: UPSet, n: int) -> bool:
+    """Whether the natural ``n`` is in ``s``, by the definition."""
+    return n in s.finite if n < s.threshold else n % s.period in s.residues
+
+
+def upset_row(s: UPSet, length: int) -> int:
+    """The members of ``s`` below ``length`` as a bitmask."""
+    return sum(1 << n for n in range(length) if member(s, n))
+
+
 def intersect_by_membership(s1: UPSet, s2: UPSet) -> UPSet:
-    """``up_intersect`` by membership tests: every counter below the later
-    threshold, then one representative of each residue class mod the lcm
-    of the periods."""
+    """The meet of two sets by membership tests: every counter below the
+    later threshold, then one representative of each residue class mod the
+    lcm of the periods."""
     period = math.lcm(s1.period, s2.period)
     threshold = max(s1.threshold, s2.threshold)
-    finite = {n for n in range(threshold) if up_membership(s1, n) and up_membership(s2, n)}
+    finite = {n for n in range(threshold) if member(s1, n) and member(s2, n)}
     residues = set()
     for r in range(period):
         n = threshold + ((r - threshold) % period)
-        if up_membership(s1, n) and up_membership(s2, n):
+        if member(s1, n) and member(s2, n):
             residues.add(r)
     return build_by_sets(threshold, finite, period, residues)
 
@@ -359,8 +371,9 @@ def select_period(meets) -> int:
 def reach_sets_by_slices(machine, counter_cap: int | None = None) -> SetReport:
     """``counterset.reach_sets`` as it was before it kept its sets as
     integer rows: :func:`certified_slices` per direction, one
-    ``up_intersect`` per distinct pair of sets, :func:`select_period` on
-    the meets and each meet's members below 2P as the types."""
+    :func:`intersect_by_membership` per distinct pair of sets,
+    :func:`select_period` on the meets and each meet's members below 2P as
+    the types."""
     states = list(machine.states)
     index = {q: i for i, q in enumerate(states)}
     n = len(states)
@@ -383,12 +396,10 @@ def reach_sets_by_slices(machine, counter_cap: int | None = None) -> SetReport:
     for q, s1, s2 in zip(states, minus_slices, plus_slices):
         pair = (id(s1), id(s2))
         if pair not in meets:
-            meets[pair] = up_intersect(s1, s2)
+            meets[pair] = intersect_by_membership(s1, s2)
         meet[q] = meets[pair]
     period = select_period(meets.values())
-    types = {
-        q: frozenset(state_bits(counterset._upset_row(s, 2 * period))) for q, s in meet.items()
-    }
+    types = {q: frozenset(state_bits(upset_row(s, 2 * period))) for q, s in meet.items()}
     certificates = {
         q: {"minus": m, "plus": p} for q, m, p in zip(states, minus_certs, plus_certs)
     }
@@ -419,7 +430,7 @@ def reach_sets_by_upsets(machine, counter_cap: int | None = None) -> SetReport:
     meet = {q: intersect_by_membership(minus[q], plus[q]) for q in states}
     period = select_period(meet.values())
     types = {
-        q: frozenset(c for c in range(2 * period) if up_membership(meet[q], c))
+        q: frozenset(c for c in range(2 * period) if member(meet[q], c))
         for q in states
     }
     certificates = {
@@ -739,11 +750,11 @@ def balanced_words_up_to(max_len: int) -> list[str]:
 
 
 def up_union(s1: UPSet, s2: UPSet) -> UPSet:
-    """The union of two sets, read off their rows as ``up_intersect`` reads
-    the meet."""
+    """The union of two sets, read off their rows: both repeat from the
+    later threshold on, with the lcm of their periods."""
     start = max(s1.threshold, s2.threshold)
     period = math.lcm(s1.period, s2.period)
-    row = counterset._upset_row(s1, start + period) | counterset._upset_row(s2, start + period)
+    row = upset_row(s1, start + period) | upset_row(s2, start + period)
     return counterset._row_upset(row, start, period)
 
 
@@ -760,7 +771,7 @@ def worked_close_image(
         r = regular.parse_regex(r, alphabet)
     d = regular.compile_regex(r, alphabet)
     if d.finals == frozenset():
-        return UPSet.empty()
+        return build_by_sets(0, (), 1, ())
     reversed_edges = []
     for p in range(d.n):
         for ch, targets in d.edges[p].items():  # a DFA: one target bit per letter
@@ -768,7 +779,7 @@ def worked_close_image(
     cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
     opens, closes = moves(d.n, reversed_edges)
     slices, _ = certified_slices(opens, dyck_closure(opens, closes), sorted(d.finals), cap)
-    image = UPSet.empty()
+    image = build_by_sets(0, (), 1, ())
     for q in sorted(d.initials):
         image = up_union(image, slices[q])
     return image

@@ -761,6 +761,8 @@ trans b0 0 q a
 
 
 def test_nsets_of_two_rings_into_one_state(capsys, tmp_path):
+    from test_counterset import realize
+
     path = tmp_path / "rings.oct"
     path.write_text(TWO_RINGS)
     code, out, err = run_cli(capsys, ["nsets", str(path)])
@@ -770,8 +772,8 @@ def test_nsets_of_two_rings_into_one_state(capsys, tmp_path):
     oracle = harness.upset_oracle(machine, 60)
     report = ocrank.reach_sets(machine)
     for q in machine.states:
-        assert frozenset(report.minus[q].values_up_to(60)) == oracle.minus[q], q
-        assert frozenset(report.plus[q].values_up_to(60)) == oracle.plus[q], q
+        assert realize(report.minus[q], 60) == oracle.minus[q], q
+        assert realize(report.plus[q], 60) == oracle.plus[q], q
 
 
 def disjoint_rings(lengths) -> str:
@@ -1053,6 +1055,39 @@ def test_rank_and_check_build_no_counter_sets(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, ["nsets", paths[1]])
     assert code == 0
     assert "q4: N- = {2+3t} | N+ = {2} ∪ {1+2t} | N = {2} ∪ {5+6t}" in out
+
+
+def test_mprime_and_dot_build_no_counter_sets(capsys, tmp_path, monkeypatch):
+    # mprime reads only the period and the types of the counter analysis,
+    # and dot runs none: with every set and certificate refused, the text,
+    # --json and --dot outputs stay as they were.
+    from test_components import ladder
+
+    ladder_path = tmp_path / "ladder.oct"
+    ladder_path.write_text(render_fixture(Fixture(ladder(2, 3))))
+    vacuous_path = tmp_path / "vacuous.oct"
+    vacuous_path.write_text(VACUOUS)
+    paths = [fixture_path("fig1.oct"), fixture_path("fig2.oct"), str(ladder_path)]
+    paths.append(str(vacuous_path))
+    json_path, dot_path = tmp_path / "out.json", tmp_path / "out.dot"
+
+    def outputs():
+        runs = []
+        for path in paths:
+            argv = ["mprime", path, "--json", str(json_path), "--dot", str(dot_path)]
+            runs.append(run_cli(capsys, argv))
+            runs.append((json_path.read_text(), dot_path.read_text()))
+            runs.append(run_cli(capsys, ["dot", path]))
+        return runs
+
+    want = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counter set or certificate was built")
+
+    monkeypatch.setattr(counterset, "UPSet", refuse)
+    monkeypatch.setattr(counterset, "SliceCertificate", refuse)
+    assert outputs() == want
 
 
 def test_cli_output_is_deterministic(capsys):

@@ -1,11 +1,15 @@
 """Ultimately-periodic counter sets and their certified computation.
 
-The arithmetic oracle is pointwise: realize both operands as plain integer
-sets on a long window and apply Python's set operators.
+The package makes a set only by folding a counter row
+(``counterset._row_upset``); the tests build sets with
+``oracles.build_by_sets``.  The arithmetic oracle is pointwise: realize
+both operands as plain integer sets on a long window and apply Python's
+set operators.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -20,8 +24,6 @@ from ocrank.counterset import (
     dyck_closure,
     reach_sets,
     render_upset,
-    up_intersect,
-    up_membership,
 )
 from ocrank.cli import parse_fixture
 from ocrank.regular import compile_regex, parse_regex, words_up_to
@@ -31,11 +33,14 @@ from conftest import M138, OUTPUT_POOL, mask_bits, random_machine
 from oracles import (
     build_by_sets,
     certified_slices,
+    intersect_by_membership,
+    member,
     moves,
     reach_sets_by_slices,
     reach_sets_by_upsets,
     select_period,
     up_union,
+    upset_row,
     worked_close_image,
 )
 
@@ -45,14 +50,7 @@ from oracles import (
 
 def realize(s: UPSet, bound: int) -> set[int]:
     """The set's members on [0, bound], straight from the definition."""
-    out = set()
-    for c in range(bound + 1):
-        if c < s.threshold:
-            if c in s.finite:
-                out.add(c)
-        elif c % s.period in s.residues:
-            out.add(c)
-    return out
+    return {c for c in range(bound + 1) if member(s, c)}
 
 
 def random_upset(rng: random.Random) -> UPSet:
@@ -62,31 +60,56 @@ def random_upset(rng: random.Random) -> UPSet:
     )
     period = rng.randint(1, 6)
     residues = frozenset(r for r in range(period) if rng.random() < 0.35)
-    return UPSet.build(threshold, finite, period, residues)
+    return build_by_sets(threshold, finite, period, residues)
+
+
+def random_loop(rng: random.Random) -> tuple[int, int, int]:
+    """A random counter row with its loop start and period."""
+    start, period = rng.randint(0, 12), rng.randint(1, 6)
+    return rng.getrandbits(start + period) & rng.getrandbits(start + period), start, period
+
+
+def row_meet(s1: UPSet, s2: UPSet) -> UPSet:
+    """The meet as ``reach_sets`` takes it: each set's row extended to the
+    later threshold plus the lcm of the periods, ANDed and folded."""
+    start, turn = max(s1.threshold, s2.threshold), math.lcm(s1.period, s2.period)
+    row1, row2 = (
+        counterset._extend(
+            upset_row(s, s.threshold + s.period), s.threshold, s.period, start + turn
+        )
+        for s in (s1, s2)
+    )
+    return counterset._row_upset(row1 & row2, start, turn)
 
 
 # --- normalization ----------------------------------------------------------------
 
 
 def test_build_preserves_membership():
+    # A folded counter row holds its own bits below start + period, and
+    # repeats the last period of them from there on.
     rng = random.Random(5)
     for _ in range(300):
-        threshold = rng.randint(0, 12)
-        finite = frozenset(c for c in range(threshold) if rng.random() < 0.4)
-        period = rng.randint(1, 6)
-        residues = frozenset(r for r in range(period) if rng.random() < 0.35)
-        s = UPSet.build(threshold, finite, period, residues)
-        for c in range(threshold + 4 * period + 4):
-            reference = (c in finite) if c < threshold else (c % period in residues)
-            assert up_membership(s, c) == reference, (s, c)
+        row, start, period = random_loop(rng)
+        s = counterset._row_upset(row, start, period)
+        for c in range(start + 4 * period + 4):
+            bit = c if c < start else start + (c - start) % period
+            assert member(s, c) == bool(row >> bit & 1), (row, start, period, c)
 
 
 def test_build_is_idempotent_and_minimal():
     rng = random.Random(6)
     for _ in range(200):
-        s = random_upset(rng)
-        again = UPSet.build(s.threshold, s.finite, s.period, s.residues)
-        assert again == s
+        row, start, period = random_loop(rng)
+        s = counterset._row_upset(row, start, period)
+        # the same set, read with a later start and a multiple of its
+        # period, folds back to it
+        later, turn = s.threshold + rng.randint(0, 3), s.period * rng.randint(1, 3)
+        assert counterset._row_upset(upset_row(s, later + turn), later, turn) == s
+        # the threshold is least: the tail pattern misses the counter below it
+        if s.threshold:
+            c = s.threshold - 1
+            assert (c in s.finite) != (c % s.period in s.residues), s
         # no proper divisor of the period describes the same tail
         for d in range(1, s.period):
             if s.period % d:
@@ -94,24 +117,14 @@ def test_build_is_idempotent_and_minimal():
             folded = frozenset(r % d for r in s.residues)
             t = UPSet(s.threshold, s.finite, d, folded)
             window = range(s.threshold, s.threshold + 3 * s.period * d + 1)
-            if all(up_membership(t, c) == up_membership(s, c) for c in window):
+            if all(member(t, c) == member(s, c) for c in window):
                 pytest.fail(f"period {s.period} not minimal: {d} works for {s}")
 
 
-def test_factories():
-    assert UPSet.empty().is_empty()
-    assert realize(UPSet.naturals(), 9) == set(range(10))
-    assert realize(UPSet.from_finite({1, 4}), 9) == {1, 4}
-    assert realize(UPSet.progression(3, 2), 12) == {3, 5, 7, 9, 11}
-    assert UPSet.from_finite(set()).is_empty()
-    assert UPSet.progression(0, 1) == UPSet.naturals()
-
-
 def test_first_tail_values_and_finiteness():
-    s = UPSet.build(4, frozenset({1}), 3, frozenset({0, 2}))
+    s = build_by_sets(4, {1}, 3, {0, 2})
     assert s.first_tail_values() == [5, 6]
-    assert not s.is_finite()
-    assert UPSet.from_finite({2, 9}).is_finite()
+    assert build_by_sets(10, {2, 9}, 1, ()).first_tail_values() == []  # a finite set
 
 
 # --- arithmetic ----------------------------------------------------------------------
@@ -123,19 +136,21 @@ def test_up_arithmetic_against_pointwise_oracle():
         s1, s2 = random_upset(rng), random_upset(rng)
         bound = 10 * math.lcm(s1.period, s2.period) + max(s1.threshold, s2.threshold)
         r1, r2 = realize(s1, bound), realize(s2, bound)
-        meet = up_intersect(s1, s2)
+        meet = row_meet(s1, s2)
         join = up_union(s1, s2)
         assert realize(meet, bound) == (r1 & r2), (s1, s2)
         assert realize(join, bound) == (r1 | r2), (s1, s2)
+        assert intersect_by_membership(s1, s2) == meet, (s1, s2)
 
 
 def test_arithmetic_identities():
     rng = random.Random(8)
+    naturals, empty = build_by_sets(0, (), 1, {0}), build_by_sets(0, (), 1, ())
     for _ in range(80):
         s = random_upset(rng)
-        assert up_intersect(s, UPSet.naturals()) == s
-        assert up_union(s, UPSet.empty()) == s
-        assert up_intersect(s, UPSet.empty()).is_empty()
+        assert row_meet(s, naturals) == s
+        assert up_union(s, empty) == s
+        assert row_meet(s, empty).is_empty()
 
 
 # --- rendering -----------------------------------------------------------------------
@@ -144,22 +159,22 @@ def test_arithmetic_identities():
 @pytest.mark.parametrize(
     "s,text",
     [
-        (UPSet.empty(), "∅"),
-        (UPSet.naturals(), "{t}"),
-        (UPSet.progression(1, 1), "{1+t}"),
-        (UPSet.progression(0, 2), "{2t}"),
-        (UPSet.progression(1, 2), "{1+2t}"),
-        (UPSet.progression(5, 6), "{5+6t}"),
-        (UPSet.progression(0, 3), "{3t}"),
-        (UPSet.progression(1, 3), "{1+3t}"),
-        (UPSet.progression(2, 3), "{2+3t}"),
-        (UPSet.from_finite({0}), "{0}"),
-        (UPSet.from_finite({1}), "{1}"),
-        (UPSet.from_finite({2}), "{2}"),
-        (UPSet.build(3, frozenset({1, 2}), 2, frozenset({1})), "{2} ∪ {1+2t}"),
-        (UPSet.build(3, frozenset({2}), 2, frozenset({1})), "{2} ∪ {3+2t}"),
-        (UPSet.build(3, frozenset({2}), 6, frozenset({5})), "{2} ∪ {5+6t}"),
-        (UPSet.from_finite({1, 3}), "{1,3}"),
+        (build_by_sets(0, (), 1, ()), "∅"),
+        (build_by_sets(0, (), 1, {0}), "{t}"),
+        (build_by_sets(1, (), 1, {0}), "{1+t}"),
+        (build_by_sets(0, (), 2, {0}), "{2t}"),
+        (build_by_sets(1, (), 2, {1}), "{1+2t}"),
+        (build_by_sets(5, (), 6, {5}), "{5+6t}"),
+        (build_by_sets(0, (), 3, {0}), "{3t}"),
+        (build_by_sets(1, (), 3, {1}), "{1+3t}"),
+        (build_by_sets(2, (), 3, {2}), "{2+3t}"),
+        (build_by_sets(1, {0}, 1, ()), "{0}"),
+        (build_by_sets(2, {1}, 1, ()), "{1}"),
+        (build_by_sets(3, {2}, 1, ()), "{2}"),
+        (build_by_sets(3, {1, 2}, 2, {1}), "{2} ∪ {1+2t}"),
+        (build_by_sets(3, {2}, 2, {1}), "{2} ∪ {3+2t}"),
+        (build_by_sets(3, {2}, 6, {5}), "{2} ∪ {5+6t}"),
+        (build_by_sets(4, {1, 3}, 1, ()), "{1,3}"),
     ],
 )
 def test_render_canonical(s, text):
@@ -168,7 +183,7 @@ def test_render_canonical(s, text):
 
 def test_render_extends_tails_down_through_the_finite_part():
     # 5 and 7 belong to the {1+2t} class and must fold into it, leaving 2 out
-    s = UPSet.build(9, frozenset({2, 5, 7}), 2, frozenset({1}))
+    s = build_by_sets(9, {2, 5, 7}, 2, {1})
     assert render_upset(s) == "{2} ∪ {5+2t}"
 
 
@@ -212,10 +227,10 @@ def test_worked_close_image_against_word_oracle():
         brute = oracle_close_image(regex_text, word_cap=14, value_cap=6)
         for c in range(7):
             if c in brute:
-                assert up_membership(s, c), (regex_text, c)
+                assert member(s, c), (regex_text, c)
         # completeness of the brute side only holds for small values
         for c in range(4):
-            assert up_membership(s, c) == (c in brute), (regex_text, c)
+            assert member(s, c) == (c in brute), (regex_text, c)
 
 
 # --- certified reachability -----------------------------------------------------------
@@ -234,13 +249,13 @@ def test_cap_floor_is_enforced():
 
 
 def test_select_period_examples():
-    two = UPSet.progression(0, 2)
-    three = UPSet.progression(1, 3)
+    two = build_by_sets(0, (), 2, {0})
+    three = build_by_sets(1, (), 3, {1})
     assert select_period([two, three]) == 6
-    assert select_period([UPSet.from_finite({0})]) == 2
+    assert select_period([build_by_sets(1, {0}, 1, ())]) == 2
     # the period must clear every finite member and the first tail values
-    assert select_period([UPSet.from_finite({5})]) == 6
-    assert select_period([UPSet.naturals()]) == 2
+    assert select_period([build_by_sets(6, {5}, 1, ())]) == 6
+    assert select_period([build_by_sets(0, (), 1, {0})]) == 2
 
 
 def test_reach_sets_carries_certificates(fig2):
@@ -254,7 +269,7 @@ def test_reach_sets_carries_certificates(fig2):
             assert cert.state == fig2.states.index(q)
             if s.is_empty():
                 assert cert.mode == "empty"
-            elif s.is_finite():
+            elif not s.residues:
                 assert cert.mode == "finite"
             else:
                 assert cert.mode == "periodic"
@@ -269,9 +284,7 @@ def test_reach_sets_duck_types_counter_cap(fig1):
     assert default.counter_cap == default_counter_cap(2)
     for q in fig1.states:
         for c in range(20):
-            assert up_membership(report.meet[q], c) == up_membership(
-                default.meet[q], c
-            )
+            assert member(report.meet[q], c) == member(default.meet[q], c)
 
 
 # --- machines and their counter systems ---------------------------------------------
@@ -409,7 +422,7 @@ def test_level_counters_match_configuration_search(fig1, fig2):
             except CertificationError:
                 assert cap != default, (n, edges, starts)
                 continue
-            got = [set(s.values_up_to(cap)) for s in slices]
+            got = [realize(s, cap) for s in slices]
             assert got == search_counters(n, edges, starts, cap), (n, edges, starts, cap)
     assert systems >= 2200, systems
 
@@ -448,7 +461,7 @@ def test_no_refusals_at_the_default_cap_on_bench_style_machines():
         oracle = harness.upset_oracle(machine, 60)
         for q in machine.states:
             for name in ("minus", "plus", "meet"):
-                got = frozenset(getattr(report, name)[q].values_up_to(60))
+                got = realize(getattr(report, name)[q], 60)
                 assert got == getattr(oracle, name)[q], (machine.transitions, q, name)
     assert len(machines) == 2400
 
@@ -467,8 +480,8 @@ def test_backward_closure_is_the_transpose_of_the_forward_one():
 
 
 def test_sets_from_bitmasks_are_the_canonical_sets():
-    # UPSet.build and the counter rows of every start and period against
-    # the normalization on sets of counters.
+    # The counter rows of every start and period against the normalization
+    # on sets of counters, and against the rows' own bits.
     rng = random.Random(16)
     for _ in range(5000):
         start, period = rng.randint(0, 9), rng.randint(1, 12)
@@ -476,9 +489,9 @@ def test_sets_from_bitmasks_are_the_canonical_sets():
         counters = [c for c in range(start + period) if row >> c & 1]
         finite = [c for c in counters if c < start]
         residues = [c % period for c in counters if c >= start]
-        want = build_by_sets(start, finite, period, residues)
-        assert counterset._row_upset(row, start, period) == want, (row, start, period)
-        assert UPSet.build(start, finite, period, residues) == want, (row, start, period)
+        s = counterset._row_upset(row, start, period)
+        assert s == build_by_sets(start, finite, period, residues), (row, start, period)
+        assert upset_row(s, start + period) == row, (row, start, period)
 
 
 REPORT_FIELDS = ("minus", "plus", "meet", "period", "types", "counter_cap", "certificates")
@@ -549,6 +562,45 @@ def test_report_sets_are_built_once_on_first_read(fig2):
     assert report.minus is minus
     for name in names:
         assert getattr(report, name) is getattr(report, name), name
+
+
+def test_report_reads_build_each_set_and_certificate_once(fig1, fig2, monkeypatch):
+    # Whichever of the three sets is read first builds all three in one
+    # pass, one UPSet per distinct set of each; later reads return the same
+    # dicts and build nothing.  The certificates are built once, apart.
+    from test_components import ladder
+
+    sets, certificates = [], []
+
+    def counted_upset(*form):
+        sets.append(form)
+        return upset(*form)
+
+    def counted_certificate(*args):
+        certificates.append(args)
+        return certificate(*args)
+
+    upset, certificate = counterset._upset, counterset.SliceCertificate
+    monkeypatch.setattr(counterset, "_upset", counted_upset)
+    monkeypatch.setattr(counterset, "SliceCertificate", counted_certificate)
+    names = ("minus", "plus", "meet")
+    for machine in (fig1, fig2, ladder(2, 3), complete_machine(3)):
+        for order in itertools.permutations(names):
+            report = reach_sets(machine)
+            sets.clear()
+            first = {name: getattr(report, name) for name in order}
+            distinct = {name: set(first[name].values()) for name in names}
+            assert len(sets) == sum(map(len, distinct.values()))
+            for name in names:  # equal sets of one dict are one object
+                assert len({id(s) for s in first[name].values()}) == len(distinct[name])
+            sets.clear()
+            for name in order[::-1] + order:
+                assert getattr(report, name) is first[name], name
+            assert not sets and not certificates
+            made = report.certificates
+            assert report.certificates is made
+            assert len(certificates) == 2 * len(machine.states) and not sets
+            certificates.clear()
 
 
 def test_reach_sets_runs_one_dyck_closure(fig1, fig2, monkeypatch):

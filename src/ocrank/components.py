@@ -36,8 +36,9 @@ from .transducer import TransducerPrime, TypedState
 @dataclass
 class Scc:
     """A component: its members, their numbers in ``prime.states``
-    (ascending), and the indices in ``prime.arcs`` of its internal
-    transitions."""
+    (ascending), and the indices in ``prime.arcs`` of the transitions
+    out of its members, filed as ``internal`` (the target is a member too)
+    or ``leaving`` (the target lies in a later component)."""
 
     index: int
     members: frozenset[TypedState]
@@ -45,6 +46,7 @@ class Scc:
     trivial: bool
     ids: list[int]
     internal: list[int]
+    leaving: list[int]
 
 
 @dataclass
@@ -101,10 +103,10 @@ def condense(prime: TransducerPrime) -> list[Scc]:
             if i != j and j not in out[i]:
                 out[i][j] = None
                 indegree[j] += 1
-    internal: list[list[int]] = [[] for _ in found]
+    filed: list[tuple[list[int], list[int]]] = [([], []) for _ in found]  # internal, leaving
     for k, (source, target, _, _) in enumerate(prime.arcs):
-        if comp_of[source] == comp_of[target]:
-            internal[comp_of[source]].append(k)
+        i = comp_of[source]
+        filed[i][i != comp_of[target]].append(k)
     order = [i for i, d in enumerate(indegree) if d == 0]
     for i in order:  # grows while it is walked, one generation after another
         for j in out[i]:
@@ -118,7 +120,8 @@ def condense(prime: TransducerPrime) -> list[Scc]:
         phases = {s.phase for s in members}
         if len(phases) != 1:
             raise AssertionError(f"component {sorted(members)} mixes phases {phases}")
-        sccs.append(Scc(pos, members, phases.pop(), not internal[i], found[i], internal[i]))
+        internal, leaving = filed[i]
+        sccs.append(Scc(pos, members, phases.pop(), not internal, found[i], internal, leaving))
     return sccs
 
 

@@ -155,56 +155,46 @@ def edge_bounds(
     verdicts: dict[int, comp.ComponentVerdict],
     regrank: Sequence[int],
 ) -> dict[int, tuple[Ordinal, str]]:
-    """Propagate ordinal bounds along intercomponent edges in topo order.
+    """Push ordinal bounds along intercomponent edges in topological order.
 
     ``regrank[i]`` is the finite order bound of arc i's output language.
     The (bound, status) attached to an edge covers all outputs produced up
-    to and including traversing that edge.
+    to and including traversing that edge.  Each edge's bound is pushed to
+    its target state, which keeps the greatest one fed into it, a
+    Certified one winning a tie; the initial state is fed (0, Certified).
+    A component takes the greatest entry of its members: ord_add(step, ·)
+    is strictly increasing, so that entry gives each of its leaving edges
+    its greatest sum.  A component nothing feeds is unreachable through
+    certified edges and bounds no edge.
     """
-    scc_of = [0] * len(prime.states)
-    for c in sccs:
-        for q in c.ids:
-            scc_of[q] = c.index
-    initial_comp = scc_of[prime.states.index(prime.initial)]
-
-    incoming: list[list[int]] = [[] for _ in sccs]
-    outgoing: list[list[int]] = [[] for _ in sccs]
-    for i, (source, target, _, _) in enumerate(prime.arcs):
-        cs, ct = scc_of[source], scc_of[target]
-        if cs != ct:
-            incoming[ct].append(i)
-            outgoing[cs].append(i)
-
+    # Entries are (bound, certified): as tuples, a Certified one wins a tie.
+    entry = {prime.states.index(prime.initial): (ZERO, True)}
     bounds: dict[int, tuple[Ordinal, str]] = {}
     for c in sccs:  # already topologically ordered
-        out = outgoing[c.index]
-        if c.index == initial_comp:
-            if out and not c.trivial:
-                raise AssertionError("initial component must be trivial")
-            for i in out:
-                bounds[i] = Ordinal(0, regrank[i]), CERTIFIED
+        fed = max((entry[q] for q in c.ids if q in entry), default=None)
+        if fed is None or not c.leaving:
             continue
-        feeds = [bounds[j] for j in incoming[c.index] if j in bounds]
-        if not out or not feeds:
-            continue  # unreachable through certified edges
-        # ord_add(step, ·) is strictly increasing, so the greatest feed gives
-        # every out-edge its greatest sum; among equal feeds a Certified one
-        # wins.
-        entry, entry_status = max(feeds, key=lambda fed: (fed[0], fed[1] == CERTIFIED))
+        value, certified = fed
         verdict = verdicts.get(c.index)
-        status = CONDITIONAL if isinstance(verdict, comp.ZeroCertified) else entry_status
-        intra_max = max((regrank[k] for k in c.internal), default=0)
-        for i in out:
-            r = regrank[i]
-            if c.trivial:
-                step = Ordinal(0, r)
-            elif isinstance(verdict, comp.FullyCertified):
-                step = Ordinal(0, len(c.members) * (1 + intra_max) + r)
-            elif isinstance(verdict, comp.ZeroCertified):
-                step = OMEGA
-            else:
-                raise AssertionError("quasi-dense component reached the bound DP")
-            bounds[i] = ord_add(step, entry), status
+        if c.trivial:
+            finite = 0
+        elif prime.initial in c.members:
+            raise AssertionError("initial component must be trivial")
+        elif isinstance(verdict, comp.FullyCertified):
+            finite = len(c.members) * (1 + max(regrank[k] for k in c.internal))
+        elif isinstance(verdict, comp.ZeroCertified):
+            finite, certified = None, False
+        else:
+            raise AssertionError("quasi-dense component reached the bound DP")
+        status = CERTIFIED if certified else CONDITIONAL
+        for i in c.leaving:
+            step = OMEGA if finite is None else Ordinal(0, finite + regrank[i])
+            pushed = ord_add(step, value), certified
+            bounds[i] = pushed[0], status
+            target = prime.arcs[i][1]
+            held = entry.get(target)
+            if held is None or held < pushed:
+                entry[target] = pushed
     return bounds
 
 

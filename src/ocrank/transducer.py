@@ -276,16 +276,12 @@ class TransducerPrime:
     @property
     def transitions(self) -> tuple[TypedTransition, ...]:
         if self._transitions is None:
-            self._transitions = tuple(map(self.transition, range(len(self.arcs))))
+            states, base = self.states, self.base.transitions
+            self._transitions = tuple(
+                TypedTransition(states[x], base[b].bit, states[y], base[b].output, rule, base[b])
+                for x, y, b, rule in self.arcs
+            )
         return self._transitions
-
-    def transition(self, k: int) -> TypedTransition:
-        """Arc k as a :class:`TypedTransition`, ``transitions[k]`` without the view."""
-        source, target, b, rule = self.arcs[k]
-        base = self.base.transitions[b]
-        return TypedTransition(
-            self.states[source], base.bit, self.states[target], base.output, rule, base
-        )
 
     def compiled_output(self, t: TypedTransition) -> Automaton:
         return self.base.compiled_output(t.base)

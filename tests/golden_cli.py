@@ -85,12 +85,15 @@ def write_fixture(text: str, path: str, texts: dict[str, str]) -> None:
             write_fixture(texts[name], os.path.join(os.path.dirname(path), ref), texts)
 
 
-def run_call(text: str, argv: list[str], directory: str, texts: dict[str, str]) -> dict:
+def run_call(
+    text: str, argv: list[str], directory: str, texts: dict[str, str], main=cli.main
+) -> dict:
     """Run one call in process on ``text`` and return what it gave.
 
     The fixture is written as ``machine.oct`` in ``directory``, so the
     paths in the output do not depend on the fixture's name; the fixtures
     of ``texts`` that an expression refers to are written beside it.
+    ``main`` is the command line to call, this program's by default.
     """
     path = os.path.join(directory, "machine.oct")
     json_path = os.path.join(directory, "out.json")
@@ -99,7 +102,7 @@ def run_call(text: str, argv: list[str], directory: str, texts: dict[str, str]) 
         os.remove(json_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([argv[0], path, *argv[1:], "--json", json_path])
+        code = main([argv[0], path, *argv[1:], "--json", json_path])
     payload = None
     if os.path.exists(json_path):
         with open(json_path, encoding="utf-8") as fh:

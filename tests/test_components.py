@@ -169,8 +169,19 @@ def test_condense_order_matches_networkx(fig1, fig2):
             prime = build_mprime(machine, reach_sets(machine))
         except (CertificationError, LevelingError):
             continue
-        got = [(c.members, c.trivial) for c in condense(prime)]
+        sccs = condense(prime)
+        got = [(c.members, c.trivial) for c in sccs]
         assert got == networkx_condense(prime), sorted(s.render() for s in prime.states)
+        # Each arc is filed once, under its source's component: internal when
+        # its target is there too, leaving when the target comes later.
+        position = {q: c.index for c in sccs for q in c.ids}
+        filed = sorted(k for c in sccs for k in c.internal + c.leaving)
+        assert filed == list(range(len(prime.arcs)))
+        for c in sccs:
+            for k in c.internal:
+                assert position[prime.arcs[k][0]] == position[prime.arcs[k][1]] == c.index
+            for k in c.leaving:
+                assert position[prime.arcs[k][0]] == c.index < position[prime.arcs[k][1]]
         compared += 1
     assert compared >= 600
 

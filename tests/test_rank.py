@@ -9,9 +9,10 @@ import pytest
 
 from conftest import random_machine
 from oracles import scc_index_of
+from test_acceptance import COPRIME_LADDERS_210
 from test_components import ladder
 from test_counterset import complete_machine
-from ocrank import rank, regular
+from ocrank import cli, rank, regular
 from ocrank.rank import (
     CERTIFIED,
     CONDITIONAL,
@@ -343,6 +344,7 @@ def test_edge_bounds_match_the_per_feed_oracle(fig1, fig2):
     rng = random.Random(20261018)
     machines = shaped_machines(fig1, fig2)
     machines += [random_machine(rng, max_states=6, max_transitions=10) for _ in range(320)]
+    machines.append(cli.load_fixture_file(COPRIME_LADDERS_210).value)  # P = 210
     compared = several_feeds = conditional = 0
     for machine in machines:
         analysis = analyze_machine(machine)

@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import harness
 from .counterset import CertificationError, reach_sets, render_upset
@@ -51,8 +51,7 @@ class FixtureError(ValueError):
     """Fixture file rejected; the message carries file:line context."""
 
 
-@dataclass
-class Fixture:
+class Fixture(NamedTuple):
     """A parsed fixture: either one machine or one expression over machines."""
 
     value: Transducer | RocExpr
@@ -597,15 +596,15 @@ _OPTIONS = {
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@dataclass
 class _Args:
-    command: str = ""
-    fixture: str = ""
-    input_cap: int = 8
-    output_cap: int = 24
-    counter_cap: int | None = None
-    json: str | None = None
-    dot: str | None = None
+    """The parsed command line; every field is set here, so ``vars`` lists all seven."""
+
+    def __init__(self, command: str = "", fixture: str = "", input_cap: int = 8,
+                 output_cap: int = 24, counter_cap: int | None = None,
+                 json: str | None = None, dot: str | None = None) -> None:
+        self.command, self.fixture = command, fixture
+        self.input_cap, self.output_cap, self.counter_cap = input_cap, output_cap, counter_cap
+        self.json, self.dot = json, dot
 
 
 def _cap(option: str, text: str) -> int:

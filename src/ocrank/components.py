@@ -26,45 +26,51 @@ returns to the clashing component's first anchor, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import regular
 from .regular import Automaton
 from .transducer import TransducerPrime, TypedState
+from .words import Record
 
 
-@dataclass
-class Scc:
+class Scc(Record):
     """A component: its members, their numbers in ``prime.states``
     (ascending), and the indices in ``prime.arcs`` of the transitions
     out of its members, filed as ``internal`` (the target is a member too)
     or ``leaving`` (the target lies in a later component)."""
 
-    index: int
-    members: frozenset[TypedState]
-    phase: str
-    trivial: bool
-    ids: list[int]
-    internal: list[int]
-    leaving: list[int]
+    __slots__ = _fields = ("index", "members", "phase", "trivial", "ids", "internal", "leaving")
+
+    def __init__(self, index: int, members: frozenset[TypedState], phase: str, trivial: bool,
+                 ids: list[int], internal: list[int], leaving: list[int]) -> None:
+        self.index, self.members, self.phase, self.trivial = index, members, phase, trivial
+        self.ids, self.internal, self.leaving = ids, internal, leaving
 
 
-@dataclass
-class FullyCertified:
+class _Certified(Record):
+    """A certified component's root per anchor.  Of one layout, the two
+    verdicts below differ by class, so they are records, not named tuples."""
+
+    __slots__ = _fields = ("roots",)
+
+    def __init__(self, roots: dict[TypedState, str | None]) -> None:
+        self.roots = roots
+
+
+class FullyCertified(_Certified):
     """Every cycle output through each anchor lies in that anchor's root power."""
 
-    roots: dict[TypedState, str | None]
+    __slots__ = ()
 
 
-@dataclass
-class ZeroCertified:
+class ZeroCertified(_Certified):
     """Only the zero-weight cycles are certified single-rooted."""
 
-    roots: dict[TypedState, str | None]
+    __slots__ = ()
 
 
-@dataclass
-class QuasiDenseWitness:
+class QuasiDenseWitness(NamedTuple):
     """Two cycle outputs at one anchor with different primitive roots."""
 
     state: TypedState

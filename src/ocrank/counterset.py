@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .words import mask_image, state_bits, state_mask
+from .words import Record, mask_image, state_bits, state_mask
 
 
 class CertificationError(RuntimeError):
@@ -42,8 +42,7 @@ class CertificationError(RuntimeError):
 # Ultimately periodic sets
 
 
-@dataclass(frozen=True)
-class UPSet:
+class UPSet(NamedTuple):
     """An ultimately periodic subset of the naturals.
 
     The set is ``finite ∪ {n ≥ threshold : n mod period ∈ residues}`` with
@@ -149,8 +148,7 @@ def default_counter_cap(n_states: int) -> int:
     return 2 * n_states * n_states + 4 * n_states + 4
 
 
-@dataclass
-class SliceCertificate:
+class SliceCertificate(NamedTuple):
     """Evidence backing one state's claimed reachability set.
 
     The levels of the system (:func:`level_cycle`) repeat from ``start``
@@ -264,8 +262,7 @@ def _extend(row: int, start: int, period: int, length: int) -> int:
 # Per-state reachability report for counter transducers
 
 
-@dataclass
-class NSetReport:
+class NSetReport(Record):
     """Forward, backward and combined counter sets of a machine's states.
 
     ``minus`` holds the counter values of input prefixes reaching each
@@ -282,16 +279,18 @@ class NSetReport:
     ``_plus`` are each direction's (rows by state, loop start, loop
     period), and ``_meets`` is each state's meet in canonical form,
     ``(finite, threshold, period, residues)`` with the two sets as
-    bitmasks.
+    bitmasks.  The report has no ``__slots__``: ``cached_property`` keeps
+    what it builds in the instance dictionary.
     """
 
-    period: int
-    types: dict[str, frozenset[int]]
-    counter_cap: int
-    _states: list[str] = field(repr=False)
-    _minus: tuple[list[int], int, int] = field(repr=False)
-    _plus: tuple[list[int], int, int] = field(repr=False)
-    _meets: list[tuple[int, int, int, int]] = field(repr=False)
+    _fields = ("period", "types", "counter_cap", "_states", "_minus", "_plus", "_meets")
+
+    def __init__(self, period: int, types: dict[str, frozenset[int]], counter_cap: int,
+                 _states: list[str], _minus: tuple[list[int], int, int],
+                 _plus: tuple[list[int], int, int],
+                 _meets: list[tuple[int, int, int, int]]) -> None:
+        self.period, self.types, self.counter_cap = period, types, counter_cap
+        self._states, self._minus, self._plus, self._meets = _states, _minus, _plus, _meets
 
     minus = property(lambda self: self._sets[0])  # dict[str, UPSet]
     plus = property(lambda self: self._sets[1])  # dict[str, UPSet]

@@ -12,7 +12,7 @@ shadowed builtin is not used inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import regular
 from .rank import RocAtom, RocConcat, RocExpr, RocPlus, enumerate_expr
@@ -27,8 +27,7 @@ from .counterset import reach_sets
 from .words import distinct_root_pair, primitive_root
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     words: list[str]
     input_cap: int
     output_cap: int
@@ -51,8 +50,7 @@ def enumerate(machine: Transducer, input_cap: int, output_cap: int) -> Enumerati
 # Density probing
 
 
-@dataclass
-class DensityWitness:
+class DensityWitness(NamedTuple):
     word1: str
     word2: str
     description: str
@@ -132,8 +130,7 @@ def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | Non
 # Independent counter-set oracle
 
 
-@dataclass
-class OracleSlices:
+class OracleSlices(NamedTuple):
     minus: dict[str, frozenset[int]]
     plus: dict[str, frozenset[int]]
     meet: dict[str, frozenset[int]]

@@ -15,7 +15,6 @@ reverse order) and iteration (bounded by 1, refuted, or unknown).
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import components as comp
@@ -31,7 +30,7 @@ from .transducer import (
     build_mprime,
     minimal_normalize,
 )
-from .words import distinct_root_pair, primitive_root
+from .words import Record, distinct_root_pair, primitive_root
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +86,13 @@ CERTIFIED = "Certified"
 CONDITIONAL = "ConditionalOnScattered"
 
 
-@dataclass
-class RankBound:
+class RankBound(NamedTuple):
     value: Ordinal
     status: str
     derivation: tuple[str, ...] = ()
 
 
-@dataclass
-class NotScattered:
+class NotScattered(NamedTuple):
     """The language embeds a dense order; no ordinal bound exists."""
 
     word1: str
@@ -104,8 +101,7 @@ class NotScattered:
     state: TypedState | None = None
 
 
-@dataclass
-class Unknown:
+class Unknown(NamedTuple):
     reason: str
 
 
@@ -113,32 +109,38 @@ class Unknown:
 # Machine expressions
 
 
-class RocExpr:
+class RocExpr(Record):
     """Expression over restricted one-counter machine languages."""
 
+    __slots__ = ()
 
-@dataclass
+
 class RocAtom(RocExpr):
-    machine: Transducer
+    __slots__ = _fields = ("machine",)
+
+    def __init__(self, machine: Transducer) -> None:
+        self.machine = machine
 
 
-@dataclass
 class RocConcat(RocExpr):
-    left: RocExpr
-    right: RocExpr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: RocExpr, right: RocExpr) -> None:
+        self.left, self.right = left, right
 
 
-@dataclass
 class RocPlus(RocExpr):
-    body: RocExpr
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: RocExpr) -> None:
+        self.body = body
 
 
 # ---------------------------------------------------------------------------
 # Machine analysis
 
 
-@dataclass
-class MachineAnalysis:
+class MachineAnalysis(NamedTuple):
     """Everything the rank DP produced for one machine, for reporting."""
 
     machine: Transducer
@@ -159,22 +161,21 @@ def edge_bounds(
 
     ``regrank[i]`` is the finite order bound of arc i's output language.
     The (bound, status) attached to an edge covers all outputs produced up
-    to and including traversing that edge.  Each edge's bound is pushed to
-    its target state, which keeps the greatest one fed into it, a
-    Certified one winning a tie; the initial state is fed (0, Certified).
-    A component takes the greatest entry of its members: ord_add(step, ·)
-    is strictly increasing, so that entry gives each of its leaving edges
-    its greatest sum.  A component nothing feeds is unreachable through
-    certified edges and bounds no edge.
+    to and including traversing that edge.  The status is Certified exactly
+    when the bound is finite: only a zero-certified component adds ω, and
+    ord_add never lowers the ω coefficient.  Each edge's bound is pushed to
+    its target state, which keeps the greatest one fed into it; the
+    initial state is fed 0.  A component takes the greatest entry of its
+    members: ord_add(step, ·) is strictly increasing, so that entry gives
+    each of its leaving edges its greatest sum.  A component nothing feeds
+    is unreachable through certified edges and bounds no edge.
     """
-    # Entries are (bound, certified): as tuples, a Certified one wins a tie.
-    entry = {prime.states.index(prime.initial): (ZERO, True)}
+    entry = {prime.states.index(prime.initial): ZERO}
     bounds: dict[int, tuple[Ordinal, str]] = {}
     for c in sccs:  # already topologically ordered
         fed = max((entry[q] for q in c.ids if q in entry), default=None)
         if fed is None or not c.leaving:
             continue
-        value, certified = fed
         verdict = verdicts.get(c.index)
         if c.trivial:
             finite = 0
@@ -183,18 +184,17 @@ def edge_bounds(
         elif isinstance(verdict, comp.FullyCertified):
             finite = len(c.members) * (1 + max(regrank[k] for k in c.internal))
         elif isinstance(verdict, comp.ZeroCertified):
-            finite, certified = None, False
+            finite = None
         else:
             raise AssertionError("quasi-dense component reached the bound DP")
-        status = CERTIFIED if certified else CONDITIONAL
         for i in c.leaving:
             step = OMEGA if finite is None else Ordinal(0, finite + regrank[i])
-            pushed = ord_add(step, value), certified
-            bounds[i] = pushed[0], status
+            bound = ord_add(step, fed)
+            bounds[i] = bound, CERTIFIED if bound.a == 0 else CONDITIONAL
             target = prime.arcs[i][1]
             held = entry.get(target)
-            if held is None or held < pushed:
-                entry[target] = pushed
+            if held is None or held < bound:
+                entry[target] = bound
     return bounds
 
 

@@ -20,11 +20,10 @@ the automaton it analysed.  Compiled automata are shared and read-only.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from math import gcd
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
-from .words import Alphabet, mask_image, primitive_root, state_bits, state_mask
+from .words import Alphabet, Record, mask_image, primitive_root, state_bits, state_mask
 
 _Node = TypeVar("_Node")
 
@@ -33,47 +32,70 @@ _Node = TypeVar("_Node")
 # Regex syntax trees
 
 
-class Regex:
-    """Base class for regex nodes."""
+class Regex(Record):
+    """Base class for regex nodes.  A node hashes as its fields' tuple, so
+    ``Union(a, b)`` and ``Concat(a, b)`` hash alike; they are not equal."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Lit(Regex):
-    ch: str
+    __slots__ = _fields = ("ch",)
+
+    def __init__(self, ch: str) -> None:
+        self.ch = ch
+
+    def __hash__(self) -> int:
+        return hash((self.ch,))
 
     def __str__(self) -> str:
         return self.ch
 
 
-@dataclass(frozen=True)
 class Eps(Regex):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __str__(self) -> str:
         return "eps"
 
 
-@dataclass(frozen=True)
 class Union(Regex):
-    left: Regex
-    right: Regex
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex) -> None:
+        self.left, self.right = left, right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     def __str__(self) -> str:
         return f"{self.left}+{self.right}"
 
 
-@dataclass(frozen=True)
 class Concat(Regex):
-    left: Regex
-    right: Regex
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Regex, right: Regex) -> None:
+        self.left, self.right = left, right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     def __str__(self) -> str:
         return f"{_wrap_for_concat(self.left)}{_wrap_for_concat(self.right)}"
 
 
-@dataclass(frozen=True)
 class Star(Regex):
-    body: Regex
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Regex) -> None:
+        self.body = body
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
 
     def __str__(self) -> str:
         return f"{_wrap_for_star(self.body)}*"
@@ -234,8 +256,7 @@ def _targets(row: dict[str, int]) -> int:
     return targets
 
 
-@dataclass
-class Automaton:
+class Automaton(Record):
     """An epsilon-free NFA.  States are 0..n-1.
 
     ``edges[q]`` maps a letter to the successors of q on it as one int
@@ -250,17 +271,14 @@ class Automaton:
     ``finals``.
     """
 
-    alphabet: Alphabet
-    n: int
-    edges: list[dict[str, int]]
-    initials: frozenset[int]
-    finals: frozenset[int]
-    _scattered: Scattered | QuasiDense | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _entered: tuple[list[tuple[dict[str, int], bool]], dict[str, int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("alphabet", "n", "edges", "initials", "finals")
+    __slots__ = _fields + ("_scattered", "_entered")
+
+    def __init__(self, alphabet: Alphabet, n: int, edges: list[dict[str, int]],
+                 initials: frozenset[int], finals: frozenset[int]) -> None:
+        self.alphabet, self.n, self.edges = alphabet, n, edges
+        self.initials, self.finals = initials, finals
+        self._scattered = self._entered = None  # kept on first use, see above
 
     def step(self, states: int, ch: str) -> int:
         """The successors on ``ch`` of the state bitmask ``states``."""
@@ -802,8 +820,7 @@ def cycle_witness(cycles: Automaton) -> tuple[str, str]:
 # Order-theoretic analysis of regular languages
 
 
-@dataclass(frozen=True)
-class Scattered:
+class Scattered(NamedTuple):
     """The language is scattered; ``rank`` is a finite bound on its rank."""
 
     rank: int
@@ -812,8 +829,7 @@ class Scattered:
         return True
 
 
-@dataclass(frozen=True)
-class QuasiDense:
+class QuasiDense(NamedTuple):
     """Witness that the language embeds a dense suborder.
 
     ``state`` is a state of the trimmed DFA that carries two cycle words

@@ -12,13 +12,12 @@ only modulo the period (``eq``).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import regular
 from .counterset import NSetReport
 from .regular import Automaton, Regex, parse_regex
-from .words import Alphabet, in_d1, state_mask
+from .words import Alphabet, Record, in_d1, state_mask
 
 
 class TransducerError(ValueError):
@@ -44,14 +43,16 @@ class Transition(NamedTuple):
     output: Regex
 
 
-@dataclass
-class Transducer:
-    states: tuple[str, ...]
-    initial: str
-    finals: frozenset[str]
-    transitions: tuple[Transition, ...]
-    alphabet: Alphabet
-    accepts_epsilon: bool
+class Transducer(Record):
+    __slots__ = _fields = ("states", "initial", "finals", "transitions", "alphabet",
+                           "accepts_epsilon")
+
+    def __init__(self, states: tuple[str, ...], initial: str, finals: frozenset[str],
+                 transitions: tuple[Transition, ...], alphabet: Alphabet,
+                 accepts_epsilon: bool) -> None:
+        self.states, self.initial, self.finals = states, initial, finals
+        self.transitions, self.alphabet = transitions, alphabet
+        self.accepts_epsilon = accepts_epsilon
 
     def compiled_output(self, t: Transition) -> Automaton:
         return regular.compile_regex(t.output, self.alphabet)
@@ -238,18 +239,19 @@ class TypedState(NamedTuple):
         return f"({self.state},{self.level},{self.phase})"
 
 
-@dataclass(frozen=True)
-class TypedTransition:
-    source: TypedState
-    bit: int
-    target: TypedState
-    output: Regex
-    rule: str
-    base: Transition
+class TypedTransition(Record):
+    __slots__ = _fields = ("source", "bit", "target", "output", "rule", "base")
+
+    def __init__(self, source: TypedState, bit: int, target: TypedState, output: Regex,
+                 rule: str, base: Transition) -> None:
+        self.source, self.bit, self.target = source, bit, target
+        self.output, self.rule, self.base = output, rule, base
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-@dataclass
-class TransducerPrime:
+class TransducerPrime(Record):
     """The leveled machine.
 
     ``states[i]`` is state i.  ``arcs`` holds the transitions as
@@ -261,17 +263,17 @@ class TransducerPrime:
     built on first use too.
     """
 
-    period: int
-    states: tuple[TypedState, ...]
-    initial: TypedState
-    finals: frozenset[TypedState]
-    arcs: tuple[tuple[int, int, int, str], ...]
-    alphabet: Alphabet
-    accepts_epsilon: bool
-    base: Transducer
-    _transitions: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _by_ends: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _samples: list | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("period", "states", "initial", "finals", "arcs", "alphabet", "accepts_epsilon",
+               "base")
+    __slots__ = _fields + ("_transitions", "_by_ends", "_samples")
+
+    def __init__(self, period: int, states: tuple[TypedState, ...], initial: TypedState,
+                 finals: frozenset[TypedState], arcs: tuple[tuple[int, int, int, str], ...],
+                 alphabet: Alphabet, accepts_epsilon: bool, base: Transducer) -> None:
+        self.period, self.states, self.initial, self.finals = period, states, initial, finals
+        self.arcs, self.alphabet, self.base = arcs, alphabet, base
+        self.accepts_epsilon = accepts_epsilon
+        self._transitions = self._by_ends = self._samples = None
 
     @property
     def transitions(self) -> tuple[TypedTransition, ...]:

@@ -5,33 +5,67 @@ Words are plain Python strings whose characters are letters of an
 order — drives every comparison in the package, so ``Alphabet(("b", "a"))``
 really does make ``"b"`` smaller than ``"a"``.  The module also holds the
 helpers for sets of states kept as int bitmasks, which the automata and
-the counter levels share.
+the counter levels share, and :class:`Record`, the base of the package's
+records that are not named tuples.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """Base of the package's records that are not named tuples.
+
+    These are the records that mutate, cache or need equality by class, and
+    those whose fields each call reads many times (machines, leveled
+    transitions, components): on Python 3.11 a named tuple's field read
+    costs about three times a slot's.
+
+    ``_fields`` names a record's fields, as on a named tuple: two records
+    are equal when they are of one class with equal fields, and the repr
+    shows the fields by name, but for those whose names begin with ``_``.
+    Records are unhashable unless a class defines ``__hash__``, as the hash
+    of its fields' tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = [f"{f}={getattr(self, f)!r}" for f in self._fields if f[0] != "_"]
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class Alphabet(Record):
     """A finite, totally ordered set of single-character letters."""
 
-    letters: tuple[str, ...]
-    _rank: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("letters", "_rank")
+    _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: tuple[str, ...]) -> None:
+        if not letters:
             raise ValueError("alphabet must not be empty")
-        for ch in self.letters:
+        for ch in letters:
             if len(ch) != 1:
                 raise ValueError(f"alphabet letters must be single characters, got {ch!r}")
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError(f"duplicate letters in alphabet {self.letters!r}")
-        object.__setattr__(self, "_rank", {ch: i for i, ch in enumerate(self.letters)})
+        if len(set(letters)) != len(letters):
+            raise ValueError(f"duplicate letters in alphabet {letters!r}")
+        self.letters = letters
+        self._rank = {ch: i for i, ch in enumerate(letters)}
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def rank(self, ch: str) -> int:
         try:

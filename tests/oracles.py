@@ -510,8 +510,11 @@ def replace_transitions(prime: TransducerPrime, transitions) -> TransducerPrime:
         base = tt.base if tt.base.bit == tt.bit else tt.base._replace(bit=tt.bit)
         b = bases.setdefault(base, len(bases))
         arcs.append((states[tt.source], states[tt.target], b, tt.rule))
-    machine = dataclasses.replace(prime.base, transitions=tuple(bases))
-    return dataclasses.replace(prime, arcs=tuple(arcs), base=machine)
+    base = prime.base
+    machine = Transducer(base.states, base.initial, base.finals, tuple(bases), base.alphabet,
+                         base.accepts_epsilon)
+    return TransducerPrime(prime.period, prime.states, prime.initial, prime.finals,
+                           tuple(arcs), prime.alphabet, prime.accepts_epsilon, machine)
 
 
 def epsilon_free(

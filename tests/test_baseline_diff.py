@@ -9,8 +9,9 @@ is a named predicate below; the list is closed, and each predicate's hits
 are counted and pinned.
 
 The copy is exponential on period shapes (the coprime ladders at P = 210
-exhaust it), so it only sees ``random_machine``s at their default sizes
-and two small planted fixtures, and the test has a time budget.
+exhaust it), so it only sees ``random_machine``s at their default sizes,
+iterations and concatenations of them, and two small planted fixtures,
+and the test has a time budget.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from ocrank_baseline import cli as baseline_cli  # noqa: E402
 SEEDS = range(200)
 CAPS = ["--input-cap", "4", "--output-cap", "10"]
 CALLS = (["rank"], ["nsets"], ["mprime"], ["check", *CAPS], ["enumerate", *CAPS])
+# Over each neighbouring pair of the seeded machines, as m1.oct and m2.oct.
+EXPRESSIONS = ("expr plus m1.oct\n", "expr concat m1.oct m2.oct\n")
+EXPRESSION_CALLS = (["rank"], ["enumerate", *CAPS])
 BUDGET_S = 30.0
 
 # A machine that accepts no input word: its one transition closes at 0.
@@ -95,17 +99,22 @@ DECLARED = (dead_quasi_dense_output, counter_cap_refusal_first, vacuous_mprime)
 
 
 def test_the_command_line_agrees_with_the_first_version(tmp_path):
-    cases = [
-        (cli.render_fixture(cli.Fixture(random_machine(random.Random(seed)))), argv)
-        for seed in SEEDS
-        for argv in CALLS
+    machines = [cli.render_fixture(cli.Fixture(random_machine(random.Random(seed))))
+                for seed in SEEDS]
+    cases = [(text, argv, {}) for text in machines for argv in CALLS]
+    cases += [
+        (expr, argv, {"m1": machines[i], "m2": machines[i + 1]})
+        for i in range(0, len(machines), 2)
+        for expr in EXPRESSIONS
+        for argv in EXPRESSION_CALLS
     ]
+    cases += [(text, argv, {}) for text, argv in PLANTED]
     hits = {p.__name__: 0 for p in DECLARED}
     unnamed = []
     t0 = time.perf_counter()
-    for text, argv in cases + PLANTED:
-        program = run_call(text, argv, str(tmp_path), {})
-        copy = run_call(text, argv, str(tmp_path), {}, baseline_cli.main)
+    for text, argv, texts in cases:
+        program = run_call(text, argv, str(tmp_path), texts)
+        copy = run_call(text, argv, str(tmp_path), texts, baseline_cli.main)
         if program == copy:
             continue
         named = [p.__name__ for p in DECLARED if p(argv, program, copy)]

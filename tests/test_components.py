@@ -329,6 +329,8 @@ def test_trivial_components_certify_vacuously(fig1_prime, fig1_sccs):
         if c.trivial:
             v = certify_component(c, fig1_prime)
             assert isinstance(v, FullyCertified) and v.roots == {}
+            # The two certified verdicts share a layout and differ by class.
+            assert v == FullyCertified({}) != ZeroCertified({})
 
 
 def test_quasi_dense_self_loop_is_caught():

@@ -19,6 +19,7 @@ from ocrank.regular import (
     RegexSyntaxError,
     Scattered,
     Star,
+    Union,
     compile_regex,
     determinize,
     nfa_of_regex,
@@ -47,6 +48,10 @@ def test_an_equal_key_returns_the_identical_object():
     a = compile_regex(node, AB)
     assert compile_regex(parse_regex("(a+b)*a", AB), Alphabet(("a", "b"))) is a
     assert a == fresh(node, AB)
+    # Nodes of two classes with equal fields hash alike; they are two keys.
+    union, concat = Union(Lit("a"), Lit("b")), Concat(Lit("a"), Lit("b"))
+    assert union != concat
+    assert compile_regex(union, AB) is not compile_regex(concat, AB)
 
 
 def test_one_regex_over_two_alphabets_gives_two_automata():

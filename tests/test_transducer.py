@@ -7,7 +7,6 @@ themselves.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import networkx as nx
@@ -24,6 +23,7 @@ from ocrank.transducer import (
     LevelingError,
     Transducer,
     TransducerError,
+    TypedTransition,
     _split,
     build_mprime,
     bounded_language,
@@ -326,9 +326,9 @@ def test_fig2_prime_invariants(fig2):
 def test_up_down_check_rejects_a_planted_nonzero_cycle(fig1):
     prime = build_mprime(fig1, reach_sets(fig1))
     up = next(t for t in prime.transitions if t.source.phase == UP == t.target.phase)
-    back = dataclasses.replace(up, source=up.target, target=up.source, bit=1 - up.bit)
-    heavy = dataclasses.replace(back, bit=up.bit)
-    self_loop = dataclasses.replace(up, target=up.source)
+    back = TypedTransition(up.target, 1 - up.bit, up.source, up.output, up.rule, up.base)
+    heavy = TypedTransition(up.target, up.bit, up.source, up.output, up.rule, up.base)
+    self_loop = TypedTransition(up.source, up.bit, up.source, up.output, up.rule, up.base)
 
     def planted(*extra):
         return replace_transitions(prime, prime.transitions + extra)

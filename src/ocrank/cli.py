@@ -12,12 +12,12 @@ output), 2 a non-scattered order was witnessed, 3 the analysis gave up
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
 import sys
-from typing import NamedTuple
+from itertools import repeat
+from typing import Callable, NamedTuple
 
 from . import harness
 from .counterset import CertificationError, reach_sets, render_upset
@@ -64,44 +64,30 @@ class Fixture(NamedTuple):
 
 
 _MAX_EXPR_DEPTH = 16
+_COMMENT = re.compile(r"#[^\n]*")
+_BITS = {"0": 0, "1": 1}
+# Each header line and what it needs; 'initial' takes exactly one word.
+_HEADERS = {
+    "alphabet": "at least one letter",
+    "states": "at least one state",
+    "initial": "exactly one state",
+    "final": "at least one state",
+}
+_NOT_ALONE = "an expression fixture must contain exactly one 'expr' line and nothing else"
 
 
 def parse_fixture(
     text: str, base_dir: str = ".", name: str = "<fixture>", depth: int = 0
 ) -> Fixture:
     """Parse fixture text; see the module docstring for the grammar."""
-    # Split at "\n" alone: splitlines() would also break at form feeds and
-    # other separators that may sit inside a comment.  load_fixture_file
-    # has already turned "\r\n" into "\n", and split() drops a stray "\r".
-    entries: list[tuple[int, list[str]]] = []
-    expr_at = None
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        parts = raw.split("#", 1)[0].split()
-        if parts:
-            entries.append((lineno, parts))
-            if expr_at is None and parts[0] == "expr":
-                expr_at = lineno
-
-    if expr_at is not None:
-        if len(entries) != 1:
-            raise FixtureError(
-                f"{name}:{expr_at}: an expression fixture must contain exactly "
-                "one 'expr' line and nothing else"
-            )
-        parts = entries[0][1]
-        return Fixture(
-            _parse_expr_directive(parts, base_dir, name, expr_at, depth),
-            name=name,
-            directive=" ".join(parts),
-        )
-    return Fixture(_parse_machine(entries, name), name=name)
+    return _parse(text, name, depth, lambda: base_dir)
 
 
 def load_fixture_file(path: str, depth: int = 0) -> Fixture:
     name = os.path.basename(path)
     if depth > _MAX_EXPR_DEPTH:
         raise FixtureError(f"{name}: expression fixtures nested deeper than {_MAX_EXPR_DEPTH}")
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:
         # utf-8-sig drops a leading byte-order mark, as editors on Windows write.
@@ -110,9 +96,106 @@ def load_fixture_file(path: str, depth: int = 0) -> Fixture:
         raise FixtureError(f"{name}: not UTF-8 text: {exc}") from exc
     if "\r" in text:  # line ends as a text-mode read gives them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return parse_fixture(
-        text, base_dir=os.path.dirname(os.path.abspath(path)), name=name, depth=depth
-    )
+    # Only an expression fixture reads the directory it is in.
+    return _parse(text, name, depth, lambda: os.path.dirname(os.path.abspath(path)))
+
+
+def _parse(text: str, name: str, depth: int, base_dir: Callable[[], str]) -> Fixture:
+    """Read fixture text in one pass over its lines, checking each line as it
+    is read but for a transition's states and output, as the headers may
+    come last.  ``base_dir()`` is the directory of an expression's fixtures."""
+    if "#" in text:  # a comment ends only at "\n", not at a form feed
+        text = _COMMENT.sub("", text)
+    # Split at "\n" alone: splitlines() would also break at form feeds and
+    # other separators that may sit inside a comment.  load_fixture_file
+    # has already turned "\r\n" into "\n", and split() drops a stray "\r".
+    lines = text.split("\n")
+    headers: dict[str, list[str]] = {}
+    alphabet = None
+    # Each 'trans' line's words, in order, with its line.
+    trans: dict[tuple[str, ...], int] = {}
+
+    def fail(lineno: int, msg: str):
+        # An 'expr' line further on makes this an expression fixture, whose error wins.
+        for at, line in enumerate(lines[lineno:], lineno + 1):
+            if line.split()[:1] == ["expr"]:
+                raise FixtureError(f"{name}:{at}: {_NOT_ALONE}")
+        raise FixtureError(f"{name}:{lineno}: {msg}")
+
+    for lineno, parts in enumerate(map(str.split, lines), 1):
+        if not parts:
+            continue
+        word = parts[0]
+        if word == "trans":
+            if len(parts) != 5:
+                fail(lineno, "'trans' needs: trans <src> <0|1> <tgt> <regex>")
+            if parts[2] not in _BITS:
+                fail(lineno, f"input bit must be 0 or 1, got {parts[2]!r}")
+            if trans.setdefault(tuple(parts), lineno) != lineno:
+                fail(lineno, f"duplicate transition {parts[1]} -{parts[2]}-> {parts[3]}")
+            continue
+        if word == "expr":
+            if trans or headers or any(map(str.split, lines[lineno:])):
+                raise FixtureError(f"{name}:{lineno}: {_NOT_ALONE}")
+            expr = _parse_expr_directive(parts, base_dir(), name, lineno, depth)
+            return Fixture(expr, name=name, directive=" ".join(parts))
+        rest = parts[1:]
+        if word not in _HEADERS:
+            fail(lineno, f"unknown directive {word!r}")
+        if word in headers:
+            fail(lineno, f"duplicate {word!r} line")
+        if not rest or word == "initial" and len(rest) > 1:
+            fail(lineno, f"{word!r} needs {_HEADERS[word]}")
+        if word == "alphabet":
+            try:
+                alphabet = Alphabet(tuple(rest))
+            except ValueError as exc:
+                fail(lineno, str(exc))
+        elif word == "states" and len(set(rest)) != len(rest):
+            fail(lineno, "duplicate state names")
+        headers[word] = rest
+
+    for word in _HEADERS:
+        if word not in headers:
+            raise FixtureError(f"{name}: missing {word!r} line")
+    states, (initial,), finals = headers["states"], headers["initial"], headers["final"]
+    known = set(states)
+    if initial not in known:
+        raise FixtureError(f"{name}: initial state {initial!r} not declared")
+    for f in finals:
+        if f not in known:
+            raise FixtureError(f"{name}: final state {f!r} not declared")
+
+    _, sources, bits, targets, regex_texts = zip(*trans) if trans else ((),) * 5
+    # Each regex text is parsed once, and equal trees (``ab`` and ``(a)b``)
+    # are folded to one object.  The lines differ in their text, so only
+    # such a fold can make two transitions equal; then the first is kept,
+    # as in make_transducer.
+    outputs: dict[str, Regex] = {}
+    trees: dict[Regex, Regex] = {}
+    errors: dict[str, RegexSyntaxError] = {}
+    for regex_text in dict.fromkeys(regex_texts):
+        try:
+            tree = parse_regex(regex_text, alphabet)
+        except RegexSyntaxError as exc:
+            errors[regex_text] = exc
+        else:
+            outputs[regex_text] = trees.setdefault(tree, tree)
+    if errors or not known.issuperset(sources) or not known.issuperset(targets):
+        for (_, src, _, tgt, regex_text), lineno in trans.items():  # the first bad line
+            if src not in known or tgt not in known:
+                fail(lineno, f"unknown state {src if src not in known else tgt!r}")
+            if regex_text in errors:
+                fail(lineno, f"bad regex {regex_text!r}: {errors[regex_text]}")
+    # tuple.__new__ makes each Transition in C, not in the named tuple's Python __new__.
+    rows = zip(sources, map(_BITS.get, bits), targets, map(outputs.get, regex_texts))
+    transitions = tuple(map(tuple.__new__, repeat(Transition), rows))
+    if len(trees) < len(outputs):
+        transitions = tuple(dict.fromkeys(transitions))
+    # The checks above are check_structure's.
+    machine = Transducer(tuple(states), initial, frozenset(finals), transitions, alphabet,
+                         accepts_epsilon=initial in finals)
+    return Fixture(machine, name=name)
 
 
 def _parse_expr_directive(
@@ -160,91 +243,6 @@ def _first_machine(e: RocExpr) -> Transducer:
     while not isinstance(e, RocAtom):
         e = e.left if isinstance(e, RocConcat) else e.body
     return e.machine
-
-
-# Each header line and what it needs; 'initial' takes exactly one word.
-_HEADERS = {
-    "alphabet": "at least one letter",
-    "states": "at least one state",
-    "initial": "exactly one state",
-    "final": "at least one state",
-}
-
-
-def _parse_machine(entries: list[tuple[int, list[str]]], name: str) -> Transducer:
-    headers: dict[str, list[str]] = {}
-    # Each 'trans' line's (src, bit, tgt, regex text), in order, with its line.
-    trans_lines: dict[tuple[str, str, str, str], int] = {}
-
-    def fail(lineno: int, msg: str):
-        raise FixtureError(f"{name}:{lineno}: {msg}")
-
-    for lineno, parts in entries:
-        word, *rest = parts
-        if word == "trans":
-            if len(parts) != 5:
-                fail(lineno, "'trans' needs: trans <src> <0|1> <tgt> <regex>")
-            src, bit_text, tgt, regex_text = rest
-            if bit_text not in ("0", "1"):
-                fail(lineno, f"input bit must be 0 or 1, got {bit_text!r}")
-            key = (src, bit_text, tgt, regex_text)
-            if key in trans_lines:
-                fail(lineno, f"duplicate transition {src} -{bit_text}-> {tgt}")
-            trans_lines[key] = lineno
-            continue
-        if word not in _HEADERS:
-            fail(lineno, f"unknown directive {word!r}")
-        if word in headers:
-            fail(lineno, f"duplicate {word!r} line")
-        if not rest or word == "initial" and len(rest) > 1:
-            fail(lineno, f"{word!r} needs {_HEADERS[word]}")
-        if word == "alphabet":
-            try:
-                alphabet = Alphabet(tuple(rest))
-            except ValueError as exc:
-                fail(lineno, str(exc))
-        elif word == "states" and len(set(rest)) != len(rest):
-            fail(lineno, "duplicate state names")
-        headers[word] = rest
-
-    for word in _HEADERS:
-        if word not in headers:
-            raise FixtureError(f"{name}: missing {word!r} line")
-    states, (initial,), finals = headers["states"], headers["initial"], headers["final"]
-    known = set(states)
-    if initial not in known:
-        raise FixtureError(f"{name}: initial state {initial!r} not declared")
-    for f in finals:
-        if f not in known:
-            raise FixtureError(f"{name}: final state {f!r} not declared")
-
-    # Each regex text is parsed once, and equal trees (``ab`` and ``(a)b``)
-    # are folded to one object.  The lines differ in their text, so only
-    # such a fold can make two transitions equal; then the first is kept,
-    # as in make_transducer.
-    outputs: dict[str, Regex] = {}
-    trees: dict[Regex, Regex] = {}
-    folded = False
-    transitions = []
-    for (src, bit_text, tgt, regex_text), lineno in trans_lines.items():
-        if src not in known or tgt not in known:
-            bad = src if src not in known else tgt
-            fail(lineno, f"unknown state {bad!r}")
-        output = outputs.get(regex_text)
-        if output is None:
-            try:
-                tree = parse_regex(regex_text, alphabet)
-            except RegexSyntaxError as exc:
-                fail(lineno, f"bad regex {regex_text!r}: {exc}")
-            output = outputs[regex_text] = trees.setdefault(tree, tree)
-            folded = folded or output is not tree
-        transitions.append(Transition(src, 1 if bit_text == "1" else 0, tgt, output))
-    # The checks above are check_structure's.
-    return Transducer(
-        tuple(states), initial, frozenset(finals),
-        tuple(dict.fromkeys(transitions) if folded else transitions), alphabet,
-        accepts_epsilon=initial in finals,
-    )
 
 
 def render_fixture(fixture: Fixture) -> str:
@@ -320,23 +318,24 @@ def _typed_state_json(s) -> list:
 
 def _cmd_nsets(machine: Transducer, args, out) -> tuple[int, dict]:
     report = reach_sets(machine, counter_cap=args.counter_cap)
-    render = functools.cache(render_upset)  # states share their sets
     minus, plus, meet = report.minus, report.plus, report.meet
+    # States share their sets, so each distinct set is rendered once.
+    text = {s: render_upset(s) for s in {*minus.values(), *plus.values(), *meet.values()}}
     rendered = {
-        q: {"minus": render(minus[q]), "plus": render(plus[q]), "meet": render(meet[q])}
+        q: {"minus": text[minus[q]], "plus": text[plus[q]], "meet": text[meet[q]]}
         for q in machine.states
     }
-    print(f"P = {report.period}", file=out)
-    for q, sets in rendered.items():
-        print(f"{q}: N- = {sets['minus']} | N+ = {sets['plus']} | N = {sets['meet']}", file=out)
-    for q in machine.states:
-        values = ", ".join(str(c) for c in sorted(report.types[q]))
-        print(f"tau({q}) = {{{values}}}", file=out)
+    types = {q: sorted(report.types[q]) for q in machine.states}
+    lines = [f"P = {report.period}\n"]
+    lines += [f"{q}: N- = {sets['minus']} | N+ = {sets['plus']} | N = {sets['meet']}\n"
+              for q, sets in rendered.items()]
+    lines += [f"tau({q}) = {{{', '.join(map(str, values))}}}\n" for q, values in types.items()]
+    out.write("".join(lines))
     payload = {
         "command": "nsets",
         "nsets": rendered,
         "period": report.period,
-        "types": {q: sorted(report.types[q]) for q in machine.states},
+        "types": types,
         "counter_cap": report.counter_cap,
     }
     return 0, payload

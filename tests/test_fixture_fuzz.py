@@ -165,6 +165,50 @@ def test_an_output_written_two_ways_is_one_transition():
     assert machine.transitions[0].output is machine.transitions[1].output
 
 
+HEAD = "alphabet a b\nstates s q\ninitial s\nfinal s\n"
+
+
+@pytest.mark.parametrize(
+    "text, outputs",
+    [
+        (HEAD + "trans s 0 s a#b\ntrans s 1 s b\n", ["a", "b"]),  # '#' glued to a token
+        (HEAD + "# a note\fwith a form feed\ntrans s 0 s a # and\f more\ntrans s 1 s b\n",
+         ["a", "b"]),
+        ("trans s 0 q a\ntrans q 1 s b\nfinal s\nalphabet a b\ninitial s\nstates s q\n",
+         ["a", "b"]),  # headers after the 'trans' lines
+        ("alphabet a\nstates expr s\ninitial expr\nfinal expr\n"
+         "trans expr 0 s a\ntrans s 1 expr a\n", ["a", "a"]),  # a state named expr
+    ],
+)
+def test_edge_case_fixtures_parse_as_the_reference_parses_them(text, outputs):
+    machine = new_parse(text)
+    assert machine == reference_parse(text)
+    assert [str(t.output) for t in machine.transitions] == outputs
+
+
+NOT_ALONE = "an expression fixture must contain exactly one 'expr' line and nothing else"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # an 'expr' line wins over a malformed 'trans' line before it
+        ("trans s 2 s a\nexpr atom fig1\n", f"m.oct:2: {NOT_ALONE}"),
+        (HEAD + "trans s 0 s\n\nexpr plus fig1\n", f"m.oct:7: {NOT_ALONE}"),
+        # of an unknown state and a bad regex, the first 'trans' line's error
+        (HEAD + "trans s 0 zz a\ntrans s 1 s (a\n", "m.oct:5: unknown state 'zz'"),
+        (HEAD + "trans s 1 s (a\ntrans s 0 zz a\n",
+         "m.oct:5: bad regex '(a': unclosed '(' (at position 0)"),
+        ("trans s 0 zz (a\n" + HEAD, "m.oct:1: unknown state 'zz'"),
+        ("", "m.oct: missing 'alphabet' line"),
+    ],
+)
+def test_edge_case_errors_keep_their_line_and_precedence(text, message):
+    assert outcome(new_parse, text) == message
+    if "expr" not in text:  # the reference reads machine fixtures only
+        assert outcome(reference_parse, text) == message
+
+
 def test_no_regex_of_the_dialect_denotes_the_empty_language():
     # so the parser leaves out check_structure's test for empty outputs
     rng = random.Random(5)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import regular
 from .counterset import NSetReport
 from .regular import Automaton, Regex, parse_regex
-from .words import Alphabet, Record, in_d1, state_mask
+from .words import Alphabet, Record, state_mask
 
 
 class TransducerError(ValueError):
@@ -260,12 +260,13 @@ class TransducerPrime(Record):
     that made the copy.  ``transitions`` is the same list as
     :class:`TypedTransition` objects, built on first use.  ``_samples``
     is the components layer's table of one sample per base transition,
-    built on first use too.
+    and ``_lift`` the tables of :meth:`_lift_tables`, each built on first
+    use too.
     """
 
     _fields = ("period", "states", "initial", "finals", "arcs", "alphabet", "accepts_epsilon",
                "base")
-    __slots__ = _fields + ("_transitions", "_by_ends", "_samples")
+    __slots__ = _fields + ("_transitions", "_lift", "_samples")
 
     def __init__(self, period: int, states: tuple[TypedState, ...], initial: TypedState,
                  finals: frozenset[TypedState], arcs: tuple[tuple[int, int, int, str], ...],
@@ -273,7 +274,7 @@ class TransducerPrime(Record):
         self.period, self.states, self.initial, self.finals = period, states, initial, finals
         self.arcs, self.alphabet, self.base = arcs, alphabet, base
         self.accepts_epsilon = accepts_epsilon
-        self._transitions = self._by_ends = self._samples = None
+        self._transitions = self._lift = self._samples = None
 
     @property
     def transitions(self) -> tuple[TypedTransition, ...]:
@@ -288,13 +289,18 @@ class TransducerPrime(Record):
     def compiled_output(self, t: TypedTransition) -> Automaton:
         return self.base.compiled_output(t.base)
 
-    def typed_transition(
-        self, source: TypedState, target: TypedState, base: Transition
-    ) -> TypedTransition | None:
-        """The leveled copy of ``base`` from ``source`` to ``target``, if any."""
-        if self._by_ends is None:
-            self._by_ends = {(tt.source, tt.target, tt.base): tt for tt in self.transitions}
-        return self._by_ends.get((source, target, base))
+    def _lift_tables(self) -> tuple[dict, dict[int, int], dict[tuple[int, int, int], int]]:
+        """The number of each state, keyed by its (state, level, phase)
+        tuple; the index in ``base.transitions`` of each base transition,
+        keyed by its ``id``; and the index of each arc, keyed by (source,
+        target, base)."""
+        if self._lift is None:
+            self._lift = (
+                {s: i for i, s in enumerate(self.states)},
+                {id(t): b for b, t in enumerate(self.base.transitions)},
+                {(x, y, b): k for k, (x, y, b, _) in enumerate(self.arcs)},
+            )
+        return self._lift
 
 
 def build_mprime(machine: Transducer, report: NSetReport) -> TransducerPrime:
@@ -396,69 +402,81 @@ def run_input_word(run: list[Transition]) -> str:
     return "".join(str(t.bit) for t in run)
 
 
-def check_run(machine: Transducer, run: list[Transition]) -> None:
+def check_run(machine: Transducer, run: list[Transition]) -> list[int]:
+    """Check that ``run`` is an accepting run of ``machine`` and return its
+    open depths: entry i is the input's open depth after i steps.
+
+    Raises :class:`ValueError` for the first of these rules the run breaks:
+    it starts at the initial state, each step starts where the last one
+    ended, it ends at a final state, and its input is balanced.
+    """
     if not run:
         if not machine.accepts_epsilon:
             raise ValueError("empty run, but the machine does not accept the empty input")
-        return
-    if run[0].source != machine.initial:
-        raise ValueError(f"run starts at {run[0].source!r}, not the initial state")
-    for a, b in zip(run, run[1:]):
-        if a.target != b.source:
-            raise ValueError(f"run breaks between {a.target!r} and {b.source!r}")
-    if run[-1].target not in machine.finals:
-        raise ValueError(f"run ends at non-final state {run[-1].target!r}")
-    if not in_d1(run_input_word(run)):
+        return [0]
+    at = run[0].source
+    if at != machine.initial:
+        raise ValueError(f"run starts at {at!r}, not the initial state")
+    depths = [0]
+    depth = low = 0
+    for t in run:
+        if t.source != at:
+            raise ValueError(f"run breaks between {at!r} and {t.source!r}")
+        at = t.target
+        depth += 1 if t.bit == 0 else -1
+        if depth < low:
+            low = depth
+        depths.append(depth)
+    if at not in machine.finals:
+        raise ValueError(f"run ends at non-final state {at!r}")
+    if low < 0 or depth:
         raise ValueError("run input word is not balanced")
+    return depths
 
 
 def lift_run(
     machine: Transducer,
     run: list[Transition],
     prime: TransducerPrime,
-) -> list[TypedTransition]:
-    """Replay an accepting run of the machine inside its leveled form.
+) -> list[int]:
+    """Replay an accepting run of the machine inside its leveled form: the
+    index in ``prime.arcs`` of each step's leveled copy.
 
     Levels follow the input's open depth: exactly while it stays below the
     period (ascending, then descending once it never returns there), and
-    shifted into the mod-period window in between.
+    shifted into the mod-period window in between.  Raises
+    :class:`LevelingError` at the first step with no leveled copy.
     """
-    check_run(machine, run)
-    if not run:
+    depths = check_run(machine, run)
+    n = len(run)
+    if not n:
         return []
     period = prime.period
+    ids, bases, arcs = prime._lift_tables()
 
-    opens = [0]
-    for t in run:
-        opens.append(opens[-1] + (1 if t.bit == 0 else -1))
-    n = len(run)
+    # Up to i_up the phase is up, from i_down on down, and eq in between.
+    high = [i for i, d in enumerate(depths) if d >= period]
+    i_up, i_down = (high[0] - 1, high[-1] + 1) if high else (n - 1, n)
+    states = [machine.initial, *(t.target for t in run)]
+    typed = [
+        (q, d, UP) if i <= i_up else (q, d % period + period, EQ) if i < i_down else (q, d, DOWN)
+        for i, (q, d) in enumerate(zip(states, depths))
+    ]
+    at = [ids.get(s) for s in typed]
 
-    if max(opens) < period:
-        levels = list(opens)
-        phases = [UP] * n + [DOWN]
-    else:
-        i_up = next(i for i, o in enumerate(opens) if o >= period) - 1
-        i_down = max(i for i, o in enumerate(opens) if o >= period) + 1
-        levels = [
-            o if i <= i_up or i >= i_down else (o % period) + period
-            for i, o in enumerate(opens)
-        ]
-        phases = [
-            UP if i <= i_up else (EQ if i < i_down else DOWN) for i in range(n + 1)
-        ]
-
-    states = [machine.initial] + [t.target for t in run]
-    typed = [TypedState(states[i], levels[i], phases[i]) for i in range(n + 1)]
-
-    lifted: list[TypedTransition] = []
+    lifted: list[int] = []
+    base = prime.base.transitions
     for i, t in enumerate(run):
-        tt = prime.typed_transition(typed[i], typed[i + 1], t)
-        if tt is None:
+        b = bases.get(id(t))
+        if b is None:  # not the machine's own object: find an equal one
+            b = next((k for k, u in enumerate(base) if u == t), None)
+        k = arcs.get((at[i], at[i + 1], b))
+        if k is None:
             raise LevelingError(
-                f"no leveled transition {typed[i].render()} -{t.bit}-> "
-                f"{typed[i + 1].render()} for {t.source}->{t.target}"
+                f"no leveled transition {TypedState(*typed[i]).render()} -{t.bit}-> "
+                f"{TypedState(*typed[i + 1]).render()} for {t.source}->{t.target}"
             )
-        lifted.append(tt)
+        lifted.append(k)
     return lifted
 
 
@@ -475,24 +493,36 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
     the initial one reaches, with an arc per transition that reads its
     output language.  The size is polynomial in nmax, where stepping each
     input word is exponential.  The arcs carry the trimmed DFAs of
-    :meth:`compiled_output`, so the NFA comes out trimmed, with no search.
+    :meth:`Transducer.compiled_output`, so the NFA comes out trimmed, with
+    no search.  A leveled machine's configurations hold state numbers, and
+    its arcs share one DFA per base transition.
     """
     by_source: dict = {}
-    for t in machine.transitions:
-        by_source.setdefault(t.source, []).append((t, machine.compiled_output(t)))
-    configs = [(machine.initial, 0, 0)]
+    if isinstance(machine, TransducerPrime):
+        ids = machine._lift_tables()[0]
+        base = machine.base.transitions
+        outputs = [machine.base.compiled_output(t) for t in base]
+        for x, y, b, _ in machine.arcs:
+            by_source.setdefault(x, []).append((base[b].bit, y, outputs[b]))
+        initial, finals = ids[machine.initial], {ids[f] for f in machine.finals}
+    else:
+        for t in machine.transitions:
+            by_source.setdefault(t.source, []).append(
+                (t.bit, t.target, machine.compiled_output(t)))
+        initial, finals = machine.initial, machine.finals
+    configs = [(initial, 0, 0)]
     seen = set(configs)
     arcs = []
     for q, c, i in configs:  # grows while it is walked
-        for t, output in by_source.get(q, ()):
-            c2 = c + 1 if t.bit == 0 else c - 1
+        for bit, target, output in by_source.get(q, ()):
+            c2 = c + 1 if bit == 0 else c - 1
             if 0 <= c2 <= nmax - i - 1:
-                cfg = (t.target, c2, i + 1)
+                cfg = (target, c2, i + 1)
                 if cfg not in seen:
                     seen.add(cfg)
                     configs.append(cfg)
                 arcs.append(((q, c, i), output, cfg))
-    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in machine.finals]
+    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in finals]
     return regular.expand_graph(configs, arcs, configs[:1], finals, machine.alphabet)
 
 

@@ -46,6 +46,14 @@ tests make them with :func:`build_by_sets`, test membership with
 :func:`membership` tests one word against an automaton, and
 :func:`project_run` forgets a lifted run's levels and phases; the package
 had both, but only the tests called them.
+:func:`typed_lift` is ``transducer.lift_run`` as it was before it read
+``prime.arcs``: a :class:`TypedState` per step of the run, each step
+looked up in :func:`by_ends`, a dict keyed by (TypedState, TypedState,
+Transition), after :func:`check_run_by_word` had checked the run through
+its input word.  :func:`bounded_outputs_by_transitions` is
+``transducer.bounded_outputs`` on a leveled machine as it was before it
+walked state numbers: the walk over ``prime.transitions``, with one
+compiled-regex lookup per arc.
 :func:`parse_machine_text` is how ``cli.parse_fixture`` read a machine
 fixture before it parsed in one pass: a pass over the lines, a second over
 the ``trans`` lines, a regex parse per line, and ``make_transducer``.
@@ -84,6 +92,7 @@ from ocrank.transducer import (
     DOWN,
     EQ,
     UP,
+    LevelingError,
     Transducer,
     TransducerPrime,
     Transition,
@@ -92,8 +101,9 @@ from ocrank.transducer import (
     TransducerError,
     live_states,
     make_transducer,
+    run_input_word,
 )
-from ocrank.words import BINARY, Alphabet, primitive_root, state_bits, state_mask
+from ocrank.words import BINARY, Alphabet, in_d1, primitive_root, state_bits, state_mask
 
 
 def complete_determinize(a: Automaton) -> Automaton:
@@ -722,6 +732,97 @@ def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
 def project_run(lifted: list[TypedTransition]) -> list[Transition]:
     """Forget levels and phases."""
     return [tt.base for tt in lifted]
+
+
+def check_run_by_word(machine: Transducer, run: list[Transition]) -> None:
+    """Raise ValueError unless ``run`` is an accepting run of ``machine``,
+    testing the balance on its input word."""
+    if not run:
+        if not machine.accepts_epsilon:
+            raise ValueError("empty run, but the machine does not accept the empty input")
+        return
+    if run[0].source != machine.initial:
+        raise ValueError(f"run starts at {run[0].source!r}, not the initial state")
+    for a, b in zip(run, run[1:]):
+        if a.target != b.source:
+            raise ValueError(f"run breaks between {a.target!r} and {b.source!r}")
+    if run[-1].target not in machine.finals:
+        raise ValueError(f"run ends at non-final state {run[-1].target!r}")
+    if not in_d1(run_input_word(run)):
+        raise ValueError("run input word is not balanced")
+
+
+def by_ends(prime: TransducerPrime) -> dict:
+    """Each leveled transition keyed by (source, target, base)."""
+    return {(tt.source, tt.target, tt.base): tt for tt in prime.transitions}
+
+
+def typed_lift(
+    machine: Transducer, run: list[Transition], prime: TransducerPrime, ends: dict | None = None
+) -> list[TypedTransition]:
+    """The leveled copy of each step of an accepting run; ``ends`` is
+    :func:`by_ends` of ``prime``, built here when not given."""
+    check_run_by_word(machine, run)
+    if not run:
+        return []
+    if ends is None:
+        ends = by_ends(prime)
+    period = prime.period
+
+    opens = [0]
+    for t in run:
+        opens.append(opens[-1] + (1 if t.bit == 0 else -1))
+    n = len(run)
+
+    if max(opens) < period:
+        levels = list(opens)
+        phases = [UP] * n + [DOWN]
+    else:
+        i_up = next(i for i, o in enumerate(opens) if o >= period) - 1
+        i_down = max(i for i, o in enumerate(opens) if o >= period) + 1
+        levels = [
+            o if i <= i_up or i >= i_down else (o % period) + period
+            for i, o in enumerate(opens)
+        ]
+        phases = [
+            UP if i <= i_up else (EQ if i < i_down else DOWN) for i in range(n + 1)
+        ]
+
+    states = [machine.initial] + [t.target for t in run]
+    typed = [TypedState(states[i], levels[i], phases[i]) for i in range(n + 1)]
+
+    lifted: list[TypedTransition] = []
+    for i, t in enumerate(run):
+        tt = ends.get((typed[i], typed[i + 1], t))
+        if tt is None:
+            raise LevelingError(
+                f"no leveled transition {typed[i].render()} -{t.bit}-> "
+                f"{typed[i + 1].render()} for {t.source}->{t.target}"
+            )
+        lifted.append(tt)
+    return lifted
+
+
+def bounded_outputs_by_transitions(prime: TransducerPrime, nmax: int) -> Automaton:
+    """The NFA of the outputs over the nonempty balanced inputs of length
+    ≤ nmax, from the configurations (typed state, counter, step)."""
+    by_source: dict = {}
+    for t in prime.transitions:
+        by_source.setdefault(t.source, []).append((t, prime.compiled_output(t)))
+    configs = [(prime.initial, 0, 0)]
+    seen = set(configs)
+    arcs = []
+    for q, c, i in configs:  # grows while it is walked
+        for t, output in by_source.get(q, ()):
+            c2 = c + 1 if t.bit == 0 else c - 1
+            if 0 <= c2 <= nmax - i - 1:
+                cfg = (t.target, c2, i + 1)
+                if cfg not in seen:
+                    seen.add(cfg)
+                    configs.append(cfg)
+                arcs.append(((q, c, i), output, cfg))
+    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in prime.finals]
+    return regular.expand_graph(configs, arcs, configs[:1], finals, prime.alphabet)
 
 
 def language_of_input(machine: Transducer, w: str) -> Automaton:

@@ -285,7 +285,7 @@ def test_08e_runs_lift_and_project_losslessly(fig1, fig2):
         prime = build_mprime(machine, reach_sets(machine))
         for run in runs:
             check_run(machine, run)
-            lifted = lift_run(machine, run, prime)
+            lifted = [prime.transitions[k] for k in lift_run(machine, run, prime)]
             assert project_run(lifted) == run
     assert_within(t0, 30.0)
 

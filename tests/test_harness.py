@@ -224,7 +224,7 @@ def test_accepting_runs_fig1(fig1):
     prime = build_mprime(fig1, reach_sets(fig1))
     for run in runs:
         check_run(fig1, run)
-        assert project_run(lift_run(fig1, run, prime)) == run
+        assert project_run([prime.transitions[k] for k in lift_run(fig1, run, prime)]) == run
 
 
 def test_accepting_runs_epsilon_and_caps():

@@ -401,7 +401,7 @@ def test_lift_project_round_trip_on_fixture_runs(fig1, fig2):
             run = run_for_input(machine, u) if u else None
             if run is None:
                 continue
-            lifted = lift_run(machine, run, prime=prime)
+            lifted = [prime.transitions[k] for k in lift_run(machine, run, prime=prime)]
             assert project_run(lifted) == run
             assert run_input_word(run) == u
             # the lifted walk is connected and accepting in M'
@@ -413,7 +413,8 @@ def test_lift_project_round_trip_on_fixture_runs(fig1, fig2):
 
 def test_lift_reports_levels_beyond_the_period(fig1):
     run = run_for_input(fig1, "0" * 4 + "1" * 4)
-    lifted = lift_run(fig1, run, prime=build_mprime(fig1, reach_sets(fig1)))
+    prime = build_mprime(fig1, reach_sets(fig1))
+    lifted = [prime.transitions[k] for k in lift_run(fig1, run, prime=prime)]
     phases = [t.source.phase for t in lifted] + [lifted[-1].target.phase]
     assert phases[0] == UP and phases[-1] == DOWN
     assert EQ in phases

@@ -8,18 +8,7 @@ rank of the output language under the lexicographic order — or a concrete
 witness that the order embeds the rationals.
 """
 
-from .words import (
-    Alphabet,
-    BINARY,
-    Relation,
-    compare,
-    in_d1,
-    is_dyck_prefix,
-    lex_key,
-    lex_less,
-    open_depth,
-    primitive_root,
-)
+from .words import Alphabet, BINARY, primitive_root
 from .regular import (
     Automaton,
     QuasiDense,
@@ -51,7 +40,6 @@ from .transducer import (
     lift_run,
     make_transducer,
     minimal_normalize,
-    run_input_word,
 )
 from .components import (
     ComponentVerdict,
@@ -102,15 +90,13 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "BINARY", "Relation", "compare", "in_d1", "is_dyck_prefix",
-    "lex_key", "lex_less", "open_depth", "primitive_root",
+    "Alphabet", "BINARY", "primitive_root",
     "Automaton", "QuasiDense", "Regex", "RegexSyntaxError", "Scattered",
     "compile_regex", "parse_regex", "regular_scattered",
     "CertificationError", "NSetReport", "UPSet", "reach_sets", "render_upset",
     "LevelingError", "Transducer", "TransducerError", "TransducerPrime",
     "TypedState", "TypedTransition", "bounded_language_equal", "bounded_outputs",
-    "build_mprime", "check_run", "lift_run", "make_transducer",
-    "minimal_normalize", "run_input_word",
+    "build_mprime", "check_run", "lift_run", "make_transducer", "minimal_normalize",
     "ComponentVerdict", "FullyCertified", "QuasiDenseWitness", "Scc",
     "ZeroCertified", "certify_component", "condense",
     "NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",

@@ -92,36 +92,40 @@ def probe_density(
 
 
 def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | None:
-    """Look for two distinct-root cycle outputs at one leveled state."""
+    """Look for two distinct-root cycle outputs at one leveled state.
+
+    Each arc reads the shortest word of its base transition's output; the
+    walks run over state numbers, on the arcs filed by source in arc order.
+    """
     try:
         prime = build_mprime(machine, reach_sets(machine))
     except LevelingError:
         return None  # no accepted input, nothing to order
     walk_cap = max(2 * prime.period, 8)
-    for s in prime.states:
+    words = [regular.shortest_word(machine.compiled_output(t)) for t in machine.transitions]
+    out_of: list[list[tuple[int, str]]] = [[] for _ in prime.states]
+    for x, y, b, _ in prime.arcs:  # every output language is nonempty
+        out_of[x].append((y, words[b]))
+    for s in range(len(prime.states)):
         samples: list[str] = []
         # Depth-first over closed walks at s, sampling one output word each.
         stack = [(s, [])]
         while stack:
             at, outs = stack.pop()
-            for tt in prime.transitions:
-                if tt.source != at:
-                    continue
-                word = regular.shortest_word(prime.compiled_output(tt))
-                if word is None:
-                    continue
+            for y, word in out_of[at]:
                 chain = outs + [word]
-                if tt.target == s:
+                if y == s:
                     samples.append("".join(chain))
                 if len(chain) < walk_cap:
-                    stack.append((tt.target, chain))
+                    stack.append((y, chain))
         pair = distinct_root_pair(samples)
         if pair is not None:
+            state = prime.states[s]
             return DensityWitness(
                 pair[0],
                 pair[1],
-                f"cycle outputs at {s.render()} have distinct primitive roots",
-                state=s,
+                f"cycle outputs at {state.render()} have distinct primitive roots",
+                state=state,
             )
     return None
 

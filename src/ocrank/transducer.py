@@ -289,17 +289,18 @@ class TransducerPrime(Record):
     def compiled_output(self, t: TypedTransition) -> Automaton:
         return self.base.compiled_output(t.base)
 
-    def _lift_tables(self) -> tuple[dict, dict[int, int], dict[tuple[int, int, int], int]]:
-        """The number of each state, keyed by its (state, level, phase)
-        tuple; the index in ``base.transitions`` of each base transition,
-        keyed by its ``id``; and the index of each arc, keyed by (source,
-        target, base)."""
+    def _lift_tables(self) -> tuple[dict[int, int], dict[tuple, int]]:
+        """The index in ``base.transitions`` of each base transition, keyed
+        by its ``id``, and the step table: the index of each arc, keyed by
+        (base, source level, source phase, target level, target phase).  The
+        base transition names both ends' states."""
         if self._lift is None:
-            self._lift = (
-                {s: i for i, s in enumerate(self.states)},
-                {id(t): b for b, t in enumerate(self.base.transitions)},
-                {(x, y, b): k for k, (x, y, b, _) in enumerate(self.arcs)},
-            )
+            states, steps = self.states, {}
+            for k, (x, y, b, _) in enumerate(self.arcs):
+                _, source_level, source_phase = states[x]
+                _, target_level, target_phase = states[y]
+                steps[b, source_level, source_phase, target_level, target_phase] = k
+            self._lift = {id(t): b for b, t in enumerate(self.base.transitions)}, steps
         return self._lift
 
 
@@ -398,10 +399,6 @@ def build_mprime(machine: Transducer, report: NSetReport) -> TransducerPrime:
 # Runs and their leveled images
 
 
-def run_input_word(run: list[Transition]) -> str:
-    return "".join(str(t.bit) for t in run)
-
-
 def check_run(machine: Transducer, run: list[Transition]) -> list[int]:
     """Check that ``run`` is an accepting run of ``machine`` and return its
     open depths: entry i is the input's open depth after i steps.
@@ -444,7 +441,8 @@ def lift_run(
 
     Levels follow the input's open depth: exactly while it stays below the
     period (ascending, then descending once it never returns there), and
-    shifted into the mod-period window in between.  Raises
+    shifted into the mod-period window in between.  Each step is one probe
+    of the step table of :meth:`TransducerPrime._lift_tables`.  Raises
     :class:`LevelingError` at the first step with no leveled copy.
     """
     depths = check_run(machine, run)
@@ -452,31 +450,37 @@ def lift_run(
     if not n:
         return []
     period = prime.period
-    ids, bases, arcs = prime._lift_tables()
-
-    # Up to i_up the phase is up, from i_down on down, and eq in between.
-    high = [i for i, d in enumerate(depths) if d >= period]
-    i_up, i_down = (high[0] - 1, high[-1] + 1) if high else (n - 1, n)
-    states = [machine.initial, *(t.target for t in run)]
-    typed = [
-        (q, d, UP) if i <= i_up else (q, d % period + period, EQ) if i < i_down else (q, d, DOWN)
-        for i, (q, d) in enumerate(zip(states, depths))
-    ]
-    at = [ids.get(s) for s in typed]
+    bases, steps = prime._lift_tables()
+    # The phase is up before the first position at the period, down after
+    # the last, and eq in between.  The depth moves by one per step, so
+    # these are the positions where it equals the period.
+    if period in depths:
+        first, last = depths.index(period), n + 1 - depths[::-1].index(period)
+    else:
+        first = last = n
 
     lifted: list[int] = []
-    base = prime.base.transitions
-    for i, t in enumerate(run):
+    level, phase = 0, UP
+    for i, t in enumerate(run, 1):
+        to_level = depths[i]
+        if i < first:
+            to_phase = UP
+        elif i < last:
+            to_level, to_phase = to_level % period + period, EQ
+        else:
+            to_phase = DOWN
         b = bases.get(id(t))
         if b is None:  # not the machine's own object: find an equal one
-            b = next((k for k, u in enumerate(base) if u == t), None)
-        k = arcs.get((at[i], at[i + 1], b))
+            b = next((k for k, u in enumerate(prime.base.transitions) if u == t), None)
+        k = steps.get((b, level, phase, to_level, to_phase))
         if k is None:
             raise LevelingError(
-                f"no leveled transition {TypedState(*typed[i]).render()} -{t.bit}-> "
-                f"{TypedState(*typed[i + 1]).render()} for {t.source}->{t.target}"
+                f"no leveled transition {TypedState(t.source, level, phase).render()} "
+                f"-{t.bit}-> {TypedState(t.target, to_level, to_phase).render()} "
+                f"for {t.source}->{t.target}"
             )
         lifted.append(k)
+        level, phase = to_level, to_phase
     return lifted
 
 
@@ -499,12 +503,12 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
     """
     by_source: dict = {}
     if isinstance(machine, TransducerPrime):
-        ids = machine._lift_tables()[0]
         base = machine.base.transitions
         outputs = [machine.base.compiled_output(t) for t in base]
         for x, y, b, _ in machine.arcs:
             by_source.setdefault(x, []).append((base[b].bit, y, outputs[b]))
-        initial, finals = ids[machine.initial], {ids[f] for f in machine.finals}
+        initial = machine.states.index(machine.initial)
+        finals = {x for x, s in enumerate(machine.states) if s in machine.finals}
     else:
         for t in machine.transitions:
             by_source.setdefault(t.source, []).append(
@@ -532,8 +536,10 @@ def bounded_language(machine: Transducer | TransducerPrime, nmax: int) -> Automa
     a = bounded_outputs(machine, nmax)
     if not machine.accepts_epsilon:
         return a
-    epsilon = regular.epsilon_automaton(machine.alphabet)
-    return regular.union_automata(a, epsilon) if a.finals else epsilon
+    # No letter edge enters an initial state of expand_graph's result: the
+    # states it copies are numbered after them.  So making the initial
+    # states final adds exactly ε, and the empty automaton becomes ε's.
+    return Automaton(a.alphabet, a.n, a.edges, a.initials, a.finals | a.initials)
 
 
 def bounded_language_equal(

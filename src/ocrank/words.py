@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from enum import Enum
 
 
 class Record:
@@ -93,52 +92,6 @@ class Alphabet(Record):
 BINARY = Alphabet(("0", "1"))
 
 
-class Relation(Enum):
-    """How two words relate under the prefix and first-divergence orders.
-
-    Exactly one relation holds for any pair over a common alphabet.  The
-    strict lexicographic order is ``PROPER_PREFIX_OF | STRICT_LESS``.
-    """
-
-    EQUAL = "equal"
-    PROPER_PREFIX_OF = "proper-prefix-of"
-    HAS_PROPER_PREFIX = "has-proper-prefix"
-    STRICT_LESS = "strict-less"
-    STRICT_GREATER = "strict-greater"
-
-
-def compare(u: str, v: str, alphabet: Alphabet) -> Relation:
-    """Classify the pair (u, v) into the unique :class:`Relation`."""
-    alphabet.check_word(u)
-    alphabet.check_word(v)
-    n = min(len(u), len(v))
-    for i in range(n):
-        if u[i] != v[i]:
-            if alphabet.rank(u[i]) < alphabet.rank(v[i]):
-                return Relation.STRICT_LESS
-            return Relation.STRICT_GREATER
-    if len(u) == len(v):
-        return Relation.EQUAL
-    if len(u) < len(v):
-        return Relation.PROPER_PREFIX_OF
-    return Relation.HAS_PROPER_PREFIX
-
-
-def lex_less(u: str, v: str, alphabet: Alphabet) -> bool:
-    """True iff u precedes v in the lexicographic order (prefixes first)."""
-    return compare(u, v, alphabet) in (Relation.STRICT_LESS, Relation.PROPER_PREFIX_OF)
-
-
-def lex_key(w: str, alphabet: Alphabet) -> tuple[int, ...]:
-    """Sort key realizing the lexicographic order as Python tuple order.
-
-    Tuple comparison puts a proper prefix before its extensions and
-    otherwise compares the first diverging letter, which is exactly the
-    order ``lex_less`` decides.
-    """
-    return tuple(alphabet.rank(ch) for ch in w)
-
-
 def primitive_root(w: str) -> str:
     """Shortest word v with w ∈ v*, via the classic border (failure) table.
 
@@ -175,33 +128,6 @@ def distinct_root_pair(words) -> tuple[str, str] | None:
             assert first_word is not None
             return first_word, w
     return None
-
-
-def _check_binary(w: str) -> None:
-    for ch in w:
-        if ch not in ("0", "1"):
-            raise ValueError(f"expected a binary word over 0/1, found {ch!r}")
-
-
-def open_depth(w: str) -> int:
-    """Number of 0s minus number of 1s (may be negative)."""
-    _check_binary(w)
-    return 2 * w.count("0") - len(w)
-
-
-def is_dyck_prefix(w: str) -> bool:
-    """True iff w extends to a balanced word: every prefix stays ≥ 0."""
-    _check_binary(w)
-    depth = 0
-    for ch in w:
-        depth += 1 if ch == "0" else -1
-        if depth < 0:
-            return False
-    return True
-
-
-def in_d1(w: str) -> bool:
-    return is_dyck_prefix(w) and open_depth(w) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,17 @@ Transition), after :func:`check_run_by_word` had checked the run through
 its input word.  :func:`bounded_outputs_by_transitions` is
 ``transducer.bounded_outputs`` on a leveled machine as it was before it
 walked state numbers: the walk over ``prime.transitions``, with one
-compiled-regex lookup per arc.
+compiled-regex lookup per arc.  :func:`bounded_language_by_union` is
+``transducer.bounded_language`` as it was before it made the initial
+states final: the union with ε's automaton.
+:func:`probe_machine_by_transitions` is ``harness._probe_machine`` as it
+was before it walked state numbers: each walk it pops scans every leveled
+transition and takes the shortest word of the scanned one's output.
+:class:`Relation`, :func:`compare`, :func:`lex_less` and :func:`lex_key`
+specify the lexicographic order that ``regular.words_up_to`` lists words
+in, and :func:`open_depth`, :func:`is_dyck_prefix`, :func:`in_d1` and
+:func:`run_input_word` read a run's input word; the package had them, but
+only the tests called them.
 :func:`parse_machine_text` is how ``cli.parse_fixture`` read a machine
 fixture before it parsed in one pass: a pass over the lines, a second over
 the ``trans`` lines, a regex parse per line, and ``make_transducer``.
@@ -69,6 +79,7 @@ import contextlib
 import dataclasses
 import io
 import math
+from enum import Enum
 
 from ocrank import counterset, regular
 from ocrank.cli import FixtureError
@@ -86,7 +97,9 @@ from ocrank.counterset import (
     default_counter_cap,
     dyck_closure,
     level_cycle,
+    reach_sets,
 )
+from ocrank.harness import DensityWitness
 from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex, shortest_word
 from ocrank.transducer import (
     DOWN,
@@ -99,11 +112,96 @@ from ocrank.transducer import (
     TypedState,
     TypedTransition,
     TransducerError,
+    bounded_outputs,
+    build_mprime,
     live_states,
     make_transducer,
-    run_input_word,
 )
-from ocrank.words import BINARY, Alphabet, in_d1, primitive_root, state_bits, state_mask
+from ocrank.words import (
+    BINARY,
+    Alphabet,
+    distinct_root_pair,
+    primitive_root,
+    state_bits,
+    state_mask,
+)
+
+
+class Relation(Enum):
+    """How two words relate under the prefix and first-divergence orders.
+
+    Exactly one relation holds for any pair over a common alphabet.  The
+    strict lexicographic order is ``PROPER_PREFIX_OF | STRICT_LESS``.
+    """
+
+    EQUAL = "equal"
+    PROPER_PREFIX_OF = "proper-prefix-of"
+    HAS_PROPER_PREFIX = "has-proper-prefix"
+    STRICT_LESS = "strict-less"
+    STRICT_GREATER = "strict-greater"
+
+
+def compare(u: str, v: str, alphabet: Alphabet) -> Relation:
+    """Classify the pair (u, v) into the unique :class:`Relation`."""
+    alphabet.check_word(u)
+    alphabet.check_word(v)
+    n = min(len(u), len(v))
+    for i in range(n):
+        if u[i] != v[i]:
+            if alphabet.rank(u[i]) < alphabet.rank(v[i]):
+                return Relation.STRICT_LESS
+            return Relation.STRICT_GREATER
+    if len(u) == len(v):
+        return Relation.EQUAL
+    if len(u) < len(v):
+        return Relation.PROPER_PREFIX_OF
+    return Relation.HAS_PROPER_PREFIX
+
+
+def lex_less(u: str, v: str, alphabet: Alphabet) -> bool:
+    """True iff u precedes v in the lexicographic order (prefixes first)."""
+    return compare(u, v, alphabet) in (Relation.STRICT_LESS, Relation.PROPER_PREFIX_OF)
+
+
+def lex_key(w: str, alphabet: Alphabet) -> tuple[int, ...]:
+    """Sort key realizing the lexicographic order as Python tuple order.
+
+    Tuple comparison puts a proper prefix before its extensions and
+    otherwise compares the first diverging letter, which is exactly the
+    order ``lex_less`` decides.
+    """
+    return tuple(alphabet.rank(ch) for ch in w)
+
+
+def _check_binary(w: str) -> None:
+    for ch in w:
+        if ch not in ("0", "1"):
+            raise ValueError(f"expected a binary word over 0/1, found {ch!r}")
+
+
+def open_depth(w: str) -> int:
+    """Number of 0s minus number of 1s (may be negative)."""
+    _check_binary(w)
+    return 2 * w.count("0") - len(w)
+
+
+def is_dyck_prefix(w: str) -> bool:
+    """True iff w extends to a balanced word: every prefix stays ≥ 0."""
+    _check_binary(w)
+    depth = 0
+    for ch in w:
+        depth += 1 if ch == "0" else -1
+        if depth < 0:
+            return False
+    return True
+
+
+def in_d1(w: str) -> bool:
+    return is_dyck_prefix(w) and open_depth(w) == 0
+
+
+def run_input_word(run: list[Transition]) -> str:
+    return "".join(str(t.bit) for t in run)
 
 
 def complete_determinize(a: Automaton) -> Automaton:
@@ -803,6 +901,42 @@ def typed_lift(
     return lifted
 
 
+def probe_machine_by_transitions(machine: Transducer, output_cap: int):
+    """Two distinct-root cycle outputs at one leveled state, or None: the
+    walks over ``prime.transitions``, with one compiled-regex lookup and one
+    shortest word per scanned transition."""
+    try:
+        prime = build_mprime(machine, reach_sets(machine))
+    except LevelingError:
+        return None
+    walk_cap = max(2 * prime.period, 8)
+    for s in prime.states:
+        samples: list[str] = []
+        stack = [(s, [])]
+        while stack:
+            at, outs = stack.pop()
+            for tt in prime.transitions:
+                if tt.source != at:
+                    continue
+                word = shortest_word(prime.compiled_output(tt))
+                if word is None:
+                    continue
+                chain = outs + [word]
+                if tt.target == s:
+                    samples.append("".join(chain))
+                if len(chain) < walk_cap:
+                    stack.append((tt.target, chain))
+        pair = distinct_root_pair(samples)
+        if pair is not None:
+            return DensityWitness(
+                pair[0],
+                pair[1],
+                f"cycle outputs at {s.render()} have distinct primitive roots",
+                state=s,
+            )
+    return None
+
+
 def bounded_outputs_by_transitions(prime: TransducerPrime, nmax: int) -> Automaton:
     """The NFA of the outputs over the nonempty balanced inputs of length
     ≤ nmax, from the configurations (typed state, counter, step)."""
@@ -823,6 +957,16 @@ def bounded_outputs_by_transitions(prime: TransducerPrime, nmax: int) -> Automat
                 arcs.append(((q, c, i), output, cfg))
     finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in prime.finals]
     return regular.expand_graph(configs, arcs, configs[:1], finals, prime.alphabet)
+
+
+def bounded_language_by_union(machine: Transducer | TransducerPrime, nmax: int) -> Automaton:
+    """``transducer.bounded_language`` as it was before it added the empty
+    input by making the initial states final: the union with ε's automaton."""
+    a = bounded_outputs(machine, nmax)
+    if not machine.accepts_epsilon:
+        return a
+    epsilon = regular.epsilon_automaton(machine.alphabet)
+    return regular.union_automata(a, epsilon) if a.finals else epsilon
 
 
 def language_of_input(machine: Transducer, w: str) -> Automaton:

@@ -14,6 +14,7 @@ from ocrank.transducer import build_mprime, check_run, lift_run, make_transducer
 from ocrank.words import Alphabet, primitive_root
 from conftest import random_machine
 from test_counterset import realize
+import oracles
 from oracles import project_run
 
 AB = Alphabet(("a", "b"))
@@ -112,33 +113,19 @@ def test_enumerate_expr_rejects_foreign_objects():
 # --- density probing -----------------------------------------------------------------
 
 
-def test_probe_density_on_iterated_fig1(fig1):
-    witness = harness.probe_density(RocPlus(RocAtom(fig1)))
-    assert witness is not None
-    assert (witness.word1, witness.word2) == ("ca", "cba")
-    assert "roots 'ca' and 'cba'" in witness.description
-
-
-def test_probe_density_single_root_iteration():
-    mono = make_transducer(
+def single_root_machine():
+    return make_transducer(
         ["q0", "f"],
         "q0",
         ["f"],
         [("q0", 0, "q0", "b"), ("q0", 1, "f", "b"), ("f", 1, "f", "b")],
         AB,
     )
-    assert harness.probe_density(RocPlus(RocAtom(mono))) is None
 
 
-def test_probe_density_machine_atom(fig1):
-    # fig1 itself is only conditionally bounded, but the per-state cycle
-    # sampling sees one root per leveled state and stays silent.
-    assert harness.probe_density(RocAtom(fig1)) is None
-
-
-def test_probe_density_machine_with_mixed_cycle():
+def mixed_cycle_machine():
     # two parallel self-loop outputs give the walk sampler two roots to find
-    toy = make_transducer(
+    return make_transducer(
         ["q0", "f"],
         "q0",
         ["f"],
@@ -150,7 +137,43 @@ def test_probe_density_machine_with_mixed_cycle():
         ],
         AB,
     )
-    witness = harness.probe_density(RocAtom(toy))
+
+
+def one_regex_cycle_machine():
+    # a single alternative inside one output regex is beyond the per-edge
+    # shortest-word sampling
+    return make_transducer(
+        ["q0", "f"],
+        "q0",
+        ["f"],
+        [("q0", 0, "q0", "a+b"), ("q0", 1, "f", "a"), ("f", 1, "f", "a")],
+        AB,
+    )
+
+
+def void_machine():
+    return make_transducer(["q", "f"], "q", ["f"], [("q", 0, "q", "a")], AB)
+
+
+def test_probe_density_on_iterated_fig1(fig1):
+    witness = harness.probe_density(RocPlus(RocAtom(fig1)))
+    assert witness is not None
+    assert (witness.word1, witness.word2) == ("ca", "cba")
+    assert "roots 'ca' and 'cba'" in witness.description
+
+
+def test_probe_density_single_root_iteration():
+    assert harness.probe_density(RocPlus(RocAtom(single_root_machine()))) is None
+
+
+def test_probe_density_machine_atom(fig1):
+    # fig1 itself is only conditionally bounded, but the per-state cycle
+    # sampling sees one root per leveled state and stays silent.
+    assert harness.probe_density(RocAtom(fig1)) is None
+
+
+def test_probe_density_machine_with_mixed_cycle():
+    witness = harness.probe_density(RocAtom(mixed_cycle_machine()))
     assert witness is not None
     assert witness.state is not None
     assert witness.state.state == "q0"
@@ -159,31 +182,36 @@ def test_probe_density_machine_with_mixed_cycle():
 
 
 def test_probe_density_is_sampling_limited():
-    # a single alternative inside one output regex is beyond the per-edge
-    # shortest-word sampling: the probe must stay silent rather than guess
-    toy = make_transducer(
-        ["q0", "f"],
-        "q0",
-        ["f"],
-        [("q0", 0, "q0", "a+b"), ("q0", 1, "f", "a"), ("f", 1, "f", "a")],
-        AB,
-    )
-    assert harness.probe_density(RocAtom(toy)) is None
+    # the probe must stay silent rather than guess
+    assert harness.probe_density(RocAtom(one_regex_cycle_machine())) is None
 
 
 def test_probe_density_empty_machine_is_none():
-    void = make_transducer(["q", "f"], "q", ["f"], [("q", 0, "q", "a")], AB)
-    assert harness.probe_density(RocAtom(void)) is None
+    assert harness.probe_density(RocAtom(void_machine())) is None
 
 
 def test_probe_density_concat_requires_other_side_nonempty(fig1):
     dense_side = RocPlus(RocAtom(fig1))
-    void = RocAtom(
-        make_transducer(["q", "f"], "q", ["f"], [("q", 0, "q", "a")], AB)
-    )
+    void = RocAtom(void_machine())
     assert harness.probe_density(RocConcat(dense_side, void)) is None
     got = harness.probe_density(RocConcat(dense_side, RocAtom(fig1)))
     assert got is not None and (got.word1, got.word2) == ("ca", "cba")
+
+
+def test_probe_machine_matches_the_transition_walk(fig1, fig2):
+    # The walk over integer arcs against the walk over prime.transitions,
+    # on machines as atoms.  At most six transitions each: the walks are
+    # exponential in the walk cap, and the old one is the slower by far.
+    rng = random.Random(3131)
+    machines = [fig1, fig2, single_root_machine(), mixed_cycle_machine(),
+                one_regex_cycle_machine(), void_machine()]
+    machines += [random_machine(rng, max_transitions=6) for _ in range(300)]
+    found = 0
+    for machine in machines:
+        got = harness.probe_density(RocAtom(machine))
+        assert got == oracles.probe_machine_by_transitions(machine, 24), machine.transitions
+        found += got is not None
+    assert found >= 50
 
 
 # --- counter oracle ------------------------------------------------------------------

@@ -34,18 +34,19 @@ from ocrank.transducer import (
     lift_run,
     make_transducer,
     minimal_normalize,
-    run_input_word,
 )
-from ocrank.words import Alphabet, in_d1
+from ocrank.words import Alphabet
 from conftest import random_machine
 from test_components import leveling_machines
 from oracles import (
     balanced_words_up_to,
     equivalent,
+    in_d1,
     language_of_input,
     leveled_by_pairs,
     project_run,
     replace_transitions,
+    run_input_word,
     step_language,
 )
 

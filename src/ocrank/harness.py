@@ -96,6 +96,8 @@ def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | Non
 
     Each arc reads the shortest word of its base transition's output; the
     walks run over state numbers, on the arcs filed by source in arc order.
+    Each (state, word read, length) is expanded once, when first popped: a
+    repeat would only sample its first expansion's words again.
     """
     try:
         prime = build_mprime(machine, reach_sets(machine))
@@ -109,15 +111,17 @@ def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | Non
     for s in range(len(prime.states)):
         samples: list[str] = []
         # Depth-first over closed walks at s, sampling one output word each.
-        stack = [(s, [])]
+        stack, expanded = [(s, "", 0)], set()
         while stack:
-            at, outs = stack.pop()
-            for y, word in out_of[at]:
-                chain = outs + [word]
-                if y == s:
-                    samples.append("".join(chain))
-                if len(chain) < walk_cap:
-                    stack.append((y, chain))
+            node = stack.pop()
+            if node not in expanded:
+                expanded.add(node)
+                at, read, steps = node
+                for y, word in out_of[at]:
+                    if y == s:
+                        samples.append(read + word)
+                    if steps + 1 < walk_cap:
+                        stack.append((y, read + word, steps + 1))
         pair = distinct_root_pair(samples)
         if pair is not None:
             state = prime.states[s]

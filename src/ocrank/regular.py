@@ -261,8 +261,7 @@ class Automaton(Record):
 
     ``edges[q]`` maps a letter to the successors of q on it as one int
     bitmask (bit t set when q → t); letters without successors are absent.
-    ``initials`` and ``finals`` are frozensets; a routine that walks state
-    sets turns them into masks once per call.
+    ``initials`` and ``finals`` are state bitmasks in the same encoding.
 
     Automata are read-only once built: those from :func:`compile_regex`
     are shared by every caller in the process, :func:`regular_scattered`
@@ -275,7 +274,7 @@ class Automaton(Record):
     __slots__ = _fields + ("_scattered", "_entered")
 
     def __init__(self, alphabet: Alphabet, n: int, edges: list[dict[str, int]],
-                 initials: frozenset[int], finals: frozenset[int]) -> None:
+                 initials: int, finals: int) -> None:
         self.alphabet, self.n, self.edges = alphabet, n, edges
         self.initials, self.finals = initials, finals
         self._scattered = self._entered = None  # kept on first use, see above
@@ -296,15 +295,15 @@ class Automaton(Record):
 
 def literal_automaton(ch: str, alphabet: Alphabet) -> Automaton:
     alphabet.rank(ch)
-    return Automaton(alphabet, 2, [{ch: 0b10}, {}], frozenset({0}), frozenset({1}))
+    return Automaton(alphabet, 2, [{ch: 0b10}, {}], 0b1, 0b10)
 
 
 def epsilon_automaton(alphabet: Alphabet) -> Automaton:
-    return Automaton(alphabet, 1, [{}], frozenset({0}), frozenset({0}))
+    return Automaton(alphabet, 1, [{}], 1, 1)
 
 
 def empty_automaton(alphabet: Alphabet) -> Automaton:
-    return Automaton(alphabet, 1, [{}], frozenset({0}), frozenset())
+    return Automaton(alphabet, 1, [{}], 1, 0)
 
 
 def _shifted(a: Automaton, offset: int) -> list[dict[str, int]]:
@@ -325,40 +324,36 @@ def _add_moves(row: dict[str, int], moves: dict[str, int]) -> None:
 def _initial_moves(a: Automaton) -> dict[str, int]:
     """The successors of ``a``'s initial states, per letter."""
     moves: dict[str, int] = {}
-    for i in a.initials:
+    for i in state_bits(a.initials):
         _add_moves(moves, a.edges[i])
     return moves
 
 
 def union_automata(a: Automaton, b: Automaton) -> Automaton:
     edges = _shifted(a, 0) + _shifted(b, a.n)
-    initials = a.initials | {q + a.n for q in b.initials}
-    finals = a.finals | {q + a.n for q in b.finals}
+    initials = a.initials | b.initials << a.n
+    finals = a.finals | b.finals << a.n
     return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
 
 
 def concat_automata(a: Automaton, b: Automaton) -> Automaton:
     edges = _shifted(a, 0) + _shifted(b, a.n)
     b_starts = {ch: m << a.n for ch, m in _initial_moves(b).items()}
-    for f in a.finals:
+    for f in state_bits(a.finals):
         _add_moves(edges[f], b_starts)
-    finals = {q + a.n for q in b.finals}
-    if b.accepts_empty_word():
-        finals |= a.finals
-    initials = set(a.initials)
-    if a.accepts_empty_word():
-        initials |= {q + a.n for q in b.initials}
-    return Automaton(a.alphabet, a.n + b.n, edges, frozenset(initials), frozenset(finals))
+    finals = b.finals << a.n | (a.finals if b.accepts_empty_word() else 0)
+    initials = a.initials | (b.initials << a.n if a.accepts_empty_word() else 0)
+    return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
 
 
 def star_automaton(a: Automaton) -> Automaton:
     # Fresh hub state so making the start accepting cannot leak extra words.
-    hub = a.n
+    hub = 1 << a.n
     starts = _initial_moves(a)
     edges = _shifted(a, 0) + [dict(starts)]
-    for f in a.finals:
+    for f in state_bits(a.finals):
         _add_moves(edges[f], starts)
-    return Automaton(a.alphabet, a.n + 1, edges, frozenset({hub}), a.finals | {hub})
+    return Automaton(a.alphabet, a.n + 1, edges, hub, a.finals | hub)
 
 
 def nfa_of_regex(r: Regex, alphabet: Alphabet) -> Automaton:
@@ -384,7 +379,7 @@ def determinize(a: Automaton) -> Automaton:
     letters in alphabet order.  The result is partial: a letter that leads
     to the empty set has no edge."""
     letters = a.alphabet.letters
-    start = state_mask(a.initials)
+    start = a.initials
     index = {start: 0}
     order = [start]
     out_edges: list[dict[str, int]] = []
@@ -400,9 +395,8 @@ def determinize(a: Automaton) -> Automaton:
                 order.append(t)
             row[ch] = 1 << i
         out_edges.append(row)
-    finals = state_mask(a.finals)
-    accepting = frozenset(i for i, s in enumerate(order) if s & finals)
-    return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), accepting)
+    accepting = state_mask(i for i, s in enumerate(order) if s & a.finals)
+    return Automaton(a.alphabet, len(order), out_edges, 1, accepting)
 
 
 def _reach(mask: int, successors: list[int]) -> int:
@@ -422,7 +416,7 @@ def _coreachable(a: Automaton) -> int:
         bit = 1 << q
         for t in state_bits(_targets(row)):
             before[t] |= bit
-    return _reach(state_mask(a.finals), before)
+    return _reach(a.finals, before)
 
 
 def trim(a: Automaton) -> Automaton:
@@ -439,10 +433,10 @@ def trim(a: Automaton) -> Automaton:
     # final state.  Each state it meets is reachable, so it is live exactly
     # when it is co-reachable, and the order is that of a BFS over the live
     # states.
-    order = [q for q in sorted(a.initials) if co >> q & 1]
-    if not order:
+    live = a.initials & co
+    if not live:
         return empty_automaton(a.alphabet)
-    live = state_mask(order)
+    order = state_bits(live)
     for q in order:  # grows while it is walked: a BFS
         row = a.edges[q]
         for ch in a.alphabet.letters:
@@ -461,8 +455,7 @@ def trim(a: Automaton) -> Automaton:
             if m:
                 row[ch] = m
         edges.append(row)
-    initials = frozenset(state_bits(mask_image(state_mask(a.initials), moved)))
-    finals = frozenset(state_bits(mask_image(state_mask(a.finals), moved)))
+    initials, finals = mask_image(a.initials, moved), mask_image(a.finals, moved)
     return Automaton(a.alphabet, len(order), edges, initials, finals)
 
 
@@ -481,16 +474,16 @@ def compile_regex(r: Regex, alphabet: Alphabet) -> Automaton:
 
 def shortest_word(a: Automaton) -> str | None:
     """Length-then-lex least accepted word, or None for the empty language."""
-    return _shortest_from(a, state_mask(a.initials), allow_empty=True)
+    return _shortest_from(a, a.initials, allow_empty=True)
 
 
 def shortest_nonempty_word(a: Automaton) -> str | None:
     """Least accepted word of length ≥ 1 (length-then-lex), or None."""
-    return _shortest_from(a, state_mask(a.initials), allow_empty=False)
+    return _shortest_from(a, a.initials, allow_empty=False)
 
 
 def _shortest_from(a: Automaton, start: int, allow_empty: bool) -> str | None:
-    finals = state_mask(a.finals)
+    finals = a.finals
     if allow_empty and start & finals:
         return ""
     seen = {start}
@@ -519,10 +512,10 @@ def words_up_to(a: Automaton, max_len: int) -> list[str]:
     alphabet order, so long words do not deepen the call stack.
     """
     out: list[str] = []
-    finals = state_mask(a.finals)
+    finals = a.finals
     letters = a.alphabet.letters[::-1]
     children: dict[int, list[tuple[str, int]]] = {}  # per subset, built once
-    stack = [(state_mask(a.initials), "")]
+    stack = [(a.initials, "")]
     while stack:
         s, word = stack.pop()
         if s & finals:
@@ -548,7 +541,7 @@ def has_word_longer_than(a: Automaton, length: int) -> bool:
     than ``a.n`` + 1 steps are taken.
     """
     successors = [_targets(row) for row in a.edges]
-    current = state_mask(a.initials)
+    current = a.initials
     for _ in range(min(length, a.n) + 1):
         if not current:
             return False
@@ -564,8 +557,8 @@ def subset_with_witness(a: Automaton, b: Automaton) -> tuple[bool, str | None]:
     b rejects, which is the length-then-lex least.  Only the pairs that
     some word reaches are built, and b is never completed.
     """
-    finals_a, finals_b = state_mask(a.finals), state_mask(b.finals)
-    start = (state_mask(a.initials), state_mask(b.initials))
+    finals_a, finals_b = a.finals, b.finals
+    start = (a.initials, b.initials)
     seen = {start}
     queue: deque[tuple[tuple[int, int], str]] = deque([(start, "")])
     while queue:
@@ -591,7 +584,7 @@ def power_automaton(v: str, start: int, stop: int, alphabet: Alphabet) -> Automa
     alphabet.check_word(v)
     n = len(v)
     edges = [{ch: 1 << (i + 1) % n} for i, ch in enumerate(v)]
-    return Automaton(alphabet, n, edges, frozenset({start}), frozenset({stop}))
+    return Automaton(alphabet, n, edges, 1 << start, 1 << stop)
 
 
 def subset_of_power_with_witness(a: Automaton, v: str) -> tuple[bool, str | None]:
@@ -620,7 +613,7 @@ def _entered_states(a: Automaton) -> tuple[list[tuple[dict[str, int], bool]], di
         def renumber(row: dict[str, int]) -> dict[str, int]:
             return {ch: mask_image(m, moved) for ch, m in row.items()}
 
-        rows = [(renumber(a.edges[q]), q in a.finals) for q in kept]
+        rows = [(renumber(a.edges[q]), bool(a.finals >> q & 1)) for q in kept]
         a._entered = rows, renumber(_initial_moves(a))
     return a._entered
 
@@ -663,7 +656,7 @@ def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton
     ]
     if not states:
         return empty_automaton(alphabet)
-    initial_states = frozenset(range(len(states)))
+    initial_states = (1 << len(states)) - 1
     leaving: list[list[dict[str, int]]] = [[] for _ in index]
     eps = [0] * len(index)  # the ε arcs between live nodes
     for i, a, j in counted:
@@ -676,7 +669,7 @@ def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton
             for own, final in rows:
                 states.append(({ch: m << base for ch, m in own.items()}, j if final else None))
     closed: dict[int, tuple[dict[str, int], int]] = {}
-    edges, accepting = [], []
+    edges, accepting = [], 0
     for row, x in states:
         if x is not None:
             if x not in closed:
@@ -689,9 +682,9 @@ def expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton
             moves, accepts = closed[x]
             _add_moves(row, moves)
             if accepts:
-                accepting.append(len(edges))
+                accepting |= 1 << len(edges)
         edges.append(row)
-    return Automaton(alphabet, len(edges), edges, initial_states, frozenset(accepting))
+    return Automaton(alphabet, len(edges), edges, initial_states, accepting)
 
 
 def cycle_roots(
@@ -865,7 +858,7 @@ def regular_scattered(a: Automaton) -> Scattered | QuasiDense:
 
 def _decide_scattered(a: Automaton) -> Scattered | QuasiDense:
     d = trim(determinize(a))
-    if d.finals == frozenset():
+    if not d.finals:
         return Scattered(0)
     targets = [list(state_bits(_targets(row))) for row in d.edges]
     components = tarjan_sccs(d.n, targets)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import regular
 from .counterset import NSetReport
 from .regular import Automaton, Regex, parse_regex
-from .words import Alphabet, Record, state_mask
+from .words import Alphabet, Record
 
 
 class TransducerError(ValueError):
@@ -247,9 +247,6 @@ class TypedTransition(Record):
         self.source, self.bit, self.target = source, bit, target
         self.output, self.rule, self.base = output, rule, base
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
 
 class TransducerPrime(Record):
     """The leveled machine.
@@ -285,9 +282,6 @@ class TransducerPrime(Record):
                 for x, y, b, rule in self.arcs
             )
         return self._transitions
-
-    def compiled_output(self, t: TypedTransition) -> Automaton:
-        return self.base.compiled_output(t.base)
 
     def _lift_tables(self) -> tuple[dict[int, int], dict[tuple, int]]:
         """The index in ``base.transitions`` of each base transition, keyed
@@ -562,8 +556,8 @@ def bounded_language_equal(
     )
 
     alphabet = machine.alphabet
-    a_finals, b_finals = state_mask(a.finals), state_mask(b.finals)
-    start = (state_mask(a.initials), state_mask(b.initials))
+    a_finals, b_finals = a.finals, b.finals
+    start = (a.initials, b.initials)
     seen = {start}
     queue: list[tuple[tuple[int, int], str]] = [(start, "")]
     head = 0

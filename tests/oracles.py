@@ -208,7 +208,7 @@ def complete_determinize(a: Automaton) -> Automaton:
     """The subset construction with the empty set kept as a sink, so every
     state has a successor on every letter; states are numbered in BFS
     order with letters in alphabet order, the sink where it is first met."""
-    start = state_mask(a.initials)
+    start = a.initials
     index = {start: 0}
     order = [start]
     out_edges: list[dict[str, int]] = []
@@ -222,14 +222,13 @@ def complete_determinize(a: Automaton) -> Automaton:
                 order.append(t)
             row[ch] = 1 << i
         out_edges.append(row)
-    finals = state_mask(a.finals)
-    accepting = frozenset(i for i, s in enumerate(order) if s & finals)
-    return Automaton(a.alphabet, len(order), out_edges, frozenset({0}), accepting)
+    accepting = state_mask(i for i, s in enumerate(order) if s & a.finals)
+    return Automaton(a.alphabet, len(order), out_edges, 1, accepting)
 
 
 def complement(a: Automaton) -> Automaton:
     d = complete_determinize(a)
-    finals = frozenset(range(d.n)) - d.finals
+    finals = ((1 << d.n) - 1) & ~d.finals
     return Automaton(d.alphabet, d.n, d.edges, d.initials, finals)
 
 
@@ -237,8 +236,8 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     """Product automaton, built on the fly from the initial pairs."""
     index: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
-    for p in sorted(a.initials):
-        for q in sorted(b.initials):
+    for p in state_bits(a.initials):
+        for q in state_bits(b.initials):
             index[(p, q)] = len(order)
             order.append((p, q))
     edges: list[dict[str, int]] = []
@@ -259,10 +258,10 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
                     targets |= 1 << i
             row[ch] = targets
         edges.append(row)
-    finals = frozenset(
-        i for i, (p, q) in enumerate(order) if p in a.finals and q in b.finals
+    finals = state_mask(
+        i for i, (p, q) in enumerate(order) if a.finals >> p & b.finals >> q & 1
     )
-    initials = frozenset(range(len(a.initials) * len(b.initials)))
+    initials = (1 << a.initials.bit_count() * b.initials.bit_count()) - 1
     return Automaton(a.alphabet, len(order), edges, initials, finals)
 
 
@@ -286,12 +285,12 @@ def is_empty_language(a: Automaton) -> bool:
 
 def membership(a: Automaton, w: str) -> bool:
     a.alphabet.check_word(w)
-    current = state_mask(a.initials)
+    current = a.initials
     for ch in w:
         current = a.step(current, ch)
         if not current:
             return False
-    return bool(current & state_mask(a.finals))
+    return bool(current & a.finals)
 
 
 def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> Automaton:
@@ -344,7 +343,7 @@ def cycle_outputs(
     for tt in transitions:
         u = src if tt.source == anchor else tt.source
         v = snk if tt.target == anchor else tt.target
-        arcs.append((u, prime.compiled_output(tt), v))
+        arcs.append((u, prime.base.compiled_output(tt.base), v))
     return regular.expand_graph(nodes, arcs, [src], [snk], prime.alphabet)
 
 
@@ -640,7 +639,7 @@ def epsilon_free(
     """
     final_mask = state_mask(finals)
     edges: list[dict[str, int]] = [{} for _ in successors]
-    accepting = []
+    accepting = 0
     reached = todo = state_mask(initials)
     while todo:
         start = todo & -todo
@@ -659,11 +658,11 @@ def epsilon_free(
         s = start.bit_length() - 1
         edges[s] = row
         if closure & final_mask:
-            accepting.append(s)
+            accepting |= start
         for m in row.values():
             todo |= m & ~reached
             reached |= m
-    return Automaton(alphabet, len(edges), edges, frozenset(initials), frozenset(accepting))
+    return Automaton(alphabet, len(edges), edges, state_mask(initials), accepting)
 
 
 def closed_walks(
@@ -711,10 +710,9 @@ def arc_graph(nodes, arcs) -> tuple[dict, list[dict[str, int]]]:
         for row in a.edges:
             successors.append({ch: m << base for ch, m in row.items()})
         row = successors[index[u]]
-        for i in a.initials:
-            row[""] = row.get("", 0) | 1 << base + i
+        row[""] = row.get("", 0) | a.initials << base
         into = 1 << index[v]
-        for f in a.finals:
+        for f in state_bits(a.finals):
             row = successors[base + f]
             row[""] = row.get("", 0) | into
     return index, successors
@@ -791,7 +789,7 @@ def arc_graph_certify(c: Scc, prime: TransducerPrime):
     tight = tight_typed(internal)
     stages = [internal] if tight is None or len(tight) == len(internal) else [internal, tight]
     for verdict, transitions in zip((FullyCertified, ZeroCertified), stages):
-        arcs = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
+        arcs = [(tt.source, prime.base.compiled_output(tt.base), tt.target) for tt in transitions]
         successors = arc_graph(anchors, arcs)[1]
         members = arc_graph_roots(anchors, successors)
         if isinstance(members, dict):
@@ -815,7 +813,8 @@ def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
         for t in machine.transitions:
             if t.bit != bit or t.source not in current:
                 continue
-            piece = regular.concat_automata(current[t.source], machine.compiled_output(t))
+            piece = regular.concat_automata(
+                current[t.source], regular.compile_regex(t.output, machine.alphabet))
             if t.target in nxt:
                 nxt[t.target] = regular.union_automata(nxt[t.target], piece)
             else:
@@ -918,7 +917,7 @@ def probe_machine_by_transitions(machine: Transducer, output_cap: int):
             for tt in prime.transitions:
                 if tt.source != at:
                     continue
-                word = shortest_word(prime.compiled_output(tt))
+                word = shortest_word(prime.base.compiled_output(tt.base))
                 if word is None:
                     continue
                 chain = outs + [word]
@@ -942,7 +941,7 @@ def bounded_outputs_by_transitions(prime: TransducerPrime, nmax: int) -> Automat
     ≤ nmax, from the configurations (typed state, counter, step)."""
     by_source: dict = {}
     for t in prime.transitions:
-        by_source.setdefault(t.source, []).append((t, prime.compiled_output(t)))
+        by_source.setdefault(t.source, []).append((t, prime.base.compiled_output(t.base)))
     configs = [(prime.initial, 0, 0)]
     seen = set(configs)
     arcs = []
@@ -1018,7 +1017,7 @@ def worked_close_image(
     if isinstance(r, str):
         r = regular.parse_regex(r, alphabet)
     d = regular.compile_regex(r, alphabet)
-    if d.finals == frozenset():
+    if not d.finals:
         return build_by_sets(0, (), 1, ())
     reversed_edges = []
     for p in range(d.n):
@@ -1026,9 +1025,9 @@ def worked_close_image(
             reversed_edges.append((targets.bit_length() - 1, 1 if ch == "1" else -1, p))
     cap = counter_cap if counter_cap is not None else default_counter_cap(d.n)
     opens, closes = moves(d.n, reversed_edges)
-    slices, _ = certified_slices(opens, dyck_closure(opens, closes), sorted(d.finals), cap)
+    slices, _ = certified_slices(opens, dyck_closure(opens, closes), state_bits(d.finals), cap)
     image = build_by_sets(0, (), 1, ())
-    for q in sorted(d.initials):
+    for q in state_bits(d.initials):
         image = up_union(image, slices[q])
     return image
 

@@ -438,3 +438,18 @@ def test_11_enumerating_an_iteration_builds_one_automaton(tmp_path, capsys):
     words = captured.out.splitlines()
     assert words[0] == "" and len(words[1:]) == 32766 == 2**15 - 2
     assert (words[1:4], words[-1]) == (["a", "aa", "aaa"], "b" * 14)
+
+
+def test_12_density_probe_expands_each_walk_node_once():
+    # Five loops at one state, two of whose outputs have ε as shortest
+    # word: many walks reach the state with the same word after as many
+    # steps, and walking each of them again took 1.3 s on a 2-core host.
+    machine = cli.parse_fixture(
+        "alphabet a b\nstates s0\ninitial s0\nfinal s0\n"
+        "trans s0 0 s0 a+b\ntrans s0 1 s0 eps\ntrans s0 0 s0 a*\n"
+        "trans s0 1 s0 a(b+a)\ntrans s0 1 s0 b*a\n"
+    ).value
+    t0 = time.perf_counter()
+    witness = harness.probe_density(RocAtom(machine))
+    assert_within(t0, 0.25)
+    assert witness is None

@@ -5,7 +5,8 @@ The routines below kept them as frozensets; they stay here as oracles.  On
 seeded random NFAs the mask routines must build the same automata (state
 count, numbering, finals and per-letter successor sets) and list the same
 words.  The product and the complete subset construction, which only
-tests use, live in ``oracles`` and are checked the same way.
+tests use, live in ``oracles`` and are checked the same way.  The initial
+and final sets are bitmasks too, on every automaton the package builds.
 """
 
 from __future__ import annotations
@@ -15,14 +16,24 @@ from collections import deque
 from dataclasses import dataclass
 
 from conftest import mask_bits
+from golden_cli import corpus_fixtures
+from ocrank.cli import parse_fixture
 from ocrank.regular import (
     Automaton,
+    compile_regex,
+    concat_automata,
     determinize,
     nfa_of_regex,
+    power_automaton,
+    star_automaton,
+    trim,
+    union_automata,
     words_up_to,
 )
+from ocrank.transducer import bounded_language
 from oracles import complete_determinize, epsilon_free, intersect
 from ocrank.words import Alphabet
+from test_lift import leveled
 from test_regular import AB, random_nfa, random_regex
 
 
@@ -42,7 +53,8 @@ class SetAutomaton:
 
 def as_sets(a: Automaton) -> SetAutomaton:
     edges = [{ch: frozenset(mask_bits(m)) for ch, m in row.items()} for row in a.edges]
-    return SetAutomaton(a.alphabet, a.n, edges, a.initials, a.finals)
+    initials, finals = frozenset(mask_bits(a.initials)), frozenset(mask_bits(a.finals))
+    return SetAutomaton(a.alphabet, a.n, edges, initials, finals)
 
 
 def set_determinize(a: SetAutomaton, complete: bool = False) -> SetAutomaton:
@@ -183,3 +195,33 @@ def test_mask_routines_match_the_frozenset_routines():
         assert as_sets(epsilon_free(graph, starts, ends, AB)) == set_epsilon_free(
             as_pairs(graph), starts, ends, AB
         )
+
+
+def assert_masks(a: Automaton) -> None:
+    """``initials``, ``finals`` and every successor are ints below 1 << n."""
+    assert type(a.initials) is int and type(a.finals) is int, a
+    every = 1 << a.n
+    assert 0 <= a.initials < every and 0 <= a.finals < every, a
+    for row in a.edges:
+        for m in row.values():
+            assert type(m) is int and 0 < m < every, a
+
+
+def test_every_builder_keeps_its_state_sets_as_masks():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        a = compile_regex(random_regex(rng, 3), AB)
+        b = compile_regex(random_regex(rng, 3), AB)
+        built = [a, b, union_automata(a, b), concat_automata(a, b), star_automaton(a)]
+        for c in built[2:]:
+            d = determinize(c)
+            built += [d, trim(c), trim(d)]
+        for c in built:
+            assert_masks(c)
+    for v, start, stop in (("a", 0, 0), ("ab", 1, 0), ("aab", 2, 1)):
+        assert_masks(power_automaton(v, start, stop, AB))
+    for text, _ in corpus_fixtures().values():
+        machine = parse_fixture(text).value
+        prime = leveled(machine)
+        for m in (machine,) if prime is None else (machine, prime):
+            assert_masks(bounded_language(m, 4))

@@ -399,7 +399,7 @@ def banded_zero_cycle_outputs(c, anchor, prime, band):
     arcs = []
     for tt in internal_transitions(c, prime):
         delta = 1 if tt.bit == 0 else -1
-        a = prime.compiled_output(tt)
+        a = prime.base.compiled_output(tt.base)
         for w in range(-band, band + 1):
             w2 = w + delta
             if not -band <= w2 <= band:
@@ -508,7 +508,7 @@ def leveled_arcs(c, prime, transitions):
     node = {s: x for x, s in enumerate(sorted(c.members))}
     out = [[] for _ in node]
     for tt in transitions:
-        a = prime.compiled_output(tt)
+        a = prime.base.compiled_output(tt.base)
         w = regular.shortest_nonempty_word(a) or ""
         out[node[tt.source]].append((node[tt.target], w, a))
     return out
@@ -543,7 +543,10 @@ def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
                 else:
                     targets = [[y for y, _, _ in out] for out in arcs]
                     components = sorted(regular.tarjan_sccs(len(anchors), targets))
-                spliced = [(tt.source, prime.compiled_output(tt), tt.target) for tt in transitions]
+                spliced = [
+                    (tt.source, prime.base.compiled_output(tt.base), tt.target)
+                    for tt in transitions
+                ]
                 _, successors = arc_graph(anchors, spliced)
                 got = assert_cycle_roots_match(
                     anchors,
@@ -704,7 +707,9 @@ def test_stage_one_arc_graph_is_one_component():
                 continue
             anchors = sorted(c.members)
             internal = internal_transitions(c, prime)
-            spliced = [(tt.source, prime.compiled_output(tt), tt.target) for tt in internal]
+            spliced = [
+                (tt.source, prime.base.compiled_output(tt.base), tt.target) for tt in internal
+            ]
             _, successors = arc_graph(anchors, spliced)
             # state_bits, not the bit-by-bit mask_bits, which is quadratic on the
             # arc graphs of thousands of nodes

@@ -389,7 +389,7 @@ def close_image_system(regex_text: str):
         for ch, targets in d.edges[p].items()
         for t in mask_bits(targets)
     ]
-    return d.n, edges, sorted(d.finals)
+    return d.n, edges, mask_bits(d.finals)
 
 
 def kernel_systems(fig1, fig2):

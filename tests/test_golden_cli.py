@@ -65,8 +65,9 @@ def is_trimmed(a: regular.Automaton) -> bool:
                     forward[q] |= 1 << t
                     backward[t] |= 1 << q
 
-    def reach(states: frozenset[int], table: list[int]) -> set[int]:
-        seen, todo = set(states), list(states)
+    def reach(states: int, table: list[int]) -> set[int]:
+        todo = [q for q in range(a.n) if states >> q & 1]
+        seen = set(todo)
         while todo:
             q = todo.pop()
             for t in range(a.n):

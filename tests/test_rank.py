@@ -352,7 +352,7 @@ def test_edge_bounds_match_the_per_feed_oracle(fig1, fig2):
         if prime is None or not isinstance(analysis.result, RankBound):
             continue
         regrank = {
-            i: regular.regular_scattered(prime.compiled_output(tt)).rank
+            i: regular.regular_scattered(prime.base.compiled_output(tt.base)).rank
             for i, tt in enumerate(prime.transitions)
         }
         args = (prime, analysis.sccs, analysis.verdicts, regrank)

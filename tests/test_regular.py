@@ -273,9 +273,10 @@ def test_words_up_to_is_lex_sorted_and_complete():
 def recursive_words_up_to(a, max_len: int) -> list[str]:
     """The recursive walk ``words_up_to`` replaced, kept as its reference."""
     out: list[str] = []
+    finals = frozenset(mask_bits(a.finals))
 
     def walk(s: frozenset[int], word: str) -> None:
-        if s & a.finals:
+        if s & finals:
             out.append(word)
         if len(word) == max_len:
             return
@@ -284,7 +285,7 @@ def recursive_words_up_to(a, max_len: int) -> list[str]:
             if t:
                 walk(t, word + ch)
 
-    walk(frozenset(a.initials), "")
+    walk(frozenset(mask_bits(a.initials)), "")
     return out
 
 
@@ -297,8 +298,8 @@ def random_nfa(rng: random.Random, max_states: int = 6) -> Automaton:
             targets = frozenset(rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 2))))
             if targets:
                 edges[q][ch] = sum(1 << t for t in targets)
-    initials = frozenset(rng.sample(range(n), rng.randint(1, min(2, n))))
-    finals = frozenset(rng.sample(range(n), rng.randint(0, n)))
+    initials = sum(1 << q for q in rng.sample(range(n), rng.randint(1, min(2, n))))
+    finals = sum(1 << q for q in rng.sample(range(n), rng.randint(0, n)))
     return Automaton(AB, n, edges, initials, finals)
 
 
@@ -351,12 +352,13 @@ def two_search_trim(a: Automaton) -> Automaton:
         masks = a.edges[q].values() if ch is None else [a.edges[q].get(ch, 0)]
         return [t for m in masks for t in mask_bits(m)]
 
-    forward = search(a.initials, targets)
-    backward = search(a.finals, lambda q: [p for p in range(a.n) if q in targets(p)])
+    initials, finals = mask_bits(a.initials), mask_bits(a.finals)
+    forward = search(initials, targets)
+    backward = search(finals, lambda q: [p for p in range(a.n) if q in targets(p)])
     alive = forward & backward
     if not alive:
         return empty_automaton(AB)
-    order = sorted(q for q in a.initials if q in alive)
+    order = sorted(q for q in initials if q in alive)
     for q in order:  # grows while it is walked: a BFS
         for ch in AB.letters:
             order += [t for t in sorted(targets(q, ch)) if t in alive and t not in order]
@@ -371,8 +373,8 @@ def two_search_trim(a: Automaton) -> Automaton:
         AB,
         len(order),
         edges,
-        frozenset(renum[q] for q in a.initials if q in renum),
-        frozenset(renum[q] for q in a.finals if q in renum),
+        sum(1 << renum[q] for q in initials if q in renum),
+        sum(1 << renum[q] for q in finals if q in renum),
     )
 
 
@@ -560,7 +562,7 @@ def dfa_cycle_language(d: Automaton, q: int) -> Automaton:
                 p2 = src if p == q else p
                 t2 = snk if t == q else t
                 edges[p2][ch] = edges[p2].get(ch, 0) | 1 << t2
-    return Automaton(d.alphabet, d.n + 2, edges, frozenset({src}), frozenset({snk}))
+    return Automaton(d.alphabet, d.n + 2, edges, 1 << src, 1 << snk)
 
 
 def per_anchor_cycle_roots(anchors, cycle_language):

@@ -183,18 +183,6 @@ def dyck_closure(opens: list[int], closes: list[int]) -> list[int]:
     return z
 
 
-def _moves(n: int, edges: list[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
-    """The +1 and −1 successor bitmasks of each state."""
-    opens = [0] * n
-    closes = [0] * n
-    for p, w, q in edges:
-        if w > 0:
-            opens[p] |= 1 << q
-        else:
-            closes[p] |= 1 << q
-    return opens, closes
-
-
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Rows of bitmasks read by column: bit i of ``out[j]`` is bit j of
     ``rows[i]``, for the ``width`` columns."""
@@ -360,17 +348,18 @@ def reach_sets(machine, counter_cap: int | None = None) -> NSetReport:
             f"pass --counter-cap {default_counter_cap(n)} or higher"
         )
 
-    forward = [
-        (index[t.source], 1 if t.bit == 0 else -1, index[t.target])
-        for t in machine.transitions
-    ]
-    opens, closes = _moves(n, forward)
-    z = dyck_closure(opens, closes)
     # The backward system's +1 edges are the forward −1 edges reversed.
+    opens, closes, reopens = [0] * n, [0] * n, [0] * n
+    for t in machine.transitions:
+        p, q = index[t.source], index[t.target]
+        if t.bit == 0:
+            opens[p] |= 1 << q
+        else:
+            closes[p] |= 1 << q
+            reopens[q] |= 1 << p
+    z = dyck_closure(opens, closes)
     minus = _cycle_rows(opens, z, [index[machine.initial]], cap)
-    plus = _cycle_rows(
-        _transpose(closes, n), _transpose(z, n), [index[f] for f in sorted(machine.finals)], cap
-    )
+    plus = _cycle_rows(reopens, _transpose(z, n), [index[f] for f in sorted(machine.finals)], cap)
 
     (minus_rows, start1, period1), (plus_rows, start2, period2) = minus, plus
     start, turn = max(start1, start2), math.lcm(period1, period2)

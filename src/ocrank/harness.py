@@ -64,8 +64,9 @@ def probe_density(
 
     For an iteration, two members of the body with different primitive
     roots suffice.  For a machine, two differently rooted cycle outputs at
-    the same leveled state do.  Returns None when nothing surfaced within
-    the caps — which is evidence of absence only, not proof.
+    the same leveled state do; a machine's walks are bounded by max(2P, 8)
+    arcs, not by the caps.  Returns None when nothing surfaced within those
+    bounds — which is evidence of absence only, not proof.
     """
     if isinstance(e, RocPlus):
         pair = distinct_root_pair(enumerate_expr(e.body, input_cap, output_cap))
@@ -87,11 +88,11 @@ def probe_density(
             return right
         return None
     if isinstance(e, RocAtom):
-        return _probe_machine(e.machine, output_cap)
+        return _probe_machine(e.machine)
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _probe_machine(machine: Transducer, output_cap: int) -> DensityWitness | None:
+def _probe_machine(machine: Transducer) -> DensityWitness | None:
     """Look for two distinct-root cycle outputs at one leveled state.
 
     Each arc reads the shortest word of its base transition's output; the

@@ -635,17 +635,21 @@ def test_the_package_does_not_import_argparse():
 
 
 def test_no_module_imports_a_later_layer():
-    layers = ["words", "regular", "counterset", "transducer", "components", "rank",
-              "harness", "cli"]
+    # The package's table of exports lists its layers in import order; each
+    # module is a layer, the package itself (which imports none) or __main__.
+    order = [*ocrank._EXPORTS, "__main__"]
     package = os.path.dirname(os.path.abspath(ocrank.__file__))
-    for i, layer in enumerate(layers):
-        with open(os.path.join(package, layer + ".py"), encoding="utf-8") as fh:
+    modules = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py"))
+    assert modules == sorted(["__init__", *order])
+    for module in modules:
+        with open(os.path.join(package, module + ".py"), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 imported |= {node.module} if node.module else {a.name for a in node.names}
-        assert all(layers.index(name) < i for name in imported), (layer, imported)
+        below = 0 if module == "__init__" else order.index(module)
+        assert all(order.index(name) < below for name in imported), (module, imported)
 
 
 # --- ends that are not the analysis' ---------------------------------------------------

@@ -181,6 +181,19 @@ def test_probe_density_machine_with_mixed_cycle():
     assert "distinct primitive roots" in witness.description
 
 
+def test_probe_density_of_a_machine_ignores_the_output_cap():
+    # A machine atom's walks are bounded by max(2P, 8) arcs, not by the caps:
+    # at output cap 2 the probe still finds witnesses with longer words.
+    rng = random.Random(3131)
+    machines = [mixed_cycle_machine()] + [random_machine(rng, max_transitions=6) for _ in range(60)]
+    longer = 0
+    for machine in machines:
+        got = harness.probe_density(RocAtom(machine), output_cap=2)
+        assert got == harness.probe_density(RocAtom(machine))
+        longer += got is not None and max(len(got.word1), len(got.word2)) > 2
+    assert longer >= 10
+
+
 def test_probe_density_is_sampling_limited():
     # the probe must stay silent rather than guess
     assert harness.probe_density(RocAtom(one_regex_cycle_machine())) is None

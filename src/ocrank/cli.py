@@ -299,8 +299,9 @@ def machine_dot(machine: Transducer) -> str:
 def prime_dot(prime: TransducerPrime) -> str:
     return _dot(
         "leveled",
-        [(s.render(), s in prime.finals, f"{s.state},{s.level},{s.phase}") for s in prime.states],
-        prime.initial.render(),
+        [(s.render(), x in prime.finals, f"{s.state},{s.level},{s.phase}")
+         for x, s in enumerate(prime.states)],
+        prime.states[prime.initial].render(),
         [
             (t.source.render(), t.target.render(), f"{t.bit} / {t.output} ({t.rule})")
             for t in prime.transitions
@@ -353,11 +354,11 @@ def _cmd_mprime(machine: Transducer, args, out) -> tuple[int, dict]:
         return 0, {"command": "mprime", "period": report.period, "mprime": None}
     print(f"period = {prime.period}", file=out)
     print(f"states ({len(prime.states)}):", file=out)
-    for s in prime.states:
+    for x, s in enumerate(prime.states):
         marks = ""
-        if s == prime.initial:
+        if x == prime.initial:
             marks += " (initial)"
-        if s in prime.finals:
+        if x in prime.finals:
             marks += " (accepting)"
         print(f"  {s.render()}{marks}", file=out)
     print(f"transitions ({len(prime.transitions)}):", file=out)
@@ -374,10 +375,8 @@ def _cmd_mprime(machine: Transducer, args, out) -> tuple[int, dict]:
         "period": prime.period,
         "mprime": {
             "states": [_typed_state_json(s) for s in prime.states],
-            "initial": _typed_state_json(prime.initial),
-            "finals": sorted(
-                (_typed_state_json(s) for s in prime.finals),
-            ),
+            "initial": _typed_state_json(prime.states[prime.initial]),
+            "finals": sorted(_typed_state_json(prime.states[x]) for x in prime.finals),
             "transitions": [
                 {
                     "source": _typed_state_json(t.source),
@@ -416,7 +415,7 @@ def _cmd_rank(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]:
                         "index": c.index,
                         "phase": c.phase,
                         "trivial": c.trivial,
-                        "members": sorted(s.render() for s in c.members),
+                        "members": sorted(analysis.prime.states[q].render() for q in c.members),
                         "verdict": type(verdict).__name__ if verdict else None,
                     }
                 )

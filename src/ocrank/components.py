@@ -35,26 +35,27 @@ from .words import Record
 
 
 class Scc(Record):
-    """A component: its members, their numbers in ``prime.states``
-    (ascending), and the indices in ``prime.arcs`` of the transitions
-    out of its members, filed as ``internal`` (the target is a member too)
-    or ``leaving`` (the target lies in a later component)."""
+    """A component: its members' numbers in ``prime.states`` (ascending),
+    and the indices in ``prime.arcs`` of the transitions out of its
+    members, filed as ``internal`` (the target is a member too) or
+    ``leaving`` (the target lies in a later component)."""
 
-    __slots__ = _fields = ("index", "members", "phase", "trivial", "ids", "internal", "leaving")
+    __slots__ = _fields = ("index", "members", "phase", "trivial", "internal", "leaving")
 
-    def __init__(self, index: int, members: frozenset[TypedState], phase: str, trivial: bool,
-                 ids: list[int], internal: list[int], leaving: list[int]) -> None:
+    def __init__(self, index: int, members: list[int], phase: str, trivial: bool,
+                 internal: list[int], leaving: list[int]) -> None:
         self.index, self.members, self.phase, self.trivial = index, members, phase, trivial
-        self.ids, self.internal, self.leaving = ids, internal, leaving
+        self.internal, self.leaving = internal, leaving
 
 
 class _Certified(Record):
-    """A certified component's root per anchor.  Of one layout, the two
-    verdicts below differ by class, so they are records, not named tuples."""
+    """A certified component's root per anchor, keyed by state number.  Of
+    one layout, the two verdicts below differ by class, so they are
+    records, not named tuples."""
 
     __slots__ = _fields = ("roots",)
 
-    def __init__(self, roots: dict[TypedState, str | None]) -> None:
+    def __init__(self, roots: dict[int, str | None]) -> None:
         self.roots = roots
 
 
@@ -122,12 +123,12 @@ def condense(prime: TransducerPrime) -> list[Scc]:
 
     sccs: list[Scc] = []
     for pos, i in enumerate(order):
-        members = frozenset(prime.states[q] for q in found[i])
-        phases = {s.phase for s in members}
+        members = found[i]
+        phases = {prime.states[q].phase for q in members}
         if len(phases) != 1:
-            raise AssertionError(f"component {sorted(members)} mixes phases {phases}")
+            raise AssertionError(f"component {members} mixes phases {phases}")
         internal, leaving = filed[i]
-        sccs.append(Scc(pos, members, phases.pop(), not internal, found[i], internal, leaving))
+        sccs.append(Scc(pos, members, phases.pop(), not internal, internal, leaving))
     return sccs
 
 
@@ -166,16 +167,15 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     would then repeat stage 1, and stage 1's clash is the verdict.  Only
     the clash that is returned gets its witness built.
 
-    The anchors are numbered in sorted order.  Each arc's word w is its
-    output's shortest nonempty word, ε if it has none, read from the
-    leveled machine's sample table (:func:`_samples`).  The component is
-    strongly connected, so stage 1 runs no SCC search.
+    The anchors are the members, numbered in the order of their states.
+    Each arc's word w is its output's shortest nonempty word, ε if it has
+    none, read from the leveled machine's sample table (:func:`_samples`).
+    The component is strongly connected, so stage 1 runs no SCC search.
     """
     if c.trivial:
         return FullyCertified({})
-    ids = sorted(c.ids, key=prime.states.__getitem__)
-    anchors = [prime.states[k] for k in ids]
-    node = {k: x for x, k in enumerate(ids)}
+    anchors = sorted(c.members, key=prime.states.__getitem__)
+    node = {k: x for x, k in enumerate(anchors)}
     samples = _samples(prime)
     arcs = []  # (x, weight, y, w, automaton)
     for k in c.internal:
@@ -185,7 +185,7 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
     out = _out_arcs(len(anchors), arcs)
     roots = regular.cycle_roots(out, [list(range(len(anchors)))])
     if isinstance(roots, dict):
-        return FullyCertified({s: roots[x] for x, s in enumerate(anchors)})
+        return FullyCertified({k: roots[x] for x, k in enumerate(anchors)})
     tight = tight_transitions(arcs)
     if c.phase in ("up", "down") and tight != arcs:
         raise AssertionError(f"{c.phase} component {anchors} has a nonzero-weight cycle")
@@ -194,9 +194,9 @@ def certify_component(c: Scc, prime: TransducerPrime) -> ComponentVerdict:
         targets = [[y for y, _, _ in row] for row in out]
         roots = regular.cycle_roots(out, sorted(regular.tarjan_sccs(len(anchors), targets)))
         if isinstance(roots, dict):
-            return ZeroCertified({s: roots[x] for x, s in enumerate(anchors)})
+            return ZeroCertified({k: roots[x] for x, k in enumerate(anchors)})
     cycles = regular.single_returns(out, roots, prime.alphabet)
-    return QuasiDenseWitness(anchors[roots[0]], *regular.cycle_witness(cycles))
+    return QuasiDenseWitness(prime.states[anchors[roots[0]]], *regular.cycle_witness(cycles))
 
 
 def _samples(prime: TransducerPrime) -> list[tuple[int, str, Automaton]]:

@@ -170,10 +170,10 @@ def edge_bounds(
     each of its leaving edges its greatest sum.  A component nothing feeds
     is unreachable through certified edges and bounds no edge.
     """
-    entry = {prime.states.index(prime.initial): ZERO}
+    entry = {prime.initial: ZERO}
     bounds: dict[int, tuple[Ordinal, str]] = {}
     for c in sccs:  # already topologically ordered
-        fed = max((entry[q] for q in c.ids if q in entry), default=None)
+        fed = max((entry[q] for q in c.members if q in entry), default=None)
         if fed is None or not c.leaving:
             continue
         verdict = verdicts.get(c.index)
@@ -255,11 +255,10 @@ def analyze_machine(
     regrank = [ranks[b] for _, _, b, _ in prime.arcs]
 
     bounds = edge_bounds(prime, sccs, verdicts, regrank)
-    finals = {q for q, s in enumerate(prime.states) if s in prime.finals}
     best: tuple[Ordinal, str] | None = None
     lines: list[str] = []
     for i, (source, target, _, _) in enumerate(prime.arcs):
-        if target in finals and i in bounds:
+        if target in prime.finals and i in bounds:
             value, status = bounds[i]
             lines.append(
                 f"accepting edge {prime.states[source].render()} -> "

@@ -474,33 +474,12 @@ def compile_regex(r: Regex, alphabet: Alphabet) -> Automaton:
 
 def shortest_word(a: Automaton) -> str | None:
     """Length-then-lex least accepted word, or None for the empty language."""
-    return _shortest_from(a, a.initials, allow_empty=True)
+    return subset_with_witness(a, empty_automaton(a.alphabet))[1]
 
 
 def shortest_nonempty_word(a: Automaton) -> str | None:
     """Least accepted word of length ≥ 1 (length-then-lex), or None."""
-    return _shortest_from(a, a.initials, allow_empty=False)
-
-
-def _shortest_from(a: Automaton, start: int, allow_empty: bool) -> str | None:
-    finals = a.finals
-    if allow_empty and start & finals:
-        return ""
-    seen = {start}
-    queue: deque[tuple[int, str]] = deque([(start, "")])
-    while queue:
-        s, path = queue.popleft()
-        for ch in a.alphabet.letters:
-            t = a.step(s, ch)
-            if not t:
-                continue
-            word = path + ch
-            if t & finals:
-                return word
-            if t not in seen:
-                seen.add(t)
-                queue.append((t, word))
-    return None
+    return subset_with_witness(a, epsilon_automaton(a.alphabet))[1]
 
 
 def words_up_to(a: Automaton, max_len: int) -> list[str]:

@@ -152,7 +152,7 @@ def _split(
         finals.add(snk)
 
     # Keep only states that lie on some initial → final path.
-    alive = live_states(initial, finals, transitions) | {initial}
+    alive = _live(initial, finals, ((t.source, t.target) for t in transitions)) | {initial}
     states = [q for q in states if q in alive]
     transitions = [t for t in transitions if t.source in alive and t.target in alive]
 
@@ -167,24 +167,15 @@ def _split(
     return out
 
 
-def live_states(initial, finals, transitions) -> set:
-    """States on some path from ``initial`` to one of ``finals``.
-
-    ``transitions`` need only ``source`` and ``target``.
-    """
-    succ: defaultdict = defaultdict(list)
-    pred: defaultdict = defaultdict(list)
-    for t in transitions:
-        succ[t.source].append(t.target)
-        pred[t.target].append(t.source)
-    return _live(initial, finals, succ, pred)
-
-
-def _live(initial, finals, succ, pred) -> set:
+def _live(initial, finals, pairs) -> set:
     """The nodes on some path from ``initial`` to one of ``finals``: the
     forward search from ``initial`` met with the backward one from
-    ``finals``.  ``succ[x]`` and ``pred[x]`` list the successors and the
-    predecessors of node x."""
+    ``finals``.  ``pairs`` holds each arc's (source, target)."""
+    succ: defaultdict = defaultdict(list)
+    pred: defaultdict = defaultdict(list)
+    for x, y in pairs:
+        succ[x].append(y)
+        pred[y].append(x)
 
     def search(starts, adj) -> set:
         seen = set(starts)
@@ -251,22 +242,23 @@ class TypedTransition(Record):
 class TransducerPrime(Record):
     """The leveled machine.
 
-    ``states[i]`` is state i.  ``arcs`` holds the transitions as
-    (source, target, base, rule): two state numbers, the index in
-    ``base.transitions`` of the machine transition copied, and the rule
-    that made the copy.  ``transitions`` is the same list as
-    :class:`TypedTransition` objects, built on first use.  ``_samples``
-    is the components layer's table of one sample per base transition,
-    and ``_lift`` the tables of :meth:`_lift_tables`, each built on first
-    use too.
+    ``states[i]`` is state i, and the machine names its states by these
+    numbers: ``initial`` is one, ``finals`` a set of them, and ``arcs``
+    holds the transitions as (source, target, base, rule): two state
+    numbers, the index in ``base.transitions`` of the machine transition
+    copied, and the rule that made the copy.  ``transitions`` is the same
+    list as :class:`TypedTransition` objects, built on first use.
+    ``_samples`` is the components layer's table of one sample per base
+    transition, and ``_lift`` the tables of :meth:`_lift_tables`, each
+    built on first use too.
     """
 
     _fields = ("period", "states", "initial", "finals", "arcs", "alphabet", "accepts_epsilon",
                "base")
     __slots__ = _fields + ("_transitions", "_lift", "_samples")
 
-    def __init__(self, period: int, states: tuple[TypedState, ...], initial: TypedState,
-                 finals: frozenset[TypedState], arcs: tuple[tuple[int, int, int, str], ...],
+    def __init__(self, period: int, states: tuple[TypedState, ...], initial: int,
+                 finals: frozenset[int], arcs: tuple[tuple[int, int, int, str], ...],
                  alphabet: Alphabet, accepts_epsilon: bool, base: Transducer) -> None:
         self.period, self.states, self.initial, self.finals = period, states, initial, finals
         self.arcs, self.alphabet, self.base = arcs, alphabet, base
@@ -365,19 +357,14 @@ def build_mprime(machine: Transducer, report: NSetReport) -> TransducerPrime:
 
     initial = number[machine.initial][0]
     finals = [number[f][0] + 1 for f in machine.finals if 0 in number[f]]
-    succ: list[list[int]] = [[] for _ in states]
-    pred: list[list[int]] = [[] for _ in states]
-    for s, t, _, _ in arcs:
-        succ[s].append(t)
-        pred[t].append(s)
-    alive = _live(initial, finals, succ, pred) | {initial}
+    alive = _live(initial, finals, ((s, t) for s, t, _, _ in arcs)) | {initial}
     kept = sorted(alive)
     renumber = {old: new for new, old in enumerate(kept)}
     return TransducerPrime(
         period=period,
         states=tuple(states[i] for i in kept),
-        initial=states[initial],
-        finals=frozenset(states[f] for f in finals if f in alive),
+        initial=renumber[initial],
+        finals=frozenset(renumber[f] for f in finals if f in alive),
         arcs=tuple(
             (renumber[s], renumber[t], b, rule)
             for s, t, b, rule in arcs
@@ -501,14 +488,11 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
         outputs = [machine.base.compiled_output(t) for t in base]
         for x, y, b, _ in machine.arcs:
             by_source.setdefault(x, []).append((base[b].bit, y, outputs[b]))
-        initial = machine.states.index(machine.initial)
-        finals = {x for x, s in enumerate(machine.states) if s in machine.finals}
     else:
         for t in machine.transitions:
             by_source.setdefault(t.source, []).append(
                 (t.bit, t.target, machine.compiled_output(t)))
-        initial, finals = machine.initial, machine.finals
-    configs = [(initial, 0, 0)]
+    configs = [(machine.initial, 0, 0)]
     seen = set(configs)
     arcs = []
     for q, c, i in configs:  # grows while it is walked
@@ -520,7 +504,7 @@ def bounded_outputs(machine: Transducer | TransducerPrime, nmax: int) -> Automat
                     seen.add(cfg)
                     configs.append(cfg)
                 arcs.append(((q, c, i), output, cfg))
-    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in finals]
+    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in machine.finals]
     return regular.expand_graph(configs, arcs, configs[:1], finals, machine.alphabet)
 
 

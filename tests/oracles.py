@@ -70,6 +70,17 @@ the ``trans`` lines, a regex parse per line, and ``make_transducer``.
 :func:`argparse_front` is how ``cli.main`` read its command line before
 it had a parser of its own: the ``argparse`` parser it built, and what
 main made of its result, an error or the help.
+:func:`shortest_from` is the breadth-first search that
+``regular.shortest_word`` and ``regular.shortest_nonempty_word`` ran
+before they became ``regular.subset_with_witness`` against the empty
+language and against ε's, and :func:`live_states` is the live-path search
+over transitions that ``transducer`` ran before ``_split`` and
+``build_mprime`` shared one over (source, target) pairs.  The oracles
+here use these copies, not the package's searches, so that a
+differential test does not check the package against itself.  :func:`typed_members` and
+:func:`typed_ends` give a component's members and a leveled machine's
+initial and final states as :class:`TypedState` objects, where the
+package names them by number.
 """
 
 from __future__ import annotations
@@ -79,6 +90,7 @@ import contextlib
 import dataclasses
 import io
 import math
+from collections import deque
 from enum import Enum
 
 from ocrank import counterset, regular
@@ -100,7 +112,7 @@ from ocrank.counterset import (
     reach_sets,
 )
 from ocrank.harness import DensityWitness
-from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex, shortest_word
+from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex
 from ocrank.transducer import (
     DOWN,
     EQ,
@@ -114,7 +126,6 @@ from ocrank.transducer import (
     TransducerError,
     bounded_outputs,
     build_mprime,
-    live_states,
     make_transducer,
 )
 from ocrank.words import (
@@ -268,7 +279,7 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
 def eager_difference_witness(a: Automaton, b: Automaton) -> str | None:
     """The least word of L(a) ∖ L(b), from the whole product with the
     complement of b, or None when L(a) ⊆ L(b)."""
-    return shortest_word(intersect(a, complement(b)))
+    return shortest_from(intersect(a, complement(b)), allow_empty=True)
 
 
 def subset_language(a: Automaton, b: Automaton) -> bool:
@@ -280,7 +291,34 @@ def equivalent(a: Automaton, b: Automaton) -> bool:
 
 
 def is_empty_language(a: Automaton) -> bool:
-    return shortest_word(a) is None
+    return shortest_from(a, allow_empty=True) is None
+
+
+def shortest_from(a: Automaton, allow_empty: bool) -> str | None:
+    """The length-then-lex least word of ``a``, of length ≥ 1 unless
+    ``allow_empty``, or None: ``regular.shortest_word`` and
+    ``regular.shortest_nonempty_word`` as they were before they became
+    ``regular.subset_with_witness`` against the empty language and against
+    ε's.  A breadth-first search over state sets, letters in alphabet
+    order, that stops at the first accepting set it makes."""
+    finals, start = a.finals, a.initials
+    if allow_empty and start & finals:
+        return ""
+    seen = {start}
+    queue: deque[tuple[int, str]] = deque([(start, "")])
+    while queue:
+        s, path = queue.popleft()
+        for ch in a.alphabet.letters:
+            t = a.step(s, ch)
+            if not t:
+                continue
+            word = path + ch
+            if t & finals:
+                return word
+            if t not in seen:
+                seen.add(t)
+                queue.append((t, word))
+    return None
 
 
 def membership(a: Automaton, w: str) -> bool:
@@ -301,19 +339,29 @@ def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> A
     return regular.trim(epsilon_free(successors, starts, ends, alphabet))
 
 
-def scc_index_of(sccs: list[Scc]) -> dict[TypedState, int]:
-    out: dict[TypedState, int] = {}
+def scc_index_of(sccs: list[Scc]) -> dict[int, int]:
+    """Each state number's component index."""
+    out: dict[int, int] = {}
     for c in sccs:
-        for s in c.members:
-            out[s] = c.index
+        for q in c.members:
+            out[q] = c.index
     return out
+
+
+def typed_members(c: Scc, prime: TransducerPrime) -> frozenset[TypedState]:
+    """The states of ``c``'s members."""
+    return frozenset(prime.states[q] for q in c.members)
+
+
+def typed_ends(prime: TransducerPrime) -> tuple[TypedState, frozenset[TypedState]]:
+    """The states of ``prime``'s initial and final state numbers."""
+    return prime.states[prime.initial], frozenset(prime.states[x] for x in prime.finals)
 
 
 def internal_transitions(c: Scc, prime: TransducerPrime) -> list[TypedTransition]:
     """The transitions between members of ``c``, by a scan of them all."""
-    return [
-        tt for tt in prime.transitions if tt.source in c.members and tt.target in c.members
-    ]
+    members = typed_members(c, prime)
+    return [tt for tt in prime.transitions if tt.source in members and tt.target in members]
 
 
 def cycle_outputs(
@@ -330,13 +378,14 @@ def cycle_outputs(
     returns are concatenations of these and add nothing to any
     power-inclusion check.  Trivial components give the empty language.
     """
-    if anchor not in c.members:
+    members = typed_members(c, prime)
+    if anchor not in members:
         raise ValueError(f"{anchor} is not in the component")
     if c.trivial:
         return regular.empty_automaton(prime.alphabet)
     src = ("src", anchor)
     snk = ("snk", anchor)
-    nodes: list[object] = [src, snk] + [s for s in sorted(c.members) if s != anchor]
+    nodes: list[object] = [src, snk] + [s for s in sorted(members) if s != anchor]
     if transitions is None:
         transitions = internal_transitions(c, prime)
     arcs = []
@@ -603,6 +652,30 @@ def leveled_by_pairs(machine: Transducer, report: counterset.NSetReport):
     return states, frozenset(f for f in finals if f in alive), kept
 
 
+def live_states(initial, finals, transitions) -> set:
+    """States on some path from ``initial`` to one of ``finals``, the
+    forward search met with the backward one: ``transducer``'s search as it
+    was before ``_split`` and ``build_mprime`` shared one over (source,
+    target) pairs.  ``transitions`` need only ``source`` and ``target``."""
+    succ: dict = {}
+    pred: dict = {}
+    for t in transitions:
+        succ.setdefault(t.source, []).append(t.target)
+        pred.setdefault(t.target, []).append(t.source)
+
+    def search(starts, adj) -> set:
+        seen = set(starts)
+        frontier = list(seen)
+        while frontier:
+            for nxt in adj.get(frontier.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return seen
+
+    return search([initial], succ) & search(finals, pred)
+
+
 def replace_transitions(prime: TransducerPrime, transitions) -> TransducerPrime:
     """``prime`` with ``transitions`` as its leveled transitions.
 
@@ -781,10 +854,12 @@ def arc_graph_certify(c: Scc, prime: TransducerPrime):
     leveled states: each stage splices every transition's output automaton
     into an arc graph and labels it with :func:`arc_graph_roots`, and a
     clash's witness comes from the single returns to the clashing
-    component's first node along its own nodes (:func:`closed_walks`)."""
+    component's first node along its own nodes (:func:`closed_walks`).
+    The roots are keyed by state number, as the package keys them."""
     if c.trivial:
         return FullyCertified({})
-    anchors = sorted(c.members)
+    anchors = sorted(typed_members(c, prime))
+    number = {s: x for x, s in enumerate(prime.states)}
     internal = internal_transitions(c, prime)
     tight = tight_typed(internal)
     stages = [internal] if tight is None or len(tight) == len(internal) else [internal, tight]
@@ -793,7 +868,7 @@ def arc_graph_certify(c: Scc, prime: TransducerPrime):
         successors = arc_graph(anchors, arcs)[1]
         members = arc_graph_roots(anchors, successors)
         if isinstance(members, dict):
-            return verdict(members)
+            return verdict({number[s]: root for s, root in members.items()})
     cycles = closed_walks(successors, members[0], members, prime.alphabet)
     return QuasiDenseWitness(anchors[members[0]], *regular.cycle_witness(cycles))
 
@@ -806,7 +881,10 @@ def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
     for ch in w:
         if ch not in ("0", "1"):
             raise ValueError(f"input words are binary, found {ch!r}")
-    current: dict = {machine.initial: regular.epsilon_automaton(machine.alphabet)}
+    initial = machine.initial
+    if isinstance(machine, TransducerPrime):  # its transitions name states, not numbers
+        initial = machine.states[initial]
+    current: dict = {initial: regular.epsilon_automaton(machine.alphabet)}
     for ch in w:
         bit = int(ch)
         nxt: dict = {}
@@ -917,7 +995,7 @@ def probe_machine_by_transitions(machine: Transducer, output_cap: int):
             for tt in prime.transitions:
                 if tt.source != at:
                     continue
-                word = shortest_word(prime.base.compiled_output(tt.base))
+                word = shortest_from(prime.base.compiled_output(tt.base), allow_empty=True)
                 if word is None:
                     continue
                 chain = outs + [word]
@@ -942,7 +1020,8 @@ def bounded_outputs_by_transitions(prime: TransducerPrime, nmax: int) -> Automat
     by_source: dict = {}
     for t in prime.transitions:
         by_source.setdefault(t.source, []).append((t, prime.base.compiled_output(t.base)))
-    configs = [(prime.initial, 0, 0)]
+    initial, prime_finals = typed_ends(prime)
+    configs = [(initial, 0, 0)]
     seen = set(configs)
     arcs = []
     for q, c, i in configs:  # grows while it is walked
@@ -954,7 +1033,7 @@ def bounded_outputs_by_transitions(prime: TransducerPrime, nmax: int) -> Automat
                     seen.add(cfg)
                     configs.append(cfg)
                 arcs.append(((q, c, i), output, cfg))
-    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in prime.finals]
+    finals = [(q, c, i) for q, c, i in configs if i > 0 and c == 0 and q in prime_finals]
     return regular.expand_graph(configs, arcs, configs[:1], finals, prime.alphabet)
 
 

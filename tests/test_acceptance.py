@@ -147,8 +147,8 @@ def test_03_leveled_desk_example_contains_fragment(fig2):
     absent = [e for e in edges if e not in arrows]
     assert not absent, f"missing leveled transitions: {absent}"
 
-    assert prime.initial == TypedState("q0", 0, "up")
-    assert set(prime.finals) == {
+    assert prime.states[prime.initial] == TypedState("q0", 0, "up")
+    assert {prime.states[x] for x in prime.finals} == {
         TypedState("q5", 0, "down"),
         TypedState("q8", 0, "down"),
     }

@@ -953,11 +953,11 @@ def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
     assert dot_lines(target.read_text(encoding="utf-8")) == [
         ("digraph leveled {", []), *head,
         *[
-            (f"  Q [shape={shape(s in prime.finals)}, label=Q];",
+            (f"  Q [shape={shape(x in prime.finals)}, label=Q];",
              [s.render(), f"{s.state},{s.level},{s.phase}"])
-            for s in prime.states
+            for x, s in enumerate(prime.states)
         ],
-        ("  __start -> Q;", [prime.initial.render()]),
+        ("  __start -> Q;", [prime.states[prime.initial].render()]),
         *[
             ("  Q -> Q [label=Q];",
              [t.source.render(), t.target.render(), f"{t.bit} / {t.output} ({t.rule})"])

@@ -51,6 +51,7 @@ from oracles import (
     scc_index_of,
     spliced_expand_graph,
     tight_typed,
+    typed_members,
 )
 from test_counterset import complete_machine
 from test_regular import arc_components, assert_cycle_roots_match
@@ -76,7 +77,7 @@ def fig1_sccs(fig1_prime):
 
 
 def test_fig1_condensation_members(fig1_prime, fig1_sccs):
-    got = {frozenset(s.render() for s in c.members) for c in fig1_sccs}
+    got = {frozenset(fig1_prime.states[q].render() for q in c.members) for c in fig1_sccs}
     expected = {
         frozenset({"(q0,0,up)"}),
         frozenset({"(q0,1,up)"}),
@@ -88,20 +89,20 @@ def test_fig1_condensation_members(fig1_prime, fig1_sccs):
     assert got == expected
     for c in fig1_sccs:
         assert c.trivial == (len(c.members) == 1)
-        phases = {s.phase for s in c.members}
+        phases = {s.phase for s in typed_members(c, fig1_prime)}
         assert phases == {c.phase}
     # every typed state lands in exactly one component
     index = scc_index_of(fig1_sccs)
-    assert set(index) == set(fig1_prime.states)
+    assert set(index) == set(range(len(fig1_prime.states)))
 
 
 def test_condensation_is_topological(fig1_prime, fig1_sccs):
     index = scc_index_of(fig1_sccs)
     assert [c.index for c in fig1_sccs] == list(range(len(fig1_sccs)))
-    for t in fig1_prime.transitions:
-        assert index[t.source] <= index[t.target]
-        if index[t.source] != index[t.target]:
-            assert index[t.source] < index[t.target]
+    for source, target, _, _ in fig1_prime.arcs:
+        assert index[source] <= index[target]
+        if index[source] != index[target]:
+            assert index[source] < index[target]
     # the initial state's component comes first, the accepting one last
     assert index[fig1_prime.initial] == 0
 
@@ -117,7 +118,7 @@ def _fake_prime(states, transitions):
     empty = TransducerPrime(
         period=2,
         states=tuple(states),
-        initial=states[0],
+        initial=0,
         finals=frozenset(),
         arcs=(),
         alphabet=AB,
@@ -125,6 +126,41 @@ def _fake_prime(states, transitions):
         base=base,
     )
     return replace_transitions(empty, transitions)
+
+
+def test_the_leveled_machine_names_its_states_by_number():
+    """The initial state, the final states, the members of each component
+    and the anchors of each certified verdict's roots are numbers into
+    ``prime.states``, as the ends of the arcs are: on the golden corpus's
+    machines (fig1, fig2 and 60 random ones) and 200 more random machines."""
+    from golden_cli import corpus_fixtures
+    from ocrank.cli import parse_fixture
+
+    machines = [parse_fixture(text).value for text, _ in corpus_fixtures().values()]
+    rng = random.Random(20261023)
+    machines += [random_machine(rng) for _ in range(200)]
+    leveled = rooted = 0
+    for machine in machines:
+        try:
+            prime = build_mprime(machine, reach_sets(machine))
+        except (LevelingError, CertificationError):
+            continue
+        n = len(prime.states)
+        assert type(prime.initial) is int and 0 <= prime.initial < n, prime.initial
+        assert type(prime.finals) is frozenset, prime.finals
+        assert all(type(x) is int and 0 <= x < n for x in prime.finals), prime.finals
+        sccs = condense(prime)
+        for c in sccs:
+            assert all(type(q) is int for q in c.members), c.members
+            assert c.members == sorted(set(c.members)), c.members
+        assert sorted(q for c in sccs for q in c.members) == list(range(n))
+        for c in sccs:
+            verdict = certify_component(c, prime)
+            if isinstance(verdict, (FullyCertified, ZeroCertified)):
+                assert set(verdict.roots) <= set(c.members), (verdict.roots, c.members)
+                rooted += bool(verdict.roots)
+        leveled += 1
+    assert leveled >= 150 and rooted >= 80, (leveled, rooted)
 
 
 def test_condense_rejects_phase_mixing():
@@ -170,11 +206,11 @@ def test_condense_order_matches_networkx(fig1, fig2):
         except (CertificationError, LevelingError):
             continue
         sccs = condense(prime)
-        got = [(c.members, c.trivial) for c in sccs]
+        got = [(typed_members(c, prime), c.trivial) for c in sccs]
         assert got == networkx_condense(prime), sorted(s.render() for s in prime.states)
         # Each arc is filed once, under its source's component: internal when
         # its target is there too, leaving when the target comes later.
-        position = {q: c.index for c in sccs for q in c.ids}
+        position = {q: c.index for c in sccs for q in c.members}
         filed = sorted(k for c in sccs for k in c.internal + c.leaving)
         assert filed == list(range(len(prime.arcs)))
         for c in sccs:
@@ -189,16 +225,16 @@ def test_condense_order_matches_networkx(fig1, fig2):
 # --- cycle profiles ----------------------------------------------------------------
 
 
-def _nontrivial(sccs, state_name):
+def _nontrivial(prime, sccs, state_name):
     for c in sccs:
-        if not c.trivial and any(s.state == state_name for s in c.members):
+        if not c.trivial and any(s.state == state_name for s in typed_members(c, prime)):
             return c
     raise AssertionError(f"no nontrivial component for {state_name}")
 
 
 def test_fig1_cycle_profiles(fig1_prime, fig1_sccs):
-    opening = _nontrivial(fig1_sccs, "q0")
-    closing = _nontrivial(fig1_sccs, "qf")
+    opening = _nontrivial(fig1_prime, fig1_sccs, "q0")
+    closing = _nontrivial(fig1_prime, fig1_sccs, "qf")
     # the opening loop pumps the counter up; the closing one only down
     assert tight_typed(internal_transitions(opening, fig1_prime)) is None
     assert tight_typed(internal_transitions(closing, fig1_prime)) is not None
@@ -288,34 +324,34 @@ def test_longest_potential_edge_cases():
 
 def test_fig1_cycle_outputs(fig1, fig1_prime, fig1_sccs):
     alphabet = fig1.alphabet
-    opening = _nontrivial(fig1_sccs, "q0")
-    for s in opening.members:
+    opening = _nontrivial(fig1_prime, fig1_sccs, "q0")
+    for s in typed_members(opening, fig1_prime):
         assert equivalent(cycle_outputs(opening, s, fig1_prime), lang("cc", alphabet))
-    closing = _nontrivial(fig1_sccs, "qf")
-    for s in closing.members:
+    closing = _nontrivial(fig1_prime, fig1_sccs, "qf")
+    for s in typed_members(closing, fig1_prime):
         assert equivalent(cycle_outputs(closing, s, fig1_prime), lang("b*ab*a", alphabet))
 
 
 def test_cycle_outputs_trivial_component_is_empty(fig1_prime, fig1_sccs):
     trivial = next(c for c in fig1_sccs if c.trivial)
-    anchor = next(iter(trivial.members))
+    anchor = fig1_prime.states[trivial.members[0]]
     assert is_empty_language(cycle_outputs(trivial, anchor, fig1_prime))
 
 
 def test_cycle_outputs_rejects_foreign_anchor(fig1_prime, fig1_sccs):
-    outside = next(iter(fig1_sccs[0].members))
+    outside = fig1_prime.states[fig1_sccs[0].members[0]]
     other = fig1_sccs[-1]
     with pytest.raises(ValueError):
         cycle_outputs(other, outside, fig1_prime)
 
 
 def test_fig1_verdicts(fig1_prime, fig1_sccs):
-    opening = _nontrivial(fig1_sccs, "q0")
+    opening = _nontrivial(fig1_prime, fig1_sccs, "q0")
     v1 = certify_component(opening, fig1_prime)
     assert isinstance(v1, FullyCertified)
     assert set(v1.roots.values()) == {"c"}
 
-    closing = _nontrivial(fig1_sccs, "qf")
+    closing = _nontrivial(fig1_prime, fig1_sccs, "qf")
     v2 = certify_component(closing, fig1_prime)
     # b*ab*a mixes roots, but all its cycles close strictly; only the
     # zero-weight cycles accumulate, and there are none.
@@ -392,7 +428,7 @@ def banded_zero_cycle_outputs(c, anchor, prime, band):
     src = ("src", anchor, 0)
     snk = ("snk", anchor, 0)
     nodes = [src, snk]
-    for s in sorted(c.members):
+    for s in sorted(typed_members(c, prime)):
         for w in range(-band, band + 1):
             if s != anchor or w != 0:
                 nodes.append((s, w))
@@ -415,14 +451,16 @@ def oracle_certify(c, prime):
     if c.trivial:
         return FullyCertified({})
 
+    number = {s: x for x, s in enumerate(prime.states)}
+
     def single_roots(outputs_at):
         roots = {}
-        for s in sorted(c.members):
+        for s in sorted(typed_members(c, prime)):
             outputs = outputs_at(s)
             m = regular.shortest_nonempty_word(outputs)
-            roots[s] = None if m is None else primitive_root(m)
+            roots[number[s]] = None if m is None else primitive_root(m)
             if m is not None:
-                ok, x = regular.subset_of_power_with_witness(outputs, roots[s])
+                ok, x = regular.subset_of_power_with_witness(outputs, roots[number[s]])
                 if not ok:
                     return QuasiDenseWitness(s, m, x)
         return roots
@@ -432,7 +470,7 @@ def oracle_certify(c, prime):
         return FullyCertified(roots)
     edges = [(tt.source, 1 if tt.bit == 0 else -1, tt.target)
              for tt in internal_transitions(c, prime)]
-    if brute_max_mean(sorted(c.members), edges) > 0:
+    if brute_max_mean(sorted(typed_members(c, prime)), edges) > 0:
         return roots
     band = 2 * len(c.members) * prime.period
     roots = single_roots(lambda s: banded_zero_cycle_outputs(c, s, prime, band))
@@ -466,17 +504,18 @@ def test_tight_transitions_match_the_banded_product():
             if c.trivial:
                 continue
             verdict = certify_component(c, prime)
-            assert verdict == oracle_certify(c, prime), sorted(c.members)
+            members = sorted(typed_members(c, prime))
+            assert verdict == oracle_certify(c, prime), members
             tight = tight_typed(internal_transitions(c, prime))
             if tight is None:
                 continue
             band = 2 * len(c.members) * prime.period
-            for s in sorted(c.members):
+            for s in members:
                 anchors += 1
                 assert equivalent(
                     banded_zero_cycle_outputs(c, s, prime, band),
                     cycle_outputs(c, s, prime, tight),
-                ), (sorted(c.members), s)
+                ), (members, s)
             if not isinstance(verdict, FullyCertified):
                 stage2[type(verdict)] += 1
     assert anchors >= 400
@@ -505,7 +544,7 @@ def leveled_arcs(c, prime, transitions):
     """``transitions`` as ``regular.cycle_roots`` reads them, with the
     anchors numbered in sorted order: each arc with its output automaton
     and that automaton's shortest nonempty word, ε if it has none."""
-    node = {s: x for x, s in enumerate(sorted(c.members))}
+    node = {s: x for x, s in enumerate(sorted(typed_members(c, prime)))}
     out = [[] for _ in node]
     for tt in transitions:
         a = prime.base.compiled_output(tt.base)
@@ -531,7 +570,7 @@ def test_cycle_roots_match_the_per_anchor_loop_on_both_stages(fig1, fig2):
         for c in condense(prime):
             if c.trivial:
                 continue
-            anchors = sorted(c.members)
+            anchors = sorted(typed_members(c, prime))
             internal = internal_transitions(c, prime)
             for stage, transitions in (("stage 1", internal),
                                        ("stage 2", tight_typed(internal))):
@@ -627,7 +666,7 @@ def test_stage_two_cycle_languages_use_only_their_own_component(monkeypatch):
                     seen["ladder stage 2 pass" if i == 0 else "stage 2 pass"] += 1
                 continue
             [(nodes, arcs, initials, finals)] = built
-            first = sorted(c.members).index(verdict.state)
+            first = sorted(typed_members(c, prime)).index(verdict.state)
             [members] = [m for m in labelled[-1] if m[0] == first]
             assert nodes == members + [None]
             assert (initials, finals) == ([first], [None])
@@ -705,7 +744,7 @@ def test_stage_one_arc_graph_is_one_component():
         for c in condense(prime):
             if c.trivial:
                 continue
-            anchors = sorted(c.members)
+            anchors = sorted(typed_members(c, prime))
             internal = internal_transitions(c, prime)
             spliced = [
                 (tt.source, prime.base.compiled_output(tt.base), tt.target) for tt in internal
@@ -721,7 +760,9 @@ def test_stage_one_arc_graph_is_one_component():
             got = regular.cycle_roots(leveled_arcs(c, prime, internal), whole)
             if isinstance(want, dict):
                 assert [(anchors[x], root) for x, root in got.items()] == list(want.items())
-                assert certify_component(c, prime) == FullyCertified(want)
+                number = {s: x for x, s in enumerate(prime.states)}
+                assert certify_component(c, prime) == FullyCertified(
+                    {number[s]: root for s, root in want.items()})
             else:
                 assert got == list(range(len(anchors))) == [x for x in want if x < len(anchors)]
             outcomes["clash" if isinstance(want, list) else "pass"] += 1

@@ -295,8 +295,8 @@ def edge_bounds_per_feed(prime, sccs, verdicts, regrank):
     incoming = {c.index: [] for c in sccs}
     edges_of_comp = {c.index: [] for c in sccs}
     intra_max = {c.index: 0 for c in sccs}
-    for i, tt in enumerate(prime.transitions):
-        cs, ct = scc_of[tt.source], scc_of[tt.target]
+    for i, (source, target, _, _) in enumerate(prime.arcs):
+        cs, ct = scc_of[source], scc_of[target]
         if cs == ct:
             intra_max[cs] = max(intra_max[cs], regrank[i])
         else:
@@ -362,7 +362,7 @@ def test_edge_bounds_match_the_per_feed_oracle(fig1, fig2):
         assert analysis.edge_bound == {i: (b.value, b.status) for i, b in oracle.items()}
         compared += 1
         scc_of = scc_index_of(analysis.sccs)
-        entries = [scc_of[tt.target] for i, tt in enumerate(prime.transitions)
+        entries = [scc_of[target] for i, (_, target, _, _) in enumerate(prime.arcs)
                    if i in analysis.edge_bound]
         several_feeds += len(entries) > len(set(entries))
         conditional += any(status == CONDITIONAL for _, status in analysis.edge_bound.values())

@@ -54,6 +54,7 @@ from oracles import (
     intersect,
     is_empty_language,
     membership,
+    shortest_from,
     spliced_expand_graph,
     subset_language,
 )
@@ -260,6 +261,32 @@ def test_shortest_word_is_least():
     assert shortest_word(starry) == ""
     assert shortest_nonempty_word(starry) == "b"
     assert shortest_word(empty_automaton(AB)) is None
+
+
+def test_least_word_searches_match_the_breadth_first_reference():
+    """``shortest_word`` and ``shortest_nonempty_word`` are the pair search
+    of ``subset_with_witness`` against the empty language and against ε's;
+    each gives the word of the breadth-first search over state sets that
+    it replaced (``oracles.shortest_from``), or None with it."""
+    rng = random.Random(20261020)
+    subjects = [("nfa", random_nfa(rng)) for _ in range(600)]
+    for _ in range(60):
+        v = rng.choice(("a", "b", "ab", "ba", "aab", "abb"))
+        subjects.append(("power", power_automaton(v, rng.randrange(len(v)),
+                                                  rng.randrange(len(v)), AB)))
+    subjects += [("empty", empty_automaton(AB)), ("eps", epsilon_automaton(AB))]
+    seen = {"accepts eps": 0, "accepts nothing": 0, "accepts eps alone": 0,
+            "least of length 2 or more": 0, "power": 0}
+    for kind, a in subjects:
+        least, nonempty = shortest_word(a), shortest_nonempty_word(a)
+        assert least == shortest_from(a, allow_empty=True), (kind, a)
+        assert nonempty == shortest_from(a, allow_empty=False), (kind, a)
+        seen["accepts eps"] += least == ""
+        seen["accepts nothing"] += least is None
+        seen["accepts eps alone"] += least == "" and nonempty is None
+        seen["least of length 2 or more"] += nonempty is not None and len(nonempty) > 1
+        seen["power"] += kind == "power"
+    assert min(seen.values()) >= 20, seen
 
 
 def test_words_up_to_is_lex_sorted_and_complete():

@@ -48,6 +48,7 @@ from oracles import (
     replace_transitions,
     run_input_word,
     step_language,
+    typed_ends,
 )
 
 AB = Alphabet(("a", "b"))
@@ -121,9 +122,10 @@ def assert_depth_soundness(prime) -> None:
     by_source: dict = {}
     for t in prime.transitions:
         by_source.setdefault(t.source, []).append(t)
-    seen = {(prime.initial, 0)}
-    frontier = [(prime.initial, 0)]
-    assert _consistent(prime.initial, 0, period)
+    initial = prime.states[prime.initial]
+    seen = {(initial, 0)}
+    frontier = [(initial, 0)]
+    assert _consistent(initial, 0, period)
     while frontier:
         s, c = frontier.pop()
         below = s.phase != EQ
@@ -311,8 +313,8 @@ def test_fig1_prime_shape(fig1):
     prime = build_mprime(fig1, reach_sets(fig1))
     assert prime.period == 2
     assert len(prime.states) == 8
-    assert prime.initial.render() == "(q0,0,up)"
-    assert {s.render() for s in prime.finals} == {"(qf,0,down)"}
+    assert prime.states[prime.initial].render() == "(q0,0,up)"
+    assert {prime.states[x].render() for x in prime.finals} == {"(qf,0,down)"}
     assert_leveling_invariants(fig1, prime)
     assert_up_down_cycles_weigh_nothing(prime)
 
@@ -406,8 +408,9 @@ def test_lift_project_round_trip_on_fixture_runs(fig1, fig2):
             assert project_run(lifted) == run
             assert run_input_word(run) == u
             # the lifted walk is connected and accepting in M'
-            assert lifted[0].source == prime.initial
-            assert lifted[-1].target in prime.finals
+            initial, finals = typed_ends(prime)
+            assert lifted[0].source == initial
+            assert lifted[-1].target in finals
             for a, b in zip(lifted, lifted[1:]):
                 assert a.target == b.source
 
@@ -451,7 +454,8 @@ def test_bounded_language_equal_spots_a_missing_rule(fig1, fig2):
     # low step instead, which empties the whole desk-scale language.
     prime2 = build_mprime(fig2, reach_sets(fig2))
     first = next(
-        t for t in prime2.transitions if t.source == prime2.initial and t.rule == "i"
+        t for t in prime2.transitions
+        if t.source == prime2.states[prime2.initial] and t.rule == "i"
     )
     equal, witness, _ = bounded_language_equal(fig2, _drop_transition(prime2, first), 12, output_cap=40)
     assert not equal
@@ -494,7 +498,7 @@ def _per_word_unions(machine, nmax: int):
                 acc = regular.union_automata(acc, language_of_input(machine, u))
                 continue
             per_state = step_language(machine, u)
-            for f in sorted(machine.finals):
+            for f in sorted(typed_ends(machine)[1]):
                 if f in per_state:
                     acc = regular.union_automata(acc, per_state[f])
         unions.append(acc)
@@ -575,7 +579,7 @@ def test_rule_generated_arcs_match_the_pair_scan():
             continue
         states, finals, transitions = leveled_by_pairs(machine, report)
         assert prime.states == states, machine.transitions
-        assert prime.finals == finals, machine.transitions
+        assert typed_ends(prime)[1] == finals, machine.transitions
         assert prime.transitions == transitions, machine.transitions
         compared += 1
     assert compared >= 600, compared

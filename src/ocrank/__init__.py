@@ -26,8 +26,7 @@ _EXPORTS = {
     "rank": ("NotScattered", "Ordinal", "RankBound", "RocAtom", "RocConcat", "RocExpr",
              "RocPlus", "Unknown", "analyze_machine", "enumerate_expr", "expr_rank_bound",
              "ord_add", "transducer_rank_bound"),
-    "harness": ("DensityWitness", "EnumerationResult", "accepting_runs", "probe_density",
-                "upset_oracle"),
+    "harness": ("EnumerationResult", "accepting_runs", "probe_density", "upset_oracle"),
     "cli": ("Fixture", "FixtureError", "load_fixture_file", "parse_fixture", "render_fixture"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import harness
@@ -467,7 +468,8 @@ def _cmd_enumerate(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]
         # could tell; but --json has always given null for expressions, and
         # the golden corpus freezes that output.
         truncated = None
-    out.write("".join([w + "\n" for w in words]))
+    if words:
+        out.write("\n".join(words) + "\n")
     if truncated:
         print("note: some outputs exceeded --output-cap", file=sys.stderr)
     payload = {
@@ -594,15 +596,9 @@ _OPTIONS = {
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-class _Args:
-    """The parsed command line; every field is set here, so ``vars`` lists all seven."""
-
-    def __init__(self, command: str = "", fixture: str = "", input_cap: int = 8,
-                 output_cap: int = 24, counter_cap: int | None = None,
-                 json: str | None = None, dot: str | None = None) -> None:
-        self.command, self.fixture = command, fixture
-        self.input_cap, self.output_cap, self.counter_cap = input_cap, output_cap, counter_cap
-        self.json, self.dot = json, dot
+# Every field of the parsed command line, so that ``vars`` lists all seven.
+_DEFAULTS = {"command": "", "fixture": "", "input_cap": 8, "output_cap": 24,
+             "counter_cap": None, "json": None, "dot": None}
 
 
 def _cap(option: str, text: str) -> int:
@@ -643,7 +639,7 @@ def _option(arg: str) -> tuple[str, str | None] | None:
     return "", None
 
 
-def _parse_args(argv: list[str]) -> _Args | None:
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
     """Read the command line as argparse did; None when help is asked for.
 
     Options may come anywhere, as ``--opt V``, ``--opt=V`` or a unique
@@ -657,7 +653,7 @@ def _parse_args(argv: list[str]) -> _Args | None:
     options = {
         i: found for i, arg in enumerate(argv[:cut]) if (found := _option(arg)) is not None
     }
-    args = _Args()
+    args = SimpleNamespace(**_DEFAULTS)
     wanted = ["command", "fixture"]
     extras: list[str] = []
 

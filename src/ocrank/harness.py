@@ -2,12 +2,14 @@
 
 ``enumerate`` lists a machine's outputs over short inputs for the
 ``enumerate`` command, and ``accepting_runs`` gives ``check`` the runs it
-lifts.  ``probe_density`` and ``upset_oracle`` recompute facts by
-elementary means (sampled cycle outputs, plain breadth-first search over
-configurations), so that tests and the benchmark can confront the
-certified analyses with independent evidence.  Note this module
-deliberately exports ``enumerate`` per its interface contract; the
-shadowed builtin is not used inside.
+lifts.  ``probe_density`` walks the short closed walks at each leveled
+state of a machine atom, one output word per walk, looking for two with
+distinct primitive roots; ``upset_oracle`` runs plain breadth-first search
+over configurations.  Both recompute facts by elementary means, so that
+tests and the benchmark can confront the certified analyses with
+independent evidence.  Note this module deliberately exports
+``enumerate`` per its interface contract; the shadowed builtin is not
+used inside.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import regular
-from .rank import RocAtom, RocConcat, RocExpr, RocPlus, enumerate_expr
+from .rank import NotScattered, RocAtom
 from .transducer import (
     LevelingError,
     Transducer,
@@ -24,7 +26,7 @@ from .transducer import (
     build_mprime,
 )
 from .counterset import reach_sets
-from .words import distinct_root_pair, primitive_root
+from .words import distinct_root_pair
 
 
 class EnumerationResult(NamedTuple):
@@ -50,56 +52,19 @@ def enumerate(machine: Transducer, input_cap: int, output_cap: int) -> Enumerati
 # Density probing
 
 
-class DensityWitness(NamedTuple):
-    word1: str
-    word2: str
-    description: str
-    state: object | None = None
+def probe_density(e: RocAtom) -> NotScattered | None:
+    """Look for two distinct-root cycle outputs at one leveled state of a machine.
 
-
-def probe_density(
-    e: RocExpr, input_cap: int = 8, output_cap: int = 24
-) -> DensityWitness | None:
-    """Search for bounded evidence that the expression's order is not scattered.
-
-    For an iteration, two members of the body with different primitive
-    roots suffice.  For a machine, two differently rooted cycle outputs at
-    the same leveled state do; a machine's walks are bounded by max(2P, 8)
-    arcs, not by the caps.  Returns None when nothing surfaced within those
-    bounds — which is evidence of absence only, not proof.
+    Each arc reads the shortest word of its base transition's output, and
+    the walks are bounded by max(2P, 8) arcs; they run over state numbers,
+    on the arcs filed by source in arc order.  Each (state, word read,
+    length) is expanded once, when first popped: a repeat would only sample
+    its first expansion's words again.  Returns None when nothing surfaced
+    within that bound — which is evidence of absence only, not proof.
     """
-    if isinstance(e, RocPlus):
-        pair = distinct_root_pair(enumerate_expr(e.body, input_cap, output_cap))
-        if pair is None:
-            return None
-        u, v = pair
-        return DensityWitness(
-            u,
-            v,
-            f"{{{u}{v}{u}{v},{v}{u}{v}{u}}}*{u}{v}{v}{u} orders densely: body members "
-            f"{u!r} and {v!r} have roots {primitive_root(u)!r} and {primitive_root(v)!r}",
-        )
-    if isinstance(e, RocConcat):
-        left = probe_density(e.left, input_cap, output_cap)
-        if left is not None and enumerate_expr(e.right, input_cap, output_cap):
-            return left
-        right = probe_density(e.right, input_cap, output_cap)
-        if right is not None and enumerate_expr(e.left, input_cap, output_cap):
-            return right
-        return None
-    if isinstance(e, RocAtom):
-        return _probe_machine(e.machine)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _probe_machine(machine: Transducer) -> DensityWitness | None:
-    """Look for two distinct-root cycle outputs at one leveled state.
-
-    Each arc reads the shortest word of its base transition's output; the
-    walks run over state numbers, on the arcs filed by source in arc order.
-    Each (state, word read, length) is expanded once, when first popped: a
-    repeat would only sample its first expansion's words again.
-    """
+    if not isinstance(e, RocAtom):
+        raise TypeError(f"not a machine atom: {e!r}")
+    machine = e.machine
     try:
         prime = build_mprime(machine, reach_sets(machine))
     except LevelingError:
@@ -126,7 +91,7 @@ def _probe_machine(machine: Transducer) -> DensityWitness | None:
         pair = distinct_root_pair(samples)
         if pair is not None:
             state = prime.states[s]
-            return DensityWitness(
+            return NotScattered(
                 pair[0],
                 pair[1],
                 f"cycle outputs at {state.render()} have distinct primitive roots",

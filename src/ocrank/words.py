@@ -75,12 +75,6 @@ class Alphabet(Record):
     def __contains__(self, ch: str) -> bool:
         return ch in self._rank
 
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def check_word(self, w: str) -> str:
         for ch in w:
             if ch not in self._rank:

@@ -56,9 +56,10 @@ walked state numbers: the walk over ``prime.transitions``, with one
 compiled-regex lookup per arc.  :func:`bounded_language_by_union` is
 ``transducer.bounded_language`` as it was before it made the initial
 states final: the union with ε's automaton.
-:func:`probe_machine_by_transitions` is ``harness._probe_machine`` as it
-was before it walked state numbers: each walk it pops scans every leveled
-transition and takes the shortest word of the scanned one's output.
+:func:`probe_machine_by_transitions` is ``harness.probe_density`` on a
+machine atom as it was before it walked state numbers: each walk it pops
+scans every leveled transition and takes the shortest word of the scanned
+one's output.
 :class:`Relation`, :func:`compare`, :func:`lex_less` and :func:`lex_key`
 specify the lexicographic order that ``regular.words_up_to`` lists words
 in, and :func:`open_depth`, :func:`is_dyck_prefix`, :func:`in_d1` and
@@ -111,7 +112,7 @@ from ocrank.counterset import (
     level_cycle,
     reach_sets,
 )
-from ocrank.harness import DensityWitness
+from ocrank.rank import NotScattered
 from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex
 from ocrank.transducer import (
     DOWN,
@@ -1005,7 +1006,7 @@ def probe_machine_by_transitions(machine: Transducer, output_cap: int):
                     stack.append((tt.target, chain))
         pair = distinct_root_pair(samples)
         if pair is not None:
-            return DensityWitness(
+            return NotScattered(
                 pair[0],
                 pair[1],
                 f"cycle outputs at {s.render()} have distinct primitive roots",

@@ -884,6 +884,20 @@ def test_enumerate_lists_words_longer_than_the_recursion_limit(capsys, tmp_path)
     assert err == "note: some outputs exceeded --output-cap\n"
 
 
+def test_enumerate_prints_one_line_per_word_and_nothing_for_none(capsys, tmp_path):
+    # Each word is a line, ε an empty one; no word, no line.
+    eps_first = "alphabet a\nstates q\ninitial q\nfinal q\ntrans q 0 q a\ntrans q 1 q eps\n"
+    cases = [
+        (VACUOUS, [], ""),
+        ("alphabet a\nstates q\ninitial q\nfinal q\n", [], "\n"),
+        (eps_first, ["--input-cap", "4", "--output-cap", "3"], "\na\naa\n"),
+    ]
+    path = tmp_path / "m.oct"
+    for text, caps, listing in cases:
+        path.write_text(text)
+        assert run_cli(capsys, ["enumerate", str(path), *caps]) == (0, listing, ""), text
+
+
 def test_dot_output_stdout_and_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["dot", fixture_path("fig1.oct")])
     assert code == 0

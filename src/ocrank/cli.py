@@ -20,7 +20,7 @@ from itertools import repeat
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from . import harness
+from . import harness, regular
 from .counterset import CertificationError, reach_sets, render_upset
 from .rank import (
     NotScattered,
@@ -30,7 +30,7 @@ from .rank import (
     RocExpr,
     RocPlus,
     analyze_machine,
-    enumerate_expr,
+    expr_automaton,
     expr_rank_bound,
 )
 from .regular import Regex, RegexSyntaxError, parse_regex
@@ -40,6 +40,7 @@ from .transducer import (
     TransducerError,
     TransducerPrime,
     Transition,
+    bounded_language,
     bounded_language_equal,
     build_mprime,
     check_structure,
@@ -56,7 +57,6 @@ class Fixture(NamedTuple):
     """A parsed fixture: either one machine or one expression over machines."""
 
     value: Transducer | RocExpr
-    name: str = "<fixture>"
     directive: str | None = None
 
     @property
@@ -139,7 +139,7 @@ def _parse(text: str, name: str, depth: int, base_dir: Callable[[], str]) -> Fix
             if trans or headers or any(map(str.split, lines[lineno:])):
                 raise FixtureError(f"{name}:{lineno}: {_NOT_ALONE}")
             expr = _parse_expr_directive(parts, base_dir(), name, lineno, depth)
-            return Fixture(expr, name=name, directive=" ".join(parts))
+            return Fixture(expr, directive=" ".join(parts))
         rest = parts[1:]
         if word not in _HEADERS:
             fail(lineno, f"unknown directive {word!r}")
@@ -196,7 +196,7 @@ def _parse(text: str, name: str, depth: int, base_dir: Callable[[], str]) -> Fix
     # The checks above are check_structure's.
     machine = Transducer(tuple(states), initial, frozenset(finals), transitions, alphabet,
                          accepts_epsilon=initial in finals)
-    return Fixture(machine, name=name)
+    return Fixture(machine)
 
 
 def _parse_expr_directive(
@@ -459,17 +459,20 @@ def _cmd_rank(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(subject: Transducer | RocExpr, args, out) -> tuple[int, dict]:
-    if isinstance(subject, Transducer):
-        result = harness.enumerate(subject, args.input_cap, args.output_cap)
-        words, truncated = result.words, result.truncated
-    else:
-        words = enumerate_expr(subject, args.input_cap, args.output_cap)
-        # rank.expr_automaton's language is trimmed, so has_word_longer_than
-        # could tell; but --json has always given null for expressions, and
-        # the golden corpus freezes that output.
-        truncated = None
-    if words:
-        out.write("\n".join(words) + "\n")
+    is_machine = isinstance(subject, Transducer)
+    language = expr_automaton(
+        RocAtom(subject) if is_machine else subject,
+        lambda m: bounded_language(m, args.input_cap),
+    )
+    words = regular.words_up_to(language, args.output_cap)
+    # An expression's language is trimmed too, so has_word_longer_than could
+    # tell; but --json has always given null for expressions, and the
+    # golden corpus freezes that output.
+    truncated = regular.has_word_longer_than(language, args.output_cap) if is_machine else None
+    # Joined a chunk at a time: one join of the whole listing held a
+    # second copy of all its text.
+    for at in range(0, len(words), 65536):
+        out.write("\n".join(words[at:at + 65536]) + "\n")
     if truncated:
         print("note: some outputs exceeded --output-cap", file=sys.stderr)
     payload = {

@@ -1,15 +1,11 @@
-"""Bounded evidence: enumeration, accepting runs, density probes, a counter oracle.
+"""Bounded evidence: accepting runs, density probes, a counter oracle.
 
-``enumerate`` lists a machine's outputs over short inputs for the
-``enumerate`` command, and ``accepting_runs`` gives ``check`` the runs it
-lifts.  ``probe_density`` walks the short closed walks at each leveled
-state of a machine atom, one output word per walk, looking for two with
-distinct primitive roots; ``upset_oracle`` runs plain breadth-first search
+``accepting_runs`` gives ``check`` the runs it lifts.  ``probe_density``
+walks the short closed walks at each leveled state of a machine atom, one
+output word per walk, looking for two with distinct primitive roots; ``upset_oracle`` runs plain breadth-first search
 over configurations.  Both recompute facts by elementary means, so that
 tests and the benchmark can confront the certified analyses with
-independent evidence.  Note this module deliberately exports
-``enumerate`` per its interface contract; the shadowed builtin is not
-used inside.
+independent evidence.
 """
 
 from __future__ import annotations
@@ -18,34 +14,9 @@ from typing import NamedTuple
 
 from . import regular
 from .rank import NotScattered, RocAtom
-from .transducer import (
-    LevelingError,
-    Transducer,
-    Transition,
-    bounded_language,
-    build_mprime,
-)
+from .transducer import LevelingError, Transducer, Transition, build_mprime
 from .counterset import reach_sets
 from .words import distinct_root_pair
-
-
-class EnumerationResult(NamedTuple):
-    words: list[str]
-    input_cap: int
-    output_cap: int
-    truncated: bool
-
-
-def enumerate(machine: Transducer, input_cap: int, output_cap: int) -> EnumerationResult:  # noqa: A001
-    """All outputs over balanced inputs of length ≤ input_cap, in lex order.
-
-    Words longer than ``output_cap`` are dropped and flagged via
-    ``truncated`` instead.
-    """
-    lang = bounded_language(machine, input_cap)
-    words = regular.words_up_to(lang, output_cap)
-    truncated = regular.has_word_longer_than(lang, output_cap)
-    return EnumerationResult(words, input_cap, output_cap, truncated)
 
 
 # ---------------------------------------------------------------------------

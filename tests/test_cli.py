@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import argparse_record
-from conftest import FIXTURE_DIR, M138, M365, fixture_path
+from conftest import FIXTURE_DIR, M138, M365, fixture_path, random_machine
 import oracles
 import ocrank
 from ocrank import cli, counterset, harness
@@ -896,6 +896,58 @@ def test_enumerate_prints_one_line_per_word_and_nothing_for_none(capsys, tmp_pat
     for text, caps, listing in cases:
         path.write_text(text)
         assert run_cli(capsys, ["enumerate", str(path), *caps]) == (0, listing, ""), text
+
+
+def enumerate_listing(capsys, path, caps, out_path):
+    """Exit code, stdout, stderr and the ``--json`` payload of one ``enumerate``."""
+    result = run_cli(capsys, ["enumerate", str(path), *caps, "--json", str(out_path)])
+    return result, load_json(out_path)
+
+
+def test_enumerating_an_atom_lists_its_machine(capsys, tmp_path):
+    # 'expr atom F' denotes F's language, so enumerate prints the same bytes
+    # for both; only --json's truncated differs: null for an expression.
+    rng = random.Random(36)
+    machines = [("fig1", ["--input-cap", "6", "--output-cap", "14"]),
+                ("fig2", ["--input-cap", "6", "--output-cap", "14"])]
+    for i in range(60):
+        path = tmp_path / f"r{i}.oct"
+        path.write_text(render_fixture(Fixture(random_machine(rng))), encoding="utf-8")
+        machines.append((str(path), ["--input-cap", "6", "--output-cap", "10"]))
+    listed = truncated = 0
+    for name, caps in machines:
+        path = name if name.endswith(".oct") else fixture_path(f"{name}.oct")
+        atom = tmp_path / "atom.oct"
+        atom.write_text(f"expr atom {os.path.abspath(path)}\n", encoding="utf-8")
+        (code, out, err), payload = enumerate_listing(capsys, path, caps, tmp_path / "m.json")
+        (atom_code, atom_out, _), atom_payload = enumerate_listing(
+            capsys, atom, caps, tmp_path / "a.json"
+        )
+        assert (atom_code, atom_out) == (code, out), name
+        assert code == 0 and atom_payload["words"] == payload["words"], name
+        assert isinstance(payload["truncated"], bool) and atom_payload["truncated"] is None, name
+        assert err == ("note: some outputs exceeded --output-cap\n" if payload["truncated"] else "")
+        listed += bool(payload["words"])
+        truncated += payload["truncated"]
+    assert listed >= 40 and truncated >= 10, (listed, truncated)
+
+
+def test_a_listing_of_many_chunks_is_its_words_one_per_line(capsys, tmp_path):
+    # Every word over {a, b} of at most 17 letters: 2^18 - 1 lines, written
+    # 65,536 words at a time.
+    path = tmp_path / "all.oct"
+    path.write_text(
+        "alphabet a b\nstates s t\ninitial s\nfinal s\n"
+        "trans s 0 t (a+b)*\ntrans t 1 s eps\n",
+        encoding="utf-8",
+    )
+    atom = tmp_path / "atom.oct"
+    atom.write_text(f"expr atom {path}\n", encoding="utf-8")
+    caps = ["--input-cap", "2", "--output-cap", "17"]
+    for subject in (path, atom):
+        (code, out, _), payload = enumerate_listing(capsys, subject, caps, tmp_path / "e.json")
+        assert code == 0 and len(payload["words"]) == 2**18 - 1
+        assert out == "\n".join(payload["words"]) + "\n"
 
 
 def test_dot_output_stdout_and_file(capsys, tmp_path):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
-from ocrank import harness
+from ocrank import cli, harness
 from ocrank.counterset import reach_sets
 from ocrank.rank import RocAtom, RocConcat, RocPlus, enumerate_expr
 from ocrank.transducer import build_mprime, check_run, lift_run, make_transducer
@@ -42,18 +43,27 @@ def fig1_expected_words(max_blocks: int, output_cap: int) -> set[str]:
 # --- enumeration ---------------------------------------------------------------------
 
 
-def test_enumerate_fig1_matches_expansion(fig1):
-    result = harness.enumerate(fig1, 8, 12)
+def enumerate_machine(machine, input_cap: int, output_cap: int, directory) -> dict:
+    """The ``--json`` payload of ``enumerate`` on the machine, written as a fixture."""
+    path, out_path = directory / "m.oct", str(directory / "m.json")
+    path.write_text(cli.render_fixture(cli.Fixture(machine)), encoding="utf-8")
+    caps = ["--input-cap", str(input_cap), "--output-cap", str(output_cap)]
+    assert cli.main(["enumerate", str(path), *caps, "--json", out_path]) == 0
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_enumerate_fig1_matches_expansion(fig1, tmp_path):
+    result = enumerate_machine(fig1, 8, 12, tmp_path)
     expected = fig1_expected_words(4, 12)
-    assert set(result.words) == expected
-    assert len(result.words) == 210
+    assert set(result["words"]) == expected
+    assert len(result["words"]) == 210
     # lex order over letters a < b < c
-    assert result.words == sorted(result.words)
-    assert result.truncated  # b* always has members beyond any cap
-    assert (result.input_cap, result.output_cap) == (8, 12)
+    assert result["words"] == sorted(result["words"])
+    assert result["truncated"]  # b* always has members beyond any cap
 
 
-def test_enumerate_finite_outputs_not_truncated():
+def test_enumerate_finite_outputs_not_truncated(tmp_path):
     m = make_transducer(
         ["q0", "q1"],
         "q0",
@@ -61,23 +71,23 @@ def test_enumerate_finite_outputs_not_truncated():
         [("q0", 0, "q1", "a"), ("q1", 1, "q0", "b")],
         AB,
     )
-    result = harness.enumerate(m, 8, 12)
-    assert result.words == ["", "ab", "abab", "ababab", "abababab"]
-    assert not result.truncated
+    result = enumerate_machine(m, 8, 12, tmp_path)
+    assert result["words"] == ["", "ab", "abab", "ababab", "abababab"]
+    assert not result["truncated"]
 
 
-def test_enumerate_epsilon_only_machine():
+def test_enumerate_epsilon_only_machine(tmp_path):
     m = make_transducer(["q"], "q", ["q"], [], AB)
-    result = harness.enumerate(m, 6, 6)
-    assert result.words == [""]
-    assert not result.truncated
+    result = enumerate_machine(m, 6, 6, tmp_path)
+    assert result["words"] == [""]
+    assert not result["truncated"]
 
 
-def test_enumerate_respects_output_cap(fig1):
-    shorter = harness.enumerate(fig1, 8, 6)
-    assert set(shorter.words) == fig1_expected_words(4, 6)
-    assert all(len(w) <= 6 for w in shorter.words)
-    assert shorter.truncated
+def test_enumerate_respects_output_cap(fig1, tmp_path):
+    shorter = enumerate_machine(fig1, 8, 6, tmp_path)
+    assert set(shorter["words"]) == fig1_expected_words(4, 6)
+    assert all(len(w) <= 6 for w in shorter["words"])
+    assert shorter["truncated"]
 
 
 def _pair_machine(out0: str, out1: str):
@@ -258,7 +268,7 @@ def test_accepting_runs_epsilon_and_caps():
     assert harness.accepting_runs(m, 1) == [[]]
 
 
-def test_enumerate_at_a_larger_output_cap_extends_the_smaller_one():
+def test_enumerate_at_a_larger_output_cap_extends_the_smaller_one(tmp_path):
     # Metamorphic: raising the output cap from k to k + 3 only adds words
     # longer than k, in their places; truncation at k + 3 implies it at k.
     rng = random.Random(21)
@@ -266,10 +276,10 @@ def test_enumerate_at_a_larger_output_cap_extends_the_smaller_one():
     for _ in range(240):
         machine = random_machine(rng, max_states=5, max_transitions=9)
         k = rng.randint(0, 7)
-        small = harness.enumerate(machine, 6, k)
-        large = harness.enumerate(machine, 6, k + 3)
-        assert small.words == [w for w in large.words if len(w) <= k], machine.transitions
-        assert small.truncated or not large.truncated, machine.transitions
-        grown += len(large.words) > len(small.words)
-        truncated += large.truncated
+        small = enumerate_machine(machine, 6, k, tmp_path)
+        large = enumerate_machine(machine, 6, k + 3, tmp_path)
+        assert small["words"] == [w for w in large["words"] if len(w) <= k], machine.transitions
+        assert small["truncated"] or not large["truncated"], machine.transitions
+        grown += len(large["words"]) > len(small["words"])
+        truncated += large["truncated"]
     assert grown >= 100 and truncated >= 20, (grown, truncated)

@@ -280,18 +280,22 @@ def analyze_machine(
 def expr_automaton(e: RocExpr, atom: Callable[[Transducer], Automaton]) -> Automaton:
     """The expression's language, built from ``atom(machine)`` for each atom.
 
-    A concatenation concatenates its factors' automata and an iteration
-    joins its body's to that one's star; each step is trimmed.  The machines
-    must share one alphabet, which the result keeps.
+    A concatenation is the path 0 → 1 → 2 whose arcs carry its factors'
+    automata, an iteration the arc 0 → 1 and the loop at 1 that carry its
+    body's; :func:`regular.expand_graph` builds each step, which is then
+    trimmed.  The machines must share one alphabet: the result keeps the
+    left factor's.
     """
     if isinstance(e, RocAtom):
         return atom(e.machine)
     if isinstance(e, RocConcat):
-        left = expr_automaton(e.left, atom)
-        return regular.trim(regular.concat_automata(left, expr_automaton(e.right, atom)))
+        left, right = expr_automaton(e.left, atom), expr_automaton(e.right, atom)
+        arcs = [(0, left, 1), (1, right, 2)]
+        return regular.trim(regular.expand_graph([0, 1, 2], arcs, [0], [2], left.alphabet))
     if isinstance(e, RocPlus):
         a = expr_automaton(e.body, atom)
-        return regular.trim(regular.concat_automata(a, regular.star_automaton(a)))
+        arcs = [(0, a, 1), (1, a, 1)]
+        return regular.trim(regular.expand_graph([0, 1], arcs, [0], [1], a.alphabet))
     raise TypeError(f"not an expression: {e!r}")
 
 

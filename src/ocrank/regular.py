@@ -7,9 +7,11 @@ empty language.
 
 Automata are epsilon-free NFAs with integer states; a state's successors
 on a letter are one int bitmask, and every walk over state sets works on
-such masks, lowest state first.  ``compile_regex`` returns the trimmed
-subset-construction DFA, which is what every decision procedure in this
-module works on.
+such masks, lowest state first.  Every composite automaton, from a
+regex's unions, concatenations and stars to the graphs that the layers
+above build, comes from one ε-elimination, ``expand_graph``.
+``compile_regex`` returns the trimmed subset-construction DFA, which is
+what every decision procedure in this module works on.
 
 Machines draw their outputs from few regexes, so ``parse_regex`` and
 ``compile_regex`` keep their results in process-wide tables, as :mod:`re`
@@ -289,9 +291,6 @@ class Automaton(Record):
             states ^= low
         return out
 
-    def accepts_empty_word(self) -> bool:
-        return bool(self.initials & self.finals)
-
 
 def literal_automaton(ch: str, alphabet: Alphabet) -> Automaton:
     alphabet.rank(ch)
@@ -306,67 +305,35 @@ def empty_automaton(alphabet: Alphabet) -> Automaton:
     return Automaton(alphabet, 1, [{}], 1, 0)
 
 
-def _shifted(a: Automaton, offset: int) -> list[dict[str, int]]:
-    """A copy of ``a``'s rows with every state moved up by ``offset``."""
-    rows = []
-    for row in a.edges:
-        rows.append(shifted := {})
-        for ch, m in row.items():
-            shifted[ch] = m << offset
-    return rows
-
-
 def _add_moves(row: dict[str, int], moves: dict[str, int]) -> None:
     for ch, m in moves.items():
         row[ch] = row.get(ch, 0) | m
 
 
-def _initial_moves(a: Automaton) -> dict[str, int]:
-    """The successors of ``a``'s initial states, per letter."""
-    moves: dict[str, int] = {}
-    for i in state_bits(a.initials):
-        _add_moves(moves, a.edges[i])
-    return moves
-
-
-def union_automata(a: Automaton, b: Automaton) -> Automaton:
-    edges = _shifted(a, 0) + _shifted(b, a.n)
-    initials = a.initials | b.initials << a.n
-    finals = a.finals | b.finals << a.n
-    return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
-
-
-def concat_automata(a: Automaton, b: Automaton) -> Automaton:
-    edges = _shifted(a, 0) + _shifted(b, a.n)
-    b_starts = {ch: m << a.n for ch, m in _initial_moves(b).items()}
-    for f in state_bits(a.finals):
-        _add_moves(edges[f], b_starts)
-    finals = b.finals << a.n | (a.finals if b.accepts_empty_word() else 0)
-    initials = a.initials | (b.initials << a.n if a.accepts_empty_word() else 0)
-    return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
-
-
-def star_automaton(a: Automaton) -> Automaton:
-    # Fresh hub state so making the start accepting cannot leak extra words.
-    hub = 1 << a.n
-    starts = _initial_moves(a)
-    edges = _shifted(a, 0) + [dict(starts)]
-    for f in state_bits(a.finals):
-        _add_moves(edges[f], starts)
-    return Automaton(a.alphabet, a.n + 1, edges, hub, a.finals | hub)
-
-
 def nfa_of_regex(r: Regex, alphabet: Alphabet) -> Automaton:
+    """The regex's position (Glushkov) automaton.
+
+    A union, a concatenation and a star are graphs of two, three and one
+    nodes whose arcs carry the parts' automata, built by
+    :func:`expand_graph`.  Each state that a letter enters stands for one
+    letter occurrence, and no initial state is ever re-entered.  So after
+    each nonempty word the NFA reaches the occurrences that can end it, as
+    the NFA of the usual union, concatenation and star combinators does,
+    and :func:`determinize`, which numbers its states by words
+    breadth-first, gives the same DFA from both.
+    """
     if isinstance(r, Lit):
         return literal_automaton(r.ch, alphabet)
     if isinstance(r, Eps):
         return epsilon_automaton(alphabet)
-    if isinstance(r, Union):
-        return union_automata(nfa_of_regex(r.left, alphabet), nfa_of_regex(r.right, alphabet))
-    if isinstance(r, Concat):
-        return concat_automata(nfa_of_regex(r.left, alphabet), nfa_of_regex(r.right, alphabet))
     if isinstance(r, Star):
-        return star_automaton(nfa_of_regex(r.body, alphabet))
+        return expand_graph([0], [(0, nfa_of_regex(r.body, alphabet), 0)], [0], [0], alphabet)
+    if isinstance(r, Union):
+        left, right = nfa_of_regex(r.left, alphabet), nfa_of_regex(r.right, alphabet)
+        return expand_graph([0, 1], [(0, left, 1), (0, right, 1)], [0], [1], alphabet)
+    if isinstance(r, Concat):
+        left, right = nfa_of_regex(r.left, alphabet), nfa_of_regex(r.right, alphabet)
+        return expand_graph([0, 1, 2], [(0, left, 1), (1, right, 2)], [0], [2], alphabet)
     raise TypeError(f"not a regex node: {r!r}")
 
 
@@ -592,8 +559,11 @@ def _entered_states(a: Automaton) -> tuple[list[tuple[dict[str, int], bool]], di
         def renumber(row: dict[str, int]) -> dict[str, int]:
             return {ch: mask_image(m, moved) for ch, m in row.items()}
 
+        moves: dict[str, int] = {}
+        for i in state_bits(a.initials):
+            _add_moves(moves, a.edges[i])
         rows = [(renumber(a.edges[q]), bool(a.finals >> q & 1)) for q in kept]
-        a._entered = rows, renumber(_initial_moves(a))
+        a._entered = rows, renumber(moves)
     return a._entered
 
 

@@ -43,6 +43,12 @@ builds them all at once, and :func:`up_union` and
 The package makes a :class:`UPSet` only by folding a counter row; the
 tests make them with :func:`build_by_sets`, test membership with
 :func:`member` and take a set's row with :func:`upset_row`.
+:func:`union_automata`, :func:`concat_automata` and
+:func:`star_automaton` are the combinators that built regex nodes and
+expression steps before ``regular.expand_graph`` built them:
+:func:`nfa_by_combinators` and :func:`expr_by_combinators` fold a regex
+and an expression with them, and the per-word oracles below use them, so
+that they do not share the builder they check.
 :func:`membership` tests one word against an automaton, and
 :func:`project_run` forgets a lifted run's levels and phases; the package
 had both, but only the tests called them.
@@ -112,7 +118,7 @@ from ocrank.counterset import (
     level_cycle,
     reach_sets,
 )
-from ocrank.rank import NotScattered
+from ocrank.rank import NotScattered, RocAtom, RocConcat, RocExpr
 from ocrank.regular import Automaton, Regex, RegexSyntaxError, parse_regex
 from ocrank.transducer import (
     DOWN,
@@ -338,6 +344,80 @@ def spliced_expand_graph(nodes, arcs, initials, finals, alphabet: Alphabet) -> A
     index, successors = arc_graph(nodes, arcs)
     starts, ends = [index[v] for v in initials], [index[v] for v in finals]
     return regular.trim(epsilon_free(successors, starts, ends, alphabet))
+
+
+def _shifted(a: Automaton, offset: int) -> list[dict[str, int]]:
+    """A copy of ``a``'s rows with every state moved up by ``offset``."""
+    return [{ch: m << offset for ch, m in row.items()} for row in a.edges]
+
+
+def _add_moves(row: dict[str, int], moves: dict[str, int]) -> None:
+    for ch, m in moves.items():
+        row[ch] = row.get(ch, 0) | m
+
+
+def _initial_moves(a: Automaton) -> dict[str, int]:
+    """The successors of ``a``'s initial states, per letter."""
+    moves: dict[str, int] = {}
+    for i in state_bits(a.initials):
+        _add_moves(moves, a.edges[i])
+    return moves
+
+
+def union_automata(a: Automaton, b: Automaton) -> Automaton:
+    edges = _shifted(a, 0) + _shifted(b, a.n)
+    initials = a.initials | b.initials << a.n
+    finals = a.finals | b.finals << a.n
+    return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
+
+
+def concat_automata(a: Automaton, b: Automaton) -> Automaton:
+    edges = _shifted(a, 0) + _shifted(b, a.n)
+    b_starts = {ch: m << a.n for ch, m in _initial_moves(b).items()}
+    for f in state_bits(a.finals):
+        _add_moves(edges[f], b_starts)
+    finals = b.finals << a.n | (a.finals if b.initials & b.finals else 0)
+    initials = a.initials | (b.initials << a.n if a.initials & a.finals else 0)
+    return Automaton(a.alphabet, a.n + b.n, edges, initials, finals)
+
+
+def star_automaton(a: Automaton) -> Automaton:
+    # Fresh hub state so making the start accepting cannot leak extra words.
+    hub = 1 << a.n
+    starts = _initial_moves(a)
+    edges = _shifted(a, 0) + [dict(starts)]
+    for f in state_bits(a.finals):
+        _add_moves(edges[f], starts)
+    return Automaton(a.alphabet, a.n + 1, edges, hub, a.finals | hub)
+
+
+def nfa_by_combinators(r: Regex, alphabet: Alphabet) -> Automaton:
+    """``regular.nfa_of_regex`` as it was before it built through
+    ``regular.expand_graph``: the regex's nodes folded by the combinators."""
+    if isinstance(r, regular.Lit):
+        return regular.literal_automaton(r.ch, alphabet)
+    if isinstance(r, regular.Eps):
+        return regular.epsilon_automaton(alphabet)
+    if isinstance(r, regular.Union):
+        return union_automata(nfa_by_combinators(r.left, alphabet),
+                              nfa_by_combinators(r.right, alphabet))
+    if isinstance(r, regular.Concat):
+        return concat_automata(nfa_by_combinators(r.left, alphabet),
+                               nfa_by_combinators(r.right, alphabet))
+    return star_automaton(nfa_by_combinators(r.body, alphabet))
+
+
+def expr_by_combinators(e: RocExpr, atom) -> Automaton:
+    """``rank.expr_automaton`` as it was before it built through
+    ``regular.expand_graph``: a concatenation of the factors' automata and
+    an iteration as its body's joined to that one's star, each trimmed."""
+    if isinstance(e, RocAtom):
+        return atom(e.machine)
+    if isinstance(e, RocConcat):
+        left = expr_by_combinators(e.left, atom)
+        return regular.trim(concat_automata(left, expr_by_combinators(e.right, atom)))
+    a = expr_by_combinators(e.body, atom)
+    return regular.trim(concat_automata(a, star_automaton(a)))
 
 
 def scc_index_of(sccs: list[Scc]) -> dict[int, int]:
@@ -892,10 +972,10 @@ def step_language(machine: Transducer | TransducerPrime, w: str) -> dict:
         for t in machine.transitions:
             if t.bit != bit or t.source not in current:
                 continue
-            piece = regular.concat_automata(
+            piece = concat_automata(
                 current[t.source], regular.compile_regex(t.output, machine.alphabet))
             if t.target in nxt:
-                nxt[t.target] = regular.union_automata(nxt[t.target], piece)
+                nxt[t.target] = union_automata(nxt[t.target], piece)
             else:
                 nxt[t.target] = piece
         current = {q: regular.trim(a) for q, a in nxt.items()}
@@ -1045,7 +1125,7 @@ def bounded_language_by_union(machine: Transducer | TransducerPrime, nmax: int) 
     if not machine.accepts_epsilon:
         return a
     epsilon = regular.epsilon_automaton(machine.alphabet)
-    return regular.union_automata(a, epsilon) if a.finals else epsilon
+    return union_automata(a, epsilon) if a.finals else epsilon
 
 
 def language_of_input(machine: Transducer, w: str) -> Automaton:
@@ -1054,7 +1134,7 @@ def language_of_input(machine: Transducer, w: str) -> Automaton:
     acc = regular.empty_automaton(machine.alphabet)
     for f in sorted(machine.finals):
         if f in per_state:
-            acc = regular.union_automata(acc, per_state[f])
+            acc = union_automata(acc, per_state[f])
     return regular.trim(acc)
 
 

@@ -18,16 +18,17 @@ from dataclasses import dataclass
 from conftest import mask_bits
 from golden_cli import corpus_fixtures
 from ocrank.cli import parse_fixture
+from ocrank.rank import RocAtom, RocConcat, RocPlus, expr_automaton
 from ocrank.regular import (
     Automaton,
+    Concat,
+    Star,
+    Union,
     compile_regex,
-    concat_automata,
     determinize,
     nfa_of_regex,
     power_automaton,
-    star_automaton,
     trim,
-    union_automata,
     words_up_to,
 )
 from ocrank.transducer import bounded_language
@@ -178,12 +179,14 @@ def as_pairs(graph: list[dict[str, int]]) -> list[list[tuple[str, int]]]:
 
 def test_mask_routines_match_the_frozenset_routines():
     rng = random.Random(20261018)
+    past_8 = 0
     for i in range(600):
         a = random_nfa(rng, 7)
         b = random_nfa(rng, 7)
         assert as_sets(intersect(a, b)) == set_intersect(as_sets(a), as_sets(b))
         if i % 2:  # the larger NFAs of regexes, whose numbers pass 8
-            a = nfa_of_regex(random_regex(rng, 3), AB)
+            a = nfa_of_regex(random_regex(rng, 5), AB)
+            past_8 += a.n > 8
         assert as_sets(determinize(a)) == set_determinize(as_sets(a))
         assert as_sets(complete_determinize(a)) == set_determinize(as_sets(a), complete=True)
         max_len = rng.randint(0, 6)
@@ -195,6 +198,7 @@ def test_mask_routines_match_the_frozenset_routines():
         assert as_sets(epsilon_free(graph, starts, ends, AB)) == set_epsilon_free(
             as_pairs(graph), starts, ends, AB
         )
+    assert past_8 >= 30, past_8
 
 
 def assert_masks(a: Automaton) -> None:
@@ -210,9 +214,9 @@ def assert_masks(a: Automaton) -> None:
 def test_every_builder_keeps_its_state_sets_as_masks():
     rng = random.Random(20261020)
     for _ in range(200):
-        a = compile_regex(random_regex(rng, 3), AB)
-        b = compile_regex(random_regex(rng, 3), AB)
-        built = [a, b, union_automata(a, b), concat_automata(a, b), star_automaton(a)]
+        r, s = random_regex(rng, 3), random_regex(rng, 3)
+        built = [compile_regex(r, AB), compile_regex(s, AB)]
+        built += [nfa_of_regex(node, AB) for node in (Union(r, s), Concat(r, s), Star(r))]
         for c in built[2:]:
             d = determinize(c)
             built += [d, trim(c), trim(d)]
@@ -225,3 +229,6 @@ def test_every_builder_keeps_its_state_sets_as_masks():
         prime = leveled(machine)
         for m in (machine,) if prime is None else (machine, prime):
             assert_masks(bounded_language(m, 4))
+        atom = RocAtom(machine)
+        for e in (RocConcat(atom, atom), RocPlus(atom)):
+            assert_masks(expr_automaton(e, lambda m: bounded_language(m, 4)))

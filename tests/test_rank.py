@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import random_machine
-from oracles import scc_index_of
+from oracles import expr_by_combinators, scc_index_of
 from test_acceptance import COPRIME_LADDERS_210
 from test_components import ladder
 from test_counterset import complete_machine
@@ -34,8 +34,8 @@ from ocrank.rank import (
 )
 from ocrank.components import FullyCertified, ZeroCertified
 from ocrank.counterset import default_counter_cap
-from ocrank.transducer import make_transducer, minimal_normalize
-from ocrank.words import Alphabet
+from ocrank.transducer import bounded_language, make_transducer, minimal_normalize
+from ocrank.words import Alphabet, primitive_root
 
 AB = Alphabet(("a", "b"))
 
@@ -478,6 +478,60 @@ def test_each_atom_is_analysed_once(fig1, star_exit, void):
         result = expr_rank_bound(RocConcat(RocAtom(void), RocConcat(b, c)))
         assert result.derivation == ("concatenation with empty factor",)
         assert len(calls) == 1
+
+
+def random_expr(rng: random.Random, atoms: list[RocAtom], depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    if rng.random() < 0.6:
+        return RocConcat(random_expr(rng, atoms, depth - 1), random_expr(rng, atoms, depth - 1))
+    return RocPlus(random_expr(rng, atoms, depth - 1))
+
+
+def expr_atoms(e) -> list[RocAtom]:
+    if isinstance(e, RocAtom):
+        return [e]
+    if isinstance(e, RocPlus):
+        return expr_atoms(e.body)
+    return expr_atoms(e.left) + expr_atoms(e.right)
+
+
+def test_expression_automata_keep_their_language(void):
+    """Each concatenation and iteration step reads what the union,
+    concatenation and star combinators read, with either kind of atom."""
+    rng = random.Random(20261022)
+    eps_only = make_transducer(["q"], "q", ["q"], [("q", 1, "q", "a")], AB)
+    machines = [void, eps_only] + [random_machine(rng) for _ in range(16)]
+    atoms = [RocAtom(m) for m in machines]
+    bounded = {id(m): bounded_language(m, 4) for m in machines}
+    kinds = {
+        "bounded": lambda m: bounded[id(m)],
+        "counter-blind": rank._counter_blind,
+    }
+    seen = dict.fromkeys(("no input", "empty input", "iteration", "nested", "empty", "infinite"), 0)
+    for _ in range(300):
+        e = random_expr(rng, atoms, rng.randint(1, 3))
+        inside = expr_atoms(e)
+        seen["no input"] += atoms[0] in inside
+        seen["empty input"] += atoms[1] in inside
+        seen["iteration"] += isinstance(e, RocPlus)
+        seen["nested"] += not isinstance(e, RocAtom) and len(inside) > 2
+        for kind, atom in kinds.items():
+            got, want = rank.expr_automaton(e, atom), expr_by_combinators(e, atom)
+            case = (kind, e)
+            assert regular.words_up_to(got, 8) == regular.words_up_to(want, 8), case
+            longer = regular.has_word_longer_than(got, 8)
+            assert longer == regular.has_word_longer_than(want, 8), case
+            m = regular.shortest_nonempty_word(got)
+            assert m == regular.shortest_nonempty_word(want), case
+            root = "a" if m is None else primitive_root(m)
+            assert regular.subset_of_power_with_witness(got, root) == (
+                regular.subset_of_power_with_witness(want, root)
+            ), case
+            if kind == "bounded":
+                seen["empty"] += not want.finals
+                seen["infinite"] += longer
+    assert min(seen.values()) >= 20, seen
 
 
 def test_expr_rank_bound_rejects_foreign_objects():

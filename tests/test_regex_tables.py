@@ -9,12 +9,16 @@ Each test here starts from empty tables and puts the process's back.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from golden_cli import corpus_fixtures
 from ocrank import regular
+from ocrank.cli import parse_fixture
 from ocrank.regular import (
     Concat,
+    Eps,
     Lit,
     RegexSyntaxError,
     Scattered,
@@ -28,6 +32,7 @@ from ocrank.regular import (
     trim,
 )
 from ocrank.words import Alphabet
+from oracles import nfa_by_combinators
 
 AB = Alphabet(("a", "b"))
 
@@ -114,3 +119,39 @@ def test_the_order_verdict_is_kept_on_the_automaton(monkeypatch):
     monkeypatch.setattr(regular, "determinize", unused)
     assert regular_scattered(a) is verdict
     assert regular_scattered(compile_regex(parse_regex("(ab)*a", AB), AB)) is verdict
+
+
+def random_regex_over(rng: random.Random, letters: tuple[str, ...], depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([*map(Lit, letters), Eps()])
+    pick = rng.random()
+    if pick < 0.35:
+        return Union(*(random_regex_over(rng, letters, depth - 1) for _ in range(2)))
+    if pick < 0.75:
+        return Concat(*(random_regex_over(rng, letters, depth - 1) for _ in range(2)))
+    return Star(random_regex_over(rng, letters, depth - 1))
+
+
+def assert_same_dfa(r, alphabet):
+    """The subset construction gives the DFA of the combinators' NFA, field
+    by field, from the position automaton and from the table alike."""
+    want = trim(determinize(nfa_by_combinators(r, alphabet)))
+    fields = ("n", "edges", "initials", "finals")
+    for got in (fresh(r, alphabet), compile_regex(r, alphabet)):
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], r
+
+
+def test_compiled_dfas_are_those_of_the_combinators():
+    rng = random.Random(20261022)
+    # ``c a b`` is declared out of code-point order, so the BFS order of
+    # the subsets is not that of sorted letters.
+    for alphabet in (AB, Alphabet(("c", "a", "b"))):
+        for i in range(1200):
+            assert_same_dfa(random_regex_over(rng, alphabet.letters, 3 + i % 3), alphabet)
+    outputs = set()
+    for text, _ in corpus_fixtures().values():
+        machine = parse_fixture(text).value
+        outputs.update((t.output, machine.alphabet) for t in machine.transitions)
+    assert len(outputs) >= 10, outputs
+    for r, alphabet in outputs:
+        assert_same_dfa(r, alphabet)

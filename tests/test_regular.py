@@ -247,8 +247,8 @@ def test_subset_with_witness_matches_the_eager_product():
         assert ok == (witness is None)
         seen["a empty"] += is_empty_language(a)
         seen["b empty"] += is_empty_language(b)
-        seen["a has eps"] += a.accepts_empty_word()
-        seen["b has eps"] += b.accepts_empty_word()
+        seen["a has eps"] += bool(a.initials & a.finals)
+        seen["b has eps"] += bool(b.initials & b.finals)
         seen["b a power"] += kind == "power"
         seen["included" if ok else "not included"] += 1
     assert min(seen.values()) >= 30, seen
@@ -516,7 +516,7 @@ def test_expand_graph_matches_the_spliced_graph_and_is_trimmed():
         assert equivalent(got, spliced), (arcs, initials, finals)
         assert trim(got).n == got.n == spliced.n, (arcs, initials, finals)
         reached = _reach(initials, arcs)
-        eps_arcs = [(u, a, v) for u, a, v in arcs if a.accepts_empty_word()]
+        eps_arcs = [(u, a, v) for u, a, v in arcs if a.initials & a.finals]
         seen["ε cycle"] += any(u in _reach([v], eps_arcs) for u, _, v in eps_arcs)
         seen["unreachable node"] += len(reached) < n
         seen["dead end"] += any(not _reach([u], arcs) & set(finals) for u in reached)

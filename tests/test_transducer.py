@@ -49,6 +49,7 @@ from oracles import (
     run_input_word,
     step_language,
     typed_ends,
+    union_automata,
 )
 
 AB = Alphabet(("a", "b"))
@@ -495,12 +496,12 @@ def _per_word_unions(machine, nmax: int):
             if len(u) != n or not u:
                 continue
             if isinstance(machine, Transducer):
-                acc = regular.union_automata(acc, language_of_input(machine, u))
+                acc = union_automata(acc, language_of_input(machine, u))
                 continue
             per_state = step_language(machine, u)
             for f in sorted(typed_ends(machine)[1]):
                 if f in per_state:
-                    acc = regular.union_automata(acc, per_state[f])
+                    acc = union_automata(acc, per_state[f])
         unions.append(acc)
     return unions
 
